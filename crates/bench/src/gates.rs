@@ -75,7 +75,7 @@ pub fn memory_bounded(content_cache: usize, timestamps: usize, bound: usize) -> 
 // ---------------------------------------------------------------------------
 
 /// How many concurrent keep-alive connections the hold phase demands:
-/// 256 per event-loop shard on the epoll engines (whose ceiling is the fd
+/// 256 per event-loop shard on the epoll engine (whose ceiling is the fd
 /// limit), 32 on the workers backend (whose ceiling is the rotation
 /// design). When the process fd limit is known, the target is capped so
 /// the bench fits — each held loopback connection costs two fds in the
@@ -84,7 +84,6 @@ pub fn memory_bounded(content_cache: usize, timestamps: usize, bound: usize) -> 
 pub fn conn_hold_target(backend: ServerBackend, shards: usize, nofile_soft: Option<u64>) -> usize {
     let base = match backend {
         ServerBackend::Workers => 32,
-        ServerBackend::Epoll => 256,
         ServerBackend::EpollSharded(_) => 256 * shards.max(1),
     };
     match nofile_soft {
@@ -181,7 +180,7 @@ pub fn overload_recovery_ok(pre_storm_rate: f64, post_storm_rate: f64) -> bool {
 pub fn sessions_target(backend: ServerBackend, nofile_soft: Option<u64>) -> usize {
     let base = match backend {
         ServerBackend::Workers => 64,
-        ServerBackend::Epoll | ServerBackend::EpollSharded(_) => 512,
+        ServerBackend::EpollSharded(_) => 512,
     };
     match nofile_soft {
         Some(limit) => base.min((limit.saturating_sub(256) / 2) as usize).max(16),
@@ -244,7 +243,9 @@ pub struct GateConfig {
     pub cores: usize,
     /// `"smoke"` or `"full"`.
     pub mode: String,
-    /// Backend label (`"workers"` / `"epoll"` / `"epoll-sharded"`).
+    /// Backend label (`"workers"` / `"epoll-sharded"`; `"epoll"` in
+    /// baselines recorded before the single loop became
+    /// `epoll-sharded:1`).
     pub backend: String,
     /// Resolved shard count (1 for non-sharded backends).
     pub shards: usize,
@@ -364,7 +365,10 @@ mod tests {
     #[test]
     fn conn_hold_targets_scale_with_shards() {
         assert_eq!(conn_hold_target(ServerBackend::Workers, 1, None), 32);
-        assert_eq!(conn_hold_target(ServerBackend::Epoll, 1, None), 256);
+        assert_eq!(
+            conn_hold_target(ServerBackend::EpollSharded(1), 1, None),
+            256
+        );
         assert_eq!(
             conn_hold_target(ServerBackend::EpollSharded(2), 2, None),
             512,
@@ -439,14 +443,23 @@ mod tests {
     #[test]
     fn sessions_targets_differ_by_engine_and_respect_the_fd_budget() {
         assert_eq!(sessions_target(ServerBackend::Workers, None), 64);
-        assert_eq!(sessions_target(ServerBackend::Epoll, None), 512);
+        assert_eq!(sessions_target(ServerBackend::EpollSharded(1), None), 512);
         assert_eq!(sessions_target(ServerBackend::EpollSharded(2), None), 512);
         // 20000 fds is plenty for the full 512-session acceptance point.
-        assert_eq!(sessions_target(ServerBackend::Epoll, Some(20_000)), 512);
+        assert_eq!(
+            sessions_target(ServerBackend::EpollSharded(1), Some(20_000)),
+            512
+        );
         // 1024 fds: (1024 - 256) / 2 = 384 sessions fit.
-        assert_eq!(sessions_target(ServerBackend::Epoll, Some(1_024)), 384);
+        assert_eq!(
+            sessions_target(ServerBackend::EpollSharded(1), Some(1_024)),
+            384
+        );
         // Pathologically tiny limits keep a usable floor.
-        assert_eq!(sessions_target(ServerBackend::Epoll, Some(64)), 16);
+        assert_eq!(
+            sessions_target(ServerBackend::EpollSharded(1), Some(64)),
+            16
+        );
         assert_eq!(sessions_target(ServerBackend::Workers, Some(20_000)), 64);
     }
 

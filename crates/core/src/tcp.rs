@@ -1130,12 +1130,12 @@ mod tests {
             key.clone(),
             AgentConfig::default(),
             ServerConfig::builder()
-                .backend(ServerBackend::Epoll)
+                .backend(ServerBackend::EpollSharded(1))
                 .workers(2)
                 .build(),
         )
         .unwrap();
-        assert_eq!(host.backend(), ServerBackend::Epoll);
+        assert_eq!(host.backend(), ServerBackend::EpollSharded(1));
         let addr = host.addr().to_string();
         let mut alice = TcpParticipant::join(&addr, key, 1).unwrap();
         assert!(matches!(
@@ -1339,7 +1339,7 @@ mod tests {
     fn park_backends() -> Vec<ServerBackend> {
         let mut backends = vec![ServerBackend::Workers];
         if rcb_http::server::EPOLL_SUPPORTED {
-            backends.push(ServerBackend::Epoll);
+            backends.push(ServerBackend::EpollSharded(1));
             backends.push(ServerBackend::EpollSharded(2));
         }
         backends

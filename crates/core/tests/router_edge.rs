@@ -25,7 +25,7 @@ const PAGE: &str = "<html><head><title>edge</title></head>\
 fn backends() -> Vec<ServerBackend> {
     let mut backends = vec![ServerBackend::Workers];
     if EPOLL_SUPPORTED {
-        backends.push(ServerBackend::Epoll);
+        backends.push(ServerBackend::EpollSharded(1));
         backends.push(ServerBackend::EpollSharded(2));
     }
     backends

@@ -1,25 +1,26 @@
-//! The event-driven epoll server engine: one or many event-loop shards.
+//! The event-driven epoll driver: one or many event-loop shards.
 //!
-//! Where the worker-pool backend ([`crate::server`]) burns one blocked
-//! thread per in-flight connection (capping concurrent keep-alive sessions
-//! at the worker count), this engine holds every connection on nonblocking
+//! Where the workers engine ([`crate::server`]) burns one blocked thread
+//! per in-flight connection (capping concurrent keep-alive sessions at the
+//! worker count), this engine holds every connection on nonblocking
 //! sockets driven by raw `epoll` readiness (via the libc-free syscall
-//! shims in [`rcb_util::sys`]). The unit of the engine is the
-//! [`LoopShard`]: one thread owning its own epoll instance,
-//! connection-slot table, socketpair waker, and blocking-dispatch pool,
-//! running the per-connection state machine — read/parse, dispatch to the
-//! shared [`Handler`], staged zero-copy write with partial-write
-//! resumption, keep-alive reset.
+//! shims in [`rcb_util::sys`]). The protocol — parse, admit or shed,
+//! dispatch, park, write, guard — is the shared [`ConnCore`]; this module
+//! is only its I/O. The unit of the engine is the [`LoopShard`]: one
+//! thread owning its own epoll instance, generation-tagged slot table of
+//! `(socket, core)` pairs, socketpair waker, and blocking-dispatch pool.
+//! A shard maps readiness onto its cores — readable bytes go to
+//! [`ConnCore::feed`], the core's staged writer drains on `EPOLLOUT`, and
+//! epoll interest follows what the core wants next.
 //!
-//! [`ServerBackend::Epoll`](crate::server::ServerBackend::Epoll) runs one
-//! shard; [`ServerBackend::EpollSharded`](crate::server::ServerBackend::EpollSharded)
-//! runs `n` of them (`SO_REUSEPORT`-style scale-out) — same state machine,
-//! the single loop is literally the `n = 1` case. Shard 0 is the
-//! **acceptor shard**: it owns the listening socket and distributes
-//! accepted connections round-robin — its own share it registers directly,
-//! a peer's share travels through that shard's handoff inbox followed by a
-//! waker byte (an `EPOLL_CTL_ADD` handoff executed by the owning loop, so
-//! slot tables stay loop-private and unlocked). The `sys` shim also offers
+//! [`ServerBackend::EpollSharded`](crate::server::ServerBackend::EpollSharded)
+//! runs `n` shards (`SO_REUSEPORT`-style scale-out); the single loop
+//! (`"epoll"`) is the `n = 1` case. Shard 0 is the **acceptor shard**: it
+//! owns the listening socket and distributes accepted connections
+//! round-robin — its own share it registers directly, a peer's share
+//! travels through that shard's handoff inbox followed by a waker byte (an
+//! `EPOLL_CTL_ADD` handoff executed by the owning loop, so slot tables
+//! stay loop-private and unlocked). The `sys` shim also offers
 //! `SO_REUSEPORT` for the per-loop-listener alternative; round-robin
 //! handoff was chosen because it keeps the distribution deterministic and
 //! the listener lifecycle (mute-with-backoff on transient accept errors)
@@ -27,19 +28,18 @@
 //!
 //! `Handler` calls are synchronous and may be arbitrarily slow (a poll
 //! that triggers a merge takes the host mutex), so no loop ever invokes
-//! the handler itself: parsed requests go to the shard's small
-//! blocking-dispatch thread pool, and finished responses come back over
-//! the shard's completion queue plus its waker. Requests pipelined on one
-//! connection are dispatched one at a time, so responses always return in
-//! request order; requests on *different* connections run concurrently up
-//! to the shard's pool size, and different shards share nothing but the
-//! handler `Arc` — there is no cross-shard lock on any per-request path.
+//! the handler itself: the core's [`Step::Dispatch`] goes to the shard's
+//! small blocking-dispatch thread pool, and the outcome comes back over
+//! the shard's completion queue plus its waker. The core holds one
+//! dispatch (or park) per connection, so responses return in request
+//! order; requests on *different* connections run concurrently up to the
+//! shard's pool size, and different shards share nothing but the handler
+//! `Arc` — there is no cross-shard lock on any per-request path.
 //!
-//! The write path reuses the same zero-copy shapes as the blocking server:
-//! prefab wire images go to the socket verbatim from their `Arc`, and
-//! non-prefab responses are head + body vectored writes
-//! ([`crate::serialize::ResponseWriter`]) — a `WouldBlock` mid-response
-//! parks the cursor and the owning loop resumes on the next `EPOLLOUT`.
+//! Writes go through [`crate::serialize::ResponseWriter`]: prefab wire
+//! images verbatim from their `Arc`, non-prefab responses as head + body
+//! vectored writes; a `WouldBlock` mid-response parks the cursor and the
+//! owning loop resumes on the next `EPOLLOUT`.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -55,11 +55,12 @@ use rcb_util::fault;
 use rcb_util::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use rcb_util::{Clock, Result, SimDuration, SimTime};
 
-use crate::message::{Request, Response};
-use crate::parse::{ParseReject, RequestParser};
-use crate::serialize::{ResponseWriter, WriteProgress};
+use crate::conn::{ConnCore, ConnCtx, Step};
+use crate::message::Request;
+use crate::serialize::WriteProgress;
 use crate::server::{
-    reject_response, Handler, HandlerOutcome, OverloadCtx, ParkHub, ServerConfig, ServerStats,
+    invoke_handler, next_accept_backoff, Handler, HandlerOutcome, ServerConfig, ServerStats,
+    ACCEPT_BACKOFF_START,
 };
 
 /// This module variant is the real backend (see `epoll_stub.rs` for the
@@ -71,31 +72,17 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 /// Epoll token of the shard's waker (handoffs, completions, shutdown).
 const TOKEN_WAKER: u64 = u64::MAX - 1;
 
-/// Cap on parsed-but-undispatched requests buffered per connection: past
-/// this the loop stops reading from the socket (TCP backpressure) until
-/// the queue drains, so one pipelining flooder cannot balloon memory.
-const PIPELINE_LIMIT: usize = 64;
-
-/// Initial/maximum accept backoff, mirroring the worker backend's
-/// EMFILE-storm behaviour — but implemented by muting the listener's
-/// registration rather than sleeping (the loop must keep serving).
-const ACCEPT_BACKOFF_START: Duration = Duration::from_millis(1);
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
-
 /// A request handed to a shard's dispatch pool.
 struct Job {
     token: u64,
     request: Request,
-    close: bool,
 }
 
-/// A handler result travelling back to the owning shard's event loop —
-/// either a response to write or a park instruction to install on the
-/// connection's slot.
+/// A handler result travelling back to the owning shard's event loop:
+/// the outcome and whether the handler panicked.
 struct Completion {
     token: u64,
-    outcome: HandlerOutcome,
-    close: bool,
+    outcome: (HandlerOutcome, bool),
 }
 
 /// Everything a shard shares with threads outside its event loop: the
@@ -222,8 +209,8 @@ fn dispatch_worker(shared: Arc<ShardShared>, handler: Handler, waker: WakeHandle
         };
         // Unwind-protected: a panicking handler must still produce a
         // completion (and close the connection), or the dispatch thread
-        // dies and the connection wedges with dispatch_in_flight set.
-        let (outcome, panicked) = crate::server::invoke_handler(&handler, job.request);
+        // dies and the connection wedges with its dispatch outstanding.
+        let outcome = invoke_handler(&handler, job.request);
         {
             let mut c = shared
                 .completions
@@ -232,221 +219,42 @@ fn dispatch_worker(shared: Arc<ShardShared>, handler: Handler, waker: WakeHandle
             c.push(Completion {
                 token: job.token,
                 outcome,
-                close: job.close || panicked,
             });
         }
         waker.wake();
     }
 }
 
-/// A long-poll parked on a connection slot: the handler declined to
-/// answer until the [`ParkHub`] publishes a key newer than `wait_key` or
-/// `deadline` passes. The connection consumes no dispatch slot while
-/// parked — it sits in the slot table like an idle keep-alive connection,
-/// and the owning loop completes it from `on_wake`/`on_timeout` on a
-/// future tick.
-struct ParkedPoll {
-    /// The hub channel this park waits on (0 = the default channel; a
-    /// session router parks each session on its own channel).
-    channel: u64,
-    wait_key: u64,
-    /// Engine-clock deadline (`ServerConfig::clock`): real time in
-    /// deployment, virtual time if the engine ever runs under simulation.
-    deadline: SimTime,
-    on_wake: Box<dyn FnOnce() -> Response + Send>,
-    on_timeout: Box<dyn FnOnce() -> Response + Send>,
-    /// `Connection: close` (or a panic) was attached to the parked
-    /// request: close once the eventual response is written.
-    close: bool,
-}
-
-/// One connection's state machine, owned by exactly one shard's loop.
-struct Conn {
-    stream: TcpStream,
-    parser: RequestParser,
-    /// This connection's epoll token (`slot index | generation << 32`).
-    token: u64,
-    /// Readiness bits currently registered with epoll.
-    interest: u32,
-    /// Parsed requests waiting their turn (pipelining; served in order).
-    pending: VecDeque<(Request, bool)>,
-    /// The response currently being written, if any.
-    write: Option<ResponseWriter>,
-    /// Close the connection once the current write completes.
-    close_after_write: bool,
-    /// A request is at the handler; at most one per connection.
-    dispatch_in_flight: bool,
-    /// A long-poll is parked here awaiting publish/timeout. Like
-    /// `dispatch_in_flight`, it blocks further dispatch from `pending`,
-    /// so pipelined requests behind a parked poll still complete in
-    /// request order.
-    parked: Option<ParkedPoll>,
-    /// The parser refused the byte stream: answer the matching prefab
-    /// error (400/413/431) after the queue drains, then close. Sticky —
-    /// no further reads once set.
-    parse_failed: Option<ParseReject>,
-    /// `read` returned EOF; finish pending work, then close.
-    peer_closed: bool,
-    /// Engine-clock instant of the last byte read (the idle guard).
-    last_activity: SimTime,
-    /// Set while a partial request sits in the parser (the slowloris
-    /// guard); cleared when the buffer drains.
-    partial_since: Option<SimTime>,
-    /// Engine-clock instant the in-flight write last moved a byte (the
-    /// write-stall guard); reset whenever a write is installed.
-    write_progress_at: SimTime,
-}
-
-/// What the loop should do with a connection after an event.
-#[derive(PartialEq)]
-enum Verdict {
-    Keep,
-    Close,
-}
-
-/// Drains the socket into the parser and the parsed-request queue.
-/// Returns `Close` only on a fatal I/O error (EOF is recorded, not fatal:
-/// responses for already-received requests are still delivered).
-fn read_conn(conn: &mut Conn, now: SimTime) -> Verdict {
+/// Reads until the socket runs dry or the core stops wanting bytes.
+/// `false` on a fatal read error (EOF is recorded, not fatal: responses
+/// for requests already received are still delivered).
+fn read_into(stream: &mut TcpStream, core: &mut ConnCore, now: SimTime) -> bool {
     let mut buf = [0u8; 16 * 1024];
-    loop {
-        if conn.parse_failed.is_some() || conn.peer_closed || conn.pending.len() >= PIPELINE_LIMIT {
-            return Verdict::Keep;
-        }
+    while core.wants_read() {
         // Test-only fault hook (inert in production builds): an armed
         // Read fault behaves exactly like the kernel failing the call.
         let read = match fault::take(fault::Op::Read) {
             Some(e) => Err(e),
-            None => conn.stream.read(&mut buf),
+            None => stream.read(&mut buf),
         };
         match read {
-            Ok(0) => {
-                conn.peer_closed = true;
-                return Verdict::Keep;
-            }
-            Ok(n) => {
-                conn.parser.feed(&buf[..n]);
-                conn.last_activity = now;
-                loop {
-                    match conn.parser.next_request() {
-                        Ok(Some(req)) => {
-                            let close = req.wants_close();
-                            conn.pending.push_back((req, close));
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            conn.parse_failed = Some(
-                                conn.parser
-                                    .reject_reason()
-                                    .unwrap_or(ParseReject::Malformed),
-                            );
-                            break;
-                        }
-                    }
-                }
-                // Slowloris guard bookkeeping: leftover bytes that are
-                // not a refused stream are a partial request in flight.
-                conn.partial_since = if conn.parser.buffered() > 0 && conn.parse_failed.is_none() {
-                    conn.partial_since.or(Some(now))
-                } else {
-                    None
-                };
-            }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return Verdict::Keep,
+            Ok(0) => core.eof(),
+            Ok(n) => core.feed(&buf[..n], now),
+            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Verdict::Close,
+            Err(_) => return false,
         }
     }
-}
-
-/// Pushes the connection's state machine as far as it will go without
-/// blocking: finish the in-flight write, then dispatch (or shed) the next
-/// request or emit the deferred parse-error reply, until the socket
-/// blocks or the machine idles.
-fn advance_conn(
-    conn: &mut Conn,
-    dispatch: &ShardShared,
-    overload: &OverloadCtx,
-    now: SimTime,
-) -> Verdict {
-    loop {
-        let Conn { write, stream, .. } = conn;
-        if let Some(writer) = write.as_mut() {
-            let before = writer.written();
-            let progress = writer.write_some(stream);
-            if writer.written() > before {
-                conn.write_progress_at = now;
-            }
-            match progress {
-                Ok(WriteProgress::Done) => {
-                    conn.write = None;
-                    if conn.close_after_write {
-                        return Verdict::Close;
-                    }
-                }
-                Ok(WriteProgress::Blocked) => return Verdict::Keep,
-                Err(_) => return Verdict::Close,
-            }
-        } else if conn.dispatch_in_flight || conn.parked.is_some() {
-            // A parked long-poll holds the dispatch position exactly like
-            // an in-flight handler call: nothing behind it starts until
-            // the park resolves, preserving pipeline order.
-            return Verdict::Keep;
-        } else if let Some((request, close)) = conn.pending.pop_front() {
-            // Admission control: over the high-water mark the prefab
-            // shed reply answers from the event loop — no dispatch slot
-            // is consumed and the handler never runs.
-            if dispatch.queue_len() >= overload.config.queue_high_water {
-                overload
-                    .counters
-                    .requests_shed
-                    .fetch_add(1, Ordering::Relaxed);
-                drop(request);
-                conn.close_after_write = close;
-                conn.write = Some(ResponseWriter::new(overload.shed.next()));
-                conn.write_progress_at = now;
-            } else {
-                conn.dispatch_in_flight = true;
-                dispatch.submit(Job {
-                    token: conn.token,
-                    request,
-                    close,
-                });
-            }
-        } else if let Some(reason) = conn.parse_failed {
-            // In-order with everything before it: emitted only once the
-            // dispatch queue drained. `parse_failed` stays set so the
-            // read side remains off; `close_after_write` ends the
-            // connection once the error reply is out.
-            overload.counters.count_reject(reason);
-            conn.write = Some(ResponseWriter::new(reject_response(reason)));
-            conn.write_progress_at = now;
-            conn.close_after_write = true;
-        } else if conn.peer_closed {
-            return Verdict::Close;
-        } else {
-            return Verdict::Keep;
-        }
-    }
-}
-
-/// The readiness bits this connection currently needs.
-fn desired_interest(conn: &Conn) -> u32 {
-    let mut want = 0;
-    if !conn.peer_closed && conn.parse_failed.is_none() && conn.pending.len() < PIPELINE_LIMIT {
-        want |= EPOLLIN | EPOLLRDHUP;
-    }
-    if conn.write.is_some() {
-        want |= EPOLLOUT;
-    }
-    want
+    true
 }
 
 /// A slab slot: the generation survives the connection, so a completion
 /// for a closed-and-reused slot is recognized as stale and dropped.
 struct Slot {
     gen: u32,
-    conn: Option<Conn>,
+    /// Readiness bits currently registered with epoll.
+    interest: u32,
+    conn: Option<(TcpStream, ConnCore)>,
 }
 
 fn token_of(index: usize, gen: u32) -> u64 {
@@ -455,6 +263,16 @@ fn token_of(index: usize, gen: u32) -> u64 {
 
 fn token_parts(token: u64) -> (usize, u32) {
     ((token & 0xFFFF_FFFF) as usize, (token >> 32) as u32)
+}
+
+/// The readiness bits a core currently needs.
+fn interest_of(core: &ConnCore) -> u32 {
+    let read = if core.wants_read() {
+        EPOLLIN | EPOLLRDHUP
+    } else {
+        0
+    };
+    read | if core.wants_write() { EPOLLOUT } else { 0 }
 }
 
 /// The accept half, present only on shard 0: the listener, the
@@ -474,12 +292,20 @@ struct Acceptor {
     accept_backoff: Duration,
 }
 
+impl Acceptor {
+    /// Mutes the listener for the current backoff window and doubles it.
+    fn mute(&mut self, now: SimTime) {
+        self.accept_errors.fetch_add(1, Ordering::Relaxed);
+        self.listener_muted_until = Some(now + SimDuration::from_duration(self.accept_backoff));
+        self.accept_backoff = next_accept_backoff(self.accept_backoff);
+    }
+}
+
 /// One event-loop shard: a thread owning an epoll instance, a slot table
 /// of connections, a waker, and (through [`ShardShared`]) its dispatch
 /// pool. Shard 0 additionally owns the [`Acceptor`]. Everything
 /// socket-shaped for a given connection happens on its owning shard's
-/// thread; the single-loop backend is the one-shard instance of this
-/// struct, not a separate implementation.
+/// thread.
 struct LoopShard {
     epoll: Epoll,
     waker_rx: UnixStream,
@@ -488,20 +314,12 @@ struct LoopShard {
     free: Vec<usize>,
     /// Present only on the acceptor shard (index 0).
     acceptor: Option<Acceptor>,
-    /// The park/wake rendezvous shared with the application (and the
-    /// other shards). Publishes poke this loop's waker; the loop re-scans
-    /// its parked slots on every tick regardless, so a racing publish is
-    /// at worst one tick late, never lost.
-    park: Arc<ParkHub>,
-    /// Live parked long-polls in this shard's slot table — lets every
-    /// tick skip the slot scan in the (typical) no-parks case.
-    parked_count: usize,
-    /// Engine clock for park deadlines and listener-mute windows
+    /// Engine clock for every core deadline and the listener-mute window
     /// (`ServerConfig::clock` — the wall clock in deployment).
     clock: Clock,
-    /// Overload limits, counters, and the shed-response pool (shared
-    /// across shards, so counters aggregate server-wide).
-    overload: Arc<OverloadCtx>,
+    /// Limits, counters, shed pool, and park hub shared by every core
+    /// (and across shards, so counters aggregate server-wide).
+    ctx: Arc<ConnCtx>,
 }
 
 impl LoopShard {
@@ -509,19 +327,16 @@ impl LoopShard {
         let mut events = vec![EpollEvent::zeroed(); 1024];
         while !self.shared.stopped() {
             // The 50 ms ceiling is the stop-flag safety net; a muted
-            // listener, a parked long-poll, or a lifecycle-guard deadline
-            // shortens the wait to its own deadline so neither a 1 ms
-            // accept backoff nor a short guard timeout is quantized up to
-            // a full tick.
+            // listener or a core deadline (park, guard) shortens the wait
+            // to its own instant, so neither a 1 ms accept backoff nor a
+            // short guard timeout is quantized up to a full tick. (A
+            // publish pokes the waker, so parks wake without a deadline.)
             let muted_until = self.acceptor.as_ref().and_then(|a| a.listener_muted_until);
-            let deadline = [
-                muted_until,
-                self.nearest_park_deadline(),
-                self.nearest_guard_deadline(),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
+            let cores = self.slots.iter().filter_map(|s| s.conn.as_ref());
+            let deadline = cores
+                .filter_map(|(_, core)| core.deadline())
+                .chain(muted_until)
+                .min();
             let timeout = match deadline {
                 Some(deadline) => deadline.since(self.clock.now()).as_millis().clamp(1, 50) as i32,
                 None => 50,
@@ -540,8 +355,7 @@ impl LoopShard {
             }
             self.adopt_handoffs();
             self.process_completions();
-            self.service_parked();
-            self.sweep_guards();
+            self.sweep();
             self.maybe_unmute_listener();
             if accept_ready {
                 self.accept_drain();
@@ -549,120 +363,43 @@ impl LoopShard {
         }
     }
 
-    /// The soonest park timeout in this shard's slot table, if any.
-    fn nearest_park_deadline(&self) -> Option<SimTime> {
-        if self.parked_count == 0 {
-            return None;
-        }
-        self.slots
-            .iter()
-            .filter_map(|s| s.conn.as_ref())
-            .filter_map(|c| c.parked.as_ref())
-            .map(|p| p.deadline)
-            .min()
-    }
-
-    /// The lifecycle-guard deadline a connection is currently on, if any:
-    /// a stalled write is on the write-stall clock; a connection with
-    /// work in flight is exempt (the park deadline governs parks); a
-    /// buffered partial request is on the slowloris clock; everything
-    /// else is an idle keep-alive on the idle clock.
-    fn guard_deadline(&self, conn: &Conn) -> Option<SimTime> {
-        let cfg = &self.overload.config;
-        if conn.write.is_some() {
-            Some(conn.write_progress_at + SimDuration::from_duration(cfg.write_stall_timeout))
-        } else if conn.dispatch_in_flight || conn.parked.is_some() || !conn.pending.is_empty() {
-            None
-        } else if let Some(since) = conn.partial_since {
-            Some(since + SimDuration::from_duration(cfg.header_read_timeout))
-        } else {
-            Some(conn.last_activity + SimDuration::from_duration(cfg.idle_timeout))
-        }
-    }
-
-    /// The soonest lifecycle-guard deadline in this shard's slot table.
-    fn nearest_guard_deadline(&self) -> Option<SimTime> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.conn.as_ref())
-            .filter_map(|c| self.guard_deadline(c))
-            .min()
-    }
-
-    /// Cuts every connection whose lifecycle-guard deadline has passed,
-    /// counting the cut under the guard that fired. One O(slots) pass per
-    /// tick — the same cost profile as the parked-slot scan.
-    fn sweep_guards(&mut self) {
-        let now = self.clock.now();
-        for index in 0..self.slots.len() {
-            let expired = {
-                let Some(conn) = self.slots[index].conn.as_ref() else {
-                    continue;
-                };
-                match self.guard_deadline(conn) {
-                    Some(deadline) if now >= deadline => {
-                        let counters = &self.overload.counters;
-                        let counter = if conn.write.is_some() {
-                            &counters.write_stall_timeouts
-                        } else if conn.partial_since.is_some() {
-                            &counters.header_timeouts
-                        } else {
-                            &counters.idle_timeouts
-                        };
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        true
-                    }
-                    _ => false,
-                }
-            };
-            if expired {
-                self.settle(index, Verdict::Close);
+    /// Runs one connection's core until it idles, blocks on a write, or
+    /// closes: dispatches go to the pool, staged responses drain to the
+    /// socket. Returns whether the connection stays open.
+    fn drive(&mut self, index: usize, now: SimTime) -> bool {
+        let token = token_of(index, self.slots[index].gen);
+        let Some((stream, core)) = self.slots[index].conn.as_mut() else {
+            return false;
+        };
+        loop {
+            match core.next(now, || self.shared.queue_len()) {
+                Step::Dispatch(request) => self.shared.submit(Job { token, request }),
+                Step::Write => match core.drain(&self.clock, |w| w.write_some(stream)) {
+                    Ok(WriteProgress::Done) => {}
+                    Ok(WriteProgress::Blocked) => return true,
+                    Err(_) => return false,
+                },
+                Step::Idle => return true,
+                Step::Close => return false,
             }
         }
     }
 
-    /// Completes parked long-polls whose wake condition or timeout has
-    /// arrived: the response comes from the park's own closure (wake =
-    /// fresh content, timeout = the empty-poll fallback) and enters the
-    /// ordinary staged write path — prefab images stay zero-copy, and
-    /// `advance_conn` resumes any requests pipelined behind the park.
-    fn service_parked(&mut self) {
-        if self.parked_count == 0 {
-            return;
-        }
+    /// Resolves every connection with time- or publish-driven work:
+    /// parks whose key was published, whose channel closed, or whose
+    /// deadline passed, and guard deadlines (the core counts and closes).
+    /// One O(slots) pass per tick.
+    fn sweep(&mut self) {
         let now = self.clock.now();
         for index in 0..self.slots.len() {
-            let Some(conn) = self.slots[index].conn.as_mut() else {
-                continue;
-            };
-            // Per-channel status: parks on the default channel read the
-            // lock-free atomic; a routed session's parks consult its own
-            // channel, so another session's publish never wakes them. A
-            // closed channel (evicted session) resolves as a timeout.
-            let due = match conn.parked.as_ref() {
-                Some(p) => {
-                    let (published, closed) = self.park.channel_status(p.channel);
-                    closed || published > p.wait_key || now >= p.deadline
-                }
-                None => false,
-            };
-            if !due {
-                continue;
+            if self.slots[index]
+                .conn
+                .as_ref()
+                .is_some_and(|(_, core)| core.due(now))
+            {
+                let keep = self.drive(index, now);
+                self.settle(index, keep);
             }
-            let parked = conn.parked.take().expect("checked above");
-            self.parked_count -= 1;
-            self.park.release_park();
-            let (published, closed) = self.park.channel_status(parked.channel);
-            let response = if !closed && published > parked.wait_key {
-                (parked.on_wake)()
-            } else {
-                (parked.on_timeout)()
-            };
-            conn.close_after_write = parked.close;
-            conn.write = Some(ResponseWriter::new(response));
-            conn.write_progress_at = now;
-            let verdict = advance_conn(conn, &self.shared, &self.overload, now);
-            self.settle(index, verdict);
         }
     }
 
@@ -691,12 +428,8 @@ impl LoopShard {
     /// mutes the listener for a backoff window instead of busy-looping on
     /// a level-triggered readable listener. No-op on non-acceptor shards.
     fn accept_drain(&mut self) {
-        if self.acceptor.is_none() {
-            return;
-        }
-        let clock = self.clock.clone();
-        loop {
-            let acc = self.acceptor.as_mut().expect("checked above");
+        let now = self.clock.now();
+        while let Some(acc) = self.acceptor.as_mut() {
             if acc.listener_muted_until.is_some() {
                 return;
             }
@@ -717,54 +450,41 @@ impl LoopShard {
                         acc.shards[target].hand_off(stream);
                     }
                 }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(_) => {
-                    acc.accept_errors.fetch_add(1, Ordering::Relaxed);
                     let _ = self.epoll.delete(acc.listener.as_raw_fd());
-                    acc.listener_muted_until =
-                        Some(clock.now() + SimDuration::from_duration(acc.accept_backoff));
-                    acc.accept_backoff = (acc.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                    break;
+                    acc.mute(now);
+                    return;
                 }
             }
         }
     }
 
     fn maybe_unmute_listener(&mut self) {
-        let mut unmuted = false;
-        let clock = self.clock.clone();
-        {
-            let Some(acc) = self.acceptor.as_mut() else {
-                return;
-            };
-            let Some(deadline) = acc.listener_muted_until else {
-                return;
-            };
-            if clock.now() < deadline {
-                return;
-            }
-            if self
-                .epoll
-                .add(acc.listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
-                .is_ok()
-            {
-                acc.listener_muted_until = None;
-                unmuted = true;
-            } else {
-                // Registration failed (likely the same resource pressure
-                // that caused the mute): stay muted for another backoff
-                // window and retry, rather than leaving the listener
-                // permanently unwatched.
-                acc.accept_errors.fetch_add(1, Ordering::Relaxed);
-                acc.listener_muted_until =
-                    Some(clock.now() + SimDuration::from_duration(acc.accept_backoff));
-                acc.accept_backoff = (acc.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            }
+        let Some(acc) = self.acceptor.as_mut() else {
+            return;
+        };
+        let Some(until) = acc.listener_muted_until else {
+            return;
+        };
+        let now = self.clock.now();
+        if now < until {
+            return;
         }
-        if unmuted {
+        if self
+            .epoll
+            .add(acc.listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
+            .is_ok()
+        {
+            acc.listener_muted_until = None;
             // Level-triggered: pending connections re-fire on the next
             // wait, but accept now to shave a tick.
             self.accept_drain();
+        } else {
+            // Registration failed (likely the same resource pressure that
+            // caused the mute): stay muted for another backoff window and
+            // retry, rather than leaving the listener permanently unwatched.
+            acc.mute(now);
         }
     }
 
@@ -772,156 +492,94 @@ impl LoopShard {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        let index = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                self.slots.push(Slot { gen: 0, conn: None });
-                self.slots.len() - 1
-            }
-        };
-        let token = token_of(index, self.slots[index].gen);
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot {
+                gen: 0,
+                interest: 0,
+                conn: None,
+            });
+            self.slots.len() - 1
+        });
+        let slot = &mut self.slots[index];
         let interest = EPOLLIN | EPOLLRDHUP;
+        let token = token_of(index, slot.gen);
         if self.epoll.add(stream.as_raw_fd(), interest, token).is_err() {
             self.free.push(index);
             return;
         }
         self.shared.conns_assigned.fetch_add(1, Ordering::Relaxed);
-        let now = self.clock.now();
-        let cfg = &self.overload.config;
-        self.slots[index].conn = Some(Conn {
+        slot.interest = interest;
+        slot.conn = Some((
             stream,
-            parser: RequestParser::with_limits(cfg.max_header_bytes, cfg.max_body_bytes),
-            token,
-            interest,
-            pending: VecDeque::new(),
-            write: None,
-            close_after_write: false,
-            dispatch_in_flight: false,
-            parked: None,
-            parse_failed: None,
-            peer_closed: false,
-            last_activity: now,
-            partial_since: None,
-            write_progress_at: now,
-        });
+            ConnCore::new(Arc::clone(&self.ctx), self.clock.now()),
+        ));
     }
 
-    /// Routes one readiness event to the owning connection's state machine.
-    fn conn_event(&mut self, token: u64, readiness: u32) {
+    /// The live slot a token names, if the connection still exists (a
+    /// stale generation means it closed and the slot was reused).
+    fn live(&self, token: u64) -> Option<usize> {
         let (index, gen) = token_parts(token);
-        let Some(slot) = self.slots.get_mut(index) else {
+        let slot = self.slots.get(index)?;
+        (slot.gen == gen && slot.conn.is_some()).then_some(index)
+    }
+
+    /// Routes one readiness event to the owning connection's core.
+    fn conn_event(&mut self, token: u64, readiness: u32) {
+        let Some(index) = self.live(token) else {
             return;
         };
-        if slot.gen != gen {
-            return; // stale event for a reused slot
-        }
-        let Some(conn) = slot.conn.as_mut() else {
-            return;
-        };
-        let readable = readiness & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0;
         let now = self.clock.now();
-        let mut verdict = Verdict::Keep;
-        if readable {
-            verdict = read_conn(conn, now);
-        }
+        let (stream, core) = self.slots[index].conn.as_mut().expect("live slot");
+        let readable = readiness & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0;
         // EPOLLERR/EPOLLHUP (RST, full hangup) are reported regardless of
         // the interest mask and the socket can neither deliver our
         // responses nor send more requests: close now — after the read
-        // above drained any final bytes — rather than spinning on a
+        // drained any final bytes — rather than spinning on a
         // level-triggered event no interest change can silence. (A plain
         // write-side shutdown arrives as EPOLLRDHUP and keeps serving.)
-        if verdict == Verdict::Keep && readiness & (EPOLLERR | EPOLLHUP) != 0 {
-            verdict = Verdict::Close;
-        }
-        if verdict == Verdict::Keep {
-            verdict = advance_conn(conn, &self.shared, &self.overload, now);
-        }
-        self.settle(index, verdict);
+        let keep = (!readable || read_into(stream, core, now))
+            && readiness & (EPOLLERR | EPOLLHUP) == 0
+            && self.drive(index, now);
+        self.settle(index, keep);
     }
 
-    /// Applies a verdict: close the connection or refresh its epoll
-    /// registration to match what the state machine now waits for.
-    fn settle(&mut self, index: usize, verdict: Verdict) {
+    /// Applies a verdict: close the connection (dropping its core releases
+    /// any park slot it held) or refresh its epoll registration to match
+    /// what the core now waits for.
+    fn settle(&mut self, index: usize, keep: bool) {
         let slot = &mut self.slots[index];
-        let Some(conn) = slot.conn.as_mut() else {
+        let Some((stream, core)) = slot.conn.as_ref() else {
             return;
         };
-        match verdict {
-            Verdict::Close => {
-                let conn = slot.conn.take().expect("checked above");
-                if conn.parked.is_some() {
-                    self.parked_count -= 1;
-                    // The park slot frees with its connection, or the cap
-                    // would leak down to zero under churn.
-                    self.park.release_park();
-                }
-                let _ = self.epoll.delete(conn.stream.as_raw_fd());
-                // The generation bump invalidates any in-flight dispatch
-                // for this slot; its completion will be dropped as stale.
-                slot.gen = slot.gen.wrapping_add(1);
-                self.free.push(index);
+        if keep {
+            let want = interest_of(core);
+            let token = token_of(index, slot.gen);
+            if want != slot.interest && self.epoll.modify(stream.as_raw_fd(), want, token).is_ok() {
+                slot.interest = want;
             }
-            Verdict::Keep => {
-                let want = desired_interest(conn);
-                if want != conn.interest
-                    && self
-                        .epoll
-                        .modify(conn.stream.as_raw_fd(), want, conn.token)
-                        .is_ok()
-                {
-                    conn.interest = want;
-                }
-            }
+            return;
         }
+        let _ = self.epoll.delete(stream.as_raw_fd());
+        slot.conn = None;
+        // The generation bump invalidates any in-flight dispatch for this
+        // slot; its completion will be dropped as stale.
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(index);
     }
 
-    /// Delivers finished handler outcomes back to their connections: a
-    /// response starts its staged write; a park installs on the slot (to
-    /// be completed by [`LoopShard::service_parked`] — which runs right
-    /// after this on the same tick, so a publish that already happened
-    /// wakes the poll without waiting another tick).
+    /// Delivers finished handler outcomes back to their cores: a response
+    /// starts its staged write; a park installs on the connection (a
+    /// publish that already happened resolves it in the same `drive`).
     fn process_completions(&mut self) {
         let now = self.clock.now();
         for completion in self.shared.take_completions() {
-            let (index, gen) = token_parts(completion.token);
-            let Some(slot) = self.slots.get_mut(index) else {
-                continue;
-            };
-            if slot.gen != gen {
+            let Some(index) = self.live(completion.token) else {
                 continue; // connection closed while the handler ran
-            }
-            let Some(conn) = slot.conn.as_mut() else {
-                continue;
             };
-            conn.dispatch_in_flight = false;
-            match completion.outcome {
-                HandlerOutcome::Respond(response) => {
-                    conn.close_after_write = completion.close;
-                    conn.write = Some(ResponseWriter::new(response));
-                    conn.write_progress_at = now;
-                }
-                HandlerOutcome::Park(park) => {
-                    if self.park.try_admit_park(self.overload.config.max_parked) {
-                        conn.parked = Some(ParkedPoll {
-                            channel: park.channel,
-                            wait_key: park.wait_key,
-                            deadline: now + SimDuration::from_duration(park.max_wait),
-                            on_wake: park.on_wake,
-                            on_timeout: park.on_timeout,
-                            close: completion.close,
-                        });
-                        self.parked_count += 1;
-                    } else {
-                        // Park cap reached: degrade to the immediate
-                        // empty-poll reply instead of holding the slot.
-                        conn.close_after_write = completion.close;
-                        conn.write = Some(ResponseWriter::new((park.on_timeout)()));
-                        conn.write_progress_at = now;
-                    }
-                }
-            }
-            let verdict = advance_conn(conn, &self.shared, &self.overload, now);
-            self.settle(index, verdict);
+            let (_, core) = self.slots[index].conn.as_mut().expect("live slot");
+            core.complete(completion.outcome, now);
+            let keep = self.drive(index, now);
+            self.settle(index, keep);
         }
     }
 }
@@ -932,8 +590,7 @@ pub(crate) struct EpollServer {
     addr: SocketAddr,
     shards: Vec<ShardHandle>,
     accept_errors: Arc<AtomicU64>,
-    overload: Arc<OverloadCtx>,
-    hub: Arc<ParkHub>,
+    ctx: Arc<ConnCtx>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -952,7 +609,7 @@ impl EpollServer {
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let accept_errors = Arc::new(AtomicU64::new(0));
-        let overload = OverloadCtx::new(config.overload.clone());
+        let ctx = ConnCtx::new(config);
 
         // Handles first: shard 0's acceptor needs one per shard before any
         // loop thread starts.
@@ -1002,13 +659,11 @@ impl EpollServer {
                 slots: Vec::new(),
                 free: Vec::new(),
                 acceptor,
-                park: Arc::clone(&config.park_hub),
-                parked_count: 0,
                 clock: config.clock.clone(),
-                overload: Arc::clone(&overload),
+                ctx: Arc::clone(&ctx),
             });
             // A publish on the hub pokes this shard's waker, so a parked
-            // poll completes on the very next loop iteration instead of
+            // poll resolves on the very next loop iteration instead of
             // waiting out the 50 ms tick.
             let waker = handles[index].waker.clone();
             config
@@ -1035,8 +690,7 @@ impl EpollServer {
             addr: local,
             shards: handles,
             accept_errors,
-            overload,
-            hub: Arc::clone(&config.park_hub),
+            ctx,
             threads,
         })
     }
@@ -1064,7 +718,7 @@ impl EpollServer {
             connections_per_shard,
             ..ServerStats::default()
         };
-        self.overload.fill_stats(&mut stats, &self.hub);
+        self.ctx.fill_stats(&mut stats);
         stats
     }
 

@@ -1,8 +1,8 @@
 //! Stand-in for [`crate::epoll`] on targets without the epoll shims.
 //!
 //! Never constructed at runtime: `ServerBackend::effective()` degrades
-//! `Epoll` and `EpollSharded` to `Workers` wherever this module is the one
-//! compiled in, so `HttpServer::bind_with` never reaches
+//! `EpollSharded` to `Workers` wherever this module is the one compiled
+//! in, so `HttpServer::bind_with` never reaches
 //! [`EpollServer::bind`]. The type exists so the server facade's `Engine`
 //! enum and its match arms compile identically on every target — the
 //! platform `cfg` lives on the module declarations in `lib.rs` and nowhere

@@ -6,18 +6,20 @@
 //! `application/xml`, or cached-object responses. This crate supplies the
 //! message model ([`Request`], [`Response`]), an incremental parser that
 //! consumes bytes exactly as they arrive off a socket ([`parse`]), the
-//! serializer, and a TCP [`server`] with two runtime-selectable backends —
-//! a bounded worker pool and an event-driven [`epoll`] loop — plus the
+//! serializer, one sans-IO connection state machine (`conn`: parse, admit
+//! or shed, dispatch, park, write, guard), and three drivers that give it
+//! I/O: the blocking workers engine and the event-driven [`epoll`] engine
+//! behind the TCP [`server`] facade, and the deterministic pump-mode
+//! [`simdrive`] the world sim steps in place of threads — plus the
 //! blocking [`client`] used by the real-socket deployment path and the
 //! loopback integration tests.
 //!
-//! The server and client move bytes through the [`transport`] seam
-//! (kernel sockets or the seeded in-process fabric from `rcb-sim`), and
-//! [`simdrive`] is the single-threaded deterministic server driver the
-//! world sim pumps in place of the threaded engines.
+//! The workers engine and the client move bytes through the [`transport`]
+//! seam (kernel sockets or the seeded in-process fabric from `rcb-sim`).
 
 pub mod batch;
 pub mod client;
+pub(crate) mod conn;
 // The one place the platform condition for the epoll backend appears in
 // this crate: everywhere else compiles identically against whichever
 // `epoll` module is selected (`server::EPOLL_SUPPORTED` mirrors it as a

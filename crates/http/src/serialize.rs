@@ -1,11 +1,12 @@
 //! HTTP/1.1 wire serialization.
 //!
 //! Two producers: [`serialize_response`] materializes the full byte form
-//! (clients, `wire_len`, prefab freezing), while [`write_response_to`] is
-//! the server's zero-copy path — the head is assembled into a small
-//! buffer and the body is handed to the socket straight from wherever it
-//! lives (a shared `Arc<[u8]>` is never copied into a scratch buffer),
-//! via vectored writes. Prefab responses skip even the head assembly.
+//! (clients, `wire_len`, prefab freezing), while [`ResponseWriter`] is
+//! every server engine's zero-copy write path — the head is assembled
+//! into a small buffer and the body is handed to the socket straight from
+//! wherever it lives (a shared `Arc<[u8]>` is never copied into a scratch
+//! buffer), via vectored writes, resumable after `EWOULDBLOCK`. Prefab
+//! responses skip even the head assembly.
 
 use std::io::{self, IoSlice, Write};
 
@@ -56,41 +57,6 @@ pub fn serialize_response(resp: &Response) -> Vec<u8> {
     out
 }
 
-/// Writes a response to `w` without materializing head+body into one
-/// buffer: prefab responses are written verbatim from the frozen image;
-/// otherwise the head is assembled (~128 bytes) and the body is written
-/// straight from its own storage via vectored I/O. This is what makes
-/// `Body::Shared` zero-copy end to end — the shared bytes travel from the
-/// `Arc` to the socket with no intermediate heap copy.
-pub fn write_response_to<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
-    if let Some(prefab) = resp.prefab_bytes() {
-        return w.write_all(prefab);
-    }
-    let head = serialize_response_head(resp);
-    let body = resp.body.as_slice();
-    if body.is_empty() {
-        return w.write_all(&head);
-    }
-    let total = head.len() + body.len();
-    let mut written = 0usize;
-    while written < total {
-        let result = if written < head.len() {
-            let bufs = [IoSlice::new(&head[written..]), IoSlice::new(body)];
-            w.write_vectored(&bufs)
-        } else {
-            w.write(&body[written - head.len()..])
-        };
-        match result {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => written += n,
-            // Retry on EINTR, matching `write_all` semantics.
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
 /// Progress of a resumable response write on a nonblocking socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteProgress {
@@ -101,16 +67,16 @@ pub enum WriteProgress {
     Blocked,
 }
 
-/// A response mid-flight on a nonblocking socket.
+/// A response mid-flight on a socket — the one server write path.
 ///
-/// The event-driven server backend cannot use [`write_response_to`]
-/// directly: a nonblocking write can stop anywhere inside the response and
-/// must resume from exactly that byte on the next writability event. This
-/// writer owns the response (keeping prefab images and shared bodies alive
-/// without copying them) plus a byte cursor, and preserves the zero-copy
-/// shape: prefab images go to the socket verbatim from their `Arc`, and
-/// non-prefab responses assemble only the ~128-byte head, with the body
-/// written straight from its own storage via vectored I/O.
+/// A nonblocking write (or a blocking one whose `SO_SNDTIMEO` expired)
+/// can stop anywhere inside the response and must resume from exactly
+/// that byte later. This writer owns the response (keeping prefab images
+/// and shared bodies alive without copying them) plus a byte cursor, and
+/// preserves the zero-copy shape: prefab images go to the socket verbatim
+/// from their `Arc`, and non-prefab responses assemble only the ~128-byte
+/// head, with the body written straight from its own storage via vectored
+/// I/O.
 #[derive(Debug)]
 pub struct ResponseWriter {
     resp: Response,
@@ -208,6 +174,13 @@ mod tests {
     use super::*;
     use crate::message::{Request, Response};
 
+    /// Writes a whole response through the server write path.
+    fn write_whole<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
+        let progress = ResponseWriter::new(resp.clone()).write_some(w)?;
+        assert_eq!(progress, WriteProgress::Done, "sink never blocks");
+        Ok(())
+    }
+
     #[test]
     fn request_wire_form() {
         let req = Request::get("/x").with_header("Host", "h");
@@ -248,8 +221,8 @@ mod tests {
         assert_eq!(serialize_response(&owned), serialize_response(&shared));
         let mut sink_o = Vec::new();
         let mut sink_s = Vec::new();
-        write_response_to(&mut sink_o, &owned).unwrap();
-        write_response_to(&mut sink_s, &shared).unwrap();
+        write_whole(&mut sink_o, &owned).unwrap();
+        write_whole(&mut sink_s, &shared).unwrap();
         assert_eq!(sink_o, serialize_response(&owned));
         assert_eq!(sink_s, sink_o);
     }
@@ -262,7 +235,7 @@ mod tests {
         assert!(prefab.is_prefab());
         assert_eq!(serialize_response(&prefab), plain_wire);
         let mut sink = Vec::new();
-        write_response_to(&mut sink, &prefab).unwrap();
+        write_whole(&mut sink, &prefab).unwrap();
         assert_eq!(sink, plain_wire);
         // A clone shares the frozen image (pointer equality, no re-serialize).
         let clone = prefab.clone();
@@ -279,7 +252,7 @@ mod tests {
     }
 
     /// A writer that accepts at most `cap` bytes per call, exercising the
-    /// partial-write resume logic in `write_response_to`.
+    /// partial-write resume logic in `ResponseWriter::write_some`.
     struct Trickle {
         out: Vec<u8>,
         cap: usize,
@@ -384,7 +357,7 @@ mod tests {
                 out: Vec::new(),
                 cap,
             };
-            write_response_to(&mut t, &resp).unwrap();
+            write_whole(&mut t, &resp).unwrap();
             assert_eq!(t.out, serialize_response(&resp), "cap {cap}");
         }
     }

@@ -1,63 +1,57 @@
-//! The TCP HTTP server: three backends behind one [`Handler`] interface.
+//! The TCP HTTP server facade: three engine drivers behind one [`Handler`].
 //!
 //! This is the real-socket face of RCB-Agent: "a co-browsing host starts
 //! running RCB-Agent on the host browser with an open TCP port (e.g., 3000)"
-//! (paper §3.1, step 1). Three interchangeable backends serve the same
-//! handler, selected by [`ServerConfig::backend`] (default from the
-//! `RCB_SERVER_BACKEND` environment variable):
+//! (paper §3.1, step 1). Every engine runs the same per-connection state
+//! machine, `conn::ConnCore` — parse, admit or shed, dispatch, park,
+//! write, guard — and keeps only its own I/O. The engine is selected by
+//! [`ServerConfig::backend`] (default from the `RCB_SERVER_BACKEND`
+//! environment variable):
 //!
-//! * [`ServerBackend::Workers`] — the bounded worker pool defined in this
-//!   module: connections are accepted onto a bounded queue and multiplexed
-//!   across a fixed pool of worker threads; each worker pops a connection,
-//!   services whatever complete requests have arrived (keep-alive
-//!   supported), and rotates the connection back onto the queue. Simple
-//!   and portable; concurrency is capped by the worker count.
-//! * [`ServerBackend::Epoll`] — the event-driven engine in
-//!   [`crate::epoll`] (Linux): nonblocking sockets on one epoll event
-//!   loop, handler calls offloaded to a small dispatch pool, connection
-//!   ceiling set by the fd limit instead of the thread count.
-//! * [`ServerBackend::EpollSharded`] — the same engine scaled out
-//!   (`SO_REUSEPORT`-style): `n` independent event loops, each with its
-//!   own epoll instance, slot table, waker, and dispatch-pool slice;
+//! * [`ServerBackend::Workers`] — the blocking driver defined in this
+//!   module: connections are accepted onto a bounded queue and rotate
+//!   through a fixed pool of worker threads; each worker reads with a
+//!   short timeout, runs the handler inline, and rotates the connection
+//!   back onto the queue once a read comes up empty. Portable (the only
+//!   engine off Linux); concurrency is capped by the worker count.
+//! * [`ServerBackend::EpollSharded`] — the readiness driver in
+//!   [`crate::epoll`] (Linux): `n` event loops, each owning nonblocking
+//!   sockets on its own epoll instance and a slice of the dispatch pool;
 //!   accepted connections are distributed round-robin by shard 0. The
-//!   single loop is literally the `n = 1` case — one state machine, no
-//!   parallel implementation. Shard count: explicit `n`, else the
-//!   `RCB_SERVER_SHARDS` environment variable, else available cores.
+//!   name `"epoll"` parses as `EpollSharded(1)`. Shard count: explicit
+//!   `n`, else the `RCB_SERVER_SHARDS` environment variable, else
+//!   available cores.
 //!
-//! A connection closes on parse error, client close, or
-//! `Connection: close` under every backend, and all keep the zero-copy
-//! prefab/vectored write path.
+//! The third driver, [`crate::simdrive::SimDriver`], pumps the same core
+//! over the world sim's fabric on virtual time.
 //!
-//! The worker backend's accept loop never dies on a transient `accept(2)`
-//! error (EMFILE under load, ECONNABORTED, EINTR, ...): it backs off
-//! exponentially and retries, exiting only on shutdown. Before this design
-//! a single such error permanently killed the listener mid-session. (The
-//! epoll backend gets the same resilience by muting the listener's
-//! registration for a backoff window.)
+//! Neither engine dies on a transient `accept(2)` error (EMFILE under
+//! load, ECONNABORTED, EINTR, ...): the workers accept loop sleeps an
+//! exponential backoff, the epoll acceptor mutes the listener for the same
+//! backoff (defined once, below), and both retry until shutdown.
 //!
-//! The workers backend accepts and reads through the
-//! [`crate::transport`] seam, so [`HttpServer::serve`] can run the same
-//! engine — same queue, same park semantics, same zero-copy writes — over
-//! the in-process simulated fabric instead of kernel sockets. All time
-//! the engine consults (park deadlines, accept backoff sleeps) flows
-//! through [`ServerConfig::clock`], a wall clock by default.
+//! The workers engine accepts and reads through the [`crate::transport`]
+//! seam, so [`HttpServer::serve`] can run it — same queue, same park
+//! semantics, same zero-copy writes — over the in-process simulated fabric
+//! instead of kernel sockets. All time the engines consult (guard and park
+//! deadlines, accept backoff) flows through [`ServerConfig::clock`], a
+//! wall clock by default.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{self, Read};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rcb_util::{Clock, DetRng, Result, SimDuration, SimTime};
 
-use crate::transport;
-
+use crate::conn::{ConnCore, ConnCtx, Step};
 use crate::message::{Request, Response, Status};
-use crate::parse::{ParseReject, RequestParser};
-use crate::serialize::write_response_to;
+use crate::serialize::WriteProgress;
+use crate::transport;
 
 /// Whether the event-driven epoll backend is compiled in on this target
 /// (the platform condition itself lives on the module declarations in
@@ -526,31 +520,6 @@ impl OverloadConfig {
     }
 }
 
-/// Live per-engine overload counters, mirrored into [`ServerStats`]
-/// (see the matching fields there for precise meanings).
-#[derive(Debug, Default)]
-pub(crate) struct OverloadCounters {
-    pub(crate) requests_shed: AtomicU64,
-    pub(crate) header_timeouts: AtomicU64,
-    pub(crate) idle_timeouts: AtomicU64,
-    pub(crate) write_stall_timeouts: AtomicU64,
-    pub(crate) oversize_head: AtomicU64,
-    pub(crate) oversize_body: AtomicU64,
-}
-
-impl OverloadCounters {
-    /// Bumps the counter matching a parser rejection (malformed input
-    /// is a client bug, not an overload signal, and is not counted).
-    pub(crate) fn count_reject(&self, reason: ParseReject) {
-        let counter = match reason {
-            ParseReject::HeadTooLarge => &self.oversize_head,
-            ParseReject::BodyTooLarge => &self.oversize_body,
-            ParseReject::Malformed => return,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// The prefab `503 + Retry-After` pool: one frozen wire image per
 /// `Retry-After` value in `base..=base + jitter`, drawn with a seeded
 /// RNG per shed. Zero-copy on the wire (a shed costs a clone of an
@@ -595,76 +564,17 @@ impl ShedResponder {
     }
 }
 
-/// Everything an engine needs to enforce overload protection: the
-/// limits, the live counters, and the shed-response pool. One per
-/// server, shared with every worker thread / event-loop shard.
-pub(crate) struct OverloadCtx {
-    pub(crate) config: OverloadConfig,
-    pub(crate) counters: OverloadCounters,
-    pub(crate) shed: ShedResponder,
-}
-
-impl OverloadCtx {
-    pub(crate) fn new(config: OverloadConfig) -> Arc<OverloadCtx> {
-        let shed = ShedResponder::new(&config);
-        Arc::new(OverloadCtx {
-            config,
-            counters: OverloadCounters::default(),
-            shed,
-        })
-    }
-
-    /// Folds the live counters (plus the hub's park-shed count) into a
-    /// stats struct whose engine-level fields the caller fills in.
-    pub(crate) fn fill_stats(&self, stats: &mut ServerStats, hub: &ParkHub) {
-        let c = &self.counters;
-        stats.requests_shed = c.requests_shed.load(Ordering::Relaxed);
-        stats.parks_shed = hub.parks_shed();
-        stats.header_timeouts = c.header_timeouts.load(Ordering::Relaxed);
-        stats.idle_timeouts = c.idle_timeouts.load(Ordering::Relaxed);
-        stats.write_stall_timeouts = c.write_stall_timeouts.load(Ordering::Relaxed);
-        stats.oversize_head = c.oversize_head.load(Ordering::Relaxed);
-        stats.oversize_body = c.oversize_body.load(Ordering::Relaxed);
-    }
-}
-
-/// The shared answer for a parser rejection: prefab `431` for an
-/// oversized head, prefab `413` for an oversized declared body (frozen
-/// once, cloned per use), and the classic non-prefab `400` for
-/// malformed input. Every engine routes through here, so the error
-/// bytes are identical on all backends.
-pub(crate) fn reject_response(reason: ParseReject) -> Response {
-    static HEAD: OnceLock<Response> = OnceLock::new();
-    static BODY: OnceLock<Response> = OnceLock::new();
-    match reason {
-        ParseReject::Malformed => Response::error(Status::BAD_REQUEST, "malformed request"),
-        ParseReject::HeadTooLarge => HEAD
-            .get_or_init(|| {
-                Response::error(Status::HEADER_TOO_LARGE, "request head too large").into_prefab()
-            })
-            .clone(),
-        ParseReject::BodyTooLarge => BODY
-            .get_or_init(|| {
-                Response::error(Status::PAYLOAD_TOO_LARGE, "request body too large").into_prefab()
-            })
-            .clone(),
-    }
-}
-
 /// Which connection-servicing engine a server runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServerBackend {
     /// Bounded worker pool: one blocking thread services one connection at
     /// a time; connections rotate through a queue.
     Workers,
-    /// Event-driven epoll loop (Linux): every connection nonblocking on
-    /// one loop thread, handler calls on a small dispatch pool. Falls back
-    /// to [`ServerBackend::Workers`] where epoll is not compiled in.
-    Epoll,
-    /// Sharded event-driven engine (Linux): `n` independent epoll event
-    /// loops — each with its own epoll instance, connection-slot table,
-    /// waker, and dispatch-pool slice — with accepted connections
-    /// distributed round-robin across loops by the acceptor shard.
+    /// Event-driven engine (Linux): `n` independent epoll event loops —
+    /// each with its own epoll instance, connection-slot table, waker,
+    /// and dispatch-pool slice — with accepted connections distributed
+    /// round-robin across loops by the acceptor shard. `EpollSharded(1)`
+    /// is the single-loop engine (the name `"epoll"` parses to it).
     /// `EpollSharded(0)` means **auto**: the `RCB_SERVER_SHARDS`
     /// environment variable when set, else available cores (see
     /// [`ServerBackend::shard_count`]). Falls back to
@@ -689,14 +599,15 @@ impl ServerBackend {
         "\"workers\", \"epoll\", \"epoll-sharded\", or \"epoll-sharded:<n>\" (n >= 1)";
 
     /// Parses a backend name (`"workers"` / `"epoll"` / `"epoll-sharded"`
-    /// / `"epoll-sharded:<n>"`, case-insensitive). The bare sharded form
-    /// selects the auto shard count. An unknown name is an error carrying
-    /// the accepted grammar — never a silent fallback.
+    /// / `"epoll-sharded:<n>"`, case-insensitive). `"epoll"` is the
+    /// single loop, `EpollSharded(1)`; the bare sharded form selects the
+    /// auto shard count. An unknown name is an error carrying the
+    /// accepted grammar — never a silent fallback.
     pub fn parse(name: &str) -> Result<ServerBackend> {
         let lowered = name.trim().to_ascii_lowercase();
         let parsed = match lowered.as_str() {
             "workers" => Some(ServerBackend::Workers),
-            "epoll" => Some(ServerBackend::Epoll),
+            "epoll" => Some(ServerBackend::EpollSharded(1)),
             "epoll-sharded" => Some(ServerBackend::EpollSharded(0)),
             other => other.strip_prefix("epoll-sharded:").and_then(|n| {
                 n.parse::<usize>()
@@ -732,21 +643,19 @@ impl ServerBackend {
     }
 
     /// The backend that will actually run on this target: the epoll
-    /// variants degrade to `Workers` where the epoll shims are not
+    /// engine degrades to `Workers` where the epoll shims are not
     /// compiled in.
     pub fn effective(self) -> ServerBackend {
         match self {
-            ServerBackend::Epoll | ServerBackend::EpollSharded(_) if !EPOLL_SUPPORTED => {
-                ServerBackend::Workers
-            }
+            ServerBackend::EpollSharded(_) if !EPOLL_SUPPORTED => ServerBackend::Workers,
             other => other,
         }
     }
 
     /// The number of event-loop shards this backend resolves to on this
     /// machine: an explicit `EpollSharded(n)` is `n`; the auto form
-    /// consults `RCB_SERVER_SHARDS`, then available cores. Non-sharded
-    /// backends run one loop at most, so they resolve to 1.
+    /// consults `RCB_SERVER_SHARDS`, then available cores. The workers
+    /// backend runs no loop; it resolves to 1.
     pub fn shard_count(self) -> usize {
         match self.effective() {
             ServerBackend::EpollSharded(0) => std::env::var(Self::SHARDS_ENV_VAR)
@@ -780,7 +689,6 @@ impl ServerBackend {
     pub fn label(self) -> &'static str {
         match self {
             ServerBackend::Workers => "workers",
-            ServerBackend::Epoll => "epoll",
             ServerBackend::EpollSharded(_) => "epoll-sharded",
         }
     }
@@ -794,7 +702,7 @@ impl fmt::Display for ServerBackend {
 
 /// Aggregate engine counters, summed across event-loop shards. The
 /// workers backend reports zero shards (it has no event loop); the epoll
-/// backends report one entry per shard in `connections_per_shard`, which
+/// engine reports one entry per shard in `connections_per_shard`, which
 /// round-robin distribution keeps balanced.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
@@ -802,8 +710,7 @@ pub struct ServerStats {
     pub accept_errors: u64,
     /// Connections accepted and registered, total across shards.
     pub connections_accepted: u64,
-    /// Event-loop shards running (0 = workers backend, 1 = single-loop
-    /// epoll, `n` = sharded).
+    /// Event-loop shards running (0 = workers backend, `n` = epoll).
     pub shards: usize,
     /// Connections assigned to each shard (length = `shards`).
     pub connections_per_shard: Vec<u64>,
@@ -836,17 +743,18 @@ pub struct ServerConfig {
     /// change.
     pub backend: ServerBackend,
     /// Worker threads (workers backend) or blocking-dispatch threads
-    /// (epoll backend) — the handler-concurrency bound either way.
+    /// (epoll engine, split across shards) — the handler-concurrency
+    /// bound either way.
     pub workers: usize,
     /// Workers backend only: maximum connections admitted onto the queue
     /// before the accept loop applies backpressure (waits for capacity).
-    /// The epoll backend has no such queue — its connection ceiling is
+    /// The epoll engine has no such queue — its connection ceiling is
     /// the process fd limit.
     pub queue_capacity: usize,
     /// Workers backend only: how long a worker waits for bytes on one
     /// connection before rotating it back onto the queue. Smaller values
     /// lower worst-case latency under many idle connections; larger
-    /// values reduce queue churn. (The epoll backend never waits on a
+    /// values reduce queue churn. (The epoll engine never waits on a
     /// single connection at all.)
     pub read_timeout: Duration,
     /// The park/wake rendezvous for long-polls. The default is a fresh
@@ -854,9 +762,9 @@ pub struct ServerConfig {
     /// [`ParkHub::publish`] when new content is available. A handler that
     /// never returns [`HandlerOutcome::Park`] never touches it.
     pub park_hub: Arc<ParkHub>,
-    /// The time source for park deadlines and accept-backoff sleeps. The
-    /// wall clock in deployment; a shared virtual clock under the world
-    /// sim, so parked long-polls time out on simulated time.
+    /// The time source for guard and park deadlines and accept backoff.
+    /// The wall clock in deployment; a shared virtual clock under the
+    /// world sim, so parked long-polls time out on simulated time.
     pub clock: Clock,
     /// Overload-protection limits: lifecycle-guard deadlines, size
     /// ceilings, the admission high-water mark, the park cap, and the
@@ -920,7 +828,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Worker threads (workers backend) / dispatch threads (epoll).
+    /// Worker threads (workers backend) / dispatch threads (epoll engine).
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -963,41 +871,25 @@ impl ServerConfigBuilder {
     }
 }
 
-/// Initial backoff after a transient `accept(2)` error.
-const ACCEPT_BACKOFF_START: Duration = Duration::from_millis(1);
+/// Initial backoff after a transient `accept(2)` error — shared by the
+/// workers accept loop (which sleeps it) and the epoll acceptor (which
+/// mutes the listener for it).
+pub(crate) const ACCEPT_BACKOFF_START: Duration = Duration::from_millis(1);
 /// Backoff ceiling — EMFILE storms retry twice a second, not in a hot loop.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
+pub(crate) const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
 
 /// Doubles an accept backoff up to the ceiling.
-fn next_accept_backoff(current: Duration) -> Duration {
+pub(crate) fn next_accept_backoff(current: Duration) -> Duration {
     (current * 2).min(ACCEPT_BACKOFF_MAX)
 }
 
-/// One live connection plus its incremental parse state, as it travels
-/// between the queue and workers. The stream is a [`transport::Conn`], so
-/// the same worker code services kernel sockets and fabric connections.
-struct Conn {
-    stream: transport::Conn,
-    parser: RequestParser,
-    /// Engine-clock instant of the last byte read (the idle guard).
-    last_activity: SimTime,
-    /// Set while a partial request sits in the parser (the slowloris
-    /// guard); cleared when the buffer drains.
-    partial_since: Option<SimTime>,
-}
-
-/// What a worker decided after one service pass over a connection.
-enum ConnFate {
-    /// Still healthy: rotate back onto the queue.
-    Keep,
-    /// Closed by the client, by protocol (`Connection: close` / parse
-    /// error), or by an I/O error: drop it.
-    Close,
-}
+/// A connection as it travels between the queue and the workers: a seam
+/// stream (kernel socket or fabric connection) and its state machine.
+type Queued = (transport::Conn, ConnCore);
 
 /// The bounded connection queue shared by the accept loop and workers.
 struct ConnQueue {
-    inner: Mutex<VecDeque<Conn>>,
+    inner: Mutex<VecDeque<Queued>>,
     /// Signaled when a connection is queued (workers wait on this).
     readable: Condvar,
     /// Signaled when a pop frees capacity (the accept loop waits on this
@@ -1031,7 +923,7 @@ impl ConnQueue {
     /// Admits a newly accepted connection, waiting while the queue is at
     /// capacity (backpressure on the accept loop). Returns `false` (and
     /// drops the connection) when shutting down.
-    fn push_accepted(&self, conn: Conn) -> bool {
+    fn push_accepted(&self, conn: Queued) -> bool {
         let mut q = self
             .inner
             .lock()
@@ -1059,7 +951,7 @@ impl ConnQueue {
     /// Rotates a serviced connection back. Never blocks: workers must not
     /// deadlock against a full queue, so rotation may transiently exceed
     /// capacity by at most the worker count.
-    fn push_rotated(&self, conn: Conn) {
+    fn push_rotated(&self, conn: Queued) {
         if self.stopped() {
             return;
         }
@@ -1083,7 +975,7 @@ impl ConnQueue {
     }
 
     /// Pops the next connection, waiting up to `timeout`.
-    fn pop(&self, timeout: Duration) -> Option<Conn> {
+    fn pop(&self, timeout: Duration) -> Option<Queued> {
         let mut q = self
             .inner
             .lock()
@@ -1108,8 +1000,7 @@ struct WorkerServer {
     queue: Arc<ConnQueue>,
     accept_errors: Arc<AtomicU64>,
     connections_accepted: Arc<AtomicU64>,
-    overload: Arc<OverloadCtx>,
-    hub: Arc<ParkHub>,
+    ctx: Arc<ConnCtx>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -1138,19 +1029,13 @@ impl HttpServer {
     /// configured backend's threads.
     pub fn bind_with(addr: &str, handler: Handler, config: ServerConfig) -> Result<HttpServer> {
         match config.backend.resolved() {
-            ServerBackend::Workers => Self::bind_workers(addr, handler, config),
-            // On targets without the epoll shims these arms are
-            // dynamically unreachable (`resolved()` degrades the epoll
-            // variants to Workers) and bind against the never-constructed
-            // stub module.
-            ServerBackend::Epoll => {
-                let server = crate::epoll::EpollServer::bind(addr, handler, &config, 1)?;
-                Ok(HttpServer {
-                    addr: server.addr(),
-                    backend: ServerBackend::Epoll,
-                    engine: Engine::Epoll(server),
-                })
+            ServerBackend::Workers => {
+                let listener = transport::Listener::bind_tcp(addr)?;
+                Self::serve(listener, handler, config)
             }
+            // On targets without the epoll shims this arm is dynamically
+            // unreachable (`resolved()` degrades the epoll engine to
+            // Workers) and binds against the never-constructed stub module.
             ServerBackend::EpollSharded(shards) => {
                 let server = crate::epoll::EpollServer::bind(addr, handler, &config, shards)?;
                 Ok(HttpServer {
@@ -1165,33 +1050,18 @@ impl HttpServer {
     /// Runs the workers engine over an already-bound [`transport::Listener`]
     /// — the entry point the deterministic world sim uses to serve real
     /// handler code over fabric connections (threaded mode). The backend
-    /// in `config` is ignored: the epoll engines are kernel-socket
+    /// in `config` is ignored: the epoll engine is kernel-socket
     /// machinery, so a seam listener always gets the workers engine.
     pub fn serve(
         listener: transport::Listener,
         handler: Handler,
         config: ServerConfig,
     ) -> Result<HttpServer> {
-        let local = listener.local_addr()?;
-        Self::serve_workers(listener, local, handler, config)
-    }
-
-    fn bind_workers(addr: &str, handler: Handler, config: ServerConfig) -> Result<HttpServer> {
-        let listener = transport::Listener::bind_tcp(addr)?;
-        let local = listener.local_addr()?;
-        Self::serve_workers(listener, local, handler, config)
-    }
-
-    fn serve_workers(
-        listener: transport::Listener,
-        local: SocketAddr,
-        handler: Handler,
-        config: ServerConfig,
-    ) -> Result<HttpServer> {
+        let addr = listener.local_addr()?;
         let queue = Arc::new(ConnQueue::new(config.queue_capacity.max(1)));
         let accept_errors = Arc::new(AtomicU64::new(0));
         let connections_accepted = Arc::new(AtomicU64::new(0));
-        let overload = OverloadCtx::new(config.overload.clone());
+        let ctx = ConnCtx::new(&config);
         let mut threads = Vec::with_capacity(config.workers + 1);
 
         // Virtual time: advances must wake parked workers so they
@@ -1205,7 +1075,8 @@ impl HttpServer {
         let errors = Arc::clone(&accept_errors);
         let accepted = Arc::clone(&connections_accepted);
         let accept_clock = config.clock.clone();
-        let accept_overload = Arc::clone(&overload);
+        let accept_ctx = Arc::clone(&ctx);
+        let write_timeout = config.overload.write_stall_timeout;
         threads.push(std::thread::spawn(move || {
             accept_loop(
                 listener,
@@ -1213,47 +1084,38 @@ impl HttpServer {
                 errors,
                 accepted,
                 accept_clock,
-                accept_overload,
+                accept_ctx,
+                write_timeout,
             );
         }));
 
         for _ in 0..config.workers.max(1) {
-            let worker_queue = Arc::clone(&queue);
-            let handler = Arc::clone(&handler);
-            let read_timeout = config.read_timeout;
-            let hub = Arc::clone(&config.park_hub);
-            let clock = config.clock.clone();
-            let worker_overload = Arc::clone(&overload);
+            let worker = Worker {
+                queue: Arc::clone(&queue),
+                handler: Arc::clone(&handler),
+                read_timeout: config.read_timeout,
+                hub: Arc::clone(&config.park_hub),
+                clock: config.clock.clone(),
+            };
             threads.push(std::thread::spawn(move || {
-                while !worker_queue.stopped() {
-                    let Some(mut conn) = worker_queue.pop(Duration::from_millis(50)) else {
-                        continue;
-                    };
-                    match service_connection(
-                        &mut conn,
-                        &handler,
-                        read_timeout,
-                        &hub,
-                        &clock,
-                        &worker_queue,
-                        &worker_overload,
-                    ) {
-                        ConnFate::Keep => worker_queue.push_rotated(conn),
-                        ConnFate::Close => {}
+                while !worker.queue.stopped() {
+                    if let Some(mut conn) = worker.queue.pop(Duration::from_millis(50)) {
+                        if worker.serve(&mut conn) {
+                            worker.queue.push_rotated(conn);
+                        }
                     }
                 }
             }));
         }
 
         Ok(HttpServer {
-            addr: local,
+            addr,
             backend: ServerBackend::Workers,
             engine: Engine::Workers(WorkerServer {
                 queue,
                 accept_errors,
                 connections_accepted,
-                overload,
-                hub: Arc::clone(&config.park_hub),
+                ctx,
                 threads,
             }),
         })
@@ -1265,7 +1127,7 @@ impl HttpServer {
     }
 
     /// The backend actually servicing connections (after any platform
-    /// fallback from `Epoll` to `Workers`).
+    /// fallback from the epoll engine to `Workers`).
     pub fn backend(&self) -> ServerBackend {
         self.backend
     }
@@ -1286,11 +1148,9 @@ impl HttpServer {
                 let mut stats = ServerStats {
                     accept_errors: w.accept_errors.load(Ordering::Relaxed),
                     connections_accepted: w.connections_accepted.load(Ordering::Relaxed),
-                    shards: 0,
-                    connections_per_shard: Vec::new(),
                     ..ServerStats::default()
                 };
-                w.overload.fill_stats(&mut stats, &w.hub);
+                w.ctx.fill_stats(&mut stats);
                 stats
             }
             Engine::Epoll(e) => e.stats(),
@@ -1324,16 +1184,17 @@ impl Drop for HttpServer {
 }
 
 /// The accept loop: admit connections, survive transient errors. Idle
-/// polls and error backoffs sleep on the engine clock — real sleeps on
-/// the wall clock; on a virtual clock they ride the clock's waiter
-/// condvar, which advances (and shutdown-era pokes) cut short.
+/// polls and error backoffs sleep on the engine clock — real sleeps on the
+/// wall clock; on a virtual clock they ride the clock's waiter condvar,
+/// which advances (and shutdown-era pokes) cut short.
 fn accept_loop(
     listener: transport::Listener,
     queue: Arc<ConnQueue>,
     errors: Arc<AtomicU64>,
     accepted: Arc<AtomicU64>,
     clock: Clock,
-    overload: Arc<OverloadCtx>,
+    ctx: Arc<ConnCtx>,
+    write_timeout: Duration,
 ) {
     let mut backoff = ACCEPT_BACKOFF_START;
     while !queue.stopped() {
@@ -1347,20 +1208,15 @@ fn accept_loop(
             Ok(mut stream) => {
                 backoff = ACCEPT_BACKOFF_START;
                 accepted.fetch_add(1, Ordering::Relaxed);
-                // Blocking writes error out (`SO_SNDTIMEO`) instead of
-                // pinning a worker when the peer stops draining.
-                let _ = stream.set_write_timeout(Some(overload.config.write_stall_timeout));
-                queue.push_accepted(Conn {
-                    stream,
-                    parser: RequestParser::with_limits(
-                        overload.config.max_header_bytes,
-                        overload.config.max_body_bytes,
-                    ),
-                    last_activity: clock.now(),
-                    partial_since: None,
-                });
+                // Blocking writes come back `Blocked` after a stall
+                // (`SO_SNDTIMEO`) instead of pinning a worker when the
+                // peer stops draining; the core's write-stall deadline
+                // then cuts the connection.
+                let _ = stream.set_write_timeout(Some(write_timeout));
+                let core = ConnCore::new(Arc::clone(&ctx), clock.now());
+                queue.push_accepted((stream, core));
             }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => {
@@ -1375,153 +1231,98 @@ fn accept_loop(
     }
 }
 
-/// One service pass: read whatever arrived within `read_timeout`, serve
-/// every complete request, report whether the connection stays alive.
-///
-/// A [`HandlerOutcome::Park`] here blocks the worker on the hub's condvar
-/// for up to `max_wait` — the workers backend's documented degradation:
-/// semantics match the epoll backends (same wake key, same timeout
-/// fallback), but a parked poll pins one worker thread for its wait.
-/// The wait is stop-aware, so shutdown is never held up by parked polls.
-fn service_connection(
-    conn: &mut Conn,
-    handler: &Handler,
+/// One worker thread's share of the engine.
+struct Worker {
+    queue: Arc<ConnQueue>,
+    handler: Handler,
     read_timeout: Duration,
-    hub: &ParkHub,
-    clock: &Clock,
-    queue: &ConnQueue,
-    overload: &OverloadCtx,
-) -> ConnFate {
-    if conn.stream.set_read_timeout(Some(read_timeout)).is_err() {
-        return ConnFate::Close;
-    }
-    let cfg = &overload.config;
-    let counters = &overload.counters;
-    let mut buf = [0u8; 16 * 1024];
-    // Drain reads until the socket has nothing more for us this pass; the
-    // first empty read rotates the connection so one chatty client cannot
-    // pin a worker.
-    loop {
-        // Test-only fault hook (inert in production builds): an armed
-        // Read fault behaves exactly like the kernel failing the call.
-        let read = match rcb_util::fault::take(rcb_util::fault::Op::Read) {
-            Some(e) => Err(e),
-            None => conn.stream.read(&mut buf),
-        };
-        match read {
-            Ok(0) => return ConnFate::Close, // client closed
-            Ok(n) => {
-                conn.parser.feed(&buf[..n]);
-                conn.last_activity = clock.now();
-                loop {
-                    match conn.parser.next_request() {
-                        Ok(Some(req)) => {
-                            let close = req.wants_close();
-                            // Admission control: over the high-water mark
-                            // the prefab shed reply answers instead of
-                            // the handler ever running.
-                            if queue.len() >= cfg.queue_high_water {
-                                counters.requests_shed.fetch_add(1, Ordering::Relaxed);
-                                let resp = overload.shed.next();
-                                if write_response_to(&mut conn.stream, &resp).is_err()
-                                    || conn.stream.flush().is_err()
-                                {
-                                    return ConnFate::Close;
-                                }
-                                if close {
-                                    return ConnFate::Close;
-                                }
-                                continue;
+    hub: Arc<ParkHub>,
+    clock: Clock,
+}
+
+impl Worker {
+    /// One service pass over a connection: read what arrives within
+    /// `read_timeout`, act on everything the core then has ready, and
+    /// repeat until a read comes up empty — then rotate (`true`), so one
+    /// chatty client cannot pin a worker. `false` closes the connection.
+    ///
+    /// Handlers run inline on the worker. A parked long-poll blocks the
+    /// worker in [`ParkHub::wait_until`] until it resolves — the workers
+    /// engine's documented degradation: the wake key and timeout fallback
+    /// of every engine, but each parked poll pins a thread. The wait is
+    /// stop-aware, so shutdown never waits out a park. Writes block under
+    /// `SO_SNDTIMEO`; a write that comes back `Blocked` (a stall, or an
+    /// injected `EWOULDBLOCK`) is retried until the core's write-stall
+    /// deadline cuts the connection.
+    fn serve(&self, (stream, core): &mut Queued) -> bool {
+        if stream.set_read_timeout(Some(self.read_timeout)).is_err() {
+            return false;
+        }
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            // Test-only fault hook (inert in production builds): an armed
+            // Read fault behaves exactly like the kernel failing the call.
+            let read = match rcb_util::fault::take(rcb_util::fault::Op::Read) {
+                Some(e) => Err(e),
+                None => stream.read(&mut buf),
+            };
+            let drained = match read {
+                Ok(0) => {
+                    core.eof();
+                    false
+                }
+                Ok(n) => {
+                    core.feed(&buf[..n], self.clock.now());
+                    false
+                }
+                // Nothing arrived this pass: the `next` below checks the
+                // header and idle guards, then the connection rotates.
+                Err(ref e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    true
+                }
+                Err(_) => return false,
+            };
+            loop {
+                match core.next(self.clock.now(), || self.queue.len()) {
+                    Step::Dispatch(request) => {
+                        let outcome = invoke_handler(&self.handler, request);
+                        core.complete(outcome, self.clock.now());
+                    }
+                    Step::Write => {
+                        let written = core.drain(&self.clock, |w| match w.write_some(stream) {
+                            // `SO_SNDTIMEO` expiry on platforms that
+                            // report it as a timeout rather than EAGAIN.
+                            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
+                                Ok(WriteProgress::Blocked)
                             }
-                            let (outcome, panicked) = invoke_handler(handler, req);
-                            let resp = match outcome {
-                                HandlerOutcome::Respond(resp) => resp,
-                                HandlerOutcome::Park(park) => {
-                                    if hub.try_admit_park(cfg.max_parked) {
-                                        let deadline =
-                                            clock.now() + SimDuration::from_duration(park.max_wait);
-                                        let stopped = || queue.stopped();
-                                        let woken = hub.wait_until(
-                                            park.channel,
-                                            park.wait_key,
-                                            deadline,
-                                            clock,
-                                            &stopped,
-                                        );
-                                        hub.release_park();
-                                        if woken {
-                                            (park.on_wake)()
-                                        } else {
-                                            (park.on_timeout)()
-                                        }
-                                    } else {
-                                        // Park cap reached: degrade to the
-                                        // immediate empty-poll reply.
-                                        (park.on_timeout)()
-                                    }
-                                }
-                            };
-                            // Zero-copy send: prefab images and shared
-                            // bodies go to the socket from their own
-                            // storage, never through a scratch buffer.
-                            if let Err(e) = write_response_to(&mut conn.stream, &resp)
-                                .and_then(|()| conn.stream.flush())
-                            {
-                                if matches!(
-                                    e.kind(),
-                                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                                ) {
-                                    counters
-                                        .write_stall_timeouts
-                                        .fetch_add(1, Ordering::Relaxed);
-                                }
-                                return ConnFate::Close;
-                            }
-                            if close || panicked {
-                                return ConnFate::Close;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            let reason = conn
-                                .parser
-                                .reject_reason()
-                                .unwrap_or(ParseReject::Malformed);
-                            counters.count_reject(reason);
-                            let resp = reject_response(reason);
-                            let _ = write_response_to(&mut conn.stream, &resp);
-                            let _ = conn.stream.flush();
-                            return ConnFate::Close;
+                            other => other,
+                        });
+                        if written.is_err() {
+                            return false;
                         }
                     }
+                    Step::Idle => match core.parked_on() {
+                        Some((channel, wait_key, deadline)) => {
+                            let stopped = || self.queue.stopped();
+                            self.hub
+                                .wait_until(channel, wait_key, deadline, &self.clock, &stopped);
+                            if stopped() {
+                                return false;
+                            }
+                        }
+                        None => break,
+                    },
+                    Step::Close => return false,
                 }
-                conn.partial_since = if conn.parser.buffered() > 0 {
-                    conn.partial_since.or(Some(conn.last_activity))
-                } else {
-                    None
-                };
             }
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Idle this pass: enforce the lifecycle guards before
-                // rotating. A buffered partial request is on the (short)
-                // slowloris clock; a clean idle keep-alive is on the
-                // (long) idle clock.
-                let now = clock.now();
-                if let Some(since) = conn.partial_since {
-                    if now >= since + SimDuration::from_duration(cfg.header_read_timeout) {
-                        counters.header_timeouts.fetch_add(1, Ordering::Relaxed);
-                        return ConnFate::Close;
-                    }
-                } else if now >= conn.last_activity + SimDuration::from_duration(cfg.idle_timeout) {
-                    counters.idle_timeouts.fetch_add(1, Ordering::Relaxed);
-                    return ConnFate::Close;
-                }
-                return ConnFate::Keep; // idle: rotate
+            if drained {
+                return true;
             }
-            Err(_) => return ConnFate::Close,
         }
     }
 }
@@ -1531,6 +1332,7 @@ mod tests {
     use super::*;
     use crate::client::send_request;
     use crate::message::{Request, Status};
+    use std::io::Write;
     use std::net::TcpStream;
     use std::time::Instant;
 
@@ -1552,7 +1354,7 @@ mod tests {
         if EPOLL_SUPPORTED {
             vec![
                 ServerBackend::Workers,
-                ServerBackend::Epoll,
+                ServerBackend::EpollSharded(1),
                 ServerBackend::EpollSharded(2),
             ]
         } else {
@@ -1575,10 +1377,13 @@ mod tests {
             ServerBackend::parse("workers").unwrap(),
             ServerBackend::Workers
         );
-        assert_eq!(ServerBackend::parse("EPOLL").unwrap(), ServerBackend::Epoll);
+        assert_eq!(
+            ServerBackend::parse("EPOLL").unwrap(),
+            ServerBackend::EpollSharded(1)
+        );
         assert_eq!(
             ServerBackend::parse(" epoll ").unwrap(),
-            ServerBackend::Epoll
+            ServerBackend::EpollSharded(1)
         );
         assert_eq!(
             ServerBackend::parse("epoll-sharded").unwrap(),
@@ -1617,7 +1422,7 @@ mod tests {
         // Explicit counts win outright; non-sharded backends are one loop.
         assert_eq!(ServerBackend::EpollSharded(3).shard_count(), 3);
         assert_eq!(ServerBackend::Workers.shard_count(), 1);
-        assert_eq!(ServerBackend::Epoll.shard_count(), 1);
+        assert_eq!(ServerBackend::EpollSharded(1).shard_count(), 1);
         // Auto resolves to *something* positive (env or cores), and
         // `resolved()` folds it into an explicit variant.
         if EPOLL_SUPPORTED {

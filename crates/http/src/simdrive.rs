@@ -1,16 +1,17 @@
 //! Single-threaded, nonblocking server driver for the deterministic
 //! world sim (pump mode).
 //!
-//! The threaded engines ([`crate::server`]) prove the production loops
-//! run over the transport seam, but threads make replay nondeterministic.
-//! [`SimDriver`] is the deterministic alternative: the same handler, the
-//! same parser, the same park/wake/timeout semantics as the epoll
-//! backend's slot machine — but advanced by explicit [`SimDriver::pump`]
-//! calls from the scenario loop, with every read a nonblocking
-//! [`rcb_sim::SimConn::try_read`] and every deadline measured on the
-//! shared virtual clock. Park resolution mirrors the epoll engine's
-//! ordering exactly (a published key beats a simultaneous timeout), so
-//! behavior observed under the world sim transfers to the real backends.
+//! The threaded engines ([`crate::server`] and its epoll engine) prove the
+//! production loops run over real sockets and the transport seam, but
+//! threads make replay nondeterministic. [`SimDriver`] is the
+//! deterministic driver of the same per-connection state machine,
+//! `ConnCore`: the same parser, admission, park/wake/timeout
+//! resolution and guards — advanced by explicit [`SimDriver::pump`] calls
+//! from the scenario loop, with every read a nonblocking
+//! [`rcb_sim::SimConn::try_read`], every handler call inline, and every
+//! deadline measured on the shared virtual clock. Behaviour observed under
+//! the world sim is therefore the production behaviour, not a mirror of
+//! it.
 //!
 //! The scenario loop alternates:
 //!
@@ -23,63 +24,22 @@
 //! wall time anywhere.
 
 use rcb_sim::{SimConn, SimListener};
-use rcb_util::{Clock, SimDuration, SimTime};
-use std::sync::atomic::Ordering;
+use rcb_util::{Clock, SimTime};
 use std::sync::Arc;
 
-use crate::message::Response;
-use crate::parse::{ParseReject, RequestParser};
-use crate::serialize::write_response_to;
-use crate::server::{
-    invoke_handler, reject_response, Handler, HandlerOutcome, OverloadCtx, ParkHub, ServerConfig,
-    ServerStats,
-};
+use crate::conn::{ConnCore, ConnCtx, Step};
+use crate::serialize::WriteProgress;
+use crate::server::{invoke_handler, Handler, ServerConfig, ServerStats};
 
-/// A long-poll parked on a driver connection (the pump-mode analogue of
-/// the epoll backend's `ParkedPoll`).
-struct ParkedReq {
-    /// The hub channel this park waits on (0 = the default channel; a
-    /// session router parks each session on its own channel).
-    channel: u64,
-    wait_key: u64,
-    deadline: SimTime,
-    on_wake: Box<dyn FnOnce() -> Response + Send>,
-    on_timeout: Box<dyn FnOnce() -> Response + Send>,
-    /// Close once the eventual response is written (`Connection: close`
-    /// on the parked request, or a panicking handler).
-    close: bool,
-}
-
-/// One accepted connection's state: the fabric conn, its incremental
-/// parser, an optional parked long-poll, and the guard clocks the
-/// overload layer measures (same bookkeeping as the epoll slots).
-struct DriverConn {
-    conn: SimConn,
-    parser: RequestParser,
-    parked: Option<ParkedReq>,
-    peer_closed: bool,
-    /// Virtual instant of the last byte read (idle-timeout clock).
-    last_activity: SimTime,
-    /// Set while an incomplete request head/body sits buffered
-    /// (slowloris clock); cleared when the parser drains.
-    partial_since: Option<SimTime>,
-}
-
-/// What one service pass decided about a connection.
-enum Fate {
-    Keep,
-    Close,
-}
-
-/// The pump-mode server: accepts from a [`SimListener`] and services every
-/// connection with the shared [`Handler`], entirely nonblocking.
+/// The pump-mode server: accepts from a [`SimListener`] and drives every
+/// connection's `ConnCore` with the shared [`Handler`], entirely
+/// nonblocking.
 pub struct SimDriver {
     listener: SimListener,
     handler: Handler,
-    hub: Arc<ParkHub>,
     clock: Clock,
-    overload: Arc<OverloadCtx>,
-    conns: Vec<DriverConn>,
+    ctx: Arc<ConnCtx>,
+    conns: Vec<(SimConn, ConnCore)>,
     requests_served: u64,
     connections_accepted: u64,
 }
@@ -91,9 +51,8 @@ impl SimDriver {
         SimDriver {
             listener,
             handler,
-            hub: Arc::clone(&config.park_hub),
             clock: config.clock.clone(),
-            overload: OverloadCtx::new(config.overload.clone()),
+            ctx: ConnCtx::new(config),
             conns: Vec::new(),
             requests_served: 0,
             connections_accepted: 0,
@@ -101,45 +60,37 @@ impl SimDriver {
     }
 
     /// One service sweep: accept whatever has finished its handshake,
-    /// resolve due parks, drain readable bytes, dispatch complete
-    /// requests. Returns whether anything happened — the scenario loop
-    /// pumps until `false` before advancing the clock.
+    /// then per connection resolve a due park, drain readable bytes, and
+    /// dispatch complete requests. The admission load is the number of
+    /// requests admitted to the handler this sweep. Returns whether
+    /// anything happened — the scenario loop pumps until `false` before
+    /// advancing the clock.
     pub fn pump(&mut self) -> bool {
         let now = self.clock.now();
-        let cfg = &self.overload.config;
         let mut progress = false;
         while let Ok(conn) = self.listener.try_accept() {
-            self.conns.push(DriverConn {
-                conn,
-                parser: RequestParser::with_limits(cfg.max_header_bytes, cfg.max_body_bytes),
-                parked: None,
-                peer_closed: false,
-                last_activity: now,
-                partial_since: None,
-            });
+            self.conns
+                .push((conn, ConnCore::new(Arc::clone(&self.ctx), now)));
             self.connections_accepted += 1;
             progress = true;
         }
-        let mut pass = PumpPass {
-            handler: Arc::clone(&self.handler),
-            hub: Arc::clone(&self.hub),
-            overload: Arc::clone(&self.overload),
-            now,
-            admitted: 0,
-            progress,
-            served: 0,
-        };
-        self.conns.retain_mut(|dc| {
-            let fate = service(dc, &mut pass);
-            if matches!(fate, Fate::Close) && dc.parked.is_some() {
-                // Closing with a poll still parked (fabric reset, guard
-                // trip): give the park-cap slot back.
-                pass.hub.release_park();
-            }
-            matches!(fate, Fate::Keep)
+        let mut admitted = 0;
+        let mut served = 0;
+        self.conns.retain_mut(|(conn, core)| {
+            let answered = core.answered();
+            let keep = service(
+                conn,
+                core,
+                &self.handler,
+                &self.clock,
+                &mut admitted,
+                &mut progress,
+            );
+            served += core.answered() - answered;
+            keep
         });
-        self.requests_served += pass.served;
-        pass.progress
+        self.requests_served += served;
+        progress
     }
 
     /// The soonest parked long-poll deadline, if any — the scenario loop
@@ -148,8 +99,8 @@ impl SimDriver {
     pub fn next_park_deadline(&self) -> Option<SimTime> {
         self.conns
             .iter()
-            .filter_map(|dc| dc.parked.as_ref())
-            .map(|p| p.deadline)
+            .filter_map(|(_, core)| core.parked_on())
+            .map(|(_, _, deadline)| deadline)
             .min()
     }
 
@@ -158,14 +109,10 @@ impl SimDriver {
     /// fabric is otherwise silent fold this in alongside
     /// [`SimDriver::next_park_deadline`].
     pub fn next_guard_deadline(&self) -> Option<SimTime> {
-        let cfg = &self.overload.config;
         self.conns
             .iter()
-            .filter(|dc| dc.parked.is_none())
-            .map(|dc| match dc.partial_since {
-                Some(since) => since + SimDuration::from_duration(cfg.header_read_timeout),
-                None => dc.last_activity + SimDuration::from_duration(cfg.idle_timeout),
-            })
+            .filter(|(_, core)| core.parked_on().is_none())
+            .filter_map(|(_, core)| core.deadline())
             .min()
     }
 
@@ -176,7 +123,7 @@ impl SimDriver {
             connections_accepted: self.connections_accepted,
             ..ServerStats::default()
         };
-        self.overload.fill_stats(&mut stats, &self.hub);
+        self.ctx.fill_stats(&mut stats);
         stats
     }
 
@@ -187,7 +134,10 @@ impl SimDriver {
 
     /// Long-polls currently parked.
     pub fn parked(&self) -> usize {
-        self.conns.iter().filter(|dc| dc.parked.is_some()).count()
+        self.conns
+            .iter()
+            .filter(|(_, core)| core.parked_on().is_some())
+            .count()
     }
 
     /// Requests answered so far (parked polls count on resolution).
@@ -206,157 +156,63 @@ impl std::fmt::Debug for SimDriver {
     }
 }
 
-/// Everything one [`SimDriver::pump`] sweep shares across connections:
-/// the handler, the overload limits and counters, the virtual instant,
-/// and the per-pump admission budget (the pump-mode analogue of the
-/// threaded engines' dispatch-queue depth).
-struct PumpPass {
-    handler: Handler,
-    hub: Arc<ParkHub>,
-    overload: Arc<OverloadCtx>,
-    now: SimTime,
-    admitted: usize,
-    progress: bool,
-    served: u64,
-}
-
-/// One pass over one connection. Mirrors the worker/epoll state machine:
-/// resolve a due park first (wake beats timeout, like
-/// `LoopShard::service_parked`), then read, then dispatch in order —
-/// a parked poll blocks dispatch of anything pipelined behind it — then
-/// check the connection guards against the virtual clock.
-fn service(dc: &mut DriverConn, pass: &mut PumpPass) -> Fate {
-    let cfg = &pass.overload.config;
-    let counters = &pass.overload.counters;
-    if let Some(p) = dc.parked.take() {
-        let (published, closed) = pass.hub.channel_status(p.channel);
-        if closed || published > p.wait_key || pass.now >= p.deadline {
-            pass.hub.release_park();
-            let response = if !closed && published > p.wait_key {
-                (p.on_wake)()
-            } else {
-                (p.on_timeout)()
-            };
-            pass.progress = true;
-            pass.served += 1;
-            dc.last_activity = pass.now;
-            if write_response_to(&mut dc.conn, &response).is_err() || p.close {
-                return Fate::Close;
-            }
-        } else {
-            dc.parked = Some(p);
-        }
-    }
+/// One pass over one connection: a due park resolves first — its
+/// closure runs whatever else arrived in this step, a reset included —
+/// then readable bytes are fed, then the core runs until it idles:
+/// handler calls inline, writes straight to the fabric. Returns whether
+/// the connection stays open.
+fn service(
+    conn: &mut SimConn,
+    core: &mut ConnCore,
+    handler: &Handler,
+    clock: &Clock,
+    admitted: &mut usize,
+    progress: &mut bool,
+) -> bool {
+    let now = clock.now();
+    *progress |= core.resolve_park(now);
     let mut buf = [0u8; 16 * 1024];
-    loop {
-        match dc.conn.try_read(&mut buf) {
-            Ok(0) => {
-                dc.peer_closed = true;
-                break;
-            }
+    while core.wants_read() {
+        match conn.try_read(&mut buf) {
+            Ok(0) => core.eof(),
             Ok(n) => {
-                dc.parser.feed(&buf[..n]);
-                dc.last_activity = pass.now;
-                pass.progress = true;
+                core.feed(&buf[..n], now);
+                *progress = true;
             }
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(_) => return Fate::Close, // reset (partition)
+            Err(_) => return false, // reset (partition)
         }
     }
-    while dc.parked.is_none() {
-        match dc.parser.next_request() {
-            Ok(Some(req)) => {
-                pass.progress = true;
-                let close = req.wants_close();
-                if pass.admitted >= cfg.queue_high_water {
-                    // Over the admission budget for this sweep: shed with
-                    // the prefab 503 instead of running the handler.
-                    counters.requests_shed.fetch_add(1, Ordering::Relaxed);
-                    let response = pass.overload.shed.next();
-                    dc.last_activity = pass.now;
-                    if write_response_to(&mut dc.conn, &response).is_err() || close {
-                        return Fate::Close;
-                    }
-                    continue;
-                }
-                pass.admitted += 1;
-                let (outcome, panicked) = invoke_handler(&pass.handler, req);
-                match outcome {
-                    HandlerOutcome::Respond(response) => {
-                        pass.served += 1;
-                        dc.last_activity = pass.now;
-                        if write_response_to(&mut dc.conn, &response).is_err() || close || panicked
-                        {
-                            return Fate::Close;
-                        }
-                    }
-                    HandlerOutcome::Park(park) => {
-                        if pass.hub.try_admit_park(cfg.max_parked) {
-                            dc.parked = Some(ParkedReq {
-                                channel: park.channel,
-                                wait_key: park.wait_key,
-                                deadline: pass.now + SimDuration::from_duration(park.max_wait),
-                                on_wake: park.on_wake,
-                                on_timeout: park.on_timeout,
-                                close: close || panicked,
-                            });
-                        } else {
-                            // Park cap reached: degrade to the immediate
-                            // empty-poll reply (byte-identical to a
-                            // timed-out park).
-                            pass.served += 1;
-                            let response = (park.on_timeout)();
-                            dc.last_activity = pass.now;
-                            if write_response_to(&mut dc.conn, &response).is_err()
-                                || close
-                                || panicked
-                            {
-                                return Fate::Close;
-                            }
-                        }
-                    }
+    loop {
+        match core.next(now, || *admitted) {
+            Step::Dispatch(request) => {
+                *progress = true;
+                *admitted += 1;
+                core.complete(invoke_handler(handler, request), now);
+            }
+            Step::Write => {
+                *progress = true;
+                match core.drain(clock, |w| w.write_some(conn)) {
+                    Ok(WriteProgress::Done) => {}
+                    Ok(WriteProgress::Blocked) => return true,
+                    Err(_) => return false,
                 }
             }
-            Ok(None) => break,
-            Err(_) => {
-                let reason = dc.parser.reject_reason().unwrap_or(ParseReject::Malformed);
-                counters.count_reject(reason);
-                let response = reject_response(reason);
-                let _ = write_response_to(&mut dc.conn, &response);
-                return Fate::Close;
-            }
+            Step::Idle => return true,
+            Step::Close => return false,
         }
     }
-    dc.partial_since = if dc.parser.buffered() > 0 {
-        dc.partial_since.or(Some(dc.last_activity))
-    } else {
-        None
-    };
-    if dc.parked.is_none() {
-        if let Some(since) = dc.partial_since {
-            if pass.now >= since + SimDuration::from_duration(cfg.header_read_timeout) {
-                counters.header_timeouts.fetch_add(1, Ordering::Relaxed);
-                return Fate::Close;
-            }
-        } else if pass.now >= dc.last_activity + SimDuration::from_duration(cfg.idle_timeout) {
-            counters.idle_timeouts.fetch_add(1, Ordering::Relaxed);
-            return Fate::Close;
-        }
-    }
-    if dc.peer_closed && dc.parked.is_none() {
-        return Fate::Close;
-    }
-    Fate::Keep
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::try_parse_response;
-    use crate::message::{Request, Status};
+    use crate::message::{Request, Response, Status};
     use crate::serialize::serialize_request;
-    use crate::server::{handler_fn, Park};
+    use crate::server::{handler_fn, HandlerOutcome, Park};
     use rcb_sim::{LinkModel, LinkSpec, World};
+    use rcb_util::SimDuration;
     use std::io::Write;
 
     fn link() -> LinkModel {

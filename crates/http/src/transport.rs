@@ -107,9 +107,10 @@ impl Conn {
         }
     }
 
-    /// Caps how long a blocking write may stall before erroring — the
-    /// workers engine's write-stall guard (`SO_SNDTIMEO`). The fabric
-    /// side buffers writes without backpressure, so there it is a no-op.
+    /// Caps how long a blocking write may stall before returning
+    /// `WouldBlock` (`SO_SNDTIMEO`) — the workers engine retries such a
+    /// write until its write-stall deadline passes. The fabric side
+    /// buffers writes without backpressure, so there it is a no-op.
     pub fn set_write_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             Conn::Tcp(s) => s.set_write_timeout(timeout),

@@ -38,7 +38,7 @@ fn backends() -> Vec<ServerBackend> {
     if EPOLL_SUPPORTED {
         vec![
             ServerBackend::Workers,
-            ServerBackend::Epoll,
+            ServerBackend::EpollSharded(1),
             ServerBackend::EpollSharded(MATRIX_SHARDS),
         ]
     } else {
@@ -159,18 +159,9 @@ fn pipelined_keepalive_corpus_is_byte_identical() {
             burst.extend_from_slice(&rcb_http::serialize::serialize_request(req));
         }
         stream.write_all(&burst).unwrap();
-        let mut out = Vec::new();
-        let mut chunk = [0u8; 16 * 1024];
-        // Responses are Content-Length framed; collect until the stream
-        // goes quiet after the expected response count.
-        let mut responses = 0;
-        while responses < corpus.len() {
-            let n = stream.read(&mut chunk).unwrap();
-            assert!(n > 0, "server closed mid-corpus");
-            out.extend_from_slice(&chunk[..n]);
-            responses = out.windows(4).filter(|w| *w == b"HTTP".as_slice()).count();
-        }
-        out
+        // Responses are Content-Length framed: read exactly the corpus's
+        // worth, bodies included.
+        read_n_frames(&mut stream, corpus.len())
     });
     // Sanity on the shared reference stream: six responses, in order.
     let text = String::from_utf8_lossy(&wire);
@@ -406,7 +397,7 @@ fn epoll_holds_hundreds_of_connections_on_tiny_pool() {
         return;
     }
     for backend in [
-        ServerBackend::Epoll,
+        ServerBackend::EpollSharded(1),
         ServerBackend::EpollSharded(MATRIX_SHARDS),
     ] {
         let big: Arc<[u8]> = Arc::from(&b"tiny"[..]);
@@ -462,40 +453,6 @@ fn sharded_responses_never_interleave_across_connections() {
         })
         .collect();
 
-    // Reads exactly `n` Content-Length-framed responses off one stream,
-    // frame-accurate (a pipelined peer may deliver several responses in
-    // one read; `client::read_response` would discard the surplus).
-    fn read_frames(stream: &mut TcpStream, n: usize) -> Vec<Vec<u8>> {
-        let mut buf: Vec<u8> = Vec::new();
-        let mut frames = Vec::new();
-        let mut chunk = [0u8; 16 * 1024];
-        while frames.len() < n {
-            while let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                let head = String::from_utf8_lossy(&buf[..head_end]).to_string();
-                let declared = head
-                    .lines()
-                    .find_map(|l| {
-                        let (name, value) = l.split_once(':')?;
-                        name.eq_ignore_ascii_case("content-length")
-                            .then(|| value.trim().parse::<usize>().ok())?
-                    })
-                    .unwrap_or(0);
-                let total = head_end + 4 + declared;
-                if buf.len() < total {
-                    break;
-                }
-                frames.push(buf.drain(..total).collect());
-                if frames.len() == n {
-                    return frames;
-                }
-            }
-            let got = stream.read(&mut chunk).unwrap();
-            assert!(got > 0, "server closed mid-stream");
-            buf.extend_from_slice(&chunk[..got]);
-        }
-        frames
-    }
-
     // Per round: pipeline two tagged requests on *every* connection
     // before reading a single response, so all shards hold in-flight
     // pipelines simultaneously; then drain each connection and check its
@@ -510,8 +467,13 @@ fn sharded_responses_never_interleave_across_connections() {
             conn.write_all(&burst).unwrap();
         }
         for (i, conn) in conns.iter_mut().enumerate() {
-            for (k, frame) in read_frames(conn, 2).into_iter().enumerate() {
-                let resp = rcb_http::parse_response(&frame).unwrap();
+            let wire = read_n_frames(conn, 2);
+            let mut rest = wire.as_slice();
+            for k in 0..2 {
+                let (resp, used) = rcb_http::client::try_parse_response(rest)
+                    .unwrap()
+                    .expect("a whole frame");
+                rest = &rest[used..];
                 assert_eq!(
                     resp.body_str(),
                     format!("GET /echo?c={i}&r={round}&k={k} 0"),
@@ -564,7 +526,9 @@ fn park_handler(max_wait: Duration) -> Handler {
     })
 }
 
-/// Reads exactly `n` Content-Length-framed responses off one stream.
+/// Reads exactly `n` Content-Length-framed responses off one stream,
+/// frame-accurate (a pipelined peer may deliver several responses in one
+/// read; `client::read_response` would discard the surplus).
 fn read_n_frames(stream: &mut TcpStream, n: usize) -> Vec<u8> {
     let mut buf: Vec<u8> = Vec::new();
     let mut frames = 0;
@@ -1062,5 +1026,323 @@ fn responses_parse_back_to_handler_output() {
         let resp = rcb_http::client::send_request(&addr, &Request::get("/big")).unwrap();
         assert_eq!(resp.body.as_slice(), big.as_ref(), "{backend}");
         run.server.shutdown();
+    }
+}
+
+/// A fabric link fast enough that virtual time moves only for latency
+/// and parks.
+fn sim_link() -> rcb_sim::LinkModel {
+    rcb_sim::LinkModel::from_spec(rcb_sim::LinkSpec::symmetric(
+        100_000_000,
+        rcb_util::SimDuration::from_millis(1),
+    ))
+}
+
+/// Pumps `driver` and advances the world through every fabric event (and,
+/// with `through_parks`, every park deadline) until nothing is left.
+fn sim_settle(world: &rcb_sim::World, driver: &mut rcb_http::SimDriver, through_parks: bool) {
+    loop {
+        while driver.pump() {}
+        let parks = driver.next_park_deadline().filter(|_| through_parks);
+        match world.next_event_time().into_iter().chain(parks).min() {
+            Some(t) if t > world.now() => world.advance_to(t),
+            _ => break,
+        }
+    }
+    while driver.pump() {}
+}
+
+/// Everything the fabric has delivered to `client`, and whether the
+/// server closed the connection.
+fn sim_read(client: &mut rcb_sim::SimConn) -> (Vec<u8>, bool) {
+    let mut wire = Vec::new();
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        match client.try_read(&mut chunk) {
+            Ok(0) => return (wire, true),
+            Ok(n) => wire.extend_from_slice(&chunk[..n]),
+            Err(e) => return (wire, e.kind() != std::io::ErrorKind::WouldBlock),
+        }
+    }
+}
+
+#[test]
+fn long_poll_reply_restarts_the_idle_clock_on_every_engine() {
+    use rcb_http::server::OverloadConfig;
+    // A long-poll parked three times longer than `idle_timeout`: its reply
+    // restarts the idle clock, so a request sent 20 ms after the reply is
+    // answered on the same connection instead of finding it reaped as
+    // idle since the parked request was read.
+    let overload = OverloadConfig {
+        idle_timeout: Duration::from_millis(200),
+        ..OverloadConfig::default()
+    };
+    let wait = rcb_http::serialize::serialize_request(&Request::get("/wait"));
+    let echo = rcb_http::serialize::serialize_request(&Request::get("/echo"));
+    for backend in backends() {
+        let mut server = HttpServer::bind_with(
+            "127.0.0.1:0",
+            park_handler(Duration::from_millis(600)),
+            ServerConfig::builder()
+                .backend(backend)
+                .workers(2)
+                .overload(overload.clone())
+                .build(),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(&wait).unwrap();
+        let parked = read_n_frames(&mut stream, 1);
+        assert!(String::from_utf8_lossy(&parked).starts_with("HTTP/1.1 200"));
+        std::thread::sleep(Duration::from_millis(20));
+        stream.write_all(&echo).unwrap();
+        let answered = read_n_frames(&mut stream, 1);
+        assert!(
+            String::from_utf8_lossy(&answered).ends_with("\r\n\r\n/echo"),
+            "{backend}: the follow-up request was not answered"
+        );
+        assert_eq!(server.stats().idle_timeouts, 0, "{backend}");
+        server.shutdown();
+    }
+
+    // The pump-mode driver, on virtual time.
+    let world = rcb_sim::World::new(13);
+    let config = ServerConfig::builder()
+        .clock(world.clock())
+        .overload(overload)
+        .build();
+    let mut driver = rcb_http::SimDriver::new(
+        world.bind("host").unwrap(),
+        park_handler(Duration::from_millis(600)),
+        &config,
+    );
+    let mut client = world.connect("client", "host", sim_link()).unwrap();
+    client.write_all(&wait).unwrap();
+    sim_settle(&world, &mut driver, true);
+    let (parked, closed) = sim_read(&mut client);
+    assert!(String::from_utf8_lossy(&parked).starts_with("HTTP/1.1 200"));
+    assert!(!closed);
+    world.advance_to(world.now() + rcb_util::SimDuration::from_millis(20));
+    client.write_all(&echo).unwrap();
+    sim_settle(&world, &mut driver, false);
+    let (answered, closed) = sim_read(&mut client);
+    assert!(
+        String::from_utf8_lossy(&answered).ends_with("\r\n\r\n/echo"),
+        "sim driver: the follow-up request was not answered"
+    );
+    assert!(!closed, "sim driver: connection reaped");
+    assert_eq!(driver.server_stats().idle_timeouts, 0, "sim driver");
+}
+
+/// One exchange the sim-driver equivalence test replays through the
+/// workers engine over TCP and through `SimDriver` over the fabric.
+struct Exchange {
+    name: &'static str,
+    handler: fn() -> Handler,
+    overload: rcb_http::server::OverloadConfig,
+    burst: Vec<u8>,
+    /// Publish on the hub once the burst has been served as far as it
+    /// goes (the parked request then wakes).
+    publish: bool,
+    /// Responses to read; `None` reads until the server closes.
+    frames: Option<usize>,
+}
+
+fn workers_exchange(x: &Exchange) -> Vec<u8> {
+    let hub = Arc::new(ParkHub::default());
+    let mut server = HttpServer::bind_with(
+        "127.0.0.1:0",
+        (x.handler)(),
+        ServerConfig::builder()
+            .backend(ServerBackend::Workers)
+            .workers(2)
+            .park_hub(Arc::clone(&hub))
+            .overload(x.overload.clone())
+            .build(),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&x.burst).unwrap();
+    if x.publish {
+        std::thread::sleep(Duration::from_millis(120));
+        hub.publish(1);
+    }
+    let wire = match x.frames {
+        Some(n) => read_n_frames(&mut stream, n),
+        None => {
+            let mut out = Vec::new();
+            stream.read_to_end(&mut out).unwrap();
+            out
+        }
+    };
+    server.shutdown();
+    wire
+}
+
+fn sim_exchange(x: &Exchange) -> (Vec<u8>, bool) {
+    let world = rcb_sim::World::new(7);
+    let hub = Arc::new(ParkHub::default());
+    let config = ServerConfig::builder()
+        .clock(world.clock())
+        .park_hub(Arc::clone(&hub))
+        .overload(x.overload.clone())
+        .build();
+    let mut driver = rcb_http::SimDriver::new(world.bind("host").unwrap(), (x.handler)(), &config);
+    let mut client = world.connect("client", "host", sim_link()).unwrap();
+    client.write_all(&x.burst).unwrap();
+    sim_settle(&world, &mut driver, !x.publish);
+    if x.publish {
+        hub.publish(1);
+        sim_settle(&world, &mut driver, true);
+    }
+    sim_read(&mut client)
+}
+
+#[test]
+fn sim_driver_wire_bytes_match_the_workers_engine() {
+    use rcb_http::server::OverloadConfig;
+    // The world sim's pump driver must put the same bytes on the wire as
+    // a production engine: every protocol corner of this suite, replayed
+    // through `SimDriver` over the fabric on virtual time.
+    fn corpus() -> Handler {
+        let big: Arc<[u8]> = (0..1024usize).map(|i| (i % 251) as u8).collect();
+        corpus_handler(Arc::new(HandlerStats::default()), big)
+    }
+    fn requests(paths: &[&str]) -> Vec<u8> {
+        paths
+            .iter()
+            .flat_map(|p| rcb_http::serialize::serialize_request(&Request::get(*p)))
+            .collect()
+    }
+    let pipelined: Vec<u8> = [
+        Request::get("/echo?case=1"),
+        Request::post("/echo", b"alpha-beta".to_vec()),
+        Request::get("/prefab"),
+        Request::get("/missing"),
+        Request::post("/echo", vec![b'x'; 4096]),
+        Request::get("/unknown/path"),
+    ]
+    .iter()
+    .flat_map(rcb_http::serialize::serialize_request)
+    .collect();
+    let tight = OverloadConfig {
+        max_header_bytes: 256,
+        max_body_bytes: 256,
+        ..OverloadConfig::default()
+    };
+    let exchange = |name, handler, overload, burst, publish, frames| Exchange {
+        name,
+        handler,
+        overload,
+        burst,
+        publish,
+        frames,
+    };
+    let mut cases = vec![exchange(
+        "pipelined corpus",
+        corpus as fn() -> Handler,
+        OverloadConfig::default(),
+        pipelined,
+        false,
+        Some(6),
+    )];
+    for garbage in [
+        &b"NONSENSE\r\n\r\n"[..],
+        &b"GET / HTTP/2\r\n\r\n"[..],
+        &b"GET x HTTP/1.1\r\n\r\n"[..],
+        &b"GET / HTTP/1.1\r\nBadHeader\r\n\r\n"[..],
+    ] {
+        cases.push(exchange(
+            "malformed 400",
+            corpus,
+            OverloadConfig::default(),
+            garbage.to_vec(),
+            false,
+            None,
+        ));
+    }
+    cases.extend([
+        exchange(
+            "431",
+            corpus,
+            tight.clone(),
+            format!(
+                "GET / HTTP/1.1\r\nHost: demo\r\nX-Pad: {}\r\n\r\n",
+                "a".repeat(512)
+            )
+            .into_bytes(),
+            false,
+            None,
+        ),
+        exchange(
+            "413",
+            corpus,
+            tight,
+            b"POST /echo HTTP/1.1\r\nHost: demo\r\nContent-Length: 100000\r\n\r\n".to_vec(),
+            false,
+            None,
+        ),
+        exchange(
+            "503 shed",
+            corpus,
+            OverloadConfig {
+                queue_high_water: 0,
+                ..OverloadConfig::default()
+            },
+            requests(&["/echo"]),
+            false,
+            Some(1),
+        ),
+        exchange(
+            "park wake",
+            || park_handler(Duration::from_secs(5)),
+            OverloadConfig::default(),
+            requests(&["/wait", "/echo"]),
+            true,
+            Some(2),
+        ),
+        exchange(
+            "park timeout",
+            || park_handler(Duration::from_millis(150)),
+            OverloadConfig::default(),
+            requests(&["/wait", "/empty"]),
+            false,
+            Some(2),
+        ),
+        exchange(
+            "park-cap degrade",
+            || park_handler(Duration::from_secs(5)),
+            OverloadConfig {
+                max_parked: 0,
+                ..OverloadConfig::default()
+            },
+            requests(&["/wait", "/empty"]),
+            false,
+            Some(2),
+        ),
+    ]);
+    for x in &cases {
+        let threaded = workers_exchange(x);
+        let (simulated, closed) = sim_exchange(x);
+        assert!(!threaded.is_empty(), "{}: no reply", x.name);
+        assert_eq!(
+            String::from_utf8_lossy(&simulated),
+            String::from_utf8_lossy(&threaded),
+            "{}: sim driver bytes differ from the workers engine",
+            x.name
+        );
+        assert_eq!(simulated, threaded, "{}", x.name);
+        assert_eq!(
+            closed,
+            x.frames.is_none(),
+            "{}: sim driver close verdict",
+            x.name
+        );
     }
 }

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rcb_http::client::HttpConnection;
 use rcb_http::message::{Body, Request, Response, Status};
 use rcb_http::parse_response;
-use rcb_http::serialize::{serialize_response, write_response_to};
+use rcb_http::serialize::{serialize_response, ResponseWriter, WriteProgress};
 use rcb_http::server::{handler_fn, Handler, HttpServer, ServerConfig};
 
 proptest! {
@@ -37,10 +37,12 @@ proptest! {
         prop_assert_eq!(&serialize_response(&shared), &wire);
         prop_assert_eq!(&serialize_response(&prefab), &wire);
 
-        // The streaming writer produces the same bytes for all three.
+        // The servers' streaming writer produces the same bytes for all
+        // three.
         for resp in [&owned, &shared, &prefab] {
             let mut sink = Vec::new();
-            write_response_to(&mut sink, resp).unwrap();
+            let mut writer = ResponseWriter::new(resp.clone());
+            prop_assert_eq!(writer.write_some(&mut sink).unwrap(), WriteProgress::Done);
             prop_assert_eq!(&sink, &wire);
         }
 

@@ -7,8 +7,8 @@
 //! from a real socket. The `rcb_util::fault` lever (armed through this
 //! crate's `fault-injection` dev-feature) injects the errnos at the
 //! hooked call sites instead, so each path gets a deterministic
-//! regression test on every epoll variant (and, for accept, the workers
-//! backend too).
+//! regression test on every epoll variant (and, for accept, reads and
+//! write resumption, the workers backend too).
 //!
 //! Fault state is process-global, so every test holds [`FAULT_LOCK`] and
 //! disarms through a drop guard — a failing assertion cannot leak armed
@@ -53,7 +53,10 @@ impl Drop for FaultScope {
 /// The epoll variants under test (explicit shard count: deterministic on
 /// any core count).
 fn epoll_backends() -> [ServerBackend; 2] {
-    [ServerBackend::Epoll, ServerBackend::EpollSharded(2)]
+    [
+        ServerBackend::EpollSharded(1),
+        ServerBackend::EpollSharded(2),
+    ]
 }
 
 fn echo_handler() -> Handler {
@@ -113,7 +116,7 @@ fn emfile_storm_at_accept_is_survived_by_every_backend() {
     let _scope = FaultScope::enter();
     for backend in [
         ServerBackend::Workers,
-        ServerBackend::Epoll,
+        ServerBackend::EpollSharded(1),
         ServerBackend::EpollSharded(2),
     ] {
         let server = bind(backend, 2, echo_handler());
@@ -133,9 +136,11 @@ fn emfile_storm_at_accept_is_survived_by_every_backend() {
 #[test]
 fn ewouldblock_write_resumption_on_epoll_variants() {
     // Injected EWOULDBLOCK mid-response: the ResponseWriter must park its
-    // cursor, the loop must re-arm EPOLLOUT, and the response must arrive
-    // byte-intact once the (injected) congestion clears — on both a
-    // shared-body response and a prefab wire image.
+    // cursor, the loop must re-arm EPOLLOUT (the workers engine retries
+    // its blocking write instead, as after a short `SO_SNDTIMEO` stall),
+    // and the response must arrive byte-intact once the (injected)
+    // congestion clears — on both a shared-body response and a prefab
+    // wire image.
     let _scope = FaultScope::enter();
     const BODY: usize = 256 << 10;
     let big: Arc<[u8]> = (0..BODY).map(|i| (i % 251) as u8).collect();
@@ -157,7 +162,11 @@ fn ewouldblock_write_resumption_on_epoll_variants() {
             other => Response::error(Status::NOT_FOUND, other),
         })
     };
-    for backend in epoll_backends() {
+    for backend in [
+        ServerBackend::Workers,
+        ServerBackend::EpollSharded(1),
+        ServerBackend::EpollSharded(2),
+    ] {
         let server = bind(backend, 2, Arc::clone(&handler));
         let addr = server.addr().to_string();
         for path in ["/big", "/prefab"] {
@@ -261,7 +270,7 @@ fn injected_read_reset_drops_the_connection_but_not_the_server() {
     let _scope = FaultScope::enter();
     for backend in [
         ServerBackend::Workers,
-        ServerBackend::Epoll,
+        ServerBackend::EpollSharded(1),
         ServerBackend::EpollSharded(2),
     ] {
         let server = bind(backend, 2, echo_handler());
@@ -302,7 +311,7 @@ fn injected_transient_eagain_on_read_is_absorbed() {
     let _scope = FaultScope::enter();
     for backend in [
         ServerBackend::Workers,
-        ServerBackend::Epoll,
+        ServerBackend::EpollSharded(1),
         ServerBackend::EpollSharded(2),
     ] {
         let server = bind(backend, 2, echo_handler());

@@ -55,7 +55,7 @@ fn echo_handler() -> Handler {
 fn shutdown_with_idle_keepalive_connections_is_bounded_and_leak_free() {
     let mut backends = vec![ServerBackend::Workers];
     if EPOLL_SUPPORTED {
-        backends.push(ServerBackend::Epoll);
+        backends.push(ServerBackend::EpollSharded(1));
         backends.push(ServerBackend::EpollSharded(3));
     }
     for backend in backends {

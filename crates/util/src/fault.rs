@@ -29,17 +29,19 @@ use std::io;
 /// The hooked operations. Each has an independent fail-next budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    /// `accept(2)` on a listening socket (both server backends).
+    /// `accept(2)` on a listening socket (both server engines).
     Accept = 0,
-    /// `epoll_ctl(2)` add/modify/delete (epoll backends only).
+    /// `epoll_ctl(2)` add/modify/delete (epoll engine only).
     EpollCtl = 1,
-    /// A response-body write on a nonblocking socket
-    /// (`ResponseWriter::write_some`, epoll backends only — the workers
-    /// backend's blocking writes are deliberately unhooked, because a
-    /// blocking socket can never legitimately return `EWOULDBLOCK`).
+    /// A response write (`ResponseWriter::write_some`, the write path of
+    /// every engine). An injected `EWOULDBLOCK` reads exactly like a full
+    /// send buffer: the epoll engine re-arms `EPOLLOUT`, and the workers
+    /// engine retries — on its blocking sockets `EWOULDBLOCK` is what an
+    /// expired `SO_SNDTIMEO` returns, so it retries until the write-stall
+    /// deadline cuts the connection.
     Write = 2,
-    /// A request-bytes read off an accepted connection (both epoll
-    /// engines' `read_conn` and the workers backend's rotation read).
+    /// A request-bytes read off an accepted connection (the epoll
+    /// engine's readiness read and the workers engine's rotation read).
     Read = 3,
 }
 
@@ -245,6 +247,17 @@ mod armed {
 #[cfg(feature = "fault-injection")]
 pub use armed::{clear, fail_next, pending, script, seeded, take};
 
+/// Serializes this crate's own tests that arm faults or pass through a
+/// hooked call (`sys`'s epoll tests go through the `EpollCtl` hook): the
+/// module state is process-global and the test harness runs tests in
+/// parallel.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Without the `fault-injection` feature the hook is inert: always `None`,
 /// and the arming API does not exist (only feature-enabled test targets
 /// may arm faults).
@@ -258,12 +271,13 @@ pub fn take(_op: Op) -> Option<io::Error> {
 mod tests {
     use super::*;
 
-    // The whole module state is global; this file's tests all run against
-    // ops the I/O tests elsewhere never arm concurrently in this crate's
-    // own test binary, and each clears behind itself.
+    // The whole module state is global: every test here holds
+    // `test_lock()` (shared with `sys`'s epoll tests, whose `epoll_ctl`
+    // calls consume `EpollCtl` faults), and each clears behind itself.
 
     #[test]
     fn budget_counts_down_and_disarms() {
+        let _serial = test_lock();
         clear();
         fail_next(Op::EpollCtl, 2, EMFILE);
         assert_eq!(pending(Op::EpollCtl), 2);
@@ -276,6 +290,7 @@ mod tests {
 
     #[test]
     fn ops_are_independent_and_clear_disarms() {
+        let _serial = test_lock();
         clear();
         fail_next(Op::Accept, 1, ECONNABORTED);
         assert!(take(Op::Write).is_none(), "other ops unaffected");
@@ -287,6 +302,7 @@ mod tests {
 
     #[test]
     fn eagain_maps_to_would_block_kind() {
+        let _serial = test_lock();
         clear();
         fail_next(Op::Write, 1, EAGAIN);
         let e = take(Op::Write).unwrap();
@@ -296,6 +312,7 @@ mod tests {
 
     #[test]
     fn scripted_schedule_fails_exact_call_ordinals() {
+        let _serial = test_lock();
         clear();
         // Unsorted on purpose: fail calls #2 and #4 only.
         script(Op::EpollCtl, &[(4, EMFILE), (2, ECONNABORTED)]);
@@ -313,6 +330,7 @@ mod tests {
 
     #[test]
     fn seeded_schedule_is_reproducible_and_capped() {
+        let _serial = test_lock();
         clear();
         let run = |seed: u64| -> Vec<bool> {
             seeded(Op::Accept, seed, 0.5, EAGAIN, 8);

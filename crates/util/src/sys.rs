@@ -374,6 +374,8 @@ mod tests {
 
     #[test]
     fn epoll_reports_readable_listener() {
+        // Passes through the `EpollCtl` fault hook.
+        let _serial = crate::fault::test_lock();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let ep = Epoll::new().unwrap();
@@ -393,6 +395,8 @@ mod tests {
 
     #[test]
     fn epoll_modify_and_delete() {
+        // Passes through the `EpollCtl` fault hook.
+        let _serial = crate::fault::test_lock();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (a, _b) = {
@@ -451,6 +455,8 @@ mod tests {
 
     #[test]
     fn epoll_token_roundtrips_large_values() {
+        // Passes through the `EpollCtl` fault hook.
+        let _serial = crate::fault::test_lock();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let ep = Epoll::new().unwrap();
@@ -465,6 +471,8 @@ mod tests {
 
     #[test]
     fn epoll_sees_written_bytes() {
+        // Passes through the `EpollCtl` fault hook.
+        let _serial = crate::fault::test_lock();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
