@@ -1,11 +1,13 @@
 //! End-to-end pipeline bench: one complete poll round (agent request
 //! handling + content generation + snippet application), the unit of work
-//! behind every synchronization in Figures 6–8.
+//! behind every synchronization in Figures 6–8; and the snapshot build
+//! that publishes each host change on the concurrent path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use rcb_browser::{Browser, BrowserKind};
 use rcb_core::agent::{AgentConfig, CacheMode, RcbAgent};
+use rcb_core::snapshot::{ContentSnapshot, DELTA_RING};
 use rcb_core::snippet::AjaxSnippet;
 use rcb_crypto::SessionKey;
 use rcb_origin::OriginRegistry;
@@ -78,9 +80,56 @@ fn bench_poll_round(c: &mut Criterion) {
     group.finish();
 }
 
+/// Replaces the text of the `n`-th body paragraph (cycling) with fresh
+/// letters of the same length, so the page size stays constant.
+fn edit_paragraph(host: &mut Browser, n: usize) {
+    host.mutate_dom(|doc| {
+        let body = doc.body().expect("page has a body");
+        let texts: Vec<_> = doc
+            .descendants(body)
+            .into_iter()
+            .filter(|&p| doc.is_element(p, "p"))
+            .filter_map(|p| doc.children(p).first().copied())
+            .filter(|&t| doc.text(t).is_some_and(|s| !s.is_empty()))
+            .collect();
+        let t = texts[n % texts.len()];
+        let letter = char::from(b'a' + (n % 26) as u8);
+        let text: String = doc.text(t).unwrap().chars().map(|_| letter).collect();
+        doc.set_text(t, text).unwrap();
+    })
+    .unwrap();
+}
+
+/// `SnapshotPlan::finish` after one paragraph edit of wikipedia.org, the
+/// work `TcpHost::mutate_page` does before waking parked polls: content
+/// generation, the full-XML prefab, and one delta per base of a full
+/// ring. The plan (the part under the host mutex) is set up untimed.
+fn bench_snapshot_finish(c: &mut Criterion) {
+    let mut group = c.benchmark_group("snapshot_finish");
+    let key = SessionKey::generate_deterministic(&mut DetRng::new(3));
+    let mut agent = RcbAgent::new(key, AgentConfig::default());
+    let mut host = loaded_host("wikipedia.org");
+    let mut prev = ContentSnapshot::build(&mut agent, &host, SimTime::ZERO, None).unwrap();
+    for n in 1..=DELTA_RING {
+        edit_paragraph(&mut host, n);
+        let now = SimTime::from_millis(n as u64);
+        prev = ContentSnapshot::build(&mut agent, &host, now, Some(&prev)).unwrap();
+    }
+    assert_eq!(prev.delta_ring_len(), DELTA_RING);
+    edit_paragraph(&mut host, 0);
+    group.bench_function(BenchmarkId::new("paragraph_edit", "wikipedia.org"), |b| {
+        b.iter_batched(
+            || ContentSnapshot::plan(&mut agent, &host, SimTime::from_secs(1)).unwrap(),
+            |plan| plan.finish(Some(&prev)).unwrap(),
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_poll_round
+    targets = bench_poll_round, bench_snapshot_finish
 }
 criterion_main!(benches);

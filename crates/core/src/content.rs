@@ -48,7 +48,7 @@ use rcb_html::dom::{Document, NodeData, NodeId};
 use rcb_html::{inner_html, query};
 use rcb_url::Url;
 use rcb_util::{RcbError, Result, SimDuration, Stopwatch};
-use rcb_xml::{write_new_content, ElementPayload, NewContent, TopLevel};
+use rcb_xml::{write_new_content_with_sections, ElementPayload, NewContent, Sections, TopLevel};
 
 use crate::agent::CacheMode;
 use crate::auth::object_token;
@@ -58,6 +58,10 @@ use crate::auth::object_token;
 pub struct GeneratedContent {
     /// The serialized Fig.-4 XML document.
     pub xml: String,
+    /// Where the writer put each section of `xml`: deltas are spliced
+    /// from these bytes, and comparing them across generations tells
+    /// which sections changed.
+    pub sections: Sections,
     /// The document timestamp embedded in it.
     pub doc_time: u64,
     /// Supplementary-object URLs a participant must fetch after applying
@@ -235,9 +239,10 @@ fn finish_impl(
         top,
         user_actions,
     };
-    let xml = write_new_content(&nc);
+    let (xml, sections) = write_new_content_with_sections(&nc);
     Ok(GeneratedContent {
         xml,
+        sections,
         doc_time,
         object_urls,
         cache_rewrites,

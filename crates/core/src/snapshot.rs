@@ -34,8 +34,20 @@
 //!   proportional to the DOM, never to the serialized content.
 //! * [`SnapshotPlan::finish`] — runs **with no locks held**: URL
 //!   rewriting, event rewriting, escaping, XML assembly, object
-//!   resolution, and prefab serialization. The mapping table is the only
-//!   shared state it touches (a leaf mutex, locked briefly).
+//!   resolution, the delta ring, and prefab serialization. The mapping
+//!   table is the only shared state it touches (a leaf mutex, locked
+//!   briefly).
+//!
+//! # Delta ring
+//!
+//! Each snapshot also freezes up to [`DELTA_RING`] delta replies, one per
+//! recent predecessor generation, for woken long-polls that advertised
+//! `d=1`. The XML writer reports the byte range of each section it wrote
+//! (`docHead`, the top-level block, `userActions`), and `finish` works on
+//! those bytes alone: a section changed when its bytes differ from the
+//! predecessor's, and a delta is the `deltaContent` framing around the
+//! changed sections, copied verbatim. The server never parses its own
+//! output back or re-escapes a payload to build a delta.
 //!
 //! The caller publishes the finished snapshot with a single pointer swap
 //! under the snapshot write lock, discarding it if a newer DOM version was
@@ -57,6 +69,7 @@
 //! held while acquiring anything else.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use rcb_browser::Browser;
@@ -65,7 +78,7 @@ use rcb_crypto::SessionKey;
 use rcb_http::{Body, Response, Status};
 use rcb_util::{Result, SimTime};
 
-use rcb_xml::{DeltaContent, ElementPayload, TopLevel};
+use rcb_xml::Sections;
 
 use crate::agent::{CacheMode, RcbAgent};
 use crate::content::{finish_generation, prepare_generation, GeneratedContent, GenerationJob};
@@ -82,8 +95,10 @@ pub const DELTA_RING: usize = 3;
 pub use rcb_http::{BATCH_BOUNDARY, BATCH_CONTENT_TYPE, BATCH_MEDIA_TYPE};
 
 /// One servable delta in the ring: everything needed to answer a woken
-/// poll whose acked generation is `from_dom_version` without touching the
-/// full document.
+/// poll whose acked generation is `from_dom_version`. Its reply is the
+/// `deltaContent` framing around the sections that changed since that
+/// base, copied verbatim from this generation's XML when the snapshot is
+/// built; serving it copies no bytes.
 #[derive(Debug)]
 struct DeltaSlot {
     /// The acked generation this delta upgrades from.
@@ -91,9 +106,10 @@ struct DeltaSlot {
     /// That generation's document timestamp (the client-side guard: a
     /// participant applies a delta only when its own `doc_time` matches).
     from_doc_time: u64,
-    /// Whether the head component changed across the span. Conservative:
-    /// accumulated by OR while the slot is carried forward, so a
-    /// changed-then-reverted component re-ships (idempotent), never skips.
+    /// Whether the head component changed across the span: its section
+    /// bytes differed in at least one step. Conservative: accumulated by
+    /// OR while the slot is carried forward, so a changed-then-reverted
+    /// component re-ships (idempotent), never skips.
     head_changed: bool,
     /// Whether the top-level (body/frameset) component changed.
     top_changed: bool,
@@ -144,11 +160,10 @@ pub struct ContentSnapshot {
     /// Servable objects: this generation's plus the predecessor's live
     /// set (two-generation bound).
     objects: HashMap<CacheKey, SnapshotObject>,
-    /// FNV-1a hashes of the encoded head / top payloads, used to decide
-    /// which components the *next* generation's deltas must carry.
-    /// `None` when the generated XML did not parse back (no ring is built
-    /// from such a snapshot — full XML only, never a wrong no-op delta).
-    payload_hashes: Option<(u64, u64)>,
+    /// Where each section of `xml` lies. The *next* generation compares
+    /// its head and top section bytes against these to decide which
+    /// components its deltas must carry.
+    sections: Sections,
     /// Deltas from up to [`DELTA_RING`] predecessor generations to this
     /// one, newest base first.
     delta_ring: Vec<DeltaSlot>,
@@ -278,40 +293,10 @@ impl ContentSnapshot {
     pub fn delta_ring_len(&self) -> usize {
         self.delta_ring.len()
     }
-}
 
-/// FNV-1a over one byte slice, continuing from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Hash of the encoded head payloads, order-sensitive.
-fn head_payload_hash(children: &[ElementPayload]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for child in children {
-        h = fnv1a(h, child.encode().as_bytes());
-        h = fnv1a(h, b"\x1f");
-    }
-    h
-}
-
-/// Hash of the encoded top-level payload, variant-tagged.
-fn top_payload_hash(top: &TopLevel) -> u64 {
-    match top {
-        TopLevel::Body(b) => fnv1a(fnv1a(FNV_OFFSET, b"B"), b.encode().as_bytes()),
-        TopLevel::Frames { frameset, noframes } => {
-            let mut h = fnv1a(fnv1a(FNV_OFFSET, b"F"), frameset.encode().as_bytes());
-            if let Some(nf) = noframes {
-                h = fnv1a(fnv1a(h, b"N"), nf.encode().as_bytes());
-            }
-            h
-        }
+    /// The bytes of one section of this snapshot's XML.
+    fn section(&self, range: &Range<usize>) -> &[u8] {
+        &self.xml[range.clone()]
     }
 }
 
@@ -407,92 +392,86 @@ impl SnapshotPlan {
             self.sign.then_some(&self.key),
         );
 
-        // Delta ring: parse this generation's payloads back (lock-free,
-        // once per generation) and freeze one prefab delta per surviving
-        // predecessor base. A failed parse disables the ring for this
-        // snapshot rather than risking a wrong no-op delta.
-        let parsed = rcb_xml::parse_new_content(&content.xml).ok().flatten();
-        let payload_hashes = parsed.as_ref().map(|nc| {
-            (
-                head_payload_hash(&nc.head_children),
-                top_payload_hash(&nc.top),
-            )
-        });
+        // Delta ring: one prefab delta per surviving predecessor base, each
+        // the deltaContent framing around this generation's changed
+        // sections, copied verbatim from the XML just written. A section
+        // changed in this step when its bytes differ from the
+        // predecessor's: escaping is injective and the framing fixed, so
+        // equal bytes mean equal payloads.
+        let sections = content.sections.clone();
         let mut delta_ring = Vec::new();
-        if let (Some(nc), Some((cur_head, cur_top)), Some(prev)) = (&parsed, payload_hashes, prev) {
-            if let Some((prev_head, prev_top)) = prev.payload_hashes {
-                let step_head = prev_head != cur_head;
-                let step_top = prev_top != cur_top;
-                // Candidate bases: the predecessor itself, then every base
-                // its ring still covered, with changed flags OR-accumulated
-                // across the new step. Strictly older than this generation.
-                let mut bases: Vec<(u64, u64, bool, bool, &[CacheKey])> = Vec::new();
-                if prev.dom_version < self.dom_version {
+        if let Some(prev) = prev {
+            let step_head = prev.section(&prev.sections.head) != &xml[sections.head.clone()];
+            let step_top = prev.section(&prev.sections.top) != &xml[sections.top.clone()];
+            // Candidate bases: the predecessor itself, then every base its
+            // ring still covered, with changed flags OR-accumulated across
+            // the new step. Strictly older than this generation.
+            let mut bases: Vec<(u64, u64, bool, bool, &[CacheKey])> = Vec::new();
+            if prev.dom_version < self.dom_version {
+                bases.push((
+                    prev.dom_version,
+                    prev.doc_time,
+                    step_head,
+                    step_top,
+                    &prev.live_keys,
+                ));
+            }
+            for slot in &prev.delta_ring {
+                if slot.from_dom_version < self.dom_version {
                     bases.push((
-                        prev.dom_version,
-                        prev.doc_time,
-                        step_head,
-                        step_top,
-                        &prev.live_keys,
+                        slot.from_dom_version,
+                        slot.from_doc_time,
+                        slot.head_changed || step_head,
+                        slot.top_changed || step_top,
+                        &slot.from_live_keys,
                     ));
                 }
-                for slot in &prev.delta_ring {
-                    if slot.from_dom_version < self.dom_version {
-                        bases.push((
-                            slot.from_dom_version,
-                            slot.from_doc_time,
-                            slot.head_changed || step_head,
-                            slot.top_changed || step_top,
-                            &slot.from_live_keys,
-                        ));
-                    }
-                }
-                bases.sort_by_key(|b| std::cmp::Reverse(b.0));
-                bases.dedup_by_key(|b| b.0);
-                bases.truncate(DELTA_RING);
-                for (from_version, from_time, head_changed, top_changed, from_keys) in bases {
-                    let dc = DeltaContent {
-                        doc_time: self.doc_time,
-                        from_doc_time: from_time,
-                        head_children: head_changed.then(|| nc.head_children.clone()),
-                        top: top_changed.then(|| nc.top.clone()),
-                        user_actions: nc.user_actions.clone(),
-                    };
-                    let delta_xml = rcb_xml::write_delta_content(&dc);
-                    // Inline the objects this generation references that the
-                    // base generation did not: the receiver gets them in one
-                    // response instead of N `/cache/{key}` round trips.
-                    let new_keys: Vec<CacheKey> = live_keys
-                        .iter()
-                        .copied()
-                        .filter(|k| !from_keys.contains(k))
-                        .filter(|k| objects.contains_key(k) && minted_urls.contains_key(k))
-                        .collect();
-                    let response = if new_keys.is_empty() {
-                        prefab_response(
-                            Status::OK,
-                            "application/xml; charset=utf-8",
-                            Arc::from(delta_xml.as_bytes()),
-                            self.sign.then_some(&self.key),
-                        )
-                    } else {
-                        let body = assemble_batch(&delta_xml, &new_keys, &objects, &minted_urls);
-                        prefab_response(
-                            Status::OK,
-                            BATCH_CONTENT_TYPE,
-                            Arc::from(body),
-                            self.sign.then_some(&self.key),
-                        )
-                    };
-                    delta_ring.push(DeltaSlot {
-                        from_dom_version: from_version,
-                        from_doc_time: from_time,
-                        head_changed,
-                        top_changed,
-                        from_live_keys: from_keys.to_vec(),
-                        response,
-                    });
-                }
+            }
+            bases.sort_by_key(|b| std::cmp::Reverse(b.0));
+            bases.dedup_by_key(|b| b.0);
+            bases.truncate(DELTA_RING);
+            for (from_version, from_time, head_changed, top_changed, from_keys) in bases {
+                let delta_xml = rcb_xml::splice_delta_content(
+                    &content.xml,
+                    &sections,
+                    self.doc_time,
+                    from_time,
+                    head_changed,
+                    top_changed,
+                );
+                // Inline the objects this generation references that the
+                // base generation did not: the receiver gets them in one
+                // response instead of N `/cache/{key}` round trips.
+                let new_keys: Vec<CacheKey> = live_keys
+                    .iter()
+                    .copied()
+                    .filter(|k| !from_keys.contains(k))
+                    .filter(|k| objects.contains_key(k) && minted_urls.contains_key(k))
+                    .collect();
+                let response = if new_keys.is_empty() {
+                    prefab_response(
+                        Status::OK,
+                        "application/xml; charset=utf-8",
+                        Arc::from(delta_xml.as_bytes()),
+                        self.sign.then_some(&self.key),
+                    )
+                } else {
+                    let body = assemble_batch(&delta_xml, &new_keys, &objects, &minted_urls);
+                    prefab_response(
+                        Status::OK,
+                        BATCH_CONTENT_TYPE,
+                        Arc::from(body),
+                        self.sign.then_some(&self.key),
+                    )
+                };
+                delta_ring.push(DeltaSlot {
+                    from_dom_version: from_version,
+                    from_doc_time: from_time,
+                    head_changed,
+                    top_changed,
+                    from_live_keys: from_keys.to_vec(),
+                    response,
+                });
             }
         }
 
@@ -504,7 +483,7 @@ impl SnapshotPlan {
                 poll_response,
                 live_keys,
                 objects,
-                payload_hashes,
+                sections,
                 delta_ring,
             }),
             generated,
@@ -720,6 +699,142 @@ mod tests {
             doc.append_child(body, div).unwrap();
         })
         .unwrap();
+    }
+
+    /// Replaces the text of the page's `<title>`, returning the old text.
+    fn set_title(host: &mut Browser, text: &str) -> String {
+        let mut old = String::new();
+        host.mutate_dom(|doc| {
+            let head = doc.head().expect("page has a head");
+            let title = doc
+                .descendants(head)
+                .into_iter()
+                .find(|&n| doc.is_element(n, "title"))
+                .expect("page has a title");
+            let t = doc.children(title)[0];
+            old = doc.text(t).expect("title holds text").to_string();
+            doc.set_text(t, text).unwrap();
+        })
+        .unwrap();
+        old
+    }
+
+    /// The delta XML of a slot's reply: the whole body, or its first part
+    /// when new objects ride along in a batch.
+    fn slot_xml(slot: &DeltaSlot) -> String {
+        let body = slot.response.body.as_slice();
+        if slot.response.content_type().as_deref() == Some(BATCH_MEDIA_TYPE) {
+            let parts = rcb_http::batch::parse_batch_parts(body).unwrap();
+            String::from_utf8(parts[0].data.clone()).unwrap()
+        } else {
+            String::from_utf8(body.to_vec()).unwrap()
+        }
+    }
+
+    /// What a slot must equal: the typed delta writer over `snap`'s XML
+    /// parsed back (`nc`), carrying the components the slot's flags name.
+    fn reference_delta(
+        snap: &ContentSnapshot,
+        nc: &rcb_xml::NewContent,
+        slot: &DeltaSlot,
+    ) -> String {
+        rcb_xml::write_delta_content(&rcb_xml::DeltaContent {
+            doc_time: snap.doc_time,
+            from_doc_time: slot.from_doc_time,
+            head_children: slot.head_changed.then(|| nc.head_children.clone()),
+            top: slot.top_changed.then(|| nc.top.clone()),
+            user_actions: nc.user_actions.clone(),
+        })
+    }
+
+    /// The slot of `snap`'s ring for `base`, checked against the reference
+    /// writer; returns its `(head_changed, top_changed)` flags.
+    fn checked_flags(snap: &ContentSnapshot, base: &ContentSnapshot) -> (bool, bool) {
+        let nc = rcb_xml::parse_new_content(snap.xml()).unwrap().unwrap();
+        let slot = snap
+            .delta_ring
+            .iter()
+            .find(|s| s.from_dom_version == base.dom_version)
+            .expect("base in ring");
+        assert_eq!(slot_xml(slot), reference_delta(snap, &nc, slot));
+        (slot.head_changed, slot.top_changed)
+    }
+
+    #[test]
+    fn ring_slots_equal_the_reference_writer_on_every_table1_page() {
+        // Head, top, both, neither: the rings built along this sequence
+        // hold slots with every combination of head/top flags.
+        let edits: [fn(&mut Browser); 4] = [
+            |h| {
+                set_title(h, "edited title");
+            },
+            |h| append_div(h, "edited body"),
+            |h| {
+                set_title(h, "edited both");
+                append_div(h, "edited both");
+            },
+            |h| h.mutate_dom(|_| {}).unwrap(),
+        ];
+        let mut flags_seen = std::collections::HashSet::new();
+        for spec in rcb_origin::alexa20() {
+            for mode in [CacheMode::Cache, CacheMode::NonCache] {
+                let mut a = agent(mode);
+                let mut host = loaded_host(spec.name);
+                let mut snap = ContentSnapshot::build(&mut a, &host, SimTime::ZERO, None).unwrap();
+                for (i, edit) in (1u64..).zip(edits) {
+                    edit(&mut host);
+                    snap =
+                        ContentSnapshot::build(&mut a, &host, SimTime::from_millis(i), Some(&snap))
+                            .unwrap();
+                    let nc = rcb_xml::parse_new_content(snap.xml()).unwrap().unwrap();
+                    for slot in &snap.delta_ring {
+                        assert_eq!(
+                            slot_xml(slot),
+                            reference_delta(&snap, &nc, slot),
+                            "{} {mode:?}: slot from v{}",
+                            spec.name,
+                            slot.from_dom_version
+                        );
+                        flags_seen.insert((slot.head_changed, slot.top_changed));
+                    }
+                }
+            }
+        }
+        assert_eq!(flags_seen.len(), 4, "every flag combination exercised");
+    }
+
+    #[test]
+    fn head_edits_and_chained_bases_ship_the_accumulated_components() {
+        let mut a = agent(CacheMode::Cache);
+        let mut host = loaded_host("apple.com");
+        let mut build = |host: &Browser, ms: u64, prev: Option<&ContentSnapshot>| {
+            ContentSnapshot::build(&mut a, host, SimTime::from_millis(ms), prev).unwrap()
+        };
+        let s1 = build(&host, 0, None);
+        let original = set_title(&mut host, "retitled");
+        let s2 = build(&host, 1, Some(&s1));
+        append_div(&mut host, "body edit");
+        let s3 = build(&host, 2, Some(&s2));
+        assert_eq!(checked_flags(&s2, &s1), (true, false), "head-only step");
+        assert_eq!(checked_flags(&s3, &s2), (false, true), "top-only step");
+        assert_eq!(
+            checked_flags(&s3, &s1),
+            (true, true),
+            "chained base: OR of both steps"
+        );
+
+        // Revert the title: s4's head bytes equal s1's again, yet the slot
+        // for s1 still ships the head, because the span changed it.
+        set_title(&mut host, &original);
+        let s4 = build(&host, 3, Some(&s3));
+        assert_eq!(s4.section(&s4.sections.head), s1.section(&s1.sections.head));
+        assert_eq!(checked_flags(&s4, &s3), (true, false));
+        assert_eq!(checked_flags(&s4, &s2), (true, true), "top, then head");
+        assert_eq!(
+            checked_flags(&s4, &s1),
+            (true, true),
+            "reverted head still ships"
+        );
     }
 
     #[test]

@@ -148,19 +148,21 @@ fn percentile_us(samples: &mut [u64], p: f64) -> u64 {
 /// URL-rewrite/escape/XML-assembly pass.
 ///
 /// The page is shaped adversarially for the old design: few DOM nodes
-/// (cloning is cheap) carrying hundreds of kilobytes of text (escaping and
-/// assembly are slow). Before the pipelining change, every merge-carrying
+/// (cloning is cheap) carrying megabytes of text (escaping and assembly
+/// are slow). Before the pipelining change, every merge-carrying
 /// poll issued during a regeneration serialized behind the whole
 /// generation and p99 tracked the generation cost; now it must stay within
 /// a small bound of the quiescent p99.
 #[test]
 fn slow_regeneration_does_not_block_concurrent_polls() {
-    // ~80 divs × 8 KB of passthrough text: ≈640 KB to escape per
-    // generation, while the clone copies only ~160 nodes.
+    // 560 divs × 8 KB of passthrough text: ≈4.5 MB to escape per
+    // generation, while the clone copies only ~1,100 nodes. Sized so a
+    // regeneration takes 50–60 ms in a release build on a 2-vCPU VM, at
+    // least twice the 20 ms floor asserted below.
     let filler = "lorem ipsum dolor sit amet consectetur adipiscing elit ".repeat(146);
     let mut page =
         String::from("<html><head><title>slow</title></head><body><div id=\"knob\">0</div>");
-    for i in 0..80 {
+    for i in 0..560 {
         page.push_str(&format!("<div id=\"blk{i}\">{filler}</div>"));
     }
     page.push_str("</body></html>");

@@ -3,8 +3,9 @@
 //! The build environment has no network access, so the real criterion
 //! cannot be fetched. This shim keeps the workspace's `harness = false`
 //! benches compiling and running with the same source: benchmark groups,
-//! `bench_function` / `bench_with_input`, throughput annotation, and the
-//! `criterion_group!` / `criterion_main!` macros.
+//! `bench_function` / `bench_with_input`, `iter` / `iter_batched`,
+//! throughput annotation, and the `criterion_group!` / `criterion_main!`
+//! macros.
 //!
 //! Measurement is deliberately simple — a few warmup iterations, then
 //! `sample_size` timed iterations, reporting mean time per iteration (and
@@ -19,6 +20,14 @@ use std::time::{Duration, Instant};
 /// assume reads/writes its argument.
 pub fn black_box<T>(x: T) -> T {
     hint::black_box(x)
+}
+
+/// How `iter_batched` groups its inputs. The shim sets up one input per
+/// iteration whatever the size; the variant keeps call sites compatible
+/// with the real crate.
+#[derive(Clone, Copy)]
+pub enum BatchSize {
+    LargeInput,
 }
 
 #[derive(Clone, Copy)]
@@ -179,6 +188,27 @@ impl Bencher {
             black_box(f());
         }
         self.mean = start.elapsed() / self.samples as u32;
+    }
+
+    /// Times `routine` alone, on a fresh input from `setup` each
+    /// iteration; neither the setup nor dropping the output is timed.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        for _ in 0..self.warmup {
+            black_box(routine(setup()));
+        }
+        let mut total = Duration::ZERO;
+        for _ in 0..self.samples {
+            let input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(input));
+            total += start.elapsed();
+            drop(output);
+        }
+        self.mean = total / self.samples as u32;
     }
 }
 

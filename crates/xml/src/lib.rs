@@ -35,4 +35,7 @@ pub mod writer;
 
 pub use model::{DeltaContent, ElementPayload, NewContent, PollPayload, TopLevel};
 pub use reader::{parse_delta_content, parse_new_content, parse_poll_payload};
-pub use writer::{write_delta_content, write_new_content};
+pub use writer::{
+    splice_delta_content, write_delta_content, write_new_content, write_new_content_with_sections,
+    Sections,
+};

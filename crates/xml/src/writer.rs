@@ -1,44 +1,68 @@
 //! Serializes a [`NewContent`] into the exact Figure-4 document, and a
 //! [`DeltaContent`] into the same layout with unchanged slots omitted.
+//!
+//! A document is written as three *sections* — the `docHead` block, the
+//! top-level block (`docBody`, or `docFrameSet` plus an optional
+//! `docNoFrames`) and the `userActions` line — inside a fixed framing.
+//! The full document's writer reports where each section landed
+//! ([`Sections`]), and [`splice_delta_content`] is the one writer of the
+//! `deltaContent` framing: it copies sections verbatim, either from a
+//! full document (a server building its deltas from its own output) or
+//! from sections [`write_delta_content`] has just written.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 
 use crate::model::{DeltaContent, ElementPayload, NewContent, TopLevel};
 use crate::scanner::encode_text;
+
+/// Byte ranges of the three sections within one written document. Each
+/// range includes its section's trailing newline; a section the writer
+/// omitted is an empty range.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sections {
+    /// The `<docHead>` block.
+    pub head: Range<usize>,
+    /// The top-level block, from its `<!-- for a page using ... -->`
+    /// comment through `</docBody>` or the last of `</docFrameSet>` /
+    /// `</docNoFrames>`.
+    pub top: Range<usize>,
+    /// The `<userActions>` line.
+    pub user_actions: Range<usize>,
+}
 
 /// Writes the newContent document, matching the paper's Figure 4 layout
 /// (XML declaration, `docTime`, `docContent` with per-head-child
 /// `hChildN` CDATA sections, `docBody` or `docFrameSet`/`docNoFrames`,
 /// and `userActions`).
+pub fn write_new_content(nc: &NewContent) -> String {
+    write_new_content_with_sections(nc).0
+}
+
+/// [`write_new_content`], also returning the byte range of each section
+/// in the document.
 ///
 /// Assembly is single-pass into one output buffer: each payload is
 /// JS-escaped straight into it via
 /// [`ElementPayload::encode_escaped_into`], with no per-child
 /// `escape(&child.encode())` intermediates — the document is the only
 /// allocation that grows.
-pub fn write_new_content(nc: &NewContent) -> String {
-    // Escaping inflates HTML payloads by roughly 2×; starting near the
-    // final size keeps the single buffer from reallocating log(n) times.
-    let payload_bytes: usize = nc.head_children.iter().map(payload_len).sum::<usize>()
-        + match &nc.top {
-            TopLevel::Body(b) => payload_len(b),
-            TopLevel::Frames { frameset, noframes } => {
-                payload_len(frameset) + noframes.as_ref().map_or(0, payload_len)
-            }
-        };
-    let mut out = String::with_capacity(2 * payload_bytes + nc.user_actions.len() + 512);
+pub fn write_new_content_with_sections(nc: &NewContent) -> (String, Sections) {
+    let mut out = String::with_capacity(
+        sections_len_hint(Some(&nc.head_children), Some(&nc.top), &nc.user_actions) + 128,
+    );
     out.push_str("<?xml version='1.0' encoding='utf-8'?>\n");
     out.push_str("<newContent>\n");
     let _ = writeln!(out, "<docTime>{}</docTime>", nc.doc_time);
     out.push_str("<docContent>\n");
-    write_head_into(&mut out, &nc.head_children);
-    write_top_into(&mut out, &nc.top);
-    out.push_str("</docContent>\n");
-    out.push_str("<userActions>");
-    out.push_str(&encode_text(&nc.user_actions));
-    out.push_str("</userActions>\n");
+    let sections = write_sections_into(
+        &mut out,
+        Some(&nc.head_children),
+        Some(&nc.top),
+        &nc.user_actions,
+    );
     out.push_str("</newContent>\n");
-    out
+    (out, sections)
 }
 
 /// Writes the deltaContent document: same Fig.-4 framing as
@@ -46,36 +70,102 @@ pub fn write_new_content(nc: &NewContent) -> String {
 /// `docBody`/`docFrameSet` sections *omitted entirely* when that slot is
 /// unchanged. A fully populated delta therefore differs from the full
 /// document only in the root element name and the extra timestamp line.
+///
+/// The typed entry point: it writes the sections the delta carries, then
+/// frames them with [`splice_delta_content`].
 pub fn write_delta_content(dc: &DeltaContent) -> String {
-    let payload_bytes: usize = dc
-        .head_children
-        .as_ref()
-        .map_or(0, |hc| hc.iter().map(payload_len).sum())
-        + match &dc.top {
+    let head = dc.head_children.as_deref();
+    let top = dc.top.as_ref();
+    let mut src = String::with_capacity(sections_len_hint(head, top, &dc.user_actions));
+    let sections = write_sections_into(&mut src, head, top, &dc.user_actions);
+    splice_delta_content(&src, &sections, dc.doc_time, dc.from_doc_time, true, true)
+}
+
+/// Writes a deltaContent document whose sections are copied verbatim from
+/// `src`: the head section when `head` is set, the top-level section when
+/// `top` is set, and always the `userActions` line. `sections` must be
+/// the ranges the writer reported for `src` (a range outside it panics).
+///
+/// Copying is exact because the framing around a section is fixed and
+/// JS escaping is injective: equal section bytes mean equal payloads, so
+/// a delta spliced from a full document equals [`write_delta_content`]
+/// over that document's parsed payloads.
+pub fn splice_delta_content(
+    src: &str,
+    sections: &Sections,
+    doc_time: u64,
+    from_doc_time: u64,
+    head: bool,
+    top: bool,
+) -> String {
+    let head = if head {
+        &src[sections.head.clone()]
+    } else {
+        ""
+    };
+    let top = if top { &src[sections.top.clone()] } else { "" };
+    let user_actions = &src[sections.user_actions.clone()];
+    let mut out = String::with_capacity(head.len() + top.len() + user_actions.len() + 192);
+    out.push_str("<?xml version='1.0' encoding='utf-8'?>\n");
+    out.push_str("<deltaContent>\n");
+    let _ = writeln!(out, "<docTime>{doc_time}</docTime>");
+    let _ = writeln!(out, "<fromDocTime>{from_doc_time}</fromDocTime>");
+    out.push_str("<docContent>\n");
+    out.push_str(head);
+    out.push_str(top);
+    out.push_str("</docContent>\n");
+    out.push_str(user_actions);
+    out.push_str("</deltaContent>\n");
+    out
+}
+
+/// Appends the head and top-level sections (each only when given), the
+/// `</docContent>` close and the `userActions` line to `out`, returning
+/// where each section landed.
+fn write_sections_into(
+    out: &mut String,
+    head: Option<&[ElementPayload]>,
+    top: Option<&TopLevel>,
+    user_actions: &str,
+) -> Sections {
+    let start = out.len();
+    if let Some(head_children) = head {
+        write_head_into(out, head_children);
+    }
+    let head = start..out.len();
+    if let Some(top) = top {
+        write_top_into(out, top);
+    }
+    let top = head.end..out.len();
+    out.push_str("</docContent>\n");
+    let actions_start = out.len();
+    out.push_str("<userActions>");
+    out.push_str(&encode_text(user_actions));
+    out.push_str("</userActions>\n");
+    Sections {
+        head,
+        top,
+        user_actions: actions_start..out.len(),
+    }
+}
+
+/// Capacity estimate for [`write_sections_into`]: escaping inflates HTML
+/// payloads by roughly 2×, and starting near the final size keeps the
+/// buffer from reallocating log(n) times.
+fn sections_len_hint(
+    head: Option<&[ElementPayload]>,
+    top: Option<&TopLevel>,
+    user_actions: &str,
+) -> usize {
+    let payload_bytes: usize = head.map_or(0, |hc| hc.iter().map(payload_len).sum())
+        + match top {
             Some(TopLevel::Body(b)) => payload_len(b),
             Some(TopLevel::Frames { frameset, noframes }) => {
                 payload_len(frameset) + noframes.as_ref().map_or(0, payload_len)
             }
             None => 0,
         };
-    let mut out = String::with_capacity(2 * payload_bytes + dc.user_actions.len() + 512);
-    out.push_str("<?xml version='1.0' encoding='utf-8'?>\n");
-    out.push_str("<deltaContent>\n");
-    let _ = writeln!(out, "<docTime>{}</docTime>", dc.doc_time);
-    let _ = writeln!(out, "<fromDocTime>{}</fromDocTime>", dc.from_doc_time);
-    out.push_str("<docContent>\n");
-    if let Some(head_children) = &dc.head_children {
-        write_head_into(&mut out, head_children);
-    }
-    if let Some(top) = &dc.top {
-        write_top_into(&mut out, top);
-    }
-    out.push_str("</docContent>\n");
-    out.push_str("<userActions>");
-    out.push_str(&encode_text(&dc.user_actions));
-    out.push_str("</userActions>\n");
-    out.push_str("</deltaContent>\n");
-    out
+    2 * payload_bytes + user_actions.len() + 384
 }
 
 fn write_head_into(out: &mut String, head_children: &[ElementPayload]) {
@@ -235,5 +325,103 @@ mod tests {
         let inner = xml.split("<docBody><![CDATA[").nth(1).unwrap();
         let payload = inner.split("]]>").next().unwrap();
         assert!(!payload.contains('<'));
+    }
+
+    /// Documents whose sections a splice must copy exactly: a frameset
+    /// page with and without `noframes`, CDATA-hostile and non-ASCII
+    /// payloads, and a `userActions` string that needs XML escaping.
+    fn splice_corpus() -> Vec<NewContent> {
+        let frames = |noframes| NewContent {
+            doc_time: 5,
+            head_children: vec![ElementPayload::new("title", "frames")],
+            top: TopLevel::Frames {
+                frameset: ElementPayload {
+                    tag: "frameset".into(),
+                    attrs: vec![("rows".into(), "20%,*".into())],
+                    inner_html: "<frame src=\"nav\"/><frame src=\"main\"/>".into(),
+                },
+                noframes,
+            },
+            user_actions: String::new(),
+        };
+        vec![
+            sample(),
+            frames(Some(ElementPayload::new("noframes", "frames required"))),
+            frames(None),
+            NewContent {
+                head_children: vec![ElementPayload::new(
+                    "script",
+                    "if (a[b[0]]>c) { s = '<![CDATA[x]]>'; }",
+                )],
+                top: TopLevel::Body(ElementPayload::new(
+                    "body",
+                    "<p>]]></p><![CDATA[<b>]]]]><![CDATA[>",
+                )),
+                ..sample()
+            },
+            NewContent {
+                head_children: vec![ElementPayload::new("title", "Grüße — 日本語 🎉")],
+                top: TopLevel::Body(ElementPayload {
+                    tag: "body".into(),
+                    attrs: vec![("data-naïve".into(), "ñ=ü".into())],
+                    inner_html: "<p>café ☕ \u{1}\u{2}</p>".into(),
+                }),
+                ..sample()
+            },
+            NewContent {
+                user_actions: "mouse|<3|&>|a&amp;b]]>".into(),
+                ..sample()
+            },
+        ]
+    }
+
+    #[test]
+    fn sections_cover_exactly_their_blocks() {
+        for nc in splice_corpus() {
+            let (xml, s) = write_new_content_with_sections(&nc);
+            assert_eq!(xml, write_new_content(&nc));
+            let head = &xml[s.head.clone()];
+            assert!(head.starts_with("<docHead>\n") && head.ends_with("</docHead>\n"));
+            assert_eq!(s.head.end, s.top.start, "head and top are adjacent");
+            let top = &xml[s.top.clone()];
+            let last = match &nc.top {
+                TopLevel::Body(_) => "</docBody>\n",
+                TopLevel::Frames { noframes: None, .. } => "</docFrameSet>\n",
+                TopLevel::Frames {
+                    noframes: Some(_), ..
+                } => "</docNoFrames>\n",
+            };
+            assert!(top.starts_with("<!-- for a page using ") && top.ends_with(last));
+            assert_eq!(
+                xml[s.user_actions.clone()],
+                format!(
+                    "<userActions>{}</userActions>\n",
+                    encode_text(&nc.user_actions)
+                )
+            );
+            assert_eq!(&xml[s.top.end..s.user_actions.start], "</docContent>\n");
+        }
+    }
+
+    #[test]
+    fn spliced_deltas_equal_the_typed_writer() {
+        for nc in splice_corpus() {
+            let (xml, sections) = write_new_content_with_sections(&nc);
+            for (head, top) in [(false, false), (true, false), (false, true), (true, true)] {
+                let dc = DeltaContent {
+                    doc_time: nc.doc_time,
+                    from_doc_time: 3,
+                    head_children: head.then(|| nc.head_children.clone()),
+                    top: top.then(|| nc.top.clone()),
+                    user_actions: nc.user_actions.clone(),
+                };
+                let spliced = splice_delta_content(&xml, &sections, nc.doc_time, 3, head, top);
+                assert_eq!(spliced, write_delta_content(&dc), "head={head} top={top}");
+                let parsed = crate::reader::parse_delta_content(&spliced)
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(parsed, dc, "head={head} top={top}");
+            }
+        }
     }
 }
