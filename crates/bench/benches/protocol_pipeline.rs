@@ -1,7 +1,12 @@
 //! End-to-end pipeline bench: one complete poll round (agent request
-//! handling + content generation + snippet application), the unit of work
-//! behind every synchronization in Figures 6–8; and the snapshot build
-//! that publishes each host change on the concurrent path.
+//! handling + snippet application), the unit of work behind every
+//! synchronization in Figures 6–8; and the snapshot build that publishes
+//! each host change on the concurrent path.
+//!
+//! A poll round runs the request path production serves: the sequential
+//! agent answers through the same Fig.-2 code as the concurrent host,
+//! building a `ContentSnapshot` on the first request after the host DOM
+//! moved and answering with the snapshot's (or the session's) prefab.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
@@ -38,8 +43,9 @@ fn bench_poll_round(c: &mut Criterion) {
         let mut host = loaded_host(site);
         group.bench_function(BenchmarkId::new("full_sync", site), |b| {
             b.iter(|| {
-                // Fresh agent/snippet each iteration so content is always
-                // regenerated (the expensive path).
+                // Fresh agent/snippet each iteration so every poll builds
+                // a snapshot (the expensive path): content generation plus
+                // the frozen XML prefab the reply clones.
                 let mut agent = RcbAgent::new(
                     key.clone(),
                     AgentConfig::builder()
@@ -57,7 +63,8 @@ fn bench_poll_round(c: &mut Criterion) {
             })
         });
 
-        // The steady-state path: no content change, empty response.
+        // The steady-state path: no content change, so the snapshot is
+        // reused and the reply is the session's empty-poll prefab.
         let key2 = SessionKey::generate_deterministic(&mut DetRng::new(2));
         let mut agent = RcbAgent::new(key2.clone(), AgentConfig::default());
         let mut snippet = AjaxSnippet::new(1, key2, SimDuration::from_secs(1));

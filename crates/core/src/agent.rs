@@ -8,15 +8,20 @@
 //! * **new connection request** — `GET /` → the initial HTML page whose
 //!   head carries Ajax-Snippet;
 //! * **object request** — `GET /cache/{key}` (cache mode) → the cached
-//!   object's bytes streamed from the host browser cache;
+//!   object, answered with the prefab frozen into the current
+//!   [`ContentSnapshot`] (its body shares the host browser cache entry);
 //! * **Ajax polling request** — `POST /poll` → data merging, timestamp
 //!   inspection, and either a Fig.-4 XML response with new content or an
 //!   empty response ("to avoid hanging requests").
 //!
-//! The agent is transport-agnostic: [`RcbAgent::handle_request`] maps a
-//! parsed request plus mutable access to the host browser onto a response
-//! and a list of host-side effects (navigations and form submissions the
-//! *world* must perform, because they need the network).
+//! The procedure itself lives in the crate's shared request path, which
+//! the concurrent host in [`crate::tcp`] drives too.
+//! [`RcbAgent::handle_request`] is its sequential driver: it maps a parsed
+//! request plus mutable access to the host browser onto a response and a
+//! list of host-side effects (navigations and form submissions the
+//! *world* must perform, because they need the network). It merges with
+//! exclusive access and rebuilds its snapshot inline on the first request
+//! after the host DOM moved.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -24,12 +29,13 @@ use std::sync::{Arc, Mutex};
 use rcb_browser::{Browser, UserAction};
 use rcb_cache::MappingTable;
 use rcb_crypto::SessionKey;
-use rcb_http::{Request, Response, Status};
+use rcb_http::{Request, Response};
 use rcb_util::{Counter, Histogram, Result, SimDuration, SimTime};
 
-use crate::auth;
-use crate::content::{generate_content, GeneratedContent};
+use crate::content::GeneratedContent;
+use crate::fig2::{Answer, Deployment, RequestPath, TcpHostStats};
 use crate::policy::{InteractionPolicy, NavigationPolicy};
+use crate::snapshot::ContentSnapshot;
 
 /// Whether supplementary objects are served from the host cache or fetched
 /// from origin servers by the participant (paper §3.1 steps 7/8).
@@ -220,15 +226,6 @@ pub struct AgentOutcome {
     pub effects: Vec<HostEffect>,
 }
 
-impl AgentOutcome {
-    fn just(response: Response) -> AgentOutcome {
-        AgentOutcome {
-            response,
-            effects: Vec::new(),
-        }
-    }
-}
-
 /// Per-participant session state.
 #[derive(Debug, Clone)]
 pub struct ParticipantInfo {
@@ -246,8 +243,8 @@ pub struct ParticipantInfo {
 /// Participant ids are spread across [`ParticipantShards::SHARDS`] maps by
 /// a multiplicative hash; each poll touches exactly one shard lock, held
 /// only for the map operation (never across content generation or I/O).
-/// The sequential [`RcbAgent`] keeps its own plain map — shards are for
-/// the concurrent real-socket deployment.
+/// Both deployments keep their participants here, through the shared
+/// request path.
 #[derive(Debug)]
 pub struct ParticipantShards {
     shards: Vec<Mutex<HashMap<u64, ParticipantInfo>>>,
@@ -336,27 +333,16 @@ impl Default for ParticipantShards {
     }
 }
 
-/// Counters the agent exposes for experiments.
+/// Counters of the agent's write-path work. Request counters live in the
+/// shared request path: see [`RcbAgent::request_stats`].
 #[derive(Debug, Default)]
 pub struct AgentStats {
-    /// New-connection requests served.
-    pub connections: Counter,
-    /// Object requests served.
-    pub object_requests: Counter,
-    /// Polls answered with new content.
-    pub polls_with_content: Counter,
-    /// Polls answered empty.
-    pub polls_empty: Counter,
-    /// Requests rejected by authentication.
-    pub auth_failures: Counter,
     /// Content generations performed (cache hits excluded).
     pub generations: Counter,
     /// Generated-content cache entries evicted by the generation bound.
     pub content_evictions: Counter,
     /// Timestamp entries evicted by the generation bound.
     pub timestamp_evictions: Counter,
-    /// Polls rejected for a missing or malformed participant id.
-    pub bad_poll_requests: Counter,
     /// Wall-clock generation costs (the paper's M5 samples).
     pub m5: Histogram,
 }
@@ -371,7 +357,10 @@ pub const LIVE_GENERATIONS: usize = 2;
 pub struct RcbAgent {
     /// Configuration (mode, interval, policies).
     pub config: AgentConfig,
-    key: SessionKey,
+    /// The session's Fig.-2 request path: key, static prefabs,
+    /// participants and request counters. A concurrent host clones the
+    /// `Arc` and serves through the same path.
+    fig2: Arc<RequestPath>,
     /// The URL↔key mapping table, behind its own leaf mutex so pipelined
     /// content generation (running outside the host lock) can mint keys
     /// concurrently with sequential agent work. Lock ordering: this is a
@@ -381,9 +370,13 @@ pub struct RcbAgent {
     /// XML format response content is reusable for multiple participant
     /// browsers" (§4.1.2).
     content_cache: HashMap<(u64, bool), Arc<GeneratedContent>>,
-    participants: HashMap<u64, ParticipantInfo>,
-    /// Host actions (e.g. mouse moves) pending broadcast to participants.
-    host_actions: Vec<UserAction>,
+    /// The snapshot [`RcbAgent::handle_request`] answers from, rebuilt on
+    /// the first request after the host DOM moved.
+    snapshot: Option<Arc<ContentSnapshot>>,
+    /// The latest participant pointer position, pending broadcast in the
+    /// next content update. A later position supersedes an earlier one,
+    /// so moves on an unchanged page never pile up.
+    pointer: Option<UserAction>,
     /// Pending participant actions awaiting host confirmation (under
     /// [`NavigationPolicy::HostConfirm`]).
     pub pending_confirmation: Vec<(u64, HostEffect)>,
@@ -404,12 +397,12 @@ impl RcbAgent {
     /// Creates an agent with the given key and configuration.
     pub fn new(key: SessionKey, config: AgentConfig) -> RcbAgent {
         RcbAgent {
+            fig2: Arc::new(RequestPath::new(key, &config)),
             config,
-            key,
             mapping: Arc::new(Mutex::new(MappingTable::new())),
             content_cache: HashMap::new(),
-            participants: HashMap::new(),
-            host_actions: Vec::new(),
+            snapshot: None,
+            pointer: None,
             pending_confirmation: Vec::new(),
             timestamps: HashMap::new(),
             live_versions: VecDeque::new(),
@@ -420,23 +413,28 @@ impl RcbAgent {
 
     /// The session key (shared out of band with participants).
     pub fn key(&self) -> &SessionKey {
-        &self.key
+        self.fig2.key()
     }
 
-    /// Currently connected participants.
-    pub fn participants(&self) -> &HashMap<u64, ParticipantInfo> {
-        &self.participants
+    /// The shared request path (a concurrent host serves through it).
+    pub(crate) fn request_path(&self) -> &Arc<RequestPath> {
+        &self.fig2
     }
 
-    /// Queues a host action (mouse-pointer movement etc.) for broadcast in
-    /// the next content update.
-    pub fn queue_host_action(&mut self, action: UserAction) {
-        self.host_actions.push(action);
+    /// Number of participants that have polled and not left.
+    pub fn participant_count(&self) -> usize {
+        self.fig2.participants.count()
     }
 
     /// Removes a participant (left the session).
     pub fn remove_participant(&mut self, id: u64) {
-        self.participants.remove(&id);
+        self.fig2.participants.remove(id);
+    }
+
+    /// The request counters — the same [`TcpHostStats`] the concurrent
+    /// host reports.
+    pub fn request_stats(&self) -> TcpHostStats {
+        self.fig2.stats()
     }
 
     /// The document timestamp for the host's current DOM version, minting
@@ -488,10 +486,10 @@ impl RcbAgent {
             .cloned()
     }
 
-    /// Drains pending host actions into their wire encoding (captured by
-    /// a generation about to run).
+    /// Drains the pending pointer position into its wire encoding
+    /// (captured by a generation about to run).
     pub fn take_host_actions(&mut self) -> String {
-        UserAction::encode_batch(&std::mem::take(&mut self.host_actions))
+        UserAction::encode_batch(self.pointer.take().as_slice())
     }
 
     /// Admits content generated outside the agent (the pipelined path:
@@ -513,32 +511,50 @@ impl RcbAgent {
         }
     }
 
-    /// Handles one HTTP request from a participant browser (Fig. 2).
+    /// Handles one HTTP request from a participant browser (Fig. 2): the
+    /// sequential driver of the shared request path.
     pub fn handle_request(
         &mut self,
         req: &Request,
         host: &mut Browser,
         now: SimTime,
     ) -> AgentOutcome {
-        // Session-local classification: the configured path prefix is
-        // stripped first ("" for the classic deployment), so `/s/{sid}`
-        // requests classify exactly like un-prefixed ones.
-        let local = req.path().strip_prefix(self.config.path_prefix.as_str());
-        let mut outcome = match (req.method, local) {
-            (rcb_http::Method::Get, Some("/")) => {
-                self.stats.connections.incr();
-                AgentOutcome::just(Response::html(self.initial_page()))
-            }
-            (rcb_http::Method::Get, Some(path)) if path.starts_with("/cache/") => {
-                AgentOutcome::just(self.serve_object(req, path, host))
-            }
-            (rcb_http::Method::Post, Some("/poll")) => self.handle_poll(req, host, now),
-            _ => AgentOutcome::just(Response::error(Status::NOT_FOUND, "unknown request type")),
+        let fig2 = Arc::clone(&self.fig2);
+        let mut sequential = Sequential {
+            agent: self,
+            host,
+            now,
+            effects: Vec::new(),
         };
-        if self.config.authenticate_responses && outcome.response.status.is_success() {
-            crate::auth::sign_response(&self.key, &mut outcome.response);
+        let response = match fig2.handle(req, now, &mut sequential) {
+            Answer::Reply(response) => response,
+            // Nothing here can hold a request open: a long-poll is
+            // answered at once with its timeout reply.
+            Answer::Park(_) => fig2.timeout_reply(),
+        };
+        AgentOutcome {
+            response,
+            effects: sequential.effects,
         }
-        outcome
+    }
+
+    /// The snapshot of the host's current DOM version: plan and finish run
+    /// inline when the DOM moved since the last one, carrying the
+    /// previous snapshot's objects forward. Generation is accounted by
+    /// [`RcbAgent::admit_generated`], so the request that regenerates is
+    /// the one a world charges M5 to.
+    fn snapshot_at(&mut self, host: &Browser, now: SimTime) -> Result<Arc<ContentSnapshot>> {
+        if let Some(snap) = self
+            .snapshot
+            .as_ref()
+            .filter(|s| s.dom_version == host.dom_version())
+        {
+            return Ok(Arc::clone(snap));
+        }
+        let prev = self.snapshot.take();
+        let built = ContentSnapshot::build(self, host, now, prev.as_deref());
+        self.snapshot = built.as_ref().ok().cloned().or(prev);
+        built
     }
 
     /// The initial HTML page carrying Ajax-Snippet (paper §3.1 step 2).
@@ -547,167 +563,7 @@ impl RcbAgent {
     /// later content update); the body shows the key-entry form a
     /// participant fills with the out-of-band secret (§3.4).
     pub fn initial_page(&self) -> String {
-        format!(
-            "<!DOCTYPE html><html><head><title>RCB co-browsing session</title>\
-             <script id=\"ajax-snippet\" type=\"text/javascript\">\
-             /* Ajax-Snippet: polls RCB-Agent every {interval} ms, piggybacks \
-             user actions, applies newContent updates. */\
-             var RCB_POLL_INTERVAL = {interval};\
-             function rcbPoll() {{ /* XMLHttpRequest POST /poll */ }}\
-             function rcbSubmit(id) {{ /* capture form, piggyback */ return false; }}\
-             function rcbClick(id) {{ /* send click action */ return false; }}\
-             function rcbInput(id) {{ /* send field edit */ return true; }}\
-             </script></head><body>\
-             <form id=\"rcb-join\" action=\"/join\" method=\"post\">\
-             <input type=\"password\" name=\"session-key\" value=\"\">\
-             <input type=\"submit\" value=\"Join session\"></form>\
-             <div id=\"rcb-status\">waiting for first synchronization…</div>\
-             </body></html>",
-            interval = self.config.poll_interval.as_millis()
-        )
-    }
-
-    /// Serves an object request in cache mode (Fig. 2, middle path).
-    /// `local_path` is the request path with the session prefix already
-    /// stripped; the token is verified over the *full* path, so a token
-    /// minted for one session cannot fetch from another.
-    fn serve_object(&mut self, req: &Request, local_path: &str, host: &mut Browser) -> Response {
-        // Authenticate via the per-object token embedded at rewrite time.
-        // Missing and empty `k=` are the same malformed request: 400,
-        // byte-identical to the concurrent path's answer.
-        let token = match req.query_param("k") {
-            Some(t) if !t.is_empty() => t,
-            _ => {
-                return Response::error(Status::BAD_REQUEST, auth::OBJECT_TOKEN_REQUIRED);
-            }
-        };
-        if !auth::verify_object_token(&self.key, req.path(), &token) {
-            self.stats.auth_failures.incr();
-            return Response::error(Status::UNAUTHORIZED, "bad object token");
-        }
-        let Some(cache_key) = MappingTable::parse_agent_path(local_path) else {
-            return Response::error(Status::BAD_REQUEST, "malformed cache path");
-        };
-        let Some(url) = self
-            .mapping
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .url_for(cache_key)
-            .map(str::to_string)
-        else {
-            return Response::error(Status::NOT_FOUND, "unmapped cache key");
-        };
-        match host.cache.open_read_session(&url) {
-            Ok(mut session) => {
-                // Stream input → output, as the agent copies the cache
-                // stream into the socket (§4.1.1).
-                let mut body = Vec::with_capacity(session.len());
-                loop {
-                    let chunk = session.read_chunk(16 * 1024);
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    body.extend_from_slice(chunk);
-                }
-                self.stats.object_requests.incr();
-                Response::with_body(Status::OK, &session.content_type, body)
-            }
-            Err(_) => Response::error(Status::NOT_FOUND, "object evicted from cache"),
-        }
-    }
-
-    /// Handles an Ajax polling request (Fig. 2, right path): data merging,
-    /// timestamp inspection, response sending (§4.1.1).
-    fn handle_poll(&mut self, req: &Request, host: &mut Browser, now: SimTime) -> AgentOutcome {
-        if !auth::verify_request(&self.key, req) {
-            self.stats.auth_failures.incr();
-            return AgentOutcome::just(Response::error(
-                Status::UNAUTHORIZED,
-                "HMAC verification failed",
-            ));
-        }
-        // Every participant must carry a well-formed `p` id: falling back
-        // to a default would collapse all such participants into one
-        // shared pid-0 state (merged poll counters, shared last_doc_time).
-        let Some(pid) = req.query_param("p").and_then(|v| v.parse().ok()) else {
-            self.stats.bad_poll_requests.incr();
-            return AgentOutcome::just(Response::error(
-                Status::BAD_REQUEST,
-                "missing or malformed participant id",
-            ));
-        };
-        // Borrowed parse: `from_utf8_lossy` only allocates when the body
-        // is not valid UTF-8 (never for snippet-built polls).
-        let body = String::from_utf8_lossy(&req.body);
-        let (client_time, actions) = parse_poll_body(&body);
-        let entry = self.participants.entry(pid).or_insert(ParticipantInfo {
-            last_doc_time: 0,
-            joined_at: now,
-            polls: 0,
-        });
-        entry.polls += 1;
-        entry.last_doc_time = entry.last_doc_time.max(client_time);
-
-        // Data merging: apply piggybacked participant actions.
-        let effects = self.merge_poll_actions(pid, actions, host);
-
-        // Timestamp inspection: compare the participant's content
-        // timestamp against the host's current one.
-        let doc_time = self.current_doc_time(host, now);
-        let response = if client_time < doc_time {
-            let cache_mode = self.config.cache_mode;
-            match self.content_for(host, doc_time, cache_mode) {
-                Ok(content) => {
-                    self.stats.polls_with_content.incr();
-                    self.participants
-                        .get_mut(&pid)
-                        .expect("participant registered above")
-                        .last_doc_time = doc_time;
-                    Response::xml(content.xml.clone())
-                }
-                Err(e) => Response::error(Status::INTERNAL, &e.to_string()),
-            }
-        } else {
-            self.stats.polls_empty.incr();
-            Response::empty_ok()
-        };
-        AgentOutcome { response, effects }
-    }
-
-    /// Returns (possibly cached) generated content for the host's current
-    /// document version.
-    pub fn content_for(
-        &mut self,
-        host: &Browser,
-        doc_time: u64,
-        mode: CacheMode,
-    ) -> Result<Arc<GeneratedContent>> {
-        let version = host.dom_version();
-        let cache_key = (version, matches!(mode, CacheMode::Cache));
-        if let Some(c) = self.content_cache.get(&cache_key) {
-            return Ok(Arc::clone(c));
-        }
-        let host_actions = UserAction::encode_batch(&std::mem::take(&mut self.host_actions));
-        let content = {
-            let mut mapping = self
-                .mapping
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            generate_content(
-                host,
-                mode,
-                &mut mapping,
-                &self.key,
-                &self.config.path_prefix,
-                doc_time,
-                &host_actions,
-            )?
-        };
-        self.stats.generations.incr();
-        self.stats.m5.record(content.generation_cost);
-        let arc = Arc::new(content);
-        self.content_cache.insert(cache_key, Arc::clone(&arc));
-        Ok(arc)
+        self.fig2.initial_page_html()
     }
 
     /// Applies a batch of piggybacked participant actions to the host side
@@ -780,8 +636,9 @@ impl RcbAgent {
                 self.gate(pid, HostEffect::Navigate(url), effects);
             }
             UserAction::MouseMove { x, y } => {
-                // Mirror to the other users via the next content update.
-                self.host_actions.push(UserAction::MouseMove { x, y });
+                // Mirror to the other users via the next content update;
+                // only the latest position matters.
+                self.pointer = Some(UserAction::MouseMove { x, y });
             }
         }
     }
@@ -804,6 +661,27 @@ impl RcbAgent {
             crate::policy::HostDecision::Approve => Some(effect),
             crate::policy::HostDecision::Reject => None,
         }
+    }
+}
+
+/// The sequential deployment of the shared request path: exclusive
+/// access to the agent and the host browser for one request.
+struct Sequential<'a> {
+    agent: &'a mut RcbAgent,
+    host: &'a mut Browser,
+    now: SimTime,
+    effects: Vec<HostEffect>,
+}
+
+impl Deployment for Sequential<'_> {
+    /// Merges with exclusive access and keeps the host effects for the
+    /// world to run.
+    fn merge(&mut self, pid: u64, actions: Vec<UserAction>) {
+        self.effects = self.agent.merge_poll_actions(pid, actions, self.host);
+    }
+
+    fn snapshot(&mut self) -> Result<Arc<ContentSnapshot>> {
+        self.agent.snapshot_at(self.host, self.now)
     }
 }
 
@@ -838,6 +716,7 @@ mod tests {
     use super::*;
     use crate::auth::sign_request;
     use rcb_browser::BrowserKind;
+    use rcb_http::Status;
     use rcb_origin::OriginRegistry;
     use rcb_sim::link::Pipe;
     use rcb_sim::profiles::NetProfile;
@@ -882,7 +761,7 @@ mod tests {
         let body = out.response.body_str();
         assert!(body.contains("id=\"ajax-snippet\""));
         assert!(body.contains("type=\"password\""));
-        assert_eq!(a.stats.connections.get(), 1);
+        assert_eq!(a.request_stats().connections, 1);
     }
 
     #[test]
@@ -892,8 +771,8 @@ mod tests {
         let req = Request::post("/poll?p=1", build_poll_body(0, &[]));
         let out = a.handle_request(&req, &mut host, SimTime::ZERO);
         assert_eq!(out.response.status, Status::UNAUTHORIZED);
-        assert_eq!(a.stats.auth_failures.get(), 1);
-        assert!(a.participants().is_empty());
+        assert_eq!(a.request_stats().auth_failures, 1);
+        assert!(a.participant_count() == 0);
     }
 
     #[test]
@@ -913,8 +792,8 @@ mod tests {
         // Participant acknowledges the timestamp on the next poll.
         let out2 = a.handle_request(&signed_poll(&a, 1, nc.doc_time, &[]), &mut host, now);
         assert!(out2.response.body.is_empty());
-        assert_eq!(a.stats.polls_with_content.get(), 1);
-        assert_eq!(a.stats.polls_empty.get(), 1);
+        assert_eq!(a.request_stats().polls_with_content, 1);
+        assert_eq!(a.request_stats().polls_empty, 1);
     }
 
     #[test]
@@ -951,7 +830,7 @@ mod tests {
             assert!(!out.response.body.is_empty());
         }
         assert_eq!(a.stats.generations.get(), 1, "reused for 5 participants");
-        assert_eq!(a.participants().len(), 5);
+        assert_eq!(a.participant_count(), 5);
     }
 
     #[test]
@@ -1047,7 +926,7 @@ mod tests {
             .response;
         assert!(resp.status.is_success(), "object fetch failed for {url}");
         assert!(!resp.body.is_empty());
-        assert_eq!(a.stats.object_requests.get(), 1);
+        assert_eq!(a.request_stats().object_requests, 1);
 
         // Tampered token is rejected.
         let bad = url.replace("?k=", "?k=0");
@@ -1113,12 +992,12 @@ mod tests {
         assert_eq!(out2.response.status, Status::BAD_REQUEST);
 
         assert!(
-            a.participants().is_empty(),
+            a.participant_count() == 0,
             "no phantom pid-0 participant registered"
         );
-        assert_eq!(a.stats.bad_poll_requests.get(), 2);
-        assert_eq!(a.stats.polls_with_content.get(), 0);
-        assert_eq!(a.stats.polls_empty.get(), 0);
+        assert_eq!(a.request_stats().bad_requests, 2);
+        assert_eq!(a.request_stats().polls_with_content, 0);
+        assert_eq!(a.request_stats().polls_empty, 0);
     }
 
     #[test]
@@ -1128,8 +1007,7 @@ mod tests {
         for i in 0..1_200u64 {
             host.mutate_dom(|_| {}).unwrap();
             let now = SimTime::from_millis(i);
-            let t = a.current_doc_time(&host, now);
-            a.content_for(&host, t, CacheMode::Cache).unwrap();
+            ContentSnapshot::build(&mut a, &host, now, None).unwrap();
             assert!(
                 a.timestamps_len() <= LIVE_GENERATIONS,
                 "timestamps unbounded at iteration {i}"
@@ -1150,18 +1028,15 @@ mod tests {
     fn predecessor_generation_content_stays_cached() {
         let mut a = agent();
         let mut host = loaded_host("google.com");
-        let t1 = a.current_doc_time(&host, SimTime::from_millis(1));
-        a.content_for(&host, t1, CacheMode::Cache).unwrap();
+        ContentSnapshot::build(&mut a, &host, SimTime::from_millis(1), None).unwrap();
         host.mutate_dom(|_| {}).unwrap();
-        let t2 = a.current_doc_time(&host, SimTime::from_millis(2));
-        a.content_for(&host, t2, CacheMode::Cache).unwrap();
+        ContentSnapshot::build(&mut a, &host, SimTime::from_millis(2), None).unwrap();
         // Both the live generation and its predecessor are retained...
         assert_eq!(a.content_cache_len(), 2);
         assert_eq!(a.timestamps_len(), 2);
         // ...and a third generation evicts only the oldest.
         host.mutate_dom(|_| {}).unwrap();
-        let t3 = a.current_doc_time(&host, SimTime::from_millis(3));
-        a.content_for(&host, t3, CacheMode::Cache).unwrap();
+        ContentSnapshot::build(&mut a, &host, SimTime::from_millis(3), None).unwrap();
         assert_eq!(a.content_cache_len(), 2);
         assert_eq!(a.stats.content_evictions.get(), 1);
     }

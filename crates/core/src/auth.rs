@@ -110,8 +110,7 @@ pub fn verify_object_token(key: &SessionKey, path: &str, token: &str) -> bool {
 
 /// The 400 body for an object request whose `k` parameter is missing *or*
 /// empty — no token material was presented, which is a malformed request,
-/// not an authentication failure. One shared constant so the sequential
-/// agent and the concurrent TCP path answer byte-identically.
+/// not an authentication failure.
 pub const OBJECT_TOKEN_REQUIRED: &str = "missing object token";
 
 #[cfg(test)]

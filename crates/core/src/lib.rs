@@ -5,8 +5,14 @@
 //! crates (`rcb-html`, `rcb-http`, `rcb-sim`, ...):
 //!
 //! * [`agent`] — **RCB-Agent**, the HTTP server living in the host
-//!   browser: request classification and processing (paper Fig. 2),
-//!   participant management, data merging, timestamp inspection;
+//!   browser: participant-action merging, document timestamps, and the
+//!   sequential driver of the Fig.-2 request path;
+//! * `fig2` (crate-private) — the paper's Fig.-2 request procedure,
+//!   written once for both deployments: request classification, HMAC
+//!   verification, participant bookkeeping, timestamp inspection, and
+//!   prefab replies (content, empty, object, initial page, long-poll
+//!   wake and timeout), over a two-method deployment seam (merge
+//!   actions, current snapshot);
 //! * [`content`] — the agent's response-content generation pipeline
 //!   (Fig. 3): documentElement cloning, relative→absolute URL rewriting,
 //!   cache-mode agent-URL rewriting, event-attribute rewriting, and the
@@ -50,6 +56,7 @@ pub mod agent;
 pub mod auth;
 pub mod baseline;
 pub mod content;
+mod fig2;
 pub mod metrics;
 pub mod policy;
 pub mod push;

@@ -755,7 +755,7 @@ mod tests {
         world.poll_participant(idx).unwrap();
         let records = world.run_poll_rounds(5).unwrap();
         assert!(records.is_empty(), "no content changes, no syncs");
-        assert_eq!(world.host.agent.stats.polls_empty.get(), 5);
+        assert_eq!(world.host.agent.request_stats().polls_empty, 5);
     }
 
     #[test]
@@ -793,9 +793,9 @@ mod tests {
         let a = world.add_participant(BrowserKind::Firefox);
         world.host_navigate("http://live.com/").unwrap();
         world.poll_participant(a).unwrap();
-        assert_eq!(world.host.agent.participants().len(), 1);
+        assert_eq!(world.host.agent.participant_count(), 1);
         world.remove_participant(a);
-        assert!(world.host.agent.participants().is_empty());
+        assert!(world.host.agent.participant_count() == 0);
         assert!(world.participants.is_empty());
     }
 }

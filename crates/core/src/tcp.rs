@@ -9,6 +9,14 @@
 //!
 //! # Concurrency architecture
 //!
+//! The Fig.-2 procedure itself — classification, HMAC verification,
+//! participant bookkeeping, timestamp inspection, prefab replies — is the
+//! crate's shared request path, the same code the sequential
+//! [`RcbAgent::handle_request`] drives. This module supplies the
+//! concurrent half of its deployment seam (merge actions, current
+//! snapshot) and keeps only what is concurrent: parking long-polls,
+//! single-flight regeneration, and publication.
+//!
 //! The paper names the host uplink as the session bottleneck (§5.1.2);
 //! the agent itself must therefore never become one. This deployment
 //! splits the agent into a read-mostly fast path and a serialized write
@@ -18,8 +26,9 @@
 //!   published [`ContentSnapshot`] behind an
 //!   `Arc<RwLock<Arc<ContentSnapshot>>>`. Readers clone the inner `Arc`
 //!   under a read lock held for nanoseconds and then work on frozen data;
-//!   per-participant bookkeeping goes through [`ParticipantShards`], so
-//!   two polls contend only if their pids hash to the same shard.
+//!   per-participant bookkeeping goes through
+//!   [`ParticipantShards`](crate::agent::ParticipantShards), so two polls
+//!   contend only if their pids hash to the same shard.
 //! * **Write path** (host page mutations, participant-action merges):
 //!   takes the single host mutex, applies the change to the live browser
 //!   DOM via [`RcbAgent`], and — when the DOM version changed — *plans* a
@@ -64,98 +73,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use rcb_browser::{Browser, BrowserKind, UserAction};
-use rcb_cache::MappingTable;
 use rcb_crypto::SessionKey;
 use rcb_http::client::{ClientOptions, HttpConnection, RetryPolicy};
 use rcb_http::server::{
     Handler, HandlerOutcome, HttpServer, Park, ParkHub, ServerBackend, ServerConfig,
 };
-use rcb_http::{Request, Response, Status};
+use rcb_http::Request;
 use rcb_util::{Clock, RcbError, Result, SimDuration, SimTime};
 
-use crate::agent::{AgentConfig, AgentStats, ParticipantShards, RcbAgent};
-use crate::snapshot::{prefab_response, ContentSnapshot, SnapshotPlan};
+use crate::agent::{AgentConfig, AgentStats, RcbAgent};
+use crate::fig2::{Answer, Deployment, RequestPath};
+use crate::snapshot::{ContentSnapshot, SnapshotPlan};
 use crate::snippet::{AjaxSnippet, SnippetOutcome};
 
-/// Atomic counters for the concurrent request path (the sequential
-/// [`AgentStats`] equivalents live behind the host mutex and only track
-/// write-path work such as generations and evictions).
-#[derive(Debug, Default)]
-struct TcpStats {
-    connections: AtomicU64,
-    object_requests: AtomicU64,
-    polls_with_content: AtomicU64,
-    polls_empty: AtomicU64,
-    auth_failures: AtomicU64,
-    bad_requests: AtomicU64,
-    polls_in_flight: AtomicU64,
-    max_concurrent_polls: AtomicU64,
-    body_bytes_copied: AtomicU64,
-    polls_parked: AtomicU64,
-    polls_woken: AtomicU64,
-    polls_park_timeouts: AtomicU64,
-    polls_woken_delta: AtomicU64,
-    delta_fallbacks: AtomicU64,
-}
-
-/// A point-in-time copy of the host's concurrent-path counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TcpHostStats {
-    /// New-connection (`GET /`) requests served.
-    pub connections: u64,
-    /// Object (`GET /cache/{key}`) requests served successfully.
-    pub object_requests: u64,
-    /// Polls answered with new content.
-    pub polls_with_content: u64,
-    /// Polls answered empty.
-    pub polls_empty: u64,
-    /// Requests rejected by authentication.
-    pub auth_failures: u64,
-    /// Polls rejected for a missing/malformed participant id, plus other
-    /// malformed requests.
-    pub bad_requests: u64,
-    /// The highest number of polls ever observed inside the handler at
-    /// once — direct evidence the poll path is not serialized.
-    pub max_concurrent_polls: u64,
-    /// Response-body bytes heap-copied while building responses, summed
-    /// over every request served. Prefab wire images and `Arc`-shared
-    /// bodies copy nothing, so on the hot read path this stays at zero no
-    /// matter how large the content is or how many polls are served —
-    /// only small owned bodies (error texts) ever add to it.
-    pub body_bytes_copied: u64,
-    /// Up-to-date polls parked as long-polls (`lp=` requests) instead of
-    /// being answered empty immediately.
-    pub polls_parked: u64,
-    /// Parked polls completed by a snapshot publication (each also counts
-    /// in `polls_with_content`).
-    pub polls_woken: u64,
-    /// Parked polls that hit their park deadline and fell back to the
-    /// empty reply (each also counts in `polls_empty`).
-    pub polls_park_timeouts: u64,
-    /// Woken polls answered with a delta (or batched-delta) prefab
-    /// instead of the full Fig.-4 XML — requires the request to have
-    /// advertised `d=1` and the acked generation to still be in the
-    /// snapshot's delta ring (each also counts in `polls_woken`).
-    pub polls_woken_delta: u64,
-    /// Woken delta-capable polls that fell back to the full XML because
-    /// the acked generation had left the ring — the missed-generation
-    /// path of the negotiation (each also counts in `polls_woken`).
-    pub delta_fallbacks: u64,
-    /// Long-polls the serving engine degraded to the immediate empty
-    /// reply because the park cap was reached (each also counts in
-    /// `polls_parked` — the agent offered the park; the engine declined
-    /// it). Read from the shared [`ParkHub`], so it spans every backend.
-    pub polls_shed_at_park_cap: u64,
-}
-
-/// Decrements the in-flight poll gauge even on early returns.
-struct InFlightGuard<'a>(&'a AtomicU64);
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
+pub use crate::fig2::TcpHostStats;
 
 /// The write-path state: the live agent and host browser, behind one lock.
 struct HostCore {
@@ -181,21 +112,13 @@ pub(crate) struct SharedHost {
     /// generations of different versions are ordered by the publish
     /// guard).
     regen_in_flight: AtomicU64,
-    /// Sharded per-participant state: the concurrent `participants` map.
-    participants: ParticipantShards,
+    /// The session's Fig.-2 request path, shared with the agent behind
+    /// the host mutex (whose `Arc` this is): participants, request
+    /// counters and static prefabs are read without that mutex.
+    fig2: Arc<RequestPath>,
     /// The write path: merges and snapshot-plan capture only (generation
     /// itself runs after the mutex is released).
     core: Mutex<HostCore>,
-    /// Frozen agent configuration (the read path must not lock for it).
-    config: AgentConfig,
-    /// Prefab wire image of the initial page (static per session) served
-    /// to `GET /` — serialized once at startup, cloned per join.
-    initial_page_response: Response,
-    /// Prefab wire image of the empty poll reply (§4.1.1's "response with
-    /// empty content") — identical for every up-to-date participant.
-    empty_poll_response: Response,
-    key: SessionKey,
-    stats: TcpStats,
     /// The server's park/wake rendezvous (shared with every backend
     /// engine via `ServerConfig::park_hub`): snapshot publication calls
     /// [`ParkHub::publish_on`] with the new `dom_version`, completing
@@ -240,33 +163,14 @@ impl SharedHost {
         clock: Clock,
         channel: u64,
     ) -> Result<Arc<SharedHost>> {
-        let mut agent = RcbAgent::new(key.clone(), config.clone());
-        let sign_with = config.authenticate_responses.then_some(&key);
-        // Static per session: freeze the initial page and the empty poll
-        // reply into prefab wire images once, at startup.
-        let initial_page_response = prefab_response(
-            Status::OK,
-            "text/html; charset=utf-8",
-            Arc::from(agent.initial_page().into_bytes()),
-            sign_with,
-        );
-        let empty_poll_response = prefab_response(
-            Status::OK,
-            "application/xml; charset=utf-8",
-            Arc::from(Vec::new()),
-            sign_with,
-        );
+        let mut agent = RcbAgent::new(key, config);
+        let fig2 = Arc::clone(agent.request_path());
         let snapshot = ContentSnapshot::build(&mut agent, &browser, clock.now(), None)?;
         Ok(Arc::new(SharedHost {
             snapshot: RwLock::new(snapshot),
             regen_in_flight: AtomicU64::new(0),
-            participants: ParticipantShards::new(),
+            fig2,
             core: Mutex::new(HostCore { agent, browser }),
-            config,
-            initial_page_response,
-            empty_poll_response,
-            key,
-            stats: TcpStats::default(),
             park,
             channel,
             clock,
@@ -309,12 +213,10 @@ impl SharedHost {
     /// `Ok(None)` when the published snapshot is already current or the
     /// regeneration is already being handled elsewhere.
     ///
-    /// Host actions drained into a plan are ephemeral mirror data (mouse
-    /// positions): if the plan's snapshot later loses the publish race to
-    /// a newer generation, they are dropped rather than replayed stale —
-    /// the next generation's positions supersede them, as in the
-    /// sequential deployment where only participants polling during a
-    /// generation's window ever saw its actions.
+    /// The host action drained into a plan is ephemeral mirror data (the
+    /// latest pointer position): if the plan's snapshot later loses the
+    /// publish race to a newer generation, it is dropped rather than
+    /// replayed stale — a later position supersedes it.
     fn plan_republish(&self, core: &mut HostCore) -> Result<Option<SnapshotPlan>> {
         let version = core.browser.dom_version();
         if self.current_snapshot().dom_version == version {
@@ -393,262 +295,39 @@ impl SharedHost {
         Ok(())
     }
 
-    /// The full Fig.-2 request classification, on the concurrent paths.
-    /// Every response — immediate or deferred through a park closure —
-    /// leaves through [`SharedHost::finalize`], so signing and copy
-    /// accounting are identical on both paths.
+    /// Answers one request through the shared Fig.-2 path. What stays
+    /// here is what is concurrent: a park request becomes
+    /// [`HandlerOutcome::Park`], held by the serving engine until the next
+    /// snapshot publication (wake: the fresh prefab, still zero-copy) or
+    /// the park deadline (timeout: the empty-poll prefab) — converting
+    /// per-interval polls into per-change replies.
     fn handle(self: &Arc<Self>, req: &Request) -> HandlerOutcome {
-        // Session-local classification: the configured path prefix is
-        // stripped first ("" for the single-session deployment), so a
-        // routed `/s/{sid}/poll` classifies exactly like `/poll`.
-        let local = req.path().strip_prefix(self.config.path_prefix.as_str());
-        match (req.method, local) {
-            (rcb_http::Method::Get, Some("/")) => {
-                self.stats.connections.fetch_add(1, Ordering::Relaxed);
-                self.finalize(self.initial_page_response.clone()).into()
-            }
-            (rcb_http::Method::Get, Some(path)) if path.starts_with("/cache/") => {
-                self.finalize(self.serve_object(req, path)).into()
-            }
-            (rcb_http::Method::Post, Some("/poll")) => self.handle_poll(req),
-            _ => self
-                .finalize(Response::error(Status::NOT_FOUND, "unknown request type"))
-                .into(),
-        }
-    }
-
-    /// Response post-processing shared by the immediate path and the
-    /// long-poll wake/timeout closures: sign when configured, account
-    /// heap-copied body bytes.
-    fn finalize(&self, mut response: Response) -> Response {
-        // Prefab responses were signed (when configured) at freeze time;
-        // signing them again would desync the frozen image.
-        if self.config.authenticate_responses
-            && response.status.is_success()
-            && !response.is_prefab()
-        {
-            crate::auth::sign_response(&self.key, &mut response);
-        }
-        // Copy accounting: prefab/shared bodies contribute zero.
-        self.stats
-            .body_bytes_copied
-            .fetch_add(response.body.copied_len() as u64, Ordering::Relaxed);
-        response
-    }
-
-    /// Object requests: token check, key parse, snapshot lookup — no host
-    /// lock anywhere. `local_path` is the request path with the session
-    /// prefix already stripped; the token is verified over the *full*
-    /// path, so a token minted in one session cannot fetch from another.
-    fn serve_object(&self, req: &Request, local_path: &str) -> Response {
-        // A missing `k` and an empty `k=` are the same defect — no token
-        // material to verify — and must answer identically on every
-        // backend: 400, before any MAC work.
-        let token = match req.query_param("k") {
-            Some(t) if !t.is_empty() => t,
-            _ => {
-                self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                return Response::error(Status::BAD_REQUEST, crate::auth::OBJECT_TOKEN_REQUIRED);
-            }
+        let mut deployment: &SharedHost = self;
+        let park = match self.fig2.handle(req, self.now(), &mut deployment) {
+            Answer::Reply(response) => return response.into(),
+            Answer::Park(park) => park,
         };
-        if !crate::auth::verify_object_token(&self.key, req.path(), &token) {
-            self.stats.auth_failures.fetch_add(1, Ordering::Relaxed);
-            return Response::error(Status::UNAUTHORIZED, "bad object token");
-        }
-        let Some(cache_key) = MappingTable::parse_agent_path(local_path) else {
-            self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return Response::error(Status::BAD_REQUEST, "malformed cache path");
-        };
-        let snap = self.current_snapshot();
-        match snap.object(cache_key) {
-            Some(obj) => {
-                self.stats.object_requests.fetch_add(1, Ordering::Relaxed);
-                // Prefab wire image frozen at snapshot build: an `Arc`
-                // clone, no byte of the object body is copied.
-                obj.response()
-            }
-            None => Response::error(Status::NOT_FOUND, "object not in live generations"),
-        }
-    }
-
-    /// Ajax polls: HMAC verification and timestamp inspection are pure
-    /// reads; only piggybacked actions take the host mutex.
-    ///
-    /// An up-to-date poll carrying an `lp=<ms>` parameter does not answer
-    /// at all: it returns [`HandlerOutcome::Park`], and the server engine
-    /// holds the connection until the next snapshot publication (wake:
-    /// the fresh prefab wire image, still zero-copy) or the park deadline
-    /// (timeout: the empty-poll prefab) — converting per-interval polls
-    /// into per-change replies. Parking is opt-in per request; without
-    /// `lp` the empty reply goes out immediately, as the paper specifies.
-    fn handle_poll(self: &Arc<Self>, req: &Request) -> HandlerOutcome {
-        let in_flight = self.stats.polls_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats
-            .max_concurrent_polls
-            .fetch_max(in_flight, Ordering::Relaxed);
-        let _guard = InFlightGuard(&self.stats.polls_in_flight);
-
-        if !crate::auth::verify_request(&self.key, req) {
-            self.stats.auth_failures.fetch_add(1, Ordering::Relaxed);
-            return self
-                .finalize(Response::error(
-                    Status::UNAUTHORIZED,
-                    "HMAC verification failed",
-                ))
-                .into();
-        }
-        // Same contract as the sequential agent: a missing/malformed `p`
-        // must not collapse participants into shared pid-0 state.
-        let Some(pid) = req.query_param("p").and_then(|v| v.parse::<u64>().ok()) else {
-            self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return self
-                .finalize(Response::error(
-                    Status::BAD_REQUEST,
-                    "missing or malformed participant id",
-                ))
-                .into();
-        };
-        // Borrowed parse: `from_utf8_lossy` only allocates when the body
-        // is not valid UTF-8 (never for snippet-built polls) — the old
-        // `.into_owned()` copied every poll body just to split it.
-        let body = String::from_utf8_lossy(&req.body);
-        let (client_time, actions) = crate::agent::parse_poll_body(&body);
-        self.participants.record_poll(pid, client_time, self.now());
-
-        // Data merging (the only write): take the host mutex just long
-        // enough to merge and — when the merge changed the DOM — capture a
-        // snapshot plan (DOM clone); generation then runs after the mutex
-        // is dropped, so other merges and mutations proceed meanwhile.
-        // Polls whose actions the frozen policy would discard anyway never
-        // touch the lock.
-        if !actions.is_empty() && self.config.interaction_policy.allows(pid) {
-            let plan = {
-                let mut core = self.lock_core();
-                let HostCore { agent, browser } = &mut *core;
-                // Host effects (navigations/submissions) need the network;
-                // the TCP facade has no world to run them in, so they are
-                // dropped, as in the sequential deployment.
-                let _ = agent.merge_poll_actions(pid, actions, browser);
-                self.plan_republish(&mut core)
-            };
-            // A failed regeneration keeps the previous snapshot; the next
-            // write-path request retries.
-            if let Ok(Some(plan)) = plan {
-                let _ = self.finish_republish(plan);
-            }
-        }
-
-        // Timestamp inspection against the frozen snapshot.
-        let snap = self.current_snapshot();
-        if client_time < snap.doc_time {
-            self.stats
-                .polls_with_content
-                .fetch_add(1, Ordering::Relaxed);
-            self.participants.advance_doc_time(pid, snap.doc_time);
-            // Prefab wire image: every participant's content poll for this
-            // generation is byte-identical, serialized once at build time.
-            return self.finalize(snap.poll_response()).into();
-        }
-        // Up to date. Park if (and only if) the request asked to.
-        let requested_ms = req
-            .query_param("lp")
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0);
-        if let Some(ms) = requested_ms {
-            let max_wait = std::time::Duration::from_millis(ms).min(
-                std::time::Duration::from_micros(self.config.park_timeout.as_micros()),
-            );
-            // Delta capability is negotiated per request (`d=1`,
-            // MAC-covered like `lp=`). Captured here with the acked
-            // generation: the wake closure decides between the delta
-            // prefab and the full-XML fallback.
-            let delta_ok = req.query_param("d").is_some_and(|v| v == "1");
-            let parked_version = snap.dom_version;
-            self.stats.polls_parked.fetch_add(1, Ordering::Relaxed);
-            let on_wake_host = Arc::clone(self);
-            let on_timeout_host = Arc::clone(self);
-            return HandlerOutcome::Park(Park {
-                channel: self.channel,
-                // dom_version, not doc_time: the version is strictly
-                // monotonic under the publish guard, while doc_time is
-                // wall-clock milliseconds and can collide across rapid
-                // publishes. `ParkHub::publish_on` receives the same value.
-                wait_key: parked_version,
-                max_wait,
-                on_wake: Box::new(move || {
-                    // Re-read at wake time: the response must be the
-                    // snapshot that exists *now*, not a stale capture.
-                    let snap = on_wake_host.current_snapshot();
-                    on_wake_host
-                        .stats
-                        .polls_woken
-                        .fetch_add(1, Ordering::Relaxed);
-                    on_wake_host
-                        .stats
-                        .polls_with_content
-                        .fetch_add(1, Ordering::Relaxed);
-                    on_wake_host
-                        .participants
-                        .advance_doc_time(pid, snap.doc_time);
-                    // Prefab selection: the delta for the generation this
-                    // poll acked when it parked, when the client can apply
-                    // it and the ring still covers that base; the full XML
-                    // otherwise (ring miss = negotiated fallback).
-                    let response = if delta_ok {
-                        match snap.delta_response_for(parked_version) {
-                            Some(delta) => {
-                                on_wake_host
-                                    .stats
-                                    .polls_woken_delta
-                                    .fetch_add(1, Ordering::Relaxed);
-                                delta
-                            }
-                            None => {
-                                on_wake_host
-                                    .stats
-                                    .delta_fallbacks
-                                    .fetch_add(1, Ordering::Relaxed);
-                                snap.poll_response()
-                            }
-                        }
-                    } else {
-                        snap.poll_response()
-                    };
-                    on_wake_host.finalize(response)
-                }),
-                on_timeout: Box::new(move || {
-                    on_timeout_host
-                        .stats
-                        .polls_park_timeouts
-                        .fetch_add(1, Ordering::Relaxed);
-                    on_timeout_host
-                        .stats
-                        .polls_empty
-                        .fetch_add(1, Ordering::Relaxed);
-                    on_timeout_host.finalize(on_timeout_host.empty_poll_response.clone())
-                }),
-            });
-        }
-        self.stats.polls_empty.fetch_add(1, Ordering::Relaxed);
-        self.finalize(self.empty_poll_response.clone()).into()
+        let on_wake_host = Arc::clone(self);
+        let on_timeout_path = Arc::clone(&self.fig2);
+        HandlerOutcome::Park(Park {
+            channel: self.channel,
+            // `ParkHub::publish_on` receives the same dom_version.
+            wait_key: park.version,
+            max_wait: park.max_wait,
+            // Re-read at wake time: the reply must be the snapshot that
+            // exists *now*, not a stale capture.
+            on_wake: Box::new(move || {
+                let snap = on_wake_host.current_snapshot();
+                on_wake_host.fig2.wake_reply(&park, &snap)
+            }),
+            on_timeout: Box::new(move || on_timeout_path.timeout_reply()),
+        })
     }
 
     pub(crate) fn stats_snapshot(&self) -> TcpHostStats {
         TcpHostStats {
-            connections: self.stats.connections.load(Ordering::Relaxed),
-            object_requests: self.stats.object_requests.load(Ordering::Relaxed),
-            polls_with_content: self.stats.polls_with_content.load(Ordering::Relaxed),
-            polls_empty: self.stats.polls_empty.load(Ordering::Relaxed),
-            auth_failures: self.stats.auth_failures.load(Ordering::Relaxed),
-            bad_requests: self.stats.bad_requests.load(Ordering::Relaxed),
-            max_concurrent_polls: self.stats.max_concurrent_polls.load(Ordering::Relaxed),
-            body_bytes_copied: self.stats.body_bytes_copied.load(Ordering::Relaxed),
-            polls_parked: self.stats.polls_parked.load(Ordering::Relaxed),
-            polls_woken: self.stats.polls_woken.load(Ordering::Relaxed),
-            polls_park_timeouts: self.stats.polls_park_timeouts.load(Ordering::Relaxed),
-            polls_woken_delta: self.stats.polls_woken_delta.load(Ordering::Relaxed),
-            delta_fallbacks: self.stats.delta_fallbacks.load(Ordering::Relaxed),
             polls_shed_at_park_cap: self.park.parks_shed(),
+            ..self.fig2.stats()
         }
     }
 
@@ -682,7 +361,7 @@ impl SharedHost {
 
     /// Number of participants the agent has seen.
     pub(crate) fn participant_count(&self) -> usize {
-        self.participants.count()
+        self.fig2.participants.count()
     }
 
     /// Current host form field values (to observe merged co-fill data).
@@ -695,6 +374,34 @@ impl SharedHost {
             Some(form) => rcb_html::query::form_fields(doc, form),
             None => Vec::new(),
         }
+    }
+}
+
+/// The concurrent deployment of the shared request path.
+impl Deployment for &SharedHost {
+    /// Merges under the host mutex, held just long enough to merge and —
+    /// when the merge changed the DOM — capture a snapshot plan (DOM
+    /// clone); generation and publication run after the mutex is
+    /// dropped, so other merges and mutations proceed meanwhile. Host
+    /// effects (navigations, submissions) need the network, which the TCP
+    /// facade has no world to run them in, so they are dropped.
+    fn merge(&mut self, pid: u64, actions: Vec<UserAction>) {
+        let plan = {
+            let mut core = self.lock_core();
+            let HostCore { agent, browser } = &mut *core;
+            let _ = agent.merge_poll_actions(pid, actions, browser);
+            self.plan_republish(&mut core)
+        };
+        // A failed regeneration keeps the previous snapshot; the next
+        // write-path request retries.
+        if let Ok(Some(plan)) = plan {
+            let _ = self.finish_republish(plan);
+        }
+    }
+
+    /// The published snapshot.
+    fn snapshot(&mut self) -> Result<Arc<ContentSnapshot>> {
+        Ok(self.current_snapshot())
     }
 }
 
@@ -848,8 +555,8 @@ impl TcpHost {
         self.shared.published_xml_len()
     }
 
-    /// Runs `f` against the sequential agent stats (generation counters,
-    /// eviction counters, M5 samples) under the host lock.
+    /// Runs `f` against the agent's write-path stats (generation
+    /// counters, eviction counters, M5 samples) under the host lock.
     pub fn with_agent_stats<R>(&self, f: impl FnOnce(&AgentStats) -> R) -> R {
         let core = self.shared.lock_core();
         f(&core.agent.stats)
@@ -1012,6 +719,7 @@ impl TcpParticipant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcb_http::Status;
     use rcb_util::DetRng;
 
     const PAGE: &str = "<html><head><title>demo</title></head>\

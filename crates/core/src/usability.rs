@@ -160,7 +160,7 @@ pub fn run_session(seed: u64) -> Result<SessionResult> {
         &mut tasks,
         "T1-B",
         "Bob starts an RCB co-browsing session",
-        &mut |w| Ok(w.host.agent.participants().is_empty()),
+        &mut |w| Ok(w.host.agent.participant_count() == 0),
     )?;
     let alice = world.add_participant(BrowserKind::Firefox);
     task(

@@ -93,6 +93,6 @@ fn main() {
     world.remove_participant(students[4]);
     println!(
         "a student left; {} participants remain connected",
-        world.host.agent.participants().len()
+        world.host.agent.participant_count()
     );
 }

@@ -69,7 +69,7 @@ fn main() {
     println!(
         "agent stats: {} generations, {} polls with content, {} empty polls",
         world.host.agent.stats.generations.get(),
-        world.host.agent.stats.polls_with_content.get(),
-        world.host.agent.stats.polls_empty.get()
+        world.host.agent.request_stats().polls_with_content,
+        world.host.agent.request_stats().polls_empty
     );
 }

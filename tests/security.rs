@@ -87,7 +87,7 @@ fn mac_from_other_session_does_not_transfer() {
         .handle_request(&req, &mut host, SimTime::ZERO)
         .response;
     assert_eq!(resp.status, Status::UNAUTHORIZED);
-    assert_eq!(agent_a.stats.auth_failures.get(), 1);
+    assert_eq!(agent_a.request_stats().auth_failures, 1);
 }
 
 #[test]

@@ -54,7 +54,7 @@ fn leaver_does_not_disturb_others() {
     world.sleep(SimDuration::from_secs(1));
     let (sync, _) = world.poll_participant(0).unwrap();
     assert!(sync.is_some());
-    assert_eq!(world.host.agent.participants().len(), 1);
+    assert_eq!(world.host.agent.participant_count(), 1);
 }
 
 #[test]
@@ -227,7 +227,7 @@ fn rapid_navigation_only_delivers_latest_content() {
     );
     assert_eq!(world.participants[p].snippet.updates_applied, 1);
     // Intermediate pages were never generated for this participant.
-    assert_eq!(world.host.agent.stats.polls_with_content.get(), 1);
+    assert_eq!(world.host.agent.request_stats().polls_with_content, 1);
 }
 
 #[test]
