@@ -1,10 +1,10 @@
 //! The deterministic world sim: the real RCB stack over the seeded
 //! in-process fabric.
 //!
-//! This module closes the loop the transport seam opened: the very same
-//! agent pipeline the real-socket deployment serves ([`crate::tcp`]'s
-//! `SharedHost` handler — snapshots, shards, prefab wire images, parked
-//! long-polls) runs here against N simulated participants, with **zero
+//! The very same agent pipeline the real-socket deployment serves
+//! ([`crate::tcp`]'s `SharedHost` handler — snapshots, shards, prefab wire
+//! images, parked long-polls) runs here against N simulated participants,
+//! over the one connection state machine every engine drives, with **zero
 //! sockets, zero threads, and zero wall-clock sleeps**. Time is the
 //! world's virtual clock, the network is [`rcb_sim::SimNet`] (seeded
 //! latency/jitter/loss, partition/heal), and the server is the pump-mode

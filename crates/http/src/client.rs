@@ -3,9 +3,9 @@
 //! Plays the role of the participant browser's network layer in the
 //! real-socket deployment: connect, send one request, read the
 //! `Content-Length`-framed response. The framing logic is shared with the
-//! nonblocking world-sim participants through [`try_parse_response`], and
-//! [`HttpConnection`] holds a [`transport::Conn`], so the same persistent
-//! keep-alive client runs over kernel sockets and fabric connections.
+//! nonblocking world-sim participants through [`try_parse_response`];
+//! [`HttpConnection`] is the persistent keep-alive client over a kernel
+//! TCP socket.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -16,19 +16,16 @@ use rcb_util::{DetRng, RcbError, Result};
 use crate::message::{Request, Response, Status};
 use crate::parse::parse_response;
 use crate::serialize::serialize_request;
-use crate::transport;
 
 /// How long a blocking read waits for response bytes before erroring,
 /// when the caller doesn't say otherwise. The one knob behind every
-/// client entry point (`send_request`, [`HttpConnection::connect`],
-/// [`HttpConnection::from_conn`]).
+/// client entry point (`send_request`, [`HttpConnection::connect`]).
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Everything a client entry point can be configured with, in one
 /// struct: the read timeout and an optional shed-retry policy. This is
-/// the single configuration surface — the `_with_timeout` entry-point
-/// variants are thin wrappers kept only so existing call sites migrate
-/// gradually.
+/// the single configuration surface: every entry point takes it (the
+/// `_opts` variants) or its default.
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
     /// How long a blocking read waits for response bytes before erroring.
@@ -77,26 +74,7 @@ pub fn send_request_opts(
     req: &Request,
     options: &mut ClientOptions,
 ) -> Result<Response> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(options.read_timeout))?;
-    let mut conn = HttpConnection {
-        stream: stream.into(),
-    };
-    conn.round_trip_opts(req, options)
-}
-
-/// Deprecated-style wrapper over [`send_request_opts`]; new call sites
-/// should build a [`ClientOptions`].
-pub fn send_request_with_timeout(
-    addr: &str,
-    req: &Request,
-    read_timeout: Duration,
-) -> Result<Response> {
-    send_request_opts(
-        addr,
-        req,
-        &mut ClientOptions::with_read_timeout(read_timeout),
-    )
+    HttpConnection::connect_opts(addr, options)?.round_trip_opts(req, options)
 }
 
 /// Attempts to frame-and-parse one `Content-Length`-framed response from
@@ -126,7 +104,7 @@ pub fn try_parse_response(buf: &[u8]) -> Result<Option<(Response, usize)>> {
 }
 
 /// Reads one `Content-Length`-framed response from an open stream (any
-/// `Read` — a `TcpStream`, a [`transport::Conn`], a fabric conn).
+/// `Read`, e.g. a `TcpStream`).
 pub fn read_response<R: Read>(stream: &mut R) -> Result<Response> {
     let mut buf: Vec<u8> = Vec::with_capacity(8 * 1024);
     let mut chunk = [0u8; 16 * 1024];
@@ -150,7 +128,7 @@ pub fn read_response<R: Read>(stream: &mut R) -> Result<Response> {
 /// A persistent connection that can issue multiple requests (the snippet's
 /// polling loop reuses one connection when the agent allows keep-alive).
 pub struct HttpConnection {
-    stream: transport::Conn,
+    stream: TcpStream,
 }
 
 impl HttpConnection {
@@ -163,40 +141,7 @@ impl HttpConnection {
     pub fn connect_opts(addr: &str, options: &ClientOptions) -> Result<HttpConnection> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(options.read_timeout))?;
-        Ok(HttpConnection {
-            stream: stream.into(),
-        })
-    }
-
-    /// Deprecated-style wrapper over [`HttpConnection::connect_opts`];
-    /// new call sites should build a [`ClientOptions`].
-    pub fn connect_with_timeout(addr: &str, read_timeout: Duration) -> Result<HttpConnection> {
-        HttpConnection::connect_opts(addr, &ClientOptions::with_read_timeout(read_timeout))
-    }
-
-    /// Wraps an already-established seam connection (how world-sim
-    /// participants in threaded mode reuse the production client), with
-    /// [`DEFAULT_READ_TIMEOUT`].
-    pub fn from_conn(stream: transport::Conn) -> Result<HttpConnection> {
-        HttpConnection::from_conn_opts(stream, &ClientOptions::default())
-    }
-
-    /// [`HttpConnection::from_conn`] with explicit [`ClientOptions`].
-    pub fn from_conn_opts(
-        mut stream: transport::Conn,
-        options: &ClientOptions,
-    ) -> Result<HttpConnection> {
-        stream.set_read_timeout(Some(options.read_timeout))?;
         Ok(HttpConnection { stream })
-    }
-
-    /// Deprecated-style wrapper over [`HttpConnection::from_conn_opts`];
-    /// new call sites should build a [`ClientOptions`].
-    pub fn from_conn_with_timeout(
-        stream: transport::Conn,
-        read_timeout: Duration,
-    ) -> Result<HttpConnection> {
-        HttpConnection::from_conn_opts(stream, &ClientOptions::with_read_timeout(read_timeout))
     }
 
     /// Sends `req` and reads the response.
@@ -208,7 +153,11 @@ impl HttpConnection {
 
     /// [`HttpConnection::round_trip`] driven by [`ClientOptions`]: when
     /// the options carry a retry policy, `503` sheds are waited out with
-    /// its seeded backoff; otherwise a plain round trip.
+    /// its seeded backoff; otherwise a plain round trip. Transport errors
+    /// still surface immediately (this connection may be half-dead; the
+    /// caller owns reconnects), but an overloaded server that answers
+    /// with the shed prefab is waited out — so a client storm converges
+    /// instead of hammering the admission gate in lockstep.
     pub fn round_trip_opts(
         &mut self,
         req: &Request,
@@ -228,29 +177,6 @@ impl HttpConnection {
                 }
             }
             None => self.round_trip(req),
-        }
-    }
-
-    /// [`HttpConnection::round_trip`], retrying `503 Service Unavailable`
-    /// sheds with seeded jittered exponential backoff. Transport errors
-    /// still surface immediately (this connection may be half-dead; the
-    /// caller owns reconnects), but an overloaded server that answers
-    /// with the shed prefab is waited out — so a client storm converges
-    /// instead of hammering the admission gate in lockstep.
-    pub fn round_trip_with_retry(
-        &mut self,
-        req: &Request,
-        policy: &mut RetryPolicy,
-    ) -> Result<Response> {
-        let mut attempt = 0u32;
-        loop {
-            let resp = self.round_trip(req)?;
-            if resp.status != Status::SERVICE_UNAVAILABLE || attempt >= policy.max_retries {
-                return Ok(resp);
-            }
-            let delay = policy.delay_for(attempt, resp.retry_after());
-            std::thread::sleep(delay);
-            attempt += 1;
         }
     }
 }
@@ -356,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_with_retry_waits_out_a_shed_then_succeeds() {
+    fn round_trip_opts_waits_out_a_shed_then_succeeds() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
@@ -374,9 +300,9 @@ mod tests {
                 .unwrap();
         });
         let mut conn = HttpConnection::connect(&addr).unwrap();
-        let mut policy = RetryPolicy::seeded(9);
+        let mut options = ClientOptions::default().retry(RetryPolicy::seeded(9));
         let resp = conn
-            .round_trip_with_retry(&Request::get("/"), &mut policy)
+            .round_trip_opts(&Request::get("/"), &mut options)
             .unwrap();
         assert_eq!(resp.status, Status::OK);
         assert_eq!(resp.body_str(), "ok");

@@ -14,8 +14,9 @@
 //! blocking [`client`] used by the real-socket deployment path and the
 //! loopback integration tests.
 //!
-//! The workers engine and the client move bytes through the [`transport`]
-//! seam (kernel sockets or the seeded in-process fabric from `rcb-sim`).
+//! Each driver has one transport: the threaded engines and the client
+//! serve kernel TCP sockets on the wall clock, and [`simdrive`] alone
+//! serves the seeded in-process fabric from `rcb-sim`, on virtual time.
 
 pub mod batch;
 pub mod client;
@@ -42,7 +43,6 @@ pub mod parse;
 pub mod serialize;
 pub mod server;
 pub mod simdrive;
-pub mod transport;
 
 pub use batch::{
     parse_batch_parts, BatchPart, BATCH_BOUNDARY, BATCH_CONTENT_TYPE, BATCH_MEDIA_TYPE,

@@ -30,28 +30,24 @@
 //! exponential backoff, the epoll acceptor mutes the listener for the same
 //! backoff (defined once, below), and both retry until shutdown.
 //!
-//! The workers engine accepts and reads through the [`crate::transport`]
-//! seam, so [`HttpServer::serve`] can run it — same queue, same park
-//! semantics, same zero-copy writes — over the in-process simulated fabric
-//! instead of kernel sockets. All time the engines consult (guard and park
-//! deadlines, accept backoff) flows through [`ServerConfig::clock`], a
-//! wall clock by default.
+//! Both threaded engines serve kernel TCP sockets only; the fabric is the
+//! sim driver's alone. The guard and park deadlines they consult are
+//! measured on [`ServerConfig::clock`], a wall clock by default.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rcb_util::{Clock, DetRng, Result, SimDuration, SimTime};
+use rcb_util::{Clock, DetRng, Result, SimTime};
 
 use crate::conn::{ConnCore, ConnCtx, Step};
 use crate::message::{Request, Response, Status};
 use crate::serialize::WriteProgress;
-use crate::transport;
 
 /// Whether the event-driven epoll backend is compiled in on this target
 /// (the platform condition itself lives on the module declarations in
@@ -339,28 +335,11 @@ impl ParkHub {
             .push(waker);
     }
 
-    /// Wakes blocked [`ParkHub::wait_until`] callers without publishing
-    /// anything — how a virtual-clock advance tells parked workers to
-    /// re-check their (virtual) deadlines.
-    pub(crate) fn poke(&self) {
-        drop(
-            self.gate
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        self.cond.notify_all();
-    }
-
     /// Blocks until a key newer than `wait_key` is published on
     /// `channel`, `deadline` passes on `clock`, the channel is closed,
     /// or `stopped` reports true (checked every slice, so server
     /// shutdown is never held up by a parked poll). Returns `true` on
     /// wake, `false` on timeout/stop/close.
-    ///
-    /// Under a virtual clock the deadline is virtual time, so the condvar
-    /// waits in fixed wall slices and relies on publishes and clock
-    /// advances ([`ParkHub::poke`]) to cut them short; a frozen clock
-    /// never times a poll out, exactly like a frozen world.
     pub(crate) fn wait_until(
         &self,
         channel: u64,
@@ -381,13 +360,9 @@ impl ParkHub {
             if now >= deadline || stopped() {
                 return false;
             }
-            let slice = if clock.is_virtual() {
-                Duration::from_millis(50)
-            } else {
-                (deadline - now)
-                    .as_duration()
-                    .min(Duration::from_millis(50))
-            };
+            let slice = (deadline - now)
+                .as_duration()
+                .min(Duration::from_millis(50));
             let guard = self
                 .gate
                 .lock()
@@ -762,9 +737,9 @@ pub struct ServerConfig {
     /// [`ParkHub::publish`] when new content is available. A handler that
     /// never returns [`HandlerOutcome::Park`] never touches it.
     pub park_hub: Arc<ParkHub>,
-    /// The time source for guard and park deadlines and accept backoff.
-    /// The wall clock in deployment; a shared virtual clock under the
-    /// world sim, so parked long-polls time out on simulated time.
+    /// The time source for guard and park deadlines. The wall clock on
+    /// the threaded engines; the world's virtual clock under the sim
+    /// driver, so parked long-polls time out on simulated time.
     pub clock: Clock,
     /// Overload-protection limits: lifecycle-guard deadlines, size
     /// ceilings, the admission high-water mark, the park cap, and the
@@ -883,9 +858,9 @@ pub(crate) fn next_accept_backoff(current: Duration) -> Duration {
     (current * 2).min(ACCEPT_BACKOFF_MAX)
 }
 
-/// A connection as it travels between the queue and the workers: a seam
-/// stream (kernel socket or fabric connection) and its state machine.
-type Queued = (transport::Conn, ConnCore);
+/// A connection as it travels between the queue and the workers: the
+/// kernel socket and its state machine.
+type Queued = (TcpStream, ConnCore);
 
 /// The bounded connection queue shared by the accept loop and workers.
 struct ConnQueue {
@@ -1029,10 +1004,7 @@ impl HttpServer {
     /// configured backend's threads.
     pub fn bind_with(addr: &str, handler: Handler, config: ServerConfig) -> Result<HttpServer> {
         match config.backend.resolved() {
-            ServerBackend::Workers => {
-                let listener = transport::Listener::bind_tcp(addr)?;
-                Self::serve(listener, handler, config)
-            }
+            ServerBackend::Workers => Self::spawn_workers(addr, handler, config),
             // On targets without the epoll shims this arm is dynamically
             // unreachable (`resolved()` degrades the epoll engine to
             // Workers) and binds against the never-constructed stub module.
@@ -1047,16 +1019,11 @@ impl HttpServer {
         }
     }
 
-    /// Runs the workers engine over an already-bound [`transport::Listener`]
-    /// — the entry point the deterministic world sim uses to serve real
-    /// handler code over fabric connections (threaded mode). The backend
-    /// in `config` is ignored: the epoll engine is kernel-socket
-    /// machinery, so a seam listener always gets the workers engine.
-    pub fn serve(
-        listener: transport::Listener,
-        handler: Handler,
-        config: ServerConfig,
-    ) -> Result<HttpServer> {
+    /// Starts the workers engine: binds the nonblocking listener the
+    /// accept loop polls, then spawns the worker pool and that loop.
+    fn spawn_workers(addr: &str, handler: Handler, config: ServerConfig) -> Result<HttpServer> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let queue = Arc::new(ConnQueue::new(config.queue_capacity.max(1)));
         let accept_errors = Arc::new(AtomicU64::new(0));
@@ -1064,36 +1031,10 @@ impl HttpServer {
         let ctx = ConnCtx::new(&config);
         let mut threads = Vec::with_capacity(config.workers + 1);
 
-        // Virtual time: advances must wake parked workers so they
-        // re-check their (virtual) park deadlines.
-        if config.clock.is_virtual() {
-            let hub = Arc::clone(&config.park_hub);
-            config.clock.on_advance(Box::new(move || hub.poke()));
-        }
-
-        let accept_queue = Arc::clone(&queue);
-        let errors = Arc::clone(&accept_errors);
-        let accepted = Arc::clone(&connections_accepted);
-        let accept_clock = config.clock.clone();
-        let accept_ctx = Arc::clone(&ctx);
-        let write_timeout = config.overload.write_stall_timeout;
-        threads.push(std::thread::spawn(move || {
-            accept_loop(
-                listener,
-                accept_queue,
-                errors,
-                accepted,
-                accept_clock,
-                accept_ctx,
-                write_timeout,
-            );
-        }));
-
         for _ in 0..config.workers.max(1) {
             let worker = Worker {
                 queue: Arc::clone(&queue),
                 handler: Arc::clone(&handler),
-                read_timeout: config.read_timeout,
                 hub: Arc::clone(&config.park_hub),
                 clock: config.clock.clone(),
             };
@@ -1107,6 +1048,14 @@ impl HttpServer {
                 }
             }));
         }
+
+        let accept_queue = Arc::clone(&queue);
+        let errors = Arc::clone(&accept_errors);
+        let accepted = Arc::clone(&connections_accepted);
+        let accept_ctx = Arc::clone(&ctx);
+        threads.push(std::thread::spawn(move || {
+            accept_loop(listener, accept_queue, errors, accepted, accept_ctx, config);
+        }));
 
         Ok(HttpServer {
             addr,
@@ -1183,18 +1132,15 @@ impl Drop for HttpServer {
     }
 }
 
-/// The accept loop: admit connections, survive transient errors. Idle
-/// polls and error backoffs sleep on the engine clock — real sleeps on the
-/// wall clock; on a virtual clock they ride the clock's waiter condvar,
-/// which advances (and shutdown-era pokes) cut short.
+/// The accept loop: admit connections, survive transient errors. Both
+/// socket timeouts are set once per connection, here.
 fn accept_loop(
-    listener: transport::Listener,
+    listener: TcpListener,
     queue: Arc<ConnQueue>,
     errors: Arc<AtomicU64>,
     accepted: Arc<AtomicU64>,
-    clock: Clock,
     ctx: Arc<ConnCtx>,
-    write_timeout: Duration,
+    config: ServerConfig,
 ) {
     let mut backoff = ACCEPT_BACKOFF_START;
     while !queue.stopped() {
@@ -1202,18 +1148,24 @@ fn accept_loop(
         // Accept fault behaves exactly like the kernel refusing the call.
         let next = match rcb_util::fault::take(rcb_util::fault::Op::Accept) {
             Some(e) => Err(e),
-            None => listener.try_accept(),
+            None => listener.accept(),
         };
         match next {
-            Ok(mut stream) => {
+            Ok((stream, _)) => {
                 backoff = ACCEPT_BACKOFF_START;
                 accepted.fetch_add(1, Ordering::Relaxed);
+                // A read that waits out `read_timeout` comes back
+                // `WouldBlock` and rotates the connection; a socket that
+                // refuses the timeout could pin a worker, so it is dropped.
+                if stream.set_read_timeout(Some(config.read_timeout)).is_err() {
+                    continue;
+                }
                 // Blocking writes come back `Blocked` after a stall
                 // (`SO_SNDTIMEO`) instead of pinning a worker when the
                 // peer stops draining; the core's write-stall deadline
                 // then cuts the connection.
-                let _ = stream.set_write_timeout(Some(write_timeout));
-                let core = ConnCore::new(Arc::clone(&ctx), clock.now());
+                let _ = stream.set_write_timeout(Some(config.overload.write_stall_timeout));
+                let core = ConnCore::new(Arc::clone(&ctx), config.clock.now());
                 queue.push_accepted((stream, core));
             }
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -1224,7 +1176,7 @@ fn accept_loop(
                 // listener's point of view. Back off and retry; only a
                 // shutdown request ends the loop.
                 errors.fetch_add(1, Ordering::Relaxed);
-                clock.sleep(SimDuration::from_duration(backoff));
+                std::thread::sleep(backoff);
                 backoff = next_accept_backoff(backoff);
             }
         }
@@ -1235,14 +1187,13 @@ fn accept_loop(
 struct Worker {
     queue: Arc<ConnQueue>,
     handler: Handler,
-    read_timeout: Duration,
     hub: Arc<ParkHub>,
     clock: Clock,
 }
 
 impl Worker {
-    /// One service pass over a connection: read what arrives within
-    /// `read_timeout`, act on everything the core then has ready, and
+    /// One service pass over a connection: read what arrives within the
+    /// socket's read timeout, act on everything the core then has ready, and
     /// repeat until a read comes up empty — then rotate (`true`), so one
     /// chatty client cannot pin a worker. `false` closes the connection.
     ///
@@ -1255,9 +1206,6 @@ impl Worker {
     /// injected `EWOULDBLOCK`) is retried until the core's write-stall
     /// deadline cuts the connection.
     fn serve(&self, (stream, core): &mut Queued) -> bool {
-        if stream.set_read_timeout(Some(self.read_timeout)).is_err() {
-            return false;
-        }
         let mut buf = [0u8; 16 * 1024];
         loop {
             // Test-only fault hook (inert in production builds): an armed
@@ -1332,8 +1280,8 @@ mod tests {
     use super::*;
     use crate::client::send_request;
     use crate::message::{Request, Status};
+    use rcb_util::SimDuration;
     use std::io::Write;
-    use std::net::TcpStream;
     use std::time::Instant;
 
     fn echo_handler() -> Handler {
@@ -1665,45 +1613,6 @@ mod tests {
         hub.close_channel(0);
         hub.publish(1);
         assert!(hub.wait_until(0, 0, clock.now(), &clock, &never));
-    }
-
-    #[test]
-    fn park_hub_wait_is_clock_driven_under_virtual_time() {
-        // A parked wait under a virtual clock ignores wall time entirely:
-        // it times out the moment virtual time crosses the deadline and
-        // not before, no matter how long the wall waits.
-        let (clock, vc) = Clock::new_virtual();
-        let hub = Arc::new(ParkHub::default());
-        {
-            let hub = Arc::clone(&hub);
-            clock.on_advance(Box::new(move || hub.poke()));
-        }
-        let waiter = {
-            let hub = Arc::clone(&hub);
-            let clock = clock.clone();
-            std::thread::spawn(move || {
-                let deadline = SimTime::from_secs(30);
-                hub.wait_until(0, 0, deadline, &clock, &|| false)
-            })
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(!waiter.is_finished(), "frozen clock never times out");
-        vc.advance_to(SimTime::from_secs(29));
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(!waiter.is_finished(), "deadline not reached yet");
-        vc.advance_to(SimTime::from_secs(31));
-        assert!(!waiter.join().unwrap(), "virtual deadline = timeout");
-        // And a publish wakes a virtual waiter without any advance.
-        let waker = {
-            let hub = Arc::clone(&hub);
-            let clock = clock.clone();
-            std::thread::spawn(move || {
-                hub.wait_until(0, 7, SimTime::from_secs(3600), &clock, &|| false)
-            })
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        hub.publish(8);
-        assert!(waker.join().unwrap(), "publish wakes without advancing");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Single-threaded, nonblocking server driver for the deterministic
 //! world sim (pump mode).
 //!
-//! The threaded engines ([`crate::server`] and its epoll engine) prove the
-//! production loops run over real sockets and the transport seam, but
-//! threads make replay nondeterministic. [`SimDriver`] is the
+//! The threaded engines ([`crate::server`] and its epoll engine) serve
+//! kernel sockets on the wall clock, and threads make replay
+//! nondeterministic. [`SimDriver`], the fabric's only driver, is a
 //! deterministic driver of the same per-connection state machine,
 //! `ConnCore`: the same parser, admission, park/wake/timeout
 //! resolution and guards — advanced by explicit [`SimDriver::pump`] calls
@@ -272,6 +272,18 @@ mod tests {
         assert_eq!(read_one(&mut c2).unwrap().body_str(), "/b");
         assert_eq!(driver.requests_served(), 2);
         assert_eq!(driver.connections(), 2, "keep-alive conns stay");
+
+        // A client that hangs up after its reply is a clean EOF, and the
+        // driver keeps serving new connections.
+        drop(c1);
+        run(&world, &mut driver);
+        assert_eq!(driver.connections(), 1, "the hung-up conn is closed");
+        let mut p3 = world.connect("p3", "host", link()).unwrap();
+        p3.write_all(&serialize_request(&Request::get("/after")))
+            .unwrap();
+        run(&world, &mut driver);
+        assert_eq!(read_one(&mut p3).unwrap().body_str(), "/after");
+        assert_eq!(driver.requests_served(), 3);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! * [`world`] — the deterministic world: a seeded in-process network
 //!   fabric ([`world::SimNet`]) of named hosts, [`world::SimConn`] byte
 //!   streams with seeded latency/jitter/loss from a [`link::LinkModel`],
-//!   partition/heal controls, and virtual-time advancement — the transport
-//!   the real server/client stack runs over with zero sockets.
+//!   partition/heal controls, and virtual-time advancement — what the
+//!   world sim's pump-mode server driver and participants run over, on
+//!   one thread with zero sockets.
 
 pub mod events;
 pub mod fetch;

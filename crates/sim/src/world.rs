@@ -9,19 +9,13 @@
 //! shared [`VirtualClock`] and a scenario-level RNG — the turmoil-style
 //! harness (SNIPPETS.md 1–3) the `rcb-core` world sim drives.
 //!
-//! Two usage modes:
-//!
-//! * **pump mode** (deterministic): everything on one thread under a
-//!   virtual clock — a scenario loop alternates "pump every endpoint to
-//!   quiescence" with "advance the clock to the next event"
-//!   ([`SimNet::next_event_time`]). All reads are [`SimConn::try_read`];
-//!   nothing blocks, nothing sleeps, and two same-seed runs replay the
-//!   exact same trace.
-//! * **threaded mode**: a real multi-threaded server (the workers
-//!   backend) serves over `SimConn`s with a wall [`Clock`] — blocking
-//!   reads wait on the fabric condvar. Not deterministic (thread
-//!   scheduling), but proves the production loops run unmodified over
-//!   the seam.
+//! The fabric runs in **pump mode** only: everything on one thread under
+//! the world's virtual clock. A scenario loop alternates "pump every
+//! endpoint to quiescence" with "advance the clock to the next event"
+//! ([`SimNet::next_event_time`]). Every read is the nonblocking
+//! [`SimConn::try_read`]; nothing blocks, nothing sleeps, and two
+//! same-seed runs replay the exact same trace. [`World::new`] is the only
+//! way to build a fabric, so a fabric always runs on virtual time.
 //!
 //! TCP semantics: a conn is a **reliable in-order byte stream**. A loss
 //! draw is a retransmission delay, a jitter/reorder draw perturbs a
@@ -30,14 +24,13 @@
 //! bytes are never dropped or permuted, exactly like TCP over a lossy
 //! wire.
 //!
-//! Lock ordering: the fabric is one `Mutex<NetInner>` (plus the activity
-//! condvar); every operation locks it alone and never calls out while
-//! holding it, so it composes as a leaf under any caller lock. The
-//! virtual-clock subscription only pokes the condvar.
+//! Lock ordering: the fabric is one `Mutex<NetInner>`; every operation
+//! locks it alone and never calls out while holding it, so it composes as
+//! a leaf under any caller lock.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Read, Write};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::io::{self, Write};
+use std::sync::{Arc, Mutex};
 
 use rcb_util::{Clock, DetRng, SimDuration, SimTime, VirtualClock};
 
@@ -136,16 +129,15 @@ fn normalize_pair(a: &str, b: &str) -> (String, String) {
 pub struct SimNet {
     clock: Clock,
     inner: Mutex<NetInner>,
-    activity: Condvar,
 }
 
 impl SimNet {
     /// Creates a fabric on `clock`, with `seed` driving every per-conn
-    /// jitter/loss draw. Under a virtual clock, advances poke blocked
-    /// readers so clock-driven waits re-check their deadlines.
-    pub fn new(clock: Clock, seed: u64) -> Arc<SimNet> {
-        let net = Arc::new(SimNet {
-            clock: clock.clone(),
+    /// jitter/loss draw. [`World::new`] is the only caller: it passes the
+    /// world's virtual clock.
+    pub(crate) fn new(clock: Clock, seed: u64) -> Arc<SimNet> {
+        Arc::new(SimNet {
+            clock,
             inner: Mutex::new(NetInner {
                 next_conn_id: 0,
                 rng: DetRng::new(seed),
@@ -155,17 +147,7 @@ impl SimNet {
                 trace: Vec::new(),
                 loss_events: 0,
             }),
-            activity: Condvar::new(),
-        });
-        // Weak: the clock outlives scenario worlds; a strong capture
-        // would cycle clock → subscriber → net → clock and leak both.
-        let weak: Weak<SimNet> = Arc::downgrade(&net);
-        clock.on_advance(Box::new(move || {
-            if let Some(net) = weak.upgrade() {
-                net.activity.notify_all();
-            }
-        }));
-        net
+        })
     }
 
     /// The clock this fabric runs on.
@@ -269,14 +251,10 @@ impl SimNet {
             .pending
             .push_back((established, id));
         Self::trace_line(&mut inner, now, format!("connect #{id} {from}->{to}"));
-        drop(inner);
-        self.activity.notify_all();
         Ok(SimConn {
             net: self.clone(),
             id,
             side: Side::Client,
-            nonblocking: false,
-            read_timeout: None,
         })
     }
 
@@ -300,8 +278,6 @@ impl SimNet {
             Self::trace_line(&mut inner, now, format!("reset #{id}"));
         }
         Self::trace_line(&mut inner, now, format!("partition {a}|{b}"));
-        drop(inner);
-        self.activity.notify_all();
     }
 
     /// Removes the partition between `a` and `b`; new connections flow
@@ -311,8 +287,6 @@ impl SimNet {
         let mut inner = self.inner.lock().unwrap();
         inner.partitions.remove(&normalize_pair(a, b));
         Self::trace_line(&mut inner, now, format!("heal {a}|{b}"));
-        drop(inner);
-        self.activity.notify_all();
     }
 
     /// The earliest future fabric event strictly after `after`: a segment
@@ -363,8 +337,6 @@ impl SimNet {
                     net: self.clone(),
                     id,
                     side: Side::Server,
-                    nonblocking: false,
-                    read_timeout: None,
                 })
             }
             _ => Err(io::ErrorKind::WouldBlock.into()),
@@ -423,8 +395,6 @@ impl SimNet {
                 arrival.as_micros()
             ),
         );
-        drop(guard);
-        self.activity.notify_all();
         Ok(buf.len())
     }
 
@@ -467,34 +437,6 @@ impl SimNet {
         Err(io::ErrorKind::WouldBlock.into())
     }
 
-    /// Blocking read for threaded mode: parks on the activity condvar
-    /// until data, EOF, reset, or `timeout` (measured on the fabric
-    /// clock, so virtual time drives virtual waits).
-    fn read_blocking(
-        &self,
-        id: u64,
-        side: Side,
-        buf: &mut [u8],
-        timeout: Option<SimDuration>,
-    ) -> io::Result<usize> {
-        let deadline = timeout.map(|t| self.clock.now() + t);
-        loop {
-            match self.try_read(id, side, buf) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                other => return other,
-            }
-            if deadline.is_some_and(|d| self.clock.now() >= d) {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            // Re-check at the next fabric event, wall slice, or wake.
-            let guard = self.inner.lock().unwrap();
-            let _unused = self
-                .activity
-                .wait_timeout(guard, std::time::Duration::from_millis(10))
-                .unwrap();
-        }
-    }
-
     fn close_side(&self, id: u64, side: Side) {
         let mut inner = self.inner.lock().unwrap();
         let remove = if let Some(conn) = inner.conns.get_mut(&id) {
@@ -507,8 +449,6 @@ impl SimNet {
         if remove {
             inner.conns.remove(&id);
         }
-        drop(inner);
-        self.activity.notify_all();
     }
 }
 
@@ -522,11 +462,6 @@ impl SimListener {
     /// The host name this listener is bound to.
     pub fn host(&self) -> &str {
         &self.host
-    }
-
-    /// The fabric this listener lives on.
-    pub fn net(&self) -> Arc<SimNet> {
-        self.net.clone()
     }
 
     /// Accepts one handshake-complete connection, or `WouldBlock`.
@@ -550,15 +485,13 @@ impl std::fmt::Debug for SimListener {
     }
 }
 
-/// One end of a simulated TCP connection. Implements blocking
-/// `Read`/`Write` (for the threaded server path) plus [`SimConn::try_read`]
-/// for the nonblocking pump mode; dropping the handle closes this side.
+/// One end of a simulated TCP connection. Writes through `Write`, reads
+/// through the nonblocking [`SimConn::try_read`]; dropping the handle
+/// closes this side.
 pub struct SimConn {
     net: Arc<SimNet>,
     id: u64,
     side: Side,
-    nonblocking: bool,
-    read_timeout: Option<SimDuration>,
 }
 
 impl SimConn {
@@ -572,16 +505,6 @@ impl SimConn {
         self.net.try_read(self.id, self.side, buf)
     }
 
-    /// Mirrors `TcpStream::set_read_timeout` for the transport seam.
-    pub fn set_read_timeout(&mut self, timeout: Option<SimDuration>) {
-        self.read_timeout = timeout;
-    }
-
-    /// Makes blocking `Read` calls return `WouldBlock` instead.
-    pub fn set_nonblocking(&mut self, nonblocking: bool) {
-        self.nonblocking = nonblocking;
-    }
-
     /// Time of the next deliverable byte on this conn's read direction,
     /// if any segment is still in flight.
     pub fn next_arrival(&self) -> Option<SimTime> {
@@ -591,17 +514,6 @@ impl SimConn {
             .in_flight
             .front()
             .map(|&(arrival, _)| arrival)
-    }
-}
-
-impl Read for SimConn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.nonblocking {
-            self.try_read(buf)
-        } else {
-            self.net
-                .read_blocking(self.id, self.side, buf, self.read_timeout)
-        }
     }
 }
 
@@ -627,8 +539,8 @@ impl std::fmt::Debug for SimConn {
     }
 }
 
-/// A seeded world: virtual clock + fabric + scenario RNG. The entry
-/// point for deterministic (pump-mode) simulations.
+/// A seeded world: virtual clock + fabric + scenario RNG. The only way
+/// to build a fabric, so every fabric runs on the world's virtual clock.
 pub struct World {
     clock: Clock,
     vclock: Arc<VirtualClock>,
@@ -866,22 +778,6 @@ mod tests {
         };
         assert_eq!(run(7), run(7), "same seed replays byte-identically");
         assert_ne!(run(7), run(8), "jitter draws depend on the seed");
-    }
-
-    #[test]
-    fn blocking_read_honors_wall_clock_timeout() {
-        // Threaded mode: a wall-clock fabric with a read timeout.
-        let net = SimNet::new(Clock::wall(), 5);
-        let _listener = net.bind("host").unwrap();
-        let mut client = net.connect("p1", "host", fast_link()).unwrap();
-        client.set_read_timeout(Some(SimDuration::from_millis(30)));
-        let mut buf = [0u8; 4];
-        let start = std::time::Instant::now();
-        assert_eq!(
-            client.read(&mut buf).unwrap_err().kind(),
-            io::ErrorKind::WouldBlock
-        );
-        assert!(start.elapsed() >= std::time::Duration::from_millis(25));
     }
 
     #[test]

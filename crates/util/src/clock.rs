@@ -6,10 +6,17 @@
 //! simulation, and the discrete-event core in `rcb-sim` advances it. The
 //! paper's content timestamps ("milliseconds since midnight of January 1,
 //! 1970", §4.1.1) are derived from the same representation.
+//!
+//! Server code reads time through a [`Clock`]: the process wall clock in
+//! deployment, a shared [`VirtualClock`] in the world sim. Nothing blocks
+//! on virtual time — the sim's one-thread pump loop serves what is due,
+//! then advances the clock to the next event — so the virtual clock is a
+//! bare monotonic counter with no waiters to wake.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// A point in simulated time, measured in microseconds from the simulation
@@ -156,49 +163,27 @@ impl SimDuration {
     }
 }
 
-/// A shared virtual-time source: a microsecond counter that only moves
-/// when somebody calls [`VirtualClock::advance_to`]. Waiters block on a
-/// condvar; subscribers (server park hubs, the sim fabric) get a callback
-/// on every advance so clock-driven waits can re-check their deadlines.
-///
-/// Lock ordering: the subscriber list is held while callbacks run, so a
-/// subscriber must only take leaf locks (a condvar notify, an atomic) —
-/// never a lock that can be held while *advancing* the clock.
+/// A shared virtual-time source: a monotonic microsecond counter that
+/// only moves when somebody calls [`VirtualClock::advance_to`].
+#[derive(Default)]
 pub struct VirtualClock {
-    now_us: Mutex<u64>,
-    advanced: Condvar,
-    subscribers: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
+    now_us: AtomicU64,
 }
 
 impl VirtualClock {
     /// A virtual clock starting at the simulation epoch.
     pub fn new() -> VirtualClock {
-        VirtualClock {
-            now_us: Mutex::new(0),
-            advanced: Condvar::new(),
-            subscribers: Mutex::new(Vec::new()),
-        }
+        VirtualClock::default()
     }
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime(*self.now_us.lock().unwrap())
+        SimTime(self.now_us.load(Ordering::SeqCst))
     }
 
-    /// Moves time forward to `t` (monotonic: earlier targets are a no-op),
-    /// waking condvar waiters and notifying subscribers.
+    /// Moves time forward to `t` (monotonic: earlier targets are a no-op).
     pub fn advance_to(&self, t: SimTime) {
-        {
-            let mut now = self.now_us.lock().unwrap();
-            if t.0 <= *now {
-                return;
-            }
-            *now = t.0;
-        }
-        self.advanced.notify_all();
-        for f in self.subscribers.lock().unwrap().iter() {
-            f();
-        }
+        self.now_us.fetch_max(t.0, Ordering::SeqCst);
     }
 
     /// Moves time forward by `d`; returns the new now.
@@ -206,31 +191,6 @@ impl VirtualClock {
         let target = self.now() + d;
         self.advance_to(target);
         self.now()
-    }
-
-    /// Registers a callback invoked after every successful advance.
-    pub fn subscribe(&self, f: Box<dyn Fn() + Send + Sync>) {
-        self.subscribers.lock().unwrap().push(f);
-    }
-
-    /// Blocks the calling thread until virtual time reaches `target`,
-    /// slicing the underlying wait so a process that stops advancing the
-    /// clock still gets a chance to observe shutdown flags upstream.
-    pub fn wait_until(&self, target: SimTime) {
-        let mut now = self.now_us.lock().unwrap();
-        while *now < target.0 {
-            let (guard, _) = self
-                .advanced
-                .wait_timeout(now, Duration::from_millis(50))
-                .unwrap();
-            now = guard;
-        }
-    }
-}
-
-impl Default for VirtualClock {
-    fn default() -> Self {
-        VirtualClock::new()
     }
 }
 
@@ -280,11 +240,6 @@ impl Clock {
         (Clock::virtual_from(vc.clone()), vc)
     }
 
-    /// Whether this clock is driven by a [`VirtualClock`].
-    pub fn is_virtual(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The current time. Wall clocks report real epoch-anchored time but
     /// never go backwards (monotonic `Instant` base); virtual clocks
     /// report the shared counter.
@@ -295,23 +250,6 @@ impl Clock {
                 let (base, unix_ms) = wall_anchor();
                 SimTime::from_unix_millis(*unix_ms) + SimDuration::from_duration(base.elapsed())
             }
-        }
-    }
-
-    /// Sleeps for `d`: a real `thread::sleep` on the wall clock, a
-    /// condvar wait for virtual time to reach `now + d` otherwise.
-    pub fn sleep(&self, d: SimDuration) {
-        match &self.inner {
-            Some(vc) => vc.wait_until(vc.now() + d),
-            None => std::thread::sleep(d.as_duration()),
-        }
-    }
-
-    /// Registers `f` to run after every virtual advance; no-op on the
-    /// wall clock (real time needs no notifications).
-    pub fn on_advance(&self, f: Box<dyn Fn() + Send + Sync>) {
-        if let Some(vc) = &self.inner {
-            vc.subscribe(f);
         }
     }
 }
@@ -451,7 +389,6 @@ mod tests {
     #[test]
     fn wall_clock_is_monotonic_and_epoch_anchored() {
         let clock = Clock::wall();
-        assert!(!clock.is_virtual());
         let a = clock.now();
         let b = clock.now();
         assert!(b >= a, "wall now() must never go backwards");
@@ -463,7 +400,6 @@ mod tests {
     #[test]
     fn virtual_clock_only_moves_on_advance() {
         let (clock, vc) = Clock::new_virtual();
-        assert!(clock.is_virtual());
         assert_eq!(clock.now(), SimTime::ZERO);
         vc.advance_to(SimTime::from_millis(5));
         assert_eq!(clock.now(), SimTime::from_millis(5));
@@ -474,43 +410,5 @@ mod tests {
             vc.advance(SimDuration::from_millis(2)),
             SimTime::from_millis(7)
         );
-    }
-
-    #[test]
-    fn virtual_advance_notifies_subscribers_and_waiters() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let (clock, vc) = Clock::new_virtual();
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = hits.clone();
-        clock.on_advance(Box::new(move || {
-            h.fetch_add(1, Ordering::SeqCst);
-        }));
-        let waiter = {
-            let vc = vc.clone();
-            std::thread::spawn(move || {
-                vc.wait_until(SimTime::from_secs(1));
-                vc.now()
-            })
-        };
-        // Give the waiter a moment to block, then release it.
-        std::thread::sleep(Duration::from_millis(10));
-        vc.advance_to(SimTime::from_secs(1));
-        assert_eq!(waiter.join().unwrap(), SimTime::from_secs(1));
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-        vc.advance_to(SimTime::from_secs(1)); // no-op: no second callback
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn virtual_sleep_is_clock_driven() {
-        let (clock, vc) = Clock::new_virtual();
-        let sleeper = {
-            let clock = clock.clone();
-            std::thread::spawn(move || clock.sleep(SimDuration::from_secs(30)))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(!sleeper.is_finished(), "virtual sleep ignores wall time");
-        vc.advance(SimDuration::from_secs(30));
-        sleeper.join().unwrap();
     }
 }
