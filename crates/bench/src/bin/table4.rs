@@ -2,7 +2,7 @@
 //!
 //! Regenerates the questionnaire pipeline with 20 simulated subjects
 //! sampled from the paper's published response distributions (this is a
-//! calibrated regeneration — humans cannot be re-run; see EXPERIMENTS.md).
+//! calibrated regeneration — humans cannot be re-run).
 //! Negative (inverted) questions are mirrored about the neutral mark and
 //! merged with the positive twins, exactly as the paper's Table 4 does.
 

@@ -1,7 +1,7 @@
 //! Benchmark harness shared code.
 //!
-//! One binary per table/figure regenerates the paper's series (see
-//! DESIGN.md §4 for the index); this library holds the experiment
+//! One binary per table/figure regenerates the paper's series (`table1`,
+//! `fig6`, ... under `src/bin/`); this library holds the experiment
 //! runners, the paper's published numbers for side-by-side reporting,
 //! the pretty-printers, and the [`gates`] module of pure pass/fail
 //! predicates behind the `scale1` CI gate.

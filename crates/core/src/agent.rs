@@ -104,8 +104,8 @@ impl Default for AgentConfig {
 
 impl AgentConfig {
     /// The defaults with `RCB_*` environment overrides applied — the one
-    /// place agent tunables read the environment, mirroring
-    /// [`rcb_http::OverloadConfig::from_env`]:
+    /// place agent tunables read the environment, as the server's
+    /// overload limits have theirs ([`rcb_http::OverloadConfig`]):
     ///
     /// * `RCB_POLL_INTERVAL_MS` — snippet polling interval hint.
     /// * `RCB_PARK_TIMEOUT_MS` — long-poll park ceiling.

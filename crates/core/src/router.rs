@@ -17,11 +17,15 @@
 //! # Isolation
 //!
 //! Each session gets its own [`SharedHost`] — snapshot, agent,
-//! participant shards — and its own [`ParkHub`] *channel*: snapshot
-//! publication wakes only the session's own parked long-polls, and
-//! evicting a session closes its channel, completing stragglers with the
-//! timeout reply (no fd or park-slot leaks). The serving engine, its
-//! dispatch pool, and the hub instance are shared across all sessions.
+//! participant shards, and [`ParkChannel`](rcb_http::ParkChannel):
+//! snapshot publication wakes only the session's own parked long-polls,
+//! and evicting a session closes its channel for good, completing every
+//! park on it — including one that lands after the sweep — with the
+//! timeout reply (no fd or park-slot leaks). The channel lives as long
+//! as the session or a park still holds it; nothing in the router or the
+//! hub remembers it. The serving engine, its dispatch pool, and the
+//! [`ParkHub`] (engine wakers and park cap) are shared across all
+//! sessions.
 //!
 //! # Fairness
 //!
@@ -39,8 +43,11 @@
 //! clone the entry `Arc`, release — it is never held across a handler
 //! call or while acquiring any per-session lock. Lazy session creation
 //! holds the shard write lock across the factory + host build (one-time
-//! cost per session, and only that shard blocks). The fairness gate is
-//! per-session state acquired strictly after the shard lock is released.
+//! cost per session, and only that shard blocks), and eviction holds it
+//! across closing each evicted session's channel (an atomic store plus
+//! the hub's engine wake, whose locks are leaves below everything here).
+//! The fairness gate is per-session state acquired strictly after the
+//! shard lock is released.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -173,14 +180,11 @@ impl FairnessGate {
     }
 }
 
-/// One live session: its host state, hub channel, fairness gate, and
-/// idle bookkeeping.
+/// One live session: its host state (which owns its park channel),
+/// fairness gate, and idle bookkeeping.
 struct SessionEntry {
     sid: String,
-    channel: u64,
     host: Arc<SharedHost>,
-    handler: Handler,
-    key: SessionKey,
     /// Engine-clock micros of the last routed request (idle eviction).
     last_activity: AtomicU64,
     gate: FairnessGate,
@@ -213,7 +217,7 @@ impl SessionHandle {
 
     /// The session key to share out of band.
     pub fn key(&self) -> &SessionKey {
-        &self.entry.key
+        self.entry.host.key()
     }
 
     /// Mutates this session's live host page; the snapshot is
@@ -325,19 +329,11 @@ pub struct SessionRouter {
     factory: SessionFactory,
     park: Arc<ParkHub>,
     clock: Clock,
-    /// Next per-session hub channel (0 is reserved for the default
-    /// session, which keeps the classic single-session hub path).
-    next_channel: AtomicU64,
     live: AtomicUsize,
     counters: RouterCounters,
     shed: ShedResponder,
     /// The prefab 404 for unknown session ids.
     not_found: Response,
-    /// Channels of evicted sessions, forgotten (hub map entry pruned) on
-    /// the *next* eviction sweep: a straggler park still due on the
-    /// closed channel resolves first, so the tombstone read stays
-    /// race-free and the hub map does not grow with session churn.
-    retired: Mutex<Vec<u64>>,
     /// Clock reading (micros) of the last idle-eviction sweep. The
     /// dispatch path CASes this forward on a coarse interval so exactly
     /// one request thread pays for each sweep — no caller has to
@@ -346,17 +342,17 @@ pub struct SessionRouter {
 }
 
 impl SessionRouter {
-    /// Builds a router. `park` and `clock` must come from the
-    /// [`ServerConfig`] the serving engine is (or will be) bound with —
-    /// the same contract as [`SharedHost::build`].
+    /// Builds a router for the engine bound (now or later) with
+    /// `server`: every session publishes through its park hub and reads
+    /// its clock, and the router's own sheds draw on its overload limits
+    /// (the `Retry-After` jitter pool).
     pub fn new(
         factory: SessionFactory,
         agent_config: AgentConfig,
         config: RouterConfig,
-        park: Arc<ParkHub>,
-        clock: Clock,
+        server: &ServerConfig,
     ) -> Arc<SessionRouter> {
-        let shed = ShedResponder::new(&rcb_http::server::OverloadConfig::from_env());
+        let clock = server.clock.clone();
         let started_at = clock.now().as_micros();
         Arc::new(SessionRouter {
             shards: (0..MAP_SHARDS)
@@ -365,14 +361,12 @@ impl SessionRouter {
             config,
             agent_config,
             factory,
-            park,
+            park: Arc::clone(&server.park_hub),
             clock,
-            next_channel: AtomicU64::new(1),
             live: AtomicUsize::new(0),
             counters: RouterCounters::default(),
-            shed,
+            shed: ShedResponder::new(&server.overload),
             not_found: Response::error(Status::NOT_FOUND, "unknown session").into_prefab(),
-            retired: Mutex::new(Vec::new()),
             last_sweep: AtomicU64::new(started_at),
         })
     }
@@ -425,15 +419,14 @@ impl SessionRouter {
     }
 
     /// Installs the *default* session — the implicit session un-prefixed
-    /// paths route to, on hub channel 0 (the classic single-session hub
-    /// path, byte-identical to the pre-router deployment). Exempt from
-    /// idle eviction and the session cap.
+    /// paths route to (byte-identical to the pre-router single-session
+    /// deployment). Exempt from idle eviction and the session cap.
     pub fn install_default_session(
         &self,
         browser: Browser,
         key: SessionKey,
     ) -> Result<SessionHandle> {
-        let entry = self.build_entry(String::new(), browser, key, 0)?;
+        let entry = self.build_entry(String::new(), browser, key)?;
         let mut shard = self
             .shard_for("")
             .write()
@@ -456,7 +449,6 @@ impl SessionRouter {
         sid: String,
         browser: Browser,
         key: SessionKey,
-        channel: u64,
     ) -> Result<Arc<SessionEntry>> {
         let prefix = if sid.is_empty() {
             String::new()
@@ -467,21 +459,16 @@ impl SessionRouter {
             path_prefix: prefix,
             ..self.agent_config.clone()
         };
-        let host = SharedHost::build_on_channel(
+        let host = SharedHost::build(
             browser,
-            key.clone(),
+            key,
             config,
             Arc::clone(&self.park),
             self.clock.clone(),
-            channel,
         )?;
-        let handler = host.make_handler();
         Ok(Arc::new(SessionEntry {
             sid,
-            channel,
             host,
-            handler,
-            key,
             last_activity: AtomicU64::new(self.now_micros()),
             gate: FairnessGate::default(),
             fairness_shed: AtomicU64::new(0),
@@ -516,8 +503,7 @@ impl SessionRouter {
         let Some((browser, key)) = (self.factory)(sid) else {
             return Route::Unknown;
         };
-        let channel = self.next_channel.fetch_add(1, Ordering::Relaxed);
-        match self.build_entry(sid.to_string(), browser, key, channel) {
+        match self.build_entry(sid.to_string(), browser, key) {
             Ok(entry) => {
                 shard.insert(sid.to_string(), Arc::clone(&entry));
                 self.live.fetch_add(1, Ordering::Relaxed);
@@ -533,25 +519,10 @@ impl SessionRouter {
     }
 
     /// Evicts sessions idle longer than [`RouterConfig::idle_evict`]
-    /// (default session exempt), closing each one's hub channel so its
-    /// parked long-polls complete with the timeout reply. Channels of
-    /// sessions evicted on a *previous* sweep are forgotten now (see
-    /// `retired`). Returns how many sessions were evicted.
+    /// (default session exempt), closing each one's park channel so its
+    /// parked long-polls — and any that park on it later — complete with
+    /// the timeout reply. Returns how many sessions were evicted.
     pub fn evict_idle(&self) -> usize {
-        // Prune last sweep's tombstones first: any park on those
-        // channels has long resolved (close wakes every engine), so the
-        // hub map stays bounded under session churn.
-        let prior: Vec<u64> = {
-            let mut retired = self
-                .retired
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            std::mem::take(&mut *retired)
-        };
-        for channel in prior {
-            self.park.forget_channel(channel);
-        }
-
         let now = self.now_micros();
         let horizon = self.config.idle_evict.as_micros() as u64;
         let mut evicted = 0;
@@ -569,14 +540,10 @@ impl SessionRouter {
                 .collect();
             for sid in stale {
                 if let Some(entry) = map.remove(&sid) {
-                    // Close outside no other lock: the shard lock is
-                    // held, but `close_channel` only touches hub
-                    // internals (a leaf below everything here).
-                    self.park.close_channel(entry.channel);
-                    self.retired
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(entry.channel);
+                    // The shard lock is held, but closing only touches
+                    // the channel and hub internals (leaves below
+                    // everything here).
+                    entry.host.close();
                     self.live.fetch_sub(1, Ordering::Relaxed);
                     self.counters
                         .sessions_evicted
@@ -675,7 +642,7 @@ impl SessionRouter {
         // The slot is held across the handler call only: a returned Park
         // waits in the engine without a slot (exactly as it holds no
         // dispatch thread), so parked sessions cost nothing here.
-        let outcome = (entry.handler)(req);
+        let outcome = entry.host.handle(&req);
         entry.gate.release();
         outcome
     }
@@ -808,8 +775,9 @@ pub struct RouterHost {
 
 impl RouterHost {
     /// Binds the serving engine on `addr` with the routing handler. The
-    /// router wires itself to the `ServerConfig`'s park hub and clock,
-    /// the same seam every session's host publishes through.
+    /// router wires itself to the `ServerConfig`'s park hub, clock and
+    /// overload limits, the same seam every session's host publishes
+    /// through.
     pub fn start(
         addr: &str,
         factory: SessionFactory,
@@ -817,9 +785,7 @@ impl RouterHost {
         router_config: RouterConfig,
         server_config: ServerConfig,
     ) -> Result<RouterHost> {
-        let park = Arc::clone(&server_config.park_hub);
-        let clock = server_config.clock.clone();
-        let router = SessionRouter::new(factory, agent_config, router_config, park, clock);
+        let router = SessionRouter::new(factory, agent_config, router_config, &server_config);
         let server = HttpServer::bind_with(addr, router.make_handler(), server_config)?;
         Ok(RouterHost { server, router })
     }
@@ -880,4 +846,47 @@ pub fn fixed_page_factory(
         bytes.copy_from_slice(&mac[..16]);
         Some((browser, SessionKey::from_bytes(bytes)))
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snippet::AjaxSnippet;
+    use rcb_util::SimDuration;
+
+    #[test]
+    fn an_evicted_sessions_parks_resolve_at_once_after_any_number_of_sweeps() {
+        let factory = fixed_page_factory(
+            "http://host.example/".to_string(),
+            "<html><head><title>t</title></head><body><p>hi</p></body></html>".to_string(),
+            ["a".to_string()].into_iter().collect(),
+            "router-test-secret".to_string(),
+        );
+        let router = SessionRouter::new(
+            factory,
+            AgentConfig::default(),
+            RouterConfig {
+                idle_evict: Duration::ZERO,
+                ..RouterConfig::default()
+            },
+            &ServerConfig::default(),
+        );
+        let session = router.create_session("a").unwrap();
+        // A request that looked the session up before the sweeps and
+        // parks after them, however many there were.
+        let handler = session.shared_host().make_handler();
+        assert_eq!(router.evict_idle(), 1);
+        assert_eq!(router.evict_idle(), 0);
+        let mut snippet = AjaxSnippet::new(1, session.key().clone(), SimDuration::from_secs(1));
+        snippet.base_path = session.prefix();
+        snippet.doc_time = session.published_doc_time();
+        snippet.long_poll = Some(SimDuration::from_secs(30));
+        let HandlerOutcome::Park(park) = handler(snippet.build_poll()) else {
+            panic!("an up-to-date lp= poll parks");
+        };
+        assert!(
+            park.channel.is_closed(),
+            "the park resolves as a timeout on its first check"
+        );
+    }
 }

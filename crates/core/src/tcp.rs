@@ -76,7 +76,7 @@ use rcb_browser::{Browser, BrowserKind, UserAction};
 use rcb_crypto::SessionKey;
 use rcb_http::client::{ClientOptions, HttpConnection, RetryPolicy};
 use rcb_http::server::{
-    Handler, HandlerOutcome, HttpServer, Park, ParkHub, ServerBackend, ServerConfig,
+    Handler, HandlerOutcome, HttpServer, Park, ParkChannel, ParkHub, ServerBackend, ServerConfig,
 };
 use rcb_http::Request;
 use rcb_util::{Clock, RcbError, Result, SimDuration, SimTime};
@@ -121,14 +121,13 @@ pub(crate) struct SharedHost {
     core: Mutex<HostCore>,
     /// The server's park/wake rendezvous (shared with every backend
     /// engine via `ServerConfig::park_hub`): snapshot publication calls
-    /// [`ParkHub::publish_on`] with the new `dom_version`, completing
-    /// every long-poll parked on an older version of this session.
+    /// [`ParkHub::publish`] on this session's channel with the new
+    /// `dom_version`, waking the engines.
     park: Arc<ParkHub>,
-    /// The hub channel this session publishes and parks on. `0` is the
-    /// default single-session channel; a session router assigns each
-    /// session its own channel so one session's publishes never wake
-    /// (or leak watermarks into) another's parks.
-    channel: u64,
+    /// This session's own long-poll channel: every park it hands out
+    /// waits here, so a publish completes only this session's polls on
+    /// an older version, and [`SharedHost::close`] ends them all.
+    channel: Arc<ParkChannel>,
     /// The time source for every timestamp this host mints (snapshot
     /// doc-times, poll bookkeeping): the serving engine's clock from
     /// `ServerConfig::clock` — wall in the real deployment, the world's
@@ -138,30 +137,17 @@ pub(crate) struct SharedHost {
 
 impl SharedHost {
     /// Builds the shared host state — agent, prefab responses, initial
-    /// snapshot — around an already prepared host browser. `park` and
-    /// `clock` must be the ones from the `ServerConfig` the serving
-    /// engine will run on: snapshot publication signals that hub, and
-    /// every timestamp reads that clock.
+    /// snapshot, its own park channel — around an already prepared host
+    /// browser. `park` and `clock` must be the ones from the
+    /// `ServerConfig` the serving engine will run on: snapshot
+    /// publication signals that hub, and every timestamp reads that
+    /// clock.
     pub(crate) fn build(
         browser: Browser,
         key: SessionKey,
         config: AgentConfig,
         park: Arc<ParkHub>,
         clock: Clock,
-    ) -> Result<Arc<SharedHost>> {
-        Self::build_on_channel(browser, key, config, park, clock, 0)
-    }
-
-    /// [`SharedHost::build`] parked on a specific hub channel — the
-    /// session router gives each session its own channel so publishes
-    /// stay session-local (channel `0` is the single-session default).
-    pub(crate) fn build_on_channel(
-        browser: Browser,
-        key: SessionKey,
-        config: AgentConfig,
-        park: Arc<ParkHub>,
-        clock: Clock,
-        channel: u64,
     ) -> Result<Arc<SharedHost>> {
         let mut agent = RcbAgent::new(key, config);
         let fig2 = Arc::clone(agent.request_path());
@@ -172,9 +158,20 @@ impl SharedHost {
             fig2,
             core: Mutex::new(HostCore { agent, browser }),
             park,
-            channel,
+            channel: Arc::default(),
             clock,
         }))
+    }
+
+    /// Closes this session's park channel for good: every poll parked on
+    /// it, and any that parks later, completes with the timeout reply.
+    pub(crate) fn close(&self) {
+        self.park.close(&self.channel);
+    }
+
+    /// The session key participants authenticate with.
+    pub(crate) fn key(&self) -> &SessionKey {
+        self.fig2.key()
     }
 
     /// The Fig.-2 request handler over this shared state — the same
@@ -289,7 +286,7 @@ impl SharedHost {
         // the write lock — `publish` takes the hub's own locks and pokes
         // the engine wakers, and lock ordering keeps hub internals a leaf.
         if let Some(version) = swapped {
-            self.park.publish_on(self.channel, version);
+            self.park.publish(&self.channel, version);
         }
         clear_marker();
         Ok(())
@@ -301,7 +298,7 @@ impl SharedHost {
     /// snapshot publication (wake: the fresh prefab, still zero-copy) or
     /// the park deadline (timeout: the empty-poll prefab) — converting
     /// per-interval polls into per-change replies.
-    fn handle(self: &Arc<Self>, req: &Request) -> HandlerOutcome {
+    pub(crate) fn handle(self: &Arc<Self>, req: &Request) -> HandlerOutcome {
         let mut deployment: &SharedHost = self;
         let park = match self.fig2.handle(req, self.now(), &mut deployment) {
             Answer::Reply(response) => return response.into(),
@@ -310,8 +307,8 @@ impl SharedHost {
         let on_wake_host = Arc::clone(self);
         let on_timeout_path = Arc::clone(&self.fig2);
         HandlerOutcome::Park(Park {
-            channel: self.channel,
-            // `ParkHub::publish_on` receives the same dom_version.
+            channel: Arc::clone(&self.channel),
+            // `ParkHub::publish` receives the same dom_version.
             wait_key: park.version,
             max_wait: park.max_wait,
             // Re-read at wake time: the reply must be the snapshot that
@@ -409,14 +406,13 @@ impl Deployment for &SharedHost {
 /// port. Since the session-router redesign this is the *single-session
 /// convenience wrapper*: it builds a one-session
 /// [`crate::router::SessionRouter`], installs its browser as the default
-/// session (hub channel 0, empty path prefix — the classic wire
-/// behavior, byte for byte), and serves the router's handler. Multi-
-/// session deployments use [`crate::router::RouterHost`] directly.
+/// session (empty path prefix — the classic wire behavior, byte for
+/// byte), and serves the router's handler. Multi-session deployments use
+/// [`crate::router::RouterHost`] directly.
 pub struct TcpHost {
     server: HttpServer,
     router: Arc<crate::router::SessionRouter>,
     shared: Arc<SharedHost>,
-    key: SessionKey,
 }
 
 impl TcpHost {
@@ -457,12 +453,6 @@ impl TcpHost {
         config: AgentConfig,
         server_config: ServerConfig,
     ) -> Result<TcpHost> {
-        // Grab the hub and clock handles before `server_config` moves into
-        // the bind: snapshot publication signals this hub, the server's
-        // event loops registered their wakers on the very same instance,
-        // and every host timestamp reads this clock.
-        let park = Arc::clone(&server_config.park_hub);
-        let clock = server_config.clock.clone();
         // One-session router: the factory knows no sids, so `/s/{sid}`
         // requests answer with the router's prefab 404 while every
         // legacy path routes into the default session unchanged.
@@ -470,17 +460,15 @@ impl TcpHost {
             Box::new(|_| None),
             config,
             crate::router::RouterConfig::default(),
-            park,
-            clock,
+            &server_config,
         );
-        let handle = router.install_default_session(browser, key.clone())?;
+        let handle = router.install_default_session(browser, key)?;
         let shared = Arc::clone(handle.shared_host());
         let server = HttpServer::bind_with(addr, router.make_handler(), server_config)?;
         Ok(TcpHost {
             server,
             router,
             shared,
-            key,
         })
     }
 
@@ -512,7 +500,7 @@ impl TcpHost {
 
     /// The session key to share out of band.
     pub fn key(&self) -> &SessionKey {
-        &self.key
+        self.shared.key()
     }
 
     /// Mutates the live host page (stands in for host-side browsing or

@@ -17,8 +17,8 @@
 //!    samples simulated subjects from the paper's published per-question
 //!    response distributions (Table 4) so the reporting pipeline
 //!    (median/mode/percentage summarization over merged positive and
-//!    inverted negative questions) can be reproduced and printed. It is
-//!    labelled as synthetic in EXPERIMENTS.md.
+//!    inverted negative questions) can be reproduced and printed. The
+//!    `table4` bench binary labels its output as synthetic.
 
 use rcb_browser::{BrowserKind, UserAction};
 use rcb_origin::apps::maps::{MapsApp, Viewport};

@@ -41,7 +41,7 @@ use std::io::Write;
 
 use rcb_browser::{Browser, BrowserKind, UserAction};
 use rcb_crypto::SessionKey;
-use rcb_http::client::try_parse_response;
+use rcb_http::client::{try_parse_response, RetryPolicy};
 use rcb_http::server::{OverloadConfig, ServerConfig, ServerStats};
 use rcb_http::{Request, Response, SimDriver, Status};
 use rcb_sim::{LinkModel, NetProfile, SimConn, World};
@@ -84,20 +84,15 @@ impl WorldHost {
 
     /// Binds the agent around an already prepared host browser (e.g. one
     /// that navigated a simulated origin and filled its cache, so
-    /// participants get `/cache/..` object URLs to fetch).
+    /// participants get `/cache/..` object URLs to fetch), with the
+    /// default overload limits.
     pub fn start_from_browser(
         world: &World,
         name: &str,
         browser: Browser,
         key: SessionKey,
     ) -> Result<WorldHost> {
-        Self::start_from_browser_with_overload(
-            world,
-            name,
-            browser,
-            key,
-            OverloadConfig::from_env(),
-        )
+        Self::start_from_browser_with_overload(world, name, browser, key, OverloadConfig::default())
     }
 
     /// [`WorldHost::start_from_browser`] with explicit overload limits —
@@ -203,8 +198,9 @@ pub struct WorldRouterHost {
 
 impl WorldRouterHost {
     /// Binds a router at fabric host `name`. The serving driver runs on
-    /// the world's clock; the router's park hub is the driver's hub, so
-    /// each session's parked long-polls wake on that session's channel.
+    /// the world's clock with the default overload limits; the router's
+    /// park hub is the driver's hub, so each session's parked long-polls
+    /// wake on that session's own channel.
     pub fn start(
         world: &World,
         name: &str,
@@ -212,14 +208,11 @@ impl WorldRouterHost {
         agent_config: AgentConfig,
         router_config: RouterConfig,
     ) -> Result<WorldRouterHost> {
-        let config = ServerConfig::builder().clock(world.clock()).build();
-        let router = SessionRouter::new(
-            factory,
-            agent_config,
-            router_config,
-            std::sync::Arc::clone(&config.park_hub),
-            config.clock.clone(),
-        );
+        let config = ServerConfig::builder()
+            .clock(world.clock())
+            .overload(OverloadConfig::default())
+            .build();
+        let router = SessionRouter::new(factory, agent_config, router_config, &config);
         let driver = SimDriver::new(world.bind(name)?, router.make_handler(), &config);
         Ok(WorldRouterHost { router, driver })
     }
@@ -307,9 +300,9 @@ pub struct WorldParticipant {
     pub poll_latencies: Vec<u64>,
     /// When the in-flight poll was sent (feeds `poll_latencies`).
     poll_sent_at: Option<SimTime>,
-    /// Seeded jitter for shed backoff (per participant, so a cohort shed
-    /// together fans back out).
-    retry: DetRng,
+    /// The client's shed backoff, seeded per participant so a cohort
+    /// shed together fans back out.
+    retry: RetryPolicy,
     /// Consecutive sheds since the last successful reply — the exponent
     /// of the backoff.
     consecutive_sheds: u32,
@@ -342,7 +335,7 @@ impl WorldParticipant {
             objects_fetched: 0,
             resets: 0,
             sheds: 0,
-            retry: DetRng::new(0x5ced_ba11 ^ pid),
+            retry: RetryPolicy::seeded(0x5ced_ba11 ^ pid),
             consecutive_sheds: 0,
             poll_latencies: Vec::new(),
             poll_sent_at: None,
@@ -466,9 +459,12 @@ impl WorldParticipant {
             }
             self.poll_sent_at = None;
             self.sheds += 1;
-            let delay = self.shed_delay(resp.retry_after());
+            // Virtual time: the delay schedules a wake, no thread sleeps.
+            let delay = self
+                .retry
+                .delay_for(self.consecutive_sheds, resp.retry_after());
             self.consecutive_sheds = self.consecutive_sheds.saturating_add(1);
-            self.next_wake = Some(now + delay);
+            self.next_wake = Some(now + SimDuration::from_duration(delay));
             return Ok(());
         }
         self.consecutive_sheds = 0;
@@ -547,20 +543,6 @@ impl WorldParticipant {
         match conn.write_all(&rcb_http::serialize::serialize_request(req)) {
             Ok(()) => self.awaiting = awaiting,
             Err(_) => self.on_disconnect(now),
-        }
-    }
-
-    /// Backoff before retrying after a shed: the server's `Retry-After`
-    /// is a floor with additive jitter; without one, exponential from
-    /// 100 ms (capped at 6.4 s), half-jittered. All virtual time — no
-    /// thread ever sleeps.
-    fn shed_delay(&mut self, retry_after: Option<u64>) -> SimDuration {
-        let base_ms = 100u64 << self.consecutive_sheds.min(6);
-        match retry_after {
-            Some(secs) => {
-                SimDuration::from_millis(secs * 1000 + self.retry.next_below(base_ms + 1))
-            }
-            None => SimDuration::from_millis(base_ms / 2 + self.retry.next_below(base_ms / 2 + 1)),
         }
     }
 
@@ -708,10 +690,11 @@ pub struct WorldScenario {
     /// which is what makes thousand-participant scenarios run in
     /// wall-clock seconds. Both modes are fully deterministic.
     pub tick: Option<SimDuration>,
-    /// Overload limits for the host's serving driver; `None` uses the
-    /// environment defaults. Chaos scenarios set tight marks here
-    /// (e.g. `queue_high_water` far below the storm size) to force
-    /// deterministic shedding.
+    /// Overload limits for the host's serving driver; `None` uses
+    /// `OverloadConfig::default()` (the sim reads no environment, so a
+    /// scenario replays the same under any `RCB_*` settings). Chaos
+    /// scenarios set tight marks here (e.g. `queue_high_water` far below
+    /// the storm size) to force deterministic shedding.
     pub overload: Option<OverloadConfig>,
     /// The scripted events (sorted by time at run start; same-time
     /// events keep insertion order).
@@ -719,8 +702,9 @@ pub struct WorldScenario {
 }
 
 impl WorldScenario {
-    /// A scenario with the environment defaults: WAN profile, 1 s polls,
-    /// 30 s horizon, exact event stepping, empty script.
+    /// A scenario with the defaults: WAN profile, 1 s polls, 30 s
+    /// horizon, exact event stepping, default overload limits, empty
+    /// script.
     pub fn new(seed: u64, page_url: &str, page_html: &str) -> WorldScenario {
         WorldScenario {
             seed,
@@ -755,10 +739,7 @@ impl WorldScenario {
         let world = World::new(self.seed);
         let key =
             SessionKey::generate_deterministic(&mut DetRng::new(self.seed ^ 0x5eed_5e55_1040_e100));
-        let overload = self
-            .overload
-            .clone()
-            .unwrap_or_else(OverloadConfig::from_env);
+        let overload = self.overload.clone().unwrap_or_default();
         let browser = match &self.origin_url {
             Some(url) => {
                 // A host that really navigated: its cache holds the

@@ -163,9 +163,9 @@ fn evicting_an_idle_session_completes_its_parked_polls() {
         assert_eq!(host.router().session_count(), 0, "{backend:?}");
 
         // The sid is re-creatable afterwards (the factory still knows
-        // it), and the next sweep both prunes the retired hub channel
-        // and evicts the recreated session — the process keeps serving
-        // with nothing leaked.
+        // it) with a fresh channel of its own, and the next sweep evicts
+        // the recreated session — the process keeps serving with nothing
+        // leaked.
         let mut again = TcpParticipant::join_session(
             &addr,
             "a",

@@ -21,7 +21,7 @@
 //!   combinators, groups) for scenario scripts and downstream users.
 //!
 //! The parser covers the HTML subset a 2009-era homepage exercises; it is
-//! deliberately not a full HTML5 spec tree-builder (see DESIGN.md).
+//! deliberately not a full HTML5 spec tree-builder.
 
 pub mod css;
 pub mod dom;

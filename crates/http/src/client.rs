@@ -190,8 +190,8 @@ impl HttpConnection {
 pub struct RetryPolicy {
     /// First-retry nominal delay; doubles per attempt.
     pub base: Duration,
-    /// Ceiling on any single delay (before the additive Retry-After
-    /// jitter).
+    /// Ceiling on the nominal delay (the jitter span, and the whole
+    /// delay when the server sent no `Retry-After`).
     pub max_delay: Duration,
     /// Retries before the `503` is returned to the caller as-is.
     pub max_retries: u32,
@@ -199,38 +199,35 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// 100ms base, 5s cap, 5 retries — enough for a shed storm to drain
-    /// at the default `Retry-After` horizon.
+    /// 100 ms base, 6.4 s cap (six doublings), 5 retries — enough for a
+    /// shed storm to drain at the default `Retry-After` horizon.
     pub fn seeded(seed: u64) -> RetryPolicy {
         RetryPolicy {
             base: Duration::from_millis(100),
-            max_delay: Duration::from_secs(5),
+            max_delay: Duration::from_millis(6400),
             max_retries: 5,
             rng: DetRng::new(seed),
         }
     }
 
-    /// The delay before retry number `attempt` (0-based). A server
-    /// `Retry-After` is honored as a floor with additive jitter of up to
-    /// one `base` (never retry *earlier* than the server asked);
-    /// otherwise exponential `base * 2^attempt` capped at `max_delay`,
-    /// with half jitter (uniform in `[nominal/2, nominal]`) to
-    /// decorrelate clients shed in the same instant.
+    /// The delay before retry number `attempt` (0-based), around the
+    /// nominal `base * 2^attempt` capped at `max_delay`. A server
+    /// `Retry-After` is honored as a floor with additive jitter spanning
+    /// the nominal delay (never retry *earlier* than the server asked,
+    /// and each further shed spreads the cohort wider); otherwise half
+    /// jitter (uniform in `[nominal/2, nominal]`) decorrelates clients
+    /// shed in the same instant. One draw per call.
     pub fn delay_for(&mut self, attempt: u32, retry_after: Option<u64>) -> Duration {
-        let base_ms = self.base.as_millis() as u64;
+        let nominal = self
+            .base
+            .saturating_mul(1u32 << attempt.min(16))
+            .min(self.max_delay);
+        let ms = nominal.as_millis() as u64;
         match retry_after {
             Some(secs) => {
-                let floor = Duration::from_secs(secs);
-                floor + Duration::from_millis(self.rng.next_below(base_ms + 1))
+                Duration::from_secs(secs) + Duration::from_millis(self.rng.next_below(ms + 1))
             }
-            None => {
-                let nominal = self
-                    .base
-                    .saturating_mul(1u32 << attempt.min(16))
-                    .min(self.max_delay);
-                let ms = nominal.as_millis() as u64;
-                Duration::from_millis(ms / 2 + self.rng.next_below(ms / 2 + 1))
-            }
+            None => Duration::from_millis(ms / 2 + self.rng.next_below(ms / 2 + 1)),
         }
     }
 }
@@ -279,6 +276,21 @@ mod tests {
         let d = a.delay_for(0, Some(2));
         assert!(d >= Duration::from_secs(2));
         assert!(d <= Duration::from_secs(2) + Duration::from_millis(100));
+        // Under Retry-After the jitter spans the nominal delay of the
+        // attempt (800 ms at attempt 3), not one base.
+        let draws: Vec<_> = (0..64).map(|_| a.delay_for(3, Some(2))).collect();
+        assert!(draws
+            .iter()
+            .all(|d| (Duration::from_secs(2)..=Duration::from_millis(2800)).contains(d)));
+        assert!(draws.iter().any(|d| *d > Duration::from_millis(2100)));
+        // The nominal delay stops doubling at the 6.4 s cap.
+        for _ in 0..64 {
+            let d = a.delay_for(9, None);
+            assert!(
+                (Duration::from_millis(3200)..=Duration::from_millis(6400)).contains(&d),
+                "attempt 9: {d:?} outside [3.2 s, 6.4 s]"
+            );
+        }
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!   and a parked long-poll holds the position too, so pipelined
 //!   responses leave in request order;
 //! * parks: admission under `max_parked` (at the cap a park degrades to
-//!   its immediate `on_timeout` reply), resolution (a publish beats a
-//!   simultaneous timeout; a closed channel resolves as a timeout), and
-//!   the cap slot released on resolution or teardown;
+//!   its immediate `on_timeout` reply), resolution read off the park's
+//!   own `ParkChannel` (a publish beats a simultaneous timeout; a closed
+//!   channel resolves as a timeout), and the cap slot released on
+//!   resolution or teardown;
 //! * the prefab `503 + Retry-After` shed past the admission high-water
 //!   mark, and the deferred `400`/`413`/`431` reject, answered after
 //!   everything parsed before the refused bytes;
@@ -51,7 +52,8 @@ use crate::message::{Request, Response, Status};
 use crate::parse::{ParseReject, RequestParser};
 use crate::serialize::{ResponseWriter, WriteProgress};
 use crate::server::{
-    HandlerOutcome, OverloadConfig, Park, ParkHub, ServerConfig, ServerStats, ShedResponder,
+    HandlerOutcome, OverloadConfig, Park, ParkChannel, ParkHub, ServerConfig, ServerStats,
+    ShedResponder,
 };
 
 /// Cap on parsed-but-unanswered requests buffered per connection: past
@@ -385,10 +387,10 @@ impl ConnCore {
 
     /// `(channel, wait_key, deadline)` of the long-poll parked here, if
     /// any — what a blocking driver waits on.
-    pub(crate) fn parked_on(&self) -> Option<(u64, u64, SimTime)> {
+    pub(crate) fn parked_on(&self) -> Option<(&ParkChannel, u64, SimTime)> {
         match &self.position {
             Position::Parked { park, deadline, .. } => {
-                Some((park.channel, park.wait_key, *deadline))
+                Some((&park.channel, park.wait_key, *deadline))
             }
             _ => None,
         }
@@ -424,14 +426,15 @@ impl ConnCore {
 
     /// `Some(woken)` when the parked long-poll is due: `true` when a newer
     /// key was published on its open channel, `false` when the channel
-    /// closed or the deadline passed.
+    /// closed or the deadline passed. Two atomic loads on the park's own
+    /// channel — no hub lock.
     fn park_verdict(&self, now: SimTime) -> Option<bool> {
         let Position::Parked { park, deadline, .. } = &self.position else {
             return None;
         };
-        let (published, closed) = self.ctx.hub.channel_status(park.channel);
-        let woken = !closed && published > park.wait_key;
-        (woken || closed || now >= *deadline).then_some(woken)
+        park.channel
+            .verdict(park.wait_key)
+            .or((now >= *deadline).then_some(false))
     }
 
     /// The header-read or idle deadline of a connection at rest, with the
@@ -503,9 +506,9 @@ mod tests {
         (resp.into(), false)
     }
 
-    fn park(channel: u64, max_wait: Duration) -> (HandlerOutcome, bool) {
+    fn park(channel: &Arc<ParkChannel>, max_wait: Duration) -> (HandlerOutcome, bool) {
         let park = Park {
-            channel,
+            channel: Arc::clone(channel),
             wait_key: 0,
             max_wait,
             on_wake: Box::new(|| Response::with_body(Status::OK, "text/plain", b"woken".to_vec())),
@@ -578,8 +581,11 @@ mod tests {
         burst.extend(get("/next"));
         core.feed(&burst, clock.now());
         assert_eq!(dispatched(core.next(clock.now(), || 0)), "/wait");
-        core.complete(park(0, Duration::from_secs(1)), clock.now());
-        assert_eq!(core.parked_on(), Some((0, 0, ms(1000))));
+        let channel = Arc::default();
+        core.complete(park(&channel, Duration::from_secs(1)), clock.now());
+        let (on, wait_key, deadline) = core.parked_on().unwrap();
+        assert!(std::ptr::eq(on, &*channel));
+        assert_eq!((wait_key, deadline), (0, ms(1000)));
         assert_eq!(hub.parked_now(), 1);
         assert!(
             matches!(core.next(clock.now(), || 0), Step::Idle),
@@ -587,7 +593,7 @@ mod tests {
         );
         assert!(!core.due(clock.now()));
         vc.advance_to(ms(1000));
-        hub.publish(1);
+        hub.publish(&channel, 1);
         assert!(core.due(clock.now()));
         assert!(take_write(&mut core, &clock).ends_with("woken"));
         assert_eq!(hub.parked_now(), 0);
@@ -600,9 +606,10 @@ mod tests {
         let mut core = ConnCore::new(ctx, clock.now());
         core.feed(&get("/wait"), clock.now());
         dispatched(core.next(clock.now(), || 0));
-        core.complete(park(5, Duration::from_secs(30)), clock.now());
-        hub.publish_on(5, 1);
-        hub.close_channel(5);
+        let channel = Arc::default();
+        core.complete(park(&channel, Duration::from_secs(30)), clock.now());
+        hub.publish(&channel, 1);
+        hub.close(&channel);
         assert!(take_write(&mut core, &clock).ends_with("timeout"));
     }
 
@@ -617,7 +624,7 @@ mod tests {
         for core in [&mut parked, &mut degraded] {
             core.feed(&get("/wait"), clock.now());
             dispatched(core.next(clock.now(), || 0));
-            core.complete(park(0, Duration::from_secs(30)), clock.now());
+            core.complete(park(&Arc::default(), Duration::from_secs(30)), clock.now());
         }
         assert!(parked.parked_on().is_some());
         assert!(take_write(&mut degraded, &clock).ends_with("timeout"));
@@ -635,7 +642,10 @@ mod tests {
         let mut core = ConnCore::new(Arc::clone(&ctx), clock.now());
         core.feed(&get("/wait"), clock.now());
         dispatched(core.next(clock.now(), || 0));
-        core.complete(park(0, Duration::from_millis(600)), clock.now());
+        core.complete(
+            park(&Arc::default(), Duration::from_millis(600)),
+            clock.now(),
+        );
         vc.advance_to(ms(600));
         assert!(take_write(&mut core, &clock).ends_with("timeout"));
         assert_eq!(core.deadline(), Some(ms(800)));

@@ -14,17 +14,16 @@
 //! epoll interest follows what the core wants next.
 //!
 //! [`ServerBackend::EpollSharded`](crate::server::ServerBackend::EpollSharded)
-//! runs `n` shards (`SO_REUSEPORT`-style scale-out); the single loop
-//! (`"epoll"`) is the `n = 1` case. Shard 0 is the **acceptor shard**: it
-//! owns the listening socket and distributes accepted connections
-//! round-robin — its own share it registers directly, a peer's share
-//! travels through that shard's handoff inbox followed by a waker byte (an
-//! `EPOLL_CTL_ADD` handoff executed by the owning loop, so slot tables
-//! stay loop-private and unlocked). The `sys` shim also offers
-//! `SO_REUSEPORT` for the per-loop-listener alternative; round-robin
-//! handoff was chosen because it keeps the distribution deterministic and
-//! the listener lifecycle (mute-with-backoff on transient accept errors)
-//! in exactly one place.
+//! runs `n` shards; the single loop (`"epoll"`) is the `n = 1` case.
+//! Shard 0 is the **acceptor shard**: it owns the listening socket and
+//! distributes accepted connections round-robin — its own share it
+//! registers directly, a peer's share travels through that shard's
+//! handoff inbox followed by a waker byte (an `EPOLL_CTL_ADD` handoff
+//! executed by the owning loop, so slot tables stay loop-private and
+//! unlocked). One acceptor handing off round-robin, rather than a
+//! `SO_REUSEPORT` listener per loop, keeps the distribution
+//! deterministic and the listener lifecycle (mute-with-backoff on
+//! transient accept errors) in exactly one place.
 //!
 //! `Handler` calls are synchronous and may be arbitrarily slow (a poll
 //! that triggers a merge takes the host mutex), so no loop ever invokes

@@ -51,7 +51,7 @@ pub use headers::HeaderMap;
 pub use message::{Body, Method, Request, Response, Status};
 pub use parse::{parse_request, parse_response, ParseReject, RequestParser};
 pub use server::{
-    handler_fn, Handler, HandlerOutcome, HttpServer, OverloadConfig, Park, ParkHub, ServerBackend,
-    ServerConfig, ServerStats,
+    handler_fn, Handler, HandlerOutcome, HttpServer, OverloadConfig, Park, ParkChannel, ParkHub,
+    ServerBackend, ServerConfig, ServerStats,
 };
 pub use simdrive::SimDriver;

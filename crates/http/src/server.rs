@@ -75,8 +75,9 @@ pub enum HandlerOutcome {
     Respond(Response),
     /// Hold the connection open — a parked long-poll. The engine keeps
     /// the connection in its slot table (no dispatch slot consumed on the
-    /// epoll backends) and completes it when the server's [`ParkHub`]
-    /// publishes a key newer than `wait_key`, or when `max_wait` elapses.
+    /// epoll backends) and completes it when a key newer than `wait_key`
+    /// is published on the park's [`ParkChannel`], when the channel
+    /// closes, or when `max_wait` elapses.
     Park(Park),
 }
 
@@ -106,13 +107,12 @@ impl fmt::Debug for HandlerOutcome {
 /// original request instead would re-run its side effects (auth checks,
 /// piggybacked action merges).
 pub struct Park {
-    /// The hub channel this park waits on. Channel 0 is the default
-    /// (single-session) channel every legacy caller uses; a session
-    /// router gives each session its own channel so one session's
-    /// publish never scans or wakes another session's parks.
-    pub channel: u64,
-    /// Completes when the hub publishes any key **greater than** this —
-    /// for RCB, the `dom_version` the client is already up to date with.
+    /// The channel this park waits on: its owner's, so one session's
+    /// publish never wakes another session's parks.
+    pub channel: Arc<ParkChannel>,
+    /// Completes when the channel publishes any key **greater than**
+    /// this — for RCB, the `dom_version` the client is already up to
+    /// date with.
     pub wait_key: u64,
     /// Ceiling on how long the connection stays parked before
     /// `on_timeout` answers it.
@@ -125,31 +125,59 @@ pub struct Park {
     pub on_timeout: Box<dyn FnOnce() -> Response + Send>,
 }
 
-/// The park/wake rendezvous shared by the application and the server
-/// engine. The application calls [`ParkHub::publish`] with a monotonic
-/// event key (RCB: the freshly published snapshot's `dom_version`); the
-/// engine completes every poll parked on an older key.
+/// One publisher's long-poll channel — in RCB, one co-browsing session's.
+/// The session owns it (parks hold clones of the `Arc`), so it lives
+/// exactly as long as something can still publish on it or wait on it.
 ///
-/// Wake delivery is level-triggered, not edge-triggered: `published` is a
-/// monotonic high-water mark (`fetch_max`), so a publish that races a
-/// park in flight is never lost — the engine re-checks the mark on its
-/// next tick. Three consumers coexist:
+/// Both fields only ever move one way: `published` is a monotonic
+/// high-water mark (`fetch_max`), so a publish that races a park in
+/// flight is never lost — the engine re-checks the mark on its next
+/// tick — and `closed`, once set, resolves every park on the channel,
+/// present or future, with its timeout reply.
+#[derive(Debug, Default)]
+pub struct ParkChannel {
+    published: AtomicU64,
+    closed: AtomicBool,
+}
+
+impl ParkChannel {
+    /// The high-water mark of published keys (0 until the first publish).
+    pub fn published(&self) -> u64 {
+        self.published.load(Ordering::SeqCst)
+    }
+
+    /// Whether the channel was closed (its session evicted).
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
+    }
+
+    /// `Some(woken)` once a park on `wait_key` is due: `true` when a
+    /// newer key was published on the open channel, `false` when the
+    /// channel is closed (close wins over any publish).
+    pub(crate) fn verdict(&self, wait_key: u64) -> Option<bool> {
+        if self.is_closed() {
+            Some(false)
+        } else {
+            (self.published() > wait_key).then_some(true)
+        }
+    }
+}
+
+/// What the engines sharing one server have in common for long-polls:
+/// the wake signal and the park cap. The application calls
+/// [`ParkHub::publish`] with a [`ParkChannel`] and a monotonic event key
+/// (RCB: the freshly published snapshot's `dom_version`); the engines
+/// complete every poll parked on that channel at an older key. Two
+/// consumers coexist:
 ///
 /// * epoll event loops register a waker (their socketpair write end) via
 ///   [`ParkHub::register_waker`] and re-scan their parked slots when
 ///   poked;
 /// * workers-backend threads block on the internal condvar via
 ///   [`ParkHub::wait_until`] (the documented degradation: a parked poll
-///   pins its worker for the wait);
-/// * tests read [`ParkHub::published`] directly.
+///   pins its worker for the wait).
+#[derive(Default)]
 pub struct ParkHub {
-    /// High-water mark of published keys on the default channel (0).
-    published: AtomicU64,
-    /// Per-channel high-water marks and close flags for channels > 0
-    /// (one per routed session). The default channel stays on the
-    /// lock-free atomic above, so single-session deployments never
-    /// touch this map.
-    channels: Mutex<std::collections::HashMap<u64, ChannelState>>,
     /// Condvar pair for blocking waiters (workers backend).
     gate: Mutex<()>,
     cond: Condvar,
@@ -163,103 +191,32 @@ pub struct ParkHub {
     parks_shed: AtomicU64,
 }
 
-/// Per-channel hub state (channels > 0 only; see [`ParkHub::channels`]).
-#[derive(Debug, Default, Clone, Copy)]
-struct ChannelState {
-    /// High-water mark of keys published on this channel.
-    published: u64,
-    /// Set when the channel's session is evicted: every park on the
-    /// channel completes with its timeout reply, and new parks drain
-    /// the same way until the tombstone is forgotten.
-    closed: bool,
-}
-
-impl Default for ParkHub {
-    fn default() -> Self {
-        ParkHub {
-            published: AtomicU64::new(0),
-            channels: Mutex::new(std::collections::HashMap::new()),
-            gate: Mutex::new(()),
-            cond: Condvar::new(),
-            wakers: Mutex::new(Vec::new()),
-            parked_now: AtomicU64::new(0),
-            parks_shed: AtomicU64::new(0),
-        }
-    }
-}
-
 impl fmt::Debug for ParkHub {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ParkHub")
-            .field("published", &self.published.load(Ordering::Relaxed))
+            .field("parked_now", &self.parked_now())
+            .field("parks_shed", &self.parks_shed())
             .finish_non_exhaustive()
     }
 }
 
 impl ParkHub {
-    /// Publishes an event key, waking every parked poll whose `wait_key`
-    /// is older. Keys must be monotonic for "older" to mean anything;
-    /// stale publishes (≤ the current mark) still poke the engines, which
-    /// is harmless — a spurious scan, no spurious wake.
-    pub fn publish(&self, key: u64) {
-        self.published.fetch_max(key, Ordering::SeqCst);
+    /// Publishes an event key on `channel`, waking every poll parked
+    /// there on an older key. Keys must be monotonic for "older" to mean
+    /// anything; stale publishes (≤ the current mark) still poke the
+    /// engines, which is harmless — a spurious scan, no spurious wake.
+    pub fn publish(&self, channel: &ParkChannel, key: u64) {
+        channel.published.fetch_max(key, Ordering::SeqCst);
         self.notify_engines();
     }
 
-    /// [`ParkHub::publish`] on a specific channel: wakes only the polls
-    /// parked on `channel`. Channel 0 is exactly `publish` (the default
-    /// single-session channel, served by the lock-free atomic).
-    pub fn publish_on(&self, channel: u64, key: u64) {
-        if channel == 0 {
-            return self.publish(key);
-        }
-        {
-            let mut channels = self.lock_channels();
-            let state = channels.entry(channel).or_default();
-            state.published = state.published.max(key);
-        }
+    /// Closes `channel` for good: every poll parked on it, and every
+    /// park that lands on it later, completes with its timeout reply.
+    /// How a session router evicts a session without leaking its parked
+    /// connections.
+    pub fn close(&self, channel: &ParkChannel) {
+        channel.closed.store(true, Ordering::SeqCst);
         self.notify_engines();
-    }
-
-    /// Closes a channel: every poll parked on it — and any park that
-    /// races in before [`ParkHub::forget_channel`] — completes with its
-    /// timeout reply. How a session router evicts a session without
-    /// leaking its parked connections.
-    pub fn close_channel(&self, channel: u64) {
-        if channel == 0 {
-            return; // the default channel has no owning session to evict
-        }
-        self.lock_channels().entry(channel).or_default().closed = true;
-        self.notify_engines();
-    }
-
-    /// Drops a closed channel's tombstone. Callers must be sure no new
-    /// park can name this channel again (the router retires ids and
-    /// never reuses them); a straggler park would simply wait out its
-    /// `max_wait` and answer with the timeout reply.
-    pub fn forget_channel(&self, channel: u64) {
-        if channel != 0 {
-            self.lock_channels().remove(&channel);
-        }
-    }
-
-    /// `(published, closed)` for a channel, in one lock acquisition.
-    /// Channel 0 is the lock-free atomic and never closes.
-    pub(crate) fn channel_status(&self, channel: u64) -> (u64, bool) {
-        if channel == 0 {
-            return (self.published(), false);
-        }
-        self.lock_channels()
-            .get(&channel)
-            .map_or((0, false), |s| (s.published, s.closed))
-    }
-
-    fn lock_channels(
-        &self,
-    ) -> std::sync::MutexGuard<'_, std::collections::HashMap<u64, ChannelState>> {
-        self.channels
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Wakes blocked waiters and pokes the epoll shard wakers — the
@@ -278,18 +235,6 @@ impl ParkHub {
         for w in wakers.iter() {
             w();
         }
-    }
-
-    /// The current high-water mark (0 until the first publish) on the
-    /// default channel.
-    pub fn published(&self) -> u64 {
-        self.published.load(Ordering::SeqCst)
-    }
-
-    /// The high-water mark on a specific channel (0 until the first
-    /// [`ParkHub::publish_on`]; channel 0 reads [`ParkHub::published`]).
-    pub fn published_on(&self, channel: u64) -> u64 {
-        self.channel_status(channel).0
     }
 
     /// Claims one parked-poll slot under `cap`. On refusal (counted as
@@ -342,19 +287,15 @@ impl ParkHub {
     /// wake, `false` on timeout/stop/close.
     pub(crate) fn wait_until(
         &self,
-        channel: u64,
+        channel: &ParkChannel,
         wait_key: u64,
         deadline: SimTime,
         clock: &Clock,
         stopped: &dyn Fn() -> bool,
     ) -> bool {
         loop {
-            let (published, closed) = self.channel_status(channel);
-            if closed {
-                return false;
-            }
-            if published > wait_key {
-                return true;
+            if let Some(woken) = channel.verdict(wait_key) {
+                return woken;
             }
             let now = clock.now();
             if now >= deadline || stopped() {
@@ -369,12 +310,8 @@ impl ParkHub {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             // Re-check under the lock: a publish between the check above
             // and this wait would otherwise sleep a full slice.
-            let (published, closed) = self.channel_status(channel);
-            if closed {
-                return false;
-            }
-            if published > wait_key {
-                return true;
+            if let Some(woken) = channel.verdict(wait_key) {
+                return woken;
             }
             let _ = self
                 .cond
@@ -1524,95 +1461,93 @@ mod tests {
     fn park_hub_wait_semantics() {
         let clock = Clock::wall();
         let hub = ParkHub::default();
-        assert_eq!(hub.published(), 0);
+        let channel = ParkChannel::default();
+        assert_eq!(channel.published(), 0);
         let never = || false;
         // Already-published keys return immediately.
-        hub.publish(5);
+        hub.publish(&channel, 5);
         assert!(
-            hub.wait_until(0, 4, clock.now(), &clock, &never),
+            hub.wait_until(&channel, 4, clock.now(), &clock, &never),
             "5 > 4: instant"
         );
         // Waiting on the current key times out (nothing newer yet).
         let t0 = Instant::now();
         let deadline = clock.now() + SimDuration::from_millis(30);
-        assert!(!hub.wait_until(0, 5, deadline, &clock, &never));
+        assert!(!hub.wait_until(&channel, 5, deadline, &clock, &never));
         assert!(t0.elapsed() >= Duration::from_millis(25));
         // The mark is monotonic: stale publishes never move it back.
-        hub.publish(3);
-        assert_eq!(hub.published(), 5);
+        hub.publish(&channel, 3);
+        assert_eq!(channel.published(), 5);
         // A stop request ends the wait early as a timeout.
         let stopped = || true;
         let t0 = Instant::now();
         let deadline = clock.now() + SimDuration::from_secs(10);
-        assert!(!hub.wait_until(0, 5, deadline, &clock, &stopped));
+        assert!(!hub.wait_until(&channel, 5, deadline, &clock, &stopped));
         assert!(t0.elapsed() < Duration::from_secs(1));
         // A concurrent publish wakes a blocked waiter.
         let hub = Arc::new(ParkHub::default());
+        let channel = Arc::new(ParkChannel::default());
         let publisher = {
             let hub = Arc::clone(&hub);
+            let channel = Arc::clone(&channel);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                hub.publish(1);
+                hub.publish(&channel, 1);
             })
         };
         let deadline = clock.now() + SimDuration::from_secs(5);
-        assert!(hub.wait_until(0, 0, deadline, &clock, &never));
+        assert!(hub.wait_until(&channel, 0, deadline, &clock, &never));
         publisher.join().unwrap();
     }
 
     #[test]
-    fn park_hub_channels_are_isolated() {
+    fn park_channels_are_isolated_and_close_for_good() {
         let clock = Clock::wall();
         let hub = ParkHub::default();
+        let (seven, eight) = (ParkChannel::default(), ParkChannel::default());
         let never = || false;
-        // A publish on one channel is invisible to every other channel
-        // (including the default channel 0).
-        hub.publish_on(7, 3);
-        assert_eq!(hub.published_on(7), 3);
-        assert_eq!(hub.published_on(8), 0);
-        assert_eq!(hub.published(), 0);
-        assert!(hub.wait_until(7, 2, clock.now(), &clock, &never), "3 > 2");
+        // A publish on one channel is invisible to every other channel.
+        hub.publish(&seven, 3);
+        assert_eq!(seven.published(), 3);
+        assert_eq!(eight.published(), 0);
+        assert!(
+            hub.wait_until(&seven, 2, clock.now(), &clock, &never),
+            "3 > 2"
+        );
         let deadline = clock.now() + SimDuration::from_millis(20);
         assert!(
-            !hub.wait_until(8, 0, deadline, &clock, &never),
+            !hub.wait_until(&eight, 0, deadline, &clock, &never),
             "channel 8 saw nothing"
         );
-        // publish_on(0, ..) is exactly publish(..).
-        hub.publish_on(0, 9);
-        assert_eq!(hub.published(), 9);
-        // Per-channel marks are monotonic too.
-        hub.publish_on(7, 1);
-        assert_eq!(hub.published_on(7), 3);
+        // Per-channel marks are monotonic.
+        hub.publish(&seven, 1);
+        assert_eq!(seven.published(), 3);
         // Closing a channel resolves waits as timeouts — immediately,
-        // even with a far-off deadline — and a concurrent close wakes a
-        // blocked waiter.
-        hub.close_channel(7);
+        // even with a far-off deadline — and a later publish cannot
+        // reopen it: close wins.
+        hub.close(&seven);
+        hub.publish(&seven, 9);
+        assert!(seven.is_closed());
+        assert!(!eight.is_closed());
         let deadline = clock.now() + SimDuration::from_secs(30);
         let t0 = Instant::now();
-        assert!(!hub.wait_until(7, 0, deadline, &clock, &never));
+        assert!(!hub.wait_until(&seven, 0, deadline, &clock, &never));
         assert!(t0.elapsed() < Duration::from_secs(1));
+        // A concurrent close wakes a blocked waiter.
         let hub = Arc::new(ParkHub::default());
-        hub.publish_on(5, 1);
+        let five = Arc::new(ParkChannel::default());
+        hub.publish(&five, 1);
         let closer = {
             let hub = Arc::clone(&hub);
+            let five = Arc::clone(&five);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                hub.close_channel(5);
+                hub.close(&five);
             })
         };
         let deadline = clock.now() + SimDuration::from_secs(30);
-        assert!(!hub.wait_until(5, 1, deadline, &clock, &never));
+        assert!(!hub.wait_until(&five, 1, deadline, &clock, &never));
         closer.join().unwrap();
-        // Forgetting the tombstone resets the channel to "unpublished,
-        // open": a straggler park waits out its own deadline.
-        hub.forget_channel(5);
-        assert_eq!(hub.published_on(5), 0);
-        let deadline = clock.now() + SimDuration::from_millis(20);
-        assert!(!hub.wait_until(5, 0, deadline, &clock, &never));
-        // Channel 0 never closes.
-        hub.close_channel(0);
-        hub.publish(1);
-        assert!(hub.wait_until(0, 0, clock.now(), &clock, &never));
     }
 
     #[test]
@@ -1623,10 +1558,12 @@ mod tests {
         for backend in backends() {
             let config = ServerConfig::builder().backend(backend).build();
             let hub = Arc::clone(&config.park_hub);
+            let channel = Arc::new(ParkChannel::default());
+            let parks_on = Arc::clone(&channel);
             let handler: Handler = Arc::new(move |req: Request| {
                 if req.path() == "/wait" {
                     HandlerOutcome::Park(Park {
-                        channel: 0,
+                        channel: Arc::clone(&parks_on),
                         wait_key: 0,
                         max_wait: Duration::from_secs(5),
                         on_wake: Box::new(|| {
@@ -1648,7 +1585,7 @@ mod tests {
                 std::thread::spawn(move || send_request(&addr, &Request::get("/wait")).unwrap())
             };
             std::thread::sleep(Duration::from_millis(50));
-            hub.publish(1);
+            hub.publish(&channel, 1);
             let resp = waiter.join().unwrap();
             assert_eq!(resp.body_str(), "woken", "{backend}");
             server.shutdown();
@@ -1660,7 +1597,7 @@ mod tests {
         for backend in backends() {
             let handler: Handler = Arc::new(move |_req: Request| {
                 HandlerOutcome::Park(Park {
-                    channel: 0,
+                    channel: Arc::default(),
                     wait_key: 0,
                     max_wait: Duration::from_millis(40),
                     on_wake: Box::new(|| {

@@ -210,7 +210,7 @@ mod tests {
     use crate::client::try_parse_response;
     use crate::message::{Request, Response, Status};
     use crate::serialize::serialize_request;
-    use crate::server::{handler_fn, HandlerOutcome, Park};
+    use crate::server::{handler_fn, HandlerOutcome, Park, ParkChannel};
     use rcb_sim::{LinkModel, LinkSpec, World};
     use rcb_util::SimDuration;
     use std::io::Write;
@@ -291,13 +291,14 @@ mod tests {
         let world = World::new(22);
         let config = ServerConfig::builder().clock(world.clock()).build();
         let hub = Arc::clone(&config.park_hub);
-        let handler_hub = Arc::clone(&hub);
+        let channel = Arc::new(ParkChannel::default());
+        let parks_on = Arc::clone(&channel);
         let handler: Handler = Arc::new(move |_req: Request| {
             HandlerOutcome::Park(Park {
-                channel: 0,
+                channel: Arc::clone(&parks_on),
                 // Park on the *current* mark, like a real poll handler:
                 // only keys published after this request wake it.
-                wait_key: handler_hub.published(),
+                wait_key: parks_on.published(),
                 max_wait: std::time::Duration::from_secs(5),
                 on_wake: Box::new(|| {
                     Response::with_body(Status::OK, "text/plain", b"woken".to_vec())
@@ -318,7 +319,7 @@ mod tests {
             while driver.pump() {}
         }
         assert_eq!(driver.parked(), 1, "poll parked, no dispatch slot burned");
-        hub.publish(1);
+        hub.publish(&channel, 1);
         run(&world, &mut driver);
         assert_eq!(read_one(&mut c1).unwrap().body_str(), "woken");
 

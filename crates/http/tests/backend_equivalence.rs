@@ -24,8 +24,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rcb_http::server::{
-    handler_fn, Handler, HandlerOutcome, HttpServer, Park, ParkHub, ServerBackend, ServerConfig,
-    EPOLL_SUPPORTED,
+    handler_fn, Handler, HandlerOutcome, HttpServer, Park, ParkChannel, ParkHub, ServerBackend,
+    ServerConfig, EPOLL_SUPPORTED,
 };
 use rcb_http::{Body, Request, Response, Status};
 
@@ -501,10 +501,10 @@ fn sharded_responses_never_interleave_across_connections() {
 }
 
 /// A handler for the park scenarios: `/wait` parks on key 0 until the
-/// run's hub publishes (waking to a prefab update) or `max_wait` elapses
-/// (falling back to a prefab empty reply, byte-identical to `/empty`);
-/// everything else echoes.
-fn park_handler(max_wait: Duration) -> Handler {
+/// run's hub publishes on `channel` (waking to a prefab update) or
+/// `max_wait` elapses (falling back to a prefab empty reply,
+/// byte-identical to `/empty`); everything else echoes.
+fn park_handler(channel: Arc<ParkChannel>, max_wait: Duration) -> Handler {
     let update = Response::xml("<update>fresh</update>").into_prefab();
     let empty = Response::xml("").into_prefab();
     Arc::new(move |req: Request| {
@@ -512,7 +512,7 @@ fn park_handler(max_wait: Duration) -> Handler {
             let update = update.clone();
             let empty = empty.clone();
             return HandlerOutcome::Park(Park {
-                channel: 0,
+                channel: Arc::clone(&channel),
                 wait_key: 0,
                 max_wait,
                 on_wake: Box::new(move || update),
@@ -573,9 +573,10 @@ fn parked_poll_wake_is_byte_identical_across_backends() {
     let mut reference: Option<(ServerBackend, Vec<u8>)> = None;
     for backend in backends() {
         let hub = Arc::new(ParkHub::default());
+        let channel = Arc::new(ParkChannel::default());
         let mut server = HttpServer::bind_with(
             "127.0.0.1:0",
-            park_handler(Duration::from_secs(5)),
+            park_handler(Arc::clone(&channel), Duration::from_secs(5)),
             ServerConfig::builder()
                 .backend(backend)
                 .workers(2)
@@ -597,7 +598,7 @@ fn parked_poll_wake_is_byte_identical_across_backends() {
             read_n_frames(&mut stream, 2)
         });
         std::thread::sleep(Duration::from_millis(120));
-        hub.publish(1);
+        hub.publish(&channel, 1);
         let wire = client.join().unwrap();
         server.shutdown();
         let text = String::from_utf8_lossy(&wire);
@@ -657,7 +658,7 @@ fn woken_delta_and_fallback_replies_are_byte_identical_across_backends() {
     let make_handler = {
         let delta = delta.clone();
         let full = full.clone();
-        move || -> Handler {
+        move |channel: Arc<ParkChannel>| -> Handler {
             let delta = delta.clone();
             let full = full.clone();
             Arc::new(move |req: Request| {
@@ -668,7 +669,7 @@ fn woken_delta_and_fallback_replies_are_byte_identical_across_backends() {
                         full.clone()
                     };
                     return HandlerOutcome::Park(Park {
-                        channel: 0,
+                        channel: Arc::clone(&channel),
                         wait_key: 0,
                         max_wait: Duration::from_secs(5),
                         on_wake: Box::new(move || reply),
@@ -683,9 +684,10 @@ fn woken_delta_and_fallback_replies_are_byte_identical_across_backends() {
     let mut reference: Option<(ServerBackend, Vec<u8>, Vec<u8>)> = None;
     for backend in backends() {
         let hub = Arc::new(ParkHub::default());
+        let channel = Arc::new(ParkChannel::default());
         let mut server = HttpServer::bind_with(
             "127.0.0.1:0",
-            make_handler(),
+            make_handler(Arc::clone(&channel)),
             ServerConfig::builder()
                 .backend(backend)
                 .workers(2)
@@ -712,7 +714,7 @@ fn woken_delta_and_fallback_replies_are_byte_identical_across_backends() {
             )))
             .unwrap();
         std::thread::sleep(Duration::from_millis(120));
-        hub.publish(1);
+        hub.publish(&channel, 1);
         let delta_wire = read_n_frames(&mut delta_conn, 1);
         let fallback_wire = read_n_frames(&mut fallback_conn, 1);
         // The fallback is the full reply's exact bytes, not a near-copy.
@@ -770,7 +772,7 @@ fn parked_poll_timeout_equals_the_empty_reply_on_every_backend() {
     for backend in backends() {
         let mut server = HttpServer::bind_with(
             "127.0.0.1:0",
-            park_handler(Duration::from_millis(150)),
+            park_handler(Arc::default(), Duration::from_millis(150)),
             ServerConfig::builder().backend(backend).workers(2).build(),
         )
         .unwrap();
@@ -960,7 +962,7 @@ fn park_cap_degradation_equals_the_empty_poll_prefab() {
     for backend in backends() {
         let mut server = HttpServer::bind_with(
             "127.0.0.1:0",
-            park_handler(Duration::from_secs(5)),
+            park_handler(Arc::default(), Duration::from_secs(5)),
             ServerConfig::builder()
                 .backend(backend)
                 .workers(2)
@@ -1082,7 +1084,7 @@ fn long_poll_reply_restarts_the_idle_clock_on_every_engine() {
     for backend in backends() {
         let mut server = HttpServer::bind_with(
             "127.0.0.1:0",
-            park_handler(Duration::from_millis(600)),
+            park_handler(Arc::default(), Duration::from_millis(600)),
             ServerConfig::builder()
                 .backend(backend)
                 .workers(2)
@@ -1116,7 +1118,7 @@ fn long_poll_reply_restarts_the_idle_clock_on_every_engine() {
         .build();
     let mut driver = rcb_http::SimDriver::new(
         world.bind("host").unwrap(),
-        park_handler(Duration::from_millis(600)),
+        park_handler(Arc::default(), Duration::from_millis(600)),
         &config,
     );
     let mut client = world.connect("client", "host", sim_link()).unwrap();
@@ -1141,11 +1143,11 @@ fn long_poll_reply_restarts_the_idle_clock_on_every_engine() {
 /// workers engine over TCP and through `SimDriver` over the fabric.
 struct Exchange {
     name: &'static str,
-    handler: fn() -> Handler,
+    handler: fn(Arc<ParkChannel>) -> Handler,
     overload: rcb_http::server::OverloadConfig,
     burst: Vec<u8>,
-    /// Publish on the hub once the burst has been served as far as it
-    /// goes (the parked request then wakes).
+    /// Publish on the handler's channel once the burst has been served
+    /// as far as it goes (the parked request then wakes).
     publish: bool,
     /// Responses to read; `None` reads until the server closes.
     frames: Option<usize>,
@@ -1153,9 +1155,10 @@ struct Exchange {
 
 fn workers_exchange(x: &Exchange) -> Vec<u8> {
     let hub = Arc::new(ParkHub::default());
+    let channel = Arc::new(ParkChannel::default());
     let mut server = HttpServer::bind_with(
         "127.0.0.1:0",
-        (x.handler)(),
+        (x.handler)(Arc::clone(&channel)),
         ServerConfig::builder()
             .backend(ServerBackend::Workers)
             .workers(2)
@@ -1171,7 +1174,7 @@ fn workers_exchange(x: &Exchange) -> Vec<u8> {
     stream.write_all(&x.burst).unwrap();
     if x.publish {
         std::thread::sleep(Duration::from_millis(120));
-        hub.publish(1);
+        hub.publish(&channel, 1);
     }
     let wire = match x.frames {
         Some(n) => read_n_frames(&mut stream, n),
@@ -1188,17 +1191,19 @@ fn workers_exchange(x: &Exchange) -> Vec<u8> {
 fn sim_exchange(x: &Exchange) -> (Vec<u8>, bool) {
     let world = rcb_sim::World::new(7);
     let hub = Arc::new(ParkHub::default());
+    let channel = Arc::new(ParkChannel::default());
     let config = ServerConfig::builder()
         .clock(world.clock())
         .park_hub(Arc::clone(&hub))
         .overload(x.overload.clone())
         .build();
-    let mut driver = rcb_http::SimDriver::new(world.bind("host").unwrap(), (x.handler)(), &config);
+    let handler = (x.handler)(Arc::clone(&channel));
+    let mut driver = rcb_http::SimDriver::new(world.bind("host").unwrap(), handler, &config);
     let mut client = world.connect("client", "host", sim_link()).unwrap();
     client.write_all(&x.burst).unwrap();
     sim_settle(&world, &mut driver, !x.publish);
     if x.publish {
-        hub.publish(1);
+        hub.publish(&channel, 1);
         sim_settle(&world, &mut driver, true);
     }
     sim_read(&mut client)
@@ -1210,7 +1215,7 @@ fn sim_driver_wire_bytes_match_the_workers_engine() {
     // The world sim's pump driver must put the same bytes on the wire as
     // a production engine: every protocol corner of this suite, replayed
     // through `SimDriver` over the fabric on virtual time.
-    fn corpus() -> Handler {
+    fn corpus(_: Arc<ParkChannel>) -> Handler {
         let big: Arc<[u8]> = (0..1024usize).map(|i| (i % 251) as u8).collect();
         corpus_handler(Arc::new(HandlerStats::default()), big)
     }
@@ -1246,7 +1251,7 @@ fn sim_driver_wire_bytes_match_the_workers_engine() {
     };
     let mut cases = vec![exchange(
         "pipelined corpus",
-        corpus as fn() -> Handler,
+        corpus as fn(Arc<ParkChannel>) -> Handler,
         OverloadConfig::default(),
         pipelined,
         false,
@@ -1301,7 +1306,7 @@ fn sim_driver_wire_bytes_match_the_workers_engine() {
         ),
         exchange(
             "park wake",
-            || park_handler(Duration::from_secs(5)),
+            |channel| park_handler(channel, Duration::from_secs(5)),
             OverloadConfig::default(),
             requests(&["/wait", "/echo"]),
             true,
@@ -1309,7 +1314,7 @@ fn sim_driver_wire_bytes_match_the_workers_engine() {
         ),
         exchange(
             "park timeout",
-            || park_handler(Duration::from_millis(150)),
+            |channel| park_handler(channel, Duration::from_millis(150)),
             OverloadConfig::default(),
             requests(&["/wait", "/empty"]),
             false,
@@ -1317,7 +1322,7 @@ fn sim_driver_wire_bytes_match_the_workers_engine() {
         ),
         exchange(
             "park-cap degrade",
-            || park_handler(Duration::from_secs(5)),
+            |channel| park_handler(channel, Duration::from_secs(5)),
             OverloadConfig {
                 max_parked: 0,
                 ..OverloadConfig::default()

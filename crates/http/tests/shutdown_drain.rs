@@ -36,7 +36,7 @@ fn echo_handler() -> Handler {
     Arc::new(|req: Request| {
         if req.target.starts_with("/hold") {
             return HandlerOutcome::Park(Park {
-                channel: 0,
+                channel: Arc::default(),
                 wait_key: u64::MAX - 1,
                 max_wait: Duration::from_secs(10),
                 on_wake: Box::new(|| {

@@ -13,7 +13,6 @@
 //!   request upload, server think time, response download;
 //! * [`profiles`] — the LAN/WAN environments of §5.1.2, a mobile profile
 //!   for the paper's Fennec/N810 future-work experiment, and loopback;
-//! * [`events`] — the ordered event queue that drives session simulations;
 //! * [`world`] — the deterministic world: a seeded in-process network
 //!   fabric ([`world::SimNet`]) of named hosts, [`world::SimConn`] byte
 //!   streams with seeded latency/jitter/loss from a [`link::LinkModel`],
@@ -21,13 +20,11 @@
 //!   world sim's pump-mode server driver and participants run over, on
 //!   one thread with zero sockets.
 
-pub mod events;
 pub mod fetch;
 pub mod link;
 pub mod profiles;
 pub mod world;
 
-pub use events::EventQueue;
 pub use fetch::{request_response, FetchCost};
 pub use link::{LinkModel, LinkSpec, Pipe};
 pub use profiles::NetProfile;

@@ -6,10 +6,9 @@
 //! with the handful of constants and the `epoll_event` layout transcribed
 //! from the kernel ABI. Only the calls the server actually uses are
 //! wrapped — epoll lifecycle, `close(2)`, `setsockopt(2)` for the
-//! socket-buffer shrinking the partial-write tests rely on and for
-//! `SO_REUSEPORT` (the alternative acceptor strategy of the sharded epoll
-//! backend), and `prlimit64(2)` so benches can read the fd ceiling that
-//! bounds the connection-hold phase.
+//! socket-buffer shrinking the partial-write tests rely on, and
+//! `prlimit64(2)` so benches can read the fd ceiling that bounds the
+//! connection-hold phase.
 //!
 //! The test-only fault-injection lever lives in [`crate::fault`] and is
 //! re-exported here as [`fault`]: `epoll_ctl` consults it in this module,
@@ -265,7 +264,6 @@ impl Drop for Epoll {
 const SOL_SOCKET: usize = 1;
 const SO_SNDBUF: usize = 7;
 const SO_RCVBUF: usize = 8;
-const SO_REUSEPORT: usize = 15;
 
 fn set_sock_int(fd: RawFd, level: usize, name: usize, value: i32) -> io::Result<()> {
     let v = value;
@@ -318,23 +316,8 @@ pub fn send_buffer(fd: RawFd) -> io::Result<i32> {
 }
 
 // ---------------------------------------------------------------------------
-// SO_REUSEPORT + resource limits (sharded-backend support)
+// Resource limits (connection-hold support)
 // ---------------------------------------------------------------------------
-
-/// Enables/disables `SO_REUSEPORT` on a socket. This is the lever for the
-/// sharded epoll backend's alternative acceptor strategy (per-loop
-/// listeners sharing one port, each with its own kernel accept queue);
-/// the default strategy — a single acceptor round-robining fds across
-/// loops — needs no socket option, so this is offered, not required.
-/// Note the option must be set **before** `bind(2)` to share a port.
-pub fn set_reuseport(fd: RawFd, on: bool) -> io::Result<()> {
-    set_sock_int(fd, SOL_SOCKET, SO_REUSEPORT, i32::from(on))
-}
-
-/// Reads back whether `SO_REUSEPORT` is set.
-pub fn reuseport(fd: RawFd) -> io::Result<bool> {
-    get_sock_int(fd, SOL_SOCKET, SO_REUSEPORT).map(|v| v != 0)
-}
 
 const RLIMIT_NOFILE: usize = 7;
 
@@ -419,17 +402,6 @@ mod tests {
         assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
         // Double-delete is the caller's bug and surfaces as ENOENT.
         assert!(ep.delete(a.as_raw_fd()).is_err());
-    }
-
-    #[test]
-    fn reuseport_roundtrips() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let fd = listener.as_raw_fd();
-        assert!(!reuseport(fd).unwrap(), "off by default");
-        set_reuseport(fd, true).unwrap();
-        assert!(reuseport(fd).unwrap());
-        set_reuseport(fd, false).unwrap();
-        assert!(!reuseport(fd).unwrap());
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! assert!(sync.is_some());
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every table and figure.
+//! See `ROADMAP.md` for the architecture and open items; the `rcb-bench`
+//! binaries (`cargo run -p rcb-bench --bin table1`, ...) regenerate every
+//! table and figure beside the paper's published numbers.
 
 /// The paper's contribution: RCB-Agent, Ajax-Snippet, sessions, policies.
 pub use rcb_core as core;
