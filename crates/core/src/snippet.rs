@@ -23,6 +23,7 @@ use rcb_browser::{Browser, BrowserKind, UserAction};
 use rcb_crypto::SessionKey;
 use rcb_html::dom::{Document, NodeId};
 use rcb_html::parser::parse_fragment_into;
+use rcb_http::message::utf8_lossy;
 use rcb_http::{parse_batch_parts, Request, Response, BATCH_MEDIA_TYPE};
 use rcb_util::{Histogram, RcbError, Result, SimDuration, SimTime, Stopwatch};
 use rcb_xml::{parse_poll_payload, DeltaContent, ElementPayload, PollPayload, TopLevel};
@@ -164,15 +165,17 @@ impl AjaxSnippet {
         }
         // A batch reply carries the poll payload as its first part and
         // inlines new cache objects as further parts: unpack it, store the
-        // objects, and process the payload exactly like a plain reply.
+        // objects, and process the payload exactly like a plain reply. The
+        // payload is parsed where it lies, not copied out first.
+        let first;
         let (body, inlined) = if resp.content_type().as_deref() == Some(BATCH_MEDIA_TYPE) {
             let mut parts = parse_batch_parts(resp.body.as_slice())?;
-            let first = parts.remove(0);
-            (String::from_utf8_lossy(&first.data).into_owned(), parts)
+            first = parts.remove(0);
+            (first.data.as_slice(), parts)
         } else {
-            (resp.body_str(), Vec::new())
+            (resp.body.as_slice(), Vec::new())
         };
-        let Some(payload) = parse_poll_payload(&body)? else {
+        let Some(payload) = parse_poll_payload(&utf8_lossy(body))? else {
             return Ok(SnippetOutcome::NoNewContent);
         };
         // Inlined objects go into the browser cache *before* the update is

@@ -14,7 +14,9 @@ use std::time::Duration;
 use rcb_util::{DetRng, RcbError, Result};
 
 use crate::message::{Request, Response, Status};
-use crate::parse::parse_response;
+use crate::parse::{
+    decode_chunked, find_double_crlf, is_chunked, parse_response, parse_response_head,
+};
 use crate::serialize::serialize_request;
 
 /// How long a blocking read waits for response bytes before erroring,
@@ -87,7 +89,7 @@ pub fn send_request_opts(
 /// return a bodyless response and desync every subsequent round trip on
 /// the stream.
 pub fn try_parse_response(buf: &[u8]) -> Result<Option<(Response, usize)>> {
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+    let Some(head_end) = find_double_crlf(buf) else {
         return Ok(None);
     };
     let head = std::str::from_utf8(&buf[..head_end])
@@ -103,26 +105,60 @@ pub fn try_parse_response(buf: &[u8]) -> Result<Option<(Response, usize)>> {
     parse_response(&buf[..total]).map(|resp| Some((resp, total)))
 }
 
+/// The most body bytes [`read_response`] allocates before they arrive:
+/// past it, the buffer grows only as the body does, so a hostile
+/// Content-Length cannot make the client allocate what was never sent.
+const BODY_RESERVE_LIMIT: usize = 1 << 20;
+
 /// Reads one `Content-Length`-framed response from an open stream (any
 /// `Read`, e.g. a `TcpStream`).
+///
+/// The head is searched for only in bytes no earlier read brought, and
+/// parsed once. The body then gets one allocation of the declared length
+/// (up to [`BODY_RESERVE_LIMIT`]): the bytes that arrived with the head
+/// are copied into it, the rest is read straight into it, and it becomes
+/// the response body as it is. A malformed or conflicting Content-Length
+/// is a hard error, as in [`try_parse_response`].
 pub fn read_response<R: Read>(stream: &mut R) -> Result<Response> {
-    let mut buf: Vec<u8> = Vec::with_capacity(8 * 1024);
+    let mut head = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
-    loop {
-        if let Some((resp, _consumed)) = try_parse_response(&buf)? {
-            return Ok(resp);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Err(RcbError::Io("connection closed before response".into()));
-                }
-                return parse_response(&buf);
+    let head_end = loop {
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            if head.is_empty() {
+                return Err(RcbError::Io("connection closed before response".into()));
             }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(e.into()),
+            return parse_response(&head);
+        }
+        let searched = head.len().saturating_sub(3);
+        head.extend_from_slice(&chunk[..n]);
+        if let Some(at) = find_double_crlf(&head[searched..]) {
+            break searched + at;
+        }
+    };
+    let (status, headers) = parse_response_head(&head[..head_end])?;
+    let declared = headers.content_length()?.unwrap_or(0);
+    // The bytes after the head came with the read that ended it, so they
+    // fit in one chunk, and so in the reservation.
+    let early = &head[head_end + 4..];
+    let mut body = vec![0u8; declared.min(BODY_RESERVE_LIMIT)];
+    let mut filled = early.len().min(declared);
+    body[..filled].copy_from_slice(&early[..filled]);
+    while filled < declared {
+        if filled == body.len() {
+            body.resize(declared.min(2 * filled), 0);
+        }
+        match stream.read(&mut body[filled..])? {
+            0 => return Err(RcbError::parse("http", "truncated response body")),
+            n => filled += n,
         }
     }
+    let body = if is_chunked(&headers) {
+        decode_chunked(&body)?
+    } else {
+        body
+    };
+    Ok(Response::from_parts(status, headers, body))
 }
 
 /// A persistent connection that can issue multiple requests (the snippet's
@@ -236,6 +272,7 @@ impl RetryPolicy {
 mod tests {
     use super::*;
     use crate::message::Status;
+    use crate::serialize::serialize_response;
     use crate::server::{handler_fn, Handler, HttpServer};
 
     #[test]
@@ -319,6 +356,68 @@ mod tests {
         assert_eq!(resp.status, Status::OK);
         assert_eq!(resp.body_str(), "ok");
         server.join().unwrap();
+    }
+
+    /// A stream that hands out at most `step` bytes per `read` call.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn read_in_steps(wire: &[u8], step: usize) -> Result<Response> {
+        read_response(&mut Trickle { data: wire, step })
+    }
+
+    #[test]
+    fn read_response_is_the_same_one_byte_at_a_time() {
+        // A 74 KB Fig.-4-sized reply, with non-ASCII in the body.
+        let body = "<newContent>%3Cp%3E caf\u{e9} \u{1F600}</newContent>".repeat(1_800);
+        assert!(body.len() > 74_000);
+        let wire = serialize_response(&Response::xml(body).with_header("X-RCB-MAC", "00ff"));
+        let whole = read_in_steps(&wire, wire.len()).unwrap();
+        let trickled = read_in_steps(&wire, 1).unwrap();
+        assert_eq!(trickled, whole);
+        assert_eq!(whole, parse_response(&wire).unwrap());
+        // The body is read no further than its declared length, so a
+        // response right behind it stays in the stream.
+        let mut two = wire.clone();
+        two.extend_from_slice(&wire);
+        let mut stream = Trickle {
+            data: &two,
+            step: 4096,
+        };
+        assert_eq!(read_response(&mut stream).unwrap(), whole);
+        assert_eq!(read_response(&mut stream).unwrap(), whole);
+    }
+
+    #[test]
+    fn read_response_grows_past_the_reservation_as_bytes_arrive() {
+        let body = vec![b'x'; 2 * BODY_RESERVE_LIMIT + 17];
+        let wire = serialize_response(&Response::with_body(Status::OK, "text/plain", body));
+        assert_eq!(
+            read_in_steps(&wire, 64 * 1024).unwrap(),
+            parse_response(&wire).unwrap()
+        );
+    }
+
+    #[test]
+    fn read_response_rejects_short_or_empty_streams() {
+        let wire = serialize_response(&Response::xml("<a/>"));
+        let err = |wire: &[u8]| read_in_steps(wire, 3).unwrap_err().to_string();
+        assert!(err(&wire[..wire.len() - 1]).contains("truncated response body"));
+        assert!(err(&wire[..10]).contains("incomplete response head"));
+        assert!(err(b"").contains("connection closed before response"));
+        assert!(err(b"HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\n").contains("Content-Length"));
+        assert!(err(b"HTTX/1.1 200 OK\r\n\r\n").contains("bad version"));
     }
 
     #[test]

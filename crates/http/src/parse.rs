@@ -152,7 +152,25 @@ pub fn parse_request(data: &[u8]) -> Result<Request> {
 pub fn parse_response(data: &[u8]) -> Result<Response> {
     let head_end = find_double_crlf(data)
         .ok_or_else(|| RcbError::parse("http", "incomplete response head"))?;
-    let head = std::str::from_utf8(&data[..head_end])
+    let (status, headers) = parse_response_head(&data[..head_end])?;
+    let body = &data[head_end + 4..];
+    // Chunked transfer-encoding (RFC 2616 §3.6.1): real 2009 origins used
+    // it heavily for dynamically generated pages.
+    if is_chunked(&headers) {
+        let body = decode_chunked(body)?;
+        return Ok(Response::from_parts(status, headers, body));
+    }
+    let body_len = headers.content_length()?.unwrap_or(body.len());
+    let body = body
+        .get(..body_len)
+        .ok_or_else(|| RcbError::parse("http", "truncated response body"))?;
+    Ok(Response::from_parts(status, headers, body.to_vec()))
+}
+
+/// Parses a response head: the status line and header lines, without the
+/// blank line that ends them.
+pub(crate) fn parse_response_head(head: &[u8]) -> Result<(Status, HeaderMap)> {
+    let head = std::str::from_utf8(head)
         .map_err(|_| RcbError::parse("http", "non-UTF-8 response head"))?;
     let mut lines = head.split("\r\n");
     let status_line = lines
@@ -169,32 +187,18 @@ pub fn parse_response(data: &[u8]) -> Result<Response> {
         .next()
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| RcbError::parse("http", "bad status code"))?;
-    let headers = parse_header_lines(lines)?;
-    let body_start = head_end + 4;
-    // Chunked transfer-encoding (RFC 2616 §3.6.1): real 2009 origins used
-    // it heavily for dynamically generated pages.
-    if headers
+    Ok((Status(code), parse_header_lines(lines)?))
+}
+
+/// Whether a response body is chunked (`Transfer-Encoding: chunked`).
+pub(crate) fn is_chunked(headers: &HeaderMap) -> bool {
+    headers
         .get("transfer-encoding")
         .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-    {
-        let body = decode_chunked(&data[body_start..])?;
-        return Ok(Response::from_parts(Status(code), headers, body));
-    }
-    let body_len = headers
-        .content_length()?
-        .unwrap_or(data.len() - head_end - 4);
-    if data.len() < body_start + body_len {
-        return Err(RcbError::parse("http", "truncated response body"));
-    }
-    Ok(Response::from_parts(
-        Status(code),
-        headers,
-        data[body_start..body_start + body_len].to_vec(),
-    ))
 }
 
 /// Decodes a chunked body: `size-hex CRLF data CRLF ... 0 CRLF CRLF`.
-fn decode_chunked(mut data: &[u8]) -> Result<Vec<u8>> {
+pub(crate) fn decode_chunked(mut data: &[u8]) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(data.len());
     loop {
         let line_end = data
@@ -275,7 +279,7 @@ pub(crate) fn parse_header_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Re
     Ok(headers)
 }
 
-fn find_double_crlf(data: &[u8]) -> Option<usize> {
+pub(crate) fn find_double_crlf(data: &[u8]) -> Option<usize> {
     data.windows(4).position(|w| w == b"\r\n\r\n")
 }
 

@@ -1,7 +1,7 @@
 //! HTTP/1.1 wire serialization.
 //!
 //! Two producers: [`serialize_response`] materializes the full byte form
-//! (clients, `wire_len`, prefab freezing), while [`ResponseWriter`] is
+//! (clients, prefab freezing), while [`ResponseWriter`] is
 //! every server engine's zero-copy write path — the head is assembled
 //! into a small buffer and the body is handed to the socket straight from
 //! wherever it lives (a shared `Arc<[u8]>` is never copied into a scratch
@@ -15,6 +15,19 @@ use crate::message::{Request, Response};
 /// Serializes a request into its on-the-wire byte form.
 pub fn serialize_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::with_capacity(req.body.len() + 128);
+    write_request_head(req, &mut out);
+    out.extend_from_slice(&req.body);
+    out
+}
+
+/// Serializes a request head (request line + headers + blank line).
+pub(crate) fn serialize_request_head(req: &Request) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128);
+    write_request_head(req, &mut out);
+    out
+}
+
+fn write_request_head(req: &Request, out: &mut Vec<u8>) {
     out.extend_from_slice(req.method.as_str().as_bytes());
     out.push(b' ');
     out.extend_from_slice(req.target.as_bytes());
@@ -26,8 +39,6 @@ pub fn serialize_request(req: &Request) -> Vec<u8> {
         out.extend_from_slice(b"\r\n");
     }
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(&req.body);
-    out
 }
 
 /// Serializes a response head (status line + headers + blank line).

@@ -4,33 +4,11 @@
 //! regression fails here with a readable input, not just in a generated
 //! property case.
 
+mod corpus;
+
+use corpus::corpus;
 use rcb_url::jsescape::{escape, unescape};
 use rcb_url::percent;
-
-/// Deterministic edge-case corpus shared by the codec tests.
-fn corpus() -> Vec<String> {
-    let mut cases: Vec<String> = [
-        "",
-        " ",
-        "plain-ascii_text~.",
-        "a b/c?d=e&f#g%",
-        "100% + 5% = %zz",             // malformed-escape lookalikes
-        "%u0041 %41 %4 %",             // escape-syntax fragments as content
-        "key=value&key2=value2",       // query separators as content
-        "\u{1}\u{2}\u{3}\t\r\n",       // control characters
-        "é è ü ß ñ",                   // Latin-1 range (%XX in jsescape)
-        "Ω λ Ж 中文 日本語 한글",      // BMP beyond 0xFF (%uXXXX)
-        "🙂🦀𝄞",                       // supplementary plane (surrogate pairs)
-        "<tag attr=\"x\">&amp;</tag>", // markup-significant chars
-        "]]> closes CDATA",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect();
-    // Every single byte 0x00..=0x7F as a one-char string.
-    cases.extend((0u8..=0x7F).map(|b| (b as char).to_string()));
-    cases
-}
 
 #[test]
 fn percent_encode_decode_roundtrips() {
@@ -117,6 +95,9 @@ fn js_unescape_tolerates_malformed_input() {
     assert_eq!(unescape("%zz"), "%zz");
     assert_eq!(unescape("%u12"), "%u12");
     assert_eq!(unescape("%u12zz"), "%u12zz");
+    // Exactly four hex digits: a sign is not one.
+    assert_eq!(unescape("%u+12A"), "%u+12A");
+    assert_eq!(unescape("%u+0041"), "%u+0041");
     // An unpaired surrogate cannot form a char; it becomes U+FFFD.
     assert_eq!(unescape("%uD83D"), "\u{FFFD}");
 }

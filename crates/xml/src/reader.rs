@@ -54,7 +54,7 @@ pub fn parse_poll_payload(body: &str) -> Result<Option<PollPayload>> {
         return Ok(None);
     }
     let root = parse_document(body)?;
-    match root.name.as_str() {
+    match root.name {
         "newContent" => new_content_from_root(&root).map(|nc| Some(PollPayload::Full(nc))),
         "deltaContent" => delta_content_from_root(&root).map(|dc| Some(PollPayload::Delta(dc))),
         other => Err(RcbError::parse(
@@ -81,7 +81,7 @@ fn new_content_from_root(root: &XmlElement) -> Result<NewContent> {
     })?;
     let user_actions = root
         .child("userActions")
-        .map(|e| e.text())
+        .map(|e| e.text().into_owned())
         .unwrap_or_default();
     Ok(NewContent {
         doc_time,
@@ -105,7 +105,7 @@ fn delta_content_from_root(root: &XmlElement) -> Result<DeltaContent> {
     let top = parse_top(content)?;
     let user_actions = root
         .child("userActions")
-        .map(|e| e.text())
+        .map(|e| e.text().into_owned())
         .unwrap_or_default();
     Ok(DeltaContent {
         doc_time,

@@ -6,43 +6,61 @@
 //! elements with optional attributes, character data, CDATA sections, and
 //! comments. It is not a general XML parser (no DTDs, namespaces, or
 //! processing instructions beyond the declaration).
+//!
+//! The tree borrows from the input: every delimiter the scanner stops at
+//! is ASCII, so names, attribute values, text and CDATA sections are
+//! slices of the input `&str` and need no copy or re-validation. Only
+//! text or attribute values that hold entity references are decoded into
+//! owned strings. A CDATA section ends at the first `]]>`, found with a
+//! substring search.
+
+use std::borrow::Cow;
 
 use rcb_util::{RcbError, Result};
 
-/// A parsed XML element: name, attributes, and children.
+/// A parsed XML element: name, attributes, and children, borrowed from
+/// the document they were parsed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XmlElement {
+pub struct XmlElement<'a> {
     /// Element name.
-    pub name: String,
-    /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
+    pub name: &'a str,
+    /// Attributes in document order (values entity-decoded).
+    pub attrs: Vec<(&'a str, Cow<'a, str>)>,
     /// Child nodes.
-    pub children: Vec<XmlNode>,
+    pub children: Vec<XmlNode<'a>>,
 }
 
 /// A node in the parsed XML tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XmlNode {
+pub enum XmlNode<'a> {
     /// A child element.
-    Element(XmlElement),
+    Element(XmlElement<'a>),
     /// Character data (entity-decoded) or CDATA content (verbatim).
-    Text(String),
+    Text(Cow<'a, str>),
 }
 
-impl XmlElement {
+impl<'a> XmlElement<'a> {
     /// Concatenated text content of this element (direct children only).
-    pub fn text(&self) -> String {
-        self.children
-            .iter()
-            .filter_map(|c| match c {
-                XmlNode::Text(t) => Some(t.as_str()),
-                XmlNode::Element(_) => None,
-            })
-            .collect()
+    /// Borrowed when there is at most one text child, as for every
+    /// Fig.-4 payload slot (one CDATA section).
+    pub fn text(&self) -> Cow<'_, str> {
+        let mut texts = self.children.iter().filter_map(|c| match c {
+            XmlNode::Text(t) => Some(t.as_ref()),
+            XmlNode::Element(_) => None,
+        });
+        match (texts.next(), texts.next()) {
+            (None, _) => Cow::Borrowed(""),
+            (Some(only), None) => Cow::Borrowed(only),
+            (Some(first), Some(second)) => {
+                let mut joined = format!("{first}{second}");
+                texts.for_each(|t| joined.push_str(t));
+                Cow::Owned(joined)
+            }
+        }
     }
 
     /// First child element named `name`.
-    pub fn child(&self, name: &str) -> Option<&XmlElement> {
+    pub fn child(&self, name: &str) -> Option<&XmlElement<'a>> {
         self.children.iter().find_map(|c| match c {
             XmlNode::Element(e) if e.name == name => Some(e),
             _ => None,
@@ -50,7 +68,7 @@ impl XmlElement {
     }
 
     /// All child elements, in order.
-    pub fn child_elements(&self) -> impl Iterator<Item = &XmlElement> {
+    pub fn child_elements(&self) -> impl Iterator<Item = &XmlElement<'a>> {
         self.children.iter().filter_map(|c| match c {
             XmlNode::Element(e) => Some(e),
             _ => None,
@@ -59,15 +77,12 @@ impl XmlElement {
 }
 
 /// Parses a document and returns its root element.
-pub fn parse_document(input: &str) -> Result<XmlElement> {
-    let mut s = Scanner {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+pub fn parse_document(input: &str) -> Result<XmlElement<'_>> {
+    let mut s = Scanner { input, pos: 0 };
     s.skip_prolog()?;
     let root = s.parse_element()?;
     s.skip_whitespace_and_comments()?;
-    if s.pos != s.bytes.len() {
+    if s.pos != input.len() {
         return Err(RcbError::parse(
             "xml",
             "trailing content after root element",
@@ -77,7 +92,7 @@ pub fn parse_document(input: &str) -> Result<XmlElement> {
 }
 
 struct Scanner<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
@@ -87,26 +102,44 @@ impl<'a> Scanner<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
+        self.input.as_bytes()[self.pos..].starts_with(s.as_bytes())
+    }
+
+    /// Advances while `keep` holds for the next byte and returns the
+    /// bytes passed over. `keep` must reject every non-ASCII byte or
+    /// accept all of them, so the slice ends on a char boundary.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&keep) {
+            self.pos += 1;
+        }
+        &self.input[start..self.pos]
+    }
+
+    /// Moves past the next `end` at or after `from`, returning the text
+    /// between `from` and it.
+    fn take_until(&mut self, from: usize, end: &str, what: &str) -> Result<&'a str> {
+        match self.input[from..].find(end) {
+            Some(rel) => {
+                self.pos = from + rel + end.len();
+                Ok(&self.input[from..from + rel])
+            }
+            None => Err(self.err(format!("unterminated {what}"))),
+        }
     }
 
     fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
+        self.take_while(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'));
     }
 
     fn skip_prolog(&mut self) -> Result<()> {
         self.skip_whitespace();
         if self.starts_with("<?xml") {
-            match self.bytes[self.pos..].windows(2).position(|w| w == b"?>") {
-                Some(rel) => self.pos += rel + 2,
-                None => return Err(self.err("unterminated XML declaration")),
-            }
+            self.take_until(self.pos, "?>", "XML declaration")?;
         }
         self.skip_whitespace_and_comments()
     }
@@ -114,36 +147,23 @@ impl<'a> Scanner<'a> {
     fn skip_whitespace_and_comments(&mut self) -> Result<()> {
         loop {
             self.skip_whitespace();
-            if self.starts_with("<!--") {
-                match self.bytes[self.pos + 4..]
-                    .windows(3)
-                    .position(|w| w == b"-->")
-                {
-                    Some(rel) => self.pos += 4 + rel + 3,
-                    None => return Err(self.err("unterminated comment")),
-                }
-            } else {
+            if !self.starts_with("<!--") {
                 return Ok(());
             }
+            self.take_until(self.pos + 4, "-->", "comment")?;
         }
     }
 
-    fn parse_name(&mut self) -> Result<String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b':' | b'.') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
+    fn parse_name(&mut self) -> Result<&'a str> {
+        let name = self
+            .take_while(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b':' | b'.'));
+        if name.is_empty() {
             return Err(self.err("expected name"));
         }
-        Ok(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
+        Ok(name)
     }
 
-    fn parse_element(&mut self) -> Result<XmlElement> {
+    fn parse_element(&mut self) -> Result<XmlElement<'a>> {
         if self.peek() != Some(b'<') {
             return Err(self.err("expected '<'"));
         }
@@ -181,16 +201,12 @@ impl<'a> Scanner<'a> {
                         .filter(|b| *b == b'"' || *b == b'\'')
                         .ok_or_else(|| self.err("expected quoted attribute value"))?;
                     self.pos += 1;
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != quote) {
-                        self.pos += 1;
-                    }
+                    let raw = self.take_while(|b| b != quote);
                     if self.peek() != Some(quote) {
                         return Err(self.err("unterminated attribute value"));
                     }
-                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
                     self.pos += 1;
-                    attrs.push((attr_name, decode_entities(&raw)));
+                    attrs.push((attr_name, decode_entities(raw)));
                 }
                 None => return Err(self.err("unterminated start tag")),
             }
@@ -216,20 +232,8 @@ impl<'a> Scanner<'a> {
                 });
             }
             if self.starts_with("<![CDATA[") {
-                let body_start = self.pos + 9;
-                match self.bytes[body_start..]
-                    .windows(3)
-                    .position(|w| w == b"]]>")
-                {
-                    Some(rel) => {
-                        let text =
-                            String::from_utf8_lossy(&self.bytes[body_start..body_start + rel])
-                                .into_owned();
-                        children.push(XmlNode::Text(text));
-                        self.pos = body_start + rel + 3;
-                    }
-                    None => return Err(self.err("unterminated CDATA section")),
-                }
+                let text = self.take_until(self.pos + 9, "]]>", "CDATA section")?;
+                children.push(XmlNode::Text(Cow::Borrowed(text)));
                 continue;
             }
             if self.starts_with("<!--") {
@@ -239,14 +243,10 @@ impl<'a> Scanner<'a> {
             match self.peek() {
                 Some(b'<') => children.push(XmlNode::Element(self.parse_element()?)),
                 Some(_) => {
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'<') {
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
+                    let raw = self.take_while(|b| b != b'<');
                     // Whitespace-only runs between elements are formatting.
                     if !raw.trim().is_empty() {
-                        children.push(XmlNode::Text(decode_entities(&raw)));
+                        children.push(XmlNode::Text(decode_entities(raw)));
                     }
                 }
                 None => return Err(self.err(format!("unterminated element {name:?}"))),
@@ -255,8 +255,12 @@ impl<'a> Scanner<'a> {
     }
 }
 
-/// Decodes the five predefined XML entities plus decimal/hex references.
-pub fn decode_entities(s: &str) -> String {
+/// Decodes the five predefined XML entities plus decimal/hex references;
+/// text without a `&` is returned as it is.
+pub fn decode_entities(s: &str) -> Cow<'_, str> {
+    if !s.contains('&') {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
     while let Some(idx) = rest.find('&') {
@@ -296,7 +300,7 @@ pub fn decode_entities(s: &str) -> String {
         }
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
 /// Encodes text for inclusion as XML character data.
@@ -319,7 +323,7 @@ mod tests {
     fn parse_simple_document() {
         let root = parse_document("<?xml version='1.0'?><a x=\"1\"><b>hi</b><c/></a>").unwrap();
         assert_eq!(root.name, "a");
-        assert_eq!(root.attrs, vec![("x".to_string(), "1".to_string())]);
+        assert_eq!(root.attrs, vec![("x", Cow::Borrowed("1"))]);
         assert_eq!(root.child("b").unwrap().text(), "hi");
         assert!(root.child("c").unwrap().children.is_empty());
         assert!(root.child("zz").is_none());
@@ -329,6 +333,48 @@ mod tests {
     fn cdata_is_verbatim() {
         let root = parse_document("<r><![CDATA[a < b & c]]></r>").unwrap();
         assert_eq!(root.text(), "a < b & c");
+    }
+
+    #[test]
+    fn cdata_ends_at_the_first_full_terminator() {
+        // Multi-byte UTF-8 right before the terminator.
+        let root = parse_document("<r><![CDATA[ä中😀]]></r>").unwrap();
+        assert_eq!(root.text(), "ä中😀");
+        // `]]` not followed by `>` (and a lone `]`) is content.
+        let root = parse_document("<r><![CDATA[a]]b]] >c]]]></r>").unwrap();
+        assert_eq!(root.text(), "a]]b]] >c]");
+        assert!(matches!(root.text(), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn unterminated_cdata_at_end_of_input_is_an_error() {
+        for doc in [
+            "<r><![CDATA[",
+            "<r><![CDATA[abc",
+            "<r><![CDATA[x]]",
+            "<r><![CDATA[中]",
+        ] {
+            let err = parse_document(doc).unwrap_err().to_string();
+            assert!(err.contains("unterminated CDATA section"), "{doc:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_survives_in_attribute_values_and_text() {
+        let root =
+            parse_document("<r a=\"café 中\" b='😀 &amp; ü'>naïve 地图 &lt; 😀</r>").unwrap();
+        assert_eq!(root.attrs[0], ("a", Cow::Borrowed("café 中")));
+        assert_eq!(root.attrs[1].1, "😀 & ü");
+        assert_eq!(root.text(), "naïve 地图 < 😀");
+    }
+
+    #[test]
+    fn text_borrows_a_single_child_and_joins_several() {
+        let root = parse_document("<r>a<![CDATA[<b>]]>c</r>").unwrap();
+        assert_eq!(root.children.len(), 3);
+        assert_eq!(root.text(), "a<b>c");
+        assert!(matches!(root.text(), Cow::Owned(_)));
+        assert_eq!(parse_document("<r/>").unwrap().text(), "");
     }
 
     #[test]
