@@ -103,29 +103,6 @@ impl Default for AgentConfig {
 }
 
 impl AgentConfig {
-    /// The defaults with `RCB_*` environment overrides applied — the one
-    /// place agent tunables read the environment, as the server's
-    /// overload limits have theirs ([`rcb_http::OverloadConfig`]):
-    ///
-    /// * `RCB_POLL_INTERVAL_MS` — snippet polling interval hint.
-    /// * `RCB_PARK_TIMEOUT_MS` — long-poll park ceiling.
-    /// * `RCB_CLIENT_READ_TIMEOUT_MS` — participant-side read timeout.
-    pub fn from_env() -> AgentConfig {
-        fn ms(name: &str, default: SimDuration) -> SimDuration {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .map_or(default, SimDuration::from_millis)
-        }
-        let d = AgentConfig::default();
-        AgentConfig {
-            poll_interval: ms("RCB_POLL_INTERVAL_MS", d.poll_interval),
-            park_timeout: ms("RCB_PARK_TIMEOUT_MS", d.park_timeout),
-            client_read_timeout: ms("RCB_CLIENT_READ_TIMEOUT_MS", d.client_read_timeout),
-            ..d
-        }
-    }
-
     /// A builder over the defaults — the counterpart of
     /// [`rcb_http::ServerConfig::builder`], replacing scattered
     /// field-mutation construction in tests and benches.
@@ -598,34 +575,12 @@ impl RcbAgent {
             UserAction::FormInput { form, field, value } => {
                 // Merge the field value into the corresponding form on the
                 // host browser (the form co-filling path, §4.1.1).
-                let _ = host.mutate_dom(|doc| {
-                    let root = doc.root();
-                    if let Some(form_node) = rcb_html::query::element_by_id(doc, root, &form) {
-                        for input in doc.descendants(form_node) {
-                            if doc.get_attr(input, "name") == Some(field.as_str()) {
-                                doc.set_attr(input, "value", value.clone());
-                                return;
-                            }
-                        }
-                    }
-                });
+                merge_field(host, &form, &field, value);
             }
             UserAction::FormSubmit { form, fields } => {
                 // Merge all fields, then hand the submission to the world.
                 for (field, value) in &fields {
-                    let form = form.clone();
-                    let (field, value) = (field.clone(), value.clone());
-                    let _ = host.mutate_dom(|doc| {
-                        let root = doc.root();
-                        if let Some(form_node) = rcb_html::query::element_by_id(doc, root, &form) {
-                            for input in doc.descendants(form_node) {
-                                if doc.get_attr(input, "name") == Some(field.as_str()) {
-                                    doc.set_attr(input, "value", value.clone());
-                                    return;
-                                }
-                            }
-                        }
-                    });
+                    merge_field(host, &form, field, value.clone());
                 }
                 self.gate(pid, HostEffect::SubmitForm { form, fields }, effects);
             }
@@ -661,6 +616,27 @@ impl RcbAgent {
             crate::policy::HostDecision::Approve => Some(effect),
             crate::policy::HostDecision::Reject => None,
         }
+    }
+}
+
+/// Sets field `field` of form `form` on the host page to `value`. Only a
+/// real change moves the DOM version: a missing form or field, or the
+/// value the field already holds, leaves the page as it was, so no
+/// regeneration runs and no parked poll wakes for unchanged content.
+fn merge_field(host: &mut Browser, form: &str, field: &str, value: String) {
+    let Some(doc) = host.doc.as_ref() else {
+        return;
+    };
+    let input = rcb_html::query::element_by_id(doc, doc.root(), form).and_then(|form| {
+        doc.descendants(form)
+            .into_iter()
+            .find(|&input| doc.get_attr(input, "name") == Some(field))
+    });
+    match input {
+        Some(input) if doc.get_attr(input, "value") != Some(value.as_str()) => {
+            let _ = host.mutate_dom(|doc| doc.set_attr(input, "value", value));
+        }
+        _ => {}
     }
 }
 

@@ -642,6 +642,66 @@ mod tests {
         );
     }
 
+    /// A merge that changes nothing — a field of a missing form, a
+    /// missing field, the value the field already holds, a submission of
+    /// such fields — leaves the DOM version, the generation count and the
+    /// published document where they were, on both deployments; a real
+    /// change still moves all three.
+    #[test]
+    fn merges_that_change_nothing_leave_the_dom_version_alone() {
+        let mut pair = Pair::new("google.com", AgentConfig::default());
+        let join = pair.send(&Request::get("/"));
+        pair.participant.doc = Some(rcb_html::parse_document(&join.body_str()));
+        pair.poll().expect("first poll delivers content");
+        let state = |pair: &Pair| {
+            (
+                [pair.agent_host.dom_version(), pair.shared.dom_version()],
+                [
+                    pair.agent.stats.generations.get(),
+                    pair.shared.with_agent_stats(|s| s.generations.get()),
+                ],
+                pair.shared.published_doc_time(),
+            )
+        };
+        let fill = |form: &str, field: &str, value: &str| UserAction::FormInput {
+            form: form.into(),
+            field: field.into(),
+            value: value.into(),
+        };
+        let no_ops = |value: &str| {
+            [
+                fill("nope", "q", "x"),
+                fill("q", "nope", "x"),
+                fill("q", "q", value),
+                UserAction::FormSubmit {
+                    form: "q".into(),
+                    fields: vec![("q".into(), value.into()), ("nope".into(), "x".into())],
+                },
+            ]
+        };
+        // The search field starts out holding "".
+        let before = state(&pair);
+        for action in no_ops("") {
+            pair.advance(1);
+            pair.snippet.capture_action(action.clone());
+            assert!(pair.poll().is_none(), "{action:?} changed the page");
+            assert_eq!(state(&pair), before, "{action:?}");
+        }
+        pair.advance(1);
+        pair.snippet.capture_action(fill("q", "q", "co-fill"));
+        assert!(pair.poll().is_some(), "a real change ships");
+        let after = state(&pair);
+        assert_eq!(after.0, before.0.map(|v| v + 1));
+        assert_eq!(after.1, before.1.map(|g| g + 1));
+        assert!(after.2 > before.2, "a new document was published");
+        for action in no_ops("co-fill") {
+            pair.advance(1);
+            pair.snippet.capture_action(action.clone());
+            assert!(pair.poll().is_none(), "{action:?} changed the page");
+            assert_eq!(state(&pair), after, "{action:?}");
+        }
+    }
+
     #[test]
     fn pointer_moves_on_an_unchanged_page_keep_only_the_latest() {
         let mut pair = Pair::new("google.com", AgentConfig::default());

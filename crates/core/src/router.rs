@@ -76,17 +76,14 @@ pub fn session_prefix(sid: &str) -> String {
 /// provisioned session (the router answers with the prefab 404).
 pub type SessionFactory = Box<dyn Fn(&str) -> Option<(Browser, SessionKey)> + Send + Sync>;
 
-/// Router tunables. `Default` is the plain constants;
-/// [`RouterConfig::from_env`] applies the documented `RCB_*` overrides.
+/// Router tunables. `Default` is the plain constants.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Ceiling on live sessions in this process; at the cap, requests
     /// for new session ids are shed with the prefab `503 + Retry-After`.
-    /// Env: `RCB_MAX_SESSIONS`.
     pub max_sessions: usize,
     /// A session with no routed request for this long is removed by
     /// [`SessionRouter::evict_idle`] (the default session is exempt).
-    /// Env: `RCB_SESSION_IDLE_EVICT_MS`.
     pub idle_evict: Duration,
     /// Per-session in-flight dispatch bound (the fairness lever). The
     /// default — effectively unbounded — keeps single-session behavior
@@ -106,21 +103,6 @@ impl Default for RouterConfig {
             idle_evict: Duration::from_secs(15 * 60),
             session_inflight: usize::MAX,
             session_waiters: 32,
-        }
-    }
-}
-
-impl RouterConfig {
-    /// The defaults with `RCB_*` environment overrides applied:
-    /// `RCB_MAX_SESSIONS` and `RCB_SESSION_IDLE_EVICT_MS`.
-    pub fn from_env() -> RouterConfig {
-        let d = RouterConfig::default();
-        let env_u64 = |name: &str| -> Option<u64> { std::env::var(name).ok()?.trim().parse().ok() };
-        RouterConfig {
-            max_sessions: env_u64("RCB_MAX_SESSIONS").map_or(d.max_sessions, |v| v as usize),
-            idle_evict: env_u64("RCB_SESSION_IDLE_EVICT_MS")
-                .map_or(d.idle_evict, Duration::from_millis),
-            ..d
         }
     }
 }
@@ -235,6 +217,12 @@ impl SessionHandle {
     /// Number of participants this session's agent has seen.
     pub fn participant_count(&self) -> usize {
         self.entry.host.participant_count()
+    }
+
+    /// This session's live host DOM version (the published snapshot may
+    /// briefly lag it mid-regeneration).
+    pub fn dom_version(&self) -> u64 {
+        self.entry.host.dom_version()
     }
 
     /// The document timestamp of the currently published snapshot.

@@ -76,7 +76,7 @@ use rcb_browser::{Browser, BrowserKind, UserAction};
 use rcb_crypto::SessionKey;
 use rcb_http::client::{ClientOptions, HttpConnection, RetryPolicy};
 use rcb_http::server::{
-    Handler, HandlerOutcome, HttpServer, Park, ParkChannel, ParkHub, ServerBackend, ServerConfig,
+    HandlerOutcome, HttpServer, Park, ParkChannel, ParkHub, ServerBackend, ServerConfig,
 };
 use rcb_http::Request;
 use rcb_util::{Clock, RcbError, Result, SimDuration, SimTime};
@@ -94,10 +94,12 @@ struct HostCore {
     browser: Browser,
 }
 
-/// State shared between the server handler and the serving facade —
-/// [`TcpHost`] over real sockets, [`crate::worldsim::WorldHost`] over the
-/// deterministic fabric. Crate-visible so the world sim drives the exact
-/// same agent pipeline the deployment path serves.
+/// One session's serving state. A [`crate::router::SessionRouter`] holds
+/// one per session and routes each request into [`SharedHost::handle`];
+/// every host serves through a router — [`TcpHost`] and
+/// [`crate::router::RouterHost`] over real sockets,
+/// [`crate::worldsim::WorldHost`] over the deterministic fabric — so the
+/// world sim drives the exact agent pipeline the deployment path serves.
 pub(crate) struct SharedHost {
     /// The published read-path snapshot (see module docs for ordering).
     snapshot: RwLock<Arc<ContentSnapshot>>,
@@ -174,10 +176,10 @@ impl SharedHost {
         self.fig2.key()
     }
 
-    /// The Fig.-2 request handler over this shared state — the same
-    /// closure every serving engine (worker pool, epoll loops, the
-    /// world-sim pump driver) dispatches into.
-    pub(crate) fn make_handler(self: &Arc<Self>) -> Handler {
+    /// The Fig.-2 request handler over this one session, without the
+    /// router in front: tests drive a session's handler directly.
+    #[cfg(test)]
+    pub(crate) fn make_handler(self: &Arc<Self>) -> rcb_http::server::Handler {
         let state = Arc::clone(self);
         Arc::new(move |req| state.handle(&req))
     }
@@ -338,6 +340,11 @@ impl SharedHost {
             Some(plan) => self.finish_republish(plan),
             None => Ok(()),
         }
+    }
+
+    /// Runs `f` against the agent's write-path stats under the host lock.
+    pub(crate) fn with_agent_stats<R>(&self, f: impl FnOnce(&AgentStats) -> R) -> R {
+        f(&self.lock_core().agent.stats)
     }
 
     /// The live host DOM version (behind the host mutex — the published
@@ -546,8 +553,7 @@ impl TcpHost {
     /// Runs `f` against the agent's write-path stats (generation
     /// counters, eviction counters, M5 samples) under the host lock.
     pub fn with_agent_stats<R>(&self, f: impl FnOnce(&AgentStats) -> R) -> R {
-        let core = self.shared.lock_core();
-        f(&core.agent.stats)
+        self.shared.with_agent_stats(f)
     }
 
     /// `(content_cache_len, timestamps_len)` of the live agent — both are

@@ -1,22 +1,26 @@
 //! The deterministic world sim: the real RCB stack over the seeded
 //! in-process fabric.
 //!
-//! The very same agent pipeline the real-socket deployment serves
-//! ([`crate::tcp`]'s `SharedHost` handler — snapshots, shards, prefab wire
-//! images, parked long-polls) runs here against N simulated participants,
-//! over the one connection state machine every engine drives, with **zero
-//! sockets, zero threads, and zero wall-clock sleeps**. Time is the
-//! world's virtual clock, the network is [`rcb_sim::SimNet`] (seeded
-//! latency/jitter/loss, partition/heal), and the server is the pump-mode
-//! [`rcb_http::SimDriver`]. Two runs of the same [`WorldScenario`]
-//! replay byte-identical traces and identical stats — which is what
-//! makes protocol bugs (duplicate merges, lost wakes, reconnect storms)
-//! reproducible from a single seed instead of a flaky CI run.
+//! The very same serving stack the real-socket deployment runs — the
+//! [`SessionRouter`] in front of each session's agent pipeline
+//! (snapshots, shards, prefab wire images, parked long-polls) — serves
+//! here N simulated participants, over the one connection state machine
+//! every engine drives, with **zero sockets, zero threads, and zero
+//! wall-clock sleeps**. Time is the world's virtual clock, the network
+//! is [`rcb_sim::SimNet`] (seeded latency/jitter/loss, partition/heal),
+//! and the server is the pump-mode [`rcb_http::SimDriver`]. Nothing here
+//! reads the environment: the driver's limits come from the scenario,
+//! so a run replays the same under any `RCB_*` settings. Two runs of
+//! the same [`WorldScenario`] replay byte-identical traces and identical
+//! stats — which is what makes protocol bugs (duplicate merges, lost
+//! wakes, reconnect storms) reproducible from a single seed instead of a
+//! flaky CI run.
 //!
 //! The pieces:
 //!
-//! * [`WorldHost`] — `SharedHost` + [`SimDriver`] bound to a named
-//!   fabric host: the production handler, pumped instead of threaded;
+//! * [`WorldHost`] — a [`SessionRouter`] + [`SimDriver`] bound to a
+//!   named fabric host: the production router, pumped instead of
+//!   threaded, serving one default session or many routed ones;
 //! * [`WorldParticipant`] — a nonblocking participant state machine
 //!   around the *real* [`AjaxSnippet`] and the *real* client framing
 //!   ([`rcb_http::client::try_parse_response`]): join, poll, fetch
@@ -38,86 +42,77 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
+use std::sync::Arc;
+use std::time::Duration;
 
 use rcb_browser::{Browser, BrowserKind, UserAction};
 use rcb_crypto::SessionKey;
 use rcb_http::client::{try_parse_response, RetryPolicy};
-use rcb_http::server::{OverloadConfig, ServerConfig, ServerStats};
+use rcb_http::server::{OverloadConfig, ServerBackend, ServerConfig, ServerStats};
 use rcb_http::{Request, Response, SimDriver, Status};
 use rcb_sim::{LinkModel, NetProfile, SimConn, World};
 use rcb_util::{DetRng, RcbError, Result, SimDuration, SimTime};
 
 use crate::agent::AgentConfig;
-use crate::router::{session_prefix, RouterConfig, RouterStats, SessionFactory, SessionRouter};
+use crate::router::{session_prefix, RouterConfig, SessionFactory, SessionHandle, SessionRouter};
 use crate::snippet::{AjaxSnippet, SnippetOutcome};
-use crate::tcp::{SharedHost, TcpHostStats};
+use crate::tcp::TcpHostStats;
 
 /// How long a participant waits before retrying a connection after a
 /// reset or a refused connect (partitions refuse until healed).
 const RECONNECT_DELAY: SimDuration = SimDuration::from_secs(1);
 
-/// The agent served over the fabric: the production `SharedHost` handler
-/// pumped by a [`SimDriver`] instead of threaded engines.
+/// RCB-Agent served over the fabric: a [`SessionRouter`] pumped by a
+/// [`SimDriver`] — the deterministic twin of [`crate::tcp::TcpHost`] and
+/// [`crate::router::RouterHost`], which serve the same router over kernel
+/// sockets. A one-session world installs its browser as the router's
+/// default session, exactly as `TcpHost` does; a multi-tenant world
+/// hands the router a [`SessionFactory`] and its participants join with
+/// [`WorldParticipant::new_in_session`]. Per-session state is read and
+/// mutated through the router's [`SessionHandle`]s; the host itself only
+/// drives the pump.
 pub struct WorldHost {
-    shared: std::sync::Arc<SharedHost>,
+    router: Arc<SessionRouter>,
     driver: SimDriver,
 }
 
 impl WorldHost {
-    /// Binds the agent at fabric host `name`, with the host browser
-    /// showing the given document. The driver runs on the world's clock
-    /// and park hub, so parked long-polls wake on snapshot publication
-    /// and time out on virtual deadlines.
+    /// Binds a session router at fabric host `name`. The driver runs on
+    /// the world's clock with a fresh park hub and the given overload
+    /// limits (chaos scenarios tighten admission marks, park caps and
+    /// guard deadlines far below the production defaults); the router
+    /// publishes through the same hub and draws its sheds from the same
+    /// limits, so each session's parked long-polls wake on that session's
+    /// own channel and time out on virtual deadlines.
     pub fn start(
         world: &World,
         name: &str,
-        page_url: &str,
-        page_html: &str,
-        key: SessionKey,
-    ) -> Result<WorldHost> {
-        let mut browser = Browser::new(BrowserKind::Firefox);
-        browser.url = Some(rcb_url::Url::parse(page_url)?);
-        browser.doc = Some(rcb_html::parse_document(page_html));
-        browser.mutate_dom(|_| {}).expect("document just loaded");
-        Self::start_from_browser(world, name, browser, key)
-    }
-
-    /// Binds the agent around an already prepared host browser (e.g. one
-    /// that navigated a simulated origin and filled its cache, so
-    /// participants get `/cache/..` object URLs to fetch), with the
-    /// default overload limits.
-    pub fn start_from_browser(
-        world: &World,
-        name: &str,
-        browser: Browser,
-        key: SessionKey,
-    ) -> Result<WorldHost> {
-        Self::start_from_browser_with_overload(world, name, browser, key, OverloadConfig::default())
-    }
-
-    /// [`WorldHost::start_from_browser`] with explicit overload limits —
-    /// how chaos scenarios tighten admission marks, park caps, and guard
-    /// deadlines far below the production defaults.
-    pub fn start_from_browser_with_overload(
-        world: &World,
-        name: &str,
-        browser: Browser,
-        key: SessionKey,
+        factory: SessionFactory,
+        agent_config: AgentConfig,
+        router_config: RouterConfig,
         overload: OverloadConfig,
     ) -> Result<WorldHost> {
-        let config = ServerConfig::builder()
-            .clock(world.clock())
-            .overload(overload)
-            .build();
-        let shared = SharedHost::build(
-            browser,
-            key,
-            AgentConfig::default(),
-            std::sync::Arc::clone(&config.park_hub),
-            config.clock.clone(),
-        )?;
-        let driver = SimDriver::new(world.bind(name)?, shared.make_handler(), &config);
-        Ok(WorldHost { shared, driver })
+        // A literal, never `ServerConfig::default()`: the sim reads no
+        // environment. The pump driver has no threads, queue or blocking
+        // reads, so it uses only the clock, the hub and the limits.
+        let config = ServerConfig {
+            backend: ServerBackend::Workers,
+            workers: 0,
+            queue_capacity: 0,
+            read_timeout: Duration::ZERO,
+            park_hub: Arc::default(),
+            clock: world.clock(),
+            overload,
+        };
+        let router = SessionRouter::new(factory, agent_config, router_config, &config);
+        let driver = SimDriver::new(world.bind(name)?, router.make_handler(), &config);
+        Ok(WorldHost { router, driver })
+    }
+
+    /// The session layer (default session, create/look up sessions,
+    /// eviction, stats).
+    pub fn router(&self) -> &Arc<SessionRouter> {
+        &self.router
     }
 
     /// One driver sweep; returns whether anything was served.
@@ -125,8 +120,30 @@ impl WorldHost {
         self.driver.pump()
     }
 
-    /// Soonest parked long-poll deadline (folded into the runner's
-    /// next-event computation).
+    /// Pumps the driver and then every participant, in pid order, round
+    /// after round until a round serves nothing and moves no participant:
+    /// the quiescence step a sim run takes between two clock advances.
+    pub fn pump_to_quiescence(
+        &mut self,
+        world: &World,
+        participants: &mut BTreeMap<u64, WorldParticipant>,
+    ) -> Result<()> {
+        loop {
+            let mut progress = false;
+            while self.pump() {
+                progress = true;
+            }
+            for p in participants.values_mut() {
+                progress |= p.pump(world)?;
+            }
+            if !progress {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Soonest parked long-poll deadline across every session (folded
+    /// into the runner's next-event computation).
     pub fn next_park_deadline(&self) -> Option<SimTime> {
         self.driver.next_park_deadline()
     }
@@ -142,102 +159,6 @@ impl WorldHost {
     /// Engine-level overload counters (sheds, guard trips, oversize
     /// rejections) from the pump driver — the same [`ServerStats`] shape
     /// the threaded backends report.
-    pub fn server_stats(&self) -> ServerStats {
-        self.driver.server_stats()
-    }
-
-    /// Concurrent-path counters — the same [`TcpHostStats`] the socket
-    /// deployment reports.
-    pub fn stats(&self) -> TcpHostStats {
-        self.shared.stats_snapshot()
-    }
-
-    /// Requests the driver has answered (parked polls on resolution).
-    pub fn requests_served(&self) -> u64 {
-        self.driver.requests_served()
-    }
-
-    /// The live host DOM version.
-    pub fn dom_version(&self) -> u64 {
-        self.shared.dom_version()
-    }
-
-    /// The published snapshot's document timestamp.
-    pub fn published_doc_time(&self) -> u64 {
-        self.shared.published_doc_time()
-    }
-
-    /// Participants the agent has seen.
-    pub fn participant_count(&self) -> usize {
-        self.shared.participant_count()
-    }
-
-    /// Mutates the live host page (snapshot regenerated + published, and
-    /// the park hub signalled, before this returns).
-    pub fn mutate_page(&self, f: impl FnOnce(&mut rcb_html::Document)) -> Result<()> {
-        self.shared.mutate_page(f)
-    }
-
-    /// Current host form field values (merged co-fill data).
-    pub fn form_fields(&self, form_id: &str) -> Vec<(String, String)> {
-        self.shared.form_fields(form_id)
-    }
-}
-
-/// Many isolated sessions served over the fabric by one pump driver: a
-/// [`SessionRouter`]'s handler bound to a named world host — the
-/// deterministic twin of [`crate::router::RouterHost`]. Participants
-/// join specific sessions with [`WorldParticipant::new_in_session`];
-/// everything stays on the world's virtual clock and seeded fabric, so
-/// multi-tenant scenarios (one session storming, another quiet) replay
-/// byte-identically from a seed.
-pub struct WorldRouterHost {
-    router: std::sync::Arc<SessionRouter>,
-    driver: SimDriver,
-}
-
-impl WorldRouterHost {
-    /// Binds a router at fabric host `name`. The serving driver runs on
-    /// the world's clock with the default overload limits; the router's
-    /// park hub is the driver's hub, so each session's parked long-polls
-    /// wake on that session's own channel.
-    pub fn start(
-        world: &World,
-        name: &str,
-        factory: SessionFactory,
-        agent_config: AgentConfig,
-        router_config: RouterConfig,
-    ) -> Result<WorldRouterHost> {
-        let config = ServerConfig::builder()
-            .clock(world.clock())
-            .overload(OverloadConfig::default())
-            .build();
-        let router = SessionRouter::new(factory, agent_config, router_config, &config);
-        let driver = SimDriver::new(world.bind(name)?, router.make_handler(), &config);
-        Ok(WorldRouterHost { router, driver })
-    }
-
-    /// The session layer (create/look up sessions, eviction, stats).
-    pub fn router(&self) -> &std::sync::Arc<SessionRouter> {
-        &self.router
-    }
-
-    /// One driver sweep; returns whether anything was served.
-    pub fn pump(&mut self) -> bool {
-        self.driver.pump()
-    }
-
-    /// Soonest parked long-poll deadline across every session.
-    pub fn next_park_deadline(&self) -> Option<SimTime> {
-        self.driver.next_park_deadline()
-    }
-
-    /// Two-tier router statistics (aggregate + outlier sessions).
-    pub fn stats(&self) -> RouterStats {
-        self.router.stats()
-    }
-
-    /// Engine-level counters from the pump driver.
     pub fn server_stats(&self) -> ServerStats {
         self.driver.server_stats()
     }
@@ -268,8 +189,8 @@ pub struct WorldParticipant {
     name: String,
     /// Fabric host name of the agent.
     agent_host: String,
-    /// Session path prefix (`""` for the classic single-session host,
-    /// `/s/{sid}` when joined through a [`WorldRouterHost`]).
+    /// Session path prefix (`""` for the default session, `/s/{sid}`
+    /// for a routed one).
     prefix: String,
     link: LinkModel,
     conn: Option<SimConn>,
@@ -765,13 +686,17 @@ impl WorldScenario {
                 browser
             }
         };
-        let mut host = WorldHost::start_from_browser_with_overload(
+        let mut host = WorldHost::start(
             &world,
             "host",
-            browser,
-            key.clone(),
+            Box::new(|_| None),
+            AgentConfig::default(),
+            RouterConfig::default(),
             overload,
         )?;
+        let session = host
+            .router()
+            .install_default_session(browser, key.clone())?;
         let mut participants: BTreeMap<u64, WorldParticipant> = BTreeMap::new();
         let mut script = self.script.clone();
         script.sort_by_key(|&(t, _)| t); // stable: same-time order kept
@@ -782,21 +707,10 @@ impl WorldScenario {
             while cursor < script.len() && script[cursor].0 <= world.now() {
                 let event = script[cursor].1.clone();
                 cursor += 1;
-                apply_event(&world, &mut host, &mut participants, &key, self, event)?;
+                apply_event(&world, &session, &mut participants, &key, self, event)?;
             }
             // 2. Pump host and participants to quiescence.
-            loop {
-                let mut progress = false;
-                while host.pump() {
-                    progress = true;
-                }
-                for p in participants.values_mut() {
-                    progress |= p.pump(&world)?;
-                }
-                if !progress {
-                    break;
-                }
-            }
+            host.pump_to_quiescence(&world, &mut participants)?;
             // 3. Advance to the next thing that can happen.
             let next = match self.tick {
                 Some(q) => {
@@ -834,11 +748,11 @@ impl WorldScenario {
         }
         Ok(WorldReport {
             end: world.now(),
-            stats: host.stats(),
+            stats: session.stats(),
             server: host.server_stats(),
             requests_served: host.requests_served(),
-            host_dom_version: host.dom_version(),
-            host_doc_time: host.published_doc_time(),
+            host_dom_version: session.dom_version(),
+            host_doc_time: session.published_doc_time(),
             participants: participants
                 .iter()
                 .map(|(&pid, p)| {
@@ -863,7 +777,7 @@ impl WorldScenario {
 
 fn apply_event(
     world: &World,
-    host: &mut WorldHost,
+    session: &SessionHandle,
     participants: &mut BTreeMap<u64, WorldParticipant>,
     key: &SessionKey,
     scenario: &WorldScenario,
@@ -901,7 +815,7 @@ fn apply_event(
         }
         ScriptEvent::HostAppend { text } => {
             world.note(&format!("script host-append {text:?}"));
-            host.mutate_page(|doc| {
+            session.mutate_page(|doc| {
                 let body = doc.body().expect("host page has a body");
                 let div = doc.create_element("div");
                 let t = doc.create_text(text);

@@ -1,21 +1,23 @@
 //! Session-router edge cases over real sockets: unknown and malformed
 //! session ids, the session cap, idle eviction under parked long-polls,
 //! and byte-identity of every edge response across all three serving
-//! backends.
+//! backends and the world sim's pump driver.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use rcb_core::router::{fixed_page_factory, RouterConfig, RouterHost};
+use rcb_core::router::{fixed_page_factory, RouterConfig, RouterHost, SessionFactory};
 use rcb_core::snippet::SnippetOutcome;
 use rcb_core::tcp::TcpParticipant;
+use rcb_core::worldsim::WorldHost;
 use rcb_core::AgentConfig;
 use rcb_http::client::try_parse_response;
 use rcb_http::serialize::serialize_request;
-use rcb_http::server::{ServerBackend, ServerConfig, EPOLL_SUPPORTED};
-use rcb_http::{Request, Status};
+use rcb_http::server::{OverloadConfig, ServerBackend, ServerConfig, EPOLL_SUPPORTED};
+use rcb_http::{Request, Response, Status};
+use rcb_sim::{LinkModel, LinkSpec, World};
 use rcb_util::SimDuration;
 
 const PAGE_URL: &str = "http://host.example/session";
@@ -31,16 +33,20 @@ fn backends() -> Vec<ServerBackend> {
     backends
 }
 
-fn start_router(backend: ServerBackend, router_config: RouterConfig, sids: &[&str]) -> RouterHost {
+fn factory(sids: &[&str]) -> SessionFactory {
     let sids: HashSet<String> = sids.iter().map(|s| s.to_string()).collect();
+    fixed_page_factory(
+        PAGE_URL.to_string(),
+        PAGE.to_string(),
+        sids,
+        "edge-secret".to_string(),
+    )
+}
+
+fn start_router(backend: ServerBackend, router_config: RouterConfig, sids: &[&str]) -> RouterHost {
     RouterHost::start(
         "127.0.0.1:0",
-        fixed_page_factory(
-            PAGE_URL.to_string(),
-            PAGE.to_string(),
-            sids,
-            "edge-secret".to_string(),
-        ),
+        factory(sids),
         AgentConfig::default(),
         router_config,
         ServerConfig::builder().backend(backend).workers(2).build(),
@@ -67,6 +73,32 @@ fn raw_get(addr: &str, path: &str) -> (Vec<u8>, rcb_http::Response) {
         let n = stream.read(&mut chunk).unwrap();
         assert!(n > 0, "server closed before a full response");
         buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// One request on a fresh fabric connection to a world-sim host, stepped
+/// on virtual time until the reply is framed; returns the raw response
+/// bytes plus the parsed response, as [`raw_get`] does over a socket.
+fn sim_get(world: &World, host: &mut WorldHost, path: &str) -> (Vec<u8>, Response) {
+    let link = LinkModel::from_spec(LinkSpec::symmetric(
+        100_000_000,
+        SimDuration::from_millis(1),
+    ));
+    let mut conn = world.connect("edge", "host", link).unwrap();
+    conn.write_all(&serialize_request(&Request::get(path)))
+        .unwrap();
+    let mut buf = Vec::new();
+    loop {
+        while host.pump() {}
+        let mut chunk = [0u8; 4096];
+        while let Ok(n @ 1..) = conn.try_read(&mut chunk) {
+            buf.extend_from_slice(&chunk[..n]);
+        }
+        if let Some((resp, consumed)) = try_parse_response(&buf).unwrap() {
+            return (buf[..consumed].to_vec(), resp);
+        }
+        let next = world.next_event_time().expect("the reply is in flight");
+        world.advance_to(next);
     }
 }
 
@@ -185,37 +217,73 @@ fn evicting_an_idle_session_completes_its_parked_polls() {
 
 /// The edge responses — unknown sid, malformed sid, session-cap shed —
 /// must be byte-identical across the workers, epoll, and sharded-epoll
-/// engines (same prefab images, same shed draw sequence).
+/// engines and the world sim's pump driver (same prefab images, same
+/// shed draw sequence), and a one-session world — its browser the
+/// router's default session, as `TcpHost` installs it — must answer an
+/// unknown sid with the same prefab 404.
 #[test]
 fn edge_responses_are_byte_identical_across_backends() {
-    let mut captures: Vec<(ServerBackend, Vec<Vec<u8>>)> = Vec::new();
+    let router_config = || RouterConfig {
+        max_sessions: 1,
+        ..RouterConfig::default()
+    };
+    let paths = ["/s/nope/", "/s/", "/s/a", "/s/b/"];
+    let mut captures: Vec<(String, Vec<Vec<u8>>)> = Vec::new();
     for backend in backends() {
-        let mut host = start_router(
-            backend,
-            RouterConfig {
-                max_sessions: 1,
-                ..RouterConfig::default()
-            },
-            &["a", "b"],
-        );
+        let mut host = start_router(backend, router_config(), &["a", "b"]);
         let addr = host.addr().to_string();
         // Occupy the single session slot (response carries wall-clock
         // timestamps, so it is exercised but not compared).
         let (_, ok) = raw_get(&addr, "/s/a/");
         assert!(ok.status.is_success(), "{backend:?}");
 
-        let mut wires = Vec::new();
-        for path in ["/s/nope/", "/s/", "/s/a", "/s/b/"] {
-            wires.push(raw_get(&addr, path).0);
-        }
-        captures.push((backend, wires));
+        let wires = paths.iter().map(|path| raw_get(&addr, path).0).collect();
+        captures.push((format!("{backend:?}"), wires));
         host.shutdown();
     }
+    // The socket legs' overload limits come from the environment; the
+    // sim leg takes the same ones explicitly.
+    let world = World::new(1);
+    let mut host = WorldHost::start(
+        &world,
+        "host",
+        factory(&["a", "b"]),
+        AgentConfig::default(),
+        router_config(),
+        OverloadConfig::from_env(),
+    )
+    .unwrap();
+    let (_, ok) = sim_get(&world, &mut host, "/s/a/");
+    assert!(ok.status.is_success(), "world sim");
+    let wires = paths
+        .iter()
+        .map(|path| sim_get(&world, &mut host, path).0)
+        .collect();
+    captures.push(("world sim".to_string(), wires));
+
     let (first_backend, reference) = &captures[0];
     for (backend, wires) in &captures[1..] {
         assert_eq!(
             wires, reference,
-            "{backend:?} edge responses differ from {first_backend:?}"
+            "{backend} edge responses differ from {first_backend}"
         );
     }
+
+    let world = World::new(2);
+    let mut host = WorldHost::start(
+        &world,
+        "host",
+        Box::new(|_| None),
+        AgentConfig::default(),
+        RouterConfig::default(),
+        OverloadConfig::from_env(),
+    )
+    .unwrap();
+    let (browser, key) = factory(&["solo"])("solo").unwrap();
+    host.router().install_default_session(browser, key).unwrap();
+    // At the cap `/s/nope/` sheds above; the router's prefab 404 is the
+    // reply the socket legs gave the malformed `/s/`.
+    let (wire, resp) = sim_get(&world, &mut host, "/s/nope/");
+    assert_eq!(resp.body_str(), "unknown session");
+    assert_eq!(wire, reference[1], "one-session world answering /s/nope/");
 }

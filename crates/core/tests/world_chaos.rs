@@ -10,7 +10,9 @@ use std::io::Write;
 use std::time::Duration;
 
 use rcb_browser::{Browser, BrowserKind};
+use rcb_core::router::RouterConfig;
 use rcb_core::worldsim::{ScriptEvent, WorldHost, WorldScenario};
+use rcb_core::AgentConfig;
 use rcb_crypto::SessionKey;
 use rcb_http::client::try_parse_response;
 use rcb_http::serialize::serialize_request;
@@ -35,7 +37,17 @@ fn start_host(world: &World, seed: u64, overload: OverloadConfig) -> WorldHost {
     browser.url = Some(rcb_url::Url::parse("http://demo.local/").unwrap());
     browser.doc = Some(rcb_html::parse_document(PAGE));
     browser.mutate_dom(|_| {}).unwrap();
-    WorldHost::start_from_browser_with_overload(world, "host", browser, key, overload).unwrap()
+    let host = WorldHost::start(
+        world,
+        "host",
+        Box::new(|_| None),
+        AgentConfig::default(),
+        RouterConfig::default(),
+        overload,
+    )
+    .unwrap();
+    host.router().install_default_session(browser, key).unwrap();
+    host
 }
 
 /// Pump host and fabric to quiescence (no park deadlines in play here).

@@ -15,12 +15,13 @@
 //! * the whole run replays byte-identically from the same seed, storm
 //!   and all.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 use rcb_browser::UserAction;
 use rcb_core::router::{fixed_page_factory, RouterConfig};
-use rcb_core::worldsim::{WorldParticipant, WorldRouterHost};
+use rcb_core::worldsim::{WorldHost, WorldParticipant};
 use rcb_core::AgentConfig;
+use rcb_http::server::OverloadConfig;
 use rcb_sim::{NetProfile, World};
 use rcb_util::{SimDuration, SimTime};
 
@@ -66,7 +67,7 @@ fn run_once(seed: u64) -> SessionsReport {
         sids,
         "world-sessions-secret".to_string(),
     );
-    let mut host = WorldRouterHost::start(
+    let mut host = WorldHost::start(
         &world,
         "host",
         factory,
@@ -76,23 +77,25 @@ fn run_once(seed: u64) -> SessionsReport {
             session_waiters: 8,
             ..RouterConfig::default()
         },
+        OverloadConfig::default(),
     )
     .unwrap();
     let quiet = host.router().create_session("quiet").unwrap();
     let storm = host.router().create_session("storm").unwrap();
 
     let profile = NetProfile::wan();
-    let mut participants: Vec<WorldParticipant> = Vec::new();
+    let mut participants: BTreeMap<u64, WorldParticipant> = BTreeMap::new();
     // Quiet session: p1 is the latency probe (plain 1 s polls), p2 parks
     // long-polls and must wake only on quiet publications.
-    participants.push(WorldParticipant::new_in_session(
+    let probe = WorldParticipant::new_in_session(
         1,
         quiet.key().clone(),
         "host",
         profile.participant_link(),
         SimDuration::from_secs(1),
         "quiet",
-    ));
+    );
+    participants.insert(1, probe);
     let mut parked = WorldParticipant::new_in_session(
         2,
         quiet.key().clone(),
@@ -102,25 +105,26 @@ fn run_once(seed: u64) -> SessionsReport {
         "quiet",
     );
     parked.snippet.long_poll = Some(SimDuration::from_secs(20));
-    participants.push(parked);
+    participants.insert(2, parked);
     // Storm session: six participants polling every 100 ms and pushing
     // co-fill actions every 500 ms.
     for pid in 11..=16 {
-        participants.push(WorldParticipant::new_in_session(
+        let p = WorldParticipant::new_in_session(
             pid,
             storm.key().clone(),
             "host",
             profile.participant_link(),
             SimDuration::from_millis(100),
             "storm",
-        ));
+        );
+        participants.insert(pid, p);
     }
 
     let horizon = SimTime::ZERO + SimDuration::from_millis(HORIZON_MS);
     loop {
         let now_ms = (world.now() - SimTime::ZERO).as_micros() / 1000;
         if now_ms > 0 && now_ms.is_multiple_of(500) {
-            for (i, p) in participants.iter_mut().enumerate().skip(2) {
+            for (i, p) in participants.values_mut().enumerate().skip(2) {
                 p.act(UserAction::FormInput {
                     form: "f".into(),
                     field: "q".into(),
@@ -140,18 +144,7 @@ fn run_once(seed: u64) -> SessionsReport {
                 })
                 .unwrap();
         }
-        loop {
-            let mut progress = false;
-            while host.pump() {
-                progress = true;
-            }
-            for p in participants.iter_mut() {
-                progress |= p.pump(&world).unwrap();
-            }
-            if !progress {
-                break;
-            }
-        }
+        host.pump_to_quiescence(&world, &mut participants).unwrap();
         let next = world.now() + SimDuration::from_millis(TICK_MS);
         if next > horizon {
             break;
@@ -159,18 +152,21 @@ fn run_once(seed: u64) -> SessionsReport {
         world.advance_to(next);
     }
 
-    let stats = host.stats();
+    let stats = host.router().stats();
     SessionsReport {
         trace: world.trace(),
-        quiet_latencies: participants[0].poll_latencies.clone(),
+        quiet_latencies: participants[&1].poll_latencies.clone(),
         quiet_parked: (
-            participants[1].polls_completed,
-            participants[1].snippet.updates_applied,
+            participants[&2].polls_completed,
+            participants[&2].snippet.updates_applied,
         ),
-        storm_polls: participants[2..].iter().map(|p| p.polls_completed).sum(),
+        storm_polls: participants
+            .range(11..)
+            .map(|(_, p)| p.polls_completed)
+            .sum(),
         requests_routed: stats.requests_routed,
-        quiet_doc: doc_of(&participants[0]),
-        storm_doc: doc_of(&participants[2]),
+        quiet_doc: doc_of(&participants[&1]),
+        storm_doc: doc_of(&participants[&11]),
         max_parked_sid: stats.max_parked_polls.map(|o| o.sid),
     }
 }
@@ -253,7 +249,7 @@ fn idle_sessions_are_swept_from_the_dispatch_path() {
         sids,
         "world-sessions-secret".to_string(),
     );
-    let mut host = WorldRouterHost::start(
+    let mut host = WorldHost::start(
         &world,
         "host",
         factory,
@@ -262,6 +258,7 @@ fn idle_sessions_are_swept_from_the_dispatch_path() {
             idle_evict: std::time::Duration::from_secs(2),
             ..RouterConfig::default()
         },
+        OverloadConfig::default(),
     )
     .unwrap();
     host.router().create_session("idle").unwrap();
@@ -269,7 +266,7 @@ fn idle_sessions_are_swept_from_the_dispatch_path() {
     assert_eq!(host.router().session_count(), 2);
 
     let profile = NetProfile::wan();
-    let mut poller = WorldParticipant::new_in_session(
+    let poller = WorldParticipant::new_in_session(
         1,
         busy.key().clone(),
         "host",
@@ -277,18 +274,10 @@ fn idle_sessions_are_swept_from_the_dispatch_path() {
         SimDuration::from_millis(500),
         "busy",
     );
+    let mut participants = BTreeMap::from([(1, poller)]);
     let horizon = SimTime::ZERO + SimDuration::from_millis(6_000);
     loop {
-        loop {
-            let mut progress = false;
-            while host.pump() {
-                progress = true;
-            }
-            progress |= poller.pump(&world).unwrap();
-            if !progress {
-                break;
-            }
-        }
+        host.pump_to_quiescence(&world, &mut participants).unwrap();
         let next = world.now() + SimDuration::from_millis(TICK_MS);
         if next > horizon {
             break;
@@ -304,9 +293,11 @@ fn idle_sessions_are_swept_from_the_dispatch_path() {
         host.router().session("busy").is_some(),
         "active session must survive the sweep"
     );
-    let stats = host.stats();
-    assert_eq!(stats.sessions_evicted, 1);
-    assert!(poller.polls_completed > 0, "busy traffic actually flowed");
+    assert_eq!(host.router().stats().sessions_evicted, 1);
+    assert!(
+        participants[&1].polls_completed > 0,
+        "busy traffic actually flowed"
+    );
 }
 
 #[test]
