@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrate crates on the protocol's hot paths:
 //! HTML parsing, innerHTML serialization, Fig.-4 XML write/read, the JS
-//! escape pair, HMAC signing, and HTTP parsing.
+//! escape pair, HMAC signing, HTTP parsing, and the prefab write.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -92,6 +92,26 @@ fn bench_crypto_http(c: &mut Criterion) {
     group.bench_function("http_parse_poll", |b| {
         b.iter(|| rcb_http::parse_request(&wire).unwrap())
     });
+    // The prefab write, the last layer of every reply: the engines'
+    // `ResponseWriter` sends a frozen head and a shared body, here into a
+    // reused buffer. The empty poll reply, and a body of wikipedia.org's
+    // Fig.-4 XML size.
+    let mut sink = Vec::new();
+    for (label, body) in [
+        ("prefab_write_empty_poll", Vec::new()),
+        ("prefab_write_74k_xml", vec![b'x'; 74_189]),
+    ] {
+        let prefab = rcb_http::Response::xml(body).into_prefab();
+        group.throughput(Throughput::Bytes(prefab.wire_len() as u64));
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                sink.clear();
+                rcb_http::serialize::ResponseWriter::new(prefab.clone())
+                    .write_some(&mut sink)
+                    .unwrap()
+            })
+        });
+    }
     group.finish();
 
     let mut sha = c.benchmark_group("sha256");

@@ -21,7 +21,7 @@
 //! * **payload sweep** (16 KB → 1 MB of page text): drives content polls
 //!   at each payload size and requires the per-poll heap-copied
 //!   response-body byte count to be exactly zero — every content poll and
-//!   object request is served from a prefab wire image (`Arc` clone), no
+//!   object request is served from a prefab (`Arc` clones), no
 //!   matter how large the content is;
 //! * **regeneration overlap**: measures poll p99 while back-to-back
 //!   regenerations of a heavy page are in flight and requires it within
@@ -1049,7 +1049,7 @@ fn main() {
 
     // Payload sweep: per-poll heap-copied response-body bytes must be
     // exactly zero at every size — content polls, object requests, and
-    // empty replies are all served from prefab wire images.
+    // empty replies are all served from prefabs.
     println!("payload sweep — heap-copied response-body bytes per poll");
     println!(
         "{:>12} {:>12} {:>14} {:>12} {:>14}",

@@ -15,9 +15,10 @@
 //! state and one set of request counters. A deployment supplies the rest
 //! through [`Deployment`]: it merges a poll's allowed actions into the host
 //! page, and it hands out the [`ContentSnapshot`] of the current host page.
-//! Every success reply is a prefab wire image frozen into the session or
-//! the snapshot (pre-signed when response authentication is on), so
-//! answering copies no body bytes.
+//! Every success reply is a prefab frozen into the session or the
+//! snapshot: a head serialized once (pre-signed when response
+//! authentication is on) over a shared body, so answering copies no body
+//! bytes.
 //!
 //! **Lock ordering:** the path takes only participant-shard locks, which
 //! are leaves. A deployment's merge takes what it always took (the host
@@ -122,10 +123,11 @@ pub struct TcpHostStats {
     /// once — direct evidence the poll path is not serialized.
     pub max_concurrent_polls: u64,
     /// Response-body bytes heap-copied while building responses, summed
-    /// over every request served. Prefab wire images and `Arc`-shared
-    /// bodies copy nothing, so on the hot read path this stays at zero no
-    /// matter how large the content is or how many polls are served —
-    /// only small owned bodies (error texts) ever add to it.
+    /// over every request served. A prefab's body is always shared (freezing
+    /// turns an owned body into an `Arc`), so cloning one copies nothing,
+    /// and on the hot read path this stays at zero no matter how large the
+    /// content is or how many polls are served — only the owned bodies of
+    /// unfrozen error replies ever add to it.
     pub body_bytes_copied: u64,
     /// Up-to-date polls that asked to park as long-polls (`lp=` requests)
     /// instead of being answered empty immediately. The sequential agent
@@ -170,11 +172,10 @@ pub(crate) struct RequestPath {
     path_prefix: String,
     interaction_policy: InteractionPolicy,
     park_timeout: SimDuration,
-    /// Prefab wire image of the initial page (static per session),
-    /// cloned per join.
+    /// Prefab of the initial page (static per session), cloned per join.
     initial_page: Response,
-    /// Prefab wire image of the empty poll reply (§4.1.1's "response with
-    /// empty content"), identical for every up-to-date participant.
+    /// Prefab of the empty poll reply (§4.1.1's "response with empty
+    /// content"), identical for every up-to-date participant.
     empty_poll: Response,
     /// Per-participant state, sharded so concurrent polls from different
     /// participants rarely contend.
@@ -272,7 +273,7 @@ impl RequestPath {
             Ok(snap) => match snap.object(cache_key) {
                 Some(obj) => {
                     bump(&self.stats.object_requests);
-                    obj.response()
+                    obj.clone()
                 }
                 None => Response::error(Status::NOT_FOUND, "unmapped cache key"),
             },
@@ -328,7 +329,7 @@ impl RequestPath {
             bump(&self.stats.polls_with_content);
             self.participants.advance_doc_time(pid, snap.doc_time);
             // Every participant's content poll for this generation is
-            // byte-identical, serialized once when the snapshot was built.
+            // byte-identical, frozen once when the snapshot was built.
             return self.reply(snap.poll_response());
         }
         // Up to date. Park if (and only if) the request asked to.

@@ -12,16 +12,17 @@
 //!   "compare the participant's content timestamp");
 //! * the generated **Fig.-4 XML** for the agent's configured cache mode
 //!   ("the generated XML format response content is reusable for multiple
-//!   participant browsers", §4.1.2), frozen as a **prefab wire image**: the
-//!   complete poll response (status line + headers + body, pre-signed when
-//!   response authentication is on) is serialized once at snapshot build
-//!   time, and every participant's content poll is answered by cloning an
-//!   `Arc` — zero bytes are heap-copied per request;
-//! * the **object bytes** of every supplementary object the content (and
-//!   its immediate predecessor) references, each likewise frozen into a
-//!   prefab response whose body `Arc`-shares the host browser cache entry,
-//!   resolved through a [`MappingView`] so `/cache/{key}` requests never
-//!   touch the live mapping table or host browser cache.
+//!   participant browsers", §4.1.2), held as the body of a **prefab** poll
+//!   response: its head (status line + headers, pre-signed when response
+//!   authentication is on) is serialized once at snapshot build time, the
+//!   XML is its shared body, and every participant's content poll is
+//!   answered by cloning two `Arc`s — zero bytes are heap-copied per
+//!   request, and the snapshot holds one copy of the XML;
+//! * every supplementary object the content (and its immediate
+//!   predecessor) references, each likewise a prefab response whose body
+//!   *is* the host browser cache entry's `Arc`, resolved through a
+//!   [`MappingView`] so `/cache/{key}` requests never touch the live
+//!   mapping table or host browser cache.
 //!
 //! # Pipelined regeneration
 //!
@@ -34,7 +35,7 @@
 //!   proportional to the DOM, never to the serialized content.
 //! * [`SnapshotPlan::finish`] — runs **with no locks held**: URL
 //!   rewriting, event rewriting, escaping, XML assembly, object
-//!   resolution, the delta ring, and prefab serialization. The mapping
+//!   resolution, the delta ring, and freezing the prefab heads. The mapping
 //!   table is the only shared state it touches (a leaf mutex, locked
 //!   briefly).
 //!
@@ -86,7 +87,7 @@ use crate::content::{finish_generation, prepare_generation, GeneratedContent, Ge
 /// Number of predecessor generations the delta ring covers: a woken
 /// long-poll whose acked `dom_version` is at most this many generations
 /// behind receives a delta instead of the full Fig.-4 XML. Small on
-/// purpose — each slot freezes one prefab wire image, so the ring adds a
+/// purpose — each slot freezes one prefab delta reply, so the ring adds a
 /// bounded constant to per-snapshot memory, and a participant further
 /// behind than this has effectively missed the session's cadence anyway
 /// (the negotiated fallback sends it the full document).
@@ -116,31 +117,9 @@ struct DeltaSlot {
     /// Live cache keys of the base generation — objects the participant
     /// already holds, excluded from the batched reply.
     from_live_keys: Vec<CacheKey>,
-    /// Prefab wire image: plain delta XML, or a
-    /// [`BATCH_CONTENT_TYPE`] multipart when new objects are inlined.
+    /// Prefab reply: plain delta XML, or a [`BATCH_CONTENT_TYPE`]
+    /// multipart when new objects are inlined.
     response: Response,
-}
-
-/// One supplementary object frozen into a snapshot.
-#[derive(Debug, Clone)]
-pub struct SnapshotObject {
-    /// The absolute origin URL the object was cached under.
-    pub url: String,
-    /// The response `Content-Type` to serve.
-    pub content_type: String,
-    /// Body bytes, shared with the host browser cache entry.
-    pub data: Arc<[u8]>,
-    /// Prefab wire image of the object response (body `Arc`-shared with
-    /// `data`, pre-signed when response authentication is on): serving the
-    /// object clones this, copying no bytes.
-    response: Response,
-}
-
-impl SnapshotObject {
-    /// The ready-to-send response (an `Arc` clone, zero bytes copied).
-    pub fn response(&self) -> Response {
-        self.response.clone()
-    }
 }
 
 /// A frozen, shareable view of one content generation (see module docs).
@@ -150,17 +129,16 @@ pub struct ContentSnapshot {
     pub dom_version: u64,
     /// The document timestamp embedded in the XML.
     pub doc_time: u64,
-    /// UTF-8 bytes of the serialized Fig.-4 XML, shared with the poll
-    /// response body.
-    xml: Arc<[u8]>,
-    /// Prefab wire image of the content-bearing poll response.
+    /// The content-bearing poll response, frozen: its body is the
+    /// serialized Fig.-4 XML, UTF-8.
     poll_response: Response,
     /// Cache keys referenced by *this* generation's content.
     live_keys: Vec<CacheKey>,
-    /// Servable objects: this generation's plus the predecessor's live
-    /// set (two-generation bound).
-    objects: HashMap<CacheKey, SnapshotObject>,
-    /// Where each section of `xml` lies. The *next* generation compares
+    /// Servable objects, frozen responses whose bodies are the host cache
+    /// entries: this generation's plus the predecessor's live set
+    /// (two-generation bound).
+    objects: HashMap<CacheKey, Response>,
+    /// Where each section of the XML lies. The *next* generation compares
     /// its head and top section bytes against these to decide which
     /// components its deltas must carry.
     sections: Sections,
@@ -249,20 +227,21 @@ impl ContentSnapshot {
         Ok(snap)
     }
 
-    /// The serialized Fig.-4 XML.
+    /// The serialized Fig.-4 XML: the poll response's body.
     pub fn xml(&self) -> &str {
-        std::str::from_utf8(&self.xml).expect("generated XML is UTF-8")
+        std::str::from_utf8(&self.poll_response.body).expect("generated XML is UTF-8")
     }
 
-    /// The ready-to-send content poll response: a clone of the prefab
-    /// wire image — headers and body were serialized once at build time,
+    /// The ready-to-send content poll response: a clone of the prefab —
+    /// the head was serialized once at build time and the body is shared,
     /// so this copies pointers, not bytes.
     pub fn poll_response(&self) -> Response {
         self.poll_response.clone()
     }
 
-    /// Looks up a servable object by cache key.
-    pub fn object(&self, key: CacheKey) -> Option<&SnapshotObject> {
+    /// The frozen response for a servable object, by cache key. Its body
+    /// is the host cache entry's `Arc`; serving a clone copies no bytes.
+    pub fn object(&self, key: CacheKey) -> Option<&Response> {
         self.objects.get(&key)
     }
 
@@ -296,14 +275,14 @@ impl ContentSnapshot {
 
     /// The bytes of one section of this snapshot's XML.
     fn section(&self, range: &Range<usize>) -> &[u8] {
-        &self.xml[range.clone()]
+        &self.poll_response.body[range.clone()]
     }
 }
 
 impl SnapshotPlan {
     /// Phase 2, **no locks held**: run the deferred generation (if any),
-    /// resolve object bytes from the frozen cache view, and serialize the
-    /// prefab wire images. Returns the snapshot plus the freshly generated
+    /// resolve object bytes from the frozen cache view, and freeze the
+    /// prefab replies. Returns the snapshot plus the freshly generated
     /// content (when generation ran) so the caller can admit it into the
     /// agent's generated-content cache under the host mutex.
     pub fn finish(
@@ -357,23 +336,18 @@ impl SnapshotPlan {
             if let Some(entry) = self.cache.get(url) {
                 objects.insert(
                     key,
-                    SnapshotObject {
-                        url: entry.url.clone(),
-                        content_type: entry.content_type.clone(),
-                        data: Arc::clone(&entry.data),
-                        response: prefab_response(
-                            Status::OK,
-                            &entry.content_type,
-                            Arc::clone(&entry.data),
-                            self.sign.then_some(&self.key),
-                        ),
-                    },
+                    prefab_response(
+                        Status::OK,
+                        &entry.content_type,
+                        Arc::clone(&entry.data),
+                        self.sign.then_some(&self.key),
+                    ),
                 );
             }
         }
         // Two-generation bound: carry forward only the predecessor's live
-        // set (with its already-frozen prefabs); anything older ages out
-        // with the snapshot it belonged to.
+        // set (its prefabs already frozen); anything older ages out with
+        // the snapshot it belonged to.
         if let Some(prev) = prev {
             for &key in &prev.live_keys {
                 if let Some(obj) = prev.objects.get(&key) {
@@ -382,13 +356,13 @@ impl SnapshotPlan {
             }
         }
 
-        // Freeze the poll wire image: every participant's content poll for
-        // this generation is byte-identical, so serialize it exactly once.
-        let xml: Arc<[u8]> = Arc::from(content.xml.as_bytes());
+        // Freeze the poll reply: every participant's content poll for this
+        // generation is byte-identical, so its head is serialized exactly
+        // once, and its body is the snapshot's one copy of the XML.
         let poll_response = prefab_response(
             Status::OK,
             "application/xml; charset=utf-8",
-            Arc::clone(&xml),
+            Arc::from(content.xml.as_bytes()),
             self.sign.then_some(&self.key),
         );
 
@@ -401,6 +375,7 @@ impl SnapshotPlan {
         let sections = content.sections.clone();
         let mut delta_ring = Vec::new();
         if let Some(prev) = prev {
+            let xml = content.xml.as_bytes();
             let step_head = prev.section(&prev.sections.head) != &xml[sections.head.clone()];
             let step_top = prev.section(&prev.sections.top) != &xml[sections.top.clone()];
             // Candidate bases: the predecessor itself, then every base its
@@ -479,7 +454,6 @@ impl SnapshotPlan {
             Arc::new(ContentSnapshot {
                 dom_version: self.dom_version,
                 doc_time: self.doc_time,
-                xml,
                 poll_response,
                 live_keys,
                 objects,
@@ -509,14 +483,14 @@ impl SnapshotPlan {
 fn assemble_batch(
     delta_xml: &str,
     new_keys: &[CacheKey],
-    objects: &HashMap<CacheKey, SnapshotObject>,
+    objects: &HashMap<CacheKey, Response>,
     minted_urls: &HashMap<CacheKey, &str>,
 ) -> Vec<u8> {
     use std::io::Write as _;
     let extra: usize = new_keys
         .iter()
         .filter_map(|k| objects.get(k))
-        .map(|o| o.data.len() + 160)
+        .map(|o| o.body.len() + 160)
         .sum();
     let mut body = Vec::with_capacity(delta_xml.len() + extra + 160);
     let _ = write!(
@@ -533,11 +507,11 @@ fn assemble_batch(
         let _ = write!(
             body,
             "--{BATCH_BOUNDARY}\r\nContent-Type: {}\r\nContent-Length: {}\r\nX-RCB-Url: {}\r\n\r\n",
-            obj.content_type,
-            obj.data.len(),
+            obj.headers.get("content-type").unwrap_or_default(),
+            obj.body.len(),
             url
         );
-        body.extend_from_slice(&obj.data);
+        body.extend_from_slice(&obj.body);
         body.extend_from_slice(b"\r\n");
     }
     let _ = write!(body, "--{BATCH_BOUNDARY}--\r\n");
@@ -545,7 +519,7 @@ fn assemble_batch(
 }
 
 /// Builds a frozen, ready-to-send response: shared body, optional
-/// response MAC, serialized once into a prefab wire image.
+/// response MAC, head serialized once.
 pub(crate) fn prefab_response(
     status: Status,
     content_type: &str,
@@ -603,16 +577,20 @@ mod tests {
             "apple.com has supplementary objects"
         );
         assert_eq!(snap.object_count(), snap.live_object_count());
+        let mapping = a.mapping().lock().unwrap();
         for key in snap.live_keys.clone() {
-            let obj = snap.object(key).expect("live object servable");
-            // Bytes are shared with (and equal to) the host cache entry.
-            let cached = host.cache.lookup(&obj.url).unwrap();
-            assert!(Arc::ptr_eq(&obj.data, &cached.data));
-            // The prefab response serves those same bytes, pre-serialized.
-            let resp = obj.response();
+            let resp = snap.object(key).expect("live object servable").clone();
             assert!(resp.is_prefab());
-            assert_eq!(resp.body.as_slice(), obj.data.as_ref());
             assert_eq!(resp.body.copied_len(), 0, "object body is shared");
+            // The body *is* the host cache entry's bytes, and the head
+            // carries the entry's content type.
+            let cached = host.cache.lookup(mapping.url_for(key).unwrap()).unwrap();
+            assert_eq!(resp.body.as_ptr(), cached.data.as_ptr());
+            assert_eq!(resp.body.len(), cached.data.len());
+            assert_eq!(
+                resp.headers.get("content-type"),
+                Some(&*cached.content_type)
+            );
         }
         // XML parses as a Fig.-4 document carrying the snapshot timestamp.
         let nc = rcb_xml::parse_new_content(snap.xml()).unwrap().unwrap();
@@ -620,24 +598,24 @@ mod tests {
     }
 
     #[test]
-    fn poll_response_is_a_frozen_wire_image_of_the_xml() {
+    fn poll_response_is_a_frozen_head_over_the_xml() {
         let mut a = agent(CacheMode::Cache);
         let host = loaded_host("google.com");
         let snap = ContentSnapshot::build(&mut a, &host, SimTime::from_secs(1), None).unwrap();
         let resp = snap.poll_response();
         assert!(resp.is_prefab());
         assert_eq!(resp.status, Status::OK);
-        assert_eq!(resp.body.as_slice(), snap.xml().as_bytes());
+        // The body is the snapshot's one copy of the XML.
+        assert_eq!(resp.body.as_ptr(), snap.xml().as_ptr());
         assert_eq!(resp.body.copied_len(), 0, "poll body is shared");
-        // Two serves share one image (pointer equality, not re-serialization).
+        // Two serves share one head and one body (pointer equality, not
+        // re-serialization).
         let again = snap.poll_response();
-        assert!(Arc::ptr_eq(
-            resp.prefab_bytes().unwrap(),
-            again.prefab_bytes().unwrap()
-        ));
-        // The image parses back to exactly the response it froze.
-        let parsed = rcb_http::parse_response(resp.prefab_bytes().unwrap()).unwrap();
-        assert_eq!(parsed, resp);
+        assert_eq!(resp.head().as_ptr(), again.head().as_ptr());
+        assert_eq!(resp.body.as_ptr(), again.body.as_ptr());
+        // The wire form parses back to exactly the response it froze.
+        let wire = rcb_http::serialize::serialize_response(&resp);
+        assert_eq!(rcb_http::parse_response(&wire).unwrap(), resp);
     }
 
     #[test]
@@ -652,7 +630,7 @@ mod tests {
         assert!(crate::auth::verify_response(&key, &snap.poll_response()));
         for key_id in snap.live_keys.clone() {
             let obj = snap.object(key_id).unwrap();
-            assert!(crate::auth::verify_response(&key, &obj.response()));
+            assert!(crate::auth::verify_response(&key, obj));
         }
     }
 
@@ -934,10 +912,7 @@ mod tests {
         // And still one self-contained response, smaller than full XML +
         // a separate object round trip.
         let full = s2.poll_response().wire_len()
-            + s2.objects
-                .values()
-                .map(|o| o.response().wire_len())
-                .sum::<usize>();
+            + s2.objects.values().map(Response::wire_len).sum::<usize>();
         assert!(delta.wire_len() < full);
     }
 

@@ -34,15 +34,16 @@
 //!   DOM via [`RcbAgent`], and — when the DOM version changed — *plans* a
 //!   snapshot rebuild while still holding the mutex (DOM clone + frozen
 //!   captures only), then releases it and runs generation, object
-//!   resolution, and prefab serialization with **no lock held**,
+//!   resolution, and prefab freezing with **no lock held**,
 //!   publishing with one pointer swap under the write lock. A slow
 //!   generation therefore never blocks merges or page mutations, let
 //!   alone polls.
 //!
 //! The read path is also **zero-copy**: content polls and object requests
-//! are answered by cloning prefab wire images frozen into the snapshot
-//! (`Arc` bumps), so per-request heap-copied response-body bytes are zero
-//! — [`TcpHostStats::body_bytes_copied`] measures exactly that.
+//! are answered by cloning prefabs frozen into the snapshot, whose bodies
+//! are the snapshot's one XML copy or the host cache entry (`Arc` bumps),
+//! so per-request heap-copied response-body bytes are zero;
+//! [`TcpHostStats::body_bytes_copied`] measures exactly that.
 //!
 //! **Lock ordering:** host mutex → snapshot write lock; shard locks and
 //! the mapping-table mutex are leaves (never held while acquiring
@@ -65,8 +66,8 @@
 //! spreads connections round-robin across several independent event
 //! loops (`RCB_SERVER_SHARDS` loops, default: available cores). Select
 //! via [`ServerConfig::backend`] or the `RCB_SERVER_BACKEND` environment
-//! variable; everything above the handler — snapshots, shards, prefab
-//! wire images — is backend-agnostic, and the agent's participant shards
+//! variable; everything above the handler — snapshots, shards,
+//! prefabs — is backend-agnostic, and the agent's participant shards
 //! are unrelated to (and compose freely with) the server's loop shards.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1091,7 +1092,7 @@ mod tests {
             assert_eq!(stats.polls_parked, 1, "{backend:?}");
             assert_eq!(stats.polls_woken, 1, "{backend:?}");
             assert_eq!(stats.polls_park_timeouts, 0, "{backend:?}");
-            // The woken reply is the prefab snapshot wire image.
+            // The woken reply is the snapshot's prefab poll reply.
             assert_eq!(stats.body_bytes_copied, 0, "{backend:?}");
             host.shutdown();
         }
@@ -1139,7 +1140,7 @@ mod tests {
             assert_eq!(stats.polls_woken, 1, "{backend:?}");
             assert_eq!(stats.polls_woken_delta, 1, "{backend:?}");
             assert_eq!(stats.delta_fallbacks, 0, "{backend:?}");
-            // Delta is a prefab wire image like every other reply.
+            // Delta is a prefab like every other reply.
             assert_eq!(stats.body_bytes_copied, 0, "{backend:?}");
             // The reason the protocol exists: fewer bytes on the wire than
             // the full-XML wake for the same generation.

@@ -3,7 +3,7 @@
 //!
 //! The very same serving stack the real-socket deployment runs — the
 //! [`SessionRouter`] in front of each session's agent pipeline
-//! (snapshots, shards, prefab wire images, parked long-polls) — serves
+//! (snapshots, shards, prefab replies, parked long-polls) — serves
 //! here N simulated participants, over the one connection state machine
 //! every engine drives, with **zero sockets, zero threads, and zero
 //! wall-clock sleeps**. Time is the world's virtual clock, the network

@@ -157,8 +157,8 @@ fn percentile_us(samples: &mut [u64], p: f64) -> u64 {
 fn slow_regeneration_does_not_block_concurrent_polls() {
     // 560 divs × 32 KB of passthrough text: ≈18 MB to escape per
     // generation, while the clone copies only ~1,100 nodes. Sized so a
-    // regeneration takes 50–70 ms in a release build on a 2-vCPU VM
-    // (peak RSS ~420 MB), at least twice the 20 ms floor asserted below.
+    // regeneration takes 37–56 ms in a release build on a 2-vCPU VM
+    // (peak RSS ~275 MiB), well above the 20 ms floor asserted below.
     let filler = "lorem ipsum dolor sit amet consectetur adipiscing elit ".repeat(584);
     let mut page =
         String::from("<html><head><title>slow</title></head><body><div id=\"knob\">0</div>");

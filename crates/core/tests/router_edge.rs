@@ -217,7 +217,7 @@ fn evicting_an_idle_session_completes_its_parked_polls() {
 
 /// The edge responses — unknown sid, malformed sid, session-cap shed —
 /// must be byte-identical across the workers, epoll, and sharded-epoll
-/// engines and the world sim's pump driver (same prefab images, same
+/// engines and the world sim's pump driver (same prefabs, same
 /// shed draw sequence), and a one-session world — its browser the
 /// router's default session, as `TcpHost` installs it — must answer an
 /// unknown sid with the same prefab 404.

@@ -35,9 +35,9 @@
 //! shard's pool size, and different shards share nothing but the handler
 //! `Arc` — there is no cross-shard lock on any per-request path.
 //!
-//! Writes go through [`crate::serialize::ResponseWriter`]: prefab wire
-//! images verbatim from their `Arc`, non-prefab responses as head + body
-//! vectored writes; a `WouldBlock` mid-response parks the cursor and the
+//! Writes go through [`crate::serialize::ResponseWriter`]: every
+//! response as a vectored head + body write, the body straight from its
+//! own storage; a `WouldBlock` mid-response parks the cursor and the
 //! owning loop resumes on the next `EPOLLOUT`.
 
 use std::collections::VecDeque;

@@ -380,18 +380,18 @@ pub struct Response {
     pub headers: HeaderMap,
     /// Entity body.
     pub body: Body,
-    /// Prefab wire image: the complete serialization (status line +
-    /// headers + body) frozen by [`Response::into_prefab`]. When present,
-    /// the server writes these bytes verbatim and serialization clones a
-    /// pointer instead of assembling anything. Invariant: the bytes match
-    /// the other fields exactly — every constructor that sets this field
-    /// serializes the finished response, and [`Response::with_header`]
-    /// drops it on mutation. Not part of equality (a parsed copy of a
-    /// prefab response equals the original).
-    prefab: Option<Arc<[u8]>>,
+    /// Frozen head: the status line and headers, serialized once — by
+    /// [`Response::into_prefab`], or by the server write path for a
+    /// response that was never frozen. The body is never part of it, so
+    /// a frozen response holds one copy of its body bytes, not two.
+    /// Invariant: the bytes match `status` and `headers` exactly —
+    /// [`Response::with_header`] drops the frozen head on mutation. Not
+    /// part of equality (a parsed copy of a prefab response equals the
+    /// original).
+    head: Option<Arc<[u8]>>,
 }
 
-/// Responses compare by status, headers, and body bytes; the prefab cache
+/// Responses compare by status, headers, and body bytes; the frozen head
 /// is a serialization detail and never affects equality.
 impl PartialEq for Response {
     fn eq(&self, other: &Self) -> bool {
@@ -412,7 +412,7 @@ impl Response {
             status,
             headers,
             body,
-            prefab: None,
+            head: None,
         }
     }
 
@@ -422,7 +422,7 @@ impl Response {
             status,
             headers,
             body: body.into(),
-            prefab: None,
+            head: None,
         }
     }
 
@@ -448,32 +448,48 @@ impl Response {
         Response::with_body(status, "text/plain; charset=utf-8", detail.as_bytes())
     }
 
-    /// Adds a header (builder style). Drops any prefab wire image, since
-    /// the frozen bytes no longer match the headers.
+    /// Adds a header (builder style). Drops any frozen head, since its
+    /// bytes no longer match the headers.
     pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Response {
         self.headers.set(name, value);
-        self.prefab = None;
+        self.head = None;
         self
     }
 
-    /// Freezes the response into a prefab wire image: serializes it once
-    /// and remembers the bytes, so every subsequent send (and clone) is an
-    /// `Arc` pointer bump instead of a head+body assembly. Build one per
-    /// reusable response (content generation, cached object, static page)
-    /// and serve clones of it.
+    /// Freezes the response into a prefab: serializes the head once and
+    /// turns an owned body into a shared one, so every subsequent send
+    /// (and clone) bumps two `Arc`s instead of assembling a head or
+    /// copying body bytes. Build one per reusable response (content
+    /// generation, cached object, static page, error reply) and serve
+    /// clones of it.
     pub fn into_prefab(mut self) -> Response {
-        self.prefab = Some(Arc::from(crate::serialize::serialize_response(&self)));
+        self.freeze_head();
+        self.body = Body::Shared(Arc::from(std::mem::take(&mut self.body)));
         self
     }
 
-    /// The prefab wire image, if this response was frozen.
-    pub fn prefab_bytes(&self) -> Option<&Arc<[u8]>> {
-        self.prefab.as_ref()
+    /// Whether this response was frozen by [`Response::into_prefab`].
+    pub fn is_prefab(&self) -> bool {
+        self.head.is_some()
     }
 
-    /// Whether this response carries a prefab wire image.
-    pub fn is_prefab(&self) -> bool {
-        self.prefab.is_some()
+    /// The serialized head (status line, headers, blank line): the frozen
+    /// bytes, or assembled now for a response that was never frozen.
+    pub fn head(&self) -> Cow<'_, [u8]> {
+        match &self.head {
+            Some(head) => Cow::Borrowed(head),
+            None => Cow::Owned(crate::serialize::serialize_response_head(self)),
+        }
+    }
+
+    /// Serializes the head once, unless it is frozen already. The body is
+    /// left as it is: the server write path freezes every head so that
+    /// one vectored write sends head and body, and only
+    /// [`Response::into_prefab`] also shares the body.
+    pub(crate) fn freeze_head(&mut self) {
+        if self.head.is_none() {
+            self.head = Some(Arc::from(crate::serialize::serialize_response_head(self)));
+        }
     }
 
     /// The `Retry-After` header as delta-seconds, if present and numeric.
@@ -494,13 +510,10 @@ impl Response {
         })
     }
 
-    /// Total serialized size in bytes: the prefab image's length, or the
-    /// head as serialized plus the body — the body is never copied.
+    /// Total serialized size in bytes: the head plus the body — the body
+    /// is never copied.
     pub fn wire_len(&self) -> usize {
-        match &self.prefab {
-            Some(image) => image.len(),
-            None => crate::serialize::serialize_response_head(self).len() + self.body.len(),
-        }
+        self.head().len() + self.body.len()
     }
 
     /// Body as UTF-8 (lossy).
@@ -601,6 +614,22 @@ mod tests {
             Request::post("/poll?p=3&lp=50&d=1", body.into_bytes()).with_header("X-A", "b"),
         ] {
             assert_eq!(req.wire_len(), serialize_request(&req).len());
+        }
+    }
+
+    #[test]
+    fn a_prefab_frozen_from_an_owned_body_clones_without_copying_it() {
+        // The router's 404, the shed 503s and the parser's 431/413 freeze
+        // error replies whose bodies start out owned.
+        let shed = crate::server::ShedResponder::new(&crate::server::OverloadConfig::default());
+        for prefab in [
+            Response::error(Status::NOT_FOUND, "unknown session").into_prefab(),
+            shed.next(),
+        ] {
+            assert!(prefab.is_prefab());
+            let clone = prefab.clone();
+            assert_eq!(clone.body.copied_len(), 0, "body is shared");
+            assert_eq!(clone.body.as_ptr(), prefab.body.as_ptr());
         }
     }
 

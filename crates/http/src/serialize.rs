@@ -1,12 +1,14 @@
 //! HTTP/1.1 wire serialization.
 //!
 //! Two producers: [`serialize_response`] materializes the full byte form
-//! (clients, prefab freezing), while [`ResponseWriter`] is
-//! every server engine's zero-copy write path — the head is assembled
-//! into a small buffer and the body is handed to the socket straight from
-//! wherever it lives (a shared `Arc<[u8]>` is never copied into a scratch
-//! buffer), via vectored writes, resumable after `EWOULDBLOCK`. Prefab
-//! responses skip even the head assembly.
+//! (clients, tests), while [`ResponseWriter`] is every server engine's
+//! zero-copy write path. A response leaves as two parts, its head and its
+//! body: the head is the one frozen into a prefab (or serialized once when
+//! the writer takes a response that was never frozen), and the body goes
+//! to the socket straight from wherever it lives (a shared `Arc<[u8]>` is
+//! never copied into a scratch buffer), via vectored writes, resumable
+//! after `EWOULDBLOCK`. Prefab and non-prefab responses take the same
+//! path.
 
 use std::io::{self, IoSlice, Write};
 
@@ -57,13 +59,11 @@ pub fn serialize_response_head(resp: &Response) -> Vec<u8> {
     out
 }
 
-/// Serializes a response into its on-the-wire byte form (one allocation;
-/// prefab responses return a copy of the frozen image).
+/// Serializes a response into its on-the-wire byte form: head, then body.
 pub fn serialize_response(resp: &Response) -> Vec<u8> {
-    if let Some(prefab) = resp.prefab_bytes() {
-        return prefab.to_vec();
-    }
-    let mut out = serialize_response_head(resp);
+    let head = resp.head();
+    let mut out = Vec::with_capacity(head.len() + resp.body.len());
+    out.extend_from_slice(&head);
     out.extend_from_slice(&resp.body);
     out
 }
@@ -82,41 +82,28 @@ pub enum WriteProgress {
 ///
 /// A nonblocking write (or a blocking one whose `SO_SNDTIMEO` expired)
 /// can stop anywhere inside the response and must resume from exactly
-/// that byte later. This writer owns the response (keeping prefab images
-/// and shared bodies alive without copying them) plus a byte cursor, and
-/// preserves the zero-copy shape: prefab images go to the socket verbatim
-/// from their `Arc`, and non-prefab responses assemble only the ~128-byte
-/// head, with the body written straight from its own storage via vectored
-/// I/O.
+/// that byte later. This writer owns the response (keeping its frozen head
+/// and shared body alive without copying them) plus a byte cursor over
+/// head ‖ body: while any head bytes remain, one vectored write offers the
+/// rest of the head and the whole body, and after that the rest of the
+/// body alone.
 #[derive(Debug)]
 pub struct ResponseWriter {
     resp: Response,
-    /// Assembled head for non-prefab responses (`None` when prefab).
-    head: Option<Vec<u8>>,
     written: usize,
 }
 
 impl ResponseWriter {
-    /// Starts a resumable write of `resp` from byte zero.
-    pub fn new(resp: Response) -> ResponseWriter {
-        let head = if resp.is_prefab() {
-            None
-        } else {
-            Some(serialize_response_head(&resp))
-        };
-        ResponseWriter {
-            resp,
-            head,
-            written: 0,
-        }
+    /// Starts a resumable write of `resp` from byte zero, freezing its
+    /// head if it was never frozen.
+    pub fn new(mut resp: Response) -> ResponseWriter {
+        resp.freeze_head();
+        ResponseWriter { resp, written: 0 }
     }
 
     /// Total bytes this response occupies on the wire.
     pub fn total_len(&self) -> usize {
-        match self.resp.prefab_bytes() {
-            Some(prefab) => prefab.len(),
-            None => self.head.as_ref().map_or(0, Vec::len) + self.resp.body.len(),
-        }
+        self.resp.wire_len()
     }
 
     /// Bytes already written.
@@ -130,6 +117,9 @@ impl ResponseWriter {
     /// writability and retry later); retries `EINTR` internally; any other
     /// error (including a zero-length write) is fatal for the connection.
     pub fn write_some<W: Write>(&mut self, w: &mut W) -> io::Result<WriteProgress> {
+        let head = self.resp.head();
+        let body = self.resp.body.as_slice();
+        let total = head.len() + body.len();
         loop {
             // Test-only fault hook (inert in production builds): an armed
             // Write fault stands in for the socket's verdict — an injected
@@ -142,25 +132,14 @@ impl ResponseWriter {
                 }
                 return Err(e);
             }
-            let head = self.head.as_deref().unwrap_or(&[]);
-            let (total, result) = if let Some(prefab) = self.resp.prefab_bytes() {
-                if self.written >= prefab.len() {
-                    return Ok(WriteProgress::Done);
-                }
-                (prefab.len(), w.write(&prefab[self.written..]))
+            if self.written >= total {
+                return Ok(WriteProgress::Done);
+            }
+            let result = if self.written < head.len() {
+                let bufs = [IoSlice::new(&head[self.written..]), IoSlice::new(body)];
+                w.write_vectored(&bufs)
             } else {
-                let body = self.resp.body.as_slice();
-                let total = head.len() + body.len();
-                if self.written >= total {
-                    return Ok(WriteProgress::Done);
-                }
-                let result = if self.written < head.len() {
-                    let bufs = [IoSlice::new(&head[self.written..]), IoSlice::new(body)];
-                    w.write_vectored(&bufs)
-                } else {
-                    w.write(&body[self.written - head.len()..])
-                };
-                (total, result)
+                w.write(&body[self.written - head.len()..])
             };
             match result {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -239,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn prefab_writes_frozen_image_verbatim() {
+    fn prefab_writes_its_frozen_head_and_shared_body() {
         let resp = Response::xml("<n>prefab</n>");
         let plain_wire = serialize_response(&resp);
         let prefab = resp.into_prefab();
@@ -248,13 +227,12 @@ mod tests {
         let mut sink = Vec::new();
         write_whole(&mut sink, &prefab).unwrap();
         assert_eq!(sink, plain_wire);
-        // A clone shares the frozen image (pointer equality, no re-serialize).
+        // A clone shares the frozen head and the body (pointer equality:
+        // no re-serialization, no body copy).
         let clone = prefab.clone();
-        assert!(std::sync::Arc::ptr_eq(
-            prefab.prefab_bytes().unwrap(),
-            clone.prefab_bytes().unwrap()
-        ));
-        // Mutating headers drops the image rather than desyncing it.
+        assert_eq!(prefab.head().as_ptr(), clone.head().as_ptr());
+        assert_eq!(prefab.body.as_ptr(), clone.body.as_ptr());
+        // Mutating headers drops the frozen head rather than desyncing it.
         let mutated = prefab.with_header("X-Extra", "1");
         assert!(!mutated.is_prefab());
         assert!(String::from_utf8(serialize_response(&mutated))

@@ -432,10 +432,10 @@ impl OverloadConfig {
     }
 }
 
-/// The prefab `503 + Retry-After` pool: one frozen wire image per
+/// The prefab `503 + Retry-After` pool: one frozen response per
 /// `Retry-After` value in `base..=base + jitter`, drawn with a seeded
-/// RNG per shed. Zero-copy on the wire (a shed costs a clone of an
-/// `Arc`'d image, never a dispatch slot), deterministic under a fixed
+/// RNG per shed. Zero-copy on the wire (a shed clones the `Arc`s of a
+/// frozen head and body, never a dispatch slot), deterministic under a fixed
 /// seed, and jittered enough that a shed herd does not reconverge on
 /// one retry instant.
 pub struct ShedResponder {
@@ -452,7 +452,7 @@ impl ShedResponder {
         let prefabs = (base..=base + config.retry_after_jitter_secs)
             .map(|secs| {
                 // Retry-After must land before the freeze: `with_header`
-                // invalidates a prefab image.
+                // drops a frozen head.
                 Response::error(Status::SERVICE_UNAVAILABLE, "overloaded, retry later")
                     .with_header("Retry-After", secs.to_string())
                     .into_prefab()
@@ -464,8 +464,8 @@ impl ShedResponder {
         }
     }
 
-    /// The next shed response — a clone of a frozen prefab, wire bytes
-    /// shared.
+    /// The next shed response — a clone of a frozen prefab, head and
+    /// body shared.
     pub fn next(&self) -> Response {
         let mut rng = self
             .rng

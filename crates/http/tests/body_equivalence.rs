@@ -1,5 +1,6 @@
 //! Body-representation equivalence: `Body::Owned`, `Body::Shared`, and
-//! prefab wire images must be indistinguishable on the wire.
+//! prefabs (a frozen head over a shared body) must be indistinguishable on
+//! the wire.
 //!
 //! The zero-copy read path swaps owned bodies for shared (and frozen)
 //! ones; these tests pin the contract that makes the swap safe — every

@@ -139,8 +139,7 @@ fn ewouldblock_write_resumption_on_epoll_variants() {
     // cursor, the loop must re-arm EPOLLOUT (the workers engine retries
     // its blocking write instead, as after a short `SO_SNDTIMEO` stall),
     // and the response must arrive byte-intact once the (injected)
-    // congestion clears — on both a shared-body response and a prefab
-    // wire image.
+    // congestion clears — on both a shared-body response and a prefab.
     let _scope = FaultScope::enter();
     const BODY: usize = 256 << 10;
     let big: Arc<[u8]> = (0..BODY).map(|i| (i % 251) as u8).collect();

@@ -29,7 +29,7 @@
 //! a leaf under any caller lock.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Write};
 use std::sync::{Arc, Mutex};
 
 use rcb_util::{Clock, DetRng, SimDuration, SimTime, VirtualClock};
@@ -343,8 +343,11 @@ impl SimNet {
         }
     }
 
-    fn write(&self, id: u64, side: Side, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
+    /// Sends `bufs` as one transfer, as one kernel `writev` sends them
+    /// together: one serialization slot, one jitter and one loss draw.
+    fn write(&self, id: u64, side: Side, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        let len: usize = bufs.iter().map(|b| b.len()).sum();
+        if len == 0 {
             return Ok(0);
         }
         let now = self.clock.now();
@@ -363,7 +366,7 @@ impl SimNet {
             Side::Server => (conn.link.spec.down_bps, conn.link.spec.latency),
         };
         let d = &mut conn.dirs[dir_idx];
-        if d.buffered + buf.len() > DIR_CAPACITY {
+        if d.buffered + len > DIR_CAPACITY {
             return Err(io::Error::new(
                 io::ErrorKind::OutOfMemory,
                 "sim conn buffer full (reader not draining)",
@@ -371,7 +374,7 @@ impl SimNet {
         }
         // FIFO serialization, then latency, then the seeded perturbations.
         let begin = now.max(d.busy_until);
-        d.busy_until = begin + LinkSpec::serialization(buf.len(), bps);
+        d.busy_until = begin + LinkSpec::serialization(len, bps);
         let mut arrival = d.busy_until + latency;
         if conn.link.jitter > SimDuration::ZERO {
             arrival +=
@@ -384,18 +387,18 @@ impl SimNet {
         // Head-of-line blocking: a TCP stream delivers in order.
         arrival = arrival.max(d.last_arrival);
         d.last_arrival = arrival;
-        d.in_flight.push_back((arrival, buf.to_vec()));
-        d.buffered += buf.len();
+        let mut bytes = Vec::with_capacity(len);
+        for buf in bufs {
+            bytes.extend_from_slice(buf);
+        }
+        d.in_flight.push_back((arrival, bytes));
+        d.buffered += len;
         SimNet::trace_line(
             inner,
             now,
-            format!(
-                "xfer #{id} dir{dir_idx} {}B arr={}",
-                buf.len(),
-                arrival.as_micros()
-            ),
+            format!("xfer #{id} dir{dir_idx} {len}B arr={}", arrival.as_micros()),
         );
-        Ok(buf.len())
+        Ok(len)
     }
 
     /// Moves matured segments into the reader-visible queue.
@@ -519,7 +522,11 @@ impl SimConn {
 
 impl Write for SimConn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.net.write(self.id, self.side, buf)
+        self.net.write(self.id, self.side, &[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        self.net.write(self.id, self.side, bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -778,6 +785,30 @@ mod tests {
         };
         assert_eq!(run(7), run(7), "same seed replays byte-identically");
         assert_ne!(run(7), run(8), "jitter draws depend on the seed");
+    }
+
+    #[test]
+    fn a_vectored_write_is_one_transfer() {
+        let world = World::new(7);
+        let listener = world.bind("host").unwrap();
+        let mut client = world.connect("p1", "host", fast_link()).unwrap();
+        let (head, body) = (&b"HTTP/1.1 200 OK\r\n\r\n"[..], &b"<newContent/>"[..]);
+        let sent = client
+            .write_vectored(&[IoSlice::new(head), IoSlice::new(body)])
+            .unwrap();
+        assert_eq!(sent, head.len() + body.len());
+        let xfers: Vec<String> = world
+            .trace()
+            .into_iter()
+            .filter(|line| line.contains("xfer"))
+            .collect();
+        assert_eq!(xfers.len(), 1, "{xfers:?}");
+        assert!(xfers[0].contains(&format!(" {sent}B ")), "{}", xfers[0]);
+        while step(&world) {}
+        let mut server = listener.try_accept().unwrap();
+        let mut buf = [0u8; 64];
+        let n = server.try_read(&mut buf).unwrap();
+        assert_eq!(&buf[..n], [head, body].concat().as_slice());
     }
 
     #[test]
