@@ -1,6 +1,9 @@
 //! Microbenchmarks of the substrate crates on the protocol's hot paths:
 //! HTML parsing, innerHTML serialization, Fig.-4 XML write/read, the JS
-//! escape pair, HMAC signing, HTTP parsing, and the prefab write.
+//! escape pair, HMAC signing, HTTP parsing, the prefab write, and the
+//! epoll engine's dispatch handoff.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -125,9 +128,57 @@ fn bench_crypto_http(c: &mut Criterion) {
     sha.finish();
 }
 
+/// The dispatch-pool handoff in isolation: one loopback round trip of a
+/// tiny request on one event loop (`epoll-sharded:1`), answered by the
+/// loop itself through a non-blocking entry, and the same reply from a
+/// plain handler, which the loop hands to its dispatch pool (job queue,
+/// condvar, completion queue and waker).
+fn bench_engine(c: &mut Criterion) {
+    use rcb_http::server::{
+        handler_fn, HandlerOutcome, HttpServer, ServerBackend, ServerConfig, TryHandler,
+        EPOLL_SUPPORTED,
+    };
+    if !EPOLL_SUPPORTED {
+        return;
+    }
+    let reply = rcb_http::Response::xml(Vec::new()).into_prefab();
+    let config = || {
+        ServerConfig::builder()
+            .backend(ServerBackend::EpollSharded(1))
+            .workers(1)
+            .build()
+    };
+    let handler = {
+        let reply = reply.clone();
+        handler_fn(move |_| reply.clone())
+    };
+    let on_loop: TryHandler = Arc::new(move |_| Ok(HandlerOutcome::Respond(reply.clone())));
+    let servers = [
+        (
+            "loop_answered_rtt",
+            HttpServer::bind_split("127.0.0.1:0", Arc::clone(&handler), on_loop, config()),
+        ),
+        (
+            "pool_handoff_rtt",
+            HttpServer::bind_with("127.0.0.1:0", handler, config()),
+        ),
+    ];
+    let mut group = c.benchmark_group("engine");
+    let request = rcb_http::Request::get("/");
+    for (label, server) in servers {
+        let server = server.expect("bind loopback");
+        let mut conn = rcb_http::client::HttpConnection::connect(&server.addr().to_string())
+            .expect("connect loopback");
+        group.bench_function(label, |b| {
+            b.iter(|| conn.round_trip(&request).expect("round trip"))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_html, bench_escape, bench_xml, bench_crypto_http
+    targets = bench_html, bench_escape, bench_xml, bench_crypto_http, bench_engine
 }
 criterion_main!(benches);

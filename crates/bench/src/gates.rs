@@ -32,6 +32,17 @@ pub fn polls_overlapped(peak_concurrency: u64) -> bool {
     peak_concurrency >= 2
 }
 
+/// Whether [`polls_overlapped`] can hold on `backend` (the engine the
+/// host resolved): two idle polls run at once only where two threads
+/// answer them — a worker pool, or two or more event loops. One loop
+/// answers its idle polls on its own thread, one at a time.
+pub fn polls_overlap_armed(backend: ServerBackend) -> bool {
+    match backend {
+        ServerBackend::Workers => true,
+        ServerBackend::EpollSharded(loops) => loops >= 2,
+    }
+}
+
 /// With real cores to scale onto, demand genuine growth too (on fewer
 /// than 4 cores wall-clock growth is not physically available, so the
 /// gate passes vacuously and `no_collapse` carries the load).
@@ -287,6 +298,14 @@ mod tests {
         assert!(!polls_overlapped(1));
         assert!(polls_overlapped(2));
         assert!(polls_overlapped(64));
+    }
+
+    #[test]
+    fn overlap_gate_arms_where_two_threads_answer_idle_polls() {
+        assert!(polls_overlap_armed(ServerBackend::Workers));
+        assert!(!polls_overlap_armed(ServerBackend::EpollSharded(1)));
+        assert!(polls_overlap_armed(ServerBackend::EpollSharded(2)));
+        assert!(polls_overlap_armed(ServerBackend::EpollSharded(8)));
     }
 
     #[test]

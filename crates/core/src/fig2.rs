@@ -49,6 +49,41 @@ pub(crate) trait Deployment {
     fn snapshot(&mut self) -> Result<Arc<ContentSnapshot>>;
 }
 
+/// A request as Fig. 2 classifies it, parsed without side effects: what
+/// answering it will take. Classifying moves no counter and records no
+/// participant state, so a caller may classify, decide not to answer yet
+/// (an event loop that must not block), and hand the request on.
+pub(crate) enum Work<'r> {
+    /// `GET /`: the initial page.
+    Join,
+    /// `GET /cache/...`: an object, by its prefix-stripped path.
+    Object(&'r str),
+    /// `POST /poll`.
+    Poll(PollWork),
+    /// Anything else: `404`.
+    Unknown,
+}
+
+/// A poll's parsed parts.
+pub(crate) struct PollWork {
+    /// The participant id, when `p` is well-formed.
+    pid: Option<u64>,
+    /// The participant's content timestamp (`t=`).
+    client_time: u64,
+    /// The piggybacked actions the interaction policy allows: what the
+    /// deployment must merge. Actions the policy would discard never
+    /// reach the deployment (nor its host mutex).
+    merge: Vec<UserAction>,
+}
+
+impl Work<'_> {
+    /// Whether answering merges into the host page: the one step of Fig.
+    /// 2 that can block (the host mutex, then maybe a regeneration).
+    pub(crate) fn merges(&self) -> bool {
+        matches!(self, Work::Poll(poll) if !poll.merge.is_empty())
+    }
+}
+
 /// How the request path answers one request.
 pub(crate) enum Answer {
     /// Send this response now.
@@ -221,26 +256,60 @@ impl RequestPath {
         self.initial_page.body_str()
     }
 
-    /// Answers one request (Fig. 2). Classification is session-local: the
-    /// configured path prefix is stripped first (`""` for the classic
-    /// deployment), so a routed `/s/{sid}/poll` classifies like `/poll`.
+    /// Answers one request (Fig. 2): [`RequestPath::classify`], then
+    /// [`RequestPath::answer`].
     pub(crate) fn handle(
         &self,
         req: &Request,
         now: SimTime,
         deployment: &mut impl Deployment,
     ) -> Answer {
+        self.answer(req, self.classify(req), now, deployment)
+    }
+
+    /// Classifies one request (see [`Work`]). Classification is
+    /// session-local: the configured path prefix is stripped first (`""`
+    /// for the classic deployment), so a routed `/s/{sid}/poll`
+    /// classifies like `/poll`.
+    pub(crate) fn classify<'r>(&self, req: &'r Request) -> Work<'r> {
         let local = req.path().strip_prefix(self.path_prefix.as_str());
-        let response = match (req.method, local) {
-            (Method::Get, Some("/")) => {
+        match (req.method, local) {
+            (Method::Get, Some("/")) => Work::Join,
+            (Method::Get, Some(path)) if path.starts_with("/cache/") => Work::Object(path),
+            (Method::Post, Some("/poll")) => {
+                let pid = req.query_param("p").and_then(|v| v.parse::<u64>().ok());
+                // Borrowed parse: `from_utf8_lossy` only allocates when the
+                // body is not valid UTF-8 (never for snippet-built polls).
+                let (client_time, mut merge) = parse_poll_body(&String::from_utf8_lossy(&req.body));
+                if !pid.is_some_and(|pid| self.interaction_policy.allows(pid)) {
+                    merge.clear();
+                }
+                Work::Poll(PollWork {
+                    pid,
+                    client_time,
+                    merge,
+                })
+            }
+            _ => Work::Unknown,
+        }
+    }
+
+    /// Answers a request classified as `work`.
+    pub(crate) fn answer(
+        &self,
+        req: &Request,
+        work: Work<'_>,
+        now: SimTime,
+        deployment: &mut impl Deployment,
+    ) -> Answer {
+        let response = match work {
+            Work::Join => {
                 bump(&self.stats.connections);
                 self.initial_page.clone()
             }
-            (Method::Get, Some(path)) if path.starts_with("/cache/") => {
-                self.object(req, path, deployment)
-            }
-            (Method::Post, Some("/poll")) => return self.poll(req, now, deployment),
-            _ => Response::error(Status::NOT_FOUND, "unknown request type"),
+            Work::Object(path) => self.object(req, path, deployment),
+            Work::Poll(poll) => return self.poll(req, poll, now, deployment),
+            Work::Unknown => Response::error(Status::NOT_FOUND, "unknown request type"),
         };
         Answer::Reply(self.sent(response))
     }
@@ -283,7 +352,13 @@ impl RequestPath {
 
     /// Ajax polls (Fig. 2, right path): HMAC verification, data merging,
     /// timestamp inspection, and the content, empty or park answer.
-    fn poll(&self, req: &Request, now: SimTime, deployment: &mut impl Deployment) -> Answer {
+    fn poll(
+        &self,
+        req: &Request,
+        poll: PollWork,
+        now: SimTime,
+        deployment: &mut impl Deployment,
+    ) -> Answer {
         let in_flight = self.stats.polls_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats
             .max_concurrent_polls
@@ -300,23 +375,19 @@ impl RequestPath {
         // Every participant must carry a well-formed `p` id: falling back
         // to a default would collapse all such participants into one
         // shared pid-0 state (merged poll counters, shared last_doc_time).
-        let Some(pid) = req.query_param("p").and_then(|v| v.parse::<u64>().ok()) else {
+        let Some(pid) = poll.pid else {
             bump(&self.stats.bad_requests);
             return self.reply(Response::error(
                 Status::BAD_REQUEST,
                 "missing or malformed participant id",
             ));
         };
-        // Borrowed parse: `from_utf8_lossy` only allocates when the body
-        // is not valid UTF-8 (never for snippet-built polls).
-        let body = String::from_utf8_lossy(&req.body);
-        let (client_time, actions) = parse_poll_body(&body);
+        let client_time = poll.client_time;
         self.participants.record_poll(pid, client_time, now);
 
-        // Data merging. Polls whose actions the policy would discard
-        // anyway never reach the deployment (nor its host mutex).
-        if !actions.is_empty() && self.interaction_policy.allows(pid) {
-            deployment.merge(pid, actions);
+        // Data merging: the allowed actions only.
+        if !poll.merge.is_empty() {
+            deployment.merge(pid, poll.merge);
         }
 
         // Timestamp inspection: the participant's content timestamp

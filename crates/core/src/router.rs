@@ -48,16 +48,31 @@
 //! the hub's engine wake, whose locks are leaves below everything here).
 //! The fairness gate is per-session state acquired strictly after the
 //! shard lock is released.
+//!
+//! # Two entries
+//!
+//! [`SessionRouter::make_handler`] answers every request and may block:
+//! it creates sessions, runs the eviction sweep, waits at a fairness
+//! gate, and merges actions under a session's host mutex.
+//! [`SessionRouter::make_try_handler`] is the same routing, for an epoll
+//! event loop: at each of those four points it hands the request back
+//! untouched instead — before any counter moves — and the engine runs it
+//! through the blocking entry on a dispatch thread. It only `try_read`s
+//! the shard map (a creation holds the write lock across the factory),
+//! and a session's gate admits it only below the in-flight bound. Every
+//! other request — joins, object fetches, polls without allowed actions,
+//! parks — is answered where it arrived.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock, TryLockError};
 use std::time::Duration;
 
 use rcb_browser::Browser;
 use rcb_crypto::SessionKey;
 use rcb_http::server::{
     Handler, HandlerOutcome, HttpServer, ParkHub, ServerBackend, ServerConfig, ShedResponder,
+    TryHandler,
 };
 use rcb_http::{Request, Response, Status};
 use rcb_util::{Clock, RcbError, Result};
@@ -124,10 +139,13 @@ enum Admission {
     /// `fairness_queued` stat.
     AdmittedAfterWait,
     Shed,
+    /// At the in-flight bound, for a caller that may not wait (nor count
+    /// a shed): it hands the request to one that may.
+    AtBound,
 }
 
 impl FairnessGate {
-    fn acquire(&self, max_inflight: usize, max_waiters: usize) -> Admission {
+    fn acquire(&self, max_inflight: usize, max_waiters: usize, may_wait: bool) -> Admission {
         let mut st = self
             .state
             .lock()
@@ -135,6 +153,9 @@ impl FairnessGate {
         if st.0 < max_inflight {
             st.0 += 1;
             return Admission::Admitted;
+        }
+        if !may_wait {
+            return Admission::AtBound;
         }
         if st.1 >= max_waiters {
             return Admission::Shed;
@@ -463,6 +484,18 @@ impl SessionRouter {
         }))
     }
 
+    /// The live session for `sid`, without waiting: `None` when it does
+    /// not exist yet or a writer (a creation or an eviction sweep) holds
+    /// its shard — both are the blocking entry's to handle.
+    fn try_lookup(&self, sid: &str) -> Option<Arc<SessionEntry>> {
+        let shard = match self.shard_for(sid).try_read() {
+            Ok(shard) => shard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        shard.get(sid).map(Arc::clone)
+    }
+
     fn get_or_create(&self, sid: &str) -> Route {
         {
             let shard = self
@@ -545,73 +578,116 @@ impl SessionRouter {
 
     /// The routing handler: parses the session prefix, finds or lazily
     /// creates the session, applies the fairness gate, and dispatches
-    /// into the session's own handler.
+    /// into the session's own handler. It answers every request, and may
+    /// block doing so.
     pub fn make_handler(self: &Arc<Self>) -> Handler {
         let router = Arc::clone(self);
-        Arc::new(move |req| router.route(req))
+        Arc::new(move |req| {
+            router
+                .route(req, false)
+                .unwrap_or_else(|_| unreachable!("the blocking entry answers every request"))
+        })
     }
 
-    /// Runs an idle-eviction sweep from the dispatch path when one is
-    /// due: at most once per quarter idle horizon (never more than once
-    /// per virtual second), and only on the single thread that wins the
-    /// CAS — everyone else sees a fresh `last_sweep` and skips. Keeps
-    /// eviction self-driving: a router that receives traffic sheds its
-    /// idle sessions without an external sweeper thread.
-    fn maybe_sweep(&self) {
+    /// The routing handler's non-blocking entry, for the epoll engine's
+    /// event loops (see [`HttpServer::bind_split`] and the module docs):
+    /// the same routing as [`SessionRouter::make_handler`], except that
+    /// it hands back, untouched, every request that would create its
+    /// session, run a due eviction sweep, find its session's fairness
+    /// gate at its bound, or merge actions into the host page.
+    pub fn make_try_handler(self: &Arc<Self>) -> TryHandler {
+        let router = Arc::clone(self);
+        Arc::new(move |req| router.route(req, true))
+    }
+
+    /// Binds an engine on `addr` with both of this router's entries: on
+    /// the epoll engine, requests that cannot block are answered on the
+    /// event loops and only the rest reach the dispatch pool.
+    pub(crate) fn serve(self: &Arc<Self>, addr: &str, config: ServerConfig) -> Result<HttpServer> {
+        HttpServer::bind_split(addr, self.make_handler(), self.make_try_handler(), config)
+    }
+
+    /// The `last_sweep` reading an idle-eviction sweep is due against,
+    /// and now: at most one sweep per quarter idle horizon (never more
+    /// than one per virtual second). Sweeps run from the dispatch path,
+    /// on the single thread that wins the CAS on `last_sweep` — everyone
+    /// else sees a fresh reading and skips — so a router that receives
+    /// traffic sheds its idle sessions without an external sweeper
+    /// thread.
+    fn sweep_due(&self) -> Option<(u64, u64)> {
         // A zero horizon would evict every session on every sweep —
         // useless as an automatic policy. Zero therefore means
         // caller-driven eviction only (tests drive `evict_idle`
         // directly).
         if self.config.idle_evict.is_zero() {
-            return;
+            return None;
         }
         let interval = (self.config.idle_evict.as_micros() as u64 / 4).max(1_000_000);
         let now = self.now_micros();
         let last = self.last_sweep.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < interval {
-            return;
-        }
-        if self
-            .last_sweep
-            .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.evict_idle();
-        }
+        (now.saturating_sub(last) >= interval).then_some((last, now))
     }
 
-    fn route(&self, req: Request) -> HandlerOutcome {
-        self.maybe_sweep();
+    /// Routes one request. `on_loop`: the caller is an event loop that
+    /// must not block, so the request comes back (`Err`), untouched,
+    /// wherever answering it could block — before any counter moves.
+    /// The blocking entry (`on_loop == false`) always answers.
+    fn route(&self, req: Request, on_loop: bool) -> std::result::Result<HandlerOutcome, Request> {
+        match self.sweep_due() {
+            Some(_) if on_loop => return Err(req),
+            Some((last, now)) => {
+                let won = self
+                    .last_sweep
+                    .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok();
+                if won {
+                    self.evict_idle();
+                }
+            }
+            None => {}
+        }
         let sid = match parse_sid(req.path()) {
-            SidParse::Routed(sid) => sid.to_string(),
-            SidParse::Default => String::new(),
+            SidParse::Routed(sid) => sid,
+            SidParse::Default => "",
             SidParse::Malformed => {
                 self.counters
                     .unknown_session_404s
                     .fetch_add(1, Ordering::Relaxed);
-                return self.not_found.clone().into();
+                return Ok(self.not_found.clone().into());
             }
         };
-        let entry = match self.get_or_create(&sid) {
-            Route::Session(e) => e,
-            Route::Unknown => {
-                self.counters
-                    .unknown_session_404s
-                    .fetch_add(1, Ordering::Relaxed);
-                return self.not_found.clone().into();
+        let entry = if on_loop {
+            match self.try_lookup(sid) {
+                Some(e) => e,
+                None => return Err(req),
             }
-            Route::AtCap => {
-                self.counters.cap_sheds.fetch_add(1, Ordering::Relaxed);
-                return self.shed.next().into();
+        } else {
+            match self.get_or_create(sid) {
+                Route::Session(e) => e,
+                Route::Unknown => {
+                    self.counters
+                        .unknown_session_404s
+                        .fetch_add(1, Ordering::Relaxed);
+                    return Ok(self.not_found.clone().into());
+                }
+                Route::AtCap => {
+                    self.counters.cap_sheds.fetch_add(1, Ordering::Relaxed);
+                    return Ok(self.shed.next().into());
+                }
             }
         };
+        let work = entry.host.classify(&req);
+        if on_loop && work.merges() {
+            return Err(req);
+        }
         entry
             .last_activity
             .store(self.now_micros(), Ordering::Relaxed);
-        match entry
-            .gate
-            .acquire(self.config.session_inflight, self.config.session_waiters)
-        {
+        match entry.gate.acquire(
+            self.config.session_inflight,
+            self.config.session_waiters,
+            !on_loop,
+        ) {
             Admission::Admitted => {}
             Admission::AdmittedAfterWait => {
                 self.counters
@@ -621,8 +697,9 @@ impl SessionRouter {
             Admission::Shed => {
                 entry.fairness_shed.fetch_add(1, Ordering::Relaxed);
                 self.counters.fairness_shed.fetch_add(1, Ordering::Relaxed);
-                return self.shed.next().into();
+                return Ok(self.shed.next().into());
             }
+            Admission::AtBound => return Err(req),
         }
         self.counters
             .requests_routed
@@ -630,9 +707,9 @@ impl SessionRouter {
         // The slot is held across the handler call only: a returned Park
         // waits in the engine without a slot (exactly as it holds no
         // dispatch thread), so parked sessions cost nothing here.
-        let outcome = entry.host.handle(&req);
+        let outcome = entry.host.answer(&req, work);
         entry.gate.release();
-        outcome
+        Ok(outcome)
     }
 
     /// Two-tier stats: process counters plus every live session's gauges
@@ -762,10 +839,10 @@ pub struct RouterHost {
 }
 
 impl RouterHost {
-    /// Binds the serving engine on `addr` with the routing handler. The
-    /// router wires itself to the `ServerConfig`'s park hub, clock and
-    /// overload limits, the same seam every session's host publishes
-    /// through.
+    /// Binds the serving engine on `addr` with the routing handler and
+    /// its non-blocking entry. The router wires itself to the
+    /// `ServerConfig`'s park hub, clock and overload limits, the same
+    /// seam every session's host publishes through.
     pub fn start(
         addr: &str,
         factory: SessionFactory,
@@ -774,7 +851,7 @@ impl RouterHost {
         server_config: ServerConfig,
     ) -> Result<RouterHost> {
         let router = SessionRouter::new(factory, agent_config, router_config, &server_config);
-        let server = HttpServer::bind_with(addr, router.make_handler(), server_config)?;
+        let server = router.serve(addr, server_config)?;
         Ok(RouterHost { server, router })
     }
 

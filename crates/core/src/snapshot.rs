@@ -16,8 +16,8 @@
 //!   response: its head (status line + headers, pre-signed when response
 //!   authentication is on) is serialized once at snapshot build time, the
 //!   XML is its shared body, and every participant's content poll is
-//!   answered by cloning two `Arc`s — zero bytes are heap-copied per
-//!   request, and the snapshot holds one copy of the XML;
+//!   answered by cloning the prefab, which bumps `Arc`s — zero bytes are
+//!   heap-copied per request, and the snapshot holds one copy of the XML;
 //! * every supplementary object the content (and its immediate
 //!   predecessor) references, each likewise a prefab response whose body
 //!   *is* the host browser cache entry's `Arc`, resolved through a
@@ -333,17 +333,25 @@ impl SnapshotPlan {
             let Some(url) = view.url_for(key) else {
                 continue;
             };
-            if let Some(entry) = self.cache.get(url) {
-                objects.insert(
-                    key,
-                    prefab_response(
-                        Status::OK,
-                        &entry.content_type,
-                        Arc::clone(&entry.data),
-                        self.sign.then_some(&self.key),
-                    ),
-                );
-            }
+            let Some(entry) = self.cache.get(url) else {
+                continue;
+            };
+            // The predecessor's prefab for the same cache entry is carried
+            // forward: its head is frozen (and, with response
+            // authentication, signed) over this very body already.
+            let frozen = prev
+                .and_then(|prev| prev.objects.get(&key))
+                .filter(|obj| frozen_over(obj, &entry.content_type, &entry.data));
+            let object = match frozen {
+                Some(obj) => obj.clone(),
+                None => prefab_response(
+                    Status::OK,
+                    &entry.content_type,
+                    Arc::clone(&entry.data),
+                    self.sign.then_some(&self.key),
+                ),
+            };
+            objects.insert(key, object);
         }
         // Two-generation bound: carry forward only the predecessor's live
         // set (its prefabs already frozen); anything older ages out with
@@ -518,6 +526,13 @@ fn assemble_batch(
     body
 }
 
+/// Whether `obj` is a prefab of exactly this cache entry: the same body
+/// `Arc` under the same content type.
+fn frozen_over(obj: &Response, content_type: &str, data: &Arc<[u8]>) -> bool {
+    matches!(&obj.body, Body::Shared(body) if Arc::ptr_eq(body, data))
+        && obj.headers.get("content-type") == Some(content_type)
+}
+
 /// Builds a frozen, ready-to-send response: shared body, optional
 /// response MAC, head serialized once.
 pub(crate) fn prefab_response(
@@ -631,6 +646,32 @@ mod tests {
         for key_id in snap.live_keys.clone() {
             let obj = snap.object(key_id).unwrap();
             assert!(crate::auth::verify_response(&key, obj));
+        }
+    }
+
+    #[test]
+    fn unchanged_objects_carry_their_signed_prefab_forward() {
+        let key = SessionKey::generate_deterministic(&mut DetRng::new(23));
+        let mut a = RcbAgent::new(
+            key.clone(),
+            AgentConfig::builder().authenticate_responses(true).build(),
+        );
+        let mut host = loaded_host("wikipedia.org");
+        let first = ContentSnapshot::build(&mut a, &host, SimTime::from_secs(1), None).unwrap();
+        append_div(&mut host, "a body edit that leaves every object alone");
+        let second =
+            ContentSnapshot::build(&mut a, &host, SimTime::from_secs(2), Some(&first)).unwrap();
+        assert!(!second.live_keys.is_empty(), "wikipedia.org has objects");
+        for key_id in &second.live_keys {
+            let (before, after) = (
+                first.object(*key_id).unwrap(),
+                second.object(*key_id).unwrap(),
+            );
+            // The same frozen head — neither re-serialized nor re-signed —
+            // over the same body, and its MAC still verifies.
+            assert_eq!(after.head().as_ptr(), before.head().as_ptr());
+            assert_eq!(after.body.as_ptr(), before.body.as_ptr());
+            assert!(crate::auth::verify_response(&key, after));
         }
     }
 

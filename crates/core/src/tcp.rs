@@ -83,7 +83,7 @@ use rcb_http::Request;
 use rcb_util::{Clock, RcbError, Result, SimDuration, SimTime};
 
 use crate::agent::{AgentConfig, AgentStats, RcbAgent};
-use crate::fig2::{Answer, Deployment, RequestPath};
+use crate::fig2::{Answer, Deployment, RequestPath, Work};
 use crate::snapshot::{ContentSnapshot, SnapshotPlan};
 use crate::snippet::{AjaxSnippet, SnippetOutcome};
 
@@ -96,7 +96,8 @@ struct HostCore {
 }
 
 /// One session's serving state. A [`crate::router::SessionRouter`] holds
-/// one per session and routes each request into [`SharedHost::handle`];
+/// one per session and routes each request into [`SharedHost::classify`]
+/// and [`SharedHost::answer`];
 /// every host serves through a router — [`TcpHost`] and
 /// [`crate::router::RouterHost`] over real sockets,
 /// [`crate::worldsim::WorldHost`] over the deterministic fabric — so the
@@ -182,7 +183,7 @@ impl SharedHost {
     #[cfg(test)]
     pub(crate) fn make_handler(self: &Arc<Self>) -> rcb_http::server::Handler {
         let state = Arc::clone(self);
-        Arc::new(move |req| state.handle(&req))
+        Arc::new(move |req| state.answer(&req, state.classify(&req)))
     }
 
     /// Now, on the engine clock, in the document-timestamp domain.
@@ -295,15 +296,22 @@ impl SharedHost {
         Ok(())
     }
 
-    /// Answers one request through the shared Fig.-2 path. What stays
-    /// here is what is concurrent: a park request becomes
-    /// [`HandlerOutcome::Park`], held by the serving engine until the next
-    /// snapshot publication (wake: the fresh prefab, still zero-copy) or
-    /// the park deadline (timeout: the empty-poll prefab) — converting
-    /// per-interval polls into per-change replies.
-    pub(crate) fn handle(self: &Arc<Self>, req: &Request) -> HandlerOutcome {
+    /// Classifies one request through the shared Fig.-2 path, with no
+    /// side effect: the router reads from it whether answering would
+    /// merge (and so could block) before it admits the request.
+    pub(crate) fn classify<'r>(&self, req: &'r Request) -> Work<'r> {
+        self.fig2.classify(req)
+    }
+
+    /// Answers one request, classified as `work`, through the shared
+    /// Fig.-2 path. What stays here is what is concurrent: a park request
+    /// becomes [`HandlerOutcome::Park`], held by the serving engine until
+    /// the next snapshot publication (wake: the fresh prefab, still
+    /// zero-copy) or the park deadline (timeout: the empty-poll prefab) —
+    /// converting per-interval polls into per-change replies.
+    pub(crate) fn answer(self: &Arc<Self>, req: &Request, work: Work<'_>) -> HandlerOutcome {
         let mut deployment: &SharedHost = self;
-        let park = match self.fig2.handle(req, self.now(), &mut deployment) {
+        let park = match self.fig2.answer(req, work, self.now(), &mut deployment) {
             Answer::Reply(response) => return response.into(),
             Answer::Park(park) => park,
         };
@@ -472,7 +480,7 @@ impl TcpHost {
         );
         let handle = router.install_default_session(browser, key)?;
         let shared = Arc::clone(handle.shared_host());
-        let server = HttpServer::bind_with(addr, router.make_handler(), server_config)?;
+        let server = router.serve(addr, server_config)?;
         Ok(TcpHost {
             server,
             router,

@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 use rcb_core::agent::{AgentConfig, LIVE_GENERATIONS};
 use rcb_core::tcp::{TcpHost, TcpParticipant};
 use rcb_crypto::SessionKey;
-use rcb_http::server::ServerConfig;
+use rcb_http::client::HttpConnection;
+use rcb_http::server::{ServerBackend, ServerConfig};
 use rcb_util::DetRng;
 
 const PAGE: &str = "<html><head><title>stress</title></head>\
@@ -106,12 +107,18 @@ fn eight_participants_poll_in_parallel_and_converge() {
 
     let stats = host.stats();
     // Polls overlapped inside the agent: the read path is concurrent, not
-    // serialized behind one lock.
-    assert!(
-        stats.max_concurrent_polls >= 2,
-        "polls never overlapped (max concurrency {})",
-        stats.max_concurrent_polls
-    );
+    // serialized behind one lock. Two idle polls can run at once only
+    // where two threads answer them: a worker pool, or two event loops.
+    // One loop answers its idle polls one at a time, on its own thread;
+    // `idle_polls_answer_on_the_loop_while_the_pool_is_blocked` covers it.
+    if host.backend() != ServerBackend::EpollSharded(1) {
+        assert!(
+            stats.max_concurrent_polls >= 2,
+            "polls never overlapped on {} (max concurrency {})",
+            host.backend(),
+            stats.max_concurrent_polls
+        );
+    }
     // Content was generated once per DOM version — never once per poll,
     // and never while a reader waited: generation count tracks mutations,
     // not the thousands of polls served.
@@ -307,4 +314,320 @@ fn concurrent_cofill_from_many_participants_all_merge() {
         );
     }
     host.shutdown();
+}
+
+/// A signed raw poll: far-future timestamp, so the reply is the empty
+/// prefab; `mouse` piggybacks a pointer move, an allowed action that
+/// merges under the host mutex without changing the DOM.
+fn raw_poll(prefix: &str, key: &SessionKey, pid: u64, mouse: bool) -> rcb_http::Request {
+    let mut body = b"t=99999999999999999".to_vec();
+    if mouse {
+        body.extend_from_slice(b"\nmouse|3|4");
+    }
+    let mut req = rcb_http::Request::post(format!("{prefix}/poll?p={pid}"), body);
+    rcb_core::auth::sign_request(key, &mut req);
+    req
+}
+
+/// One round trip on `conn`, checked for the empty poll reply; returns
+/// its latency.
+fn empty_poll(conn: &mut HttpConnection, req: &rcb_http::Request) -> Duration {
+    let t0 = Instant::now();
+    let resp = conn.round_trip(req).expect("poll round trip");
+    assert!(resp.status.is_success(), "poll answered {}", resp.status.0);
+    assert!(resp.body.is_empty(), "expected the empty reply");
+    t0.elapsed()
+}
+
+/// Waits (bounded) until `ready` holds.
+fn wait_for(what: &str, ready: impl Fn() -> bool) {
+    let t0 = Instant::now();
+    while !ready() {
+        assert!(t0.elapsed() < Duration::from_secs(10), "timed out: {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// How long the blocking work of the next two tests sits on a lock.
+const HOLD: Duration = Duration::from_millis(500);
+/// What an idle poll answered on a free event loop must beat: far below
+/// [`HOLD`].
+const LOOP_BOUND: Duration = Duration::from_millis(150);
+
+/// On one event loop, idle polls are answered on the loop itself, so a
+/// dispatch pool that is entirely blocked does not delay them. A thread
+/// holds the host mutex through a page mutation that sleeps, while one
+/// action-carrying poll per pool thread blocks on that mutex; idle polls
+/// on another connection to the same loop must answer long before the
+/// mutex is released. (With every request crossing the pool, they queued
+/// behind the blocked merges until it was.)
+#[test]
+fn idle_polls_answer_on_the_loop_while_the_pool_is_blocked() {
+    const POOL: usize = 2;
+    let key = SessionKey::generate_deterministic(&mut DetRng::new(93));
+    let mut browser = rcb_browser::Browser::new(rcb_browser::BrowserKind::Firefox);
+    browser.url = Some(rcb_url::Url::parse("http://loop.local/").unwrap());
+    browser.doc = Some(rcb_html::parse_document(PAGE));
+    browser.mutate_dom(|_| {}).unwrap();
+    let host = Arc::new(
+        TcpHost::start_from_browser(
+            "127.0.0.1:0",
+            browser,
+            key.clone(),
+            AgentConfig::default(),
+            ServerConfig::builder()
+                .backend(ServerBackend::EpollSharded(1))
+                .workers(POOL)
+                .build(),
+        )
+        .unwrap(),
+    );
+    assert_eq!(host.backend(), ServerBackend::EpollSharded(1));
+    let addr = host.addr().to_string();
+
+    let holding = Arc::new(AtomicBool::new(false));
+    let mutator = {
+        let host = Arc::clone(&host);
+        let holding = Arc::clone(&holding);
+        std::thread::spawn(move || {
+            host.mutate_page(|_| {
+                holding.store(true, Ordering::SeqCst);
+                std::thread::sleep(HOLD);
+                holding.store(false, Ordering::SeqCst);
+            })
+            .unwrap();
+        })
+    };
+    wait_for("the mutation holds the host mutex", || {
+        holding.load(Ordering::SeqCst)
+    });
+    let mergers: Vec<_> = (0..POOL as u64)
+        .map(|i| {
+            let (addr, key) = (addr.clone(), key.clone());
+            std::thread::spawn(move || {
+                let mut conn = HttpConnection::connect(&addr).unwrap();
+                empty_poll(&mut conn, &raw_poll("", &key, 10 + i, true));
+            })
+        })
+        .collect();
+    // Both merges are inside the handler, each on a pool thread, blocked
+    // on the mutex.
+    wait_for("every pool thread holds a merge", || {
+        host.stats().max_concurrent_polls >= POOL as u64
+    });
+
+    let mut conn = HttpConnection::connect(&addr).unwrap();
+    let idle = raw_poll("", &key, 1, false);
+    let worst = (0..20).map(|_| empty_poll(&mut conn, &idle)).max().unwrap();
+    assert!(
+        holding.load(Ordering::SeqCst),
+        "the idle polls finished only after the host mutex was released"
+    );
+    assert!(
+        worst < LOOP_BOUND,
+        "an idle poll took {worst:?} while the pool was blocked"
+    );
+    mutator.join().unwrap();
+    for m in mergers {
+        m.join().unwrap();
+    }
+    Arc::try_unwrap(host)
+        .map(|mut h| h.shutdown())
+        .unwrap_or(());
+}
+
+/// A request the parser rejects is answered by the connection core on
+/// the event loop, without the handler: a reply while some blocking work
+/// still holds its lock proves that work is not on the loop thread.
+fn probe_loop(addr: &str) {
+    use std::io::{Read, Write};
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    s.write_all(b"NOT AN HTTP REQUEST\r\n\r\n").unwrap();
+    let mut reply = Vec::new();
+    s.read_to_end(&mut reply).unwrap();
+    assert!(
+        reply.starts_with(b"HTTP/1.1 400"),
+        "probe answered {reply:?}"
+    );
+}
+
+/// What one run of [`deferred_cases`] observed.
+#[derive(Debug)]
+struct DeferredRun {
+    router: Vec<u64>,
+    totals: rcb_core::tcp::TcpHostStats,
+    /// The thread that ran the session factory for the sid a participant
+    /// created.
+    factory_thread: Option<String>,
+}
+
+/// The four kinds of request that may block: a request that finds an
+/// eviction sweep due (the sweep waits for a router shard a slow session
+/// creation holds), a request whose session must be created (the factory
+/// records its thread), a merge (it waits for the host mutex a page
+/// mutation holds), and a request that finds its session's fairness gate
+/// at its bound (it waits behind the merge). While the blocking ones
+/// block, probes check that the engine's event loop keeps answering:
+/// each must finish before the lock it waits on is released.
+fn deferred_cases(backend: ServerBackend, workers: usize) -> DeferredRun {
+    use rcb_core::router::{fixed_page_factory, RouterConfig, RouterHost, SessionFactory};
+    use std::sync::Mutex;
+
+    let sids = ["old", "quiet", "s", "slow", "u"];
+    let inner = fixed_page_factory(
+        "http://defer.local/".to_string(),
+        PAGE.to_string(),
+        sids.iter().map(|s| s.to_string()).collect(),
+        "deferred-cases".to_string(),
+    );
+    // The thread that runs the factory for the one session a participant's
+    // request creates.
+    let u_thread: Arc<Mutex<Option<String>>> = Arc::default();
+    let creating_slow = Arc::new(AtomicBool::new(false));
+    let factory: SessionFactory = {
+        let (u_thread, creating_slow) = (Arc::clone(&u_thread), Arc::clone(&creating_slow));
+        Box::new(move |sid| {
+            if sid == "u" {
+                *u_thread.lock().unwrap() = std::thread::current().name().map(str::to_string);
+            }
+            if sid == "slow" {
+                creating_slow.store(true, Ordering::SeqCst);
+                std::thread::sleep(HOLD);
+                creating_slow.store(false, Ordering::SeqCst);
+            }
+            inner(sid)
+        })
+    };
+    // A sweep is due a second after the last one (or the router's start)
+    // and evicts sessions idle for 2 s.
+    let idle_evict = Duration::from_secs(2);
+    let mut host = RouterHost::start(
+        "127.0.0.1:0",
+        factory,
+        AgentConfig::default(),
+        RouterConfig {
+            idle_evict,
+            session_inflight: 1,
+            session_waiters: 4,
+            ..RouterConfig::default()
+        },
+        ServerConfig::builder()
+            .backend(backend)
+            .workers(workers)
+            .build(),
+    )
+    .unwrap();
+    let addr = host.addr().to_string();
+    let router = Arc::clone(host.router());
+    router.create_session("old").unwrap();
+    std::thread::sleep(idle_evict + Duration::from_millis(50));
+    let quiet = router.create_session("quiet").unwrap();
+    let s = router.create_session("s").unwrap();
+
+    // A due sweep, blocked behind a slow creation.
+    let slow = {
+        let router = Arc::clone(&router);
+        std::thread::spawn(move || router.create_session("slow").map(|_| ()))
+    };
+    wait_for("the slow creation holds its router shard", || {
+        creating_slow.load(Ordering::SeqCst)
+    });
+    let sweeper = {
+        let (addr, quiet) = (addr.clone(), quiet.clone());
+        std::thread::spawn(move || {
+            let mut conn = HttpConnection::connect(&addr).unwrap();
+            empty_poll(&mut conn, &raw_poll(&quiet.prefix(), quiet.key(), 7, false));
+        })
+    };
+    std::thread::sleep(Duration::from_millis(20));
+    for _ in 0..3 {
+        probe_loop(&addr);
+    }
+    assert!(
+        creating_slow.load(Ordering::SeqCst),
+        "the probes outlasted the slow creation"
+    );
+    slow.join().unwrap().unwrap();
+    sweeper.join().unwrap();
+
+    // A request whose session must be created (no sweep is due now).
+    let mut conn = HttpConnection::connect(&addr).unwrap();
+    let resp = conn.round_trip(&rcb_http::Request::get("/s/u/")).unwrap();
+    assert!(resp.status.is_success(), "join answered {}", resp.status.0);
+
+    // A merge blocked on the host mutex, and a poll queued at the gate
+    // behind it.
+    let holding = Arc::new(AtomicBool::new(false));
+    let mutator = {
+        let (s, holding) = (s.clone(), Arc::clone(&holding));
+        std::thread::spawn(move || {
+            s.mutate_page(|_| {
+                holding.store(true, Ordering::SeqCst);
+                std::thread::sleep(HOLD);
+                holding.store(false, Ordering::SeqCst);
+            })
+            .unwrap();
+        })
+    };
+    wait_for("the mutation holds the host mutex", || {
+        holding.load(Ordering::SeqCst)
+    });
+    let poll_s = |pid: u64, mouse: bool| {
+        let (addr, key, prefix) = (addr.clone(), s.key().clone(), s.prefix());
+        std::thread::spawn(move || {
+            let mut conn = HttpConnection::connect(&addr).unwrap();
+            empty_poll(&mut conn, &raw_poll(&prefix, &key, pid, mouse));
+        })
+    };
+    let merger = poll_s(1, true);
+    wait_for("the merge holds the session's one gate slot", || {
+        s.stats().max_concurrent_polls >= 1
+    });
+    let queued = poll_s(2, false);
+    std::thread::sleep(Duration::from_millis(20));
+    let mut conn = HttpConnection::connect(&addr).unwrap();
+    for _ in 0..3 {
+        probe_loop(&addr);
+        empty_poll(&mut conn, &raw_poll(&quiet.prefix(), quiet.key(), 7, false));
+    }
+    assert!(
+        holding.load(Ordering::SeqCst),
+        "the probes outlasted the host mutex hold"
+    );
+    mutator.join().unwrap();
+    merger.join().unwrap();
+    queued.join().unwrap();
+
+    let stats = host.stats();
+    host.shutdown();
+    let factory_thread = u_thread.lock().unwrap().clone();
+    DeferredRun {
+        router: vec![
+            stats.sessions_live as u64,
+            stats.sessions_created,
+            stats.sessions_evicted,
+            stats.cap_sheds,
+            stats.unknown_session_404s,
+            stats.requests_routed,
+            stats.fairness_queued,
+            stats.fairness_shed,
+        ],
+        totals: stats.totals,
+        factory_thread,
+    }
+}
+
+/// No request that may block runs on an event loop thread, and deferring
+/// it changes nothing the router or the sessions count: the stats equal
+/// the workers engine's for the same requests.
+#[test]
+fn blocking_work_never_runs_on_an_event_loop() {
+    let workers = deferred_cases(ServerBackend::Workers, 4);
+    let epoll = deferred_cases(ServerBackend::EpollSharded(1), 2);
+    assert_eq!(workers.factory_thread.as_deref(), Some("rcb-worker"));
+    assert_eq!(epoll.factory_thread.as_deref(), Some("rcb-pool-0"));
+    // live, created, evicted, cap sheds, 404s, routed, queued, shed.
+    assert_eq!(workers.router, vec![4, 5, 1, 0, 0, 7, 1, 0]);
+    assert_eq!(epoll.router, workers.router);
+    assert_eq!(epoll.totals, workers.totals);
 }

@@ -26,14 +26,28 @@
 //! transient accept errors) in exactly one place.
 //!
 //! `Handler` calls are synchronous and may be arbitrarily slow (a poll
-//! that triggers a merge takes the host mutex), so no loop ever invokes
-//! the handler itself: the core's [`Step::Dispatch`] goes to the shard's
-//! small blocking-dispatch thread pool, and the outcome comes back over
-//! the shard's completion queue plus its waker. The core holds one
-//! dispatch (or park) per connection, so responses return in request
-//! order; requests on *different* connections run concurrently up to the
-//! shard's pool size, and different shards share nothing but the handler
-//! `Arc` — there is no cross-shard lock on any per-request path.
+//! that merges takes the host mutex and may sit behind a regeneration),
+//! so a loop never runs the blocking [`Handler`]. When the server was
+//! bound with a non-blocking entry ([`TryHandler`], see
+//! [`HttpServer::bind_split`](crate::server::HttpServer::bind_split)),
+//! each loop calls that entry on the core's [`Step::Dispatch`] itself:
+//! what it answers — in RCB, every request that neither creates a
+//! session, sweeps, waits at a fairness gate nor merges, so every idle
+//! poll — completes on the spot, with no queue, condvar or waker in
+//! between. Only what it hands back (and every request of a handler
+//! without such an entry) goes to the shard's small blocking-dispatch
+//! thread pool, whose outcome comes back over the completion queue plus
+//! the waker; the admission mark therefore bounds that pool's queue. A
+//! panic in the entry is caught on the loop as on the pool: a 500, the
+//! connection closes, the loop lives. The core holds one dispatch (or
+//! park) per connection, so responses return in request order; requests
+//! on *different* connections run concurrently up to the shard's pool
+//! size (answers on one loop run one at a time), and different shards
+//! share nothing but the handler `Arc`s — there is no cross-shard lock
+//! on any per-request path.
+//!
+//! Threads are named for what they run — `rcb-loop-{shard}` and
+//! `rcb-pool-{shard}` — so a stack dump, or a test, can tell them apart.
 //!
 //! Writes go through [`crate::serialize::ResponseWriter`]: every
 //! response as a vectored head + body write, the body straight from its
@@ -58,8 +72,8 @@ use crate::conn::{ConnCore, ConnCtx, Step};
 use crate::message::Request;
 use crate::serialize::WriteProgress;
 use crate::server::{
-    invoke_handler, next_accept_backoff, Handler, HandlerOutcome, ServerConfig, ServerStats,
-    ACCEPT_BACKOFF_START,
+    invoke, invoke_handler, next_accept_backoff, Handler, HandlerOutcome, ServerConfig,
+    ServerStats, TryHandler, ACCEPT_BACKOFF_START,
 };
 
 /// This module variant is the real backend (see `epoll_stub.rs` for the
@@ -319,6 +333,21 @@ struct LoopShard {
     /// Limits, counters, shed pool, and park hub shared by every core
     /// (and across shards, so counters aggregate server-wide).
     ctx: Arc<ConnCtx>,
+    /// The handler's non-blocking entry, run on this loop's thread.
+    try_handler: Option<TryHandler>,
+}
+
+/// Answers a dispatch on the loop thread when the handler's non-blocking
+/// entry can: `Ok` is the outcome (a panic caught as on the pool), `Err`
+/// the request for the pool.
+fn answer_on_loop(
+    try_handler: Option<&TryHandler>,
+    request: Request,
+) -> std::result::Result<(HandlerOutcome, bool), Request> {
+    match try_handler {
+        Some(entry) => invoke(|| entry(request)),
+        None => Err(request),
+    }
 }
 
 impl LoopShard {
@@ -363,8 +392,9 @@ impl LoopShard {
     }
 
     /// Runs one connection's core until it idles, blocks on a write, or
-    /// closes: dispatches go to the pool, staged responses drain to the
-    /// socket. Returns whether the connection stays open.
+    /// closes: a dispatch is answered here when the non-blocking entry
+    /// can and goes to the pool otherwise, and staged responses drain to
+    /// the socket. Returns whether the connection stays open.
     fn drive(&mut self, index: usize, now: SimTime) -> bool {
         let token = token_of(index, self.slots[index].gen);
         let Some((stream, core)) = self.slots[index].conn.as_mut() else {
@@ -372,7 +402,12 @@ impl LoopShard {
         };
         loop {
             match core.next(now, || self.shared.queue_len()) {
-                Step::Dispatch(request) => self.shared.submit(Job { token, request }),
+                Step::Dispatch(request) => {
+                    match answer_on_loop(self.try_handler.as_ref(), request) {
+                        Ok(outcome) => core.complete(outcome, now),
+                        Err(request) => self.shared.submit(Job { token, request }),
+                    }
+                }
                 Step::Write => match core.drain(&self.clock, |w| w.write_some(stream)) {
                     Ok(WriteProgress::Done) => {}
                     Ok(WriteProgress::Blocked) => return true,
@@ -600,6 +635,7 @@ impl EpollServer {
     pub(crate) fn bind(
         addr: &str,
         handler: Handler,
+        try_handler: Option<TryHandler>,
         config: &ServerConfig,
         shard_count: usize,
     ) -> Result<EpollServer> {
@@ -660,6 +696,7 @@ impl EpollServer {
                 acceptor,
                 clock: config.clock.clone(),
                 ctx: Arc::clone(&ctx),
+                try_handler: try_handler.clone(),
             });
             // A publish on the hub pokes this shard's waker, so a parked
             // poll resolves on the very next loop iteration instead of
@@ -673,15 +710,25 @@ impl EpollServer {
         // Phase 2, infallible: start every loop and its dispatch slice.
         let per_shard_workers = config.workers.max(1).div_ceil(shard_count);
         let mut threads = Vec::with_capacity(shard_count * (per_shard_workers + 1));
+        let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(body)
+                .expect("failed to spawn thread")
+        };
         for (index, shard) in loop_shards.into_iter().enumerate() {
-            threads.push(std::thread::spawn(move || shard.run()));
+            threads.push(spawn(
+                format!("rcb-loop-{index}"),
+                Box::new(move || shard.run()),
+            ));
             for _ in 0..per_shard_workers {
                 let shared = Arc::clone(&handles[index].shared);
                 let handler = Arc::clone(&handler);
                 let waker = handles[index].waker.clone();
-                threads.push(std::thread::spawn(move || {
-                    dispatch_worker(shared, handler, waker)
-                }));
+                threads.push(spawn(
+                    format!("rcb-pool-{index}"),
+                    Box::new(move || dispatch_worker(shared, handler, waker)),
+                ));
             }
         }
 

@@ -2,7 +2,7 @@
 //!
 //! Never constructed at runtime: `ServerBackend::effective()` degrades
 //! `EpollSharded` to `Workers` wherever this module is the one compiled
-//! in, so `HttpServer::bind_with` never reaches
+//! in, so `HttpServer::bind_with` / `bind_split` never reach
 //! [`EpollServer::bind`]. The type exists so the server facade's `Engine`
 //! enum and its match arms compile identically on every target — the
 //! platform `cfg` lives on the module declarations in `lib.rs` and nowhere
@@ -13,7 +13,7 @@ use std::net::SocketAddr;
 
 use rcb_util::Result;
 
-use crate::server::{Handler, ServerConfig, ServerStats};
+use crate::server::{Handler, ServerConfig, ServerStats, TryHandler};
 
 /// This module variant is the stub (backs `server::EPOLL_SUPPORTED`).
 pub(crate) const SUPPORTED: bool = false;
@@ -28,6 +28,7 @@ impl EpollServer {
     pub(crate) fn bind(
         _addr: &str,
         _handler: Handler,
+        _try_handler: Option<TryHandler>,
         _config: &ServerConfig,
         _shard_count: usize,
     ) -> Result<EpollServer> {

@@ -3,13 +3,22 @@
 //! HTTP header field names are case-insensitive (RFC 2616 §4.2) but order
 //! can matter for repeated fields (`Set-Cookie`), so the map preserves
 //! insertion order and stores the original spelling.
+//!
+//! The fields are shared copy-on-write: cloning a map bumps one `Arc`,
+//! and a mutation copies the fields only while another clone still holds
+//! them. Every reply a session serves is a clone of a prefab, so its
+//! headers cost no allocation.
+
+use std::fmt;
+use std::sync::Arc;
 
 use rcb_util::{RcbError, Result};
 
 /// An ordered multimap of HTTP header fields.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct HeaderMap {
-    entries: Vec<(String, String)>,
+    /// `None` until the first field: an empty map allocates nothing.
+    entries: Option<Arc<Vec<(String, String)>>>,
 }
 
 impl HeaderMap {
@@ -18,20 +27,31 @@ impl HeaderMap {
         HeaderMap::default()
     }
 
+    fn entries(&self) -> &[(String, String)] {
+        self.entries.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The fields for writing: this map's own copy, made now if a clone
+    /// shares them.
+    fn entries_mut(&mut self) -> &mut Vec<(String, String)> {
+        Arc::make_mut(self.entries.get_or_insert_with(Arc::default))
+    }
+
     /// Appends a field, keeping any existing fields with the same name.
     pub fn append(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.entries.push((name.into(), value.into()));
+        self.entries_mut().push((name.into(), value.into()));
     }
 
     /// Sets a field, replacing all existing fields with the same name.
     pub fn set(&mut self, name: &str, value: impl Into<String>) {
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
-        self.entries.push((name.to_string(), value.into()));
+        let entries = self.entries_mut();
+        entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
+        entries.push((name.to_string(), value.into()));
     }
 
     /// First value for `name`, case-insensitively.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.entries
+        self.entries()
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
@@ -39,7 +59,7 @@ impl HeaderMap {
 
     /// All values for `name`, in insertion order.
     pub fn get_all(&self, name: &str) -> Vec<&str> {
-        self.entries
+        self.entries()
             .iter()
             .filter(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
@@ -53,22 +73,25 @@ impl HeaderMap {
 
     /// Removes all fields named `name`.
     pub fn remove(&mut self, name: &str) {
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
+        if self.contains(name) {
+            self.entries_mut()
+                .retain(|(n, _)| !n.eq_ignore_ascii_case(name));
+        }
     }
 
     /// Iterates `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.entries().iter().map(|(n, v)| (n.as_str(), v.as_str()))
     }
 
     /// Number of fields.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().len()
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries().is_empty()
     }
 
     /// Parses `Content-Length`, distinguishing *absent* from *invalid*.
@@ -108,6 +131,23 @@ impl HeaderMap {
             }
         }
         Ok(Some(n))
+    }
+}
+
+/// Maps compare by their fields, however they are shared.
+impl PartialEq for HeaderMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+impl Eq for HeaderMap {}
+
+impl fmt::Debug for HeaderMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HeaderMap")
+            .field("entries", &self.entries())
+            .finish()
     }
 }
 
@@ -171,6 +211,40 @@ mod tests {
         h2.append("Content-Length", "7");
         h2.append("Content-Length", "x");
         assert!(h2.content_length().is_err());
+    }
+
+    #[test]
+    fn clones_share_fields_until_one_is_written() {
+        let mut original = HeaderMap::new();
+        original.append("Content-Type", "text/plain");
+        original.append("Content-Length", "0");
+        let copy = original.clone();
+        // A clone holds the same field strings, not copies of them.
+        let field_ptrs = |h: &HeaderMap| -> Vec<*const u8> {
+            h.iter()
+                .flat_map(|(n, v)| [n.as_ptr(), v.as_ptr()])
+                .collect()
+        };
+        assert_eq!(field_ptrs(&copy), field_ptrs(&original));
+        // Writing one copies its fields first; the other is untouched.
+        let mut written = copy.clone();
+        written.set("Content-Length", "5");
+        written.remove("content-type");
+        assert_eq!(
+            written.iter().collect::<Vec<_>>(),
+            [("Content-Length", "5")]
+        );
+        assert_eq!(copy, original);
+        assert_eq!(
+            copy.iter().collect::<Vec<_>>(),
+            [("Content-Type", "text/plain"), ("Content-Length", "0")]
+        );
+        assert_eq!(field_ptrs(&copy), field_ptrs(&original));
+        // Equality is by fields: an emptied map equals a new one.
+        let mut emptied = original.clone();
+        emptied.remove("content-type");
+        emptied.remove("content-length");
+        assert_eq!(emptied, HeaderMap::new());
     }
 
     #[test]

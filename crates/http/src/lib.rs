@@ -52,6 +52,6 @@ pub use message::{Body, Method, Request, Response, Status};
 pub use parse::{parse_request, parse_response, ParseReject, RequestParser};
 pub use server::{
     handler_fn, Handler, HandlerOutcome, HttpServer, OverloadConfig, Park, ParkChannel, ParkHub,
-    ServerBackend, ServerConfig, ServerStats,
+    ServerBackend, ServerConfig, ServerStats, TryHandler,
 };
 pub use simdrive::SimDriver;

@@ -458,10 +458,10 @@ impl Response {
 
     /// Freezes the response into a prefab: serializes the head once and
     /// turns an owned body into a shared one, so every subsequent send
-    /// (and clone) bumps two `Arc`s instead of assembling a head or
-    /// copying body bytes. Build one per reusable response (content
-    /// generation, cached object, static page, error reply) and serve
-    /// clones of it.
+    /// (and clone) bumps `Arc`s — head, body and the copy-on-write header
+    /// fields — instead of assembling a head or copying bytes. Build one
+    /// per reusable response (content generation, cached object, static
+    /// page, error reply) and serve clones of it.
     pub fn into_prefab(mut self) -> Response {
         self.freeze_head();
         self.body = Body::Shared(Arc::from(std::mem::take(&mut self.body)));

@@ -17,10 +17,12 @@
 //! * [`ServerBackend::EpollSharded`] — the readiness driver in
 //!   [`crate::epoll`] (Linux): `n` event loops, each owning nonblocking
 //!   sockets on its own epoll instance and a slice of the dispatch pool;
-//!   accepted connections are distributed round-robin by shard 0. The
-//!   name `"epoll"` parses as `EpollSharded(1)`. Shard count: explicit
-//!   `n`, else the `RCB_SERVER_SHARDS` environment variable, else
-//!   available cores.
+//!   accepted connections are distributed round-robin by shard 0. A loop
+//!   answers on its own thread what a handler's non-blocking entry
+//!   ([`TryHandler`], bound with [`HttpServer::bind_split`]) answers, and
+//!   hands the rest to the pool. The name `"epoll"` parses as
+//!   `EpollSharded(1)`. Shard count: explicit `n`, else the
+//!   `RCB_SERVER_SHARDS` environment variable, else available cores.
 //!
 //! The third driver, [`crate::simdrive::SimDriver`], pumps the same core
 //! over the world sim's fabric on virtual time.
@@ -59,6 +61,15 @@ pub const EPOLL_SUPPORTED: bool = crate::epoll::SUPPORTED;
 /// parks the connection until an event key is published
 /// ([`HandlerOutcome::Park`] — the long-poll path).
 pub type Handler = Arc<dyn Fn(Request) -> HandlerOutcome + Send + Sync>;
+
+/// A handler's non-blocking entry, which the epoll engine's event loops
+/// call on their own thread (see [`HttpServer::bind_split`]): it answers
+/// a request that cannot block, or hands it back (`Err`) for the
+/// blocking [`Handler`] to run on a dispatch thread. A request handed
+/// back must be untouched — no counter moved, no state recorded — so
+/// the blocking handler answers it as if it were the first to see it.
+pub type TryHandler =
+    Arc<dyn Fn(Request) -> std::result::Result<HandlerOutcome, Request> + Send + Sync>;
 
 /// Wraps a plain `Request -> Response` closure as a [`Handler`]. Most
 /// handlers never park; this keeps them free of `HandlerOutcome` noise.
@@ -321,19 +332,28 @@ impl ParkHub {
     }
 }
 
-/// Runs the handler with unwind protection, so a panicking handler costs
-/// the client a 500-and-close instead of costing the server a thread
-/// (workers backend) or wedging the connection forever (epoll backend,
-/// whose dispatch threads must survive to produce a completion). Returns
-/// the outcome and whether the connection must close.
-pub(crate) fn invoke_handler(handler: &Handler, req: Request) -> (HandlerOutcome, bool) {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(req))) {
-        Ok(outcome) => (outcome, false),
-        Err(_) => (
+/// Runs a handler call with unwind protection, so a panicking handler
+/// costs the client a 500-and-close instead of costing the server a
+/// thread (workers backend, epoll dispatch pool) or its event loop (an
+/// epoll loop running a [`TryHandler`]). Returns the outcome and whether
+/// the connection must close; a request the call handed back passes
+/// through as `Err`.
+pub(crate) fn invoke<E>(
+    call: impl FnOnce() -> std::result::Result<HandlerOutcome, E>,
+) -> std::result::Result<(HandlerOutcome, bool), E> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)) {
+        Ok(answered) => answered.map(|outcome| (outcome, false)),
+        Err(_) => Ok((
             HandlerOutcome::Respond(Response::error(Status::INTERNAL, "handler panicked")),
             true,
-        ),
+        )),
     }
+}
+
+/// [`invoke`] for the blocking handler, which answers every request.
+pub(crate) fn invoke_handler(handler: &Handler, req: Request) -> (HandlerOutcome, bool) {
+    let Ok(answered) = invoke(|| Ok::<_, std::convert::Infallible>(handler(req)));
+    answered
 }
 
 /// Overload-protection limits shared by every backend: connection
@@ -655,8 +675,9 @@ pub struct ServerConfig {
     /// change.
     pub backend: ServerBackend,
     /// Worker threads (workers backend) or blocking-dispatch threads
-    /// (epoll engine, split across shards) — the handler-concurrency
-    /// bound either way.
+    /// (epoll engine, split across shards) — the bound on concurrent
+    /// blocking handler calls either way. (Each epoll loop also answers
+    /// what a [`TryHandler`] can answer, one request at a time.)
     pub workers: usize,
     /// Workers backend only: maximum connections admitted onto the queue
     /// before the accept loop applies backpressure (waits for capacity).
@@ -938,15 +959,41 @@ impl HttpServer {
     }
 
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts the
-    /// configured backend's threads.
+    /// configured backend's threads. Every request reaches `handler` on a
+    /// worker or dispatch thread.
     pub fn bind_with(addr: &str, handler: Handler, config: ServerConfig) -> Result<HttpServer> {
+        Self::bind_engine(addr, handler, None, config)
+    }
+
+    /// [`HttpServer::bind_with`] for a handler that also has a
+    /// non-blocking entry. The epoll engine's event loops call
+    /// `try_handler` on each request themselves and hand to the dispatch
+    /// pool only what it gives back, so a request that cannot block skips
+    /// the pool's queue, condvar and waker. The workers engine runs
+    /// `handler` alone, as `bind_with` does.
+    pub fn bind_split(
+        addr: &str,
+        handler: Handler,
+        try_handler: TryHandler,
+        config: ServerConfig,
+    ) -> Result<HttpServer> {
+        Self::bind_engine(addr, handler, Some(try_handler), config)
+    }
+
+    fn bind_engine(
+        addr: &str,
+        handler: Handler,
+        try_handler: Option<TryHandler>,
+        config: ServerConfig,
+    ) -> Result<HttpServer> {
         match config.backend.resolved() {
             ServerBackend::Workers => Self::spawn_workers(addr, handler, config),
             // On targets without the epoll shims this arm is dynamically
             // unreachable (`resolved()` degrades the epoll engine to
             // Workers) and binds against the never-constructed stub module.
             ServerBackend::EpollSharded(shards) => {
-                let server = crate::epoll::EpollServer::bind(addr, handler, &config, shards)?;
+                let server =
+                    crate::epoll::EpollServer::bind(addr, handler, try_handler, &config, shards)?;
                 Ok(HttpServer {
                     addr: server.addr(),
                     backend: ServerBackend::EpollSharded(server.shard_count()),
@@ -975,24 +1022,30 @@ impl HttpServer {
                 hub: Arc::clone(&config.park_hub),
                 clock: config.clock.clone(),
             };
-            threads.push(std::thread::spawn(move || {
-                while !worker.queue.stopped() {
-                    if let Some(mut conn) = worker.queue.pop(Duration::from_millis(50)) {
-                        if worker.serve(&mut conn) {
-                            worker.queue.push_rotated(conn);
+            let spawned = std::thread::Builder::new()
+                .name("rcb-worker".to_string())
+                .spawn(move || {
+                    while !worker.queue.stopped() {
+                        if let Some(mut conn) = worker.queue.pop(Duration::from_millis(50)) {
+                            if worker.serve(&mut conn) {
+                                worker.queue.push_rotated(conn);
+                            }
                         }
                     }
-                }
-            }));
+                });
+            threads.push(spawned.expect("failed to spawn thread"));
         }
 
         let accept_queue = Arc::clone(&queue);
         let errors = Arc::clone(&accept_errors);
         let accepted = Arc::clone(&connections_accepted);
         let accept_ctx = Arc::clone(&ctx);
-        threads.push(std::thread::spawn(move || {
-            accept_loop(listener, accept_queue, errors, accepted, accept_ctx, config);
-        }));
+        let spawned = std::thread::Builder::new()
+            .name("rcb-accept".to_string())
+            .spawn(move || {
+                accept_loop(listener, accept_queue, errors, accepted, accept_ctx, config);
+            });
+        threads.push(spawned.expect("failed to spawn thread"));
 
         Ok(HttpServer {
             addr,
