@@ -48,9 +48,10 @@ fn bench_poll_round(c: &mut Criterion) {
                 // the frozen XML prefab the reply clones.
                 let mut agent = RcbAgent::new(
                     key.clone(),
-                    AgentConfig::builder()
-                        .cache_mode(CacheMode::NonCache)
-                        .build(),
+                    AgentConfig {
+                        cache_mode: CacheMode::NonCache,
+                        ..AgentConfig::default()
+                    },
                 );
                 let mut snippet = AjaxSnippet::new(1, key.clone(), SimDuration::from_secs(1));
                 let mut participant = Browser::new(BrowserKind::Firefox);

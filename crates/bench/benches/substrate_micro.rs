@@ -142,11 +142,10 @@ fn bench_engine(c: &mut Criterion) {
         return;
     }
     let reply = rcb_http::Response::xml(Vec::new()).into_prefab();
-    let config = || {
-        ServerConfig::builder()
-            .backend(ServerBackend::EpollSharded(1))
-            .workers(1)
-            .build()
+    let config = || ServerConfig {
+        backend: ServerBackend::EpollSharded(1),
+        workers: 1,
+        ..ServerConfig::default()
     };
     let handler = {
         let reply = reply.clone();

@@ -23,7 +23,10 @@ fn main() {
     );
     for profile in [NetProfile::lan(), NetProfile::wan()] {
         for n in [1usize, 2, 4, 8, 16, 32] {
-            let config = AgentConfig::builder().cache_mode(CacheMode::Cache).build();
+            let config = AgentConfig {
+                cache_mode: CacheMode::Cache,
+                ..AgentConfig::default()
+            };
             let mut world = CoBrowsingWorld::with_alexa20(profile.clone(), config, n as u64);
             let participants: Vec<usize> = (0..n)
                 .map(|_| world.add_participant(BrowserKind::Firefox))

@@ -21,10 +21,11 @@ fn main() {
         "interval", "polls/min idle", "worst-case lag", "mean sync m2"
     );
     for interval_ms in [100u64, 250, 500, 1000, 2000, 5000] {
-        let config = AgentConfig::builder()
-            .cache_mode(CacheMode::Cache)
-            .poll_interval(SimDuration::from_millis(interval_ms))
-            .build();
+        let config = AgentConfig {
+            cache_mode: CacheMode::Cache,
+            poll_interval: SimDuration::from_millis(interval_ms),
+            ..AgentConfig::default()
+        };
         let mut world = CoBrowsingWorld::with_alexa20(NetProfile::lan(), config, interval_ms);
         let p = world.add_participant(BrowserKind::Firefox);
         world.host_navigate("http://wikipedia.org/").unwrap();

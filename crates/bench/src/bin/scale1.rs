@@ -62,9 +62,9 @@
 //! Every phase runs on the server backend selected by `--backend
 //! {workers,epoll,epoll-sharded[:N]}` (falling back to the
 //! `RCB_SERVER_BACKEND` environment variable, then to workers; the
-//! sharded backend's auto shard count follows `RCB_SERVER_SHARDS`, then
-//! available cores), so CI can run the whole bench once per backend and
-//! compare like with like. The pass/fail predicates themselves live in
+//! sharded backend's auto shard count is the available cores, and
+//! `epoll-sharded:N` pins it), so CI can run the whole bench once per
+//! backend and compare like with like. The pass/fail predicates live in
 //! `rcb_bench::gates` as pure functions with their own unit tests — a
 //! gate regression is caught without running a socket.
 //!
@@ -119,12 +119,13 @@ fn start_host_sized(
         browser,
         key,
         AgentConfig::default(),
-        ServerConfig::builder()
-            .backend(backend)
-            .workers(workers)
-            .queue_capacity(queue_capacity)
-            .read_timeout(Duration::from_millis(2))
-            .build(),
+        ServerConfig {
+            backend,
+            workers,
+            queue_capacity,
+            read_timeout: Duration::from_millis(2),
+            ..ServerConfig::default()
+        },
     )
     .expect("bind ephemeral port")
 }
@@ -646,16 +647,17 @@ fn run_overload(backend: ServerBackend, smoke: bool) -> (f64, u64, u64, u64, f64
         browser,
         key,
         AgentConfig::default(),
-        ServerConfig::builder()
-            .backend(backend)
-            .workers(2)
-            .queue_capacity(256)
-            .read_timeout(Duration::from_millis(2))
-            .overload(OverloadConfig {
+        ServerConfig {
+            backend,
+            workers: 2,
+            queue_capacity: 256,
+            read_timeout: Duration::from_millis(2),
+            overload: OverloadConfig {
                 queue_high_water,
                 ..OverloadConfig::default()
-            })
-            .build(),
+            },
+            ..ServerConfig::default()
+        },
     )
     .expect("bind ephemeral port");
     let addr = host.addr().to_string();
@@ -786,12 +788,13 @@ fn run_sessions(backend: ServerBackend, smoke: bool) -> SessionsResult {
             session_waiters: 2,
             ..RouterConfig::default()
         },
-        ServerConfig::builder()
-            .backend(backend)
-            .workers(8)
-            .queue_capacity(target * 2 + 64)
-            .read_timeout(Duration::from_millis(2))
-            .build(),
+        ServerConfig {
+            backend,
+            workers: 8,
+            queue_capacity: target * 2 + 64,
+            read_timeout: Duration::from_millis(2),
+            ..ServerConfig::default()
+        },
     )
     .expect("bind ephemeral port");
     let addr = host.addr().to_string();
@@ -972,8 +975,8 @@ fn main() {
     let compare_path = flag_value("--compare");
     // Backend: `--backend <name>` beats `RCB_SERVER_BACKEND` beats the
     // workers default; `resolved()` folds in platform availability and
-    // pins the sharded backend's auto shard count (RCB_SERVER_SHARDS,
-    // else available cores) so every phase runs the same loop count.
+    // pins the sharded backend's auto shard count (available cores) so
+    // every phase runs the same loop count.
     let backend = flag_value("--backend")
         .map(|v| ServerBackend::parse(&v))
         .unwrap_or_else(ServerBackend::from_env)

@@ -189,7 +189,10 @@ pub fn run_all_sites_quick(profile: &NetProfile, mode: CacheMode) -> Result<Vec<
 
 /// Shared default agent config for experiments.
 pub fn experiment_config(mode: CacheMode) -> AgentConfig {
-    AgentConfig::builder().cache_mode(mode).build()
+    AgentConfig {
+        cache_mode: mode,
+        ..AgentConfig::default()
+    }
 }
 
 #[cfg(test)]

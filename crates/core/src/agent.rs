@@ -102,79 +102,6 @@ impl Default for AgentConfig {
     }
 }
 
-impl AgentConfig {
-    /// A builder over the defaults — the counterpart of
-    /// [`rcb_http::ServerConfig::builder`], replacing scattered
-    /// field-mutation construction in tests and benches.
-    pub fn builder() -> AgentConfigBuilder {
-        AgentConfigBuilder {
-            config: AgentConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`AgentConfig`] — start from [`AgentConfig::builder`],
-/// chain setters, [`AgentConfigBuilder::build`] at the end.
-#[derive(Debug, Clone)]
-pub struct AgentConfigBuilder {
-    config: AgentConfig,
-}
-
-impl AgentConfigBuilder {
-    /// Sets the object-serving mode.
-    pub fn cache_mode(mut self, mode: CacheMode) -> Self {
-        self.config.cache_mode = mode;
-        self
-    }
-
-    /// Sets the snippet polling interval hint.
-    pub fn poll_interval(mut self, interval: SimDuration) -> Self {
-        self.config.poll_interval = interval;
-        self
-    }
-
-    /// Sets the navigation policy.
-    pub fn nav_policy(mut self, policy: NavigationPolicy) -> Self {
-        self.config.nav_policy = policy;
-        self
-    }
-
-    /// Sets the interaction policy.
-    pub fn interaction_policy(mut self, policy: InteractionPolicy) -> Self {
-        self.config.interaction_policy = policy;
-        self
-    }
-
-    /// Enables or disables response authentication.
-    pub fn authenticate_responses(mut self, on: bool) -> Self {
-        self.config.authenticate_responses = on;
-        self
-    }
-
-    /// Sets the long-poll park ceiling.
-    pub fn park_timeout(mut self, timeout: SimDuration) -> Self {
-        self.config.park_timeout = timeout;
-        self
-    }
-
-    /// Sets the participant-side client read timeout.
-    pub fn client_read_timeout(mut self, timeout: SimDuration) -> Self {
-        self.config.client_read_timeout = timeout;
-        self
-    }
-
-    /// Sets the session path prefix (see [`AgentConfig::path_prefix`]).
-    pub fn path_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.config.path_prefix = prefix.into();
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> AgentConfig {
-        self.config
-    }
-}
-
 /// A host-side effect the world must carry out on the agent's behalf.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HostEffect {
@@ -355,7 +282,9 @@ pub struct RcbAgent {
     /// so moves on an unchanged page never pile up.
     pointer: Option<UserAction>,
     /// Pending participant actions awaiting host confirmation (under
-    /// [`NavigationPolicy::HostConfirm`]).
+    /// [`NavigationPolicy::HostConfirm`]), queued by
+    /// [`RcbAgent::merge_poll_actions`]. The concurrent host queues none:
+    /// it has nothing to carry effects out with, and counts them dropped.
     pub pending_confirmation: Vec<(u64, HostEffect)>,
     /// The dom_version → document-timestamp map, bounded to
     /// [`LIVE_GENERATIONS`] entries.
@@ -545,64 +474,71 @@ impl RcbAgent {
 
     /// Applies a batch of piggybacked participant actions to the host side
     /// (the write half of a poll), returning the host effects the world
-    /// must carry out. This is the only poll work that needs mutable host
-    /// access; concurrent deployments call it under the host lock while
-    /// read-only polls proceed from a published snapshot.
+    /// must carry out now. Under [`NavigationPolicy::HostConfirm`] the
+    /// effects wait in [`RcbAgent::pending_confirmation`] instead, for
+    /// [`RcbAgent::decide_pending`].
     pub fn merge_poll_actions(
         &mut self,
         pid: u64,
         actions: Vec<UserAction>,
         host: &mut Browser,
     ) -> Vec<HostEffect> {
-        let mut effects = Vec::new();
-        if self.config.interaction_policy.allows(pid) {
-            for action in actions {
-                self.merge_action(pid, action, host, &mut effects);
+        let effects = self.merge_actions(pid, actions, host);
+        match self.config.nav_policy {
+            NavigationPolicy::Immediate => effects,
+            NavigationPolicy::HostConfirm => {
+                let pending = effects.into_iter().map(|effect| (pid, effect));
+                self.pending_confirmation.extend(pending);
+                Vec::new()
             }
         }
-        effects
     }
 
-    /// Applies one piggybacked participant action to the host side.
-    fn merge_action(
+    /// Applies the actions the interaction policy allows to the host
+    /// side, returning every host effect they ask for, before any
+    /// navigation policy. This is the only poll work that needs mutable
+    /// host access; the concurrent host calls it under the host lock
+    /// while read-only polls proceed from a published snapshot.
+    pub(crate) fn merge_actions(
         &mut self,
         pid: u64,
-        action: UserAction,
+        actions: Vec<UserAction>,
         host: &mut Browser,
-        effects: &mut Vec<HostEffect>,
-    ) {
+    ) -> Vec<HostEffect> {
+        if !self.config.interaction_policy.allows(pid) {
+            return Vec::new();
+        }
+        actions
+            .into_iter()
+            .filter_map(|action| self.merge_action(action, host))
+            .collect()
+    }
+
+    /// Applies one piggybacked participant action to the host side,
+    /// returning the host effect it asks for, if any.
+    fn merge_action(&mut self, action: UserAction, host: &mut Browser) -> Option<HostEffect> {
         match action {
             UserAction::FormInput { form, field, value } => {
                 // Merge the field value into the corresponding form on the
                 // host browser (the form co-filling path, §4.1.1).
                 merge_field(host, &form, &field, value);
+                None
             }
             UserAction::FormSubmit { form, fields } => {
-                // Merge all fields, then hand the submission to the world.
+                // Merge all fields, then hand the submission on.
                 for (field, value) in &fields {
                     merge_field(host, &form, field, value.clone());
                 }
-                self.gate(pid, HostEffect::SubmitForm { form, fields }, effects);
+                Some(HostEffect::SubmitForm { form, fields })
             }
-            UserAction::Click { target } => {
-                self.gate(pid, HostEffect::Click { target }, effects);
-            }
-            UserAction::Navigate { url } => {
-                self.gate(pid, HostEffect::Navigate(url), effects);
-            }
+            UserAction::Click { target } => Some(HostEffect::Click { target }),
+            UserAction::Navigate { url } => Some(HostEffect::Navigate(url)),
             UserAction::MouseMove { x, y } => {
                 // Mirror to the other users via the next content update;
                 // only the latest position matters.
                 self.pointer = Some(UserAction::MouseMove { x, y });
+                None
             }
-        }
-    }
-
-    /// Applies the navigation policy to a host effect.
-    fn gate(&mut self, pid: u64, effect: HostEffect, effects: &mut Vec<HostEffect>) {
-        match self.config.nav_policy {
-            NavigationPolicy::Immediate => effects.push(effect),
-            NavigationPolicy::HostConfirm => self.pending_confirmation.push((pid, effect)),
         }
     }
 
@@ -847,9 +783,10 @@ mod tests {
         // HostConfirm queues instead.
         let mut confirm_agent = RcbAgent::new(
             SessionKey::generate_deterministic(&mut DetRng::new(4)),
-            AgentConfig::builder()
-                .nav_policy(NavigationPolicy::HostConfirm)
-                .build(),
+            AgentConfig {
+                nav_policy: NavigationPolicy::HostConfirm,
+                ..AgentConfig::default()
+            },
         );
         let out2 = confirm_agent.handle_request(
             &signed_poll(&confirm_agent, 1, 0, &[nav]),
@@ -869,9 +806,10 @@ mod tests {
     fn view_only_policy_drops_actions() {
         let mut a = RcbAgent::new(
             SessionKey::generate_deterministic(&mut DetRng::new(5)),
-            AgentConfig::builder()
-                .interaction_policy(InteractionPolicy::ViewOnly)
-                .build(),
+            AgentConfig {
+                interaction_policy: InteractionPolicy::ViewOnly,
+                ..AgentConfig::default()
+            },
         );
         let mut host = loaded_host("google.com");
         let nav = UserAction::Navigate {

@@ -11,70 +11,77 @@
 //! removed, and the SHA-256 of the body (polling requests carry action
 //! payloads in the body, which must not be forgeable).
 
-use rcb_crypto::hmac::hmac_sha256_hex;
+use rcb_crypto::hex::to_hex;
+use rcb_crypto::hmac::{hmac_sha256, hmac_sha256_hex};
 use rcb_crypto::{SessionKey, Sha256};
 use rcb_http::Request;
 
 /// Name of the request-URI parameter carrying the MAC.
 pub const HMAC_PARAM: &str = "hmac";
 
-/// Canonical message for a request: `METHOD target-without-hmac\nbodyhash`.
-fn canonical_message(method: &str, target_without_mac: &str, body: &[u8]) -> Vec<u8> {
-    let body_hash = Sha256::digest(body);
-    let mut msg = Vec::with_capacity(target_without_mac.len() + 80);
-    msg.extend_from_slice(method.as_bytes());
-    msg.push(b' ');
-    msg.extend_from_slice(target_without_mac.as_bytes());
-    msg.push(b'\n');
-    msg.extend_from_slice(&body_hash);
-    msg
+/// Appends `target` with every `hmac` parameter removed to `out`, and
+/// returns the value of the last one (`None` when there is none). The
+/// kept parameters stay in order: the first after `?`, the rest after
+/// `&`.
+fn push_stripped<'t>(out: &mut String, target: &'t str) -> Option<&'t str> {
+    let Some((path, query)) = target.split_once('?') else {
+        out.push_str(target);
+        return None;
+    };
+    out.push_str(path);
+    let mut mac = None;
+    let mut sep = '?';
+    for kv in query.split('&') {
+        match kv.strip_prefix("hmac=") {
+            Some(v) => mac = Some(v),
+            None => {
+                out.push(sep);
+                out.push_str(kv);
+                sep = '&';
+            }
+        }
+    }
+    mac
+}
+
+/// Canonical message for a request, `METHOD target-without-hmac\nbodyhash`,
+/// built in one buffer, and the MAC the target carried.
+fn canonical_message(req: &Request) -> (Vec<u8>, Option<&str>) {
+    let method = req.method.as_str();
+    let mut msg = String::with_capacity(method.len() + req.target.len() + 2 + 32);
+    msg.push_str(method);
+    msg.push(' ');
+    let mac = push_stripped(&mut msg, &req.target);
+    msg.push('\n');
+    let mut msg = msg.into_bytes();
+    msg.extend_from_slice(&Sha256::digest(&req.body));
+    (msg, mac)
 }
 
 /// Removes the `hmac` parameter from a request-target, returning the
 /// stripped target and the extracted MAC value (if present).
 pub fn strip_mac(target: &str) -> (String, Option<String>) {
-    let Some((path, query)) = target.split_once('?') else {
-        return (target.to_string(), None);
-    };
-    let mut mac = None;
-    let kept: Vec<&str> = query
-        .split('&')
-        .filter(|kv| {
-            if let Some(v) = kv.strip_prefix("hmac=") {
-                mac = Some(v.to_string());
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let stripped = if kept.is_empty() {
-        path.to_string()
-    } else {
-        format!("{}?{}", path, kept.join("&"))
-    };
-    (stripped, mac)
+    let mut stripped = String::with_capacity(target.len());
+    let mac = push_stripped(&mut stripped, target);
+    (stripped, mac.map(str::to_string))
 }
 
 /// Signs a request in place: computes the MAC over the canonical message
 /// and appends it as the `hmac` request-URI parameter.
 pub fn sign_request(key: &SessionKey, req: &mut Request) {
-    let (stripped, _) = strip_mac(&req.target);
-    let msg = canonical_message(req.method.as_str(), &stripped, &req.body);
+    let (msg, _) = canonical_message(req);
     let mac = hmac_sha256_hex(key.as_bytes(), &msg);
+    let (stripped, _) = strip_mac(&req.target);
     let sep = if stripped.contains('?') { '&' } else { '?' };
     req.target = format!("{stripped}{sep}hmac={mac}");
 }
 
 /// Verifies a signed request. Returns `true` iff a MAC is present and
-/// matches the canonical message under `key`.
+/// matches the canonical message under `key`. The MAC and the stripped
+/// target are slices of the request's own target.
 pub fn verify_request(key: &SessionKey, req: &Request) -> bool {
-    let (stripped, mac) = strip_mac(&req.target);
-    let Some(mac) = mac else {
-        return false;
-    };
-    let msg = canonical_message(req.method.as_str(), &stripped, &req.body);
-    rcb_crypto::verify_hmac_hex(key.as_bytes(), &msg, &mac)
+    let (msg, mac) = canonical_message(req);
+    mac.is_some_and(|mac| rcb_crypto::verify_hmac_hex(key.as_bytes(), &msg, mac))
 }
 
 /// Header carrying a response MAC (extension; paper §3.4 future work).
@@ -100,7 +107,7 @@ pub fn verify_response(key: &SessionKey, resp: &rcb_http::Response) -> bool {
 /// of `HMAC(key, path)`. Rewritten object URLs carry it so the agent never
 /// serves cached content to unauthenticated fetchers.
 pub fn object_token(key: &SessionKey, path: &str) -> String {
-    hmac_sha256_hex(key.as_bytes(), path.as_bytes())[..16].to_string()
+    to_hex(&hmac_sha256(key.as_bytes(), path.as_bytes())[..8])
 }
 
 /// Verifies an object token in constant time.
@@ -192,6 +199,106 @@ mod tests {
         assert_eq!(
             strip_mac("/p?a=1&hmac=ff&b=2"),
             ("/p?a=1&b=2".to_string(), Some("ff".to_string()))
+        );
+    }
+
+    /// `strip_mac` as a filtered `Vec`, a `join` and a `format!`: the
+    /// reference the one-pass strip is held to.
+    fn reference_strip(target: &str) -> (String, Option<String>) {
+        let Some((path, query)) = target.split_once('?') else {
+            return (target.to_string(), None);
+        };
+        let mut mac = None;
+        let kept: Vec<&str> = query
+            .split('&')
+            .filter(|kv| match kv.strip_prefix("hmac=") {
+                Some(v) => {
+                    mac = Some(v.to_string());
+                    false
+                }
+                None => true,
+            })
+            .collect();
+        if kept.is_empty() {
+            (path.to_string(), mac)
+        } else {
+            (format!("{path}?{}", kept.join("&")), mac)
+        }
+    }
+
+    /// Verification over [`reference_strip`]: the message is rebuilt from
+    /// the stripped copy, and the expected MAC is hex-formatted and
+    /// compared with the lower-cased presented one.
+    fn reference_verify(key: &SessionKey, req: &Request) -> bool {
+        let (stripped, mac) = reference_strip(&req.target);
+        let Some(mac) = mac else {
+            return false;
+        };
+        let mut msg = format!("{} {stripped}\n", req.method.as_str()).into_bytes();
+        msg.extend_from_slice(&Sha256::digest(&req.body));
+        let expected: String = hmac_sha256(key.as_bytes(), &msg)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        rcb_crypto::hmac::ct_eq(expected.as_bytes(), mac.to_ascii_lowercase().as_bytes())
+    }
+
+    #[test]
+    fn one_pass_strip_and_verify_match_the_reference() {
+        let k = key();
+        let mut targets = Vec::new();
+        for (unsigned, body) in [
+            ("/s/0123456789abcdef/poll?p=17", &b""[..]),
+            ("/s/0123456789abcdef/poll?p=17&lp=25000&d=1", b""),
+            ("/poll?t=5&p=2", b"click|%23add"),
+            ("/poll", b"t=0"),
+        ] {
+            let mut req = Request::post(unsigned, body.to_vec());
+            sign_request(&k, &mut req);
+            let mac = strip_mac(&req.target).1.unwrap();
+            let (path, query) = unsigned.split_once('?').unwrap_or((unsigned, ""));
+            let upper = mac.to_ascii_uppercase();
+            for target in [
+                req.target.clone(),
+                // Reordered: the MAC first, or between parameters.
+                format!("{path}?hmac={mac}&{query}"),
+                format!(
+                    "{path}?{}",
+                    query.replacen('&', &format!("&hmac={mac}&"), 1)
+                ),
+                // Duplicated: the last one counts, every one is stripped.
+                format!("{path}?{query}&hmac=00&hmac={mac}"),
+                format!("{path}?{query}&hmac={mac}&hmac=00"),
+                format!("{path}?hmac={mac}&hmac={mac}&{query}"),
+                // Missing, empty, or not quite the parameter.
+                unsigned.to_string(),
+                format!("{path}?{query}&hmac="),
+                format!("{path}?{query}&HMAC={mac}"),
+                format!("{path}?{query}&xhmac={mac}"),
+                format!("{path}?{query}&hmac"),
+                // Upper-case digits.
+                format!("{path}?{query}&hmac={upper}"),
+                // Empty segments and a bare `?`.
+                format!("{path}?&{query}&&hmac={mac}"),
+                format!("{path}?"),
+                format!("{path}?hmac={mac}"),
+            ] {
+                targets.push((target, body.to_vec()));
+            }
+        }
+        let total = targets.len();
+        let mut verified = 0;
+        for (target, body) in targets {
+            assert_eq!(strip_mac(&target), reference_strip(&target), "{target}");
+            let req = Request::post(target.clone(), body);
+            let ok = verify_request(&k, &req);
+            assert_eq!(ok, reference_verify(&k, &req), "{target}");
+            verified += usize::from(ok);
+        }
+        // Both answers are exercised, many times over.
+        assert!(
+            verified >= 16 && total - verified >= 16,
+            "{verified} of {total} targets verified"
         );
     }
 

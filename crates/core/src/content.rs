@@ -39,7 +39,7 @@
 //! [`generate_content`] runs both phases back to back for sequential
 //! callers.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use rcb_browser::{Browser, DownloadObserver};
 use rcb_cache::{CacheView, MappingTable};
@@ -56,8 +56,9 @@ use crate::auth::object_token;
 /// One generated response content, reusable across participants.
 #[derive(Debug, Clone)]
 pub struct GeneratedContent {
-    /// The serialized Fig.-4 XML document.
-    pub xml: String,
+    /// The serialized Fig.-4 XML document. A snapshot's poll reply
+    /// shares this allocation as its body.
+    pub xml: Arc<str>,
     /// Where the writer put each section of `xml`: deltas are spliced
     /// from these bytes, and comparing them across generations tells
     /// which sections changed.
@@ -240,13 +241,16 @@ fn finish_impl(
         user_actions,
     };
     let (xml, sections) = write_new_content_with_sections(&nc);
+    // M5 ends with the XML written; moving it into its shared buffer is
+    // not generation.
+    let generation_cost = prep_cost + sw.elapsed();
     Ok(GeneratedContent {
-        xml,
+        xml: Arc::from(xml),
         sections,
         doc_time,
         object_urls,
         cache_rewrites,
-        generation_cost: prep_cost + sw.elapsed(),
+        generation_cost,
     })
 }
 

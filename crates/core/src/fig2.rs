@@ -34,7 +34,7 @@ use rcb_crypto::SessionKey;
 use rcb_http::{Method, Request, Response, Status};
 use rcb_util::{Result, SimDuration, SimTime};
 
-use crate::agent::{parse_poll_body, AgentConfig, ParticipantShards};
+use crate::agent::{parse_poll_body, AgentConfig, HostEffect, ParticipantShards};
 use crate::auth;
 use crate::policy::InteractionPolicy;
 use crate::snapshot::{prefab_response, ContentSnapshot};
@@ -128,6 +128,7 @@ struct RequestStats {
     polls_park_timeouts: AtomicU64,
     polls_woken_delta: AtomicU64,
     delta_fallbacks: AtomicU64,
+    host_effects_dropped: AtomicU64,
 }
 
 fn bump(counter: &AtomicU64) {
@@ -190,6 +191,12 @@ pub struct TcpHostStats {
     /// it). Read from the shared [`rcb_http::server::ParkHub`], so it
     /// spans every backend; always zero for the sequential agent.
     pub polls_shed_at_park_cap: u64,
+    /// Host effects of merged participant actions (navigations, form
+    /// submissions, clicks) that the deployment had nothing to carry out
+    /// with. The concurrent host counts every one, under any navigation
+    /// policy; the sequential agent hands its effects to its world and
+    /// reports zero.
+    pub host_effects_dropped: u64,
 }
 
 /// Decrements the in-flight poll gauge even on early returns.
@@ -484,7 +491,16 @@ impl RequestPath {
             polls_woken_delta: get(&s.polls_woken_delta),
             delta_fallbacks: get(&s.delta_fallbacks),
             polls_shed_at_park_cap: 0,
+            host_effects_dropped: get(&s.host_effects_dropped),
         }
+    }
+
+    /// Counts host effects a deployment drops, having nothing to carry
+    /// them out with.
+    pub(crate) fn drop_host_effects(&self, effects: Vec<HostEffect>) {
+        self.stats
+            .host_effects_dropped
+            .fetch_add(effects.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -705,12 +721,21 @@ mod tests {
     fn both_deployments_answer_byte_identically() {
         for site in rcb_origin::alexa20().iter().map(|s| s.name) {
             for mode in [CacheMode::Cache, CacheMode::NonCache] {
-                assert_deployments_agree(site, AgentConfig::builder().cache_mode(mode).build());
+                assert_deployments_agree(
+                    site,
+                    AgentConfig {
+                        cache_mode: mode,
+                        ..AgentConfig::default()
+                    },
+                );
             }
         }
         assert_deployments_agree(
             "apple.com",
-            AgentConfig::builder().authenticate_responses(true).build(),
+            AgentConfig {
+                authenticate_responses: true,
+                ..AgentConfig::default()
+            },
         );
     }
 

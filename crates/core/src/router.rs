@@ -739,6 +739,7 @@ impl SessionRouter {
                 totals.polls_woken_delta += s.polls_woken_delta;
                 totals.delta_fallbacks += s.delta_fallbacks;
                 totals.polls_park_timeouts += s.polls_park_timeouts;
+                totals.host_effects_dropped += s.host_effects_dropped;
                 rows.push((
                     sid.clone(),
                     s.polls_parked,

@@ -539,7 +539,10 @@ pub fn measure_site(
     site: &str,
     seed: u64,
 ) -> Result<(LoadStats, SyncRecord)> {
-    let config = AgentConfig::builder().cache_mode(mode).build();
+    let config = AgentConfig {
+        cache_mode: mode,
+        ..AgentConfig::default()
+    };
     let mut world = CoBrowsingWorld::with_alexa20(profile, config, seed);
     let idx = world.add_participant(BrowserKind::Firefox);
     let load = world.host_navigate(&format!("http://{site}/"))?;
@@ -601,9 +604,10 @@ mod tests {
 
     #[test]
     fn non_cache_mode_fetches_from_origin() {
-        let config = AgentConfig::builder()
-            .cache_mode(CacheMode::NonCache)
-            .build();
+        let config = AgentConfig {
+            cache_mode: CacheMode::NonCache,
+            ..AgentConfig::default()
+        };
         let mut world = CoBrowsingWorld::with_alexa20(NetProfile::lan(), config, 7);
         let idx = world.add_participant(BrowserKind::Firefox);
         world.host_navigate("http://apple.com/").unwrap();

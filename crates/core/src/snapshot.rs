@@ -17,7 +17,8 @@
 //!   authentication is on) is serialized once at snapshot build time, the
 //!   XML is its shared body, and every participant's content poll is
 //!   answered by cloning the prefab, which bumps `Arc`s — zero bytes are
-//!   heap-copied per request, and the snapshot holds one copy of the XML;
+//!   heap-copied per request, and the XML's one copy is shared with the
+//!   agent's generated-content cache;
 //! * every supplementary object the content (and its immediate
 //!   predecessor) references, each likewise a prefab response whose body
 //!   *is* the host browser cache entry's `Arc`, resolved through a
@@ -366,11 +367,12 @@ impl SnapshotPlan {
 
         // Freeze the poll reply: every participant's content poll for this
         // generation is byte-identical, so its head is serialized exactly
-        // once, and its body is the snapshot's one copy of the XML.
+        // once, and its body is the generation's one copy of the XML, the
+        // allocation the agent's content cache holds too.
         let poll_response = prefab_response(
             Status::OK,
             "application/xml; charset=utf-8",
-            Arc::from(content.xml.as_bytes()),
+            Arc::<[u8]>::from(Arc::clone(&content.xml)),
             self.sign.then_some(&self.key),
         );
 
@@ -562,7 +564,10 @@ mod tests {
     fn agent(mode: CacheMode) -> RcbAgent {
         RcbAgent::new(
             SessionKey::generate_deterministic(&mut DetRng::new(21)),
-            AgentConfig::builder().cache_mode(mode).build(),
+            AgentConfig {
+                cache_mode: mode,
+                ..AgentConfig::default()
+            },
         )
     }
 
@@ -638,7 +643,10 @@ mod tests {
         let key = SessionKey::generate_deterministic(&mut DetRng::new(22));
         let mut a = RcbAgent::new(
             key.clone(),
-            AgentConfig::builder().authenticate_responses(true).build(),
+            AgentConfig {
+                authenticate_responses: true,
+                ..AgentConfig::default()
+            },
         );
         let host = loaded_host("apple.com");
         let snap = ContentSnapshot::build(&mut a, &host, SimTime::from_secs(1), None).unwrap();
@@ -654,7 +662,10 @@ mod tests {
         let key = SessionKey::generate_deterministic(&mut DetRng::new(23));
         let mut a = RcbAgent::new(
             key.clone(),
-            AgentConfig::builder().authenticate_responses(true).build(),
+            AgentConfig {
+                authenticate_responses: true,
+                ..AgentConfig::default()
+            },
         );
         let mut host = loaded_host("wikipedia.org");
         let first = ContentSnapshot::build(&mut a, &host, SimTime::from_secs(1), None).unwrap();
@@ -977,7 +988,10 @@ mod tests {
         let key = SessionKey::generate_deterministic(&mut DetRng::new(23));
         let mut a = RcbAgent::new(
             key.clone(),
-            AgentConfig::builder().authenticate_responses(true).build(),
+            AgentConfig {
+                authenticate_responses: true,
+                ..AgentConfig::default()
+            },
         );
         let mut host = loaded_host("apple.com");
         let s1 = ContentSnapshot::build(&mut a, &host, SimTime::ZERO, None).unwrap();
@@ -1018,5 +1032,29 @@ mod tests {
         assert!(generated2.is_none(), "cache hit: nothing generated");
         assert_eq!(snap2.doc_time, snap.doc_time);
         assert_eq!(snap2.xml(), snap.xml());
+    }
+
+    /// A generation's XML is one allocation: the agent's content cache
+    /// entry and every poll reply frozen over that generation (the first
+    /// snapshot, and a later one planned from the cache) share it.
+    #[test]
+    fn the_cached_content_and_the_poll_reply_share_one_xml_buffer() {
+        for mode in [CacheMode::Cache, CacheMode::NonCache] {
+            let mut a = agent(mode);
+            let host = loaded_host("wikipedia.org");
+            let snap = ContentSnapshot::build(&mut a, &host, SimTime::from_secs(1), None).unwrap();
+            let cached = a
+                .cached_content(snap.dom_version, mode)
+                .expect("generation admitted");
+            let again =
+                ContentSnapshot::build(&mut a, &host, SimTime::from_secs(2), Some(&snap)).unwrap();
+            for (name, reply) in [
+                ("first", snap.poll_response()),
+                ("cached", again.poll_response()),
+            ] {
+                assert_eq!(reply.body.as_ptr(), cached.xml.as_ptr(), "{mode:?} {name}");
+                assert_eq!(reply.body.len(), cached.xml.len(), "{mode:?} {name}");
+            }
+        }
     }
 }

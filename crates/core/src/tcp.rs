@@ -64,7 +64,7 @@
 //! pool, the event-driven epoll loop whose connection ceiling is the fd
 //! limit rather than the thread count, or the sharded epoll engine that
 //! spreads connections round-robin across several independent event
-//! loops (`RCB_SERVER_SHARDS` loops, default: available cores). Select
+//! loops (one per available core, or `N` with `epoll-sharded:N`). Select
 //! via [`ServerConfig::backend`] or the `RCB_SERVER_BACKEND` environment
 //! variable; everything above the handler — snapshots, shards,
 //! prefabs — is backend-agnostic, and the agent's participant shards
@@ -396,13 +396,16 @@ impl Deployment for &SharedHost {
     /// when the merge changed the DOM — capture a snapshot plan (DOM
     /// clone); generation and publication run after the mutex is
     /// dropped, so other merges and mutations proceed meanwhile. Host
-    /// effects (navigations, submissions) need the network, which the TCP
-    /// facade has no world to run them in, so they are dropped.
+    /// effects (navigations, submissions, clicks) need a world to run in,
+    /// which this host has not: they are dropped and counted
+    /// ([`TcpHostStats::host_effects_dropped`]), and none waits for a
+    /// confirmation, whatever the navigation policy.
     fn merge(&mut self, pid: u64, actions: Vec<UserAction>) {
         let plan = {
             let mut core = self.lock_core();
             let HostCore { agent, browser } = &mut *core;
-            let _ = agent.merge_poll_actions(pid, actions, browser);
+            let effects = agent.merge_actions(pid, actions, browser);
+            self.fig2.drop_host_effects(effects);
             self.plan_republish(&mut core)
         };
         // A failed regeneration keeps the previous snapshot; the next
@@ -722,6 +725,7 @@ impl TcpParticipant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::NavigationPolicy;
     use rcb_http::Status;
     use rcb_util::DetRng;
 
@@ -793,6 +797,50 @@ mod tests {
         host.shutdown();
     }
 
+    /// This host has nothing to carry host effects out with: it counts
+    /// every one it drops, on the session and in the router's totals,
+    /// and under `HostConfirm` queues none for a confirmation that
+    /// nothing here would ever give.
+    #[test]
+    fn host_effects_are_counted_and_never_queued() {
+        const CLICKS: u64 = 4;
+        for nav_policy in [NavigationPolicy::Immediate, NavigationPolicy::HostConfirm] {
+            let key = SessionKey::generate_deterministic(&mut DetRng::new(77));
+            let mut browser = Browser::new(BrowserKind::Firefox);
+            browser.url = Some(rcb_url::Url::parse("http://demo.local/").unwrap());
+            browser.doc = Some(rcb_html::parse_document(PAGE));
+            browser.mutate_dom(|_| {}).unwrap();
+            let config = AgentConfig {
+                nav_policy,
+                ..AgentConfig::default()
+            };
+            let mut host = TcpHost::start_from_browser(
+                "127.0.0.1:0",
+                browser,
+                key,
+                config,
+                ServerConfig::default(),
+            )
+            .unwrap();
+            let addr = host.addr().to_string();
+            let mut alice = TcpParticipant::join(&addr, host.key().clone(), 1).unwrap();
+            alice.poll().unwrap();
+            for i in 0..CLICKS {
+                alice.act(UserAction::Click {
+                    target: format!("button-{i}"),
+                });
+                alice.poll().unwrap();
+            }
+            assert_eq!(host.stats().host_effects_dropped, CLICKS, "{nav_policy:?}");
+            let totals = host.session_router().stats().totals;
+            assert_eq!(totals.host_effects_dropped, CLICKS, "{nav_policy:?}");
+            let shared = host.clone_shared_for_test();
+            let queued = shared.lock_core().agent.pending_confirmation.len();
+            assert_eq!(queued, 0, "{nav_policy:?}");
+            host.shutdown();
+        }
+    }
+
     #[test]
     fn wrong_key_is_rejected_over_tcp() {
         let mut host = start_host();
@@ -840,10 +888,11 @@ mod tests {
             browser,
             key.clone(),
             AgentConfig::default(),
-            ServerConfig::builder()
-                .backend(ServerBackend::EpollSharded(1))
-                .workers(2)
-                .build(),
+            ServerConfig {
+                backend: ServerBackend::EpollSharded(1),
+                workers: 2,
+                ..ServerConfig::default()
+            },
         )
         .unwrap();
         assert_eq!(host.backend(), ServerBackend::EpollSharded(1));
@@ -901,10 +950,11 @@ mod tests {
             browser,
             key.clone(),
             AgentConfig::default(),
-            ServerConfig::builder()
-                .backend(ServerBackend::EpollSharded(SHARDS))
-                .workers(2)
-                .build(),
+            ServerConfig {
+                backend: ServerBackend::EpollSharded(SHARDS),
+                workers: 2,
+                ..ServerConfig::default()
+            },
         )
         .unwrap();
         assert_eq!(host.backend(), ServerBackend::EpollSharded(SHARDS));
@@ -1042,7 +1092,11 @@ mod tests {
             browser,
             key,
             AgentConfig::default(),
-            ServerConfig::builder().backend(backend).workers(2).build(),
+            ServerConfig {
+                backend,
+                workers: 2,
+                ..ServerConfig::default()
+            },
         )
         .unwrap()
     }
@@ -1185,7 +1239,11 @@ mod tests {
                 browser,
                 key,
                 AgentConfig::default(),
-                ServerConfig::builder().backend(backend).workers(2).build(),
+                ServerConfig {
+                    backend,
+                    workers: 2,
+                    ..ServerConfig::default()
+                },
             )
             .unwrap();
             let addr = host.addr().to_string();
@@ -1314,14 +1372,15 @@ mod tests {
                 browser,
                 key,
                 AgentConfig::default(),
-                ServerConfig::builder()
-                    .backend(backend)
-                    .workers(2)
-                    .overload(OverloadConfig {
+                ServerConfig {
+                    backend,
+                    workers: 2,
+                    overload: OverloadConfig {
                         max_parked: 0,
                         ..OverloadConfig::default()
-                    })
-                    .build(),
+                    },
+                    ..ServerConfig::default()
+                },
             )
             .unwrap();
             let addr = host.addr().to_string();

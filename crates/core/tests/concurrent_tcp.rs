@@ -37,7 +37,10 @@ fn eight_participants_poll_in_parallel_and_converge() {
         browser,
         key.clone(),
         AgentConfig::default(),
-        ServerConfig::builder().workers(8).build(),
+        ServerConfig {
+            workers: 8,
+            ..ServerConfig::default()
+        },
     )
     .unwrap();
     let addr = host.addr().to_string();
@@ -375,10 +378,11 @@ fn idle_polls_answer_on_the_loop_while_the_pool_is_blocked() {
             browser,
             key.clone(),
             AgentConfig::default(),
-            ServerConfig::builder()
-                .backend(ServerBackend::EpollSharded(1))
-                .workers(POOL)
-                .build(),
+            ServerConfig {
+                backend: ServerBackend::EpollSharded(1),
+                workers: POOL,
+                ..ServerConfig::default()
+            },
         )
         .unwrap(),
     );
@@ -511,10 +515,11 @@ fn deferred_cases(backend: ServerBackend, workers: usize) -> DeferredRun {
             session_waiters: 4,
             ..RouterConfig::default()
         },
-        ServerConfig::builder()
-            .backend(backend)
-            .workers(workers)
-            .build(),
+        ServerConfig {
+            backend,
+            workers,
+            ..ServerConfig::default()
+        },
     )
     .unwrap();
     let addr = host.addr().to_string();

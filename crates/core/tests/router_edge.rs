@@ -49,7 +49,11 @@ fn start_router(backend: ServerBackend, router_config: RouterConfig, sids: &[&st
         factory(sids),
         AgentConfig::default(),
         router_config,
-        ServerConfig::builder().backend(backend).workers(2).build(),
+        ServerConfig {
+            backend,
+            workers: 2,
+            ..ServerConfig::default()
+        },
     )
     .unwrap()
 }
@@ -241,8 +245,8 @@ fn edge_responses_are_byte_identical_across_backends() {
         captures.push((format!("{backend:?}"), wires));
         host.shutdown();
     }
-    // The socket legs' overload limits come from the environment; the
-    // sim leg takes the same ones explicitly.
+    // The socket legs and the sim leg start from the same overload
+    // defaults.
     let world = World::new(1);
     let mut host = WorldHost::start(
         &world,
@@ -250,7 +254,7 @@ fn edge_responses_are_byte_identical_across_backends() {
         factory(&["a", "b"]),
         AgentConfig::default(),
         router_config(),
-        OverloadConfig::from_env(),
+        OverloadConfig::default(),
     )
     .unwrap();
     let (_, ok) = sim_get(&world, &mut host, "/s/a/");
@@ -276,7 +280,7 @@ fn edge_responses_are_byte_identical_across_backends() {
         Box::new(|_| None),
         AgentConfig::default(),
         RouterConfig::default(),
-        OverloadConfig::from_env(),
+        OverloadConfig::default(),
     )
     .unwrap();
     let (browser, key) = factory(&["solo"])("solo").unwrap();

@@ -86,7 +86,13 @@ fn dropping_a_snapshot_frees_at_most_its_xml_its_deltas_and_small_heads() {
             for edits in 0..=DELTA_RING as u64 {
                 let case = format!("{} {mode:?}, {edits} body edits", spec.name);
                 let key = SessionKey::generate_deterministic(&mut DetRng::new(21));
-                let mut agent = RcbAgent::new(key, AgentConfig::builder().cache_mode(mode).build());
+                let mut agent = RcbAgent::new(
+                    key,
+                    AgentConfig {
+                        cache_mode: mode,
+                        ..AgentConfig::default()
+                    },
+                );
                 let mut host = loaded_host(spec.name);
                 let mut chain =
                     vec![ContentSnapshot::build(&mut agent, &host, SimTime::ZERO, None).unwrap()];

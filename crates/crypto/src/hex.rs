@@ -2,11 +2,15 @@
 
 use rcb_util::{RcbError, Result};
 
+/// The lower-case hex digit of each nibble value.
+pub(crate) const DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 /// Lower-case hex encoding.
 pub fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }
@@ -46,6 +50,13 @@ mod tests {
     fn rejects_bad_input() {
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
+    }
+
+    #[test]
+    fn every_byte_encodes_as_format_does() {
+        let all: Vec<u8> = (0..=255).collect();
+        let reference: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(to_hex(&all), reference);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (with the HMAC parameter removed) and compares. Comparison here is
 //! constant-time to avoid the obvious timing side channel.
 
-use crate::hex::to_hex;
+use crate::hex::{to_hex, DIGITS};
 use crate::sha256::Sha256;
 
 const BLOCK: usize = 64;
@@ -52,10 +52,21 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// Verifies a hex-encoded MAC against the expected value for `message`.
+/// Verifies a hex-encoded MAC (either case) against the expected value
+/// for `message`. Constant-time in the MAC's digits: every digit is
+/// compared, lower-cased inside the loop.
 pub fn verify_hmac_hex(key: &[u8], message: &[u8], mac_hex: &str) -> bool {
-    let expected = hmac_sha256_hex(key, message);
-    ct_eq(expected.as_bytes(), mac_hex.to_ascii_lowercase().as_bytes())
+    let expected = hmac_sha256(key, message);
+    let presented = mac_hex.as_bytes();
+    if presented.len() != 2 * expected.len() {
+        return false;
+    }
+    let mut diff = 0u8;
+    for (byte, digits) in expected.iter().zip(presented.chunks_exact(2)) {
+        diff |= DIGITS[usize::from(byte >> 4)] ^ digits[0].to_ascii_lowercase();
+        diff |= DIGITS[usize::from(byte & 0xf)] ^ digits[1].to_ascii_lowercase();
+    }
+    diff == 0
 }
 
 #[cfg(test)]
@@ -112,6 +123,49 @@ mod tests {
         assert!(!verify_hmac_hex(key, b"POST /poll?t=124", &mac));
         assert!(!verify_hmac_hex(b"other-key", msg, &mac));
         assert!(!verify_hmac_hex(key, msg, "deadbeef"));
+    }
+
+    /// The in-loop comparison answers as lower-casing the whole presented
+    /// MAC and then comparing did.
+    #[test]
+    fn verify_matches_lowercase_then_compare() {
+        let key = b"session-secret";
+        let msg = b"POST /s/0123456789abcdef/poll?p=17";
+        let mac = hmac_sha256_hex(key, msg);
+        let reference =
+            |presented: &str| ct_eq(mac.as_bytes(), presented.to_ascii_lowercase().as_bytes());
+        let mixed: String = mac
+            .chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if i % 3 == 0 {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect();
+        let last_digit_changed = format!(
+            "{}{}",
+            &mac[..63],
+            if mac.ends_with('0') { '1' } else { '0' }
+        );
+        let presented = [
+            mac.clone(),
+            mac.to_ascii_uppercase(),
+            mixed,
+            last_digit_changed,
+            mac[..63].to_string(),
+            format!("{mac}0"),
+            String::new(),
+            format!("é{}", &mac[2..]),
+            format!("{}g", &mac[..63]),
+            format!("{}@", &mac[..63]),
+            "@".repeat(64),
+        ];
+        for p in &presented {
+            assert_eq!(verify_hmac_hex(key, msg, p), reference(p), "{p:?}");
+        }
     }
 
     #[test]

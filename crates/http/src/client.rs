@@ -273,14 +273,15 @@ mod tests {
     use super::*;
     use crate::message::Status;
     use crate::serialize::serialize_response;
-    use crate::server::{handler_fn, Handler, HttpServer};
+    use crate::server::{handler_fn, Handler, HttpServer, ServerConfig};
 
     #[test]
     fn persistent_connection_round_trips() {
         let handler: Handler = handler_fn(|req| {
             crate::message::Response::with_body(Status::OK, "text/plain", req.body.clone())
         });
-        let mut server = HttpServer::bind("127.0.0.1:0", handler).unwrap();
+        let mut server =
+            HttpServer::bind_with("127.0.0.1:0", handler, ServerConfig::default()).unwrap();
         let mut conn = HttpConnection::connect(&server.addr().to_string()).unwrap();
         for i in 0..3 {
             let body = format!("ping-{i}").into_bytes();

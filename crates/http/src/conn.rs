@@ -485,10 +485,11 @@ mod tests {
     /// A context on a virtual clock, plus the hub and the clock handles.
     fn setup(overload: OverloadConfig) -> (Arc<ConnCtx>, Arc<ParkHub>, Clock, Arc<VirtualClock>) {
         let (clock, vc) = Clock::new_virtual();
-        let config = ServerConfig::builder()
-            .clock(clock.clone())
-            .overload(overload)
-            .build();
+        let config = ServerConfig {
+            clock: clock.clone(),
+            overload,
+            ..ServerConfig::default()
+        };
         (
             ConnCtx::new(&config),
             Arc::clone(&config.park_hub),

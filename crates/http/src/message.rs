@@ -171,12 +171,23 @@ impl Request {
             .unwrap_or_default()
     }
 
-    /// First query parameter named `name`.
+    /// First query parameter named `name`, decoded as
+    /// [`Request::query_pairs`] decodes it. Only that pair is decoded: a
+    /// key without escapes is compared as it stands.
     pub fn query_param(&self, name: &str) -> Option<String> {
-        self.query_pairs()
-            .into_iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+        use rcb_url::percent::decode_form;
+        self.query()?
+            .split('&')
+            .filter(|pair| !pair.is_empty())
+            .find_map(|pair| {
+                let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+                let matches = if key.contains(['%', '+']) {
+                    decode_form(key) == name
+                } else {
+                    key == name
+                };
+                matches.then(|| decode_form(value))
+            })
     }
 
     /// Total serialized size in bytes (the unit the network simulator
@@ -560,6 +571,36 @@ mod tests {
         assert_eq!(r.query_param("hmac").as_deref(), Some("abc"));
         assert_eq!(r.query_param("t").as_deref(), Some("5"));
         assert_eq!(r.query_param("missing"), None);
+    }
+
+    /// `query_param` decodes one pair; `query_pairs` decodes them all.
+    /// Both must find the same first match with the same value.
+    #[test]
+    fn query_param_matches_the_first_decoded_pair() {
+        let targets = [
+            "/s/0123456789abcdef/poll?p=17&hmac=00ff",
+            "/poll?p=1&p=2&lp=25000&d=1",
+            "/poll?%70=encoded&p=plain",
+            "/poll?a+b=plus&a%20b=escape&a b=space",
+            "/poll?p&p=later&&=empty-key&q=",
+            "/poll?k=%2B%2b+%zz%4&k=second",
+            "/poll?%C3%A9=%C3%A9&%C3=%FF&+=x",
+            "/poll?p=a=b=c&%=%&%%=%%",
+            "/poll?",
+            "/poll",
+        ];
+        let names = [
+            "p", "lp", "d", "hmac", "k", "q", "a b", "a+b", "", "é", "\u{fffd}", " ", "%", "%%",
+            "missing",
+        ];
+        for target in targets {
+            let r = Request::get(target);
+            let pairs = r.query_pairs();
+            for name in names {
+                let reference = pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+                assert_eq!(r.query_param(name).as_ref(), reference, "{target} {name:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! machine, `conn::ConnCore` — parse, admit or shed, dispatch, park,
 //! write, guard — and keeps only its own I/O. The engine is selected by
 //! [`ServerConfig::backend`] (default from the `RCB_SERVER_BACKEND`
-//! environment variable):
+//! environment variable, the one variable the server reads):
 //!
 //! * [`ServerBackend::Workers`] — the blocking driver defined in this
 //!   module: connections are accepted onto a bounded queue and rotate
@@ -21,8 +21,7 @@
 //!   answers on its own thread what a handler's non-blocking entry
 //!   ([`TryHandler`], bound with [`HttpServer::bind_split`]) answers, and
 //!   hands the rest to the pool. The name `"epoll"` parses as
-//!   `EpollSharded(1)`. Shard count: explicit `n`, else the
-//!   `RCB_SERVER_SHARDS` environment variable, else available cores.
+//!   `EpollSharded(1)`. Shard count: explicit `n`, else available cores.
 //!
 //! The third driver, [`crate::simdrive::SimDriver`], pumps the same core
 //! over the world sim's fabric on virtual time.
@@ -360,40 +359,34 @@ pub(crate) fn invoke_handler(handler: &Handler, req: Request) -> (HandlerOutcome
 /// lifecycle guards (slowloris/idle/write-stall deadlines, header and
 /// body byte ceilings) and admission control (dispatch high-water mark,
 /// parked-poll cap, shed `Retry-After` jitter). The defaults are
-/// deliberately generous — tests and benchmarks tighten them per run,
-/// operators override them through the `RCB_*` environment variables
-/// listed per field (see [`OverloadConfig::from_env`]).
+/// deliberately generous; tests and benchmarks tighten them per run. Every
+/// engine, the world sim's included, starts from [`OverloadConfig::default`].
 #[derive(Debug, Clone)]
 pub struct OverloadConfig {
     /// How long a connection may dribble a partial request (head or
-    /// body) before it is cut — the slowloris guard. Env:
-    /// `RCB_HEADER_TIMEOUT_MS`.
+    /// body) before it is cut — the slowloris guard.
     pub header_read_timeout: Duration,
     /// How long an idle keep-alive connection (no partial request
-    /// buffered) is retained before being reaped. Env:
-    /// `RCB_IDLE_TIMEOUT_MS`.
+    /// buffered) is retained before being reaped.
     pub idle_timeout: Duration,
     /// How long a response write may sit without moving a byte before
-    /// the connection is cut. Env: `RCB_WRITE_STALL_MS`.
+    /// the connection is cut.
     pub write_stall_timeout: Duration,
-    /// Maximum request-head bytes before the prefab `431` answer. Env:
-    /// `RCB_MAX_HEADER_BYTES`.
+    /// Maximum request-head bytes before the prefab `431` answer.
     pub max_header_bytes: usize,
-    /// Maximum declared body bytes before the prefab `413` answer. Env:
-    /// `RCB_MAX_BODY_BYTES`.
+    /// Maximum declared body bytes before the prefab `413` answer.
     pub max_body_bytes: usize,
     /// Admission high-water mark: at or above this many
     /// queued-but-unserviced items (workers: connection queue; epoll:
     /// a shard's dispatch queue; sim driver: requests admitted this
     /// pump), new requests are shed with the prefab `503 + Retry-After`
     /// instead of reaching the handler. Zero sheds everything — the
-    /// deterministic-test lever. Env: `RCB_QUEUE_HIGH_WATER`.
+    /// deterministic-test lever.
     pub queue_high_water: usize,
     /// Cap on concurrently parked long-polls; at the cap a park
     /// degrades to its immediate `on_timeout` (empty-poll) reply, so
     /// plain polling keeps working when push is saturated. Zero
-    /// degrades every park — the deterministic-test lever. Env:
-    /// `RCB_MAX_PARKED`.
+    /// degrades every park — the deterministic-test lever.
     pub max_parked: usize,
     /// Smallest `Retry-After` (seconds) a shed response advertises.
     pub retry_after_base_secs: u64,
@@ -419,35 +412,6 @@ impl Default for OverloadConfig {
             retry_after_base_secs: 1,
             retry_after_jitter_secs: 3,
             shed_seed: 0x5ced_2026,
-        }
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-impl OverloadConfig {
-    /// The defaults with `RCB_*` environment overrides applied — what
-    /// [`ServerConfig::default`] uses, so a CI leg or an operator can
-    /// retune limits without a code change.
-    pub fn from_env() -> OverloadConfig {
-        fn ms(name: &str, default: Duration) -> Duration {
-            env_u64(name).map_or(default, Duration::from_millis)
-        }
-        fn count(name: &str, default: usize) -> usize {
-            env_u64(name).map_or(default, |v| v as usize)
-        }
-        let d = OverloadConfig::default();
-        OverloadConfig {
-            header_read_timeout: ms("RCB_HEADER_TIMEOUT_MS", d.header_read_timeout),
-            idle_timeout: ms("RCB_IDLE_TIMEOUT_MS", d.idle_timeout),
-            write_stall_timeout: ms("RCB_WRITE_STALL_MS", d.write_stall_timeout),
-            max_header_bytes: count("RCB_MAX_HEADER_BYTES", d.max_header_bytes),
-            max_body_bytes: count("RCB_MAX_BODY_BYTES", d.max_body_bytes),
-            queue_high_water: count("RCB_QUEUE_HIGH_WATER", d.queue_high_water),
-            max_parked: count("RCB_MAX_PARKED", d.max_parked),
-            ..d
         }
     }
 }
@@ -507,9 +471,8 @@ pub enum ServerBackend {
     /// and dispatch-pool slice — with accepted connections distributed
     /// round-robin across loops by the acceptor shard. `EpollSharded(1)`
     /// is the single-loop engine (the name `"epoll"` parses to it).
-    /// `EpollSharded(0)` means **auto**: the `RCB_SERVER_SHARDS`
-    /// environment variable when set, else available cores (see
-    /// [`ServerBackend::shard_count`]). Falls back to
+    /// `EpollSharded(0)` means **auto**: one loop per available core
+    /// (see [`ServerBackend::shard_count`]). Falls back to
     /// [`ServerBackend::Workers`] where epoll is not compiled in.
     EpollSharded(usize),
 }
@@ -518,11 +481,6 @@ impl ServerBackend {
     /// The environment variable [`ServerBackend::from_env`] consults —
     /// also the knob the CI matrix sets per leg.
     pub const ENV_VAR: &'static str = "RCB_SERVER_BACKEND";
-
-    /// The environment variable that sets the auto shard count for
-    /// [`ServerBackend::EpollSharded`] (`EpollSharded(0)`); unset means
-    /// "available cores".
-    pub const SHARDS_ENV_VAR: &'static str = "RCB_SERVER_SHARDS";
 
     /// The accepted backend grammar, quoted verbatim in every parse
     /// error so a typo'd name or env var tells the operator exactly
@@ -585,20 +543,14 @@ impl ServerBackend {
     }
 
     /// The number of event-loop shards this backend resolves to on this
-    /// machine: an explicit `EpollSharded(n)` is `n`; the auto form
-    /// consults `RCB_SERVER_SHARDS`, then available cores. The workers
-    /// backend runs no loop; it resolves to 1.
+    /// machine: an explicit `EpollSharded(n)` is `n`; the auto form is
+    /// the available cores. The workers backend runs no loop; it resolves
+    /// to 1.
     pub fn shard_count(self) -> usize {
         match self.effective() {
-            ServerBackend::EpollSharded(0) => std::env::var(Self::SHARDS_ENV_VAR)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                }),
+            ServerBackend::EpollSharded(0) => std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1),
             ServerBackend::EpollSharded(n) => n,
             _ => 1,
         }
@@ -671,8 +623,7 @@ pub struct ServerStats {
 pub struct ServerConfig {
     /// Which engine services connections. The default comes from the
     /// `RCB_SERVER_BACKEND` environment variable (workers when unset), so
-    /// a whole test suite or benchmark can be switched without a code
-    /// change.
+    /// a whole test suite can be switched without a code change.
     pub backend: ServerBackend,
     /// Worker threads (workers backend) or blocking-dispatch threads
     /// (epoll engine, split across shards) — the bound on concurrent
@@ -701,106 +652,26 @@ pub struct ServerConfig {
     pub clock: Clock,
     /// Overload-protection limits: lifecycle-guard deadlines, size
     /// ceilings, the admission high-water mark, the park cap, and the
-    /// shed jitter. The default applies the `RCB_*` environment
-    /// overrides.
+    /// shed jitter.
     pub overload: OverloadConfig,
 }
 
 impl Default for ServerConfig {
-    /// [`ServerConfig::from_env`], panicking with the backend grammar on
-    /// a bad `RCB_SERVER_BACKEND` — the clear startup error for a typo'd
-    /// environment (a server must not silently run the wrong engine).
+    /// The code defaults — 8 workers, a 256-connection queue, a 2 ms
+    /// rotate timeout, a fresh [`ParkHub`], the wall clock and
+    /// [`OverloadConfig::default`] — on the engine `RCB_SERVER_BACKEND`
+    /// names ([`ServerBackend::from_env`]). A bad name panics with the
+    /// backend grammar: a server must not silently run the wrong engine.
     fn default() -> Self {
-        ServerConfig::from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-impl ServerConfig {
-    /// The one documented environment read for server configuration:
-    /// backend from `RCB_SERVER_BACKEND` (workers when unset; a bad
-    /// value is an error carrying the grammar), overload limits from the
-    /// `RCB_*` variables via [`OverloadConfig::from_env`]. Everything
-    /// else takes the code defaults (8 workers, 256-connection queue,
-    /// 2 ms rotate timeout, fresh [`ParkHub`], wall clock).
-    pub fn from_env() -> Result<ServerConfig> {
-        Ok(ServerConfig {
-            backend: ServerBackend::from_env()?,
+        ServerConfig {
+            backend: ServerBackend::from_env().unwrap_or_else(|e| panic!("{e}")),
             workers: 8,
             queue_capacity: 256,
             read_timeout: Duration::from_millis(2),
             park_hub: Arc::new(ParkHub::default()),
             clock: Clock::wall(),
-            overload: OverloadConfig::from_env(),
-        })
-    }
-
-    /// A builder over the env-derived defaults — the one idiom for
-    /// "defaults except ..." construction in tests and benches (replaces
-    /// scattered struct-update spelling).
-    pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder {
-            config: ServerConfig::default(),
+            overload: OverloadConfig::default(),
         }
-    }
-}
-
-/// Builder for [`ServerConfig`] (see [`ServerConfig::builder`]): each
-/// setter overrides one field of the env-derived defaults; [`build`]
-/// returns the finished config.
-///
-/// [`build`]: ServerConfigBuilder::build
-#[derive(Debug, Clone)]
-pub struct ServerConfigBuilder {
-    config: ServerConfig,
-}
-
-impl ServerConfigBuilder {
-    /// Selects the serving engine (overrides `RCB_SERVER_BACKEND`).
-    pub fn backend(mut self, backend: ServerBackend) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Worker threads (workers backend) / dispatch threads (epoll engine).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Workers-backend connection-queue capacity.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Workers-backend per-connection read-rotate timeout.
-    pub fn read_timeout(mut self, timeout: Duration) -> Self {
-        self.config.read_timeout = timeout;
-        self
-    }
-
-    /// Shares an existing park/wake hub (the application publishes on
-    /// it; the engine parks against it).
-    pub fn park_hub(mut self, hub: Arc<ParkHub>) -> Self {
-        self.config.park_hub = hub;
-        self
-    }
-
-    /// The engine time source (virtual under the world sim).
-    pub fn clock(mut self, clock: Clock) -> Self {
-        self.config.clock = clock;
-        self
-    }
-
-    /// Overload-protection limits (replaces the env-derived set).
-    pub fn overload(mut self, overload: OverloadConfig) -> Self {
-        self.config.overload = overload;
-        self
-    }
-
-    /// The finished configuration.
-    pub fn build(self) -> ServerConfig {
-        self.config
     }
 }
 
@@ -952,12 +823,6 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
-    /// Binds with the default configuration (see [`ServerConfig`] — the
-    /// backend comes from `RCB_SERVER_BACKEND`).
-    pub fn bind(addr: &str, handler: Handler) -> Result<HttpServer> {
-        Self::bind_with(addr, handler, ServerConfig::default())
-    }
-
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts the
     /// configured backend's threads. Every request reaches `handler` on a
     /// worker or dispatch thread.
@@ -1304,7 +1169,10 @@ mod tests {
         HttpServer::bind_with(
             "127.0.0.1:0",
             handler,
-            ServerConfig::builder().backend(backend).build(),
+            ServerConfig {
+                backend,
+                ..ServerConfig::default()
+            },
         )
         .unwrap()
     }
@@ -1465,11 +1333,12 @@ mod tests {
             let mut server = HttpServer::bind_with(
                 "127.0.0.1:0",
                 echo_handler(),
-                ServerConfig::builder()
-                    .backend(backend)
-                    .workers(2)
-                    .queue_capacity(64)
-                    .build(),
+                ServerConfig {
+                    backend,
+                    workers: 2,
+                    queue_capacity: 64,
+                    ..ServerConfig::default()
+                },
             )
             .unwrap();
             let addr = server.addr().to_string();
@@ -1609,7 +1478,10 @@ mod tests {
         // publishing key 1: the parked response must carry the bytes its
         // on_wake closure produced, on all three backends.
         for backend in backends() {
-            let config = ServerConfig::builder().backend(backend).build();
+            let config = ServerConfig {
+                backend,
+                ..ServerConfig::default()
+            };
             let hub = Arc::clone(&config.park_hub);
             let channel = Arc::new(ParkChannel::default());
             let parks_on = Arc::clone(&channel);
@@ -1664,7 +1536,10 @@ mod tests {
             let mut server = HttpServer::bind_with(
                 "127.0.0.1:0",
                 Arc::clone(&handler),
-                ServerConfig::builder().backend(backend).build(),
+                ServerConfig {
+                    backend,
+                    ..ServerConfig::default()
+                },
             )
             .unwrap();
             let addr = server.addr().to_string();
@@ -1765,7 +1640,11 @@ mod tests {
             let mut server = HttpServer::bind_with(
                 "127.0.0.1:0",
                 Arc::clone(&handler),
-                ServerConfig::builder().backend(backend).workers(1).build(),
+                ServerConfig {
+                    backend,
+                    workers: 1,
+                    ..ServerConfig::default()
+                },
             )
             .unwrap();
             let addr = server.addr().to_string();

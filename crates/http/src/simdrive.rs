@@ -256,7 +256,10 @@ mod tests {
     #[test]
     fn serves_requests_over_the_fabric_without_threads() {
         let world = World::new(21);
-        let config = ServerConfig::builder().clock(world.clock()).build();
+        let config = ServerConfig {
+            clock: world.clock(),
+            ..ServerConfig::default()
+        };
         let handler = handler_fn(|req: Request| {
             Response::with_body(Status::OK, "text/plain", req.target.into_bytes())
         });
@@ -289,7 +292,10 @@ mod tests {
     #[test]
     fn parked_poll_wakes_on_publish_and_times_out_on_virtual_deadline() {
         let world = World::new(22);
-        let config = ServerConfig::builder().clock(world.clock()).build();
+        let config = ServerConfig {
+            clock: world.clock(),
+            ..ServerConfig::default()
+        };
         let hub = Arc::clone(&config.park_hub);
         let channel = Arc::new(ParkChannel::default());
         let parks_on = Arc::clone(&channel);

@@ -92,10 +92,11 @@ fn start(backend: ServerBackend, workers: usize, big: &Arc<[u8]>) -> Run {
     let server = HttpServer::bind_with(
         "127.0.0.1:0",
         corpus_handler(Arc::clone(&stats), Arc::clone(big)),
-        ServerConfig::builder()
-            .backend(backend)
-            .workers(workers)
-            .build(),
+        ServerConfig {
+            backend,
+            workers,
+            ..ServerConfig::default()
+        },
     )
     .unwrap();
     Run { server, stats }
@@ -577,11 +578,12 @@ fn parked_poll_wake_is_byte_identical_across_backends() {
         let mut server = HttpServer::bind_with(
             "127.0.0.1:0",
             park_handler(Arc::clone(&channel), Duration::from_secs(5)),
-            ServerConfig::builder()
-                .backend(backend)
-                .workers(2)
-                .park_hub(Arc::clone(&hub))
-                .build(),
+            ServerConfig {
+                backend,
+                workers: 2,
+                park_hub: Arc::clone(&hub),
+                ..ServerConfig::default()
+            },
         )
         .unwrap();
         let addr = server.addr().to_string();
@@ -688,11 +690,12 @@ fn woken_delta_and_fallback_replies_are_byte_identical_across_backends() {
         let mut server = HttpServer::bind_with(
             "127.0.0.1:0",
             make_handler(Arc::clone(&channel)),
-            ServerConfig::builder()
-                .backend(backend)
-                .workers(2)
-                .park_hub(Arc::clone(&hub))
-                .build(),
+            ServerConfig {
+                backend,
+                workers: 2,
+                park_hub: Arc::clone(&hub),
+                ..ServerConfig::default()
+            },
         )
         .unwrap();
         let addr = server.addr().to_string();
@@ -773,7 +776,11 @@ fn parked_poll_timeout_equals_the_empty_reply_on_every_backend() {
         let mut server = HttpServer::bind_with(
             "127.0.0.1:0",
             park_handler(Arc::default(), Duration::from_millis(150)),
-            ServerConfig::builder().backend(backend).workers(2).build(),
+            ServerConfig {
+                backend,
+                workers: 2,
+                ..ServerConfig::default()
+            },
         )
         .unwrap();
         let addr = server.addr().to_string();
@@ -826,11 +833,12 @@ fn start_with_overload(
     let server = HttpServer::bind_with(
         "127.0.0.1:0",
         corpus_handler(Arc::clone(&stats), Arc::clone(big)),
-        ServerConfig::builder()
-            .backend(backend)
-            .workers(workers)
-            .overload(overload)
-            .build(),
+        ServerConfig {
+            backend,
+            workers,
+            overload,
+            ..ServerConfig::default()
+        },
     )
     .unwrap();
     Run { server, stats }
@@ -963,14 +971,15 @@ fn park_cap_degradation_equals_the_empty_poll_prefab() {
         let mut server = HttpServer::bind_with(
             "127.0.0.1:0",
             park_handler(Arc::default(), Duration::from_secs(5)),
-            ServerConfig::builder()
-                .backend(backend)
-                .workers(2)
-                .overload(OverloadConfig {
+            ServerConfig {
+                backend,
+                workers: 2,
+                overload: OverloadConfig {
                     max_parked: 0,
                     ..OverloadConfig::default()
-                })
-                .build(),
+                },
+                ..ServerConfig::default()
+            },
         )
         .unwrap();
         let addr = server.addr().to_string();
@@ -1085,11 +1094,12 @@ fn long_poll_reply_restarts_the_idle_clock_on_every_engine() {
         let mut server = HttpServer::bind_with(
             "127.0.0.1:0",
             park_handler(Arc::default(), Duration::from_millis(600)),
-            ServerConfig::builder()
-                .backend(backend)
-                .workers(2)
-                .overload(overload.clone())
-                .build(),
+            ServerConfig {
+                backend,
+                workers: 2,
+                overload: overload.clone(),
+                ..ServerConfig::default()
+            },
         )
         .unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -1112,10 +1122,11 @@ fn long_poll_reply_restarts_the_idle_clock_on_every_engine() {
 
     // The pump-mode driver, on virtual time.
     let world = rcb_sim::World::new(13);
-    let config = ServerConfig::builder()
-        .clock(world.clock())
-        .overload(overload)
-        .build();
+    let config = ServerConfig {
+        clock: world.clock(),
+        overload,
+        ..ServerConfig::default()
+    };
     let mut driver = rcb_http::SimDriver::new(
         world.bind("host").unwrap(),
         park_handler(Arc::default(), Duration::from_millis(600)),
@@ -1159,12 +1170,13 @@ fn workers_exchange(x: &Exchange) -> Vec<u8> {
     let mut server = HttpServer::bind_with(
         "127.0.0.1:0",
         (x.handler)(Arc::clone(&channel)),
-        ServerConfig::builder()
-            .backend(ServerBackend::Workers)
-            .workers(2)
-            .park_hub(Arc::clone(&hub))
-            .overload(x.overload.clone())
-            .build(),
+        ServerConfig {
+            backend: ServerBackend::Workers,
+            workers: 2,
+            park_hub: Arc::clone(&hub),
+            overload: x.overload.clone(),
+            ..ServerConfig::default()
+        },
     )
     .unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -1192,11 +1204,12 @@ fn sim_exchange(x: &Exchange) -> (Vec<u8>, bool) {
     let world = rcb_sim::World::new(7);
     let hub = Arc::new(ParkHub::default());
     let channel = Arc::new(ParkChannel::default());
-    let config = ServerConfig::builder()
-        .clock(world.clock())
-        .park_hub(Arc::clone(&hub))
-        .overload(x.overload.clone())
-        .build();
+    let config = ServerConfig {
+        clock: world.clock(),
+        park_hub: Arc::clone(&hub),
+        overload: x.overload.clone(),
+        ..ServerConfig::default()
+    };
     let handler = (x.handler)(Arc::clone(&channel));
     let mut driver = rcb_http::SimDriver::new(world.bind("host").unwrap(), handler, &config);
     let mut client = world.connect("client", "host", sim_link()).unwrap();

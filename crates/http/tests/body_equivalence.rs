@@ -108,7 +108,10 @@ fn keepalive_pipelining_of_mixed_body_representations() {
     let mut server = HttpServer::bind_with(
         "127.0.0.1:0",
         handler,
-        ServerConfig::builder().workers(2).build(),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
     )
     .unwrap();
     let mut conn = HttpConnection::connect(&server.addr().to_string()).unwrap();

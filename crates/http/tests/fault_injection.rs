@@ -69,10 +69,11 @@ fn bind(backend: ServerBackend, workers: usize, handler: Handler) -> HttpServer 
     HttpServer::bind_with(
         "127.0.0.1:0",
         handler,
-        ServerConfig::builder()
-            .backend(backend)
-            .workers(workers)
-            .build(),
+        ServerConfig {
+            backend,
+            workers,
+            ..ServerConfig::default()
+        },
     )
     .unwrap()
 }

@@ -42,7 +42,11 @@ fn start(backend: ServerBackend) -> HttpServer {
             Err(req)
         }
     });
-    let config = ServerConfig::builder().backend(backend).workers(1).build();
+    let config = ServerConfig {
+        backend,
+        workers: 1,
+        ..ServerConfig::default()
+    };
     HttpServer::bind_split("127.0.0.1:0", handler, try_handler, config).unwrap()
 }
 

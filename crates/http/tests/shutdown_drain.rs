@@ -65,7 +65,11 @@ fn shutdown_with_idle_keepalive_connections_is_bounded_and_leak_free() {
             let mut server = HttpServer::bind_with(
                 "127.0.0.1:0",
                 echo_handler(),
-                ServerConfig::builder().backend(backend).workers(2).build(),
+                ServerConfig {
+                    backend,
+                    workers: 2,
+                    ..ServerConfig::default()
+                },
             )
             .unwrap();
             let addr = server.addr().to_string();

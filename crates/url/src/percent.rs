@@ -38,34 +38,42 @@ pub fn encode_path(input: &str) -> String {
 
 /// Decodes percent-escapes; malformed escapes are passed through verbatim
 /// (browser-like tolerance). `+` is *not* treated as a space; callers doing
-/// form decoding handle that themselves.
+/// form decoding use [`decode_form`].
 pub fn decode(input: &str) -> String {
-    let bytes = input.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            if let (Some(h), Some(l)) = (
-                bytes.get(i + 1).and_then(|b| (*b as char).to_digit(16)),
-                bytes.get(i + 2).and_then(|b| (*b as char).to_digit(16)),
-            ) {
-                out.push((h * 16 + l) as u8);
-                i += 3;
-                continue;
-            }
-            out.push(b'%');
-            i += 1;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
+    decode_with(input, false)
 }
 
 /// Decodes `application/x-www-form-urlencoded` content (`+` becomes space).
 pub fn decode_form(input: &str) -> String {
-    decode(&input.replace('+', " "))
+    decode_with(input, true)
+}
+
+/// One pass over `input` into one buffer; invalid UTF-8 in the decoded
+/// bytes is replaced as `String::from_utf8_lossy` replaces it.
+fn decode_with(input: &str, plus_is_space: bool) -> String {
+    let bytes = input.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'%' => {
+                if let (Some(h), Some(l)) = (
+                    bytes.get(i + 1).and_then(|b| (*b as char).to_digit(16)),
+                    bytes.get(i + 2).and_then(|b| (*b as char).to_digit(16)),
+                ) {
+                    out.push((h * 16 + l) as u8);
+                    i += 3;
+                    continue;
+                }
+                out.push(b'%');
+            }
+            b'+' if plus_is_space => out.push(b' '),
+            b => out.push(b),
+        }
+        i += 1;
+    }
+    String::from_utf8(out)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
 }
 
 /// Encodes a string for use as a form value (`space` becomes `+`).
@@ -119,6 +127,48 @@ mod tests {
         assert_eq!(decode("100%"), "100%");
         assert_eq!(decode("%zz"), "%zz");
         assert_eq!(decode("%4"), "%4");
+    }
+
+    /// Decoding as it was written before it became one pass: `+` replaced
+    /// first, then a byte buffer turned into a string lossily.
+    fn reference_decode(input: &str, plus_is_space: bool) -> String {
+        let input = if plus_is_space {
+            input.replace('+', " ")
+        } else {
+            input.to_string()
+        };
+        let bytes = input.as_bytes();
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            let hex = |j: usize| bytes.get(j).and_then(|b| (*b as char).to_digit(16));
+            match (bytes[i], hex(i + 1), hex(i + 2)) {
+                (b'%', Some(h), Some(l)) => {
+                    out.push((h * 16 + l) as u8);
+                    i += 3;
+                }
+                (b, _, _) => {
+                    out.push(b);
+                    i += 1;
+                }
+            }
+        }
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
+    #[test]
+    fn one_pass_decoding_matches_the_reference() {
+        for input in [
+            "", "%", "%2", "%+2", "%2+", "+", "a+b%2B", "%2b+%2B", "%zz", "%C3%A9", "%C3",
+            "%FF%FE", "+%20+", "é+%E9", "100%", "%%41", "%4%41", "%%%",
+        ] {
+            assert_eq!(decode(input), reference_decode(input, false), "{input:?}");
+            assert_eq!(
+                decode_form(input),
+                reference_decode(input, true),
+                "{input:?}"
+            );
+        }
     }
 
     #[test]

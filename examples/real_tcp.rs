@@ -12,9 +12,9 @@
 //! The server backend is runtime-selectable: run with
 //! `RCB_SERVER_BACKEND=epoll` to serve the same session from the
 //! event-driven epoll loop, or `RCB_SERVER_BACKEND=epoll-sharded` for the
-//! sharded engine (`RCB_SERVER_SHARDS` event loops, default: available
-//! cores, connections distributed round-robin) instead of the default
-//! worker pool — the session flow is identical every way.
+//! sharded engine (one event loop per available core, or `N` with
+//! `epoll-sharded:N`; connections distributed round-robin) instead of the
+//! default worker pool — the session flow is identical every way.
 
 use rcb::browser::UserAction;
 use rcb::core::snippet::SnippetOutcome;
