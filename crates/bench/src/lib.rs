@@ -8,7 +8,7 @@
 
 pub mod gates;
 
-use rcb_core::agent::{AgentConfig, CacheMode};
+use rcb_core::agent::CacheMode;
 use rcb_core::metrics::PageMetrics;
 use rcb_core::session::measure_site;
 use rcb_origin::sites::TABLE1_SIZES_KB;
@@ -185,14 +185,6 @@ pub fn run_all_sites_quick(profile: &NetProfile, mode: CacheMode) -> Result<Vec<
         out.push(record);
     }
     Ok(out)
-}
-
-/// Shared default agent config for experiments.
-pub fn experiment_config(mode: CacheMode) -> AgentConfig {
-    AgentConfig {
-        cache_mode: mode,
-        ..AgentConfig::default()
-    }
 }
 
 #[cfg(test)]

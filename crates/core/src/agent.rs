@@ -23,7 +23,7 @@
 //! exclusive access and rebuilds its snapshot inline on the first request
 //! after the host DOM moved.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use rcb_browser::{Browser, UserAction};
@@ -130,28 +130,18 @@ pub struct AgentOutcome {
     pub effects: Vec<HostEffect>,
 }
 
-/// Per-participant session state.
-#[derive(Debug, Clone)]
-pub struct ParticipantInfo {
-    /// The content timestamp this participant last acknowledged.
-    pub last_doc_time: u64,
-    /// When the participant first polled.
-    pub joined_at: SimTime,
-    /// Polls served to this participant.
-    pub polls: u64,
-}
-
-/// Per-participant state sharded across independently locked maps, so
-/// concurrent polls from different participants never contend on one lock.
+/// The participants a session has seen: the pids of authenticated polls,
+/// sharded across independently locked sets, so concurrent polls from
+/// different participants never contend on one lock.
 ///
-/// Participant ids are spread across [`ParticipantShards::SHARDS`] maps by
+/// Participant ids are spread across [`ParticipantShards::SHARDS`] sets by
 /// a multiplicative hash; each poll touches exactly one shard lock, held
-/// only for the map operation (never across content generation or I/O).
+/// only for the set operation (never across content generation or I/O).
 /// Both deployments keep their participants here, through the shared
 /// request path.
 #[derive(Debug)]
 pub struct ParticipantShards {
-    shards: Vec<Mutex<HashMap<u64, ParticipantInfo>>>,
+    shards: Vec<Mutex<HashSet<u64>>>,
 }
 
 impl ParticipantShards {
@@ -163,59 +153,28 @@ impl ParticipantShards {
     pub fn new() -> ParticipantShards {
         ParticipantShards {
             shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(HashSet::new()))
                 .collect(),
         }
     }
 
-    fn shard(&self, pid: u64) -> &Mutex<HashMap<u64, ParticipantInfo>> {
+    fn shard(&self, pid: u64) -> std::sync::MutexGuard<'_, HashSet<u64>> {
         // Fibonacci hashing spreads sequential pids across shards.
         let h = pid.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 60) as usize % Self::SHARDS]
+        self.shards[(h >> 60) as usize % Self::SHARDS]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Records one poll from `pid` carrying `client_time`, inserting the
-    /// participant on first contact.
-    pub fn record_poll(&self, pid: u64, client_time: u64, now: SimTime) {
-        let mut map = self
-            .shard(pid)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let entry = map.entry(pid).or_insert(ParticipantInfo {
-            last_doc_time: 0,
-            joined_at: now,
-            polls: 0,
-        });
-        entry.polls += 1;
-        entry.last_doc_time = entry.last_doc_time.max(client_time);
-    }
-
-    /// Advances `pid`'s acknowledged content timestamp (never backwards).
-    pub fn advance_doc_time(&self, pid: u64, doc_time: u64) {
-        let mut map = self
-            .shard(pid)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(entry) = map.get_mut(&pid) {
-            entry.last_doc_time = entry.last_doc_time.max(doc_time);
-        }
+    /// Records an authenticated poll from `pid`: a participant on first
+    /// contact, nothing after.
+    pub fn insert(&self, pid: u64) {
+        self.shard(pid).insert(pid);
     }
 
     /// Removes a participant (left the session).
     pub fn remove(&self, pid: u64) {
-        self.shard(pid)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&pid);
-    }
-
-    /// Copy of one participant's state.
-    pub fn get(&self, pid: u64) -> Option<ParticipantInfo> {
-        self.shard(pid)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&pid)
-            .cloned()
+        self.shard(pid).remove(&pid);
     }
 
     /// Total participants across all shards.
@@ -432,7 +391,7 @@ impl RcbAgent {
             now,
             effects: Vec::new(),
         };
-        let response = match fig2.handle(req, now, &mut sequential) {
+        let response = match fig2.handle(req, &mut sequential) {
             Answer::Reply(response) => response,
             // Nothing here can hold a request open: a long-poll is
             // answered at once with its timeout reply.
@@ -958,23 +917,18 @@ mod tests {
     #[test]
     fn participant_shards_isolate_and_count() {
         let shards = ParticipantShards::new();
-        let now = SimTime::from_secs(1);
         for pid in 1..=64u64 {
-            shards.record_poll(pid, 0, now);
-            shards.record_poll(pid, 10, now);
+            shards.insert(pid);
+            shards.insert(pid);
         }
         assert_eq!(shards.count(), 64);
-        let p7 = shards.get(7).unwrap();
-        assert_eq!(p7.polls, 2);
-        assert_eq!(p7.last_doc_time, 10);
-        shards.advance_doc_time(7, 99);
-        assert_eq!(shards.get(7).unwrap().last_doc_time, 99);
-        // Never backwards.
-        shards.advance_doc_time(7, 5);
-        assert_eq!(shards.get(7).unwrap().last_doc_time, 99);
         shards.remove(7);
-        assert!(shards.get(7).is_none());
         assert_eq!(shards.count(), 63);
+        // Removing a pid that left changes nothing; it can come back.
+        shards.remove(7);
+        assert_eq!(shards.count(), 63);
+        shards.insert(7);
+        assert_eq!(shards.count(), 64);
     }
 
     #[test]

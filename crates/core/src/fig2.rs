@@ -32,7 +32,7 @@ use rcb_browser::UserAction;
 use rcb_cache::MappingTable;
 use rcb_crypto::SessionKey;
 use rcb_http::{Method, Request, Response, Status};
-use rcb_util::{Result, SimDuration, SimTime};
+use rcb_util::{Result, SimDuration};
 
 use crate::agent::{parse_poll_body, AgentConfig, HostEffect, ParticipantShards};
 use crate::auth;
@@ -98,7 +98,6 @@ pub(crate) enum Answer {
 
 /// A long-poll the request path offered to park.
 pub(crate) struct ParkRequest {
-    pid: u64,
     /// The acked generation: the snapshot's `dom_version` when the poll
     /// parked. A version, not a `doc_time`: versions are strictly
     /// monotonic under the publish guard, while doc-times are wall-clock
@@ -265,13 +264,8 @@ impl RequestPath {
 
     /// Answers one request (Fig. 2): [`RequestPath::classify`], then
     /// [`RequestPath::answer`].
-    pub(crate) fn handle(
-        &self,
-        req: &Request,
-        now: SimTime,
-        deployment: &mut impl Deployment,
-    ) -> Answer {
-        self.answer(req, self.classify(req), now, deployment)
+    pub(crate) fn handle(&self, req: &Request, deployment: &mut impl Deployment) -> Answer {
+        self.answer(req, self.classify(req), deployment)
     }
 
     /// Classifies one request (see [`Work`]). Classification is
@@ -306,7 +300,6 @@ impl RequestPath {
         &self,
         req: &Request,
         work: Work<'_>,
-        now: SimTime,
         deployment: &mut impl Deployment,
     ) -> Answer {
         let response = match work {
@@ -315,7 +308,7 @@ impl RequestPath {
                 self.initial_page.clone()
             }
             Work::Object(path) => self.object(req, path, deployment),
-            Work::Poll(poll) => return self.poll(req, poll, now, deployment),
+            Work::Poll(poll) => return self.poll(req, poll, deployment),
             Work::Unknown => Response::error(Status::NOT_FOUND, "unknown request type"),
         };
         Answer::Reply(self.sent(response))
@@ -359,13 +352,7 @@ impl RequestPath {
 
     /// Ajax polls (Fig. 2, right path): HMAC verification, data merging,
     /// timestamp inspection, and the content, empty or park answer.
-    fn poll(
-        &self,
-        req: &Request,
-        poll: PollWork,
-        now: SimTime,
-        deployment: &mut impl Deployment,
-    ) -> Answer {
+    fn poll(&self, req: &Request, poll: PollWork, deployment: &mut impl Deployment) -> Answer {
         let in_flight = self.stats.polls_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats
             .max_concurrent_polls
@@ -381,7 +368,7 @@ impl RequestPath {
         }
         // Every participant must carry a well-formed `p` id: falling back
         // to a default would collapse all such participants into one
-        // shared pid-0 state (merged poll counters, shared last_doc_time).
+        // shared pid 0.
         let Some(pid) = poll.pid else {
             bump(&self.stats.bad_requests);
             return self.reply(Response::error(
@@ -390,7 +377,7 @@ impl RequestPath {
             ));
         };
         let client_time = poll.client_time;
-        self.participants.record_poll(pid, client_time, now);
+        self.participants.insert(pid);
 
         // Data merging: the allowed actions only.
         if !poll.merge.is_empty() {
@@ -405,7 +392,6 @@ impl RequestPath {
         };
         if client_time < snap.doc_time {
             bump(&self.stats.polls_with_content);
-            self.participants.advance_doc_time(pid, snap.doc_time);
             // Every participant's content poll for this generation is
             // byte-identical, frozen once when the snapshot was built.
             return self.reply(snap.poll_response());
@@ -418,7 +404,6 @@ impl RequestPath {
         if let Some(ms) = requested_ms {
             bump(&self.stats.polls_parked);
             return Answer::Park(ParkRequest {
-                pid,
                 version: snap.dom_version,
                 max_wait: Duration::from_millis(ms)
                     .min(Duration::from_micros(self.park_timeout.as_micros())),
@@ -434,7 +419,6 @@ impl RequestPath {
     pub(crate) fn wake_reply(&self, park: &ParkRequest, snap: &ContentSnapshot) -> Response {
         bump(&self.stats.polls_woken);
         bump(&self.stats.polls_with_content);
-        self.participants.advance_doc_time(park.pid, snap.doc_time);
         // The delta for the generation this poll acked when it parked, when
         // the client can apply it and the ring still covers that base; the
         // full XML otherwise (a ring miss is the negotiated fallback).
@@ -542,7 +526,7 @@ mod tests {
     use rcb_origin::OriginRegistry;
     use rcb_sim::link::Pipe;
     use rcb_sim::profiles::NetProfile;
-    use rcb_util::{Clock, DetRng, VirtualClock};
+    use rcb_util::{Clock, DetRng, SimTime, VirtualClock};
 
     fn loaded_host(site: &str) -> Browser {
         let mut origins = OriginRegistry::with_alexa20();

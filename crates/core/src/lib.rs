@@ -21,6 +21,10 @@
 //!   construction with piggybacked actions and HMAC signing, and the
 //!   four-step smooth content update of Fig. 5 with Firefox/IE capability
 //!   paths;
+//! * [`participant`] — the participant protocol around the snippet (join,
+//!   signed poll, Fig.-5 apply, agent-object fetches, the `503` back-off)
+//!   as one sans-IO state machine, driven over blocking sockets by
+//!   [`tcp`] and over the seeded fabric by [`worldsim`];
 //! * [`auth`] — request-URI HMAC authentication (§3.4);
 //! * [`policy`] — navigation/interaction policies (§3.3);
 //! * [`session`] — the virtual-time co-browsing world: host + agent +
@@ -58,6 +62,7 @@ pub mod baseline;
 pub mod content;
 mod fig2;
 pub mod metrics;
+pub mod participant;
 pub mod policy;
 pub mod push;
 pub mod recorder;

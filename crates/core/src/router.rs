@@ -11,12 +11,13 @@
 //! HMAC and the object token like every other parameter — a request
 //! cannot be replayed into another session without failing
 //! authentication. Legacy un-prefixed paths route to the implicit
-//! *default* session, so the single-session deployment ([`TcpHost`]) is
+//! *default* session, so the single-session deployment
+//! ([`TcpHost`](crate::tcp::TcpHost)) is
 //! now a thin wrapper over a one-session router.
 //!
 //! # Isolation
 //!
-//! Each session gets its own [`SharedHost`] — snapshot, agent,
+//! Each session gets its own `SharedHost` — snapshot, agent,
 //! participant shards, and [`ParkChannel`](rcb_http::ParkChannel):
 //! snapshot publication wakes only the session's own parked long-polls,
 //! and evicting a session closes its channel for good, completing every
@@ -196,7 +197,7 @@ struct SessionEntry {
 }
 
 /// A handle to one live session — the per-session slice of the old
-/// [`TcpHost`] surface.
+/// [`TcpHost`](crate::tcp::TcpHost) surface.
 #[derive(Clone)]
 pub struct SessionHandle {
     entry: Arc<SessionEntry>,

@@ -523,11 +523,6 @@ impl CoBrowsingWorld {
         }
         Ok(records)
     }
-
-    /// Index of the participant with id `pid`.
-    pub fn participant_index(&self, pid: u64) -> Option<usize> {
-        self.participants.iter().position(|p| p.id == pid)
-    }
 }
 
 /// Measures one site end-to-end: host navigates, a fresh participant

@@ -5,7 +5,10 @@
 //! `std::net` TCP (paper §3.1 step 1: "a co-browsing host starts running
 //! RCB-Agent on the host browser with an open TCP port, e.g. 3000"), and
 //! a participant joining with nothing but an HTTP client — exactly what a
-//! regular browser plus Ajax-Snippet amounts to.
+//! regular browser plus Ajax-Snippet amounts to. [`TcpParticipant`] is
+//! that participant: the blocking-socket driver of the participant
+//! protocol in [`crate::participant`], which the world sim's fabric
+//! participant drives too.
 //!
 //! # Concurrency architecture
 //!
@@ -75,7 +78,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use rcb_browser::{Browser, BrowserKind, UserAction};
 use rcb_crypto::SessionKey;
-use rcb_http::client::{ClientOptions, HttpConnection, RetryPolicy};
+use rcb_http::client::HttpConnection;
 use rcb_http::server::{
     HandlerOutcome, HttpServer, Park, ParkChannel, ParkHub, ServerBackend, ServerConfig,
 };
@@ -84,6 +87,7 @@ use rcb_util::{Clock, RcbError, Result, SimDuration, SimTime};
 
 use crate::agent::{AgentConfig, AgentStats, RcbAgent};
 use crate::fig2::{Answer, Deployment, RequestPath, Work};
+use crate::participant::{ParticipantCore, Reply};
 use crate::snapshot::{ContentSnapshot, SnapshotPlan};
 use crate::snippet::{AjaxSnippet, SnippetOutcome};
 
@@ -133,7 +137,7 @@ pub(crate) struct SharedHost {
     /// an older version, and [`SharedHost::close`] ends them all.
     channel: Arc<ParkChannel>,
     /// The time source for every timestamp this host mints (snapshot
-    /// doc-times, poll bookkeeping): the serving engine's clock from
+    /// doc-times): the serving engine's clock from
     /// `ServerConfig::clock` — wall in the real deployment, the world's
     /// virtual clock under the sim.
     clock: Clock,
@@ -311,7 +315,7 @@ impl SharedHost {
     /// converting per-interval polls into per-change replies.
     pub(crate) fn answer(self: &Arc<Self>, req: &Request, work: Work<'_>) -> HandlerOutcome {
         let mut deployment: &SharedHost = self;
-        let park = match self.fig2.answer(req, work, self.now(), &mut deployment) {
+        let park = match self.fig2.answer(req, work, &mut deployment) {
             Answer::Reply(response) => return response.into(),
             Answer::Park(park) => park,
         };
@@ -587,22 +591,22 @@ impl TcpHost {
     }
 }
 
-/// A participant joined over real TCP: a persistent connection, a browser
-/// model, and snippet state.
+/// A participant joined over real TCP: the blocking-socket driver of the
+/// participant protocol ([`crate::participant`]). The protocol — join,
+/// signed poll, Fig.-5 apply, agent-object fetches, the shed back-off —
+/// is the shared core's; this driver owns one persistent connection,
+/// runs each round to its end on it, and sleeps out back-offs.
 pub struct TcpParticipant {
     conn: HttpConnection,
-    /// Client knobs for every round trip: the read timeout plus a seeded
-    /// backoff for `503` sheds (per participant, so a cohort shed in the
-    /// same instant fans back out instead of re-storming).
-    options: ClientOptions,
+    core: ParticipantCore,
     /// The participant's browser model.
     pub browser: Browser,
     /// Snippet state (poll building, content application, M6 samples).
     pub snippet: AjaxSnippet,
     /// Response bytes received over this connection since the join, as
     /// serialized on the wire (status line + headers + body) — poll
-    /// replies and object fetches alike. The bytes-on-wire-per-update
-    /// bench measurement reads this.
+    /// replies, object fetches and shed replies alike. The
+    /// bytes-on-wire-per-update bench measurement reads this.
     pub wire_bytes_in: u64,
 }
 
@@ -618,7 +622,9 @@ impl TcpParticipant {
     /// read timeout on every blocking read comes from
     /// [`AgentConfig::client_read_timeout`] instead of the client
     /// library's default, and [`AgentConfig::path_prefix`] scopes the
-    /// join GET and every later poll to that session.
+    /// join GET and every later poll to that session. A request shed
+    /// more often in a row than [`crate::participant::RetryPolicy`]
+    /// re-sends fails with its `503`.
     pub fn join_with_config(
         addr: &str,
         key: SessionKey,
@@ -626,28 +632,18 @@ impl TcpParticipant {
         config: &AgentConfig,
     ) -> Result<TcpParticipant> {
         let read_timeout = std::time::Duration::from_micros(config.client_read_timeout.as_micros());
-        let mut options = ClientOptions::with_read_timeout(read_timeout)
-            .retry(RetryPolicy::seeded(0x7e7_2026 ^ participant_id));
-        let mut conn = HttpConnection::connect_opts(addr, &options)?;
-        let join_target = format!("{}/", config.path_prefix);
-        let resp = conn.round_trip_opts(&rcb_http::Request::get(join_target), &mut options)?;
-        if !resp.status.is_success() {
-            return Err(RcbError::Protocol(format!(
-                "join failed with status {}",
-                resp.status.0
-            )));
-        }
-        let mut browser = Browser::new(BrowserKind::Firefox);
-        browser.doc = Some(rcb_html::parse_document(&resp.body_str()));
         let mut snippet = AjaxSnippet::new(participant_id, key, SimDuration::from_secs(1));
         snippet.base_path = config.path_prefix.clone();
-        Ok(TcpParticipant {
-            conn,
-            options,
-            browser,
+        let mut participant = TcpParticipant {
+            conn: HttpConnection::connect_with_read_timeout(addr, read_timeout)?,
+            core: ParticipantCore::new(participant_id, true),
+            browser: Browser::new(BrowserKind::Firefox),
             snippet,
             wire_bytes_in: 0,
-        })
+        };
+        participant.round()?;
+        participant.wire_bytes_in = 0;
+        Ok(participant)
     }
 
     /// Joins one session behind a [`crate::router::SessionRouter`]: the
@@ -676,25 +672,30 @@ impl TcpParticipant {
     /// on `Updated` also fetches agent-served objects through the same
     /// connection.
     pub fn poll(&mut self) -> Result<SnippetOutcome> {
-        let req = self.snippet.build_poll();
-        let resp = self.conn.round_trip_opts(&req, &mut self.options)?;
-        self.wire_bytes_in += resp.wire_len() as u64;
-        let outcome = self.snippet.process_response(&resp, &mut self.browser)?;
-        if let SnippetOutcome::Updated { object_urls, .. } = &outcome {
-            for url in object_urls {
-                if url.starts_with('/') && !self.browser.cache.contains(url) {
-                    let obj = self
-                        .conn
-                        .round_trip_opts(&rcb_http::Request::get(url.clone()), &mut self.options)?;
-                    self.wire_bytes_in += obj.wire_len() as u64;
-                    if obj.status.is_success() {
-                        let ct = obj.content_type().unwrap_or_default();
-                        self.browser.cache.store(url, &ct, obj.body, SimTime::ZERO);
-                    }
-                }
+        self.round()?
+            .ok_or_else(|| RcbError::Protocol("poll round without a poll".into()))
+    }
+
+    /// Runs one round — the join, or a poll and the objects its reply
+    /// names — to its end, each request a round trip on this connection
+    /// and each shed's back-off a sleep. Returns the poll's outcome.
+    fn round(&mut self) -> Result<Option<SnippetOutcome>> {
+        let mut polled = None;
+        let mut next = Some(self.core.begin(&mut self.snippet));
+        while let Some(req) = next {
+            let resp = self.conn.round_trip(req)?;
+            self.wire_bytes_in += resp.wire_len() as u64;
+            match self
+                .core
+                .on_response(resp, &mut self.snippet, &mut self.browser)?
+            {
+                Reply::Shed(delay) => std::thread::sleep(delay),
+                Reply::Polled(outcome) => polled = Some(outcome),
+                Reply::Joined | Reply::Object { .. } => {}
             }
+            next = self.core.resume();
         }
-        Ok(outcome)
+        Ok(polled)
     }
 
     /// Opts this participant into parked long-polling: an up-to-date
@@ -839,6 +840,101 @@ mod tests {
             assert_eq!(queued, 0, "{nav_policy:?}");
             host.shutdown();
         }
+    }
+
+    /// The socket twin of the world sim's shed test: a handler that
+    /// sheds the first action-carrying poll before the router sees it.
+    /// The participant waits out the back-off and sends the same poll
+    /// again, so the action merges once.
+    #[test]
+    fn a_shed_action_poll_is_sent_again_and_merged_over_tcp() {
+        use crate::router::{RouterConfig, SessionRouter};
+        let config = ServerConfig::default();
+        let router = SessionRouter::new(
+            Box::new(|_| None),
+            AgentConfig::default(),
+            RouterConfig::default(),
+            &config,
+        );
+        let key = SessionKey::generate_deterministic(&mut DetRng::new(77));
+        let mut browser = Browser::new(BrowserKind::Firefox);
+        browser.url = Some(rcb_url::Url::parse("http://demo.local/").unwrap());
+        browser.doc = Some(rcb_html::parse_document(PAGE));
+        browser.mutate_dom(|_| {}).unwrap();
+        let session = router
+            .install_default_session(browser, key.clone())
+            .unwrap();
+        let (handler, action_polls) =
+            crate::participant::tests::shed_first_action_poll(router.make_handler(), "0");
+        let mut server = HttpServer::bind_with("127.0.0.1:0", handler, config).unwrap();
+        let mut alice = TcpParticipant::join(&server.addr().to_string(), key, 1).unwrap();
+        alice.poll().unwrap();
+        let version = session.dom_version();
+        alice.act(UserAction::FormInput {
+            form: "f".into(),
+            field: "note".into(),
+            value: "after a shed".into(),
+        });
+        alice.poll().unwrap();
+        assert_eq!(
+            action_polls.load(Ordering::Relaxed),
+            2,
+            "shed, then sent again"
+        );
+        assert!(session.dom_version() > version);
+        assert_eq!(
+            session.shared_host().form_fields("f"),
+            vec![("note".to_string(), "after a shed".to_string())]
+        );
+        server.shutdown();
+    }
+
+    /// A blocking caller wants an answer: a request shed on every one of
+    /// its `RetryPolicy::max_retries` re-sends fails with the `503`, for
+    /// the join and for a poll alike.
+    #[test]
+    fn the_blocking_driver_gives_up_after_max_retries() {
+        use std::io::{Read, Write};
+        const SHED: &[u8] =
+            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 0\r\nContent-Length: 0\r\n\r\n";
+        let max = crate::participant::RetryPolicy::seeded(0).max_retries as usize;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // The first connection is shed throughout; the second is joined,
+        // then shed throughout.
+        let server = std::thread::spawn(move || {
+            let page = rcb_http::serialize::serialize_response(&rcb_http::Response::html(PAGE));
+            let mut requests = Vec::new();
+            for joined in [false, true] {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut served = 0;
+                let mut buf = [0u8; 4096];
+                while stream.read(&mut buf).is_ok_and(|n| n > 0) {
+                    let reply: &[u8] = if joined && served == 0 { &page } else { SHED };
+                    stream.write_all(reply).unwrap();
+                    served += 1;
+                }
+                requests.push(served);
+            }
+            requests
+        });
+        let key = SessionKey::generate_deterministic(&mut DetRng::new(77));
+        let err = TcpParticipant::join(&addr, key.clone(), 1).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "protocol error: join failed with status 503"
+        );
+        let mut alice = TcpParticipant::join(&addr, key, 1).unwrap();
+        let err = alice.poll().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "protocol error: poll failed with status 503"
+        );
+        // Every shed reply read is counted, not only the one that failed.
+        let shed_len = rcb_http::parse_response(SHED).unwrap().wire_len() as u64;
+        assert_eq!(alice.wire_bytes_in, (1 + max as u64) * shed_len);
+        drop(alice);
+        assert_eq!(server.join().unwrap(), vec![1 + max, 1 + (1 + max)]);
     }
 
     #[test]
@@ -1306,12 +1402,11 @@ mod tests {
         for backend in park_backends() {
             let mut host = start_host_on(backend);
             let addr = host.addr().to_string();
-            let mut opts = ClientOptions::with_read_timeout(std::time::Duration::from_secs(2));
-            let mut conn = HttpConnection::connect_opts(&addr, &opts).unwrap();
-            for target in ["/cache/0", "/cache/0?k="] {
-                let resp = conn
-                    .round_trip_opts(&rcb_http::Request::get(target), &mut opts)
+            let mut conn =
+                HttpConnection::connect_with_read_timeout(&addr, std::time::Duration::from_secs(2))
                     .unwrap();
+            for target in ["/cache/0", "/cache/0?k="] {
+                let resp = conn.round_trip(&rcb_http::Request::get(target)).unwrap();
                 assert_eq!(
                     resp.status,
                     Status::BAD_REQUEST,

@@ -21,10 +21,12 @@
 //! * [`WorldHost`] — a [`SessionRouter`] + [`SimDriver`] bound to a
 //!   named fabric host: the production router, pumped instead of
 //!   threaded, serving one default session or many routed ones;
-//! * [`WorldParticipant`] — a nonblocking participant state machine
-//!   around the *real* [`AjaxSnippet`] and the *real* client framing
-//!   ([`rcb_http::client::try_parse_response`]): join, poll, fetch
-//!   objects, reconnect after partitions;
+//! * [`WorldParticipant`] — the fabric driver of the participant
+//!   protocol ([`crate::participant`], the same core `TcpParticipant`
+//!   drives over sockets, around the *real* [`AjaxSnippet`]) with the
+//!   *real* client framing ([`rcb_http::client::try_parse_response`]):
+//!   it adds the nonblocking connection, the polling cadence, and
+//!   reconnects after partitions;
 //! * [`ScriptEvent`] / [`WorldScenario`] — a closure-free, replayable
 //!   scenario script (joins, actions, host mutations, partitions) plus
 //!   the discrete-event runner that alternates "pump everything to
@@ -38,24 +40,26 @@
 //! like a browser tab that lost its XHR), so any duplicate merge observed
 //! on the host is the server's fault — which is precisely what the
 //! partition/heal convergence test pins down via exact `dom_version`
-//! accounting.
+//! accounting. A shed poll is different: its `503` answered before any
+//! handler ran, so it is sent again unchanged, actions and all.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
 use rcb_browser::{Browser, BrowserKind, UserAction};
 use rcb_crypto::SessionKey;
-use rcb_http::client::{try_parse_response, RetryPolicy};
+use rcb_http::client::try_parse_response;
 use rcb_http::server::{OverloadConfig, ServerBackend, ServerConfig, ServerStats};
-use rcb_http::{Request, Response, SimDriver, Status};
+use rcb_http::{Response, SimDriver};
 use rcb_sim::{LinkModel, NetProfile, SimConn, World};
-use rcb_util::{DetRng, RcbError, Result, SimDuration, SimTime};
+use rcb_util::{DetRng, Result, SimDuration, SimTime};
 
 use crate::agent::AgentConfig;
+use crate::participant::{ParticipantCore, Reply};
 use crate::router::{session_prefix, RouterConfig, SessionFactory, SessionHandle, SessionRouter};
-use crate::snippet::{AjaxSnippet, SnippetOutcome};
+use crate::snippet::AjaxSnippet;
 use crate::tcp::TcpHostStats;
 
 /// How long a participant waits before retrying a connection after a
@@ -169,39 +173,26 @@ impl WorldHost {
     }
 }
 
-/// What a participant's in-flight request is waiting for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Await {
-    /// Idle — nothing on the wire.
-    None,
-    /// The initial `GET /` join.
-    Join,
-    /// A `POST /poll` (possibly parked server-side).
-    Poll,
-    /// A `GET /cache/..` object fetch for the given agent URL.
-    Object(String),
-}
-
-/// A simulated participant: the real [`AjaxSnippet`] and client framing
-/// driven as a nonblocking state machine the scenario loop pumps.
+/// A simulated participant: the fabric driver of the participant
+/// protocol ([`crate::participant`]), pumped by the scenario loop. The
+/// protocol — join, signed poll, Fig.-5 apply, agent-object fetches, the
+/// shed back-off — is the shared core's; this driver owns the fabric
+/// connection and its framing, the polling cadence (the next poll at
+/// once under long-poll or with actions waiting, after the poll interval
+/// otherwise), and reconnects after resets.
 pub struct WorldParticipant {
     /// Fabric host name (`p{pid}`).
     name: String,
     /// Fabric host name of the agent.
     agent_host: String,
-    /// Session path prefix (`""` for the default session, `/s/{sid}`
-    /// for a routed one).
-    prefix: String,
     link: LinkModel,
     conn: Option<SimConn>,
     /// Bytes read off the conn, not yet framed into a response.
     buf: Vec<u8>,
-    awaiting: Await,
-    /// Agent object URLs still to fetch after an update.
-    obj_queue: VecDeque<String>,
-    /// When idle or disconnected: the next time this participant acts.
+    core: ParticipantCore,
+    /// When idle, backing off or disconnected: the next time this
+    /// participant acts.
     next_wake: Option<SimTime>,
-    joined: bool,
     /// The participant's browser model.
     pub browser: Browser,
     /// Snippet state (poll building, content application, M6 samples).
@@ -212,8 +203,9 @@ pub struct WorldParticipant {
     pub objects_fetched: u64,
     /// Connections lost (reset, refused, or server-closed) and retried.
     pub resets: u64,
-    /// `503` shed replies absorbed (each schedules a jittered backoff
-    /// retry instead of surfacing as an error).
+    /// `503` shed replies absorbed (each holds its request for an
+    /// unchanged re-send after a jittered backoff, instead of surfacing
+    /// as an error).
     pub sheds: u64,
     /// Virtual-time round-trip of every completed poll, in microseconds
     /// (send to reply; a parked long-poll's wait counts). Deterministic,
@@ -221,12 +213,6 @@ pub struct WorldParticipant {
     pub poll_latencies: Vec<u64>,
     /// When the in-flight poll was sent (feeds `poll_latencies`).
     poll_sent_at: Option<SimTime>,
-    /// The client's shed backoff, seeded per participant so a cohort
-    /// shed together fans back out.
-    retry: RetryPolicy,
-    /// Consecutive sheds since the last successful reply — the exponent
-    /// of the backoff.
-    consecutive_sheds: u32,
 }
 
 impl WorldParticipant {
@@ -242,22 +228,17 @@ impl WorldParticipant {
         WorldParticipant {
             name: format!("p{pid}"),
             agent_host: agent_host.to_string(),
-            prefix: String::new(),
             link,
             conn: None,
             buf: Vec::new(),
-            awaiting: Await::None,
-            obj_queue: VecDeque::new(),
+            core: ParticipantCore::new(pid, false),
             next_wake: None,
-            joined: false,
             browser: Browser::new(BrowserKind::Firefox),
             snippet: AjaxSnippet::new(pid, key, poll_interval),
             polls_completed: 0,
             objects_fetched: 0,
             resets: 0,
             sheds: 0,
-            retry: RetryPolicy::seeded(0x5ced_ba11 ^ pid),
-            consecutive_sheds: 0,
             poll_latencies: Vec::new(),
             poll_sent_at: None,
         }
@@ -275,8 +256,7 @@ impl WorldParticipant {
         sid: &str,
     ) -> WorldParticipant {
         let mut p = WorldParticipant::new(pid, key, agent_host, link, poll_interval);
-        p.prefix = session_prefix(sid);
-        p.snippet.base_path = p.prefix.clone();
+        p.snippet.base_path = session_prefix(sid);
         p
     }
 
@@ -285,8 +265,9 @@ impl WorldParticipant {
         self.snippet.capture_action(action);
     }
 
-    /// When this participant next acts on its own (reconnect backoff or
-    /// the poll-interval timer); `None` while a response is in flight.
+    /// When this participant next acts on its own (reconnect backoff,
+    /// shed backoff or the poll-interval timer); `None` while a response
+    /// is in flight.
     pub fn next_wake(&self) -> Option<SimTime> {
         self.next_wake
     }
@@ -302,12 +283,7 @@ impl WorldParticipant {
                     Ok(conn) => {
                         self.conn = Some(conn);
                         self.next_wake = None;
-                        if self.joined {
-                            self.send_poll(now);
-                        } else {
-                            let target = format!("{}/", self.prefix);
-                            self.send(now, &Request::get(target), Await::Join);
-                        }
+                        self.send_next(now);
                         return Ok(true);
                     }
                     Err(_) => {
@@ -348,131 +324,75 @@ impl WorldParticipant {
                 return Ok(true);
             }
         }
-        // Idle with a due timer or actions to deliver: poll now (or
-        // retry a shed join — the only way `joined` can still be false
-        // on a live connection).
-        if self.awaiting == Await::None
-            && (self.next_wake.is_some_and(|t| t <= now)
-                || (self.joined && self.snippet.pending_actions() > 0))
-        {
+        // Nothing on the wire and a due timer (a back-off or the poll
+        // interval), or actions to deliver between rounds: send now.
+        let actions_waiting =
+            self.core.joined() && !self.core.backing_off() && self.snippet.pending_actions() > 0;
+        if !self.core.on_wire() && (self.next_wake.is_some_and(|t| t <= now) || actions_waiting) {
             self.next_wake = None;
-            if self.joined {
-                self.send_poll(now);
-            } else {
-                let target = format!("{}/", self.prefix);
-                self.send(now, &Request::get(target), Await::Join);
-            }
+            self.send_next(now);
             progress = true;
         }
         Ok(progress)
     }
 
     fn handle_response(&mut self, resp: Response, now: SimTime) -> Result<()> {
-        // A shed (`503 + Retry-After`) is absorbed before request-type
-        // dispatch: whatever was in flight, back off (server floor plus
-        // seeded jitter, exponential in consecutive sheds) and let the
-        // wake timer reissue it — a shed join re-joins, a shed poll
-        // re-polls, a shed object fetch is re-queued.
-        if resp.status == Status::SERVICE_UNAVAILABLE {
-            let was = std::mem::replace(&mut self.awaiting, Await::None);
-            if let Await::Object(url) = was {
-                self.obj_queue.push_front(url);
+        let reply = self
+            .core
+            .on_response(resp, &mut self.snippet, &mut self.browser)?;
+        match reply {
+            Reply::Shed(delay) => {
+                // Virtual time: the delay schedules a wake, no thread
+                // sleeps; the wake re-sends the held request.
+                self.sheds += 1;
+                self.poll_sent_at = None;
+                self.next_wake = Some(now + SimDuration::from_duration(delay));
+                return Ok(());
             }
-            self.poll_sent_at = None;
-            self.sheds += 1;
-            // Virtual time: the delay schedules a wake, no thread sleeps.
-            let delay = self
-                .retry
-                .delay_for(self.consecutive_sheds, resp.retry_after());
-            self.consecutive_sheds = self.consecutive_sheds.saturating_add(1);
-            self.next_wake = Some(now + SimDuration::from_duration(delay));
-            return Ok(());
-        }
-        self.consecutive_sheds = 0;
-        match std::mem::replace(&mut self.awaiting, Await::None) {
-            Await::Join => {
-                if !resp.status.is_success() {
-                    return Err(RcbError::Protocol(format!(
-                        "join failed with status {}",
-                        resp.status.0
-                    )));
-                }
-                self.browser.doc = Some(rcb_html::parse_document(&resp.body_str()));
-                self.joined = true;
-                self.send_poll(now);
-                Ok(())
-            }
-            Await::Poll => {
-                let outcome = self.snippet.process_response(&resp, &mut self.browser)?;
+            Reply::Joined => {}
+            Reply::Polled(_) => {
                 if let Some(sent) = self.poll_sent_at.take() {
                     self.poll_latencies.push((now - sent).as_micros());
                 }
                 self.polls_completed += 1;
-                if let SnippetOutcome::Updated { object_urls, .. } = outcome {
-                    for url in object_urls {
-                        if url.starts_with('/') && !self.browser.cache.contains(&url) {
-                            self.obj_queue.push_back(url);
-                        }
-                    }
-                }
-                self.continue_round(now);
-                Ok(())
             }
-            Await::Object(url) => {
-                if resp.status.is_success() {
-                    let ct = resp.content_type().unwrap_or_default();
-                    self.browser
-                        .cache
-                        .store(&url, &ct, resp.body, SimTime::ZERO);
-                    self.objects_fetched += 1;
-                }
-                self.continue_round(now);
-                Ok(())
-            }
-            Await::None => Err(RcbError::Protocol(
-                "response arrived with no request outstanding".into(),
-            )),
+            Reply::Object { stored } => self.objects_fetched += u64::from(stored),
         }
-    }
-
-    /// After a poll or object reply: fetch the next queued object, or
-    /// schedule/send the next poll (immediately under long-poll or with
-    /// actions pending, after `poll_interval` otherwise).
-    fn continue_round(&mut self, now: SimTime) {
-        if let Some(url) = self.obj_queue.pop_front() {
-            let req = Request::get(url.clone());
-            self.send(now, &req, Await::Object(url));
-        } else if self.snippet.long_poll.is_some() || self.snippet.pending_actions() > 0 {
-            self.send_poll(now);
+        // The round's next object, or the next poll: at once after the
+        // join, under long-poll or with actions waiting, else after the
+        // poll interval.
+        if matches!(reply, Reply::Joined)
+            || self.core.round_continues()
+            || self.snippet.long_poll.is_some()
+            || self.snippet.pending_actions() > 0
+        {
+            self.send_next(now);
         } else {
             self.next_wake = Some(now + self.snippet.poll_interval);
         }
+        Ok(())
     }
 
-    fn send_poll(&mut self, now: SimTime) {
-        let req = self.snippet.build_poll();
-        self.poll_sent_at = Some(now);
-        self.send(now, &req, Await::Poll);
-    }
-
-    /// Writes one request; a failed write (reset under our feet) tears
-    /// the connection down for the reconnect path.
-    fn send(&mut self, now: SimTime, req: &Request, awaiting: Await) {
+    /// Writes the core's next request; a failed write (reset under our
+    /// feet) tears the connection down for the reconnect path.
+    fn send_next(&mut self, now: SimTime) {
         let Some(conn) = self.conn.as_mut() else {
             return;
         };
-        match conn.write_all(&rcb_http::serialize::serialize_request(req)) {
-            Ok(()) => self.awaiting = awaiting,
-            Err(_) => self.on_disconnect(now),
+        let wire = rcb_http::serialize::serialize_request(self.core.next(&mut self.snippet));
+        if self.core.polling() {
+            self.poll_sent_at = Some(now);
+        }
+        if conn.write_all(&wire).is_err() {
+            self.on_disconnect(now);
         }
     }
 
     fn on_disconnect(&mut self, now: SimTime) {
         self.conn = None;
-        self.awaiting = Await::None;
+        self.core.on_disconnect();
         self.poll_sent_at = None;
         self.buf.clear();
-        self.obj_queue.clear();
         self.resets += 1;
         self.next_wake = Some(now + RECONNECT_DELAY);
     }
@@ -835,4 +755,79 @@ fn apply_event(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::participant::tests::shed_first_action_poll;
+    use std::sync::atomic::Ordering;
+
+    const PAGE: &str = "<html><head><title>shed</title></head>\
+        <body><form id=\"f\"><input name=\"q\" value=\"\"/></form></body></html>";
+
+    #[test]
+    fn a_shed_action_poll_is_sent_again_and_merged() {
+        let world = World::new(24);
+        let config = ServerConfig {
+            backend: ServerBackend::Workers,
+            workers: 0,
+            queue_capacity: 0,
+            read_timeout: Duration::ZERO,
+            park_hub: Arc::default(),
+            clock: world.clock(),
+            overload: OverloadConfig::default(),
+        };
+        let router = SessionRouter::new(
+            Box::new(|_| None),
+            AgentConfig::default(),
+            RouterConfig::default(),
+            &config,
+        );
+        let key = SessionKey::generate_deterministic(&mut DetRng::new(24));
+        let mut browser = Browser::new(BrowserKind::Firefox);
+        browser.url = Some(rcb_url::Url::parse("http://demo.local/").unwrap());
+        browser.doc = Some(rcb_html::parse_document(PAGE));
+        browser.mutate_dom(|_| {}).unwrap();
+        let session = router
+            .install_default_session(browser, key.clone())
+            .unwrap();
+        let (handler, action_polls) = shed_first_action_poll(router.make_handler(), "1");
+        let driver = SimDriver::new(world.bind("host").unwrap(), handler, &config);
+        let mut host = WorldHost { router, driver };
+        let link = NetProfile::lan().participant_link();
+        let participant = WorldParticipant::new(1, key, "host", link, SimDuration::from_secs(1));
+        let mut participants = BTreeMap::from([(1, participant)]);
+        let acts_at = SimTime::ZERO + SimDuration::from_secs(2);
+        let horizon = SimTime::ZERO + SimDuration::from_secs(10);
+        let mut version_before = None;
+        while world.now() < horizon {
+            if version_before.is_none() && world.now() >= acts_at {
+                version_before = Some(session.dom_version());
+                participants
+                    .get_mut(&1)
+                    .unwrap()
+                    .act(UserAction::FormInput {
+                        form: "f".into(),
+                        field: "q".into(),
+                        value: "kept".into(),
+                    });
+            }
+            host.pump_to_quiescence(&world, &mut participants).unwrap();
+            world.advance_to(world.now() + SimDuration::from_millis(100));
+        }
+        let p = &participants[&1];
+        assert_eq!(
+            action_polls.load(Ordering::Relaxed),
+            2,
+            "shed, then sent again"
+        );
+        assert_eq!(p.sheds, 1);
+        assert!(session.dom_version() > version_before.unwrap());
+        assert_eq!(
+            session.shared_host().form_fields("f"),
+            vec![("q".to_string(), "kept".to_string())]
+        );
+        assert_eq!(p.snippet.doc_time, session.published_doc_time());
+    }
 }

@@ -8,7 +8,7 @@
 //! consumes bytes exactly as they arrive off a socket ([`parse`]), the
 //! serializer, one sans-IO connection state machine (`conn`: parse, admit
 //! or shed, dispatch, park, write, guard), and three drivers that give it
-//! I/O: the blocking workers engine and the event-driven [`epoll`] engine
+//! I/O: the blocking workers engine and the event-driven `epoll` engine
 //! behind the TCP [`server`] facade, and the deterministic pump-mode
 //! [`simdrive`] the world sim steps in place of threads — plus the
 //! blocking [`client`] used by the real-socket deployment path and the

@@ -270,14 +270,6 @@ impl Body {
             Body::Shared(_) => 0,
         }
     }
-
-    /// Extracts owned bytes: a move for `Owned`, one copy for `Shared`.
-    pub fn into_vec(self) -> Vec<u8> {
-        match self {
-            Body::Owned(v) => v,
-            Body::Shared(a) => a.to_vec(),
-        }
-    }
 }
 
 impl Default for Body {

@@ -109,10 +109,11 @@ impl RequestParser {
                 return Err(e);
             }
         };
-        // Absent Content-Length means no body; present-but-invalid is a
-        // parse error (→ 400 and close), never treated as 0 — framing by
-        // a guessed length is how request smuggling starts.
-        let body_len = match headers.content_length() {
+        // Absent Content-Length means no body; present-but-invalid, or a
+        // Transfer-Encoding, is a parse error (→ 400 and close), never
+        // treated as 0 — framing by a guessed length is how request
+        // smuggling starts.
+        let body_len = match body_length(&headers) {
             Ok(len) => len.unwrap_or(0),
             Err(e) => {
                 self.reject = Some(ParseReject::Malformed);
@@ -154,17 +155,26 @@ pub fn parse_response(data: &[u8]) -> Result<Response> {
         .ok_or_else(|| RcbError::parse("http", "incomplete response head"))?;
     let (status, headers) = parse_response_head(&data[..head_end])?;
     let body = &data[head_end + 4..];
-    // Chunked transfer-encoding (RFC 2616 §3.6.1): real 2009 origins used
-    // it heavily for dynamically generated pages.
-    if is_chunked(&headers) {
-        let body = decode_chunked(body)?;
-        return Ok(Response::from_parts(status, headers, body));
-    }
-    let body_len = headers.content_length()?.unwrap_or(body.len());
+    let body_len = body_length(&headers)?.unwrap_or(body.len());
     let body = body
         .get(..body_len)
         .ok_or_else(|| RcbError::parse("http", "truncated response body"))?;
     Ok(Response::from_parts(status, headers, body.to_vec()))
+}
+
+/// The body length a message's headers frame: its `Content-Length`,
+/// `None` when absent. `Content-Length` is the only framing this crate
+/// speaks (nothing here sends `Transfer-Encoding`), so a message that
+/// carries a `Transfer-Encoding` is malformed, as is an invalid or
+/// conflicting length.
+pub(crate) fn body_length(headers: &HeaderMap) -> Result<Option<usize>> {
+    if headers.get("transfer-encoding").is_some() {
+        return Err(RcbError::parse(
+            "http",
+            "Transfer-Encoding is not supported; frame by Content-Length",
+        ));
+    }
+    headers.content_length()
 }
 
 /// Parses a response head: the status line and header lines, without the
@@ -188,44 +198,6 @@ pub(crate) fn parse_response_head(head: &[u8]) -> Result<(Status, HeaderMap)> {
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| RcbError::parse("http", "bad status code"))?;
     Ok((Status(code), parse_header_lines(lines)?))
-}
-
-/// Whether a response body is chunked (`Transfer-Encoding: chunked`).
-pub(crate) fn is_chunked(headers: &HeaderMap) -> bool {
-    headers
-        .get("transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-}
-
-/// Decodes a chunked body: `size-hex CRLF data CRLF ... 0 CRLF CRLF`.
-pub(crate) fn decode_chunked(mut data: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len());
-    loop {
-        let line_end = data
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or_else(|| RcbError::parse("http", "missing chunk-size line"))?;
-        let size_line = std::str::from_utf8(&data[..line_end])
-            .map_err(|_| RcbError::parse("http", "non-UTF-8 chunk size"))?;
-        // Chunk extensions after ';' are ignored per spec.
-        let size_token = size_line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(size_token, 16)
-            .map_err(|_| RcbError::parse("http", format!("bad chunk size {size_token:?}")))?;
-        data = &data[line_end + 2..];
-        if size == 0 {
-            // Trailers (if any) run to the final blank line; accept both
-            // an immediate CRLF and trailer fields.
-            return Ok(out);
-        }
-        if data.len() < size + 2 {
-            return Err(RcbError::parse("http", "truncated chunk"));
-        }
-        out.extend_from_slice(&data[..size]);
-        if &data[size..size + 2] != b"\r\n" {
-            return Err(RcbError::parse("http", "chunk missing terminator"));
-        }
-        data = &data[size + 2..];
-    }
 }
 
 fn parse_request_head(head: &str) -> Result<(Method, String, HeaderMap)> {
@@ -439,29 +411,19 @@ mod tests {
     }
 
     #[test]
-    fn chunked_response_decodes() {
-        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
-                    4\r\nWiki\r\n6\r\npedia \r\nB\r\nin \r\nchunks\r\n0\r\n\r\n";
-        let resp = parse_response(raw).unwrap();
-        assert_eq!(resp.body, b"Wikipedia in \r\nchunks");
-    }
-
-    #[test]
-    fn chunked_with_extension_and_uppercase_hex() {
-        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
-                    A;ext=1\r\n0123456789\r\n0\r\n\r\n";
-        let resp = parse_response(raw).unwrap();
-        assert_eq!(resp.body, b"0123456789");
-    }
-
-    #[test]
-    fn chunked_rejects_malformed() {
-        for raw in [
-            &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nxx\r\n0\r\n\r\n"[..],
-            &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab\r\n0\r\n\r\n"[..],
-            &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcdXX0\r\n\r\n"[..],
-        ] {
-            assert!(parse_response(raw).is_err());
+    fn a_request_with_transfer_encoding_is_malformed() {
+        // Framed by Content-Length alone, a chunked request would be
+        // dispatched bodyless and its chunk bytes parsed as the next one.
+        for te in ["chunked", "identity"] {
+            let mut p = RequestParser::new();
+            p.feed(
+                format!(
+                    "POST /poll HTTP/1.1\r\nTransfer-Encoding: {te}\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+                )
+                .as_bytes(),
+            );
+            assert!(p.next_request().is_err(), "{te}");
+            assert_eq!(p.reject_reason(), Some(ParseReject::Malformed));
         }
     }
 

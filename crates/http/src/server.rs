@@ -15,7 +15,7 @@
 //!   back onto the queue once a read comes up empty. Portable (the only
 //!   engine off Linux); concurrency is capped by the worker count.
 //! * [`ServerBackend::EpollSharded`] — the readiness driver in
-//!   [`crate::epoll`] (Linux): `n` event loops, each owning nonblocking
+//!   the crate's `epoll` module (Linux): `n` event loops, each owning nonblocking
 //!   sockets on its own epoll instance and a slice of the dispatch pool;
 //!   accepted connections are distributed round-robin by shard 0. A loop
 //!   answers on its own thread what a handler's non-blocking entry
@@ -181,10 +181,10 @@ impl ParkChannel {
 /// consumers coexist:
 ///
 /// * epoll event loops register a waker (their socketpair write end) via
-///   [`ParkHub::register_waker`] and re-scan their parked slots when
+///   `ParkHub::register_waker` and re-scan their parked slots when
 ///   poked;
 /// * workers-backend threads block on the internal condvar via
-///   [`ParkHub::wait_until`] (the documented degradation: a parked poll
+///   `ParkHub::wait_until` (the documented degradation: a parked poll
 ///   pins its worker for the wait).
 #[derive(Default)]
 pub struct ParkHub {

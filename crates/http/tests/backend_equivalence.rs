@@ -233,6 +233,13 @@ fn partial_writes_through_tiny_buffers_are_byte_identical() {
     assert!(body.iter().enumerate().all(|(i, b)| *b == (i % 251) as u8));
 }
 
+/// A chunked `POST`: `Content-Length` is the only framing, so any
+/// `Transfer-Encoding` is malformed. Framed by `Content-Length` alone, it
+/// would reach the handler bodyless and its chunk bytes would be parsed
+/// as a second request.
+const CHUNKED_POST: &[u8] =
+    b"POST /echo HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+
 #[test]
 fn malformed_requests_get_identical_400_and_close() {
     for garbage in [
@@ -240,6 +247,7 @@ fn malformed_requests_get_identical_400_and_close() {
         &b"GET / HTTP/2\r\n\r\n"[..],
         &b"GET x HTTP/1.1\r\n\r\n"[..],
         &b"GET / HTTP/1.1\r\nBadHeader\r\n\r\n"[..],
+        CHUNKED_POST,
     ] {
         let wire = assert_equivalent(2, 16, |addr| {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -256,6 +264,8 @@ fn malformed_requests_get_identical_400_and_close() {
             text.starts_with("HTTP/1.1 400"),
             "expected 400 for {garbage:?}, got {text:?}"
         );
+        // The 400 is the only reply: the handler never saw the request.
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text:?}");
     }
 }
 
@@ -1275,6 +1285,7 @@ fn sim_driver_wire_bytes_match_the_workers_engine() {
         &b"GET / HTTP/2\r\n\r\n"[..],
         &b"GET x HTTP/1.1\r\n\r\n"[..],
         &b"GET / HTTP/1.1\r\nBadHeader\r\n\r\n"[..],
+        CHUNKED_POST,
     ] {
         cases.push(exchange(
             "malformed 400",

@@ -507,17 +507,6 @@ impl SimConn {
     pub fn try_read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         self.net.try_read(self.id, self.side, buf)
     }
-
-    /// Time of the next deliverable byte on this conn's read direction,
-    /// if any segment is still in flight.
-    pub fn next_arrival(&self) -> Option<SimTime> {
-        let inner = self.net.inner.lock().unwrap();
-        let conn = inner.conns.get(&self.id)?;
-        conn.dirs[self.side.in_dir()]
-            .in_flight
-            .front()
-            .map(|&(arrival, _)| arrival)
-    }
 }
 
 impl Write for SimConn {

@@ -4,11 +4,12 @@
 //! `accept(2)`, `EWOULDBLOCK` mid-write, a failed `epoll_ctl(2)`), but
 //! those conditions are nearly impossible to provoke reliably from a real
 //! socket in a test. This module is the lever: a test arms a *fault
-//! schedule* for an [`Op`] — "fail the next `K` calls" ([`fail_next`]),
-//! "fail exactly the 3rd and 7th call" ([`script`]), or "fail each call
-//! with seeded probability `p`" ([`seeded`]) — and the hooked call sites
-//! ([`crate::sys::Epoll`]'s `epoll_ctl`, the server backends' `accept`
-//! loops, and the nonblocking `ResponseWriter` write path in `rcb-http`)
+//! schedule* for an [`Op`] — "fail the next `K` calls" (`fail_next`),
+//! "fail exactly the 3rd and 7th call" (`script`), or "fail each call
+//! with seeded probability `p`" (`seeded`), all behind the feature below
+//! — and the hooked call sites ([`crate::sys::Epoll`]'s `epoll_ctl`, the
+//! server backends' `accept` loops, and the nonblocking `ResponseWriter`
+//! write path in `rcb-http`)
 //! consume one injected failure per call before touching the kernel.
 //!
 //! Everything stateful lives behind the `fault-injection` cargo feature:
@@ -19,7 +20,7 @@
 //!
 //! Injection state is process-global (the hooked call sites have no test
 //! context to key on), so tests that arm faults must serialize themselves
-//! (a `static Mutex` in the test file) and disarm with [`clear`] — ideally
+//! (a `static Mutex` in the test file) and disarm with `clear` — ideally
 //! from a drop guard so a failing assertion cannot leak armed faults into
 //! the next test.
 
