@@ -1,7 +1,11 @@
 //! End-to-end pipeline bench: one complete poll round (agent request
 //! handling + snippet application), the unit of work behind every
-//! synchronization in Figures 6–8; and the snapshot build that publishes
-//! each host change on the concurrent path.
+//! synchronization in Figures 6–8; the snapshot build that publishes
+//! each host change on the concurrent path; and the participant's apply
+//! of one change's delta.
+//!
+//! The `snippet_apply` group times the participant's apply of one
+//! paragraph edit's delta, as a whole body and as a body splice.
 //!
 //! A poll round runs the request path production serves: the sequential
 //! agent answers through the same Fig.-2 code as the concurrent host,
@@ -13,12 +17,15 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use rcb_browser::{Browser, BrowserKind};
 use rcb_core::agent::{AgentConfig, CacheMode, RcbAgent};
 use rcb_core::snapshot::{ContentSnapshot, DELTA_RING};
-use rcb_core::snippet::AjaxSnippet;
+use rcb_core::snippet::{AjaxSnippet, SnippetOutcome};
 use rcb_crypto::SessionKey;
+use rcb_html::Document;
+use rcb_http::Response;
 use rcb_origin::OriginRegistry;
 use rcb_sim::link::Pipe;
 use rcb_sim::profiles::NetProfile;
 use rcb_util::{DetRng, SimDuration, SimTime};
+use rcb_xml::{DeltaContent, DeltaTop};
 
 fn loaded_host(site: &str) -> Browser {
     let mut origins = OriginRegistry::with_alexa20();
@@ -135,9 +142,61 @@ fn bench_snapshot_finish(c: &mut Criterion) {
     group.finish();
 }
 
+/// The participant's side of one woken `edit_paragraph` delta on
+/// wikipedia.org: the reply's parse and the Fig.-5 apply (M6) on a
+/// participant synced to the base. `full` ships the whole body and
+/// re-parses all of it; `splice` ships and re-parses the one changed
+/// child. The participant is set up untimed.
+fn bench_snippet_apply(c: &mut Criterion) {
+    let mut group = c.benchmark_group("snippet_apply");
+    let key = SessionKey::generate_deterministic(&mut DetRng::new(4));
+    let mut agent = RcbAgent::new(key.clone(), AgentConfig::default());
+    let mut host = loaded_host("wikipedia.org");
+    let base = ContentSnapshot::build(&mut agent, &host, SimTime::ZERO, None).unwrap();
+    let participant = |doc: Option<Document>, doc_time: u64| {
+        let mut snippet = AjaxSnippet::new(1, key.clone(), SimDuration::from_secs(1));
+        snippet.doc_time = doc_time;
+        let mut browser = Browser::new(BrowserKind::Firefox);
+        browser.doc = doc;
+        (snippet, browser)
+    };
+    let (mut snippet, mut synced) =
+        participant(Some(rcb_html::parse_document(&agent.initial_page())), 0);
+    snippet
+        .process_response(&base.poll_response(), &mut synced)
+        .unwrap();
+    edit_paragraph(&mut host, 1);
+    let next =
+        ContentSnapshot::build(&mut agent, &host, SimTime::from_millis(1), Some(&base)).unwrap();
+    let splice = next.delta_response_for(base.dom_version).unwrap();
+    assert!(splice.body_str().contains("<docBodySplice "));
+    let nc = rcb_xml::parse_new_content(next.xml()).unwrap().unwrap();
+    let whole = Response::xml(rcb_xml::write_delta_content(&DeltaContent {
+        doc_time: next.doc_time,
+        from_doc_time: base.doc_time,
+        head_children: None,
+        top: Some(DeltaTop::Whole(nc.top)),
+        user_actions: nc.user_actions,
+    }));
+    for (name, reply) in [("full", whole), ("splice", splice)] {
+        group.bench_function(BenchmarkId::new(name, "wikipedia.org"), |b| {
+            b.iter_batched(
+                || participant(synced.doc.clone(), base.doc_time),
+                |(mut snippet, mut browser)| {
+                    let outcome = snippet.process_response(&reply, &mut browser).unwrap();
+                    assert!(matches!(outcome, SnippetOutcome::Updated { .. }));
+                    (outcome, browser)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_poll_round, bench_snapshot_finish
+    targets = bench_poll_round, bench_snapshot_finish, bench_snippet_apply
 }
 criterion_main!(benches);

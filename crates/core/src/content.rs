@@ -45,6 +45,8 @@ use rcb_browser::{Browser, DownloadObserver};
 use rcb_cache::{CacheView, MappingTable};
 use rcb_crypto::SessionKey;
 use rcb_html::dom::{Document, NodeData, NodeId};
+use rcb_html::parser::is_splice_safe;
+use rcb_html::serialize::inner_html_with_child_ends;
 use rcb_html::{inner_html, query};
 use rcb_url::Url;
 use rcb_util::{RcbError, Result, SimDuration, Stopwatch};
@@ -59,10 +61,15 @@ pub struct GeneratedContent {
     /// The serialized Fig.-4 XML document. A snapshot's poll reply
     /// shares this allocation as its body.
     pub xml: Arc<str>,
-    /// Where the writer put each section of `xml`: deltas are spliced
-    /// from these bytes, and comparing them across generations tells
-    /// which sections changed.
+    /// Where the writer put each section of `xml`, and each top-level
+    /// body child: deltas are spliced from these bytes, and comparing them
+    /// across generations tells which sections and children changed.
     pub sections: Sections,
+    /// Whether a participant's fragment parse of this body gives back its
+    /// top-level children one for one ([`rcb_html::parser::is_splice_safe`]):
+    /// only then may a delta to this generation splice the body's
+    /// children instead of replacing them all.
+    pub body_splice_safe: bool,
     /// The document timestamp embedded in it.
     pub doc_time: u64,
     /// Supplementary-object URLs a participant must fetch after applying
@@ -231,8 +238,9 @@ fn finish_impl(
     // Step 4: event-attribute rewriting.
     rewrite_event_attributes(&mut doc, clone);
 
-    // Step 5: XML assembly.
-    let (head_children, top) = extract_payloads(&doc, clone)?;
+    // Step 5: XML assembly. The body's children are escaped one by one,
+    // so the next generation's deltas can ship only the changed ones.
+    let (head_children, top, body_children) = extract_payloads(&doc, clone)?;
     let object_urls = query::collect_supplementary_urls(&doc, clone);
     let nc = NewContent {
         doc_time,
@@ -240,13 +248,15 @@ fn finish_impl(
         top,
         user_actions,
     };
-    let (xml, sections) = write_new_content_with_sections(&nc);
+    let (xml, sections) =
+        write_new_content_with_sections(&nc, body_children.as_ref().map(|c| &c.ends[..]));
     // M5 ends with the XML written; moving it into its shared buffer is
     // not generation.
     let generation_cost = prep_cost + sw.elapsed();
     Ok(GeneratedContent {
         xml: Arc::from(xml),
         sections,
+        body_splice_safe: body_children.is_some_and(|c| c.splice_safe),
         doc_time,
         object_urls,
         cache_rewrites,
@@ -376,10 +386,21 @@ fn ensure_identifier(doc: &mut Document, node: NodeId, counter: &mut u64) -> Str
     id
 }
 
-/// Step 5: extract per-element payloads in DOM order.
-fn extract_payloads(doc: &Document, html_el: NodeId) -> Result<(Vec<ElementPayload>, TopLevel)> {
+/// Where a body payload's top-level children end in its innerHTML, and
+/// whether a participant re-parses them one for one.
+struct BodyChildEnds {
+    ends: Vec<usize>,
+    splice_safe: bool,
+}
+
+/// Step 5: extract per-element payloads in DOM order, with the body's
+/// child boundaries on a body page.
+fn extract_payloads(
+    doc: &Document,
+    html_el: NodeId,
+) -> Result<(Vec<ElementPayload>, TopLevel, Option<BodyChildEnds>)> {
     let mut head_children = Vec::new();
-    let mut body: Option<ElementPayload> = None;
+    let mut body: Option<(ElementPayload, BodyChildEnds)> = None;
     let mut frameset: Option<ElementPayload> = None;
     let mut noframes: Option<ElementPayload> = None;
     for &child in doc.children(html_el) {
@@ -398,32 +419,49 @@ fn extract_payloads(doc: &Document, html_el: NodeId) -> Result<(Vec<ElementPaylo
                     // paper's per-child extraction implies.
                 }
             }
-            "body" => body = Some(payload_of(doc, child)),
+            "body" => {
+                let (tag, attrs) = tag_and_attrs(doc, child);
+                let (inner_html, ends) = inner_html_with_child_ends(doc, child);
+                let splice_safe = is_splice_safe(doc, child);
+                body = Some((
+                    ElementPayload {
+                        tag,
+                        attrs,
+                        inner_html,
+                    },
+                    BodyChildEnds { ends, splice_safe },
+                ));
+            }
             "frameset" => frameset = Some(payload_of(doc, child)),
             "noframes" => noframes = Some(payload_of(doc, child)),
             _ => {}
         }
     }
-    let top = if let Some(fs) = frameset {
-        TopLevel::Frames {
+    let (top, body_children) = if let Some(fs) = frameset {
+        let frames = TopLevel::Frames {
             frameset: fs,
             noframes,
-        }
-    } else if let Some(b) = body {
-        TopLevel::Body(b)
+        };
+        (frames, None)
+    } else if let Some((b, children)) = body {
+        (TopLevel::Body(b), Some(children))
     } else {
         return Err(RcbError::InvalidInput(
             "document has neither body nor frameset".into(),
         ));
     };
-    Ok((head_children, top))
+    Ok((head_children, top, body_children))
+}
+
+fn tag_and_attrs(doc: &Document, node: NodeId) -> (String, Vec<(String, String)>) {
+    match doc.data(node) {
+        NodeData::Element { tag, attrs } => (tag.clone(), attrs.clone()),
+        _ => (String::new(), Vec::new()),
+    }
 }
 
 fn payload_of(doc: &Document, node: NodeId) -> ElementPayload {
-    let (tag, attrs) = match doc.data(node) {
-        NodeData::Element { tag, attrs } => (tag.clone(), attrs.clone()),
-        _ => (String::new(), Vec::new()),
-    };
+    let (tag, attrs) = tag_and_attrs(doc, node);
     ElementPayload {
         tag,
         attrs,

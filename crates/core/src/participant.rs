@@ -34,6 +34,18 @@ use crate::snippet::{AjaxSnippet, SnippetOutcome};
 /// cohort shed in the same instant fans back out.
 const SHED_SEED: u64 = 0x5ced_ba11;
 
+/// The shed back-off seed of participant `pid` on a socket.
+pub(crate) fn shed_seed(pid: u64) -> u64 {
+    SHED_SEED ^ pid
+}
+
+/// The shed back-off seed of participant `pid` in a world seeded
+/// `world_seed`: each world seed sheds a herd on its own schedule, and
+/// the same seed replays it.
+pub(crate) fn world_shed_seed(world_seed: u64, pid: u64) -> u64 {
+    shed_seed(pid) ^ world_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
 /// Seeded jittered exponential backoff for shed (`503`) replies.
 ///
 /// Deterministic given its seed: every delay is drawn from the policy's
@@ -124,14 +136,15 @@ pub(crate) struct ParticipantCore {
 }
 
 impl ParticipantCore {
-    /// A participant that has not joined yet; `give_up` as on the field.
-    pub(crate) fn new(pid: u64, give_up: bool) -> ParticipantCore {
+    /// A participant that has not joined yet, its shed back-off seeded
+    /// with `shed_seed`; `give_up` as on the field.
+    pub(crate) fn new(shed_seed: u64, give_up: bool) -> ParticipantCore {
         ParticipantCore {
             joined: false,
             sent: None,
             held: false,
             objects: VecDeque::new(),
-            retry: RetryPolicy::seeded(SHED_SEED ^ pid),
+            retry: RetryPolicy::seeded(shed_seed),
             sheds_in_a_row: 0,
             give_up,
         }
@@ -301,7 +314,7 @@ pub(crate) mod tests {
     fn participant(give_up: bool) -> (ParticipantCore, AjaxSnippet, Browser) {
         let key = SessionKey::generate_deterministic(&mut DetRng::new(5));
         (
-            ParticipantCore::new(1, give_up),
+            ParticipantCore::new(shed_seed(1), give_up),
             AjaxSnippet::new(1, key, SimDuration::from_secs(1)),
             Browser::new(BrowserKind::Firefox),
         )

@@ -43,13 +43,17 @@
 //! # Delta ring
 //!
 //! Each snapshot also freezes up to [`DELTA_RING`] delta replies, one per
-//! recent predecessor generation, for woken long-polls that advertised
-//! `d=1`. The XML writer reports the byte range of each section it wrote
-//! (`docHead`, the top-level block, `userActions`), and `finish` works on
-//! those bytes alone: a section changed when its bytes differ from the
-//! predecessor's, and a delta is the `deltaContent` framing around the
-//! changed sections, copied verbatim. The server never parses its own
-//! output back or re-escapes a payload to build a delta.
+//! recent predecessor generation, for polls that advertised `d=1`. The XML
+//! writer reports the byte range of each section it wrote (`docHead`, the
+//! top-level block, `userActions`) and of each top-level body child, and
+//! `finish` works on those bytes alone: a section changed when its bytes
+//! differ from the predecessor's, and a delta is the `deltaContent`
+//! framing around the changed sections, copied verbatim. A changed body
+//! ships as a *splice* when it can: only the children between the common
+//! prefix and the common suffix of the base's children and this
+//! generation's (compared byte for byte), inside a `docBodySplice`
+//! element that names the run it replaces. The server never parses its
+//! own output back or re-escapes a payload to build a delta.
 //!
 //! The caller publishes the finished snapshot with a single pointer swap
 //! under the snapshot write lock, discarding it if a newer DOM version was
@@ -80,7 +84,7 @@ use rcb_crypto::SessionKey;
 use rcb_http::{Body, Response, Status};
 use rcb_util::{Result, SimTime};
 
-use rcb_xml::Sections;
+use rcb_xml::{Sections, TopCopy};
 
 use crate::agent::{CacheMode, RcbAgent};
 use crate::content::{finish_generation, prepare_generation, GeneratedContent, GenerationJob};
@@ -98,9 +102,9 @@ pub use rcb_http::{BATCH_BOUNDARY, BATCH_CONTENT_TYPE, BATCH_MEDIA_TYPE};
 
 /// One servable delta in the ring: everything needed to answer a woken
 /// poll whose acked generation is `from_dom_version`. Its reply is the
-/// `deltaContent` framing around the sections that changed since that
-/// base, copied verbatim from this generation's XML when the snapshot is
-/// built; serving it copies no bytes.
+/// `deltaContent` framing around the sections (or the body children) that
+/// changed since that base, copied verbatim from this generation's XML
+/// when the snapshot is built; serving it copies no bytes.
 #[derive(Debug)]
 struct DeltaSlot {
     /// The acked generation this delta upgrades from.
@@ -115,12 +119,54 @@ struct DeltaSlot {
     head_changed: bool,
     /// Whether the top-level (body/frameset) component changed.
     top_changed: bool,
+    /// How the base's body children line up with this generation's; `None`
+    /// when the base body is not splice-safe, or some step of the span
+    /// cannot be lined up (a frameset page, or a change of the body
+    /// element's own attributes).
+    body_span: Option<BodySpan>,
     /// Live cache keys of the base generation — objects the participant
     /// already holds, excluded from the batched reply.
     from_live_keys: Vec<CacheKey>,
     /// Prefab reply: plain delta XML, or a [`BATCH_CONTENT_TYPE`]
     /// multipart when new objects are inlined.
     response: Response,
+}
+
+/// How a base generation's top-level body children line up with a later
+/// generation's: the base has `of` children, its first `prefix` are byte
+/// for byte the later body's first `prefix`, and its last `suffix` the
+/// later body's last `suffix`. Each run is the longest found on its own,
+/// so the two may overlap: an unchanged body is `prefix == suffix == of`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BodySpan {
+    of: usize,
+    prefix: usize,
+    suffix: usize,
+}
+
+impl BodySpan {
+    /// The span over two steps, base → middle (`self`) then middle →
+    /// end: the smaller prefix and suffix, since a run kept by both steps
+    /// is kept across them. An unchanged step narrows nothing.
+    fn then(self, step: BodySpan) -> BodySpan {
+        BodySpan {
+            of: self.of,
+            prefix: self.prefix.min(step.prefix),
+            suffix: self.suffix.min(step.suffix),
+        }
+    }
+
+    /// The splice that turns the base's children into a body of `len`
+    /// children: it keeps the prefix and the part of the suffix that does
+    /// not overlap it (both runs lie within both bodies).
+    fn splice(self, len: usize) -> TopCopy {
+        let suffix = self.suffix.min(self.of.min(len) - self.prefix);
+        TopCopy::BodySplice {
+            at: self.prefix,
+            drop: self.of - self.prefix - suffix,
+            of: self.of,
+        }
+    }
 }
 
 /// A frozen, shareable view of one content generation (see module docs).
@@ -139,10 +185,13 @@ pub struct ContentSnapshot {
     /// entries: this generation's plus the predecessor's live set
     /// (two-generation bound).
     objects: HashMap<CacheKey, Response>,
-    /// Where each section of the XML lies. The *next* generation compares
-    /// its head and top section bytes against these to decide which
-    /// components its deltas must carry.
+    /// Where each section of the XML, and each top-level body child, lies.
+    /// The *next* generation compares its head, top and body-child bytes
+    /// against these to decide what its deltas must carry.
     sections: Sections,
+    /// Whether a participant re-parses this body's children one for one,
+    /// so a delta from this generation may splice them.
+    body_splice_safe: bool,
     /// Deltas from up to [`DELTA_RING`] predecessor generations to this
     /// one, newest base first.
     delta_ring: Vec<DeltaSlot>,
@@ -283,9 +332,10 @@ impl ContentSnapshot {
 impl SnapshotPlan {
     /// Phase 2, **no locks held**: run the deferred generation (if any),
     /// resolve object bytes from the frozen cache view, and freeze the
-    /// prefab replies. Returns the snapshot plus the freshly generated
-    /// content (when generation ran) so the caller can admit it into the
-    /// agent's generated-content cache under the host mutex.
+    /// prefab replies and the delta ring against `prev`. Returns the
+    /// snapshot plus the freshly generated content (when generation ran)
+    /// so the caller can admit it into the agent's generated-content cache
+    /// under the host mutex.
     pub fn finish(
         self,
         prev: Option<&ContentSnapshot>,
@@ -381,48 +431,63 @@ impl SnapshotPlan {
         // sections, copied verbatim from the XML just written. A section
         // changed in this step when its bytes differ from the
         // predecessor's: escaping is injective and the framing fixed, so
-        // equal bytes mean equal payloads.
+        // equal bytes mean equal payloads. The same holds per body child.
         let sections = content.sections.clone();
         let mut delta_ring = Vec::new();
         if let Some(prev) = prev {
             let xml = content.xml.as_bytes();
             let step_head = prev.section(&prev.sections.head) != &xml[sections.head.clone()];
             let step_top = prev.section(&prev.sections.top) != &xml[sections.top.clone()];
+            let step_span = body_step(prev, xml, &sections);
             // Candidate bases: the predecessor itself, then every base its
-            // ring still covered, with changed flags OR-accumulated across
-            // the new step. Strictly older than this generation.
-            let mut bases: Vec<(u64, u64, bool, bool, &[CacheKey])> = Vec::new();
+            // ring still covered, with changed flags OR-accumulated and
+            // body spans narrowed across the new step. Strictly older than
+            // this generation.
+            let mut bases: Vec<Base<'_>> = Vec::new();
             if prev.dom_version < self.dom_version {
-                bases.push((
-                    prev.dom_version,
-                    prev.doc_time,
-                    step_head,
-                    step_top,
-                    &prev.live_keys,
-                ));
+                bases.push(Base {
+                    version: prev.dom_version,
+                    doc_time: prev.doc_time,
+                    head_changed: step_head,
+                    top_changed: step_top,
+                    body_span: step_span.filter(|_| prev.body_splice_safe),
+                    live_keys: &prev.live_keys,
+                });
             }
             for slot in &prev.delta_ring {
                 if slot.from_dom_version < self.dom_version {
-                    bases.push((
-                        slot.from_dom_version,
-                        slot.from_doc_time,
-                        slot.head_changed || step_head,
-                        slot.top_changed || step_top,
-                        &slot.from_live_keys,
-                    ));
+                    bases.push(Base {
+                        version: slot.from_dom_version,
+                        doc_time: slot.from_doc_time,
+                        head_changed: slot.head_changed || step_head,
+                        top_changed: slot.top_changed || step_top,
+                        body_span: slot.body_span.zip(step_span).map(|(s, t)| s.then(t)),
+                        live_keys: &slot.from_live_keys,
+                    });
                 }
             }
-            bases.sort_by_key(|b| std::cmp::Reverse(b.0));
-            bases.dedup_by_key(|b| b.0);
+            bases.sort_by_key(|b| std::cmp::Reverse(b.version));
+            bases.dedup_by_key(|b| b.version);
             bases.truncate(DELTA_RING);
-            for (from_version, from_time, head_changed, top_changed, from_keys) in bases {
+            for base in bases {
+                // A changed body ships as a splice of the children between
+                // the common prefix and suffix when the participant's parse
+                // of both bodies is known to give their children one for
+                // one; whole otherwise.
+                let top = match (base.body_span, &sections.body_children) {
+                    _ if !base.top_changed => TopCopy::Omit,
+                    (Some(span), Some(children)) if content.body_splice_safe => {
+                        span.splice(children.len())
+                    }
+                    _ => TopCopy::Whole,
+                };
                 let delta_xml = rcb_xml::splice_delta_content(
                     &content.xml,
                     &sections,
                     self.doc_time,
-                    from_time,
-                    head_changed,
-                    top_changed,
+                    base.doc_time,
+                    base.head_changed,
+                    top,
                 );
                 // Inline the objects this generation references that the
                 // base generation did not: the receiver gets them in one
@@ -430,7 +495,7 @@ impl SnapshotPlan {
                 let new_keys: Vec<CacheKey> = live_keys
                     .iter()
                     .copied()
-                    .filter(|k| !from_keys.contains(k))
+                    .filter(|k| !base.live_keys.contains(k))
                     .filter(|k| objects.contains_key(k) && minted_urls.contains_key(k))
                     .collect();
                 let response = if new_keys.is_empty() {
@@ -450,11 +515,12 @@ impl SnapshotPlan {
                     )
                 };
                 delta_ring.push(DeltaSlot {
-                    from_dom_version: from_version,
-                    from_doc_time: from_time,
-                    head_changed,
-                    top_changed,
-                    from_live_keys: from_keys.to_vec(),
+                    from_dom_version: base.version,
+                    from_doc_time: base.doc_time,
+                    head_changed: base.head_changed,
+                    top_changed: base.top_changed,
+                    body_span: base.body_span,
+                    from_live_keys: base.live_keys.to_vec(),
                     response,
                 });
             }
@@ -468,6 +534,7 @@ impl SnapshotPlan {
                 live_keys,
                 objects,
                 sections,
+                body_splice_safe: content.body_splice_safe,
                 delta_ring,
             }),
             generated,
@@ -483,6 +550,47 @@ impl SnapshotPlan {
     pub fn mode(&self) -> CacheMode {
         self.mode
     }
+}
+
+/// One candidate base of a new snapshot's delta ring.
+struct Base<'a> {
+    version: u64,
+    doc_time: u64,
+    head_changed: bool,
+    top_changed: bool,
+    body_span: Option<BodySpan>,
+    live_keys: &'a [CacheKey],
+}
+
+/// How `prev`'s body children line up with those of the generation
+/// written as `xml` with `sections`: the longest common prefix and the
+/// longest common suffix, each compared byte for byte on its own. `None`
+/// when either side reports no children (a frameset page) or the body
+/// element's own bytes (its tag and attributes) differ.
+fn body_step(prev: &ContentSnapshot, xml: &[u8], sections: &Sections) -> Option<BodySpan> {
+    let (old, new) = (
+        prev.sections.body_children.as_ref()?,
+        sections.body_children.as_ref()?,
+    );
+    let prev_xml = prev.poll_response.body.as_slice();
+    if prev_xml[prev.sections.top.start..old.start] != xml[sections.top.start..new.start] {
+        return None;
+    }
+    let same = |i: usize, j: usize| prev_xml[old.span(i..i + 1)] == xml[new.span(j..j + 1)];
+    let common = old.len().min(new.len());
+    let prefix = (0..common).take_while(|&i| same(i, i)).count();
+    let suffix = if prefix == old.len() && prefix == new.len() {
+        prefix
+    } else {
+        (1..=common)
+            .take_while(|&k| same(old.len() - k, new.len() - k))
+            .count()
+    };
+    Some(BodySpan {
+        of: old.len(),
+        prefix,
+        suffix,
+    })
 }
 
 /// Serializes one multipart batch body: part 1 is the delta XML, every
@@ -560,6 +668,7 @@ mod tests {
     use rcb_sim::profiles::NetProfile;
     use rcb_url::Url;
     use rcb_util::DetRng;
+    use rcb_xml::{BodySplice, DeltaTop};
 
     fn agent(mode: CacheMode) -> RcbAgent {
         RcbAgent::new(
@@ -731,6 +840,17 @@ mod tests {
         .unwrap();
     }
 
+    fn prepend_div(host: &mut Browser, text: &str) {
+        host.mutate_dom(|doc| {
+            let body = doc.body().expect("page has a body");
+            let div = doc.create_element("div");
+            let t = doc.create_text(text);
+            doc.append_child(div, t).unwrap();
+            doc.splice_children(body, 0, 0, vec![div]).unwrap();
+        })
+        .unwrap();
+    }
+
     /// Replaces the text of the page's `<title>`, returning the old text.
     fn set_title(host: &mut Browser, text: &str) -> String {
         let mut old = String::new();
@@ -761,40 +881,134 @@ mod tests {
         }
     }
 
+    /// The top-level children of a body's innerHTML as a participant's
+    /// fragment parse finds them, each re-serialized; they must join back
+    /// into the innerHTML (the writer's child boundaries are the parser's).
+    fn parsed_children(inner_html: &str) -> Vec<String> {
+        let mut doc = rcb_html::Document::new();
+        let body = doc.create_element("body");
+        let children: Vec<String> = rcb_html::parse_fragment_into(&mut doc, body, inner_html)
+            .into_iter()
+            .map(|c| rcb_html::outer_html(&doc, c))
+            .collect();
+        assert_eq!(
+            children.concat(),
+            inner_html,
+            "body re-serializes as it was sent"
+        );
+        children
+    }
+
+    fn body_of(nc: &rcb_xml::NewContent) -> &rcb_xml::ElementPayload {
+        match &nc.top {
+            rcb_xml::TopLevel::Body(body) => body,
+            other => panic!("expected a body page, got {other:?}"),
+        }
+    }
+
     /// What a slot must equal: the typed delta writer over `snap`'s XML
     /// parsed back (`nc`), carrying the components the slot's flags name.
+    /// A body splice carries the children its `at`, `drop` and `of` name,
+    /// cut from `nc`'s body where a participant's parse splits it; the
+    /// children it keeps must equal those of the base's body (`base`, the
+    /// base's XML parsed back), and so must the body element.
     fn reference_delta(
         snap: &ContentSnapshot,
         nc: &rcb_xml::NewContent,
+        base: &rcb_xml::NewContent,
         slot: &DeltaSlot,
     ) -> String {
+        let shipped = rcb_xml::parse_delta_content(&slot_xml(slot))
+            .unwrap()
+            .unwrap();
+        let top = match shipped.top {
+            None => None,
+            Some(DeltaTop::Whole(_)) => Some(DeltaTop::Whole(nc.top.clone())),
+            Some(DeltaTop::BodySplice(splice)) => {
+                let (new, old) = (body_of(nc), body_of(base));
+                assert_eq!(new.attrs, old.attrs, "a splice keeps the body element");
+                let (new, old) = (
+                    parsed_children(&new.inner_html),
+                    parsed_children(&old.inner_html),
+                );
+                let BodySplice { at, drop, of, .. } = splice;
+                assert_eq!(old.len(), of, "a splice names its base's child count");
+                let kept_after = of - at - drop;
+                let inserted = new.len() - at - kept_after;
+                assert_eq!(new[..at], old[..at], "kept prefix");
+                assert_eq!(new[at + inserted..], old[at + drop..], "kept suffix");
+                Some(DeltaTop::BodySplice(BodySplice {
+                    at,
+                    drop,
+                    of,
+                    inner_html: new[at..at + inserted].concat(),
+                }))
+            }
+        };
+        assert_eq!(top.is_some(), slot.top_changed);
         rcb_xml::write_delta_content(&rcb_xml::DeltaContent {
             doc_time: snap.doc_time,
             from_doc_time: slot.from_doc_time,
             head_children: slot.head_changed.then(|| nc.head_children.clone()),
-            top: slot.top_changed.then(|| nc.top.clone()),
+            top,
             user_actions: nc.user_actions.clone(),
         })
     }
 
+    /// How a slot ships the top-level component.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum TopShipped {
+        Omitted,
+        Whole,
+        Splice,
+    }
+
     /// The slot of `snap`'s ring for `base`, checked against the reference
-    /// writer; returns its `(head_changed, top_changed)` flags.
-    fn checked_flags(snap: &ContentSnapshot, base: &ContentSnapshot) -> (bool, bool) {
+    /// writer; returns whether it ships the head, and how the top.
+    fn checked_slot(snap: &ContentSnapshot, base: &ContentSnapshot) -> (bool, TopShipped) {
         let nc = rcb_xml::parse_new_content(snap.xml()).unwrap().unwrap();
+        let base_nc = rcb_xml::parse_new_content(base.xml()).unwrap().unwrap();
         let slot = snap
             .delta_ring
             .iter()
             .find(|s| s.from_dom_version == base.dom_version)
             .expect("base in ring");
-        assert_eq!(slot_xml(slot), reference_delta(snap, &nc, slot));
-        (slot.head_changed, slot.top_changed)
+        let xml = slot_xml(slot);
+        assert_eq!(xml, reference_delta(snap, &nc, &base_nc, slot));
+        let top = if xml.contains("<docBodySplice ") {
+            TopShipped::Splice
+        } else if slot.top_changed {
+            TopShipped::Whole
+        } else {
+            TopShipped::Omitted
+        };
+        (slot.head_changed, top)
+    }
+
+    /// Replaces the text of the body's first non-empty `<p>` text node.
+    fn edit_first_paragraph(host: &mut Browser, text: &str) {
+        host.mutate_dom(|doc| {
+            let body = doc.body().expect("page has a body");
+            let first = doc
+                .descendants(body)
+                .into_iter()
+                .filter(|&p| doc.is_element(p, "p"))
+                .filter_map(|p| doc.children(p).first().copied())
+                .find(|&t| doc.text(t).is_some_and(|s| !s.is_empty()));
+            if let Some(t) = first {
+                doc.set_text(t, text).unwrap();
+            }
+        })
+        .unwrap();
     }
 
     #[test]
     fn ring_slots_equal_the_reference_writer_on_every_table1_page() {
-        // Head, top, both, neither: the rings built along this sequence
-        // hold slots with every combination of head/top flags.
-        let edits: [fn(&mut Browser); 4] = [
+        // Head, body, both, neither, body edits at both ends and inside,
+        // and an edit of the body element itself: the rings built along
+        // this sequence hold slots that ship every combination of the
+        // head and the top's three forms.
+        let edits: [fn(&mut Browser); 9] = [
             |h| {
                 set_title(h, "edited title");
             },
@@ -804,33 +1018,60 @@ mod tests {
                 append_div(h, "edited both");
             },
             |h| h.mutate_dom(|_| {}).unwrap(),
+            |h| prepend_div(h, "at the front"),
+            |h| edit_first_paragraph(h, "a paragraph edit"),
+            |h| {
+                h.mutate_dom(|doc| {
+                    let body = doc.body().unwrap();
+                    let first = doc.children(body)[0];
+                    doc.detach(first);
+                    let last = *doc.children(body).last().unwrap();
+                    doc.set_attr(last, "data-edited", "yes");
+                })
+                .unwrap();
+            },
+            |h| {
+                h.mutate_dom(|doc| {
+                    let body = doc.body().unwrap();
+                    doc.set_attr(body, "data-theme", "dark");
+                })
+                .unwrap();
+            },
+            |h| {
+                set_title(h, "edited after the body element");
+            },
         ];
-        let mut flags_seen = std::collections::HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         for spec in rcb_origin::alexa20() {
             for mode in [CacheMode::Cache, CacheMode::NonCache] {
                 let mut a = agent(mode);
                 let mut host = loaded_host(spec.name);
-                let mut snap = ContentSnapshot::build(&mut a, &host, SimTime::ZERO, None).unwrap();
+                let mut chain =
+                    vec![ContentSnapshot::build(&mut a, &host, SimTime::ZERO, None).unwrap()];
                 for (i, edit) in (1u64..).zip(edits) {
                     edit(&mut host);
-                    snap =
-                        ContentSnapshot::build(&mut a, &host, SimTime::from_millis(i), Some(&snap))
-                            .unwrap();
-                    let nc = rcb_xml::parse_new_content(snap.xml()).unwrap().unwrap();
+                    let prev = chain.last().map(|s| &**s);
+                    let snap = ContentSnapshot::build(&mut a, &host, SimTime::from_millis(i), prev)
+                        .unwrap();
                     for slot in &snap.delta_ring {
-                        assert_eq!(
-                            slot_xml(slot),
-                            reference_delta(&snap, &nc, slot),
-                            "{} {mode:?}: slot from v{}",
-                            spec.name,
-                            slot.from_dom_version
-                        );
-                        flags_seen.insert((slot.head_changed, slot.top_changed));
+                        let base = chain
+                            .iter()
+                            .find(|s| s.dom_version == slot.from_dom_version)
+                            .expect("the base was built here");
+                        seen.insert(checked_slot(&snap, base));
                     }
+                    chain.push(snap);
                 }
             }
         }
-        assert_eq!(flags_seen.len(), 4, "every flag combination exercised");
+        for head in [false, true] {
+            for top in [TopShipped::Omitted, TopShipped::Whole, TopShipped::Splice] {
+                assert!(
+                    seen.contains(&(head, top)),
+                    "no slot ships head={head} top={top:?}: {seen:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -845,11 +1086,12 @@ mod tests {
         let s2 = build(&host, 1, Some(&s1));
         append_div(&mut host, "body edit");
         let s3 = build(&host, 2, Some(&s2));
-        assert_eq!(checked_flags(&s2, &s1), (true, false), "head-only step");
-        assert_eq!(checked_flags(&s3, &s2), (false, true), "top-only step");
+        use TopShipped::{Omitted, Splice};
+        assert_eq!(checked_slot(&s2, &s1), (true, Omitted), "head-only step");
+        assert_eq!(checked_slot(&s3, &s2), (false, Splice), "top-only step");
         assert_eq!(
-            checked_flags(&s3, &s1),
-            (true, true),
+            checked_slot(&s3, &s1),
+            (true, Splice),
             "chained base: OR of both steps"
         );
 
@@ -858,13 +1100,120 @@ mod tests {
         set_title(&mut host, &original);
         let s4 = build(&host, 3, Some(&s3));
         assert_eq!(s4.section(&s4.sections.head), s1.section(&s1.sections.head));
-        assert_eq!(checked_flags(&s4, &s3), (true, false));
-        assert_eq!(checked_flags(&s4, &s2), (true, true), "top, then head");
+        assert_eq!(checked_slot(&s4, &s3), (true, Omitted));
+        assert_eq!(checked_slot(&s4, &s2), (true, Splice), "top, then head");
         assert_eq!(
-            checked_flags(&s4, &s1),
-            (true, true),
+            checked_slot(&s4, &s1),
+            (true, Splice),
             "reverted head still ships"
         );
+    }
+
+    /// The splice a slot ships: `(at, drop, of, inserted children)`.
+    fn splice_of(snap: &ContentSnapshot, base: &ContentSnapshot) -> (usize, usize, usize, usize) {
+        checked_slot(snap, base);
+        let xml = String::from_utf8(
+            snap.delta_response_for(base.dom_version)
+                .unwrap()
+                .body
+                .to_vec(),
+        )
+        .unwrap();
+        match rcb_xml::parse_delta_content(&xml).unwrap().unwrap().top {
+            Some(DeltaTop::BodySplice(s)) => {
+                let inserted = parsed_children(&s.inner_html).len();
+                (s.at, s.drop, s.of, inserted)
+            }
+            other => panic!("expected a splice, got {other:?}"),
+        }
+    }
+
+    /// Replaces the first text below body child `i` with `text`. (A text
+    /// edit: the synthetic `rcb-el-N` ids the agent gives clickables are
+    /// numbered in document order, so adding or removing one renumbers
+    /// every later child that holds one.)
+    fn edit_text_in_child(host: &mut Browser, i: usize, text: &str) {
+        host.mutate_dom(|doc| {
+            let child = doc.children(doc.body().unwrap())[i];
+            let t = doc
+                .descendants(child)
+                .into_iter()
+                .find(|&n| doc.text(n).is_some_and(|t| !t.trim().is_empty()))
+                .expect("the child holds text");
+            doc.set_text(t, text).unwrap();
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn chained_splices_cover_every_child_changed_since_their_base() {
+        let mut a = agent(CacheMode::Cache);
+        let mut host = loaded_host("wikipedia.org");
+        // Two body children that hold text, well apart.
+        let (n, first, second) = {
+            let doc = host.doc.as_ref().unwrap();
+            let children = doc.children(doc.body().unwrap());
+            let with_text: Vec<usize> = (0..children.len())
+                .filter(|&i| !doc.text_content(children[i]).trim().is_empty())
+                .collect();
+            (children.len(), with_text[1], with_text[with_text.len() / 2])
+        };
+        assert!(
+            first + 1 < second && second + 1 < n,
+            "{first} {second} of {n}"
+        );
+        let mut build = |host: &Browser, ms: u64, prev: Option<&ContentSnapshot>| {
+            ContentSnapshot::build(&mut a, host, SimTime::from_millis(ms), prev).unwrap()
+        };
+        let s1 = build(&host, 0, None);
+        edit_text_in_child(&mut host, first, "first edit");
+        let s2 = build(&host, 1, Some(&s1));
+        set_title(&mut host, "a title edit");
+        let s3 = build(&host, 2, Some(&s2));
+        edit_text_in_child(&mut host, second, "second edit");
+        let s4 = build(&host, 3, Some(&s3));
+        append_div(&mut host, "appended");
+        let s5 = build(&host, 4, Some(&s4));
+        assert_eq!(splice_of(&s2, &s1), (first, 1, n, 1));
+        assert_eq!(checked_slot(&s3, &s2), (true, TopShipped::Omitted));
+        // An unchanged body between two edits narrows nothing.
+        assert_eq!(splice_of(&s3, &s1), (first, 1, n, 1), "across the title");
+        assert_eq!(splice_of(&s4, &s3), (second, 1, n, 1));
+        assert_eq!(splice_of(&s4, &s2), (second, 1, n, 1), "across the title");
+        let between = second + 1 - first;
+        assert_eq!(
+            splice_of(&s4, &s1),
+            (first, between, n, between),
+            "both edits and all between"
+        );
+        assert_eq!(splice_of(&s5, &s4), (n, 0, n, 1), "a pure append");
+        let to_end = (second, n - second, n, n + 1 - second);
+        assert_eq!(splice_of(&s5, &s3), to_end);
+        assert_eq!(splice_of(&s5, &s2), to_end, "across the title");
+    }
+
+    /// A child inserted beside an equal one: the common prefix and suffix
+    /// overlap on the twin, and the splice inserts it once.
+    #[test]
+    fn a_twin_inserted_beside_its_twin_is_spliced_in_once() {
+        let mut a = agent(CacheMode::Cache);
+        let mut host = loaded_host("wikipedia.org");
+        prepend_div(&mut host, "twin");
+        let n = {
+            let doc = host.doc.as_ref().unwrap();
+            doc.children(doc.body().unwrap()).len()
+        };
+        let mut build = |host: &Browser, ms: u64, prev: Option<&ContentSnapshot>| {
+            ContentSnapshot::build(&mut a, host, SimTime::from_millis(ms), prev).unwrap()
+        };
+        let s1 = build(&host, 0, None);
+        prepend_div(&mut host, "twin");
+        let s2 = build(&host, 1, Some(&s1));
+        prepend_div(&mut host, "twin");
+        let s3 = build(&host, 2, Some(&s2));
+        assert_eq!(splice_of(&s2, &s1), (1, 0, n, 1));
+        assert_eq!(splice_of(&s3, &s2), (2, 0, n + 1, 1));
+        assert_eq!(splice_of(&s3, &s1), (1, 0, n, 2));
     }
 
     #[test]

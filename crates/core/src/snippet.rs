@@ -22,11 +22,11 @@ use std::fmt::Write as _;
 use rcb_browser::{Browser, BrowserKind, UserAction};
 use rcb_crypto::SessionKey;
 use rcb_html::dom::{Document, NodeId};
-use rcb_html::parser::parse_fragment_into;
+use rcb_html::parser::{parse_fragment_into, splice_inner_html};
 use rcb_http::message::utf8_lossy;
 use rcb_http::{parse_batch_parts, Request, Response, BATCH_MEDIA_TYPE};
 use rcb_util::{Histogram, RcbError, Result, SimDuration, SimTime, Stopwatch};
-use rcb_xml::{parse_poll_payload, DeltaContent, ElementPayload, PollPayload, TopLevel};
+use rcb_xml::{parse_poll_payload, DeltaContent, DeltaTop, ElementPayload, PollPayload, TopLevel};
 
 use crate::agent::build_poll_body;
 use crate::auth::sign_request;
@@ -209,17 +209,34 @@ impl AjaxSnippet {
     /// the content this snippet currently shows is dropped as "no new
     /// content", and the next poll's stale timestamp makes the agent
     /// answer with the full document — clean recovery, never a mix of two
-    /// generations.
+    /// generations. A body splice has a second guard, checked before
+    /// anything is applied: the body must hold exactly the `of` children
+    /// the splice was computed against; a mismatch is dropped the same
+    /// way.
     fn apply_delta(&mut self, dc: DeltaContent, browser: &mut Browser) -> Result<SnippetOutcome> {
         if dc.from_doc_time != self.doc_time {
             return Ok(SnippetOutcome::NoNewContent);
+        }
+        if let Some(DeltaTop::BodySplice(splice)) = &dc.top {
+            let children = browser
+                .doc
+                .as_ref()
+                .and_then(|d| Some(d.children(d.body()?).len()));
+            if children != Some(splice.of) {
+                return Ok(SnippetOutcome::NoNewContent);
+            }
         }
         let (doc_time, object_urls) = self.apply_update(browser, |doc, kind| {
             if let Some(head_children) = &dc.head_children {
                 apply_head_children(doc, kind, head_children)?;
             }
-            if let Some(top) = &dc.top {
-                apply_top_level(doc, top)?;
+            match &dc.top {
+                Some(DeltaTop::Whole(top)) => apply_top_level(doc, top)?,
+                Some(DeltaTop::BodySplice(splice)) => {
+                    let body = doc.body().expect("guarded above");
+                    splice_inner_html(doc, body, splice.at, splice.drop, &splice.inner_html)?;
+                }
+                None => {}
             }
             Ok(dc.doc_time)
         })?;
@@ -505,7 +522,11 @@ mod tests {
             doc_time: 11,
             from_doc_time: 10,
             head_children: None,
-            top: Some(TopLevel::Body(payload("body", &[], "<p>delta v11</p>"))),
+            top: Some(DeltaTop::Whole(TopLevel::Body(payload(
+                "body",
+                &[],
+                "<p>delta v11</p>",
+            )))),
             user_actions: String::new(),
         };
         let resp = Response::xml(write_delta_content(&dc));
@@ -551,7 +572,11 @@ mod tests {
             doc_time: 12,
             from_doc_time: 11, // we hold 10, not 11
             head_children: None,
-            top: Some(TopLevel::Body(payload("body", &[], "<p>wrong</p>"))),
+            top: Some(DeltaTop::Whole(TopLevel::Body(payload(
+                "body",
+                &[],
+                "<p>wrong</p>",
+            )))),
             user_actions: String::new(),
         };
         let out = s
@@ -567,6 +592,78 @@ mod tests {
         assert_ne!(doc.text_content(doc.body().unwrap()), "wrong");
     }
 
+    /// A participant showing generation 10 of a three-child body.
+    fn synced_participant() -> (AjaxSnippet, Browser) {
+        let mut browser = Browser::new(BrowserKind::Firefox);
+        browser.doc = Some(initial_participant_doc());
+        let mut s = AjaxSnippet::new(1, key(), SimDuration::from_secs(1));
+        s.delta = true;
+        let nc = rcb_xml::NewContent {
+            doc_time: 10,
+            head_children: vec![payload("title", &[], "t")],
+            top: TopLevel::Body(payload("body", &[], "<p>a</p>b<i>c</i>")),
+            user_actions: String::new(),
+        };
+        let full = Response::xml(rcb_xml::write_new_content(&nc));
+        s.process_response(&full, &mut browser).unwrap();
+        (s, browser)
+    }
+
+    fn splice_reply(at: usize, drop: usize, of: usize, inner: &str) -> Response {
+        Response::xml(rcb_xml::write_delta_content(&DeltaContent {
+            doc_time: 11,
+            from_doc_time: 10,
+            head_children: Some(vec![payload("title", &[], "spliced")]),
+            top: Some(DeltaTop::BodySplice(rcb_xml::BodySplice {
+                at,
+                drop,
+                of,
+                inner_html: inner.into(),
+            })),
+            user_actions: String::new(),
+        }))
+    }
+
+    #[test]
+    fn a_body_splice_replaces_only_the_named_children() {
+        let (mut s, mut browser) = synced_participant();
+        let doc = browser.doc.as_ref().unwrap();
+        let kept: Vec<NodeId> = doc.children(doc.body().unwrap()).to_vec();
+        let out = s
+            .process_response(&splice_reply(1, 1, 3, "<b>B</b><u>U</u>"), &mut browser)
+            .unwrap();
+        assert!(matches!(out, SnippetOutcome::Updated { doc_time: 11, .. }));
+        assert_eq!(s.deltas_applied, 1);
+        let doc = browser.doc.as_ref().unwrap();
+        let body = doc.body().unwrap();
+        assert_eq!(
+            rcb_html::inner_html(doc, body),
+            "<p>a</p><b>B</b><u>U</u><i>c</i>"
+        );
+        // The children outside the run are the very nodes it had.
+        let now = doc.children(body);
+        assert_eq!((now[0], now[3]), (kept[0], kept[2]));
+        assert_eq!(doc.text_content(doc.head().unwrap()), "/*rcb*/spliced");
+    }
+
+    #[test]
+    fn a_splice_that_does_not_fit_the_body_is_dropped() {
+        let (mut s, mut browser) = synced_participant();
+        let before = rcb_html::serialize::serialize_document(browser.doc.as_ref().unwrap());
+        let out = s
+            .process_response(&splice_reply(0, 1, 4, "<b>B</b>"), &mut browser)
+            .unwrap();
+        assert_eq!(out, SnippetOutcome::NoNewContent);
+        assert_eq!(s.doc_time, 10);
+        assert_eq!(s.deltas_applied, 0);
+        // Nothing was applied, not even the head the delta carried.
+        let after = rcb_html::serialize::serialize_document(browser.doc.as_ref().unwrap());
+        assert_eq!(before, after);
+        // The next poll carries the old timestamp, which the agent answers
+        // with the full document.
+        assert!(s.build_poll().body.starts_with(b"t=10"));
+    }
+
     #[test]
     fn batch_reply_caches_inlined_objects_and_applies_the_delta() {
         use rcb_http::BATCH_CONTENT_TYPE;
@@ -579,11 +676,11 @@ mod tests {
             doc_time: 6,
             from_doc_time: 5,
             head_children: None,
-            top: Some(TopLevel::Body(payload(
+            top: Some(DeltaTop::Whole(TopLevel::Body(payload(
                 "body",
                 &[],
                 "<img src=\"/cache/3?k=tok\">",
-            ))),
+            )))),
             user_actions: String::new(),
         };
         let xml = write_delta_content(&dc);

@@ -636,7 +636,7 @@ impl TcpParticipant {
         snippet.base_path = config.path_prefix.clone();
         let mut participant = TcpParticipant {
             conn: HttpConnection::connect_with_read_timeout(addr, read_timeout)?,
-            core: ParticipantCore::new(participant_id, true),
+            core: ParticipantCore::new(crate::participant::shed_seed(participant_id), true),
             browser: Browser::new(BrowserKind::Firefox),
             snippet,
             wire_bytes_in: 0,

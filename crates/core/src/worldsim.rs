@@ -57,7 +57,7 @@ use rcb_sim::{LinkModel, NetProfile, SimConn, World};
 use rcb_util::{DetRng, Result, SimDuration, SimTime};
 
 use crate::agent::AgentConfig;
-use crate::participant::{ParticipantCore, Reply};
+use crate::participant::{world_shed_seed, ParticipantCore, Reply};
 use crate::router::{session_prefix, RouterConfig, SessionFactory, SessionHandle, SessionRouter};
 use crate::snippet::AjaxSnippet;
 use crate::tcp::TcpHostStats;
@@ -216,9 +216,11 @@ pub struct WorldParticipant {
 }
 
 impl WorldParticipant {
-    /// Creates a participant that will join `agent_host` over `link` the
-    /// next time it is pumped.
+    /// Creates a participant of `world` that will join `agent_host` over
+    /// `link` the next time it is pumped. Its shed back-off is seeded from
+    /// the world's seed and its pid.
     pub fn new(
+        world: &World,
         pid: u64,
         key: SessionKey,
         agent_host: &str,
@@ -231,7 +233,7 @@ impl WorldParticipant {
             link,
             conn: None,
             buf: Vec::new(),
-            core: ParticipantCore::new(pid, false),
+            core: ParticipantCore::new(world_shed_seed(world.seed(), pid), false),
             next_wake: None,
             browser: Browser::new(BrowserKind::Firefox),
             snippet: AjaxSnippet::new(pid, key, poll_interval),
@@ -248,6 +250,7 @@ impl WorldParticipant {
     /// GET and every poll/object target live under `/s/{sid}` (and are
     /// therefore HMAC-bound to that session).
     pub fn new_in_session(
+        world: &World,
         pid: u64,
         key: SessionKey,
         agent_host: &str,
@@ -255,7 +258,7 @@ impl WorldParticipant {
         poll_interval: SimDuration,
         sid: &str,
     ) -> WorldParticipant {
-        let mut p = WorldParticipant::new(pid, key, agent_host, link, poll_interval);
+        let mut p = WorldParticipant::new(world, pid, key, agent_host, link, poll_interval);
         p.snippet.base_path = session_prefix(sid);
         p
     }
@@ -709,6 +712,7 @@ fn apply_event(
             participants.insert(
                 pid,
                 WorldParticipant::new(
+                    world,
                     pid,
                     key.clone(),
                     "host",
@@ -766,6 +770,41 @@ mod tests {
     const PAGE: &str = "<html><head><title>shed</title></head>\
         <body><form id=\"f\"><input name=\"q\" value=\"\"/></form></body></html>";
 
+    /// The back-offs participant `pid` of a world seeded `seed` draws for
+    /// six sheds in a row of its join.
+    fn shed_back_offs(seed: u64, pid: u64) -> Vec<Duration> {
+        let world = World::new(seed);
+        let key = SessionKey::generate_deterministic(&mut DetRng::new(seed));
+        let link = NetProfile::lan().participant_link();
+        let mut p =
+            WorldParticipant::new(&world, pid, key, "host", link, SimDuration::from_secs(1));
+        p.core.begin(&mut p.snippet);
+        (0..6)
+            .map(|_| {
+                let shed = Response::error(rcb_http::Status::SERVICE_UNAVAILABLE, "shed");
+                let reply = p.core.on_response(shed, &mut p.snippet, &mut p.browser);
+                p.core.resume().expect("the shed join is held");
+                match reply.unwrap() {
+                    Reply::Shed(delay) => delay,
+                    other => panic!("a 503 is a shed, got {other:?}"),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_world_seed_reaches_the_shed_back_off() {
+        for pid in [1, 3, 8] {
+            assert_eq!(
+                shed_back_offs(305, pid),
+                shed_back_offs(305, pid),
+                "replays"
+            );
+            assert_ne!(shed_back_offs(305, pid), shed_back_offs(306, pid), "p{pid}");
+            assert_ne!(shed_back_offs(306, pid), shed_back_offs(307, pid), "p{pid}");
+        }
+    }
+
     #[test]
     fn a_shed_action_poll_is_sent_again_and_merged() {
         let world = World::new(24);
@@ -796,7 +835,8 @@ mod tests {
         let driver = SimDriver::new(world.bind("host").unwrap(), handler, &config);
         let mut host = WorldHost { router, driver };
         let link = NetProfile::lan().participant_link();
-        let participant = WorldParticipant::new(1, key, "host", link, SimDuration::from_secs(1));
+        let participant =
+            WorldParticipant::new(&world, 1, key, "host", link, SimDuration::from_secs(1));
         let mut participants = BTreeMap::from([(1, participant)]);
         let acts_at = SimTime::ZERO + SimDuration::from_secs(2);
         let horizon = SimTime::ZERO + SimDuration::from_secs(10);

@@ -77,6 +77,32 @@ fn append_div(host: &mut Browser, text: &str) {
     .unwrap();
 }
 
+/// Replaces the text of the body's `n`-th non-empty `<p>` text node with
+/// as many copies of `letter`: one top-level body child changes.
+fn edit_paragraph(host: &mut Browser, n: usize, letter: char) {
+    host.mutate_dom(|doc| {
+        let body = doc.body().expect("page has a body");
+        let texts: Vec<_> = doc
+            .descendants(body)
+            .into_iter()
+            .filter(|&p| doc.is_element(p, "p"))
+            .filter_map(|p| doc.children(p).first().copied())
+            .filter(|&t| doc.text(t).is_some_and(|s| !s.is_empty()))
+            .collect();
+        let t = texts[n];
+        let text: String = doc.text(t).unwrap().chars().map(|_| letter).collect();
+        doc.set_text(t, text).unwrap();
+    })
+    .unwrap();
+}
+
+/// The bytes dropping `snap` frees.
+fn freed_by_dropping(snap: std::sync::Arc<ContentSnapshot>) -> usize {
+    let before = FREED.load(Ordering::Relaxed);
+    drop(snap);
+    FREED.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn dropping_a_snapshot_frees_at_most_its_xml_its_deltas_and_small_heads() {
     // The case whose bytes beyond XML and deltas use most of its allowance.
@@ -139,4 +165,35 @@ fn dropping_a_snapshot_frees_at_most_its_xml_its_deltas_and_small_heads() {
         "most of its allowance beyond the bodies: {} ({:.3})",
         worst.1, worst.0
     );
+
+    // A full ring of single-child body edits: each delta body is one
+    // spliced child, so the snapshot holds little beyond its XML.
+    let key = SessionKey::generate_deterministic(&mut DetRng::new(21));
+    let mut agent = RcbAgent::new(key, AgentConfig::default());
+    let mut host = loaded_host("wikipedia.org");
+    let mut chain = vec![ContentSnapshot::build(&mut agent, &host, SimTime::ZERO, None).unwrap()];
+    for i in 1..=DELTA_RING as u64 {
+        edit_paragraph(&mut host, 0, char::from(b'a' + i as u8));
+        let prev = chain.last().map(|s| &**s);
+        let next =
+            ContentSnapshot::build(&mut agent, &host, SimTime::from_millis(i), prev).unwrap();
+        chain.push(next);
+    }
+    let last = chain.pop().unwrap();
+    // The agent's content cache shares the XML: without it, the snapshot
+    // holds the last reference, and dropping it frees the XML too. (The
+    // host browser stays: its cache owns the object bodies.)
+    drop((chain, agent));
+    assert_eq!(last.delta_ring_len(), DELTA_RING);
+    let xml = last.xml().len();
+    let responses = 1 + last.object_count() + last.delta_ring_len();
+    let bound = xml + xml / 10 + responses * PER_RESPONSE + PER_SNAPSHOT;
+    let freed = freed_by_dropping(last);
+    assert!(
+        freed <= bound,
+        "wikipedia.org, a full ring of one-child edits: dropping the snapshot freed \
+         {freed} B, over 1.1 × its XML ({xml} B) + {responses} frozen responses + \
+         {PER_SNAPSHOT} B = {bound} B"
+    );
+    eprintln!("wikipedia.org, a full ring of one-child edits: {freed} B freed, XML {xml} B");
 }

@@ -88,6 +88,7 @@ fn run_once(seed: u64) -> SessionsReport {
     // Quiet session: p1 is the latency probe (plain 1 s polls), p2 parks
     // long-polls and must wake only on quiet publications.
     let probe = WorldParticipant::new_in_session(
+        &world,
         1,
         quiet.key().clone(),
         "host",
@@ -97,6 +98,7 @@ fn run_once(seed: u64) -> SessionsReport {
     );
     participants.insert(1, probe);
     let mut parked = WorldParticipant::new_in_session(
+        &world,
         2,
         quiet.key().clone(),
         "host",
@@ -110,6 +112,7 @@ fn run_once(seed: u64) -> SessionsReport {
     // co-fill actions every 500 ms.
     for pid in 11..=16 {
         let p = WorldParticipant::new_in_session(
+            &world,
             pid,
             storm.key().clone(),
             "host",
@@ -267,6 +270,7 @@ fn idle_sessions_are_swept_from_the_dispatch_path() {
 
     let profile = NetProfile::wan();
     let poller = WorldParticipant::new_in_session(
+        &world,
         1,
         busy.key().clone(),
         "host",

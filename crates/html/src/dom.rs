@@ -255,6 +255,44 @@ impl Document {
         }
     }
 
+    /// Replaces `drop` children of `parent`, from child `at` on, with
+    /// `new`, in order. The replaced children stay in the arena, detached.
+    /// Errors (changing nothing) when the run lies outside the children or
+    /// a node of `new` is attached or is `parent` itself.
+    pub fn splice_children(
+        &mut self,
+        parent: NodeId,
+        at: usize,
+        drop: usize,
+        new: Vec<NodeId>,
+    ) -> Result<()> {
+        let len = self.nodes[parent.0].children.len();
+        if at.checked_add(drop).is_none_or(|end| end > len) {
+            return Err(RcbError::InvalidInput(format!(
+                "splice of {drop} children at {at} outside {len} children"
+            )));
+        }
+        if new
+            .iter()
+            .any(|&n| n == parent || self.nodes[n.0].parent.is_some())
+        {
+            return Err(RcbError::InvalidInput(
+                "splice_children takes detached nodes only".into(),
+            ));
+        }
+        for &n in &new {
+            self.nodes[n.0].parent = Some(parent);
+        }
+        let removed: Vec<NodeId> = self.nodes[parent.0]
+            .children
+            .splice(at..at + drop, new)
+            .collect();
+        for c in removed {
+            self.nodes[c.0].parent = None;
+        }
+        Ok(())
+    }
+
     fn is_ancestor(&self, candidate: NodeId, of: NodeId) -> bool {
         let mut cur = self.nodes[of.0].parent;
         while let Some(p) = cur {
@@ -488,6 +526,31 @@ mod tests {
         assert!(doc.children(body).is_empty());
         assert_eq!(doc.parent(a), None);
         assert_eq!(doc.parent(b), None);
+    }
+
+    #[test]
+    fn splice_children_replaces_a_run() {
+        let (mut doc, _, _, body) = skeleton();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|t| doc.create_element(t));
+        for n in [a, b, c] {
+            doc.append_child(body, n).unwrap();
+        }
+        doc.splice_children(body, 1, 1, vec![d]).unwrap();
+        assert_eq!(doc.children(body), &[a, d, c]);
+        assert_eq!(doc.parent(d), Some(body));
+        assert_eq!(doc.parent(b), None, "the replaced child is detached");
+        // Pure insert and pure removal, at both ends.
+        doc.splice_children(body, 0, 0, vec![b]).unwrap();
+        assert_eq!(doc.children(body), &[b, a, d, c]);
+        doc.splice_children(body, 3, 1, Vec::new()).unwrap();
+        assert_eq!(doc.children(body), &[b, a, d]);
+        // Out of range, attached or self: rejected, nothing changed.
+        let x = doc.create_element("x");
+        assert!(doc.splice_children(body, 2, 2, vec![x]).is_err());
+        assert!(doc.splice_children(body, 0, 0, vec![a]).is_err());
+        assert!(doc.splice_children(body, 0, 0, vec![body]).is_err());
+        assert_eq!(doc.children(body), &[b, a, d]);
+        assert_eq!(doc.parent(x), None);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!   primitive behind `set_inner_html` (what Ajax-Snippet effectively does
 //!   when it assigns innerHTML on the participant browser, §4.2.2).
 
-use crate::dom::{Document, NodeId};
-use crate::tokenizer::{tokenize, Token};
+use rcb_util::{RcbError, Result};
+
+use crate::dom::{Document, NodeData, NodeId};
+use crate::tokenizer::{is_escapable_raw_text_element, is_raw_text_element, tokenize, Token};
 
 /// Elements that never have children (HTML void elements, plus `frame`).
 pub fn is_void_element(tag: &str) -> bool {
@@ -275,6 +277,133 @@ pub fn set_inner_html(doc: &mut Document, node: NodeId, html: &str) -> Vec<NodeI
     parse_fragment_into(doc, node, html)
 }
 
+/// [`set_inner_html`] for a run of children: replaces `drop` children of
+/// `node`, from child `at` on, with the parse of `html`, and returns the
+/// new children. Errors, changing nothing, when the run lies outside
+/// `node`'s children.
+///
+/// Splicing the serialization of children `at..at + k` of a node whose
+/// children [`is_splice_safe`] says re-parse one for one gives the same
+/// children as re-parsing that node's whole innerHTML.
+pub fn splice_inner_html(
+    doc: &mut Document,
+    node: NodeId,
+    at: usize,
+    drop: usize,
+    html: &str,
+) -> Result<Vec<NodeId>> {
+    let len = doc.children(node).len();
+    if at.checked_add(drop).is_none_or(|end| end > len) {
+        return Err(RcbError::InvalidInput(format!(
+            "splice of {drop} children at {at} outside {len} children"
+        )));
+    }
+    // The fragment parser ignores its container's tag, so a detached
+    // stand-in holds the parse until it is spliced into `node`.
+    let staging = doc.create_element("template");
+    let created = parse_fragment_into(doc, staging, html);
+    doc.clear_children(staging);
+    doc.splice_children(node, at, drop, created.clone())?;
+    Ok(created)
+}
+
+/// Whether the fragment parse of `node`'s innerHTML gives back `node`'s
+/// children one for one, each parsing alone exactly as it does in place,
+/// so a run of them can be replaced by re-parsing only that run
+/// ([`splice_inner_html`]). The test is conservative. It fails on:
+///
+/// * an empty text child of `node`, or two adjacent ones (the first
+///   parses to nothing, the others to one merged node);
+/// * anywhere below `node`: a comment holding `-->`, a raw-text element
+///   whose text holds its own end tag, a `title` or `textarea` holding
+///   anything but text (each can end the element early), an element
+///   with a direct child that implicitly closes it (a `<p>` holding a
+///   `<div>`, an `<li>` holding an `<li>`), a doctype (fragments drop
+///   it), or a tag or attribute name the tokenizer would not read back
+///   whole.
+pub fn is_splice_safe(doc: &Document, node: NodeId) -> bool {
+    let mut after_text = false;
+    for &child in doc.children(node) {
+        match doc.text(child) {
+            Some(t) if t.is_empty() || after_text => return false,
+            Some(_) => after_text = true,
+            None => after_text = false,
+        }
+    }
+    let mut stack: Vec<NodeId> = doc.children(node).to_vec();
+    while let Some(n) = stack.pop() {
+        let (tag, attrs) = match doc.data(n) {
+            NodeData::Text(_) => continue,
+            NodeData::Comment(c) if !c.contains("-->") => continue,
+            NodeData::Element { tag, attrs } => (tag, attrs),
+            NodeData::Comment(_) | NodeData::Doctype(_) | NodeData::Document => return false,
+        };
+        if !lexes_as_name(tag) || !attrs.iter().all(|(name, _)| attr_name_lexes(name)) {
+            return false;
+        }
+        let children = doc.children(n);
+        if is_void_element(tag) {
+            continue; // its children are never serialized
+        }
+        if is_raw_text_element(tag) {
+            // Serialized as the concatenation of its text children.
+            let mut texts = children.iter().filter_map(|&c| doc.text(c));
+            let ends_early = match (texts.next(), texts.next()) {
+                (None, _) => false,
+                (Some(one), None) => holds_end_tag(one, tag),
+                (Some(a), Some(b)) => {
+                    let all: String = [a, b].into_iter().chain(texts).collect();
+                    holds_end_tag(&all, tag)
+                }
+            };
+            if ends_early {
+                return false;
+            }
+            continue;
+        }
+        if is_escapable_raw_text_element(tag) {
+            // Text is escaped, so only an element child can end it early.
+            if children.iter().any(|&c| doc.text(c).is_none()) {
+                return false;
+            }
+            continue;
+        }
+        for &child in children {
+            if doc.tag(child).is_some_and(|t| implicitly_closes(t, tag)) {
+                return false;
+            }
+            stack.push(child);
+        }
+    }
+    true
+}
+
+/// Whether the tokenizer reads `name` back as one tag name: an ASCII
+/// letter, then letters, digits, `-` and `:`, all lower case (names are
+/// lower-cased when read).
+fn lexes_as_name(name: &str) -> bool {
+    let mut bytes = name.bytes();
+    bytes.next().is_some_and(|b| b.is_ascii_lowercase())
+        && bytes.all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' || b == b':')
+}
+
+/// Whether the tokenizer reads `name` back as one attribute name.
+fn attr_name_lexes(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .bytes()
+            .all(|b| !b.is_ascii_whitespace() && !matches!(b, b'=' | b'>' | b'/'))
+}
+
+/// Whether raw text holds `</tag`, in any case: the tokenizer ends the
+/// element there.
+fn holds_end_tag(text: &str, tag: &str) -> bool {
+    let tag = tag.as_bytes();
+    text.as_bytes()
+        .windows(tag.len() + 2)
+        .any(|w| w.starts_with(b"</") && w[2..].eq_ignore_ascii_case(tag))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,6 +552,170 @@ mod tests {
         parse_fragment_into(&mut doc, container, "<b>old</b>");
         set_inner_html(&mut doc, container, "<i>new</i>");
         assert_eq!(inner_html(&doc, container), "<i>new</i>");
+    }
+
+    #[test]
+    fn splice_inner_html_replaces_a_run_of_children() {
+        let mut doc = Document::new();
+        let container = doc.create_element("div");
+        parse_fragment_into(&mut doc, container, "<b>1</b>two<i>3</i><!--4-->");
+        let created = splice_inner_html(&mut doc, container, 1, 2, "<u>a</u><s>b</s>").unwrap();
+        assert_eq!(created.len(), 2);
+        assert_eq!(doc.children(container)[1..3], created[..]);
+        assert_eq!(
+            inner_html(&doc, container),
+            "<b>1</b><u>a</u><s>b</s><!--4-->"
+        );
+        // Insert at the end, drop at the front.
+        splice_inner_html(&mut doc, container, 4, 0, "tail").unwrap();
+        splice_inner_html(&mut doc, container, 0, 1, "").unwrap();
+        assert_eq!(inner_html(&doc, container), "<u>a</u><s>b</s><!--4-->tail");
+        // A run outside the children changes nothing.
+        assert!(splice_inner_html(&mut doc, container, 3, 2, "<p>x</p>").is_err());
+        assert_eq!(inner_html(&doc, container), "<u>a</u><s>b</s><!--4-->tail");
+    }
+
+    /// A container with `build`'s children, built through the DOM (the
+    /// way host-side edits build them, so any shape is reachable).
+    fn built(build: impl FnOnce(&mut Document, NodeId)) -> (Document, NodeId) {
+        let mut doc = Document::new();
+        let body = doc.create_element("body");
+        build(&mut doc, body);
+        (doc, body)
+    }
+
+    fn element(doc: &mut Document, parent: NodeId, tag: &str) -> NodeId {
+        let el = doc.create_element(tag);
+        doc.append_child(parent, el).unwrap();
+        el
+    }
+
+    fn text(doc: &mut Document, parent: NodeId, s: &str) {
+        let t = doc.create_text(s);
+        doc.append_child(parent, t).unwrap();
+    }
+
+    #[test]
+    fn splice_safety_rejects_children_that_reparse_otherwise() {
+        type Build = fn(&mut Document, NodeId);
+        let unsafe_cases: [(&str, Build); 8] = [
+            ("adjacent text", |d, b| {
+                text(d, b, "one");
+                text(d, b, "two");
+            }),
+            ("empty text", |d, b| {
+                element(d, b, "p");
+                text(d, b, "");
+            }),
+            ("p holding div", |d, b| {
+                let p = element(d, b, "p");
+                element(d, p, "div");
+            }),
+            ("li holding li, deep", |d, b| {
+                let ul = element(d, b, "ul");
+                let li = element(d, ul, "li");
+                element(d, li, "li");
+            }),
+            ("script holding its end tag", |d, b| {
+                let s = element(d, b, "script");
+                text(d, s, "document.write('</SCRIPT><p>')");
+            }),
+            ("comment holding -->", |d, b| {
+                let c = d.create_comment("a --> b");
+                d.append_child(b, c).unwrap();
+            }),
+            ("textarea holding an element", |d, b| {
+                let t = element(d, b, "textarea");
+                element(d, t, "textarea");
+            }),
+            ("unreadable tag name", |d, b| {
+                element(d, b, "my tag");
+            }),
+        ];
+        for (case, build) in unsafe_cases {
+            let (doc, body) = built(build);
+            assert!(!is_splice_safe(&doc, body), "{case}");
+        }
+        let (doc, body) = built(|d, b| {
+            text(d, b, "lead");
+            let p = element(d, b, "p");
+            element(d, p, "span");
+            let s = element(d, b, "script");
+            text(d, s, "if (a </b) { x = '</scrip' + 't>'; }");
+            let img = element(d, b, "img");
+            element(d, img, "div"); // never serialized
+            text(d, b, "  ");
+        });
+        assert!(is_splice_safe(&doc, body));
+        let page = parse_document(
+            "<body><p>a<b>b</b></p><ul><li>1<li>2</ul>\
+             <table><tr><td>x<td>y</table><!-- c --><p>z</body>",
+        );
+        assert!(is_splice_safe(&page, page.body().unwrap()));
+    }
+
+    /// A random tree over a vocabulary that reaches every rule: blocks,
+    /// paragraphs, lists, raw text, escapable raw text, voids, comments
+    /// and text (some empty, some adjacent).
+    fn random_children(doc: &mut Document, parent: NodeId, rng: &mut rcb_util::DetRng, depth: u32) {
+        const TAGS: [&str; 12] = [
+            "div", "p", "span", "ul", "li", "b", "script", "style", "textarea", "img", "br", "td",
+        ];
+        const TEXTS: [&str; 6] = ["x", "", " ", "a</script>b", "--> y", "</style"];
+        for _ in 0..rng.next_below(4) {
+            match rng.next_below(10) {
+                0..=5 => {
+                    let tag = *rng.choose(&TAGS);
+                    let el = element(doc, parent, tag);
+                    if depth < 3 {
+                        random_children(doc, el, rng, depth + 1);
+                    }
+                }
+                6 => {
+                    let c = doc.create_comment(*rng.choose(&TEXTS));
+                    doc.append_child(parent, c).unwrap();
+                }
+                _ => {
+                    let t: &&str = rng.choose(&TEXTS);
+                    text(doc, parent, t);
+                }
+            }
+        }
+    }
+
+    /// The property [`is_splice_safe`] promises: when it holds, the whole
+    /// innerHTML re-parses to exactly the children the per-child
+    /// serializations re-parse to, one node each.
+    #[test]
+    fn splice_safe_children_reparse_one_for_one() {
+        let mut rng = rcb_util::DetRng::new(2009);
+        let (mut safe, mut rejected) = (0, 0);
+        for _ in 0..3000 {
+            let (doc, body) = built(|d, b| random_children(d, b, &mut rng, 0));
+            if !is_splice_safe(&doc, body) {
+                rejected += 1;
+                continue;
+            }
+            safe += 1;
+            let (html, ends) = crate::serialize::inner_html_with_child_ends(&doc, body);
+            let mut whole = Document::new();
+            let c = whole.create_element("body");
+            let parsed = parse_fragment_into(&mut whole, c, &html);
+            assert_eq!(parsed.len(), ends.len(), "{html:?}");
+            let mut start = 0;
+            for (&end, &node) in ends.iter().zip(&parsed) {
+                let mut alone = Document::new();
+                let a = alone.create_element("body");
+                let one = parse_fragment_into(&mut alone, a, &html[start..end]);
+                assert_eq!(one.len(), 1, "{:?} in {html:?}", &html[start..end]);
+                assert_eq!(outer_html(&whole, node), outer_html(&alone, one[0]));
+                start = end;
+            }
+        }
+        assert!(
+            safe > 500 && rejected > 500,
+            "{safe} safe, {rejected} rejected"
+        );
     }
 
     #[test]

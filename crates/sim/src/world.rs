@@ -538,6 +538,7 @@ impl std::fmt::Debug for SimConn {
 /// A seeded world: virtual clock + fabric + scenario RNG. The only way
 /// to build a fabric, so every fabric runs on the world's virtual clock.
 pub struct World {
+    seed: u64,
     clock: Clock,
     vclock: Arc<VirtualClock>,
     net: Arc<SimNet>,
@@ -551,11 +552,18 @@ impl World {
         let (clock, vclock) = Clock::new_virtual();
         let net = SimNet::new(clock.clone(), seed);
         World {
+            seed,
             clock,
             vclock,
             net,
             rng: DetRng::new(seed ^ 0x9e37_79b9_7f4a_7c15),
         }
+    }
+
+    /// The seed every random draw of this world derives from; actors that
+    /// draw on their own generators seed them from it.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// A clock handle server/agent code should consult.

@@ -33,9 +33,11 @@ pub mod reader;
 pub mod scanner;
 pub mod writer;
 
-pub use model::{DeltaContent, ElementPayload, NewContent, PollPayload, TopLevel};
+pub use model::{
+    BodySplice, DeltaContent, DeltaTop, ElementPayload, NewContent, PollPayload, TopLevel,
+};
 pub use reader::{parse_delta_content, parse_new_content, parse_poll_payload};
 pub use writer::{
     splice_delta_content, write_delta_content, write_new_content, write_new_content_with_sections,
-    Sections,
+    BodyChildren, Sections, TopCopy,
 };

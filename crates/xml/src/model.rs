@@ -58,8 +58,16 @@ impl ElementPayload {
     /// `escape(&payload.encode())` remains as the reference the writer
     /// tests equate against.
     pub fn encode_escaped_into(&self, out: &mut String) {
-        use rcb_url::jsescape::escape_into;
         out.reserve(self.inner_html.len() + 64);
+        self.encode_escaped_head_into(out);
+        rcb_url::jsescape::escape_into(&self.inner_html, out);
+    }
+
+    /// The part of [`ElementPayload::encode_escaped_into`] before the
+    /// innerHTML: the escaped tag and attribute list, each followed by
+    /// its `%01` separator.
+    pub fn encode_escaped_head_into(&self, out: &mut String) {
+        use rcb_url::jsescape::escape_into;
         escape_into(&self.tag, out);
         out.push_str("%01");
         for (i, (name, value)) in self.attrs.iter().enumerate() {
@@ -71,7 +79,6 @@ impl ElementPayload {
             escape_into(value, out);
         }
         out.push_str("%01");
-        escape_into(&self.inner_html, out);
     }
 
     /// Decodes the [`ElementPayload::encode`] form.
@@ -157,9 +164,36 @@ pub struct DeltaContent {
     /// Replacement head children, or `None` when the head is unchanged.
     pub head_children: Option<Vec<ElementPayload>>,
     /// Replacement top-level content, or `None` when unchanged.
-    pub top: Option<TopLevel>,
+    pub top: Option<DeltaTop>,
     /// Additional browsing-action data, as in [`NewContent`].
     pub user_actions: String,
+}
+
+/// The top-level component of a delta.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeltaTop {
+    /// The whole component, as the full document carries it.
+    Whole(TopLevel),
+    /// A run of the body's top-level children, replaced; the body
+    /// element's own attributes are unchanged.
+    BodySplice(BodySplice),
+}
+
+/// A splice of the body's top-level children (`docBodySplice`): `drop`
+/// children from child `at` on are replaced by the children
+/// `inner_html` parses to. It applies only to a body of exactly `of`
+/// children; any other body is not the base it was computed against.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BodySplice {
+    /// Index of the first replaced child.
+    pub at: usize,
+    /// How many children are replaced (0 for a pure insert).
+    pub drop: usize,
+    /// How many children the base body holds.
+    pub of: usize,
+    /// The serialization of the inserted children (empty for a pure
+    /// removal).
+    pub inner_html: String,
 }
 
 /// Either poll-reply document: the full Fig.-4 snapshot or a delta.

@@ -7,7 +7,9 @@
 use rcb_url::jsescape::unescape;
 use rcb_util::{RcbError, Result};
 
-use crate::model::{DeltaContent, ElementPayload, NewContent, PollPayload, TopLevel};
+use crate::model::{
+    BodySplice, DeltaContent, DeltaTop, ElementPayload, NewContent, PollPayload, TopLevel,
+};
 use crate::scanner::{parse_document, XmlElement};
 
 /// Parses the `application/xml` body of a polling response.
@@ -102,7 +104,10 @@ fn delta_content_from_root(root: &XmlElement) -> Result<DeltaContent> {
         .child("docHead")
         .map(parse_head_children)
         .transpose()?;
-    let top = parse_top(content)?;
+    let top = match content.child("docBodySplice") {
+        Some(splice) => Some(DeltaTop::BodySplice(parse_body_splice(splice)?)),
+        None => parse_top(content)?.map(DeltaTop::Whole),
+    };
     let user_actions = root
         .child("userActions")
         .map(|e| e.text().into_owned())
@@ -157,6 +162,37 @@ fn parse_top(content: &XmlElement) -> Result<Option<TopLevel>> {
     } else {
         Ok(None)
     }
+}
+
+/// Parses a `docBodySplice` element: its `at`, `drop` and `of`
+/// attributes, and the escaped children in its CDATA. A splice must fit
+/// its base (`at + drop <= of`).
+fn parse_body_splice(el: &XmlElement) -> Result<BodySplice> {
+    let number = |name: &str| -> Result<usize> {
+        el.attrs
+            .iter()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, v)| v.parse().ok())
+            .ok_or_else(|| {
+                RcbError::parse(
+                    "deltaContent",
+                    format!("docBodySplice needs a numeric {name}"),
+                )
+            })
+    };
+    let (at, drop, of) = (number("at")?, number("drop")?, number("of")?);
+    if at.checked_add(drop).is_none_or(|end| end > of) {
+        return Err(RcbError::parse(
+            "deltaContent",
+            format!("docBodySplice of {drop} children at {at} outside {of}"),
+        ));
+    }
+    Ok(BodySplice {
+        at,
+        drop,
+        of,
+        inner_html: unescape(&el.text()),
+    })
 }
 
 fn decode_payload(el: &XmlElement) -> Result<ElementPayload> {
@@ -238,11 +274,20 @@ mod tests {
     fn delta_roundtrip_all_slot_combinations() {
         use crate::writer::write_delta_content;
         let nc = sample(TopLevel::Body(ElementPayload::new("body", "<p>v2</p>")));
+        let whole = Some(DeltaTop::Whole(nc.top.clone()));
+        let splice = Some(DeltaTop::BodySplice(BodySplice {
+            at: 2,
+            drop: 1,
+            of: 5,
+            inner_html: "<p>café</p>tail".into(),
+        }));
         let combos = [
-            (Some(nc.head_children.clone()), Some(nc.top.clone())),
+            (Some(nc.head_children.clone()), whole.clone()),
             (Some(nc.head_children.clone()), None),
-            (None, Some(nc.top.clone())),
+            (None, whole),
             (None, None),
+            (Some(nc.head_children.clone()), splice.clone()),
+            (None, splice),
         ];
         for (head_children, top) in combos {
             let dc = DeltaContent {
@@ -284,6 +329,37 @@ mod tests {
              <docContent></docContent></deltaContent>"
         )
         .is_err());
+    }
+
+    #[test]
+    fn body_splices_must_name_a_run_of_their_base() {
+        let splice = |attrs: &str| {
+            format!(
+                "<deltaContent><docTime>2</docTime><fromDocTime>1</fromDocTime>\
+                 <docContent><docBodySplice {attrs}><![CDATA[%3Cp%3E]]></docBodySplice>\
+                 </docContent></deltaContent>"
+            )
+        };
+        let dc = parse_delta_content(&splice("at=\"1\" drop=\"2\" of=\"3\""))
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            dc.top,
+            Some(DeltaTop::BodySplice(BodySplice {
+                at: 1,
+                drop: 2,
+                of: 3,
+                inner_html: "<p>".into()
+            }))
+        );
+        for bad in [
+            "at=\"2\" drop=\"2\" of=\"3\"",
+            "at=\"1\" of=\"3\"",
+            "at=\"x\" drop=\"0\" of=\"3\"",
+            "at=\"-1\" drop=\"0\" of=\"3\"",
+        ] {
+            assert!(parse_delta_content(&splice(bad)).is_err(), "{bad}");
+        }
     }
 
     #[test]

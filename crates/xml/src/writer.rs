@@ -5,15 +5,20 @@
 //! top-level block (`docBody`, or `docFrameSet` plus an optional
 //! `docNoFrames`) and the `userActions` line — inside a fixed framing.
 //! The full document's writer reports where each section landed
-//! ([`Sections`]), and [`splice_delta_content`] is the one writer of the
-//! `deltaContent` framing: it copies sections verbatim, either from a
-//! full document (a server building its deltas from its own output) or
-//! from sections [`write_delta_content`] has just written.
+//! ([`Sections`]), and, given the body's child boundaries, where each
+//! top-level body child's escaped bytes lie ([`BodyChildren`]).
+//! [`splice_delta_content`] is the one writer of the `deltaContent`
+//! framing: it copies sections, or a run of body children, verbatim,
+//! either from a full document (a server building its deltas from its own
+//! output) or from sections [`write_delta_content`] has just written.
 
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::Arc;
 
-use crate::model::{DeltaContent, ElementPayload, NewContent, TopLevel};
+use rcb_url::jsescape::escape_into;
+
+use crate::model::{BodySplice, DeltaContent, DeltaTop, ElementPayload, NewContent, TopLevel};
 use crate::scanner::encode_text;
 
 /// Byte ranges of the three sections within one written document. Each
@@ -29,6 +34,67 @@ pub struct Sections {
     pub top: Range<usize>,
     /// The `<userActions>` line.
     pub user_actions: Range<usize>,
+    /// Where the body's top-level children lie in the `docBody` CDATA:
+    /// reported when the writer was given their boundaries, so never on
+    /// a frameset page.
+    pub body_children: Option<BodyChildren>,
+}
+
+/// Where a body's top-level children lie in a written document. JS
+/// escaping is per character, so the escaped body is the concatenation of
+/// its children's escaped bytes, and each child's are a range of the
+/// document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BodyChildren {
+    /// Where the first child's escaped bytes start. What the top-level
+    /// section holds before it (the comment, the `docBody` open, the
+    /// escaped tag and attributes) is the body element's own.
+    pub start: usize,
+    /// Where each child's escaped bytes end, in order. Shared, so the
+    /// content and every snapshot built from it hold one copy.
+    pub ends: Arc<[u32]>,
+}
+
+impl BodyChildren {
+    /// Number of top-level body children.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the body has no children.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The bytes of children `children` (a run of indices, possibly
+    /// empty) in the document.
+    pub fn span(&self, children: Range<usize>) -> Range<usize> {
+        let edge = |i: usize| match i {
+            0 => self.start,
+            i => self.ends[i - 1] as usize,
+        };
+        edge(children.start)..edge(children.end)
+    }
+}
+
+/// What a spliced delta carries of the top-level component.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TopCopy {
+    /// Nothing: the component is unchanged.
+    Omit,
+    /// The whole top-level section.
+    Whole,
+    /// A `docBodySplice` against a base body of `of` children: `drop`
+    /// children from `at` on are replaced by the source's children from
+    /// `at` on, `n - of + drop` of them for a source body of `n`.
+    BodySplice {
+        /// First replaced child.
+        at: usize,
+        /// Children replaced.
+        drop: usize,
+        /// Children of the base body.
+        of: usize,
+    },
 }
 
 /// Writes the newContent document, matching the paper's Figure 4 layout
@@ -36,20 +102,28 @@ pub struct Sections {
 /// `hChildN` CDATA sections, `docBody` or `docFrameSet`/`docNoFrames`,
 /// and `userActions`).
 pub fn write_new_content(nc: &NewContent) -> String {
-    write_new_content_with_sections(nc).0
+    write_new_content_with_sections(nc, None).0
 }
 
 /// [`write_new_content`], also returning the byte range of each section
-/// in the document.
+/// in the document. `body_child_ends`, when given, are the offsets in the
+/// body's innerHTML where each of its top-level children ends; the body's
+/// children are then escaped one by one (the same bytes) and
+/// [`Sections::body_children`] says where each landed. The offsets must
+/// split the innerHTML at char boundaries, in order, through its end.
 ///
 /// Assembly is single-pass into one output buffer: each payload is
 /// JS-escaped straight into it via
 /// [`ElementPayload::encode_escaped_into`], with no per-child
 /// `escape(&child.encode())` intermediates — the document is the only
 /// allocation that grows.
-pub fn write_new_content_with_sections(nc: &NewContent) -> (String, Sections) {
+pub fn write_new_content_with_sections(
+    nc: &NewContent,
+    body_child_ends: Option<&[usize]>,
+) -> (String, Sections) {
+    let top = TopWrite::Whole(&nc.top, body_child_ends);
     let mut out = String::with_capacity(
-        sections_len_hint(Some(&nc.head_children), Some(&nc.top), &nc.user_actions) + 128,
+        sections_len_hint(Some(&nc.head_children), Some(&top), &nc.user_actions) + 128,
     );
     out.push_str("<?xml version='1.0' encoding='utf-8'?>\n");
     out.push_str("<newContent>\n");
@@ -58,7 +132,7 @@ pub fn write_new_content_with_sections(nc: &NewContent) -> (String, Sections) {
     let sections = write_sections_into(
         &mut out,
         Some(&nc.head_children),
-        Some(&nc.top),
+        Some(top),
         &nc.user_actions,
     );
     out.push_str("</newContent>\n");
@@ -67,56 +141,96 @@ pub fn write_new_content_with_sections(nc: &NewContent) -> (String, Sections) {
 
 /// Writes the deltaContent document: same Fig.-4 framing as
 /// [`write_new_content`] plus `fromDocTime`, with the `docHead` and
-/// `docBody`/`docFrameSet` sections *omitted entirely* when that slot is
-/// unchanged. A fully populated delta therefore differs from the full
-/// document only in the root element name and the extra timestamp line.
+/// top-level sections *omitted entirely* when that slot is unchanged. A
+/// whole top-level component is written as in the full document, so a
+/// fully populated delta differs from the full document only in the root
+/// element name and the extra timestamp line; a body splice is one
+/// `docBodySplice` element around the escaped inserted children.
 ///
 /// The typed entry point: it writes the sections the delta carries, then
 /// frames them with [`splice_delta_content`].
 pub fn write_delta_content(dc: &DeltaContent) -> String {
     let head = dc.head_children.as_deref();
-    let top = dc.top.as_ref();
-    let mut src = String::with_capacity(sections_len_hint(head, top, &dc.user_actions));
+    let top = dc.top.as_ref().map(|top| match top {
+        DeltaTop::Whole(top) => TopWrite::Whole(top, None),
+        DeltaTop::BodySplice(splice) => TopWrite::Splice(splice),
+    });
+    let mut src = String::with_capacity(sections_len_hint(head, top.as_ref(), &dc.user_actions));
     let sections = write_sections_into(&mut src, head, top, &dc.user_actions);
-    splice_delta_content(&src, &sections, dc.doc_time, dc.from_doc_time, true, true)
+    // An omitted section is an empty range: copying it copies nothing.
+    splice_delta_content(
+        &src,
+        &sections,
+        dc.doc_time,
+        dc.from_doc_time,
+        true,
+        TopCopy::Whole,
+    )
 }
 
 /// Writes a deltaContent document whose sections are copied verbatim from
-/// `src`: the head section when `head` is set, the top-level section when
-/// `top` is set, and always the `userActions` line. `sections` must be
-/// the ranges the writer reported for `src` (a range outside it panics).
+/// `src`: the head section when `head` is set, the top-level component as
+/// `top` says, and always the `userActions` line. `sections` must be the
+/// ranges the writer reported for `src`, with body children for a
+/// [`TopCopy::BodySplice`] that fits them (anything else panics).
 ///
 /// Copying is exact because the framing around a section is fixed and
-/// JS escaping is injective: equal section bytes mean equal payloads, so
-/// a delta spliced from a full document equals [`write_delta_content`]
-/// over that document's parsed payloads.
+/// JS escaping is injective and per character: equal section bytes mean
+/// equal payloads, so a delta spliced from a full document equals
+/// [`write_delta_content`] over that document's parsed payloads (for a
+/// body splice, over the inserted children's serialization).
 pub fn splice_delta_content(
     src: &str,
     sections: &Sections,
     doc_time: u64,
     from_doc_time: u64,
     head: bool,
-    top: bool,
+    top: TopCopy,
 ) -> String {
     let head = if head {
         &src[sections.head.clone()]
     } else {
         ""
     };
-    let top = if top { &src[sections.top.clone()] } else { "" };
+    let (top, splice) = match top {
+        TopCopy::Omit => ("", None),
+        TopCopy::Whole => (&src[sections.top.clone()], None),
+        TopCopy::BodySplice { at, drop, of } => {
+            let children = sections
+                .body_children
+                .as_ref()
+                .expect("a body splice copies from a document with body children");
+            let inserted = (children.len() + drop)
+                .checked_sub(of)
+                .expect("a splice keeps no more children than the source has");
+            (&src[children.span(at..at + inserted)], Some((at, drop, of)))
+        }
+    };
     let user_actions = &src[sections.user_actions.clone()];
-    let mut out = String::with_capacity(head.len() + top.len() + user_actions.len() + 192);
+    let mut out = String::with_capacity(head.len() + top.len() + user_actions.len() + 256);
     out.push_str("<?xml version='1.0' encoding='utf-8'?>\n");
     out.push_str("<deltaContent>\n");
     let _ = writeln!(out, "<docTime>{doc_time}</docTime>");
     let _ = writeln!(out, "<fromDocTime>{from_doc_time}</fromDocTime>");
     out.push_str("<docContent>\n");
     out.push_str(head);
-    out.push_str(top);
+    match splice {
+        Some((at, drop, of)) => write_splice_element(&mut out, at, drop, of, |out| {
+            out.push_str(top);
+        }),
+        None => out.push_str(top),
+    }
     out.push_str("</docContent>\n");
     out.push_str(user_actions);
     out.push_str("</deltaContent>\n");
     out
+}
+
+/// The top-level component a writer writes: a whole one (with the body's
+/// child boundaries, when known) or a body splice.
+enum TopWrite<'a> {
+    Whole(&'a TopLevel, Option<&'a [usize]>),
+    Splice(&'a BodySplice),
 }
 
 /// Appends the head and top-level sections (each only when given), the
@@ -125,7 +239,7 @@ pub fn splice_delta_content(
 fn write_sections_into(
     out: &mut String,
     head: Option<&[ElementPayload]>,
-    top: Option<&TopLevel>,
+    top: Option<TopWrite<'_>>,
     user_actions: &str,
 ) -> Sections {
     let start = out.len();
@@ -133,9 +247,16 @@ fn write_sections_into(
         write_head_into(out, head_children);
     }
     let head = start..out.len();
-    if let Some(top) = top {
-        write_top_into(out, top);
-    }
+    let body_children = match top {
+        Some(TopWrite::Whole(top, child_ends)) => write_top_into(out, top, child_ends),
+        Some(TopWrite::Splice(splice)) => {
+            write_splice_element(out, splice.at, splice.drop, splice.of, |out| {
+                escape_into(&splice.inner_html, out);
+            });
+            None
+        }
+        None => None,
+    };
     let top = head.end..out.len();
     out.push_str("</docContent>\n");
     let actions_start = out.len();
@@ -146,6 +267,7 @@ fn write_sections_into(
         head,
         top,
         user_actions: actions_start..out.len(),
+        body_children,
     }
 }
 
@@ -154,15 +276,16 @@ fn write_sections_into(
 /// buffer from reallocating log(n) times.
 fn sections_len_hint(
     head: Option<&[ElementPayload]>,
-    top: Option<&TopLevel>,
+    top: Option<&TopWrite<'_>>,
     user_actions: &str,
 ) -> usize {
     let payload_bytes: usize = head.map_or(0, |hc| hc.iter().map(payload_len).sum())
         + match top {
-            Some(TopLevel::Body(b)) => payload_len(b),
-            Some(TopLevel::Frames { frameset, noframes }) => {
+            Some(TopWrite::Whole(TopLevel::Body(b), _)) => payload_len(b),
+            Some(TopWrite::Whole(TopLevel::Frames { frameset, noframes }, _)) => {
                 payload_len(frameset) + noframes.as_ref().map_or(0, payload_len)
             }
+            Some(TopWrite::Splice(splice)) => splice.inner_html.len() + 64,
             None => 0,
         };
     2 * payload_bytes + user_actions.len() + 384
@@ -178,13 +301,41 @@ fn write_head_into(out: &mut String, head_children: &[ElementPayload]) {
     out.push_str("</docHead>\n");
 }
 
-fn write_top_into(out: &mut String, top: &TopLevel) {
+/// Writes a whole top-level component; for a body whose child boundaries
+/// are given, escapes it child by child and returns where the children
+/// landed.
+fn write_top_into(
+    out: &mut String,
+    top: &TopLevel,
+    child_ends: Option<&[usize]>,
+) -> Option<BodyChildren> {
     match top {
         TopLevel::Body(body) => {
             out.push_str("<!-- for a page using body element -->\n");
             out.push_str("<docBody><![CDATA[");
-            body.encode_escaped_into(out);
+            let children = match child_ends {
+                Some(ends) => {
+                    debug_assert!(splits(&body.inner_html, ends), "child ends split the body");
+                    out.reserve(body.inner_html.len() + 64);
+                    body.encode_escaped_head_into(out);
+                    let start = out.len();
+                    let mut from = 0;
+                    let mut escaped_ends = Vec::with_capacity(ends.len());
+                    for &end in ends {
+                        escape_into(&body.inner_html[from..end], out);
+                        escaped_ends.push(u32::try_from(out.len()).ok());
+                        from = end;
+                    }
+                    let ends: Option<Arc<[u32]>> = escaped_ends.into_iter().collect();
+                    ends.map(|ends| BodyChildren { start, ends })
+                }
+                None => {
+                    body.encode_escaped_into(out);
+                    None
+                }
+            };
             out.push_str("]]></docBody>\n");
+            children
         }
         TopLevel::Frames { frameset, noframes } => {
             out.push_str("<!-- for a page using frames -->\n");
@@ -196,8 +347,33 @@ fn write_top_into(out: &mut String, top: &TopLevel) {
                 nf.encode_escaped_into(out);
                 out.push_str("]]></docNoFrames>\n");
             }
+            None
         }
     }
+}
+
+/// Whether `ends` split `s` at char boundaries, in order, through its end.
+fn splits(s: &str, ends: &[usize]) -> bool {
+    ends.last().copied().unwrap_or(0) == s.len()
+        && ends.windows(2).all(|w| w[0] <= w[1])
+        && ends.iter().all(|&e| s.is_char_boundary(e))
+}
+
+/// Writes one `docBodySplice` element; `children` writes its escaped
+/// children into the CDATA.
+fn write_splice_element(
+    out: &mut String,
+    at: usize,
+    drop: usize,
+    of: usize,
+    children: impl FnOnce(&mut String),
+) {
+    let _ = write!(
+        out,
+        "<docBodySplice at=\"{at}\" drop=\"{drop}\" of=\"{of}\"><![CDATA["
+    );
+    children(out);
+    out.push_str("]]></docBodySplice>\n");
 }
 
 fn payload_len(p: &ElementPayload) -> usize {
@@ -207,7 +383,8 @@ fn payload_len(p: &ElementPayload) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ElementPayload;
+    use crate::model::{BodySplice, ElementPayload};
+    use rcb_url::jsescape::escape;
 
     fn sample() -> NewContent {
         NewContent {
@@ -286,7 +463,7 @@ mod tests {
             doc_time: 10,
             from_doc_time: 9,
             head_children: None,
-            top: Some(full.top.clone()),
+            top: Some(DeltaTop::Whole(full.top.clone())),
             user_actions: "a".into(),
         };
         let xml = write_delta_content(&top_only);
@@ -303,7 +480,7 @@ mod tests {
             doc_time: nc.doc_time,
             from_doc_time: 7,
             head_children: Some(nc.head_children.clone()),
-            top: Some(nc.top.clone()),
+            top: Some(DeltaTop::Whole(nc.top.clone())),
             user_actions: nc.user_actions.clone(),
         };
         let full = write_new_content(&nc);
@@ -327,10 +504,32 @@ mod tests {
         assert!(!payload.contains('<'));
     }
 
-    /// Documents whose sections a splice must copy exactly: a frameset
-    /// page with and without `noframes`, CDATA-hostile and non-ASCII
-    /// payloads, and a `userActions` string that needs XML escaping.
-    fn splice_corpus() -> Vec<NewContent> {
+    /// A body payload made of `children`, and where each child ends in
+    /// its innerHTML.
+    fn body_of(attrs: &[(&str, &str)], children: &[&str]) -> (TopLevel, Vec<usize>) {
+        let ends = children
+            .iter()
+            .scan(0, |end, c| {
+                *end += c.len();
+                Some(*end)
+            })
+            .collect();
+        let body = ElementPayload {
+            tag: "body".into(),
+            attrs: attrs
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.to_string()))
+                .collect(),
+            inner_html: children.concat(),
+        };
+        (TopLevel::Body(body), ends)
+    }
+
+    /// Documents whose sections a splice must copy exactly, with the body's
+    /// child boundaries (none for a frameset page): a frameset page with
+    /// and without `noframes`, CDATA-hostile and non-ASCII payloads, an
+    /// empty body, and a `userActions` string that needs XML escaping.
+    fn splice_corpus() -> Vec<(NewContent, Option<Vec<usize>>)> {
         let frames = |noframes| NewContent {
             doc_time: 5,
             head_children: vec![ElementPayload::new("title", "frames")],
@@ -344,41 +543,54 @@ mod tests {
             },
             user_actions: String::new(),
         };
+        let with_body = |nc: NewContent, (top, ends): (TopLevel, Vec<usize>)| {
+            (NewContent { top, ..nc }, Some(ends))
+        };
         vec![
-            sample(),
-            frames(Some(ElementPayload::new("noframes", "frames required"))),
-            frames(None),
-            NewContent {
-                head_children: vec![ElementPayload::new(
-                    "script",
-                    "if (a[b[0]]>c) { s = '<![CDATA[x]]>'; }",
-                )],
-                top: TopLevel::Body(ElementPayload::new(
-                    "body",
-                    "<p>]]></p><![CDATA[<b>]]]]><![CDATA[>",
-                )),
-                ..sample()
-            },
-            NewContent {
-                head_children: vec![ElementPayload::new("title", "Grüße — 日本語 🎉")],
-                top: TopLevel::Body(ElementPayload {
-                    tag: "body".into(),
-                    attrs: vec![("data-naïve".into(), "ñ=ü".into())],
-                    inner_html: "<p>café ☕ \u{1}\u{2}</p>".into(),
-                }),
-                ..sample()
-            },
-            NewContent {
-                user_actions: "mouse|<3|&>|a&amp;b]]>".into(),
-                ..sample()
-            },
+            with_body(
+                sample(),
+                body_of(&[("class", "home")], &["<div id=\"main\">hello</div>"]),
+            ),
+            (
+                frames(Some(ElementPayload::new("noframes", "frames required"))),
+                None,
+            ),
+            (frames(None), None),
+            with_body(
+                NewContent {
+                    head_children: vec![ElementPayload::new(
+                        "script",
+                        "if (a[b[0]]>c) { s = '<![CDATA[x]]>'; }",
+                    )],
+                    ..sample()
+                },
+                body_of(&[], &["<p>]]></p>", "<![CDATA[<b>]]]]>", "<![CDATA[>"]),
+            ),
+            with_body(
+                NewContent {
+                    head_children: vec![ElementPayload::new("title", "Grüße — 日本語 🎉")],
+                    ..sample()
+                },
+                body_of(
+                    &[("data-naïve", "ñ=ü")],
+                    &["<p>café ", "☕ \u{1}", "\u{2}</p>", "🎉"],
+                ),
+            ),
+            with_body(sample(), body_of(&[], &[])),
+            with_body(
+                NewContent {
+                    user_actions: "mouse|<3|&>|a&amp;b]]>".into(),
+                    ..sample()
+                },
+                body_of(&[], &["<p>a</p>", "text", "<!-- c -->", "<i>z</i>"]),
+            ),
         ]
     }
 
     #[test]
     fn sections_cover_exactly_their_blocks() {
-        for nc in splice_corpus() {
-            let (xml, s) = write_new_content_with_sections(&nc);
+        for (nc, ends) in splice_corpus() {
+            let (xml, s) = write_new_content_with_sections(&nc, ends.as_deref());
             assert_eq!(xml, write_new_content(&nc));
             let head = &xml[s.head.clone()];
             assert!(head.starts_with("<docHead>\n") && head.ends_with("</docHead>\n"));
@@ -400,27 +612,83 @@ mod tests {
                 )
             );
             assert_eq!(&xml[s.top.end..s.user_actions.start], "</docContent>\n");
+
+            // Each body child's escaped bytes, back to back from the end
+            // of the body's own tag and attributes to the CDATA's end.
+            let (TopLevel::Body(body), Some(ends)) = (&nc.top, ends) else {
+                assert_eq!(s.body_children, None);
+                continue;
+            };
+            let children = s.body_children.expect("body children reported");
+            let mut own =
+                String::from("<!-- for a page using body element -->\n<docBody><![CDATA[");
+            body.encode_escaped_head_into(&mut own);
+            assert_eq!(&xml[s.top.start..children.start], own);
+            assert_eq!(children.len(), ends.len());
+            let mut from = 0;
+            for (i, &end) in ends.iter().enumerate() {
+                let child = &body.inner_html[from..end];
+                assert_eq!(xml[children.span(i..i + 1)], escape(child), "child {i}");
+                from = end;
+            }
+            let all = children.span(0..children.len());
+            assert_eq!(&xml[all.end..s.top.end], "]]></docBody>\n");
         }
     }
 
     #[test]
     fn spliced_deltas_equal_the_typed_writer() {
-        for nc in splice_corpus() {
-            let (xml, sections) = write_new_content_with_sections(&nc);
-            for (head, top) in [(false, false), (true, false), (false, true), (true, true)] {
-                let dc = DeltaContent {
-                    doc_time: nc.doc_time,
-                    from_doc_time: 3,
-                    head_children: head.then(|| nc.head_children.clone()),
-                    top: top.then(|| nc.top.clone()),
-                    user_actions: nc.user_actions.clone(),
-                };
-                let spliced = splice_delta_content(&xml, &sections, nc.doc_time, 3, head, top);
-                assert_eq!(spliced, write_delta_content(&dc), "head={head} top={top}");
-                let parsed = crate::reader::parse_delta_content(&spliced)
-                    .unwrap()
-                    .unwrap();
-                assert_eq!(parsed, dc, "head={head} top={top}");
+        for (nc, ends) in splice_corpus() {
+            let (xml, sections) = write_new_content_with_sections(&nc, ends.as_deref());
+            let mut tops = vec![
+                (TopCopy::Omit, None),
+                (TopCopy::Whole, Some(DeltaTop::Whole(nc.top.clone()))),
+            ];
+            // Every run of the body's children, inserted in place of 0–2
+            // children of a base.
+            if let (TopLevel::Body(body), Some(ends)) = (&nc.top, &ends) {
+                let edge = |i: usize| if i == 0 { 0 } else { ends[i - 1] };
+                let n = ends.len();
+                for at in 0..=n {
+                    for inserted in 0..=n - at {
+                        for drop in 0..=2 {
+                            let of = n - inserted + drop;
+                            let splice = BodySplice {
+                                at,
+                                drop,
+                                of,
+                                inner_html: body.inner_html[edge(at)..edge(at + inserted)]
+                                    .to_string(),
+                            };
+                            tops.push((
+                                TopCopy::BodySplice { at, drop, of },
+                                Some(DeltaTop::BodySplice(splice)),
+                            ));
+                        }
+                    }
+                }
+            }
+            for head in [false, true] {
+                for (copy, top) in &tops {
+                    let dc = DeltaContent {
+                        doc_time: nc.doc_time,
+                        from_doc_time: 3,
+                        head_children: head.then(|| nc.head_children.clone()),
+                        top: top.clone(),
+                        user_actions: nc.user_actions.clone(),
+                    };
+                    let spliced =
+                        splice_delta_content(&xml, &sections, nc.doc_time, 3, head, *copy);
+                    assert_eq!(
+                        spliced,
+                        write_delta_content(&dc),
+                        "head={head} top={copy:?}"
+                    );
+                    let parsed = crate::reader::parse_delta_content(&spliced)
+                        .unwrap()
+                        .unwrap();
+                    assert_eq!(parsed, dc, "head={head} top={copy:?}");
+                }
             }
         }
     }
