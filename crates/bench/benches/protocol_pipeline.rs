@@ -7,20 +7,21 @@
 //! The `snippet_apply` group times the participant's apply of one
 //! paragraph edit's delta, as a whole body and as a body splice.
 //!
-//! A poll round runs the request path production serves: the sequential
-//! agent answers through the same Fig.-2 code as the concurrent host,
-//! building a `ContentSnapshot` on the first request after the host DOM
-//! moved and answering with the snapshot's (or the session's) prefab.
+//! A poll round runs the request path production serves: a one-session
+//! router's handler, the entry every engine calls, answering with the
+//! published snapshot's (or the session's) prefab.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use rcb_browser::{Browser, BrowserKind};
 use rcb_core::agent::{AgentConfig, CacheMode, RcbAgent};
+use rcb_core::router::{RouterConfig, SessionRouter};
 use rcb_core::snapshot::{ContentSnapshot, DELTA_RING};
 use rcb_core::snippet::{AjaxSnippet, SnippetOutcome};
 use rcb_crypto::SessionKey;
 use rcb_html::Document;
-use rcb_http::Response;
+use rcb_http::server::{Handler, HandlerOutcome, ServerConfig};
+use rcb_http::{Request, Response};
 use rcb_origin::OriginRegistry;
 use rcb_sim::link::Pipe;
 use rcb_sim::profiles::NetProfile;
@@ -43,52 +44,75 @@ fn loaded_host(site: &str) -> Browser {
     b
 }
 
+/// The handler of a one-session router hosting `host` under `key`.
+fn one_session(host: Browser, key: SessionKey, config: AgentConfig) -> Handler {
+    let router = SessionRouter::new(
+        Box::new(|_| None),
+        config,
+        RouterConfig::default(),
+        &ServerConfig::default(),
+    );
+    router.install_default_session(host, key).unwrap();
+    router.make_handler()
+}
+
+/// The reply `handler` sends `req`; these polls never park.
+fn respond(handler: &Handler, req: Request) -> Response {
+    match handler(req) {
+        HandlerOutcome::Respond(response) => response,
+        HandlerOutcome::Park(_) => panic!("a poll without lp= parked"),
+    }
+}
+
+/// A participant that joined through `handler`: the page of its `GET /`.
+fn joined(handler: &Handler) -> Browser {
+    let mut participant = Browser::new(BrowserKind::Firefox);
+    let page = respond(handler, Request::get("/"));
+    participant.doc = Some(rcb_html::parse_document(&page.body_str()));
+    participant
+}
+
 fn bench_poll_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("poll_round");
     for site in ["google.com", "cnn.com"] {
         let key = SessionKey::generate_deterministic(&mut DetRng::new(1));
-        let mut host = loaded_host(site);
         group.bench_function(BenchmarkId::new("full_sync", site), |b| {
-            b.iter(|| {
-                // Fresh agent/snippet each iteration so every poll builds
-                // a snapshot (the expensive path): content generation plus
-                // the frozen XML prefab the reply clones.
-                let mut agent = RcbAgent::new(
-                    key.clone(),
-                    AgentConfig {
+            b.iter_batched(
+                || loaded_host(site),
+                |host| {
+                    // A fresh session each iteration, so the poll gets
+                    // a freshly built snapshot (the expensive path):
+                    // content generation plus the frozen XML prefab the
+                    // reply clones. The session and the participant are
+                    // returned, so their teardown is not timed.
+                    let config = AgentConfig {
                         cache_mode: CacheMode::NonCache,
                         ..AgentConfig::default()
-                    },
-                );
-                let mut snippet = AjaxSnippet::new(1, key.clone(), SimDuration::from_secs(1));
-                let mut participant = Browser::new(BrowserKind::Firefox);
-                participant.doc = Some(rcb_html::parse_document(&agent.initial_page()));
-                let poll = snippet.build_poll();
-                let outcome = agent.handle_request(&poll, &mut host, SimTime::from_secs(1));
-                snippet
-                    .process_response(&outcome.response, &mut participant)
-                    .unwrap()
-            })
+                    };
+                    let handler = one_session(host, key.clone(), config);
+                    let mut snippet = AjaxSnippet::new(1, key.clone(), SimDuration::from_secs(1));
+                    let mut participant = joined(&handler);
+                    let reply = respond(&handler, snippet.build_poll());
+                    let outcome = snippet.process_response(&reply, &mut participant);
+                    (outcome.unwrap(), handler, participant)
+                },
+                BatchSize::LargeInput,
+            )
         });
 
         // The steady-state path: no content change, so the snapshot is
         // reused and the reply is the session's empty-poll prefab.
         let key2 = SessionKey::generate_deterministic(&mut DetRng::new(2));
-        let mut agent = RcbAgent::new(key2.clone(), AgentConfig::default());
+        let handler = one_session(loaded_host(site), key2.clone(), AgentConfig::default());
         let mut snippet = AjaxSnippet::new(1, key2, SimDuration::from_secs(1));
-        let mut participant = Browser::new(BrowserKind::Firefox);
-        participant.doc = Some(rcb_html::parse_document(&agent.initial_page()));
-        let first = snippet.build_poll();
-        let outcome = agent.handle_request(&first, &mut host, SimTime::from_secs(1));
-        snippet
-            .process_response(&outcome.response, &mut participant)
-            .unwrap();
+        let mut participant = joined(&handler);
+        let first = respond(&handler, snippet.build_poll());
+        snippet.process_response(&first, &mut participant).unwrap();
         group.bench_function(BenchmarkId::new("idle_poll", site), |b| {
             b.iter(|| {
-                let poll = snippet.build_poll();
-                let outcome = agent.handle_request(&poll, &mut host, SimTime::from_secs(2));
-                assert!(outcome.response.body.is_empty());
-                outcome
+                let reply = respond(&handler, snippet.build_poll());
+                assert!(reply.body.is_empty());
+                reply
             })
         });
     }
@@ -160,8 +184,14 @@ fn bench_snippet_apply(c: &mut Criterion) {
         browser.doc = doc;
         (snippet, browser)
     };
-    let (mut snippet, mut synced) =
-        participant(Some(rcb_html::parse_document(&agent.initial_page())), 0);
+    // The joining page comes from a session's `GET /`; the host behind
+    // it need not have loaded a page.
+    let join = one_session(
+        Browser::new(BrowserKind::Firefox),
+        key.clone(),
+        AgentConfig::default(),
+    );
+    let (mut snippet, mut synced) = participant(joined(&join).doc, 0);
     snippet
         .process_response(&base.poll_response(), &mut synced)
         .unwrap();

@@ -51,7 +51,7 @@ fn main() {
                 "{:>5} {:>12} {:>13} {:>18} {:>18}",
                 n,
                 profile.name,
-                world.host.agent.stats.generations.get(),
+                world.session().with_agent_stats(|s| s.generations.get()),
                 first.to_string(),
                 last.to_string()
             );

@@ -33,13 +33,13 @@ fn main() {
         let m2 = first.expect("initial sync").m2;
 
         // Idle-phase cost: polls for one virtual minute without changes.
-        let start_polls = world.host.agent.request_stats().polls_empty;
+        let start_polls = world.session().stats().polls_empty;
         let idle_rounds = (60_000 / interval_ms) as usize;
         for _ in 0..idle_rounds {
             world.sleep(SimDuration::from_millis(interval_ms));
             world.poll_participant(p).unwrap();
         }
-        let polls_per_min = world.host.agent.request_stats().polls_empty - start_polls;
+        let polls_per_min = world.session().stats().polls_empty - start_polls;
 
         // Staleness: a change can land right after a poll; worst-case lag
         // is one full interval plus the sync time itself.

@@ -1,27 +1,16 @@
 //! RCB-Agent: the HTTP server inside the host browser.
 //!
-//! Implements the request-processing procedure of paper Fig. 2. The agent
-//! receives three request types from participant browsers and classifies
-//! them "by simply checking the method token and request-URI token in the
-//! request-line":
-//!
-//! * **new connection request** — `GET /` → the initial HTML page whose
-//!   head carries Ajax-Snippet;
-//! * **object request** — `GET /cache/{key}` (cache mode) → the cached
-//!   object, answered with the prefab frozen into the current
-//!   [`ContentSnapshot`] (its body shares the host browser cache entry);
-//! * **Ajax polling request** — `POST /poll` → data merging, timestamp
-//!   inspection, and either a Fig.-4 XML response with new content or an
-//!   empty response ("to avoid hanging requests").
-//!
-//! The procedure itself lives in the crate's shared request path, which
-//! the concurrent host in [`crate::tcp`] drives too.
-//! [`RcbAgent::handle_request`] is its sequential driver: it maps a parsed
-//! request plus mutable access to the host browser onto a response and a
-//! list of host-side effects (navigations and form submissions the
-//! *world* must perform, because they need the network). It merges with
-//! exclusive access and rebuilds its snapshot inline on the first request
-//! after the host DOM moved.
+//! Paper Fig. 2 has the agent answer three request types: the initial
+//! page (`GET /`), cached objects (`GET /cache/{key}`), and Ajax polls
+//! (`POST /poll`) that merge piggybacked actions and are answered with new
+//! content or an empty reply. The procedure itself is the session's
+//! Fig.-2 request path, which every host serves through
+//! [`crate::tcp`]'s session host. [`RcbAgent`] is its write half: it
+//! merges participant actions into the host page, returning the host
+//! effects they ask for (navigations, form submissions, clicks), mints
+//! document timestamps, and keeps the URL↔key mapping table, the
+//! generated-content cache and the generation stats that content
+//! snapshots are built from.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -29,13 +18,10 @@ use std::sync::{Arc, Mutex};
 use rcb_browser::{Browser, UserAction};
 use rcb_cache::MappingTable;
 use rcb_crypto::SessionKey;
-use rcb_http::{Request, Response};
-use rcb_util::{Counter, Histogram, Result, SimDuration, SimTime};
+use rcb_util::{Counter, Histogram, SimDuration, SimTime};
 
 use crate::content::GeneratedContent;
-use crate::fig2::{Answer, Deployment, RequestPath, TcpHostStats};
 use crate::policy::{InteractionPolicy, NavigationPolicy};
-use crate::snapshot::ContentSnapshot;
 
 /// Whether supplementary objects are served from the host cache or fetched
 /// from origin servers by the participant (paper §3.1 steps 7/8).
@@ -121,15 +107,6 @@ pub enum HostEffect {
     },
 }
 
-/// Result of handling one request.
-#[derive(Debug)]
-pub struct AgentOutcome {
-    /// The HTTP response to send back.
-    pub response: Response,
-    /// Host-side effects to execute (empty for most requests).
-    pub effects: Vec<HostEffect>,
-}
-
 /// The participants a session has seen: the pids of authenticated polls,
 /// sharded across independently locked sets, so concurrent polls from
 /// different participants never contend on one lock.
@@ -137,8 +114,7 @@ pub struct AgentOutcome {
 /// Participant ids are spread across [`ParticipantShards::SHARDS`] sets by
 /// a multiplicative hash; each poll touches exactly one shard lock, held
 /// only for the set operation (never across content generation or I/O).
-/// Both deployments keep their participants here, through the shared
-/// request path.
+/// A session's request path keeps its participants here.
 #[derive(Debug)]
 pub struct ParticipantShards {
     shards: Vec<Mutex<HashSet<u64>>>,
@@ -197,7 +173,7 @@ impl Default for ParticipantShards {
 }
 
 /// Counters of the agent's write-path work. Request counters live in the
-/// shared request path: see [`RcbAgent::request_stats`].
+/// session's request path ([`crate::tcp::TcpHostStats`]).
 #[derive(Debug, Default)]
 pub struct AgentStats {
     /// Content generations performed (cache hits excluded).
@@ -216,35 +192,25 @@ pub struct AgentStats {
 /// while memory stays bounded no matter how often the host page mutates.
 pub const LIVE_GENERATIONS: usize = 2;
 
-/// RCB-Agent.
+/// RCB-Agent's write path (see module docs).
 pub struct RcbAgent {
     /// Configuration (mode, interval, policies).
     pub config: AgentConfig,
-    /// The session's Fig.-2 request path: key, static prefabs,
-    /// participants and request counters. A concurrent host clones the
-    /// `Arc` and serves through the same path.
-    fig2: Arc<RequestPath>,
+    /// The session key object URLs are minted under.
+    key: SessionKey,
     /// The URL↔key mapping table, behind its own leaf mutex so pipelined
     /// content generation (running outside the host lock) can mint keys
-    /// concurrently with sequential agent work. Lock ordering: this is a
-    /// leaf — never held while acquiring any other lock.
+    /// while merges proceed. Lock ordering: this is a leaf — never held
+    /// while acquiring any other lock.
     mapping: Arc<Mutex<MappingTable>>,
     /// Generated content cached per (dom_version, mode) — "the generated
     /// XML format response content is reusable for multiple participant
     /// browsers" (§4.1.2).
     content_cache: HashMap<(u64, bool), Arc<GeneratedContent>>,
-    /// The snapshot [`RcbAgent::handle_request`] answers from, rebuilt on
-    /// the first request after the host DOM moved.
-    snapshot: Option<Arc<ContentSnapshot>>,
     /// The latest participant pointer position, pending broadcast in the
     /// next content update. A later position supersedes an earlier one,
     /// so moves on an unchanged page never pile up.
     pointer: Option<UserAction>,
-    /// Pending participant actions awaiting host confirmation (under
-    /// [`NavigationPolicy::HostConfirm`]), queued by
-    /// [`RcbAgent::merge_poll_actions`]. The concurrent host queues none:
-    /// it has nothing to carry effects out with, and counts them dropped.
-    pub pending_confirmation: Vec<(u64, HostEffect)>,
     /// The dom_version → document-timestamp map, bounded to
     /// [`LIVE_GENERATIONS`] entries.
     timestamps: HashMap<u64, u64>,
@@ -262,13 +228,11 @@ impl RcbAgent {
     /// Creates an agent with the given key and configuration.
     pub fn new(key: SessionKey, config: AgentConfig) -> RcbAgent {
         RcbAgent {
-            fig2: Arc::new(RequestPath::new(key, &config)),
             config,
+            key,
             mapping: Arc::new(Mutex::new(MappingTable::new())),
             content_cache: HashMap::new(),
-            snapshot: None,
             pointer: None,
-            pending_confirmation: Vec::new(),
             timestamps: HashMap::new(),
             live_versions: VecDeque::new(),
             last_timestamp: 0,
@@ -278,28 +242,7 @@ impl RcbAgent {
 
     /// The session key (shared out of band with participants).
     pub fn key(&self) -> &SessionKey {
-        self.fig2.key()
-    }
-
-    /// The shared request path (a concurrent host serves through it).
-    pub(crate) fn request_path(&self) -> &Arc<RequestPath> {
-        &self.fig2
-    }
-
-    /// Number of participants that have polled and not left.
-    pub fn participant_count(&self) -> usize {
-        self.fig2.participants.count()
-    }
-
-    /// Removes a participant (left the session).
-    pub fn remove_participant(&mut self, id: u64) {
-        self.fig2.participants.remove(id);
-    }
-
-    /// The request counters — the same [`TcpHostStats`] the concurrent
-    /// host reports.
-    pub fn request_stats(&self) -> TcpHostStats {
-        self.fig2.stats()
+        &self.key
     }
 
     /// The document timestamp for the host's current DOM version, minting
@@ -376,89 +319,14 @@ impl RcbAgent {
         }
     }
 
-    /// Handles one HTTP request from a participant browser (Fig. 2): the
-    /// sequential driver of the shared request path.
-    pub fn handle_request(
-        &mut self,
-        req: &Request,
-        host: &mut Browser,
-        now: SimTime,
-    ) -> AgentOutcome {
-        let fig2 = Arc::clone(&self.fig2);
-        let mut sequential = Sequential {
-            agent: self,
-            host,
-            now,
-            effects: Vec::new(),
-        };
-        let response = match fig2.handle(req, &mut sequential) {
-            Answer::Reply(response) => response,
-            // Nothing here can hold a request open: a long-poll is
-            // answered at once with its timeout reply.
-            Answer::Park(_) => fig2.timeout_reply(),
-        };
-        AgentOutcome {
-            response,
-            effects: sequential.effects,
-        }
-    }
-
-    /// The snapshot of the host's current DOM version: plan and finish run
-    /// inline when the DOM moved since the last one, carrying the
-    /// previous snapshot's objects forward. Generation is accounted by
-    /// [`RcbAgent::admit_generated`], so the request that regenerates is
-    /// the one a world charges M5 to.
-    fn snapshot_at(&mut self, host: &Browser, now: SimTime) -> Result<Arc<ContentSnapshot>> {
-        if let Some(snap) = self
-            .snapshot
-            .as_ref()
-            .filter(|s| s.dom_version == host.dom_version())
-        {
-            return Ok(Arc::clone(snap));
-        }
-        let prev = self.snapshot.take();
-        let built = ContentSnapshot::build(self, host, now, prev.as_deref());
-        self.snapshot = built.as_ref().ok().cloned().or(prev);
-        built
-    }
-
-    /// The initial HTML page carrying Ajax-Snippet (paper §3.1 step 2).
-    ///
-    /// The head contains the snippet script element (kept across every
-    /// later content update); the body shows the key-entry form a
-    /// participant fills with the out-of-band secret (§3.4).
-    pub fn initial_page(&self) -> String {
-        self.fig2.initial_page_html()
-    }
-
     /// Applies a batch of piggybacked participant actions to the host side
-    /// (the write half of a poll), returning the host effects the world
-    /// must carry out now. Under [`NavigationPolicy::HostConfirm`] the
-    /// effects wait in [`RcbAgent::pending_confirmation`] instead, for
-    /// [`RcbAgent::decide_pending`].
+    /// (the write half of a poll): the actions the interaction policy
+    /// allows are merged, and every host effect they ask for is returned,
+    /// whatever the navigation policy — the caller that carries effects
+    /// out applies it. This is the only poll work that needs mutable host
+    /// access; a session host calls it under the host lock while
+    /// read-only polls proceed from a published snapshot.
     pub fn merge_poll_actions(
-        &mut self,
-        pid: u64,
-        actions: Vec<UserAction>,
-        host: &mut Browser,
-    ) -> Vec<HostEffect> {
-        let effects = self.merge_actions(pid, actions, host);
-        match self.config.nav_policy {
-            NavigationPolicy::Immediate => effects,
-            NavigationPolicy::HostConfirm => {
-                let pending = effects.into_iter().map(|effect| (pid, effect));
-                self.pending_confirmation.extend(pending);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Applies the actions the interaction policy allows to the host
-    /// side, returning every host effect they ask for, before any
-    /// navigation policy. This is the only poll work that needs mutable
-    /// host access; the concurrent host calls it under the host lock
-    /// while read-only polls proceed from a published snapshot.
-    pub(crate) fn merge_actions(
         &mut self,
         pid: u64,
         actions: Vec<UserAction>,
@@ -500,18 +368,6 @@ impl RcbAgent {
             }
         }
     }
-
-    /// Host decision on the oldest pending action (HostConfirm policy).
-    pub fn decide_pending(&mut self, decision: crate::policy::HostDecision) -> Option<HostEffect> {
-        if self.pending_confirmation.is_empty() {
-            return None;
-        }
-        let (_, effect) = self.pending_confirmation.remove(0);
-        match decision {
-            crate::policy::HostDecision::Approve => Some(effect),
-            crate::policy::HostDecision::Reject => None,
-        }
-    }
 }
 
 /// Sets field `field` of form `form` on the host page to `value`. Only a
@@ -532,27 +388,6 @@ fn merge_field(host: &mut Browser, form: &str, field: &str, value: String) {
             let _ = host.mutate_dom(|doc| doc.set_attr(input, "value", value));
         }
         _ => {}
-    }
-}
-
-/// The sequential deployment of the shared request path: exclusive
-/// access to the agent and the host browser for one request.
-struct Sequential<'a> {
-    agent: &'a mut RcbAgent,
-    host: &'a mut Browser,
-    now: SimTime,
-    effects: Vec<HostEffect>,
-}
-
-impl Deployment for Sequential<'_> {
-    /// Merges with exclusive access and keeps the host effects for the
-    /// world to run.
-    fn merge(&mut self, pid: u64, actions: Vec<UserAction>) {
-        self.effects = self.agent.merge_poll_actions(pid, actions, self.host);
-    }
-
-    fn snapshot(&mut self) -> Result<Arc<ContentSnapshot>> {
-        self.agent.snapshot_at(self.host, self.now)
     }
 }
 
@@ -586,8 +421,12 @@ pub fn build_poll_body(doc_time: u64, actions: &[UserAction]) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::auth::sign_request;
+    use crate::router::tests::{one_session, respond};
+    use crate::router::SessionHandle;
+    use crate::snapshot::ContentSnapshot;
     use rcb_browser::BrowserKind;
-    use rcb_http::Status;
+    use rcb_http::server::Handler;
+    use rcb_http::{Request, Status};
     use rcb_origin::OriginRegistry;
     use rcb_sim::link::Pipe;
     use rcb_sim::profiles::NetProfile;
@@ -599,6 +438,18 @@ mod tests {
             SessionKey::generate_deterministic(&mut DetRng::new(3)),
             AgentConfig::default(),
         )
+    }
+
+    /// A session hosting `site` with this seed's key and `config`, and
+    /// the handler every engine serves it through.
+    fn session_with(site: &str, seed: u64, config: AgentConfig) -> (SessionHandle, Handler) {
+        let key = SessionKey::generate_deterministic(&mut DetRng::new(seed));
+        let (session, handler, _) = one_session(loaded_host(site), key, config);
+        (session, handler)
+    }
+
+    fn session(site: &str) -> (SessionHandle, Handler) {
+        session_with(site, 3, AgentConfig::default())
     }
 
     fn loaded_host(site: &str) -> Browser {
@@ -617,75 +468,65 @@ mod tests {
         b
     }
 
-    fn signed_poll(agent: &RcbAgent, pid: u64, t: u64, actions: &[UserAction]) -> Request {
+    fn signed_poll(key: &SessionKey, pid: u64, t: u64, actions: &[UserAction]) -> Request {
         let mut req = Request::post(format!("/poll?p={pid}"), build_poll_body(t, actions));
-        sign_request(agent.key(), &mut req);
+        sign_request(key, &mut req);
         req
     }
 
     #[test]
     fn initial_page_carries_snippet() {
-        let mut a = agent();
-        let mut host = loaded_host("google.com");
-        let out = a.handle_request(&Request::get("/"), &mut host, SimTime::ZERO);
-        assert!(out.response.status.is_success());
-        let body = out.response.body_str();
+        let (a, handler) = session("google.com");
+        let response = respond(&handler, Request::get("/"));
+        assert!(response.status.is_success());
+        let body = response.body_str();
         assert!(body.contains("id=\"ajax-snippet\""));
         assert!(body.contains("type=\"password\""));
-        assert_eq!(a.request_stats().connections, 1);
+        assert_eq!(a.stats().connections, 1);
     }
 
     #[test]
     fn unauthenticated_poll_rejected() {
-        let mut a = agent();
-        let mut host = loaded_host("google.com");
+        let (a, handler) = session("google.com");
         let req = Request::post("/poll?p=1", build_poll_body(0, &[]));
-        let out = a.handle_request(&req, &mut host, SimTime::ZERO);
-        assert_eq!(out.response.status, Status::UNAUTHORIZED);
-        assert_eq!(a.request_stats().auth_failures, 1);
+        let response = respond(&handler, req);
+        assert_eq!(response.status, Status::UNAUTHORIZED);
+        assert_eq!(a.stats().auth_failures, 1);
         assert!(a.participant_count() == 0);
     }
 
     #[test]
     fn first_poll_delivers_content_second_is_empty() {
-        let mut a = agent();
-        let mut host = loaded_host("google.com");
-        let now = SimTime::from_secs(1);
-        let out = a.handle_request(&signed_poll(&a, 1, 0, &[]), &mut host, now);
-        assert_eq!(
-            out.response.content_type().as_deref(),
-            Some("application/xml")
-        );
-        assert!(!out.response.body.is_empty());
-        let nc = rcb_xml::parse_new_content(&out.response.body_str())
+        let (a, handler) = session("google.com");
+        let response = respond(&handler, signed_poll(a.key(), 1, 0, &[]));
+        assert_eq!(response.content_type().as_deref(), Some("application/xml"));
+        assert!(!response.body.is_empty());
+        let nc = rcb_xml::parse_new_content(&response.body_str())
             .unwrap()
             .unwrap();
         // Participant acknowledges the timestamp on the next poll.
-        let out2 = a.handle_request(&signed_poll(&a, 1, nc.doc_time, &[]), &mut host, now);
-        assert!(out2.response.body.is_empty());
-        assert_eq!(a.request_stats().polls_with_content, 1);
-        assert_eq!(a.request_stats().polls_empty, 1);
+        let response2 = respond(&handler, signed_poll(a.key(), 1, nc.doc_time, &[]));
+        assert!(response2.body.is_empty());
+        assert_eq!(a.stats().polls_with_content, 1);
+        assert_eq!(a.stats().polls_empty, 1);
     }
 
     #[test]
     fn dom_change_triggers_new_content() {
-        let mut a = agent();
-        let mut host = loaded_host("google.com");
-        let t1 = SimTime::from_secs(1);
-        let out = a.handle_request(&signed_poll(&a, 1, 0, &[]), &mut host, t1);
-        let nc = rcb_xml::parse_new_content(&out.response.body_str())
+        let (a, handler) = session("google.com");
+        let response = respond(&handler, signed_poll(a.key(), 1, 0, &[]));
+        let nc = rcb_xml::parse_new_content(&response.body_str())
             .unwrap()
             .unwrap();
         // Host page mutates (Ajax on the host side).
-        host.mutate_dom(|doc| {
+        a.mutate_page(|doc| {
             let body = doc.body().unwrap();
             let div = doc.create_element("div");
             doc.append_child(body, div).unwrap();
         })
         .unwrap();
-        let t2 = SimTime::from_secs(5);
-        let out2 = a.handle_request(&signed_poll(&a, 1, nc.doc_time, &[]), &mut host, t2);
-        let nc2 = rcb_xml::parse_new_content(&out2.response.body_str())
+        let response2 = respond(&handler, signed_poll(a.key(), 1, nc.doc_time, &[]));
+        let nc2 = rcb_xml::parse_new_content(&response2.body_str())
             .unwrap()
             .unwrap();
         assert!(nc2.doc_time > nc.doc_time);
@@ -693,35 +534,37 @@ mod tests {
 
     #[test]
     fn content_is_generated_once_for_multiple_participants() {
-        let mut a = agent();
-        let mut host = loaded_host("live.com");
-        let now = SimTime::from_secs(1);
+        let (a, handler) = session("live.com");
         for pid in 1..=5 {
-            let out = a.handle_request(&signed_poll(&a, pid, 0, &[]), &mut host, now);
-            assert!(!out.response.body.is_empty());
+            let response = respond(&handler, signed_poll(a.key(), pid, 0, &[]));
+            assert!(!response.body.is_empty());
         }
-        assert_eq!(a.stats.generations.get(), 1, "reused for 5 participants");
+        assert_eq!(
+            a.with_agent_stats(|s| s.generations.get()),
+            1,
+            "reused for 5 participants"
+        );
         assert_eq!(a.participant_count(), 5);
     }
 
     #[test]
     fn form_input_merges_into_host_dom() {
-        let mut a = agent();
-        let mut host = loaded_host("google.com");
-        let v0 = host.dom_version();
+        let (a, handler) = session("google.com");
+        let v0 = a.dom_version();
         let action = UserAction::FormInput {
             form: "q".into(),
             field: "q".into(),
             value: "macbook air".into(),
         };
-        a.handle_request(&signed_poll(&a, 1, 0, &[action]), &mut host, SimTime::ZERO);
-        let doc = host.doc.as_ref().unwrap();
-        let form = rcb_html::query::element_by_id(doc, doc.root(), "q").unwrap();
-        let fields = rcb_html::query::form_fields(doc, form);
+        respond(&handler, signed_poll(a.key(), 1, 0, &[action]));
+        let fields = a.form_fields("q");
         assert!(fields.contains(&("q".to_string(), "macbook air".to_string())));
-        assert!(host.dom_version() > v0, "merge bumps the DOM version");
+        assert!(a.dom_version() > v0, "merge bumps the DOM version");
     }
 
+    /// The write path hands every effect back, whatever the navigation
+    /// policy; the world that carries effects out applies the policy, and
+    /// under HostConfirm queues them for the host's decision.
     #[test]
     fn navigation_effect_respects_policy() {
         let mut a = agent();
@@ -729,32 +572,28 @@ mod tests {
         let nav = UserAction::Navigate {
             url: "http://apple.com/".into(),
         };
-        let out = a.handle_request(
-            &signed_poll(&a, 1, 0, std::slice::from_ref(&nav)),
-            &mut host,
-            SimTime::ZERO,
-        );
+        let effects = a.merge_poll_actions(1, vec![nav.clone()], &mut host);
         assert_eq!(
-            out.effects,
+            effects,
             vec![HostEffect::Navigate("http://apple.com/".into())]
         );
 
         // HostConfirm queues instead.
-        let mut confirm_agent = RcbAgent::new(
-            SessionKey::generate_deterministic(&mut DetRng::new(4)),
+        let mut world = crate::session::CoBrowsingWorld::with_alexa20(
+            NetProfile::lan(),
             AgentConfig {
                 nav_policy: NavigationPolicy::HostConfirm,
                 ..AgentConfig::default()
             },
+            4,
         );
-        let out2 = confirm_agent.handle_request(
-            &signed_poll(&confirm_agent, 1, 0, &[nav]),
-            &mut host,
-            SimTime::ZERO,
-        );
-        assert!(out2.effects.is_empty());
-        assert_eq!(confirm_agent.pending_confirmation.len(), 1);
-        let approved = confirm_agent.decide_pending(crate::policy::HostDecision::Approve);
+        let p = world.add_participant(BrowserKind::Firefox);
+        world.host_navigate("http://google.com/").unwrap();
+        world.participant_action(p, nav);
+        let (_, effects2) = world.poll_participant(p).unwrap();
+        assert!(effects2.is_empty());
+        assert_eq!(world.pending_confirmation.len(), 1);
+        let approved = world.decide_pending(crate::policy::HostDecision::Approve);
         assert_eq!(
             approved,
             Some(HostEffect::Navigate("http://apple.com/".into()))
@@ -763,28 +602,30 @@ mod tests {
 
     #[test]
     fn view_only_policy_drops_actions() {
-        let mut a = RcbAgent::new(
-            SessionKey::generate_deterministic(&mut DetRng::new(5)),
-            AgentConfig {
-                interaction_policy: InteractionPolicy::ViewOnly,
-                ..AgentConfig::default()
-            },
-        );
-        let mut host = loaded_host("google.com");
+        let config = AgentConfig {
+            interaction_policy: InteractionPolicy::ViewOnly,
+            ..AgentConfig::default()
+        };
+        let (a, handler) = session_with("google.com", 5, config.clone());
         let nav = UserAction::Navigate {
             url: "http://apple.com/".into(),
         };
-        let out = a.handle_request(&signed_poll(&a, 1, 0, &[nav]), &mut host, SimTime::ZERO);
-        assert!(out.effects.is_empty());
-        assert!(a.pending_confirmation.is_empty());
+        respond(
+            &handler,
+            signed_poll(a.key(), 1, 0, std::slice::from_ref(&nav)),
+        );
+        assert_eq!(a.stats().host_effects_dropped, 0);
+        // The write path itself refuses the actions too.
+        let mut agent = RcbAgent::new(a.key().clone(), config);
+        let mut host = loaded_host("google.com");
+        assert!(agent.merge_poll_actions(1, vec![nav], &mut host).is_empty());
     }
 
     #[test]
     fn cache_mode_objects_served_end_to_end() {
-        let mut a = agent();
-        let mut host = loaded_host("apple.com");
-        let out = a.handle_request(&signed_poll(&a, 1, 0, &[]), &mut host, SimTime::ZERO);
-        let nc = rcb_xml::parse_new_content(&out.response.body_str())
+        let (a, handler) = session("apple.com");
+        let response = respond(&handler, signed_poll(a.key(), 1, 0, &[]));
+        let nc = rcb_xml::parse_new_content(&response.body_str())
             .unwrap()
             .unwrap();
         let rcb_xml::TopLevel::Body(body) = &nc.top else {
@@ -794,46 +635,33 @@ mod tests {
         let idx = body.inner_html.find("/cache/").expect("agent URL present");
         let tail = &body.inner_html[idx..];
         let url = tail.split('"').next().unwrap().to_string();
-        let resp = a
-            .handle_request(&Request::get(url.clone()), &mut host, SimTime::ZERO)
-            .response;
+        let resp = respond(&handler, Request::get(url.clone()));
         assert!(resp.status.is_success(), "object fetch failed for {url}");
         assert!(!resp.body.is_empty());
-        assert_eq!(a.request_stats().object_requests, 1);
+        assert_eq!(a.stats().object_requests, 1);
 
         // Tampered token is rejected.
         let bad = url.replace("?k=", "?k=0");
-        let resp2 = a
-            .handle_request(&Request::get(bad), &mut host, SimTime::ZERO)
-            .response;
+        let resp2 = respond(&handler, Request::get(bad));
         assert_eq!(resp2.status, Status::UNAUTHORIZED);
     }
 
     #[test]
     fn mouse_moves_are_broadcast_via_user_actions() {
-        let mut a = agent();
-        let mut host = loaded_host("google.com");
+        let (a, handler) = session("google.com");
         // Participant 1 syncs first, then reports a mouse move on an
         // up-to-date poll (so the move is queued, not consumed by p1's own
         // content generation).
-        let out0 = a.handle_request(&signed_poll(&a, 1, 0, &[]), &mut host, SimTime::ZERO);
-        let nc0 = rcb_xml::parse_new_content(&out0.response.body_str())
+        let response0 = respond(&handler, signed_poll(a.key(), 1, 0, &[]));
+        let nc0 = rcb_xml::parse_new_content(&response0.body_str())
             .unwrap()
             .unwrap();
         let mv = UserAction::MouseMove { x: 7, y: 9 };
-        let quiet = a.handle_request(
-            &signed_poll(&a, 1, nc0.doc_time, &[mv]),
-            &mut host,
-            SimTime::ZERO,
-        );
-        assert!(quiet.response.body.is_empty());
-        host.mutate_dom(|_| {}).unwrap();
-        let out = a.handle_request(
-            &signed_poll(&a, 2, 0, &[]),
-            &mut host,
-            SimTime::from_secs(2),
-        );
-        let nc = rcb_xml::parse_new_content(&out.response.body_str())
+        let quiet = respond(&handler, signed_poll(a.key(), 1, nc0.doc_time, &[mv]));
+        assert!(quiet.body.is_empty());
+        a.mutate_page(|_| {}).unwrap();
+        let response = respond(&handler, signed_poll(a.key(), 2, 0, &[]));
+        let nc = rcb_xml::parse_new_content(&response.body_str())
             .unwrap()
             .unwrap();
         assert!(nc.user_actions.contains("mouse|7|9"));
@@ -841,36 +669,34 @@ mod tests {
 
     #[test]
     fn unknown_paths_rejected() {
-        let mut a = agent();
-        let mut host = loaded_host("google.com");
-        let out = a.handle_request(&Request::get("/favicon.ico"), &mut host, SimTime::ZERO);
-        assert_eq!(out.response.status, Status::NOT_FOUND);
+        let (_, handler) = session("google.com");
+        let response = respond(&handler, Request::get("/favicon.ico"));
+        assert_eq!(response.status, Status::NOT_FOUND);
     }
 
     #[test]
     fn poll_without_participant_id_is_rejected() {
-        let mut a = agent();
-        let mut host = loaded_host("google.com");
+        let (a, handler) = session("google.com");
         // Correctly signed but missing the `p` parameter entirely: before
         // the fix this collapsed into a shared pid-0 participant.
         let mut missing = Request::post("/poll", build_poll_body(0, &[]));
         sign_request(a.key(), &mut missing);
-        let out = a.handle_request(&missing, &mut host, SimTime::ZERO);
-        assert_eq!(out.response.status, Status::BAD_REQUEST);
+        let response = respond(&handler, missing);
+        assert_eq!(response.status, Status::BAD_REQUEST);
 
         // Malformed (non-numeric) id is rejected the same way.
         let mut malformed = Request::post("/poll?p=alice", build_poll_body(0, &[]));
         sign_request(a.key(), &mut malformed);
-        let out2 = a.handle_request(&malformed, &mut host, SimTime::ZERO);
-        assert_eq!(out2.response.status, Status::BAD_REQUEST);
+        let response2 = respond(&handler, malformed);
+        assert_eq!(response2.status, Status::BAD_REQUEST);
 
         assert!(
             a.participant_count() == 0,
             "no phantom pid-0 participant registered"
         );
-        assert_eq!(a.request_stats().bad_requests, 2);
-        assert_eq!(a.request_stats().polls_with_content, 0);
-        assert_eq!(a.request_stats().polls_empty, 0);
+        assert_eq!(a.stats().bad_requests, 2);
+        assert_eq!(a.stats().polls_with_content, 0);
+        assert_eq!(a.stats().polls_empty, 0);
     }
 
     #[test]

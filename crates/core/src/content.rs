@@ -36,8 +36,8 @@
 //!   shared state it touches is the URL↔key mapping table, locked briefly
 //!   for step 3 only.
 //!
-//! [`generate_content`] runs both phases back to back for sequential
-//! callers.
+//! [`generate_content`] runs both phases back to back for callers that
+//! hold the host for the whole generation (the Table-1 measurements).
 
 use std::sync::{Arc, Mutex};
 
@@ -165,7 +165,7 @@ pub fn finish_generation(
 }
 
 /// Generates response content from the host browser's current document
-/// (both phases back to back — the sequential deployments' entry point).
+/// (both phases back to back, for callers that hold the host throughout).
 ///
 /// `user_actions` carries host-side action data (e.g. mouse-pointer
 /// positions) to mirror to participants inside the `userActions` element.
@@ -189,8 +189,9 @@ pub fn generate_content(
     )
 }
 
-/// How phase 2 reaches the mapping table: exclusively borrowed (the
-/// sequential path) or behind the shared leaf mutex (the pipelined path).
+/// How phase 2 reaches the mapping table: exclusively borrowed (a caller
+/// that holds the host throughout) or behind the shared leaf mutex (the
+/// pipelined path).
 enum MappingAccess<'a> {
     Exclusive(&'a mut MappingTable),
     Shared(&'a Mutex<MappingTable>),

@@ -1,28 +1,27 @@
-//! The Fig.-2 request path, shared by both deployments of RCB-Agent.
+//! The Fig.-2 request path of one session.
 //!
 //! Paper Fig. 2 is one procedure: classify the request line, then serve
 //! the initial page, a cached object, or an Ajax poll that merges the
 //! piggybacked actions, inspects timestamps, and answers with new content
-//! or an empty reply. [`RequestPath`] is that procedure, written once. The
-//! sequential [`RcbAgent::handle_request`](crate::agent::RcbAgent::handle_request)
-//! drives it for the paper world, and the concurrent host in
-//! [`crate::tcp`] drives it for every serving engine, the session router
-//! and the world sim.
+//! or an empty reply. [`RequestPath`] is that procedure, written once,
+//! and the session host in [`crate::tcp`] (`SharedHost`) owns one per
+//! session. Every engine and the world sim reach it through the session
+//! router; the paper world ([`crate::session`]) calls the host
+//! in-process, in virtual time.
 //!
 //! Per session the path holds what the procedure reads: the key, the
 //! path prefix, the interaction policy, the park ceiling, and the
 //! initial-page and empty-poll prefabs. It also holds the per-participant
-//! state and one set of request counters. A deployment supplies the rest
-//! through [`Deployment`]: it merges a poll's allowed actions into the host
-//! page, and it hands out the [`ContentSnapshot`] of the current host page.
-//! Every success reply is a prefab frozen into the session or the
-//! snapshot: a head serialized once (pre-signed when response
-//! authentication is on) over a shared body, so answering copies no body
-//! bytes.
+//! state and one set of request counters. The host supplies the rest: it
+//! merges a poll's allowed actions into the host page, handing back the
+//! host effects they ask for, and it hands out the [`ContentSnapshot`] it
+//! published last. Every success reply is a prefab frozen into the
+//! session or the snapshot: a head serialized once (pre-signed when
+//! response authentication is on) over a shared body, so answering copies
+//! no body bytes.
 //!
 //! **Lock ordering:** the path takes only participant-shard locks, which
-//! are leaves. A deployment's merge takes what it always took (the host
-//! mutex on the concurrent side).
+//! are leaves. A merge takes the host mutex.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,22 +31,13 @@ use rcb_browser::UserAction;
 use rcb_cache::MappingTable;
 use rcb_crypto::SessionKey;
 use rcb_http::{Method, Request, Response, Status};
-use rcb_util::{Result, SimDuration};
+use rcb_util::SimDuration;
 
 use crate::agent::{parse_poll_body, AgentConfig, HostEffect, ParticipantShards};
 use crate::auth;
 use crate::policy::InteractionPolicy;
 use crate::snapshot::{prefab_response, ContentSnapshot};
-
-/// What a deployment supplies to the shared request path.
-pub(crate) trait Deployment {
-    /// Merges a poll's piggybacked actions, already allowed by the
-    /// interaction policy, into the host page.
-    fn merge(&mut self, pid: u64, actions: Vec<UserAction>);
-
-    /// The snapshot of the current host page.
-    fn snapshot(&mut self) -> Result<Arc<ContentSnapshot>>;
-}
+use crate::tcp::SharedHost;
 
 /// A request as Fig. 2 classifies it, parsed without side effects: what
 /// answering it will take. Classifying moves no counter and records no
@@ -71,8 +61,8 @@ pub(crate) struct PollWork {
     /// The participant's content timestamp (`t=`).
     client_time: u64,
     /// The piggybacked actions the interaction policy allows: what the
-    /// deployment must merge. Actions the policy would discard never
-    /// reach the deployment (nor its host mutex).
+    /// host must merge. Actions the policy would discard never reach the
+    /// host (nor its mutex).
     merge: Vec<UserAction>,
 }
 
@@ -88,11 +78,11 @@ impl Work<'_> {
 pub(crate) enum Answer {
     /// Send this response now.
     Reply(Response),
-    /// An up-to-date poll asked to wait (`lp=`). A deployment that can
-    /// hold it answers at the next publication with
-    /// [`RequestPath::wake_reply`], or at the deadline with
-    /// [`RequestPath::timeout_reply`]; one that cannot sends the timeout
-    /// reply at once, as an engine at its park cap does.
+    /// An up-to-date poll asked to wait (`lp=`). An engine that holds it
+    /// answers at the next publication with [`RequestPath::wake_reply`],
+    /// or at the deadline with [`RequestPath::timeout_reply`]; one that
+    /// cannot sends the timeout reply at once, as an engine at its park
+    /// cap and the paper world do.
     Park(ParkRequest),
 }
 
@@ -134,10 +124,8 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A point-in-time copy of the request counters of either deployment: the
-/// sequential agent ([`crate::agent::RcbAgent::request_stats`]) and the
-/// concurrent host ([`crate::tcp::TcpHost::stats`]) count the same
-/// requests the same way, because both answer through one request path.
+/// A point-in-time copy of one session's request counters
+/// ([`crate::tcp::TcpHost::stats`], [`crate::router::SessionHandle::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TcpHostStats {
     /// New-connection (`GET /`) requests served.
@@ -165,9 +153,9 @@ pub struct TcpHostStats {
     /// unfrozen error replies ever add to it.
     pub body_bytes_copied: u64,
     /// Up-to-date polls that asked to park as long-polls (`lp=` requests)
-    /// instead of being answered empty immediately. The sequential agent
-    /// cannot hold a request and answers each at once with the timeout
-    /// reply (counted in `polls_park_timeouts` too).
+    /// instead of being answered empty immediately. The paper world holds
+    /// no request open and answers each at once with the timeout reply
+    /// (counted in `polls_park_timeouts` too).
     pub polls_parked: u64,
     /// Parked polls completed by a snapshot publication (each also counts
     /// in `polls_with_content`).
@@ -188,13 +176,14 @@ pub struct TcpHostStats {
     /// reply because the park cap was reached (each also counts in
     /// `polls_parked` — the agent offered the park; the engine declined
     /// it). Read from the shared [`rcb_http::server::ParkHub`], so it
-    /// spans every backend; always zero for the sequential agent.
+    /// spans every backend; always zero in the paper world, which holds
+    /// no park.
     pub polls_shed_at_park_cap: u64,
     /// Host effects of merged participant actions (navigations, form
-    /// submissions, clicks) that the deployment had nothing to carry out
-    /// with. The concurrent host counts every one, under any navigation
-    /// policy; the sequential agent hands its effects to its world and
-    /// reports zero.
+    /// submissions, clicks) that nothing carried out. The session router
+    /// counts every one, under any navigation policy: no engine has a
+    /// host-effect executor yet. The paper world runs its effects under
+    /// its navigation policy and counts none.
     pub host_effects_dropped: u64,
 }
 
@@ -257,17 +246,6 @@ impl RequestPath {
         &self.key
     }
 
-    /// The initial page's HTML.
-    pub(crate) fn initial_page_html(&self) -> String {
-        self.initial_page.body_str()
-    }
-
-    /// Answers one request (Fig. 2): [`RequestPath::classify`], then
-    /// [`RequestPath::answer`].
-    pub(crate) fn handle(&self, req: &Request, deployment: &mut impl Deployment) -> Answer {
-        self.answer(req, self.classify(req), deployment)
-    }
-
     /// Classifies one request (see [`Work`]). Classification is
     /// session-local: the configured path prefix is stripped first (`""`
     /// for the classic deployment), so a routed `/s/{sid}/poll`
@@ -295,30 +273,32 @@ impl RequestPath {
         }
     }
 
-    /// Answers a request classified as `work`.
+    /// Answers a request classified as `work` against `host`, with the
+    /// host effects of a merged poll's actions (empty for every other
+    /// request).
     pub(crate) fn answer(
         &self,
         req: &Request,
         work: Work<'_>,
-        deployment: &mut impl Deployment,
-    ) -> Answer {
+        host: &SharedHost,
+    ) -> (Answer, Vec<HostEffect>) {
         let response = match work {
             Work::Join => {
                 bump(&self.stats.connections);
                 self.initial_page.clone()
             }
-            Work::Object(path) => self.object(req, path, deployment),
-            Work::Poll(poll) => return self.poll(req, poll, deployment),
+            Work::Object(path) => self.object(req, path, &host.current_snapshot()),
+            Work::Poll(poll) => return self.poll(req, poll, host),
             Work::Unknown => Response::error(Status::NOT_FOUND, "unknown request type"),
         };
-        Answer::Reply(self.sent(response))
+        (Answer::Reply(self.sent(response)), Vec::new())
     }
 
     /// Object requests (Fig. 2, middle path): token check, key parse,
     /// snapshot lookup. `local` is the request path with the session
     /// prefix stripped; the token is verified over the *full* path, so a
     /// token minted in one session cannot fetch from another.
-    fn object(&self, req: &Request, local: &str, deployment: &mut impl Deployment) -> Response {
+    fn object(&self, req: &Request, local: &str, snap: &ContentSnapshot) -> Response {
         // A missing `k` and an empty `k=` are the same defect — no token
         // material to verify — and answer alike: 400, before any MAC work.
         let token = match req.query_param("k") {
@@ -338,21 +318,19 @@ impl RequestPath {
         };
         // The snapshot maps the keys of its two live generations only: a
         // key never minted, or aged out since, is unmapped here.
-        match deployment.snapshot() {
-            Ok(snap) => match snap.object(cache_key) {
-                Some(obj) => {
-                    bump(&self.stats.object_requests);
-                    obj.clone()
-                }
-                None => Response::error(Status::NOT_FOUND, "unmapped cache key"),
-            },
-            Err(e) => Response::error(Status::INTERNAL, &e.to_string()),
+        match snap.object(cache_key) {
+            Some(obj) => {
+                bump(&self.stats.object_requests);
+                obj.clone()
+            }
+            None => Response::error(Status::NOT_FOUND, "unmapped cache key"),
         }
     }
 
     /// Ajax polls (Fig. 2, right path): HMAC verification, data merging,
-    /// timestamp inspection, and the content, empty or park answer.
-    fn poll(&self, req: &Request, poll: PollWork, deployment: &mut impl Deployment) -> Answer {
+    /// timestamp inspection, and the content, empty or park answer, with
+    /// the host effects the merged actions ask for.
+    fn poll(&self, req: &Request, poll: PollWork, host: &SharedHost) -> (Answer, Vec<HostEffect>) {
         let in_flight = self.stats.polls_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats
             .max_concurrent_polls
@@ -361,35 +339,32 @@ impl RequestPath {
 
         if !auth::verify_request(&self.key, req) {
             bump(&self.stats.auth_failures);
-            return self.reply(Response::error(
-                Status::UNAUTHORIZED,
-                "HMAC verification failed",
-            ));
+            let reply = Response::error(Status::UNAUTHORIZED, "HMAC verification failed");
+            return (self.reply(reply), Vec::new());
         }
         // Every participant must carry a well-formed `p` id: falling back
         // to a default would collapse all such participants into one
         // shared pid 0.
         let Some(pid) = poll.pid else {
             bump(&self.stats.bad_requests);
-            return self.reply(Response::error(
-                Status::BAD_REQUEST,
-                "missing or malformed participant id",
-            ));
+            let reply = Response::error(Status::BAD_REQUEST, "missing or malformed participant id");
+            return (self.reply(reply), Vec::new());
         };
-        let client_time = poll.client_time;
         self.participants.insert(pid);
 
         // Data merging: the allowed actions only.
-        if !poll.merge.is_empty() {
-            deployment.merge(pid, poll.merge);
-        }
-
-        // Timestamp inspection: the participant's content timestamp
-        // against the current snapshot's.
-        let snap = match deployment.snapshot() {
-            Ok(snap) => snap,
-            Err(e) => return self.reply(Response::error(Status::INTERNAL, &e.to_string())),
+        let effects = if poll.merge.is_empty() {
+            Vec::new()
+        } else {
+            host.merge(pid, poll.merge)
         };
+        let answer = self.inspect(req, poll.client_time, &host.current_snapshot());
+        (answer, effects)
+    }
+
+    /// Timestamp inspection: the participant's content timestamp against
+    /// the current snapshot's.
+    fn inspect(&self, req: &Request, client_time: u64, snap: &ContentSnapshot) -> Answer {
         if client_time < snap.doc_time {
             bump(&self.stats.polls_with_content);
             // Every participant's content poll for this generation is
@@ -479,12 +454,14 @@ impl RequestPath {
         }
     }
 
-    /// Counts host effects a deployment drops, having nothing to carry
-    /// them out with.
+    /// Counts host effects that nothing carries out; most requests carry
+    /// none and touch no counter.
     pub(crate) fn drop_host_effects(&self, effects: Vec<HostEffect>) {
-        self.stats
-            .host_effects_dropped
-            .fetch_add(effects.len() as u64, Ordering::Relaxed);
+        if !effects.is_empty() {
+            self.stats
+                .host_effects_dropped
+                .fetch_add(effects.len() as u64, Ordering::Relaxed);
+        }
     }
 }
 
@@ -517,16 +494,15 @@ fn initial_page_for(poll_interval: SimDuration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::{CacheMode, RcbAgent};
+    use crate::router::tests::{one_session, respond};
+    use crate::router::SessionHandle;
     use crate::snippet::{AjaxSnippet, SnippetOutcome};
-    use crate::tcp::SharedHost;
     use rcb_browser::{Browser, BrowserKind};
-    use rcb_http::serialize::serialize_response;
-    use rcb_http::server::{Handler, HandlerOutcome, ParkHub};
+    use rcb_http::server::Handler;
     use rcb_origin::OriginRegistry;
     use rcb_sim::link::Pipe;
     use rcb_sim::profiles::NetProfile;
-    use rcb_util::{Clock, DetRng, SimTime, VirtualClock};
+    use rcb_util::{DetRng, SimTime, VirtualClock};
 
     fn loaded_host(site: &str) -> Browser {
         let mut origins = OriginRegistry::with_alexa20();
@@ -544,92 +520,42 @@ mod tests {
         b
     }
 
-    /// Both deployments over identical loaded host browsers, fed the same
-    /// requests at the same instants of one virtual clock. The concurrent
-    /// host is built at the first poll's instant, so both mint the same
-    /// first `doc_time`.
-    struct Pair {
-        agent: RcbAgent,
-        agent_host: Browser,
-        shared: Arc<SharedHost>,
+    /// One session over a loaded host browser, its handler, the virtual
+    /// clock it runs on, and a participant synchronizing from the
+    /// replies.
+    struct One {
+        session: SessionHandle,
         handler: Handler,
         clock: Arc<VirtualClock>,
-        /// A participant synchronizing from the replies.
         snippet: AjaxSnippet,
         participant: Browser,
     }
 
-    impl Pair {
-        fn new(site: &str, config: AgentConfig) -> Pair {
+    impl One {
+        fn new(site: &str) -> One {
             let key = SessionKey::generate_deterministic(&mut DetRng::new(11));
-            let (engine_clock, clock) = Clock::new_virtual();
-            clock.advance_to(SimTime::from_secs(1_000));
-            let shared = SharedHost::build(
-                loaded_host(site),
-                key.clone(),
-                config.clone(),
-                Arc::new(ParkHub::default()),
-                engine_clock,
-            )
-            .unwrap();
-            let mut snippet = AjaxSnippet::new(1, key.clone(), SimDuration::from_secs(1));
-            snippet.require_response_auth = config.authenticate_responses;
-            Pair {
-                agent: RcbAgent::new(key, config),
-                agent_host: loaded_host(site),
-                handler: shared.make_handler(),
-                shared,
+            let (session, handler, clock) =
+                one_session(loaded_host(site), key.clone(), AgentConfig::default());
+            let mut participant = Browser::new(BrowserKind::Firefox);
+            let join = respond(&handler, Request::get("/"));
+            participant.doc = Some(rcb_html::parse_document(&join.body_str()));
+            One {
+                session,
+                handler,
                 clock,
-                snippet,
-                participant: Browser::new(BrowserKind::Firefox),
+                snippet: AjaxSnippet::new(1, key, SimDuration::from_secs(1)),
+                participant,
             }
         }
 
-        /// Sends `req` to both deployments now, asserts the serialized
-        /// replies are byte-identical, and returns one of them.
-        fn send(&mut self, req: &Request) -> Response {
-            let now = self.clock.now();
-            let sequential = self
-                .agent
-                .handle_request(req, &mut self.agent_host, now)
-                .response;
-            let HandlerOutcome::Respond(concurrent) = (self.handler)(req.clone()) else {
-                panic!("{}: nothing here parks", req.target);
-            };
-            let (a, b) = (
-                serialize_response(&sequential),
-                serialize_response(&concurrent),
-            );
-            assert!(
-                a == b,
-                "{:?} {}: sequential\n{}\nconcurrent\n{}",
-                req.method,
-                req.target,
-                String::from_utf8_lossy(&a),
-                String::from_utf8_lossy(&b)
-            );
-            sequential
-        }
-
-        /// One snippet poll round on both deployments; returns the object
-        /// URLs of an update, `None` when the reply was empty.
-        fn poll(&mut self) -> Option<Vec<String>> {
-            let poll = self.snippet.build_poll();
-            let reply = self.send(&poll);
-            match self
+        /// One snippet poll round; whether the reply was an update.
+        fn poll(&mut self) -> bool {
+            let reply = respond(&self.handler, self.snippet.build_poll());
+            let outcome = self
                 .snippet
                 .process_response(&reply, &mut self.participant)
-                .unwrap()
-            {
-                SnippetOutcome::Updated { object_urls, .. } => Some(object_urls),
-                SnippetOutcome::NoNewContent => None,
-            }
-        }
-
-        /// The same host DOM edit on both sides, at the current instant.
-        fn edit(&mut self, f: impl Fn(&mut rcb_html::Document)) {
-            self.agent_host.mutate_dom(&f).unwrap();
-            self.shared.mutate_page(&f).unwrap();
+                .unwrap();
+            matches!(outcome, SnippetOutcome::Updated { .. })
         }
 
         fn advance(&self, secs: u64) {
@@ -646,102 +572,20 @@ mod tests {
         doc.append_child(body, div).unwrap();
     }
 
-    /// Join, sync with every object, idle, a host edit, a co-fill merge,
-    /// and the reject corpus: every reply byte-identical, equal counters.
-    fn assert_deployments_agree(site: &str, config: AgentConfig) {
-        let mut pair = Pair::new(site, config);
-        let join = pair.send(&Request::get("/"));
-        pair.participant.doc = Some(rcb_html::parse_document(&join.body_str()));
-        let objects = pair.poll().expect("first poll delivers content");
-        for url in objects.iter().filter(|u| u.starts_with('/')) {
-            assert!(pair.send(&Request::get(url.clone())).status.is_success());
-        }
-        pair.advance(1);
-        assert!(pair.poll().is_none(), "{site}: up to date");
-        pair.advance(1);
-        pair.edit(append_div);
-        assert!(pair.poll().is_some(), "{site}: the edit ships");
-        pair.advance(1);
-        pair.snippet.capture_action(UserAction::FormInput {
-            form: "q".into(),
-            field: "q".into(),
-            value: "co-fill".into(),
-        });
-        assert!(pair.poll().is_some(), "{site}: the merge ships");
-
-        let key = pair.agent.key().clone();
-        let mut no_pid = Request::post("/poll", b"t=0".to_vec());
-        auth::sign_request(&key, &mut no_pid);
-        let unmapped = auth::object_token(&key, "/cache/999999");
-        let rejects = [
-            (
-                Request::post("/poll?p=1", b"t=0".to_vec()),
-                Status::UNAUTHORIZED,
-            ),
-            (no_pid, Status::BAD_REQUEST),
-            (Request::get("/cache/0"), Status::BAD_REQUEST),
-            (Request::get("/cache/0?k="), Status::BAD_REQUEST),
-            (
-                Request::get("/cache/0?k=deadbeefdeadbeef"),
-                Status::UNAUTHORIZED,
-            ),
-            (
-                Request::get(format!("/cache/999999?k={unmapped}")),
-                Status::NOT_FOUND,
-            ),
-            (Request::get("/favicon.ico"), Status::NOT_FOUND),
-        ];
-        for (req, status) in &rejects {
-            assert_eq!(pair.send(req).status, *status, "{site} {}", req.target);
-        }
-        assert_eq!(
-            pair.agent.request_stats(),
-            pair.shared.stats_snapshot(),
-            "{site}"
-        );
-    }
-
-    #[test]
-    fn both_deployments_answer_byte_identically() {
-        for site in rcb_origin::alexa20().iter().map(|s| s.name) {
-            for mode in [CacheMode::Cache, CacheMode::NonCache] {
-                assert_deployments_agree(
-                    site,
-                    AgentConfig {
-                        cache_mode: mode,
-                        ..AgentConfig::default()
-                    },
-                );
-            }
-        }
-        assert_deployments_agree(
-            "apple.com",
-            AgentConfig {
-                authenticate_responses: true,
-                ..AgentConfig::default()
-            },
-        );
-    }
-
     /// A merge that changes nothing — a field of a missing form, a
     /// missing field, the value the field already holds, a submission of
     /// such fields — leaves the DOM version, the generation count and the
-    /// published document where they were, on both deployments; a real
-    /// change still moves all three.
+    /// published document where they were; a real change still moves all
+    /// three.
     #[test]
     fn merges_that_change_nothing_leave_the_dom_version_alone() {
-        let mut pair = Pair::new("google.com", AgentConfig::default());
-        let join = pair.send(&Request::get("/"));
-        pair.participant.doc = Some(rcb_html::parse_document(&join.body_str()));
-        pair.poll().expect("first poll delivers content");
-        let state = |pair: &Pair| {
+        let mut one = One::new("google.com");
+        assert!(one.poll(), "first poll delivers content");
+        let state = |one: &One| {
             (
-                [pair.agent_host.dom_version(), pair.shared.dom_version()],
-                [
-                    pair.agent.stats.generations.get(),
-                    pair.shared.with_agent_stats(|s| s.generations.get()),
-                ],
-                pair.shared.published_doc_time(),
+                one.session.dom_version(),
+                one.session.with_agent_stats(|s| s.generations.get()),
+                one.session.published_doc_time(),
             )
         };
         let fill = |form: &str, field: &str, value: &str| UserAction::FormInput {
@@ -761,45 +605,42 @@ mod tests {
             ]
         };
         // The search field starts out holding "".
-        let before = state(&pair);
+        let before = state(&one);
         for action in no_ops("") {
-            pair.advance(1);
-            pair.snippet.capture_action(action.clone());
-            assert!(pair.poll().is_none(), "{action:?} changed the page");
-            assert_eq!(state(&pair), before, "{action:?}");
+            one.advance(1);
+            one.snippet.capture_action(action.clone());
+            assert!(!one.poll(), "{action:?} changed the page");
+            assert_eq!(state(&one), before, "{action:?}");
         }
-        pair.advance(1);
-        pair.snippet.capture_action(fill("q", "q", "co-fill"));
-        assert!(pair.poll().is_some(), "a real change ships");
-        let after = state(&pair);
-        assert_eq!(after.0, before.0.map(|v| v + 1));
-        assert_eq!(after.1, before.1.map(|g| g + 1));
+        one.advance(1);
+        one.snippet.capture_action(fill("q", "q", "co-fill"));
+        assert!(one.poll(), "a real change ships");
+        let after = state(&one);
+        assert_eq!(after.0, before.0 + 1);
+        assert_eq!(after.1, before.1 + 1);
         assert!(after.2 > before.2, "a new document was published");
         for action in no_ops("co-fill") {
-            pair.advance(1);
-            pair.snippet.capture_action(action.clone());
-            assert!(pair.poll().is_none(), "{action:?} changed the page");
-            assert_eq!(state(&pair), after, "{action:?}");
+            one.advance(1);
+            one.snippet.capture_action(action.clone());
+            assert!(!one.poll(), "{action:?} changed the page");
+            assert_eq!(state(&one), after, "{action:?}");
         }
     }
 
     #[test]
     fn pointer_moves_on_an_unchanged_page_keep_only_the_latest() {
-        let mut pair = Pair::new("google.com", AgentConfig::default());
-        let join = pair.send(&Request::get("/"));
-        pair.participant.doc = Some(rcb_html::parse_document(&join.body_str()));
-        pair.poll().expect("first poll delivers content");
+        let mut one = One::new("google.com");
+        assert!(one.poll(), "first poll delivers content");
         const MOVES: u32 = 10_000;
         for i in 1..=MOVES {
             let pos = i as i32;
-            pair.snippet
+            one.snippet
                 .capture_action(UserAction::MouseMove { x: pos, y: pos });
-            assert!(pair.poll().is_none(), "moves leave the page unchanged");
+            assert!(!one.poll(), "moves leave the page unchanged");
         }
-        pair.advance(1);
-        pair.edit(append_div);
-        let poll = pair.snippet.build_poll();
-        let update = pair.send(&poll);
+        one.advance(1);
+        one.session.mutate_page(append_div).unwrap();
+        let update = respond(&one.handler, one.snippet.build_poll());
         let content = rcb_xml::parse_new_content(&update.body_str())
             .unwrap()
             .expect("the edit ships");

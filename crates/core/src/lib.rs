@@ -5,14 +5,13 @@
 //! crates (`rcb-html`, `rcb-http`, `rcb-sim`, ...):
 //!
 //! * [`agent`] — **RCB-Agent**, the HTTP server living in the host
-//!   browser: participant-action merging, document timestamps, and the
-//!   sequential driver of the Fig.-2 request path;
-//! * `fig2` (crate-private) — the paper's Fig.-2 request procedure,
-//!   written once for both deployments: request classification, HMAC
-//!   verification, participant bookkeeping, timestamp inspection, and
-//!   prefab replies (content, empty, object, initial page, long-poll
-//!   wake and timeout), over a two-method deployment seam (merge
-//!   actions, current snapshot);
+//!   browser, as its write path: participant-action merging (handing
+//!   back the host effects actions ask for), document timestamps, the
+//!   URL↔key mapping table and the generated-content cache;
+//! * `fig2` (crate-private) — the paper's Fig.-2 request procedure of one
+//!   session, written once: request classification, HMAC verification,
+//!   participant bookkeeping, timestamp inspection, and prefab replies
+//!   (content, empty, object, initial page, long-poll wake and timeout);
 //! * [`content`] — the agent's response-content generation pipeline
 //!   (Fig. 3): documentElement cloning, relative→absolute URL rewriting,
 //!   cache-mode agent-URL rewriting, event-attribute rewriting, and the
@@ -27,8 +26,10 @@
 //!   [`tcp`] and over the seeded fabric by [`worldsim`];
 //! * [`auth`] — request-URI HMAC authentication (§3.4);
 //! * [`policy`] — navigation/interaction policies (§3.3);
-//! * [`session`] — the virtual-time co-browsing world: host + agent +
-//!   participants + pipes, collecting the paper's six metrics (M1–M6);
+//! * [`session`] — the virtual-time co-browsing world: the session host
+//!   called in-process + participants + pipes, collecting the paper's
+//!   six metrics (M1–M6), and carrying out the host effects of
+//!   participant actions under the navigation policy;
 //! * [`metrics`] — metric definitions and report formatting;
 //! * [`baseline`] — the URL-sharing and proxy-based co-browsing baselines
 //!   the paper positions against (§1, §2);
@@ -43,9 +44,10 @@
 //! * [`snapshot`] — immutable [`ContentSnapshot`]s: the contention-free
 //!   read path for concurrent deployments (polls and object requests are
 //!   served from a published frozen view; only host-side merges write);
-//! * [`tcp`] — the real-socket deployment path: RCB-Agent served over
-//!   `std::net` TCP through a snapshot-based concurrent request pipeline,
-//!   participants joining with a plain HTTP client;
+//! * [`tcp`] — the session host every host serves (a snapshot-based
+//!   concurrent request pipeline around the agent) and the real-socket
+//!   deployment: RCB-Agent served over `std::net` TCP, participants
+//!   joining with a plain HTTP client;
 //! * [`router`] — the multi-tenant session layer: a sharded
 //!   `sid → session` map multiplexing thousands of isolated sessions
 //!   (own snapshot/agent/park channel each) over one serving engine,

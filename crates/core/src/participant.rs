@@ -97,6 +97,14 @@ impl RetryPolicy {
     }
 }
 
+/// Whether `url`, named by an applied update, is an object the agent
+/// still has to serve this participant: a `/`-relative (agent) URL that
+/// is not in its browser cache yet. Absolute URLs are the origins' to
+/// serve (non-cache mode).
+pub(crate) fn agent_object_to_fetch(url: &str, browser: &Browser) -> bool {
+    url.starts_with('/') && !browser.cache.contains(url)
+}
+
 /// What one reply did.
 #[derive(Debug)]
 pub(crate) enum Reply {
@@ -250,7 +258,7 @@ impl ParticipantCore {
             if let SnippetOutcome::Updated { object_urls, .. } = &outcome {
                 let agent_objects = object_urls
                     .iter()
-                    .filter(|url| url.starts_with('/') && !browser.cache.contains(url));
+                    .filter(|url| agent_object_to_fetch(url, browser));
                 self.objects.extend(agent_objects.cloned());
             }
             Ok(Reply::Polled(outcome))

@@ -78,7 +78,7 @@ use rcb_http::server::{
 use rcb_http::{Request, Response, Status};
 use rcb_util::{Clock, RcbError, Result};
 
-use crate::agent::AgentConfig;
+use crate::agent::{AgentConfig, AgentStats};
 use crate::tcp::{SharedHost, TcpHostStats};
 
 /// The canonical path prefix of a routed session: `/s/{sid}`.
@@ -236,6 +236,24 @@ impl SessionHandle {
         self.entry.host.stats_snapshot()
     }
 
+    /// Runs `f` against this session's agent write-path stats (generation
+    /// counters, eviction counters, M5 samples) under the host lock.
+    pub fn with_agent_stats<R>(&self, f: impl FnOnce(&AgentStats) -> R) -> R {
+        self.entry.host.with_agent_stats(f)
+    }
+
+    /// `(content_cache_len, timestamps_len)` of this session's agent —
+    /// both are bounded to [`crate::agent::LIVE_GENERATIONS`] generations.
+    pub fn agent_cache_lens(&self) -> (usize, usize) {
+        self.entry.host.agent_cache_lens()
+    }
+
+    /// Reads this session's current host form field values (to observe
+    /// merged co-fill data).
+    pub fn form_fields(&self, form_id: &str) -> Vec<(String, String)> {
+        self.entry.host.form_fields(form_id)
+    }
+
     /// Number of participants this session's agent has seen.
     pub fn participant_count(&self) -> usize {
         self.entry.host.participant_count()
@@ -257,8 +275,9 @@ impl SessionHandle {
         self.entry.host.published_xml_len()
     }
 
-    /// The underlying shared host state (crate-internal: [`TcpHost`]
-    /// keeps its legacy accessor surface through this).
+    /// The underlying session host (crate-internal: [`TcpHost`] keeps
+    /// its accessor surface through this, and the paper world calls the
+    /// host in-process).
     pub(crate) fn shared_host(&self) -> &Arc<SharedHost> {
         &self.entry.host
     }
@@ -708,8 +727,10 @@ impl SessionRouter {
         // The slot is held across the handler call only: a returned Park
         // waits in the engine without a slot (exactly as it holds no
         // dispatch thread), so parked sessions cost nothing here.
-        let outcome = entry.host.answer(&req, work);
+        let (outcome, effects) = entry.host.answer(&req, work);
         entry.gate.release();
+        // No engine carries host effects out yet: each one is counted.
+        entry.host.drop_host_effects(effects);
         Ok(outcome)
     }
 
@@ -916,10 +937,34 @@ pub fn fixed_page_factory(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::snippet::AjaxSnippet;
-    use rcb_util::SimDuration;
+    use rcb_util::{SimDuration, VirtualClock};
+
+    /// A one-session router over `host` on a virtual clock: the session,
+    /// the handler every engine serves, and the clock.
+    pub(crate) fn one_session(
+        host: Browser,
+        key: SessionKey,
+        config: AgentConfig,
+    ) -> (SessionHandle, Handler, Arc<VirtualClock>) {
+        let (engine_clock, clock) = Clock::new_virtual();
+        let server = crate::worldsim::in_process_config(engine_clock, Default::default());
+        let router =
+            SessionRouter::new(Box::new(|_| None), config, RouterConfig::default(), &server);
+        let session = router.install_default_session(host, key).unwrap();
+        (session, router.make_handler(), clock)
+    }
+
+    /// The reply `handler` sends `req`: nothing here holds a park, so a
+    /// long-poll gets its timeout reply.
+    pub(crate) fn respond(handler: &Handler, req: Request) -> Response {
+        match handler(req) {
+            HandlerOutcome::Respond(response) => response,
+            HandlerOutcome::Park(park) => (park.on_timeout)(),
+        }
+    }
 
     #[test]
     fn an_evicted_sessions_parks_resolve_at_once_after_any_number_of_sweeps() {

@@ -8,39 +8,47 @@
 //! (step 8, cache mode), and dynamic changes plus user actions keep
 //! synchronizing (step 9).
 //!
+//! The host is the session host every engine serves: the default session
+//! of a one-session [`SessionRouter`]. The world calls it in-process,
+//! making the two calls the router makes for every request (classify,
+//! then answer), on an engine clock it moves to each request's arrival on
+//! the simulated links, never back. Host-side browsing lends the host
+//! browser through one session call, which publishes a new content
+//! snapshot when the page changed. A long-poll is answered at once with
+//! its timeout reply: nothing here holds a request open. What the router
+//! counts dropped, the world carries out: the host effects of merged
+//! participant actions (navigations, form submissions), under the
+//! session's navigation policy — with [`NavigationPolicy::HostConfirm`]
+//! they wait in [`CoBrowsingWorld::pending_confirmation`] for
+//! [`CoBrowsingWorld::decide_pending`].
+//!
 //! The world is the measurement harness for the paper's metrics: each
 //! host navigation records M1; each participant synchronization records
 //! M2 (document content), M3/M4 (objects, by mode), M5 (generation CPU,
-//! from the agent) and M6 (update CPU, from the snippet).
+//! from the agent, charged to the first poll that receives the
+//! generation) and M6 (update CPU, from the snippet).
+
+use std::sync::Arc;
 
 use rcb_browser::engine::ThinkClass;
 use rcb_browser::{Browser, BrowserKind, LoadStats, UserAction};
-use rcb_http::Request;
+use rcb_http::server::{HandlerOutcome, OverloadConfig};
+use rcb_http::{Request, Response};
 use rcb_origin::OriginRegistry;
 use rcb_sim::link::{Direction, Pipe};
 use rcb_sim::profiles::NetProfile;
 use rcb_url::Url;
-use rcb_util::{DetRng, RcbError, Result, SimDuration, SimTime};
+use rcb_util::{Clock, DetRng, RcbError, Result, SimDuration, SimTime, VirtualClock};
 
-use crate::agent::{AgentConfig, CacheMode, HostEffect, RcbAgent};
+use crate::agent::{AgentConfig, CacheMode, HostEffect};
+use crate::participant::agent_object_to_fetch;
+use crate::policy::{HostDecision, NavigationPolicy};
 use crate::recorder::{SessionEvent, SessionRecorder};
+use crate::router::{RouterConfig, SessionHandle, SessionRouter};
 use crate::snippet::{AjaxSnippet, SnippetOutcome};
+use crate::worldsim::in_process_config;
 
 use rcb_crypto::SessionKey;
-
-/// The host side: browser plus the agent extension inside it.
-pub struct HostSide {
-    /// The host browser.
-    pub browser: Browser,
-    /// The RCB-Agent extension.
-    pub agent: RcbAgent,
-    /// Host ↔ origin path.
-    pub origin_pipe: Pipe,
-    /// The host's access link on the RCB path — shared by *all*
-    /// participants, so concurrent deliveries queue on the host uplink
-    /// (the WAN bottleneck the paper calls out in §5.1.2).
-    pub rcb_pipe: Pipe,
-}
 
 /// One participant: browser plus Ajax-Snippet state.
 pub struct ParticipantSide {
@@ -77,12 +85,28 @@ pub struct CoBrowsingWorld {
     pub profile: NetProfile,
     /// Current virtual time.
     pub now: SimTime,
-    /// The host side.
-    pub host: HostSide,
+    /// The host session: browser, agent and Fig.-2 request path.
+    session: SessionHandle,
+    /// The engine clock the host mints document timestamps on.
+    clock: Arc<VirtualClock>,
+    /// The session's configuration (poll interval, navigation policy).
+    config: AgentConfig,
+    /// Host ↔ origin path.
+    host_origin_pipe: Pipe,
+    /// The host's access link on the RCB path — shared by *all*
+    /// participants, so concurrent deliveries queue on the host uplink
+    /// (the WAN bottleneck the paper calls out in §5.1.2).
+    rcb_pipe: Pipe,
     /// Connected participants.
     pub participants: Vec<ParticipantSide>,
+    /// Host effects awaiting the host's decision under
+    /// [`NavigationPolicy::HostConfirm`], oldest first, each with the id
+    /// of the participant that asked.
+    pub pending_confirmation: Vec<(u64, HostEffect)>,
     /// Append-only session event log.
     pub recorder: SessionRecorder,
+    /// Generations counted when a poll was last charged an M5.
+    m5_charged: u64,
     last_content_recorded: u64,
     next_pid: u64,
     rng: DetRng,
@@ -90,7 +114,8 @@ pub struct CoBrowsingWorld {
 
 impl CoBrowsingWorld {
     /// Creates a world with the given origins, environment and agent
-    /// configuration (step 1: the host starts RCB-Agent).
+    /// configuration (step 1: the host starts RCB-Agent, before it loads
+    /// any page).
     pub fn new(
         origins: OriginRegistry,
         profile: NetProfile,
@@ -99,18 +124,29 @@ impl CoBrowsingWorld {
     ) -> Self {
         let mut rng = DetRng::new(seed);
         let key = SessionKey::generate_deterministic(&mut rng);
+        let (engine_clock, clock) = Clock::new_virtual();
+        let router = SessionRouter::new(
+            Box::new(|_| None),
+            config.clone(),
+            RouterConfig::default(),
+            &in_process_config(engine_clock, OverloadConfig::default()),
+        );
+        let session = router
+            .install_default_session(Browser::new(BrowserKind::Firefox), key)
+            .expect("a page-less host publishes an empty snapshot");
         CoBrowsingWorld {
             origins,
-            host: HostSide {
-                browser: Browser::new(BrowserKind::Firefox),
-                agent: RcbAgent::new(key, config),
-                origin_pipe: Pipe::new(profile.host_origin),
-                rcb_pipe: Pipe::new(profile.host_participant),
-            },
+            session,
+            clock,
+            config,
+            host_origin_pipe: Pipe::new(profile.host_origin),
+            rcb_pipe: Pipe::new(profile.host_participant),
             profile,
             now: SimTime::ZERO,
             participants: Vec::new(),
+            pending_confirmation: Vec::new(),
             recorder: SessionRecorder::new(),
+            m5_charged: 0,
             last_content_recorded: 0,
             next_pid: 1,
             rng,
@@ -120,6 +156,22 @@ impl CoBrowsingWorld {
     /// Convenience: Alexa-20 origins, default agent config.
     pub fn with_alexa20(profile: NetProfile, config: AgentConfig, seed: u64) -> Self {
         CoBrowsingWorld::new(OriginRegistry::with_alexa20(), profile, config, seed)
+    }
+
+    /// The host session: its key, request counters, agent stats and form
+    /// fields.
+    pub fn session(&self) -> &SessionHandle {
+        &self.session
+    }
+
+    /// Reads the live host browser (its page, URL and cache).
+    pub fn host_browser<R>(&self, f: impl FnOnce(&Browser) -> R) -> R {
+        self.session.shared_host().with_browser(f)
+    }
+
+    /// The URL of the host's current page.
+    pub fn host_url(&self) -> Option<Url> {
+        self.host_browser(|browser| browser.url.clone())
     }
 
     /// Advances virtual time (never backwards).
@@ -138,6 +190,45 @@ impl CoBrowsingWorld {
         self.sleep(SimDuration::from_millis(ms));
     }
 
+    /// Host-side browsing at the current instant: lends `f` the host
+    /// browser, the origins, the host's origin link and the profile, then
+    /// publishes the host's content when its DOM moved. `f` returns its
+    /// result and when the page was ready: the new content's timestamp is
+    /// minted then, and virtual time advances there.
+    pub(crate) fn browse_host<R>(
+        &mut self,
+        f: impl FnOnce(
+            &mut Browser,
+            &mut OriginRegistry,
+            &mut Pipe,
+            &NetProfile,
+            SimTime,
+        ) -> Result<(R, SimTime)>,
+    ) -> Result<R> {
+        let CoBrowsingWorld {
+            origins,
+            profile,
+            now,
+            session,
+            clock,
+            host_origin_pipe,
+            ..
+        } = self;
+        let (out, ready) = session.shared_host().browse(|browser| {
+            let (out, ready) = f(browser, origins, host_origin_pipe, profile, *now)?;
+            clock.advance_to(ready);
+            Ok::<_, RcbError>((out, ready))
+        })??;
+        self.advance_to(ready);
+        Ok(out)
+    }
+
+    /// Mutates the live host page now (page script, step 9) and
+    /// publishes the change.
+    pub fn mutate_host_page(&mut self, f: impl FnOnce(&mut rcb_html::Document)) -> Result<()> {
+        self.browse_host(|browser, _, _, _, now| Ok((browser.mutate_dom(f)?, now)))
+    }
+
     /// Host navigates to a URL (steps 3–4). Records and returns M1 stats.
     pub fn host_navigate(&mut self, url: &str) -> Result<LoadStats> {
         let url = Url::parse(url)?;
@@ -147,18 +238,11 @@ impl CoBrowsingWorld {
                 url: url.to_string(),
             },
         );
-        let stats = self.host.browser.navigate(
-            &url,
-            &mut self.origins,
-            &mut self.host.origin_pipe,
-            &self.profile,
-            self.now,
-        )?;
-        self.advance_to(stats.finished_at);
-        let doc_time = self
-            .host
-            .agent
-            .current_doc_time(&self.host.browser, self.now);
+        let stats = self.browse_host(|browser, origins, pipe, profile, now| {
+            let stats = browser.navigate(&url, origins, pipe, profile, now)?;
+            Ok((stats, stats.finished_at))
+        })?;
+        let doc_time = self.session.published_doc_time();
         self.recorder
             .record(self.now, SessionEvent::ContentChange { doc_time });
         self.last_content_recorded = self.last_content_recorded.max(doc_time);
@@ -169,7 +253,7 @@ impl CoBrowsingWorld {
     /// entry (participants follow on their next poll, like any other host
     /// navigation).
     pub fn host_back(&mut self) -> Result<Option<LoadStats>> {
-        match self.host.browser.go_back() {
+        match self.session.shared_host().browse(Browser::go_back)? {
             Some(url) => Ok(Some(self.host_navigate(&url.to_string())?)),
             None => Ok(None),
         }
@@ -177,10 +261,43 @@ impl CoBrowsingWorld {
 
     /// Host presses the forward button.
     pub fn host_forward(&mut self) -> Result<Option<LoadStats>> {
-        match self.host.browser.go_forward() {
+        match self.session.shared_host().browse(Browser::go_forward)? {
             Some(url) => Ok(Some(self.host_navigate(&url.to_string())?)),
             None => Ok(None),
         }
+    }
+
+    /// Sends one request to the host, arriving at `arrival`: the engine
+    /// clock moves there (never back), and the host answers it as a
+    /// routed request. Returns the reply and a merged poll's host
+    /// effects.
+    fn send(&self, req: &Request, arrival: SimTime) -> (Response, Vec<HostEffect>) {
+        self.clock.advance_to(arrival);
+        let host = self.session.shared_host();
+        let (outcome, effects) = host.answer(req, host.classify(req));
+        let response = match outcome {
+            HandlerOutcome::Respond(response) => response,
+            HandlerOutcome::Park(park) => (park.on_timeout)(),
+        };
+        (response, effects)
+    }
+
+    /// The generation cost (M5) that delays a poll answered with
+    /// `response`: the latest generation's, when this is the first reply
+    /// to carry content since it ran; none when the content was served
+    /// before (reused content costs ~nothing).
+    fn charge_m5(&mut self, response: &Response) -> SimDuration {
+        if response.body.is_empty() {
+            return SimDuration::ZERO;
+        }
+        let (generations, m5) = self
+            .session
+            .with_agent_stats(|s| (s.generations.get(), s.m5.samples().last().copied()));
+        if generations == self.m5_charged {
+            return SimDuration::ZERO;
+        }
+        self.m5_charged = generations;
+        m5.unwrap_or(SimDuration::ZERO)
     }
 
     /// A participant joins (step 2): connects to the agent URL, receives
@@ -191,27 +308,18 @@ impl CoBrowsingWorld {
         self.next_pid += 1;
         let mut browser = Browser::new(kind);
         // GET / to the agent over the shared RCB path.
-        let connect = self.host.rcb_pipe.connect(self.now);
+        let connect = self.rcb_pipe.connect(self.now);
         let req = Request::get("/");
         let req_arrival = self
-            .host
             .rcb_pipe
             .transfer(connect, req.wire_len(), Direction::Up);
-        let outcome = self
-            .host
-            .agent
-            .handle_request(&req, &mut self.host.browser, req_arrival);
+        let (response, _) = self.send(&req, req_arrival);
         let resp_arrival =
-            self.host
-                .rcb_pipe
-                .transfer(req_arrival, outcome.response.wire_len(), Direction::Down);
-        browser.doc = Some(rcb_html::parse_document(&outcome.response.body_str()));
+            self.rcb_pipe
+                .transfer(req_arrival, response.wire_len(), Direction::Down);
+        browser.doc = Some(rcb_html::parse_document(&response.body_str()));
         self.advance_to(resp_arrival);
-        let snippet = AjaxSnippet::new(
-            id,
-            self.host.agent.key().clone(),
-            self.host.agent.config.poll_interval,
-        );
+        let snippet = AjaxSnippet::new(id, self.session.key().clone(), self.config.poll_interval);
         self.participants.push(ParticipantSide {
             id,
             browser,
@@ -228,7 +336,7 @@ impl CoBrowsingWorld {
         let p = self.participants.remove(idx);
         self.recorder
             .record(self.now, SessionEvent::Leave { pid: p.id });
-        self.host.agent.remove_participant(p.id);
+        self.session.shared_host().remove_participant(p.id);
     }
 
     /// Queues an action on a participant's snippet, to ride the next poll.
@@ -251,41 +359,19 @@ impl CoBrowsingWorld {
         idx: usize,
     ) -> Result<(Option<SyncRecord>, Vec<HostEffect>)> {
         let start = self.now;
-        let p = &mut self.participants[idx];
-        let req = p.snippet.build_poll();
-        let req_arrival = self
-            .host
-            .rcb_pipe
-            .transfer(start, req.wire_len(), Direction::Up);
-        let generations_before = self.host.agent.stats.generations.get();
-        let outcome = self
-            .host
-            .agent
-            .handle_request(&req, &mut self.host.browser, req_arrival);
+        let pid = self.participants[idx].id;
+        let req = self.participants[idx].snippet.build_poll();
+        let req_arrival = self.rcb_pipe.transfer(start, req.wire_len(), Direction::Up);
+        let (response, effects) = self.send(&req, req_arrival);
         // The agent's CPU cost (content generation, M5) delays the reply —
-        // but only when this poll actually triggered a generation; reused
-        // content is served from the agent's content cache at ~zero cost.
-        let served_at = if self.host.agent.stats.generations.get() > generations_before {
-            let m5_cost = self
-                .host
-                .agent
-                .stats
-                .m5
-                .samples()
-                .last()
-                .copied()
-                .unwrap_or(SimDuration::ZERO);
-            req_arrival + m5_cost
-        } else {
-            req_arrival
-        };
-        let resp_arrival =
-            self.host
-                .rcb_pipe
-                .transfer(served_at, outcome.response.wire_len(), Direction::Down);
-        let result = p
-            .snippet
-            .process_response(&outcome.response, &mut p.browser)?;
+        // the first reply to carry a new generation; reused content is
+        // served from the published snapshot at ~zero cost.
+        let served_at = req_arrival + self.charge_m5(&response);
+        let resp_arrival = self
+            .rcb_pipe
+            .transfer(served_at, response.wire_len(), Direction::Down);
+        let p = &mut self.participants[idx];
+        let result = p.snippet.process_response(&response, &mut p.browser)?;
         let mut sync = None;
         match result {
             SnippetOutcome::NoNewContent => {
@@ -333,9 +419,19 @@ impl CoBrowsingWorld {
                 });
             }
         }
-        // Execute host effects the world can interpret; return the rest.
+        // Host effects wait for the host's decision under HostConfirm;
+        // otherwise the world carries out those it can interpret and
+        // returns the rest.
+        let effects = match self.config.nav_policy {
+            NavigationPolicy::Immediate => effects,
+            NavigationPolicy::HostConfirm => {
+                let pending = effects.into_iter().map(|effect| (pid, effect));
+                self.pending_confirmation.extend(pending);
+                Vec::new()
+            }
+        };
         let mut app_effects = Vec::new();
-        for effect in outcome.effects {
+        for effect in effects {
             match effect {
                 HostEffect::Navigate(url) => {
                     self.host_navigate(&url)?;
@@ -349,6 +445,19 @@ impl CoBrowsingWorld {
         Ok((sync, app_effects))
     }
 
+    /// Host decision on the oldest pending action (HostConfirm policy):
+    /// the effect to carry out when approved.
+    pub fn decide_pending(&mut self, decision: HostDecision) -> Option<HostEffect> {
+        if self.pending_confirmation.is_empty() {
+            return None;
+        }
+        let (_, effect) = self.pending_confirmation.remove(0);
+        match decision {
+            HostDecision::Approve => Some(effect),
+            HostDecision::Reject => None,
+        }
+    }
+
     /// Fetches a participant's supplementary objects: agent-relative URLs
     /// from the host browser cache over the RCB path (step 8), absolute
     /// URLs from origin servers (step 7).
@@ -359,61 +468,49 @@ impl CoBrowsingWorld {
         start: SimTime,
     ) -> Result<(SimTime, usize)> {
         let connections = self.profile.browser_connections;
-        let mut agent_urls: Vec<String> = Vec::new();
-        let mut origin_urls: Vec<String> = Vec::new();
-        for u in urls {
-            if u.starts_with('/') {
-                agent_urls.push(u.clone());
-            } else {
-                origin_urls.push(u.clone());
-            }
-        }
+        let browser = &self.participants[idx].browser;
+        let agent_urls: Vec<&String> = urls
+            .iter()
+            .filter(|u| agent_object_to_fetch(u, browser))
+            .collect();
+        let origin_urls: Vec<String> = urls
+            .iter()
+            .filter(|u| !u.starts_with('/'))
+            .cloned()
+            .collect();
         let mut finished = start;
         let mut fetched = 0usize;
 
         // Agent-served objects (cache mode), over the shared RCB path.
-        {
-            let mut free_at: Vec<SimTime> = Vec::new();
-            for u in &agent_urls {
-                if self.participants[idx].browser.cache.contains(u) {
-                    continue;
-                }
-                let slot = if free_at.len() < connections {
-                    free_at.push(self.host.rcb_pipe.connect(start));
-                    free_at.len() - 1
-                } else {
-                    free_at
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &t)| t)
-                        .map(|(i, _)| i)
-                        .expect("pool non-empty")
-                };
-                let begin = free_at[slot].max(start);
-                let req = Request::get(u.clone());
-                let req_arrival = self
-                    .host
-                    .rcb_pipe
-                    .transfer(begin, req.wire_len(), Direction::Up);
-                let outcome =
-                    self.host
-                        .agent
-                        .handle_request(&req, &mut self.host.browser, req_arrival);
-                let resp = outcome.response;
-                let done =
-                    self.host
-                        .rcb_pipe
-                        .transfer(req_arrival, resp.wire_len(), Direction::Down);
-                free_at[slot] = done;
-                finished = finished.max(done);
-                fetched += 1;
-                if resp.status.is_success() {
-                    let ct = resp.content_type().unwrap_or_default();
-                    self.participants[idx]
-                        .browser
-                        .cache
-                        .store(u, &ct, resp.body, done);
-                }
+        let mut free_at: Vec<SimTime> = Vec::new();
+        for u in agent_urls {
+            let slot = if free_at.len() < connections {
+                free_at.push(self.rcb_pipe.connect(start));
+                free_at.len() - 1
+            } else {
+                free_at
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, &t)| t)
+                    .map(|(i, _)| i)
+                    .expect("pool non-empty")
+            };
+            let begin = free_at[slot].max(start);
+            let req = Request::get(u.clone());
+            let req_arrival = self.rcb_pipe.transfer(begin, req.wire_len(), Direction::Up);
+            let (resp, _) = self.send(&req, req_arrival);
+            let done = self
+                .rcb_pipe
+                .transfer(req_arrival, resp.wire_len(), Direction::Down);
+            free_at[slot] = done;
+            finished = finished.max(done);
+            fetched += 1;
+            if resp.status.is_success() {
+                let ct = resp.content_type().unwrap_or_default();
+                self.participants[idx]
+                    .browser
+                    .cache
+                    .store(u, &ct, resp.body, done);
             }
         }
 
@@ -421,10 +518,7 @@ impl CoBrowsingWorld {
         // own access link.
         if !origin_urls.is_empty() {
             let base = self
-                .host
-                .browser
-                .url
-                .clone()
+                .host_url()
                 .unwrap_or_else(|| Url::parse("http://localhost/").expect("static URL parses"));
             let p = &mut self.participants[idx];
             let (done, n, _, _) = p.browser.fetch_objects(
@@ -445,52 +539,54 @@ impl CoBrowsingWorld {
     /// co-filled form path: data was already merged into the host DOM by
     /// the agent; the host sends it out, §5.2.2).
     pub fn host_submit_form(&mut self, form_id: &str) -> Result<LoadStats> {
-        let doc = self
-            .host
-            .browser
-            .doc
-            .as_ref()
-            .ok_or_else(|| RcbError::InvalidInput("host has no document".into()))?;
-        let form = rcb_html::query::element_by_id(doc, doc.root(), form_id)
-            .ok_or_else(|| RcbError::NotFound(format!("form {form_id}")))?;
-        let action = doc.get_attr(form, "action").unwrap_or("/").to_string();
-        let method = doc
-            .get_attr(form, "method")
-            .unwrap_or("get")
-            .to_ascii_lowercase();
-        let fields = rcb_html::query::form_fields(doc, form);
-        let page = self
-            .host
-            .browser
-            .url
-            .clone()
-            .ok_or_else(|| RcbError::InvalidInput("host has no page URL".into()))?;
-        let target = page.join(&action)?;
+        let (target, method, fields) = self.host_browser(|browser| {
+            let doc = browser
+                .doc
+                .as_ref()
+                .ok_or_else(|| RcbError::InvalidInput("host has no document".into()))?;
+            let form = rcb_html::query::element_by_id(doc, doc.root(), form_id)
+                .ok_or_else(|| RcbError::NotFound(format!("form {form_id}")))?;
+            let action = doc.get_attr(form, "action").unwrap_or("/");
+            let method = doc
+                .get_attr(form, "method")
+                .unwrap_or("get")
+                .to_ascii_lowercase();
+            let fields = rcb_html::query::form_fields(doc, form);
+            let page = browser
+                .url
+                .as_ref()
+                .ok_or_else(|| RcbError::InvalidInput("host has no page URL".into()))?;
+            Ok::<_, RcbError>((page.join(action)?, method, fields))
+        })?;
         if method == "post" {
             let body = rcb_url::percent::build_query(&fields).into_bytes();
             let req = Request::post(target.request_target(), body)
                 .with_header("Content-Type", "application/x-www-form-urlencoded");
-            let (resp, arrived) = self.host.browser.http_request(
-                &target,
-                req,
-                &mut self.origins,
-                &mut self.host.origin_pipe,
-                &self.profile,
-                ThinkClass::HtmlDocument,
-                self.now,
-            );
-            self.advance_to(arrived);
+            let resp = self.browse_host(|browser, origins, pipe, profile, now| {
+                let (resp, arrived) = browser.http_request(
+                    &target,
+                    req,
+                    origins,
+                    pipe,
+                    profile,
+                    ThinkClass::HtmlDocument,
+                    now,
+                );
+                // A redirect is followed below; any other response is
+                // rendered as the new host page.
+                if resp.status.0 != 302 {
+                    browser.url = Some(target.clone());
+                    browser.doc = Some(rcb_html::parse_document(&resp.body_str()));
+                    browser.mutate_dom(|_| {})?;
+                }
+                Ok((resp, arrived))
+            })?;
             // Follow one redirect (e.g. cart/add → /cart).
             if resp.status.0 == 302 {
                 let loc = resp.headers.get("location").unwrap_or("/").to_string();
                 let next = target.join(&loc)?;
                 return self.host_navigate(&next.to_string());
             }
-            // Render the response as the new host page.
-            let body = resp.body_str();
-            self.host.browser.url = Some(target);
-            self.host.browser.doc = Some(rcb_html::parse_document(&body));
-            let _ = self.host.browser.mutate_dom(|_| {});
             Ok(LoadStats {
                 html_time: SimDuration::ZERO,
                 objects_time: SimDuration::ZERO,
@@ -518,8 +614,7 @@ impl CoBrowsingWorld {
                     records.push(s);
                 }
             }
-            let interval = self.host.agent.config.poll_interval;
-            self.sleep(interval);
+            self.sleep(self.config.poll_interval);
         }
         Ok(records)
     }
@@ -554,6 +649,10 @@ mod tests {
         CoBrowsingWorld::with_alexa20(NetProfile::lan(), AgentConfig::default(), 42)
     }
 
+    fn body_text(doc: &rcb_html::Document) -> String {
+        doc.text_content(doc.body().unwrap())
+    }
+
     #[test]
     fn end_to_end_sync_on_lan() {
         let mut world = lan_world();
@@ -563,9 +662,8 @@ mod tests {
         let sync = sync.expect("first poll delivers content");
         assert!(effects.is_empty());
         // The participant document now mirrors the host body text.
-        let host_doc = world.host.browser.doc.as_ref().unwrap();
+        let host_text = world.host_browser(|b| body_text(b.doc.as_ref().unwrap()));
         let part_doc = world.participants[idx].browser.doc.as_ref().unwrap();
-        let host_text = host_doc.text_content(host_doc.body().unwrap());
         let part_text = part_doc.text_content(part_doc.body().unwrap());
         assert_eq!(host_text, part_text);
         // Figure 6's claim: M2 << M1 in the LAN.
@@ -653,7 +751,7 @@ mod tests {
         world.host_navigate("http://facebook.com/").unwrap();
         world.poll_participant(a).unwrap().0.unwrap();
         world.poll_participant(b).unwrap().0.unwrap();
-        assert_eq!(world.host.agent.stats.generations.get(), 1);
+        assert_eq!(world.session().with_agent_stats(|s| s.generations.get()), 1);
         // Both browser kinds render the same body.
         let da = world.participants[a].browser.doc.as_ref().unwrap();
         let db = world.participants[b].browser.doc.as_ref().unwrap();
@@ -671,9 +769,7 @@ mod tests {
         world.poll_participant(idx).unwrap().0.unwrap();
         // Host-side script mutates the page (step 9).
         world
-            .host
-            .browser
-            .mutate_dom(|doc| {
+            .mutate_host_page(|doc| {
                 let body = doc.body().unwrap();
                 let div = doc.create_element("div");
                 doc.set_attr(div, "id", "breaking");
@@ -704,7 +800,7 @@ mod tests {
         world.sleep(SimDuration::from_secs(1));
         world.poll_participant(idx).unwrap();
         assert_eq!(
-            world.host.browser.url.as_ref().unwrap().host,
+            world.host_url().unwrap().host,
             "apple.com",
             "host navigated on participant request"
         );
@@ -733,9 +829,9 @@ mod tests {
         world.sleep(SimDuration::from_secs(1));
         world.poll_participant(idx).unwrap();
         // Merged into the host DOM...
-        let hd = world.host.browser.doc.as_ref().unwrap();
-        let form = rcb_html::query::element_by_id(hd, hd.root(), "q").unwrap();
-        assert!(rcb_html::query::form_fields(hd, form)
+        assert!(world
+            .session()
+            .form_fields("q")
             .contains(&("q".to_string(), "rcb framework".to_string())));
         // ...and synchronized back to the participant on the next poll.
         world.sleep(SimDuration::from_secs(1));
@@ -754,7 +850,7 @@ mod tests {
         world.poll_participant(idx).unwrap();
         let records = world.run_poll_rounds(5).unwrap();
         assert!(records.is_empty(), "no content changes, no syncs");
-        assert_eq!(world.host.agent.request_stats().polls_empty, 5);
+        assert_eq!(world.session().stats().polls_empty, 5);
     }
 
     #[test]
@@ -769,21 +865,106 @@ mod tests {
         world.host_navigate("http://google.com/").unwrap();
         world.poll_participant(idx).unwrap().0.unwrap();
         for _ in 0..1_000 {
-            world.host.browser.mutate_dom(|_| {}).unwrap();
+            world.mutate_host_page(|_| {}).unwrap();
             world.sleep(SimDuration::from_millis(3));
             world.poll_participant(idx).unwrap();
-            assert!(world.host.agent.content_cache_len() <= LIVE_GENERATIONS);
-            assert!(world.host.agent.timestamps_len() <= LIVE_GENERATIONS);
+            let (content_cache_len, timestamps_len) = world.session().agent_cache_lens();
+            assert!(content_cache_len <= LIVE_GENERATIONS);
+            assert!(timestamps_len <= LIVE_GENERATIONS);
         }
-        assert!(world.host.agent.stats.timestamp_evictions.get() >= 999);
-        assert!(world.host.agent.stats.content_evictions.get() > 0);
+        let (timestamp_evictions, content_evictions) = world
+            .session()
+            .with_agent_stats(|s| (s.timestamp_evictions.get(), s.content_evictions.get()));
+        assert!(timestamp_evictions >= 999);
+        assert!(content_evictions > 0);
         // The participant is still fully synchronized at the end.
-        let hd = world.host.browser.doc.as_ref().unwrap();
         let pd = world.participants[idx].browser.doc.as_ref().unwrap();
         assert_eq!(
-            hd.text_content(hd.body().unwrap()),
+            world.host_browser(|b| body_text(b.doc.as_ref().unwrap())),
             pd.text_content(pd.body().unwrap())
         );
+    }
+
+    /// Before the host loads any page its snapshot is empty: every poll
+    /// is up to date and answered empty, and nothing was generated.
+    #[test]
+    fn a_page_less_host_answers_polls_empty() {
+        let mut world = lan_world();
+        let snap = world.session().shared_host().current_snapshot();
+        assert_eq!((snap.doc_time, snap.object_count()), (0, 0));
+        assert_eq!(world.session().with_agent_stats(|s| s.generations.get()), 0);
+        let idx = world.add_participant(BrowserKind::Firefox);
+        let (sync, effects) = world.poll_participant(idx).unwrap();
+        assert!(sync.is_none() && effects.is_empty());
+        let stats = world.session().stats();
+        assert_eq!((stats.polls_empty, stats.polls_with_content), (1, 0));
+        world.host_navigate("http://google.com/").unwrap();
+        assert!(world.poll_participant(idx).unwrap().0.is_some());
+    }
+
+    /// A generation's M5 delays the first poll that receives it and no
+    /// later one: on an idle LAN pipe, two participants' syncs of one
+    /// navigation differ by exactly the M5 sample, once their own M6 is
+    /// taken out.
+    #[test]
+    fn the_first_poll_to_receive_a_generation_is_charged_its_m5() {
+        for site in ["google.com", "wikipedia.org", "cnn.com"] {
+            let mut world = lan_world();
+            let a = world.add_participant(BrowserKind::Firefox);
+            let b = world.add_participant(BrowserKind::Firefox);
+            world.host_navigate(&format!("http://{site}/")).unwrap();
+            let mut m2_net_of_m6 = |idx: usize| {
+                let sync = world.poll_participant(idx).unwrap().0.expect("content");
+                let m6 = world.participants[idx].snippet.m6.samples().last().copied();
+                sync.m2.as_micros() - m6.unwrap().as_micros()
+            };
+            let (net_a, net_b) = (m2_net_of_m6(a), m2_net_of_m6(b));
+            let (generations, m5) = world
+                .session()
+                .with_agent_stats(|s| (s.generations.get(), s.m5.samples()[0]));
+            assert_eq!(generations, 1, "{site}");
+            assert_eq!(net_a - net_b, m5.as_micros(), "{site}");
+        }
+    }
+
+    /// Nothing in the paper world holds a request open: an up-to-date
+    /// long-poll is answered at once with the timeout (empty) reply, and
+    /// counted as a park that timed out.
+    #[test]
+    fn a_long_poll_is_answered_at_once_with_the_timeout_reply() {
+        let mut world = lan_world();
+        let idx = world.add_participant(BrowserKind::Firefox);
+        world.host_navigate("http://google.com/").unwrap();
+        world.poll_participant(idx).unwrap().0.unwrap();
+        world.participants[idx].snippet.long_poll = Some(SimDuration::from_secs(5));
+        let sent = world.now;
+        let (sync, _) = world.poll_participant(idx).unwrap();
+        assert!(sync.is_none());
+        assert!(world.now.since(sent) < SimDuration::from_millis(100));
+        let stats = world.session().stats();
+        assert_eq!((stats.polls_parked, stats.polls_park_timeouts), (1, 1));
+    }
+
+    /// The engine clock only moves forward: a world whose `now` is
+    /// rewound, as `ablation_fanout` rewinds it, still mints rising
+    /// doc-times.
+    #[test]
+    fn a_rewound_world_still_mints_rising_doc_times() {
+        let mut world = lan_world();
+        let idx = world.add_participant(BrowserKind::Firefox);
+        world.host_navigate("http://google.com/").unwrap();
+        let first = world.poll_participant(idx).unwrap().0.unwrap();
+        world.now = SimTime::ZERO;
+        world.participant_action(
+            idx,
+            UserAction::FormInput {
+                form: "q".into(),
+                field: "q".into(),
+                value: "rewound".into(),
+            },
+        );
+        let second = world.poll_participant(idx).unwrap().0.unwrap();
+        assert!(second.doc_time > first.doc_time);
     }
 
     #[test]
@@ -792,9 +973,9 @@ mod tests {
         let a = world.add_participant(BrowserKind::Firefox);
         world.host_navigate("http://live.com/").unwrap();
         world.poll_participant(a).unwrap();
-        assert_eq!(world.host.agent.participant_count(), 1);
+        assert_eq!(world.session().participant_count(), 1);
         world.remove_participant(a);
-        assert!(world.host.agent.participant_count() == 0);
+        assert!(world.session().participant_count() == 0);
         assert!(world.participants.is_empty());
     }
 }

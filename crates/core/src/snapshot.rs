@@ -257,11 +257,11 @@ impl ContentSnapshot {
     }
 
     /// Builds a snapshot of the host's current DOM version in one go
-    /// (plan + finish + cache admission) — for sequential callers that
-    /// already hold exclusive host access end to end. `prev` is the
-    /// snapshot being replaced; its live generation's objects are carried
-    /// forward so participants still applying the previous content can
-    /// fetch them.
+    /// (plan + finish + cache admission) — for callers that already hold
+    /// exclusive host access end to end, such as a session host's build.
+    /// `prev` is the snapshot being replaced; its live generation's
+    /// objects are carried forward so participants still applying the
+    /// previous content can fetch them.
     pub fn build(
         agent: &mut RcbAgent,
         host: &Browser,
@@ -275,6 +275,27 @@ impl ContentSnapshot {
             agent.admit_generated(snap.dom_version, mode, content);
         }
         Ok(snap)
+    }
+
+    /// The snapshot of a host that has loaded no page yet: no content
+    /// (`doc_time` 0, so every poll is up to date and answered empty), no
+    /// objects, and no generation run.
+    pub(crate) fn empty(dom_version: u64) -> Arc<ContentSnapshot> {
+        Arc::new(ContentSnapshot {
+            dom_version,
+            doc_time: 0,
+            poll_response: Response::with_body(Status::OK, "application/xml", Vec::new()),
+            live_keys: Vec::new(),
+            objects: HashMap::new(),
+            sections: Sections {
+                head: 0..0,
+                top: 0..0,
+                user_actions: 0..0,
+                body_children: None,
+            },
+            body_splice_safe: false,
+            delta_ring: Vec::new(),
+        })
     }
 
     /// The serialized Fig.-4 XML: the poll response's body.

@@ -1,4 +1,5 @@
-//! Real-socket deployment of RCB-Agent — the concurrent request pipeline.
+//! The session host — the concurrent request pipeline every host serves —
+//! and RCB-Agent's real-socket deployment.
 //!
 //! Everything else in this crate runs on simulated links; this module is
 //! the "practical" half of the paper's claim: the agent served over real
@@ -12,13 +13,15 @@
 //!
 //! # Concurrency architecture
 //!
-//! The Fig.-2 procedure itself — classification, HMAC verification,
-//! participant bookkeeping, timestamp inspection, prefab replies — is the
-//! crate's shared request path, the same code the sequential
-//! [`RcbAgent::handle_request`] drives. This module supplies the
-//! concurrent half of its deployment seam (merge actions, current
-//! snapshot) and keeps only what is concurrent: parking long-polls,
-//! single-flight regeneration, and publication.
+//! One session is one `SharedHost`: the host browser and [`RcbAgent`]
+//! behind the host mutex, the published snapshot, and the session's
+//! Fig.-2 request path (classification, HMAC verification, participant
+//! bookkeeping, timestamp inspection, prefab replies). Every host serves
+//! it — [`TcpHost`] and [`crate::router::RouterHost`] over sockets,
+//! [`crate::worldsim::WorldHost`] over the sim fabric, all through the
+//! session router, and the paper world ([`crate::session`]) in-process.
+//! What it adds to the request path is what is concurrent: parking
+//! long-polls, single-flight regeneration, and publication.
 //!
 //! The paper names the host uplink as the session bottleneck (§5.1.2);
 //! the agent itself must therefore never become one. This deployment
@@ -56,8 +59,9 @@
 //!
 //! Timestamps on this path come from the [`Clock`] the serving engine
 //! runs on: real wall-clock milliseconds since the Unix epoch (§4.1.1)
-//! in the deployment default, the shared virtual clock when the same
-//! handler is driven by the deterministic world sim ([`crate::worldsim`]).
+//! in the deployment default, a virtual clock when the same session is
+//! driven by the deterministic world sim ([`crate::worldsim`]) or the
+//! paper world ([`crate::session`]).
 //! Either way the value lands in the document-timestamp domain — not a
 //! wrapped count (the old `% 1_000_000_000` mapping recurred every ~11.6
 //! days).
@@ -85,8 +89,8 @@ use rcb_http::server::{
 use rcb_http::Request;
 use rcb_util::{Clock, RcbError, Result, SimDuration, SimTime};
 
-use crate::agent::{AgentConfig, AgentStats, RcbAgent};
-use crate::fig2::{Answer, Deployment, RequestPath, Work};
+use crate::agent::{AgentConfig, AgentStats, HostEffect, RcbAgent};
+use crate::fig2::{Answer, RequestPath, Work};
 use crate::participant::{ParticipantCore, Reply};
 use crate::snapshot::{ContentSnapshot, SnapshotPlan};
 use crate::snippet::{AjaxSnippet, SnippetOutcome};
@@ -101,11 +105,10 @@ struct HostCore {
 
 /// One session's serving state. A [`crate::router::SessionRouter`] holds
 /// one per session and routes each request into [`SharedHost::classify`]
-/// and [`SharedHost::answer`];
-/// every host serves through a router — [`TcpHost`] and
-/// [`crate::router::RouterHost`] over real sockets,
-/// [`crate::worldsim::WorldHost`] over the deterministic fabric — so the
-/// world sim drives the exact agent pipeline the deployment path serves.
+/// and [`SharedHost::answer`]; every socket host and the world sim serve
+/// through a router ([`TcpHost`], [`crate::router::RouterHost`],
+/// [`crate::worldsim::WorldHost`]), and the paper world makes the same
+/// two calls in-process, so every request runs the one agent pipeline.
 pub(crate) struct SharedHost {
     /// The published read-path snapshot (see module docs for ordering).
     snapshot: RwLock<Arc<ContentSnapshot>>,
@@ -120,10 +123,9 @@ pub(crate) struct SharedHost {
     /// generations of different versions are ordered by the publish
     /// guard).
     regen_in_flight: AtomicU64,
-    /// The session's Fig.-2 request path, shared with the agent behind
-    /// the host mutex (whose `Arc` this is): participants, request
-    /// counters and static prefabs are read without that mutex.
-    fig2: Arc<RequestPath>,
+    /// The session's Fig.-2 request path: participants, request counters
+    /// and static prefabs, read without the host mutex.
+    fig2: RequestPath,
     /// The write path: merges and snapshot-plan capture only (generation
     /// itself runs after the mutex is released).
     core: Mutex<HostCore>,
@@ -146,7 +148,8 @@ pub(crate) struct SharedHost {
 impl SharedHost {
     /// Builds the shared host state — agent, prefab responses, initial
     /// snapshot, its own park channel — around an already prepared host
-    /// browser. `park` and `clock` must be the ones from the
+    /// browser, or a page-less one (its snapshot is empty until the host
+    /// loads a page). `park` and `clock` must be the ones from the
     /// `ServerConfig` the serving engine will run on: snapshot
     /// publication signals that hub, and every timestamp reads that
     /// clock.
@@ -157,9 +160,12 @@ impl SharedHost {
         park: Arc<ParkHub>,
         clock: Clock,
     ) -> Result<Arc<SharedHost>> {
+        let fig2 = RequestPath::new(key.clone(), &config);
         let mut agent = RcbAgent::new(key, config);
-        let fig2 = Arc::clone(agent.request_path());
-        let snapshot = ContentSnapshot::build(&mut agent, &browser, clock.now(), None)?;
+        let snapshot = match browser.doc {
+            Some(_) => ContentSnapshot::build(&mut agent, &browser, clock.now(), None)?,
+            None => ContentSnapshot::empty(browser.dom_version()),
+        };
         Ok(Arc::new(SharedHost {
             snapshot: RwLock::new(snapshot),
             regen_in_flight: AtomicU64::new(0),
@@ -187,7 +193,11 @@ impl SharedHost {
     #[cfg(test)]
     pub(crate) fn make_handler(self: &Arc<Self>) -> rcb_http::server::Handler {
         let state = Arc::clone(self);
-        Arc::new(move |req| state.answer(&req, state.classify(&req)))
+        Arc::new(move |req| {
+            let (outcome, effects) = state.answer(&req, state.classify(&req));
+            state.drop_host_effects(effects);
+            outcome
+        })
     }
 
     /// Now, on the engine clock, in the document-timestamp domain.
@@ -202,7 +212,7 @@ impl SharedHost {
     }
 
     /// Reads the current snapshot (the only read-path lock besides shards).
-    fn current_snapshot(&self) -> Arc<ContentSnapshot> {
+    pub(crate) fn current_snapshot(&self) -> Arc<ContentSnapshot> {
         Arc::clone(
             &self
                 .snapshot
@@ -307,21 +317,27 @@ impl SharedHost {
         self.fig2.classify(req)
     }
 
-    /// Answers one request, classified as `work`, through the shared
-    /// Fig.-2 path. What stays here is what is concurrent: a park request
-    /// becomes [`HandlerOutcome::Park`], held by the serving engine until
-    /// the next snapshot publication (wake: the fresh prefab, still
-    /// zero-copy) or the park deadline (timeout: the empty-poll prefab) —
-    /// converting per-interval polls into per-change replies.
-    pub(crate) fn answer(self: &Arc<Self>, req: &Request, work: Work<'_>) -> HandlerOutcome {
-        let mut deployment: &SharedHost = self;
-        let park = match self.fig2.answer(req, work, &mut deployment) {
-            Answer::Reply(response) => return response.into(),
+    /// Answers one request, classified as `work`, through the session's
+    /// Fig.-2 path, handing a merged poll's host effects to the caller:
+    /// the router counts them dropped, the paper world carries them out.
+    /// What stays here is what is concurrent: a park request becomes
+    /// [`HandlerOutcome::Park`], held by the serving engine until the next
+    /// snapshot publication (wake: the fresh prefab, still zero-copy) or
+    /// the park deadline (timeout: the empty-poll prefab) — converting
+    /// per-interval polls into per-change replies.
+    pub(crate) fn answer(
+        self: &Arc<Self>,
+        req: &Request,
+        work: Work<'_>,
+    ) -> (HandlerOutcome, Vec<HostEffect>) {
+        let (answer, effects) = self.fig2.answer(req, work, self);
+        let park = match answer {
+            Answer::Reply(response) => return (response.into(), effects),
             Answer::Park(park) => park,
         };
         let on_wake_host = Arc::clone(self);
-        let on_timeout_path = Arc::clone(&self.fig2);
-        HandlerOutcome::Park(Park {
+        let on_timeout_host = Arc::clone(self);
+        let outcome = HandlerOutcome::Park(Park {
             channel: Arc::clone(&self.channel),
             // `ParkHub::publish` receives the same dom_version.
             wait_key: park.version,
@@ -332,8 +348,36 @@ impl SharedHost {
                 let snap = on_wake_host.current_snapshot();
                 on_wake_host.fig2.wake_reply(&park, &snap)
             }),
-            on_timeout: Box::new(move || on_timeout_path.timeout_reply()),
-        })
+            on_timeout: Box::new(move || on_timeout_host.fig2.timeout_reply()),
+        });
+        (outcome, effects)
+    }
+
+    /// Merges a poll's allowed actions under the host mutex, held just
+    /// long enough to merge and — when the merge changed the DOM —
+    /// capture a snapshot plan (DOM clone); generation and publication run
+    /// after the mutex is dropped, so other merges and mutations proceed
+    /// meanwhile. Returns the host effects (navigations, submissions,
+    /// clicks) the actions ask for, whatever the navigation policy.
+    pub(crate) fn merge(&self, pid: u64, actions: Vec<UserAction>) -> Vec<HostEffect> {
+        let (effects, plan) = {
+            let mut core = self.lock_core();
+            let HostCore { agent, browser } = &mut *core;
+            let effects = agent.merge_poll_actions(pid, actions, browser);
+            (effects, self.plan_republish(&mut core))
+        };
+        // A failed regeneration keeps the previous snapshot; the next
+        // write-path request retries.
+        if let Ok(Some(plan)) = plan {
+            let _ = self.finish_republish(plan);
+        }
+        effects
+    }
+
+    /// Counts host effects that nothing carries out
+    /// ([`TcpHostStats::host_effects_dropped`]).
+    pub(crate) fn drop_host_effects(&self, effects: Vec<HostEffect>) {
+        self.fig2.drop_host_effects(effects);
     }
 
     pub(crate) fn stats_snapshot(&self) -> TcpHostStats {
@@ -343,16 +387,32 @@ impl SharedHost {
         }
     }
 
-    pub(crate) fn mutate_page(&self, f: impl FnOnce(&mut rcb_html::Document)) -> Result<()> {
-        let plan = {
+    /// Host-side browsing: lends the host browser to `f` under the host
+    /// mutex (a navigation, a form submission, page script), then — when
+    /// its DOM version moved — plans, generates and publishes the new
+    /// snapshot, with the mutex held only for `f` and the plan. A
+    /// content-generation failure is returned (the previous snapshot keeps
+    /// serving until a retry succeeds).
+    pub(crate) fn browse<R>(&self, f: impl FnOnce(&mut Browser) -> R) -> Result<R> {
+        let (out, plan) = {
             let mut core = self.lock_core();
-            core.browser.mutate_dom(f)?;
-            self.plan_republish(&mut core)?
+            let out = f(&mut core.browser);
+            (out, self.plan_republish(&mut core)?)
         };
-        match plan {
-            Some(plan) => self.finish_republish(plan),
-            None => Ok(()),
+        if let Some(plan) = plan {
+            self.finish_republish(plan)?;
         }
+        Ok(out)
+    }
+
+    /// Mutates the live host page and publishes the change.
+    pub(crate) fn mutate_page(&self, f: impl FnOnce(&mut rcb_html::Document)) -> Result<()> {
+        self.browse(|browser| browser.mutate_dom(f))?
+    }
+
+    /// Runs `f` against the live host browser under the host mutex.
+    pub(crate) fn with_browser<R>(&self, f: impl FnOnce(&Browser) -> R) -> R {
+        f(&self.lock_core().browser)
     }
 
     /// Runs `f` against the agent's write-path stats under the host lock.
@@ -360,10 +420,16 @@ impl SharedHost {
         f(&self.lock_core().agent.stats)
     }
 
+    /// `(content_cache_len, timestamps_len)` of the live agent.
+    pub(crate) fn agent_cache_lens(&self) -> (usize, usize) {
+        let core = self.lock_core();
+        (core.agent.content_cache_len(), core.agent.timestamps_len())
+    }
+
     /// The live host DOM version (behind the host mutex — the published
     /// snapshot may briefly lag it mid-regeneration).
     pub(crate) fn dom_version(&self) -> u64 {
-        self.lock_core().browser.dom_version()
+        self.with_browser(Browser::dom_version)
     }
 
     /// The document timestamp of the currently published snapshot.
@@ -381,47 +447,22 @@ impl SharedHost {
         self.fig2.participants.count()
     }
 
+    /// Forgets a participant that left the session.
+    pub(crate) fn remove_participant(&self, pid: u64) {
+        self.fig2.participants.remove(pid);
+    }
+
     /// Current host form field values (to observe merged co-fill data).
     pub(crate) fn form_fields(&self, form_id: &str) -> Vec<(String, String)> {
-        let core = self.lock_core();
-        let Some(doc) = core.browser.doc.as_ref() else {
-            return Vec::new();
-        };
-        match rcb_html::query::element_by_id(doc, doc.root(), form_id) {
-            Some(form) => rcb_html::query::form_fields(doc, form),
-            None => Vec::new(),
-        }
-    }
-}
-
-/// The concurrent deployment of the shared request path.
-impl Deployment for &SharedHost {
-    /// Merges under the host mutex, held just long enough to merge and —
-    /// when the merge changed the DOM — capture a snapshot plan (DOM
-    /// clone); generation and publication run after the mutex is
-    /// dropped, so other merges and mutations proceed meanwhile. Host
-    /// effects (navigations, submissions, clicks) need a world to run in,
-    /// which this host has not: they are dropped and counted
-    /// ([`TcpHostStats::host_effects_dropped`]), and none waits for a
-    /// confirmation, whatever the navigation policy.
-    fn merge(&mut self, pid: u64, actions: Vec<UserAction>) {
-        let plan = {
-            let mut core = self.lock_core();
-            let HostCore { agent, browser } = &mut *core;
-            let effects = agent.merge_actions(pid, actions, browser);
-            self.fig2.drop_host_effects(effects);
-            self.plan_republish(&mut core)
-        };
-        // A failed regeneration keeps the previous snapshot; the next
-        // write-path request retries.
-        if let Ok(Some(plan)) = plan {
-            let _ = self.finish_republish(plan);
-        }
-    }
-
-    /// The published snapshot.
-    fn snapshot(&mut self) -> Result<Arc<ContentSnapshot>> {
-        Ok(self.current_snapshot())
+        self.with_browser(|browser| {
+            let Some(doc) = browser.doc.as_ref() else {
+                return Vec::new();
+            };
+            match rcb_html::query::element_by_id(doc, doc.root(), form_id) {
+                Some(form) => rcb_html::query::form_fields(doc, form),
+                None => Vec::new(),
+            }
+        })
     }
 }
 
@@ -575,8 +616,7 @@ impl TcpHost {
     /// `(content_cache_len, timestamps_len)` of the live agent — both are
     /// bounded to [`crate::agent::LIVE_GENERATIONS`] generations.
     pub fn agent_cache_lens(&self) -> (usize, usize) {
-        let core = self.shared.lock_core();
-        (core.agent.content_cache_len(), core.agent.timestamps_len())
+        self.shared.agent_cache_lens()
     }
 
     /// Reads current host form field values (to observe merged co-fill
@@ -800,8 +840,8 @@ mod tests {
 
     /// This host has nothing to carry host effects out with: it counts
     /// every one it drops, on the session and in the router's totals,
-    /// and under `HostConfirm` queues none for a confirmation that
-    /// nothing here would ever give.
+    /// under either navigation policy (only the paper world queues
+    /// effects for a confirmation).
     #[test]
     fn host_effects_are_counted_and_never_queued() {
         const CLICKS: u64 = 4;
@@ -835,9 +875,6 @@ mod tests {
             assert_eq!(host.stats().host_effects_dropped, CLICKS, "{nav_policy:?}");
             let totals = host.session_router().stats().totals;
             assert_eq!(totals.host_effects_dropped, CLICKS, "{nav_policy:?}");
-            let shared = host.clone_shared_for_test();
-            let queued = shared.lock_core().agent.pending_confirmation.len();
-            assert_eq!(queued, 0, "{nav_policy:?}");
             host.shutdown();
         }
     }

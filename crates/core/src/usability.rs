@@ -75,39 +75,30 @@ pub fn study_world(seed: u64) -> CoBrowsingWorld {
 
 /// Applies a maps viewport to the host page: swaps the tile-grid image
 /// sources and fetches the new tiles — what the map page's JavaScript
-/// does on pan/zoom/search (the URL never changes).
+/// does on pan/zoom/search (the URL never changes). Both run in one host
+/// borrow, so the content published for the new viewport sees its tiles.
 pub fn host_maps_set_viewport(world: &mut CoBrowsingWorld, vp: Viewport) -> Result<()> {
     let tiles = vp.tiles();
-    world.host.browser.mutate_dom(move |doc| {
-        let root = doc.root();
-        let imgs = rcb_html::query::elements_by_tag(doc, root, "img");
-        for (img, (x, y, z)) in imgs.into_iter().zip(tiles.iter()) {
-            doc.set_attr(img, "src", Viewport::tile_path(*x, *y, *z));
-            doc.set_attr(img, "id", format!("tile-{x}-{y}"));
-        }
-        if let Some(status) = rcb_html::query::element_by_id(doc, root, "status") {
-            doc.clear_children(status);
-            let t = doc.create_text(format!("viewport {} {} z{}", vp.x, vp.y, vp.z));
-            doc.append_child(status, t).expect("status node attached");
-        }
-    })?;
-    // The host browser fetches the new tiles (Ajax image loads).
-    let refs = world.host.browser.supplementary_refs();
-    let page = world.host.browser.url.clone().expect("maps page is loaded");
-    let now = world.now;
-    let (done, _, _, _) = {
-        let host = &mut world.host;
-        host.browser.fetch_objects(
-            &page,
-            &refs,
-            &mut world.origins,
-            &mut host.origin_pipe,
-            &world.profile,
-            now,
-        )?
-    };
-    world.advance_to(done);
-    Ok(())
+    world.browse_host(|browser, origins, pipe, profile, now| {
+        browser.mutate_dom(move |doc| {
+            let root = doc.root();
+            let imgs = rcb_html::query::elements_by_tag(doc, root, "img");
+            for (img, (x, y, z)) in imgs.into_iter().zip(tiles.iter()) {
+                doc.set_attr(img, "src", Viewport::tile_path(*x, *y, *z));
+                doc.set_attr(img, "id", format!("tile-{x}-{y}"));
+            }
+            if let Some(status) = rcb_html::query::element_by_id(doc, root, "status") {
+                doc.clear_children(status);
+                let t = doc.create_text(format!("viewport {} {} z{}", vp.x, vp.y, vp.z));
+                doc.append_child(status, t).expect("status node attached");
+            }
+        })?;
+        // The host browser fetches the new tiles (Ajax image loads).
+        let refs = browser.supplementary_refs();
+        let page = browser.url.clone().expect("maps page is loaded");
+        let (done, _, _, _) = browser.fetch_objects(&page, &refs, origins, pipe, profile, now)?;
+        Ok(((), done))
+    })
 }
 
 /// True if the participant's current page shows the tile at the
@@ -160,7 +151,7 @@ pub fn run_session(seed: u64) -> Result<SessionResult> {
         &mut tasks,
         "T1-B",
         "Bob starts an RCB co-browsing session",
-        &mut |w| Ok(w.host.agent.participant_count() == 0),
+        &mut |w| Ok(w.session().participant_count() == 0),
     )?;
     let alice = world.add_participant(BrowserKind::Firefox);
     task(
@@ -347,11 +338,7 @@ pub fn run_session(seed: u64) -> Result<SessionResult> {
             w.poll_participant(alice)?;
             w.sleep(SimDuration::from_secs(1));
             w.poll_participant(alice)?;
-            Ok(w.host
-                .browser
-                .url
-                .as_ref()
-                .is_some_and(|u| u.path == "/product/3")
+            Ok(w.host_url().is_some_and(|u| u.path == "/product/3")
                 && participant_page_text(w, alice).contains("MacBook"))
         },
     )?;
@@ -366,11 +353,11 @@ pub fn run_session(seed: u64) -> Result<SessionResult> {
         &mut |w| {
             w.host_navigate(&format!("http://{SHOP_HOST}/cart/add?id=3"))?;
             w.host_navigate(&format!("http://{SHOP_HOST}/checkout"))?;
-            Ok(w.host
-                .browser
-                .doc
-                .as_ref()
-                .is_some_and(|d| rcb_html::query::element_by_id(d, d.root(), "shipping").is_some()))
+            Ok(w.host_browser(|b| {
+                b.doc.as_ref().is_some_and(|d| {
+                    rcb_html::query::element_by_id(d, d.root(), "shipping").is_some()
+                })
+            }))
         },
     )?;
     task(
@@ -397,10 +384,7 @@ pub fn run_session(seed: u64) -> Result<SessionResult> {
                 );
             }
             w.poll_participant(alice)?; // inputs merge into the host form
-            let host_doc = w.host.browser.doc.as_ref().expect("host page loaded");
-            let form = rcb_html::query::element_by_id(host_doc, host_doc.root(), "shipping")
-                .expect("shipping form present");
-            let fields = rcb_html::query::form_fields(host_doc, form);
+            let fields = w.session().form_fields("shipping");
             Ok(fields.contains(&("street".into(), "653 5th Ave".into()))
                 && fields.contains(&("zip".into(), "10022".into())))
         },
@@ -415,11 +399,11 @@ pub fn run_session(seed: u64) -> Result<SessionResult> {
         &mut |w| {
             w.host_submit_form("shipping")?;
             w.host_submit_form("confirm")?;
-            Ok(w.host
-                .browser
-                .doc
-                .as_ref()
-                .is_some_and(|d| d.text_content(d.root()).contains("Order placed")))
+            Ok(w.host_browser(|b| {
+                b.doc
+                    .as_ref()
+                    .is_some_and(|d| d.text_content(d.root()).contains("Order placed"))
+            }))
         },
     )?;
     task(

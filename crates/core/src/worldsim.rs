@@ -54,7 +54,7 @@ use rcb_http::client::try_parse_response;
 use rcb_http::server::{OverloadConfig, ServerBackend, ServerConfig, ServerStats};
 use rcb_http::{Response, SimDriver};
 use rcb_sim::{LinkModel, NetProfile, SimConn, World};
-use rcb_util::{DetRng, Result, SimDuration, SimTime};
+use rcb_util::{Clock, DetRng, Result, SimDuration, SimTime};
 
 use crate::agent::AgentConfig;
 use crate::participant::{world_shed_seed, ParticipantCore, Reply};
@@ -96,18 +96,7 @@ impl WorldHost {
         router_config: RouterConfig,
         overload: OverloadConfig,
     ) -> Result<WorldHost> {
-        // A literal, never `ServerConfig::default()`: the sim reads no
-        // environment. The pump driver has no threads, queue or blocking
-        // reads, so it uses only the clock, the hub and the limits.
-        let config = ServerConfig {
-            backend: ServerBackend::Workers,
-            workers: 0,
-            queue_capacity: 0,
-            read_timeout: Duration::ZERO,
-            park_hub: Arc::default(),
-            clock: world.clock(),
-            overload,
-        };
+        let config = in_process_config(world.clock(), overload);
         let router = SessionRouter::new(factory, agent_config, router_config, &config);
         let driver = SimDriver::new(world.bind(name)?, router.make_handler(), &config);
         Ok(WorldHost { router, driver })
@@ -170,6 +159,23 @@ impl WorldHost {
     /// Requests the driver has answered (parked polls on resolution).
     pub fn requests_served(&self) -> u64 {
         self.driver.requests_served()
+    }
+}
+
+/// The server configuration of a host served without sockets, on `clock`
+/// with a fresh park hub: a literal, never `ServerConfig::default()`, so
+/// the sims read no environment. The pump driver and the paper world have
+/// no threads, queue or blocking reads, so only the clock, the hub and
+/// the limits are used.
+pub(crate) fn in_process_config(clock: Clock, overload: OverloadConfig) -> ServerConfig {
+    ServerConfig {
+        backend: ServerBackend::Workers,
+        workers: 0,
+        queue_capacity: 0,
+        read_timeout: Duration::ZERO,
+        park_hub: Arc::default(),
+        clock,
+        overload,
     }
 }
 
@@ -808,15 +814,7 @@ mod tests {
     #[test]
     fn a_shed_action_poll_is_sent_again_and_merged() {
         let world = World::new(24);
-        let config = ServerConfig {
-            backend: ServerBackend::Workers,
-            workers: 0,
-            queue_capacity: 0,
-            read_timeout: Duration::ZERO,
-            park_hub: Arc::default(),
-            clock: world.clock(),
-            overload: OverloadConfig::default(),
-        };
+        let config = in_process_config(world.clock(), OverloadConfig::default());
         let router = SessionRouter::new(
             Box::new(|_| None),
             AgentConfig::default(),

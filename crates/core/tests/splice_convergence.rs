@@ -1,32 +1,34 @@
 //! Splice deltas converge: a participant that applies every delta it is
 //! sent serializes byte-identically to one that applies every full reply.
 //!
-//! The tests build each generation's snapshot as the hosts do and answer
-//! the participants with its prefab replies, the ones the Fig.-2 request
-//! path sends. One participant is a legacy client and gets the full
-//! document each time; the others advertise `d=1` and are answered as a
-//! woken long-poll is: with the delta from the generation they acked,
-//! which ships the body as a splice of its changed children when the
-//! participant's parse of both bodies gives their children one for one.
-//! The `d=1` participants take every generation, every second and every
-//! third, so bases one to three generations back are exercised.
-//! `PROPTEST_CASES` sets how many random scripts the property runs.
+//! The host is a one-session router, answering through the handler every
+//! engine serves, on a virtual clock. Each host change publishes a
+//! generation. One participant is a legacy client and polls for the full
+//! document each time; the others advertise `d=1` and hold a parked
+//! long-poll, woken when they take a generation: the wake reply is the
+//! delta from the generation they acked, which ships the body as a splice
+//! of its changed children when the participant's parse of both bodies
+//! gives their children one for one. The `d=1` participants take every
+//! generation, every second and every third, so bases one to three
+//! generations back are exercised. `PROPTEST_CASES` sets how many random
+//! scripts the property runs.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rcb_browser::{Browser, BrowserKind};
-use rcb_core::agent::{AgentConfig, CacheMode, RcbAgent};
+use rcb_core::agent::{AgentConfig, CacheMode};
+use rcb_core::router::{RouterConfig, SessionHandle, SessionRouter};
 use rcb_core::snippet::{AjaxSnippet, SnippetOutcome};
-use rcb_core::ContentSnapshot;
 use rcb_crypto::SessionKey;
 use rcb_html::{Document, NodeId};
-use rcb_http::Response;
+use rcb_http::server::{Handler, HandlerOutcome, Park, ServerConfig};
+use rcb_http::{Request, Response};
 use rcb_origin::OriginRegistry;
 use rcb_sim::link::Pipe;
 use rcb_sim::profiles::NetProfile;
 use rcb_url::Url;
-use rcb_util::{DetRng, SimDuration, SimTime};
+use rcb_util::{Clock, DetRng, SimDuration, SimTime, VirtualClock};
 
 fn loaded_host(site: &str) -> Browser {
     let mut origins = OriginRegistry::with_alexa20();
@@ -53,6 +55,14 @@ enum Reply {
     Splice,
 }
 
+/// The reply `handler` sends at once.
+fn respond(handler: &Handler, req: Request) -> Response {
+    match handler(req) {
+        HandlerOutcome::Respond(response) => response,
+        HandlerOutcome::Park(_) => panic!("a poll that must be answered at once parked"),
+    }
+}
+
 struct Participant {
     snippet: AjaxSnippet,
     browser: Browser,
@@ -60,19 +70,37 @@ struct Participant {
     acked: u64,
     /// Takes every `every`-th generation.
     every: u64,
+    /// Its long-poll, parked on the generation it acked (`d=1` only).
+    park: Option<Park>,
 }
 
 impl Participant {
-    fn join(agent: &RcbAgent, key: &SessionKey, pid: u64, delta: bool, every: u64) -> Participant {
+    fn join(handler: &Handler, key: &SessionKey, pid: u64, delta: bool, every: u64) -> Participant {
         let mut browser = Browser::new(BrowserKind::Firefox);
-        browser.doc = Some(rcb_html::parse_document(&agent.initial_page()));
+        let page = respond(handler, Request::get("/"));
+        browser.doc = Some(rcb_html::parse_document(&page.body_str()));
         let mut snippet = AjaxSnippet::new(pid, key.clone(), SimDuration::from_secs(1));
         snippet.delta = delta;
+        if delta {
+            snippet.long_poll = Some(SimDuration::from_secs(30));
+        }
         Participant {
             snippet,
             browser,
             acked: 0,
             every,
+            park: None,
+        }
+    }
+
+    /// Parks a `d=1` participant's long-poll, unless one is parked.
+    fn park(&mut self, handler: &Handler) {
+        if !self.snippet.delta || self.park.is_some() {
+            return;
+        }
+        match handler(self.snippet.build_poll()) {
+            HandlerOutcome::Park(park) => self.park = Some(park),
+            HandlerOutcome::Respond(_) => panic!("an up-to-date long-poll parks"),
         }
     }
 
@@ -97,11 +125,14 @@ impl Participant {
         (outcome, reply)
     }
 
-    /// The reply a woken `d=1` long-poll gets from `snap`: the delta from
-    /// the generation this participant acked.
-    fn woken_delta(&self, snap: &ContentSnapshot, who: &str) -> Response {
-        snap.delta_response_for(self.acked)
-            .unwrap_or_else(|| panic!("{who}: the acked generation left the ring"))
+    /// The reply its parked long-poll gets, woken now: the delta from the
+    /// generation this participant acked.
+    fn woken_delta(&mut self, who: &str) -> Response {
+        let park = self
+            .park
+            .take()
+            .unwrap_or_else(|| panic!("{who}: no long-poll parked"));
+        (park.on_wake)()
     }
 
     fn serialized(&self) -> String {
@@ -109,13 +140,13 @@ impl Participant {
     }
 }
 
-/// A session: the host, its agent, the snapshot of the current
-/// generation, the legacy participant (index 0) and three `d=1` ones
-/// taking every 1st, 2nd and 3rd generation.
+/// A session: the host, the handler it serves, its clock, the legacy
+/// participant (index 0) and three `d=1` ones taking every 1st, 2nd and
+/// 3rd generation.
 struct Session {
-    host: Browser,
-    agent: RcbAgent,
-    snap: Arc<ContentSnapshot>,
+    host: SessionHandle,
+    handler: Handler,
+    clock: Arc<VirtualClock>,
     participants: Vec<Participant>,
     generation: u64,
     /// Replies the `d=1` participants got, by kind.
@@ -128,28 +159,36 @@ impl Session {
     /// (a full reply each).
     fn start(site: &str, mode: CacheMode) -> Session {
         let key = SessionKey::generate_deterministic(&mut DetRng::new(7));
-        let mut agent = RcbAgent::new(
-            key.clone(),
-            AgentConfig {
-                cache_mode: mode,
-                ..AgentConfig::default()
-            },
-        );
-        let host = loaded_host(site);
-        let snap = ContentSnapshot::build(&mut agent, &host, SimTime::from_secs(1), None).unwrap();
-        let mut participants = vec![Participant::join(&agent, &key, 1, false, 1)];
+        let (engine_clock, clock) = Clock::new_virtual();
+        clock.advance_to(SimTime::from_secs(1));
+        let server = ServerConfig {
+            clock: engine_clock,
+            ..ServerConfig::default()
+        };
+        let config = AgentConfig {
+            cache_mode: mode,
+            ..AgentConfig::default()
+        };
+        let router =
+            SessionRouter::new(Box::new(|_| None), config, RouterConfig::default(), &server);
+        let host = router
+            .install_default_session(loaded_host(site), key.clone())
+            .unwrap();
+        let handler = router.make_handler();
+        let mut participants = vec![Participant::join(&handler, &key, 1, false, 1)];
         for (pid, every) in [(2, 1), (3, 2), (4, 3)] {
-            participants.push(Participant::join(&agent, &key, pid, true, every));
+            participants.push(Participant::join(&handler, &key, pid, true, every));
         }
         for p in &mut participants {
-            let (outcome, reply) = p.receive(&snap.poll_response(), snap.dom_version);
+            let reply = respond(&handler, p.snippet.build_poll());
+            let (outcome, reply) = p.receive(&reply, host.dom_version());
             assert!(matches!(outcome, SnippetOutcome::Updated { .. }), "{site}");
             assert_eq!(reply, Reply::Full);
         }
         Session {
             host,
-            agent,
-            snap,
+            handler,
+            clock,
             participants,
             generation: 1,
             splices: 0,
@@ -157,23 +196,25 @@ impl Session {
         }
     }
 
-    /// One host change and its snapshot, built against the last one.
-    fn publish(&mut self, edit: impl FnOnce(&mut Document)) -> SimTime {
-        self.host.mutate_dom(edit).unwrap();
+    /// One host change, published as the next generation once every
+    /// `d=1` participant has a long-poll parked; the new DOM version.
+    fn publish(&mut self, edit: impl FnOnce(&mut Document)) -> u64 {
+        for p in &mut self.participants {
+            p.park(&self.handler);
+        }
         self.generation += 1;
-        let now = SimTime::from_secs(self.generation);
-        self.snap =
-            ContentSnapshot::build(&mut self.agent, &self.host, now, Some(&self.snap)).unwrap();
-        now
+        self.clock.advance_to(SimTime::from_secs(self.generation));
+        self.host.mutate_page(edit).unwrap();
+        self.host.dom_version()
     }
 
     /// One host change, then every participant due takes it; each `d=1`
     /// participant must apply a delta and match the legacy one.
     fn step(&mut self, what: &str, edit: impl FnOnce(&mut Document)) {
-        self.publish(edit);
-        let snap = &self.snap;
+        let version = self.publish(edit);
         let (legacy, delta_clients) = self.participants.split_first_mut().unwrap();
-        let (outcome, reply) = legacy.receive(&snap.poll_response(), snap.dom_version);
+        let full = respond(&self.handler, legacy.snippet.build_poll());
+        let (outcome, reply) = legacy.receive(&full, version);
         assert!(matches!(outcome, SnippetOutcome::Updated { .. }), "{what}");
         assert_eq!(reply, Reply::Full, "{what}");
         let expected = legacy.serialized();
@@ -183,7 +224,8 @@ impl Session {
             }
             let deltas = p.snippet.deltas_applied;
             let who = format!("{what}: generation {}, every {}", self.generation, p.every);
-            let (outcome, reply) = p.receive(&p.woken_delta(snap, &who), snap.dom_version);
+            let delta = p.woken_delta(&who);
+            let (outcome, reply) = p.receive(&delta, version);
             assert!(
                 matches!(outcome, SnippetOutcome::Updated { .. }),
                 "{who}: {outcome:?} ({reply:?})"
@@ -402,21 +444,20 @@ fn a_splice_that_does_not_fit_is_dropped_and_the_next_poll_recovers_in_full() {
         .unwrap();
     let held = drifted.snippet.doc_time;
     let mut rng = DetRng::new(9);
-    let now = session.publish(|doc| random_edit_of_text(doc, &mut rng));
+    let version = session.publish(|doc| random_edit_of_text(doc, &mut rng));
     let Session {
-        host,
-        agent,
-        snap,
+        handler,
         participants,
         ..
     } = &mut session;
-    let (outcome, reply) = participants[0].receive(&snap.poll_response(), snap.dom_version);
+    let full = respond(handler, participants[0].snippet.build_poll());
+    let (outcome, reply) = participants[0].receive(&full, version);
     assert!(matches!(outcome, SnippetOutcome::Updated { .. }));
     assert_eq!(reply, Reply::Full);
     let drifted = &mut participants[1];
-    let delta = drifted.woken_delta(snap, "drifted");
+    let delta = drifted.woken_delta("drifted");
     assert_eq!(
-        drifted.receive(&delta, snap.dom_version),
+        drifted.receive(&delta, version),
         (SnippetOutcome::NoNewContent, Reply::Splice)
     );
     assert_eq!(drifted.snippet.doc_time, held, "nothing applied");
@@ -425,8 +466,8 @@ fn a_splice_that_does_not_fit_is_dropped_and_the_next_poll_recovers_in_full() {
     // drift is gone.
     let poll = drifted.snippet.build_poll();
     assert!(poll.target.contains("&d=1"), "{}", poll.target);
-    let response = agent.handle_request(&poll, host, now).response;
-    let (outcome, reply) = drifted.receive(&response, snap.dom_version);
+    let response = respond(handler, poll);
+    let (outcome, reply) = drifted.receive(&response, version);
     assert!(matches!(outcome, SnippetOutcome::Updated { .. }));
     assert_eq!(reply, Reply::Full);
     assert_eq!(drifted.serialized(), participants[0].serialized());

@@ -33,10 +33,7 @@ fn main() {
     world.poll_participant(alice).unwrap(); // action → host navigates
     world.sleep(SimDuration::from_secs(1));
     world.poll_participant(alice).unwrap(); // results → Alice
-    println!(
-        "Alice searched; host now at {}",
-        world.host.browser.url.as_ref().unwrap()
-    );
+    println!("Alice searched; host now at {}", world.host_url().unwrap());
 
     world.participant_action(
         alice,
@@ -80,9 +77,7 @@ fn main() {
     world.poll_participant(alice).unwrap();
 
     // Figure-10 check: Alice's data is in the form on Bob's browser.
-    let host_doc = world.host.browser.doc.as_ref().unwrap();
-    let form = rcb::html::query::element_by_id(host_doc, host_doc.root(), "shipping").unwrap();
-    let fields = rcb::html::query::form_fields(host_doc, form);
+    let fields = world.session().form_fields("shipping");
     println!("shipping form on Bob's browser, filled by Alice:");
     for (name, value) in &fields {
         println!("  {name:>10}: {value}");
@@ -92,8 +87,11 @@ fn main() {
     // Bob submits the form and completes the order.
     world.host_submit_form("shipping").unwrap();
     world.host_submit_form("confirm").unwrap();
-    let page = world.host.browser.doc.as_ref().unwrap();
-    assert!(page.text_content(page.root()).contains("Order placed"));
+    let page = world.host_browser(|b| {
+        let doc = b.doc.as_ref().unwrap();
+        doc.text_content(doc.root())
+    });
+    assert!(page.contains("Order placed"));
     println!("order placed through Bob's session ✓");
 
     // The confirmation page reaches Alice too.

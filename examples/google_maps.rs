@@ -62,9 +62,11 @@ fn main() {
     println!("Alice pointed at the red-roof show-windows — meeting spot agreed ✓");
 
     // Verify both sides show the same grid.
-    let host_doc = world.host.browser.doc.as_ref().unwrap();
+    let host_status = world.host_browser(|b| {
+        let doc = b.doc.as_ref().unwrap();
+        doc.text_content(doc.root())
+    });
     let alice_doc = world.participants[alice].browser.doc.as_ref().unwrap();
-    let host_status = host_doc.text_content(host_doc.root());
     let alice_status = alice_doc.text_content(alice_doc.root());
     assert!(alice_status.contains(&format!("viewport {} {} z{}", vp.x, vp.y, vp.z)));
     assert!(host_status.contains(&format!("viewport {} {} z{}", vp.x, vp.y, vp.z)));

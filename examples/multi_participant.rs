@@ -45,9 +45,9 @@ fn main() {
     println!(
         "all {} participants synchronized; content generated {} time(s) (reused!)",
         students.len(),
-        world.host.agent.stats.generations.get()
+        world.session().with_agent_stats(|s| s.generations.get())
     );
-    assert_eq!(world.host.agent.stats.generations.get(), 1);
+    assert_eq!(world.session().with_agent_stats(|s| s.generations.get()), 1);
 
     // A student asks to navigate; the policy queues it for confirmation.
     world.participant_action(
@@ -58,22 +58,15 @@ fn main() {
     );
     world.sleep(SimDuration::from_secs(1));
     world.poll_participant(students[2]).unwrap();
-    assert_eq!(world.host.agent.pending_confirmation.len(), 1);
+    assert_eq!(world.pending_confirmation.len(), 1);
     println!("student #3 requested cnn.com — pending host confirmation");
 
     // The instructor approves; the world executes the navigation.
-    let effect = world
-        .host
-        .agent
-        .decide_pending(HostDecision::Approve)
-        .unwrap();
+    let effect = world.decide_pending(HostDecision::Approve).unwrap();
     if let rcb::core::agent::HostEffect::Navigate(url) = effect {
         world.host_navigate(&url).unwrap();
     }
-    println!(
-        "approved; host now at {}",
-        world.host.browser.url.as_ref().unwrap()
-    );
+    println!("approved; host now at {}", world.host_url().unwrap());
 
     // Everyone re-syncs to the new page.
     world.sleep(SimDuration::from_secs(1));
@@ -93,6 +86,6 @@ fn main() {
     world.remove_participant(students[4]);
     println!(
         "a student left; {} participants remain connected",
-        world.host.agent.participant_count()
+        world.session().participant_count()
     );
 }

@@ -22,7 +22,7 @@ fn main() {
     let mut world = CoBrowsingWorld::with_alexa20(NetProfile::lan(), config, 42);
     println!(
         "RCB session up — key (share out of band): {}",
-        world.host.agent.key().to_hex()
+        world.session().key().to_hex()
     );
 
     // Step 2: a participant joins by typing the agent URL.
@@ -46,9 +46,7 @@ fn main() {
 
     // Step 9: dynamic changes keep flowing.
     world
-        .host
-        .browser
-        .mutate_dom(|doc| {
+        .mutate_host_page(|doc| {
             let body = doc.body().expect("page has a body");
             let banner = doc.create_element("div");
             doc.set_attr(banner, "id", "banner");
@@ -66,10 +64,11 @@ fn main() {
         .contains("edited live by the host"));
     println!("dynamic DOM change mirrored to the participant ✓");
 
+    let stats = world.session().stats();
     println!(
         "agent stats: {} generations, {} polls with content, {} empty polls",
-        world.host.agent.stats.generations.get(),
-        world.host.agent.request_stats().polls_with_content,
-        world.host.agent.request_stats().polls_empty
+        world.session().with_agent_stats(|s| s.generations.get()),
+        stats.polls_with_content,
+        stats.polls_empty
     );
 }

@@ -3,15 +3,18 @@
 //! Every hop goes through real serialization: the snippet's poll is
 //! serialized to HTTP bytes and re-parsed before the agent sees it, and
 //! the agent's XML response likewise — byte-level fidelity of the whole
-//! Fig. 2 → Fig. 5 path.
+//! Fig. 2 → Fig. 5 path. The agent is a one-session router's handler,
+//! the entry every serving engine calls.
 
 use rcb::browser::{Browser, BrowserKind, UserAction};
-use rcb::core::agent::{AgentConfig, CacheMode, RcbAgent};
+use rcb::core::agent::{AgentConfig, CacheMode};
+use rcb::core::router::{RouterConfig, SessionHandle, SessionRouter};
 use rcb::core::session::CoBrowsingWorld;
 use rcb::core::snippet::{AjaxSnippet, SnippetOutcome};
 use rcb::crypto::SessionKey;
 use rcb::http::serialize::{serialize_request, serialize_response};
-use rcb::http::{parse_request, parse_response};
+use rcb::http::server::{Handler, HandlerOutcome, ServerConfig};
+use rcb::http::{parse_request, parse_response, Request, Response};
 use rcb::origin::OriginRegistry;
 use rcb::sim::link::Pipe;
 use rcb::sim::NetProfile;
@@ -33,24 +36,51 @@ fn loaded_host(site: &str) -> (Browser, OriginRegistry) {
     (b, origins)
 }
 
+/// A one-session router over `host`: the session and its handler.
+fn session(key: SessionKey, config: AgentConfig, host: Browser) -> (SessionHandle, Handler) {
+    let router = SessionRouter::new(
+        Box::new(|_| None),
+        config,
+        RouterConfig::default(),
+        &ServerConfig::default(),
+    );
+    let session = router.install_default_session(host, key).unwrap();
+    (session, router.make_handler())
+}
+
+/// The reply to `req`; these tests send no long-poll.
+fn respond(handler: &Handler, req: Request) -> Response {
+    match handler(req) {
+        HandlerOutcome::Respond(response) => response,
+        HandlerOutcome::Park(_) => panic!("no long-poll here"),
+    }
+}
+
+fn body_text(doc: &rcb::html::Document) -> String {
+    doc.text_content(doc.body().unwrap())
+}
+
 #[test]
 fn poll_survives_wire_serialization_both_ways() {
     let key = SessionKey::generate_deterministic(&mut DetRng::new(5));
-    let mut agent = RcbAgent::new(key.clone(), AgentConfig::default());
-    let (mut host, _) = loaded_host("facebook.com");
+    let (host, _) = loaded_host("facebook.com");
+    // The host page stays as loaded: no action rides the poll.
+    let host_text = body_text(host.doc.as_ref().unwrap());
+    let (_agent, handler) = session(key.clone(), AgentConfig::default(), host);
     let mut snippet = AjaxSnippet::new(1, key, SimDuration::from_secs(1));
     let mut participant = Browser::new(BrowserKind::Firefox);
-    participant.doc = Some(rcb::html::parse_document(&agent.initial_page()));
+    let join = respond(&handler, Request::get("/"));
+    participant.doc = Some(rcb::html::parse_document(&join.body_str()));
 
     // Snippet → bytes → agent.
     let poll = snippet.build_poll();
     let wire = serialize_request(&poll);
     let reparsed = parse_request(&wire).expect("poll survives the wire");
     assert_eq!(reparsed, poll);
-    let outcome = agent.handle_request(&reparsed, &mut host, SimTime::from_secs(1));
+    let response = respond(&handler, reparsed);
 
     // Agent → bytes → snippet.
-    let resp_wire = serialize_response(&outcome.response);
+    let resp_wire = serialize_response(&response);
     let resp = parse_response(&resp_wire).expect("response survives the wire");
     let result = snippet.process_response(&resp, &mut participant).unwrap();
     let SnippetOutcome::Updated { object_urls, .. } = result else {
@@ -59,12 +89,8 @@ fn poll_survives_wire_serialization_both_ways() {
     assert!(!object_urls.is_empty());
 
     // The participant body mirrors the host body text.
-    let hd = host.doc.as_ref().unwrap();
     let pd = participant.doc.as_ref().unwrap();
-    assert_eq!(
-        hd.text_content(hd.body().unwrap()),
-        pd.text_content(pd.body().unwrap())
-    );
+    assert_eq!(host_text, pd.text_content(pd.body().unwrap()));
 }
 
 #[test]
@@ -76,10 +102,10 @@ fn multi_site_browsing_sequence_stays_in_sync() {
         world.sleep(SimDuration::from_secs(1));
         let (sync, _) = world.poll_participant(p).unwrap();
         assert!(sync.is_some(), "navigation to {site} must resync");
-        let hd = world.host.browser.doc.as_ref().unwrap();
+        let host_text = world.host_browser(|b| body_text(b.doc.as_ref().unwrap()));
         let pd = world.participants[p].browser.doc.as_ref().unwrap();
         assert_eq!(
-            hd.text_content(hd.body().unwrap()),
+            host_text,
             pd.text_content(pd.body().unwrap()),
             "divergence after {site}"
         );
@@ -94,13 +120,6 @@ fn frameset_page_synchronizes() {
     // Hand-build a frameset page on the host and push it through the
     // whole stack.
     let key = SessionKey::generate_deterministic(&mut DetRng::new(8));
-    let mut agent = RcbAgent::new(
-        key.clone(),
-        AgentConfig {
-            cache_mode: CacheMode::NonCache,
-            ..AgentConfig::default()
-        },
-    );
     let mut host = Browser::new(BrowserKind::Firefox);
     host.url = Some(rcb::url::Url::parse("http://frames.example/").unwrap());
     host.doc = Some(rcb::html::parse_document(
@@ -109,15 +128,21 @@ fn frameset_page_synchronizes() {
          <noframes>please enable frames</noframes></frameset></html>",
     ));
     host.mutate_dom(|_| {}).unwrap();
+    let config = AgentConfig {
+        cache_mode: CacheMode::NonCache,
+        ..AgentConfig::default()
+    };
+    let (_agent, handler) = session(key.clone(), config, host);
 
     let mut snippet = AjaxSnippet::new(1, key, SimDuration::from_secs(1));
     let mut participant = Browser::new(BrowserKind::InternetExplorer);
-    participant.doc = Some(rcb::html::parse_document(&agent.initial_page()));
+    let join = respond(&handler, Request::get("/"));
+    participant.doc = Some(rcb::html::parse_document(&join.body_str()));
 
     let poll = snippet.build_poll();
-    let outcome = agent.handle_request(&poll, &mut host, SimTime::from_secs(1));
+    let response = respond(&handler, poll);
     let result = snippet
-        .process_response(&outcome.response, &mut participant)
+        .process_response(&response, &mut participant)
         .unwrap();
     assert!(matches!(result, SnippetOutcome::Updated { .. }));
     let pd = participant.doc.as_ref().unwrap();
@@ -130,8 +155,8 @@ fn frameset_page_synchronizes() {
 #[test]
 fn participant_actions_round_trip_through_wire_bytes() {
     let key = SessionKey::generate_deterministic(&mut DetRng::new(13));
-    let mut agent = RcbAgent::new(key.clone(), AgentConfig::default());
-    let (mut host, _) = loaded_host("google.com");
+    let (host, _) = loaded_host("google.com");
+    let (agent, handler) = session(key.clone(), AgentConfig::default(), host);
     let mut snippet = AjaxSnippet::new(7, key, SimDuration::from_secs(1));
 
     snippet.capture_action(UserAction::FormInput {
@@ -141,11 +166,9 @@ fn participant_actions_round_trip_through_wire_bytes() {
     });
     let wire = serialize_request(&snippet.build_poll());
     let req = parse_request(&wire).unwrap();
-    agent.handle_request(&req, &mut host, SimTime::ZERO);
+    respond(&handler, req);
 
-    let hd = host.doc.as_ref().unwrap();
-    let form = rcb::html::query::element_by_id(hd, hd.root(), "q").unwrap();
-    let fields = rcb::html::query::form_fields(hd, form);
+    let fields = agent.form_fields("q");
     assert!(fields.contains(&(
         "q".to_string(),
         "rust systems — 100% \"quoted\"".to_string()

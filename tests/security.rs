@@ -3,13 +3,16 @@
 //! The agent must reject everything that is not authenticated under the
 //! session key: unsigned polls, tampered targets, tampered bodies,
 //! replayed MACs on different content, and cache-object fetches with
-//! forged tokens.
+//! forged tokens. Every request goes through a one-session router's
+//! handler, the entry every serving engine calls.
 
 use rcb::browser::{Browser, BrowserKind, UserAction};
-use rcb::core::agent::{AgentConfig, RcbAgent};
+use rcb::core::agent::AgentConfig;
 use rcb::core::auth;
+use rcb::core::router::{RouterConfig, SessionHandle, SessionRouter};
 use rcb::crypto::SessionKey;
-use rcb::http::{Request, Status};
+use rcb::http::server::{Handler, HandlerOutcome, ServerConfig};
+use rcb::http::{Request, Response, Status};
 use rcb::origin::OriginRegistry;
 use rcb::sim::link::Pipe;
 use rcb::sim::NetProfile;
@@ -31,28 +34,45 @@ fn loaded_host() -> Browser {
     b
 }
 
-fn agent_with_seed(seed: u64) -> RcbAgent {
-    RcbAgent::new(
+/// A one-session router hosting apple.com under `key`: the session and
+/// its handler.
+fn session(key: SessionKey, config: AgentConfig) -> (SessionHandle, Handler) {
+    let router = SessionRouter::new(
+        Box::new(|_| None),
+        config,
+        RouterConfig::default(),
+        &ServerConfig::default(),
+    );
+    let session = router.install_default_session(loaded_host(), key).unwrap();
+    (session, router.make_handler())
+}
+
+fn agent_with_seed(seed: u64) -> (SessionHandle, Handler) {
+    session(
         SessionKey::generate_deterministic(&mut DetRng::new(seed)),
         AgentConfig::default(),
     )
 }
 
+/// The reply to `req`; these tests send no long-poll.
+fn respond(handler: &Handler, req: Request) -> Response {
+    match handler(req) {
+        HandlerOutcome::Respond(response) => response,
+        HandlerOutcome::Park(_) => panic!("no long-poll here"),
+    }
+}
+
 #[test]
 fn unsigned_poll_is_unauthorized() {
-    let mut agent = agent_with_seed(1);
-    let mut host = loaded_host();
+    let (_agent, handler) = agent_with_seed(1);
     let req = Request::post("/poll?p=1", b"t=0".to_vec());
-    let resp = agent
-        .handle_request(&req, &mut host, SimTime::ZERO)
-        .response;
+    let resp = respond(&handler, req);
     assert_eq!(resp.status, Status::UNAUTHORIZED);
 }
 
 #[test]
 fn tampered_action_payload_is_rejected() {
-    let mut agent = agent_with_seed(2);
-    let mut host = loaded_host();
+    let (agent, handler) = agent_with_seed(2);
     let mut req = Request::post(
         "/poll?p=1",
         rcb::core::agent::build_poll_body(
@@ -70,35 +90,35 @@ fn tampered_action_payload_is_rejected() {
             url: "http://evil.example/".into(),
         }],
     );
-    let outcome = agent.handle_request(&req, &mut host, SimTime::ZERO);
-    assert_eq!(outcome.response.status, Status::UNAUTHORIZED);
-    assert!(outcome.effects.is_empty(), "no effect from forged action");
+    let response = respond(&handler, req);
+    assert_eq!(response.status, Status::UNAUTHORIZED);
+    assert_eq!(
+        agent.stats().host_effects_dropped,
+        0,
+        "no effect from forged action"
+    );
 }
 
 #[test]
 fn mac_from_other_session_does_not_transfer() {
-    let mut agent_a = agent_with_seed(3);
-    let agent_b = agent_with_seed(4);
-    let mut host = loaded_host();
+    let (agent_a, handler_a) = agent_with_seed(3);
+    let (agent_b, _) = agent_with_seed(4);
     // Signed for session B, replayed against session A.
     let mut req = Request::post("/poll?p=1", b"t=0".to_vec());
     auth::sign_request(agent_b.key(), &mut req);
-    let resp = agent_a
-        .handle_request(&req, &mut host, SimTime::ZERO)
-        .response;
+    let resp = respond(&handler_a, req);
     assert_eq!(resp.status, Status::UNAUTHORIZED);
-    assert_eq!(agent_a.request_stats().auth_failures, 1);
+    assert_eq!(agent_a.stats().auth_failures, 1);
 }
 
 #[test]
 fn object_requests_need_valid_tokens() {
-    let mut agent = agent_with_seed(5);
-    let mut host = loaded_host();
+    let (agent, handler) = agent_with_seed(5);
     // Prime the mapping table via a legitimate signed poll.
     let mut poll = Request::post("/poll?p=1", b"t=0".to_vec());
     auth::sign_request(agent.key(), &mut poll);
-    let outcome = agent.handle_request(&poll, &mut host, SimTime::from_secs(1));
-    let nc = rcb::xml::parse_new_content(&outcome.response.body_str())
+    let response = respond(&handler, poll);
+    let nc = rcb::xml::parse_new_content(&response.body_str())
         .unwrap()
         .expect("first poll has content");
     let rcb::xml::TopLevel::Body(body) = &nc.top else {
@@ -113,60 +133,37 @@ fn object_requests_need_valid_tokens() {
     // No token, and an empty token: both malformed requests (400),
     // byte-identical — token *absence* is a 400, a *wrong* token a 401.
     let bare = url.split('?').next().unwrap().to_string();
-    let r1 = agent
-        .handle_request(&Request::get(bare.clone()), &mut host, SimTime::ZERO)
-        .response;
+    let r1 = respond(&handler, Request::get(bare.clone()));
     assert_eq!(r1.status, Status::BAD_REQUEST);
-    let r1e = agent
-        .handle_request(
-            &Request::get(format!("{bare}?k=")),
-            &mut host,
-            SimTime::ZERO,
-        )
-        .response;
+    let r1e = respond(&handler, Request::get(format!("{bare}?k=")));
     assert_eq!(r1e.status, Status::BAD_REQUEST);
     assert_eq!(r1e.body_str(), r1.body_str());
 
     // Forged token.
-    let r2 = agent
-        .handle_request(
-            &Request::get(format!("{bare}?k=deadbeefdeadbeef")),
-            &mut host,
-            SimTime::ZERO,
-        )
-        .response;
+    let r2 = respond(&handler, Request::get(format!("{bare}?k=deadbeefdeadbeef")));
     assert_eq!(r2.status, Status::UNAUTHORIZED);
 
     // Token for a *different* object does not transfer.
     let other_path = "/cache/999999";
     let stolen = auth::object_token(agent.key(), other_path);
-    let r3 = agent
-        .handle_request(
-            &Request::get(format!("{bare}?k={stolen}")),
-            &mut host,
-            SimTime::ZERO,
-        )
-        .response;
+    let r3 = respond(&handler, Request::get(format!("{bare}?k={stolen}")));
     assert_eq!(r3.status, Status::UNAUTHORIZED);
 
     // The genuine URL works.
-    let r4 = agent
-        .handle_request(&Request::get(url), &mut host, SimTime::ZERO)
-        .response;
+    let r4 = respond(&handler, Request::get(url));
     assert!(r4.status.is_success());
 }
 
 #[test]
 fn view_only_policy_blocks_even_signed_actions() {
     use rcb::core::policy::InteractionPolicy;
-    let mut agent = RcbAgent::new(
+    let (agent, handler) = session(
         SessionKey::generate_deterministic(&mut DetRng::new(6)),
         AgentConfig {
             interaction_policy: InteractionPolicy::ViewOnly,
             ..AgentConfig::default()
         },
     );
-    let mut host = loaded_host();
     let mut req = Request::post(
         "/poll?p=1",
         rcb::core::agent::build_poll_body(
@@ -177,9 +174,13 @@ fn view_only_policy_blocks_even_signed_actions() {
         ),
     );
     auth::sign_request(agent.key(), &mut req);
-    let outcome = agent.handle_request(&req, &mut host, SimTime::ZERO);
-    assert!(outcome.response.status.is_success(), "viewing still works");
-    assert!(outcome.effects.is_empty(), "but actions are dropped");
+    let response = respond(&handler, req);
+    assert!(response.status.is_success(), "viewing still works");
+    assert_eq!(
+        agent.stats().host_effects_dropped,
+        0,
+        "but actions are dropped"
+    );
 }
 
 #[test]
@@ -209,53 +210,52 @@ fn response_authentication_extension_end_to_end() {
     use rcb::util::SimDuration;
 
     let key = SessionKey::generate_deterministic(&mut DetRng::new(20));
-    let mut agent = RcbAgent::new(
+    let (agent, handler) = session(
         key.clone(),
         AgentConfig {
             authenticate_responses: true,
             ..AgentConfig::default()
         },
     );
-    let mut host = loaded_host();
     let mut snippet = AjaxSnippet::new(1, key.clone(), SimDuration::from_secs(1));
     snippet.require_response_auth = true;
     let mut participant = Browser::new(BrowserKind::Firefox);
-    participant.doc = Some(rcb::html::parse_document(&agent.initial_page()));
+    let join = respond(&handler, Request::get("/"));
+    participant.doc = Some(rcb::html::parse_document(&join.body_str()));
 
     // Genuine response verifies and applies.
     let poll = snippet.build_poll();
-    let outcome = agent.handle_request(&poll, &mut host, SimTime::from_secs(1));
-    assert!(outcome
-        .response
+    let response = respond(&handler, poll);
+    assert!(response
         .headers
         .get(rcb::core::auth::RESPONSE_MAC_HEADER)
         .is_some());
-    assert!(rcb::core::auth::verify_response(&key, &outcome.response));
+    assert!(rcb::core::auth::verify_response(&key, &response));
     snippet
-        .process_response(&outcome.response, &mut participant)
+        .process_response(&response, &mut participant)
         .unwrap();
 
     // A tampered body fails closed on the participant side.
-    host.mutate_dom(|_| {}).unwrap();
+    agent.mutate_page(|_| {}).unwrap();
     let poll2 = snippet.build_poll();
-    let mut outcome2 = agent.handle_request(&poll2, &mut host, SimTime::from_secs(2));
-    let mut tampered = outcome2.response.body.to_vec();
+    let mut response2 = respond(&handler, poll2);
+    let mut tampered = response2.body.to_vec();
     tampered.extend_from_slice(b"<!-- injected -->");
-    outcome2.response.body = tampered.into();
+    response2.body = tampered.into();
     let err = snippet
-        .process_response(&outcome2.response, &mut participant)
+        .process_response(&response2, &mut participant)
         .unwrap_err();
     assert_eq!(err.category(), "auth");
 
     // Without the agent-side option, a strict snippet refuses unsigned
     // responses.
-    let mut plain_agent = RcbAgent::new(key.clone(), AgentConfig::default());
+    let (_plain_agent, plain_handler) = session(key.clone(), AgentConfig::default());
     let mut snippet2 = AjaxSnippet::new(2, key, SimDuration::from_secs(1));
     snippet2.require_response_auth = true;
     let poll3 = snippet2.build_poll();
-    let outcome3 = plain_agent.handle_request(&poll3, &mut host, SimTime::from_secs(3));
+    let response3 = respond(&plain_handler, poll3);
     assert!(snippet2
-        .process_response(&outcome3.response, &mut participant)
+        .process_response(&response3, &mut participant)
         .is_err());
 }
 
@@ -267,8 +267,7 @@ fn agent_never_panics_on_hostile_requests() {
     use rcb::http::Method;
     use rcb::util::DetRng;
 
-    let mut agent = agent_with_seed(30);
-    let mut host = loaded_host();
+    let (agent, handler) = agent_with_seed(30);
     let mut rng = DetRng::new(0xF0CCACC1A);
     let paths = [
         "/",
@@ -305,7 +304,7 @@ fn agent_never_panics_on_hostile_requests() {
         &[0xFF, 0xFE, 0x00, 0x01, b'\n', b'|', b'|'],
     ];
     let mut served = 0u32;
-    for i in 0..2_000u64 {
+    for _ in 0..2_000u64 {
         let method = if rng.chance(0.5) {
             Method::Get
         } else {
@@ -322,8 +321,8 @@ fn agent_never_panics_on_hostile_requests() {
             // Occasionally a correctly signed request with hostile body.
             auth::sign_request(agent.key(), &mut req);
         }
-        let outcome = agent.handle_request(&req, &mut host, SimTime::from_millis(i));
-        served += u32::from(outcome.response.status.0 > 0);
+        let response = respond(&handler, req);
+        served += u32::from(response.status.0 > 0);
     }
     assert_eq!(served, 2_000, "every request got some response");
 }

@@ -43,9 +43,7 @@ fn leaver_does_not_disturb_others() {
     world.remove_participant(0); // a leaves
                                  // b (now index 0) keeps syncing fine.
     world
-        .host
-        .browser
-        .mutate_dom(|doc| {
+        .mutate_host_page(|doc| {
             let body = doc.body().unwrap();
             let d = doc.create_element("div");
             doc.append_child(body, d).unwrap();
@@ -54,7 +52,7 @@ fn leaver_does_not_disturb_others() {
     world.sleep(SimDuration::from_secs(1));
     let (sync, _) = world.poll_participant(0).unwrap();
     assert!(sync.is_some());
-    assert_eq!(world.host.agent.participant_count(), 1);
+    assert_eq!(world.session().participant_count(), 1);
 }
 
 #[test]
@@ -82,7 +80,7 @@ fn moderated_policy_gates_by_participant_id() {
     world.sleep(SimDuration::from_secs(1));
     world.poll_participant(p1).unwrap();
     assert_eq!(
-        world.host.browser.url.as_ref().unwrap().host,
+        world.host_url().unwrap().host,
         "google.com",
         "unauthorized participant cannot drive the host"
     );
@@ -96,7 +94,7 @@ fn moderated_policy_gates_by_participant_id() {
     world.sleep(SimDuration::from_secs(1));
     world.poll_participant(p2).unwrap();
     assert_eq!(
-        world.host.browser.url.as_ref().unwrap().host,
+        world.host_url().unwrap().host,
         "apple.com",
         "moderated participant drives the host"
     );
@@ -123,13 +121,11 @@ fn host_confirm_policy_rejects_and_approves() {
         world.participant_action(p, UserAction::Navigate { url: url.into() });
         world.sleep(SimDuration::from_secs(1));
         world.poll_participant(p).unwrap();
-        assert_eq!(world.host.agent.pending_confirmation.len(), 1);
-        if let Some(rcb::core::agent::HostEffect::Navigate(u)) =
-            world.host.agent.decide_pending(decision)
-        {
+        assert_eq!(world.pending_confirmation.len(), 1);
+        if let Some(rcb::core::agent::HostEffect::Navigate(u)) = world.decide_pending(decision) {
             world.host_navigate(&u).unwrap();
         }
-        assert_eq!(world.host.browser.url.as_ref().unwrap().host, expected_host);
+        assert_eq!(world.host_url().unwrap().host, expected_host);
     }
 }
 
@@ -227,7 +223,7 @@ fn rapid_navigation_only_delivers_latest_content() {
     );
     assert_eq!(world.participants[p].snippet.updates_applied, 1);
     // Intermediate pages were never generated for this participant.
-    assert_eq!(world.host.agent.request_stats().polls_with_content, 1);
+    assert_eq!(world.session().stats().polls_with_content, 1);
 }
 
 #[test]
@@ -286,7 +282,7 @@ fn host_back_button_resyncs_previous_page() {
 
     // Back to google; the participant follows on the next poll.
     assert!(world.host_back().unwrap().is_some());
-    assert_eq!(world.host.browser.url.as_ref().unwrap().host, "google.com");
+    assert_eq!(world.host_url().unwrap().host, "google.com");
     world.sleep(SimDuration::from_secs(1));
     let (sync, _) = world.poll_participant(p).unwrap();
     assert!(sync.is_some());
@@ -295,7 +291,7 @@ fn host_back_button_resyncs_previous_page() {
 
     // And forward again.
     assert!(world.host_forward().unwrap().is_some());
-    assert_eq!(world.host.browser.url.as_ref().unwrap().host, "apple.com");
+    assert_eq!(world.host_url().unwrap().host, "apple.com");
     // No further forward history.
     assert!(world.host_forward().unwrap().is_none());
 }
