@@ -4,8 +4,10 @@
 //! each host change on the concurrent path; and the participant's apply
 //! of one change's delta.
 //!
-//! The `snippet_apply` group times the participant's apply of one
-//! paragraph edit's delta, as a whole body and as a body splice.
+//! The `generation` group times one paragraph edit's `plan` + `finish`
+//! against the previous generation. The `snippet_apply` group times the
+//! participant's apply of one paragraph edit's delta, as a whole body and
+//! as a body splice.
 //!
 //! A poll round runs the request path production serves: a one-session
 //! router's handler, the entry every engine calls, answering with the
@@ -166,6 +168,36 @@ fn bench_snapshot_finish(c: &mut Criterion) {
     group.finish();
 }
 
+/// One paragraph edit's generation, the work `TcpHost::mutate_page` does
+/// before it publishes: `ContentSnapshot::plan` (under the host mutex: it
+/// clones the head, the body element and the edited child) and
+/// `SnapshotPlan::finish` against the previous generation (the rest of
+/// generation, copying every other child's bytes, then the prefabs and
+/// the delta ring). The plan's base stays the previous generation, as
+/// nothing is admitted; dropping the snapshot is untimed.
+fn bench_generation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("generation");
+    for site in ["google.com", "wikipedia.org"] {
+        let key = SessionKey::generate_deterministic(&mut DetRng::new(5));
+        let mut agent = RcbAgent::new(key, AgentConfig::default());
+        let mut host = loaded_host(site);
+        let prev = ContentSnapshot::build(&mut agent, &host, SimTime::ZERO, None).unwrap();
+        edit_paragraph(&mut host, 0);
+        group.bench_function(BenchmarkId::new("paragraph_edit", site), |b| {
+            b.iter_batched(
+                || (),
+                |()| {
+                    let plan =
+                        ContentSnapshot::plan(&mut agent, &host, SimTime::from_secs(1)).unwrap();
+                    plan.finish(Some(&prev)).unwrap()
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 /// The participant's side of one woken `edit_paragraph` delta on
 /// wikipedia.org: the reply's parse and the Fig.-5 apply (M6) on a
 /// participant synced to the base. `full` ships the whole body and
@@ -227,6 +259,6 @@ fn bench_snippet_apply(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_poll_round, bench_snapshot_finish, bench_snippet_apply
+    targets = bench_poll_round, bench_snapshot_finish, bench_generation, bench_snippet_apply
 }
 criterion_main!(benches);

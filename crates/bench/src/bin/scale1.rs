@@ -298,10 +298,12 @@ fn run_regen_overlap(backend: ServerBackend) -> (u64, u64, u64) {
             let t0 = Instant::now();
             let mut n = 0u32;
             while !stop.load(Ordering::Relaxed) || n < 2 {
+                // Every top-level body child: an untouched child is
+                // copied from the previous generation, not regenerated.
                 host.mutate_page(move |doc| {
-                    let root = doc.root();
-                    if let Some(t) = rcb_html::query::element_by_id(doc, root, "ticker") {
-                        doc.set_attr(t, "data-v", n.to_string());
+                    let body = doc.body().expect("the page has a body");
+                    for child in doc.children(body).to_vec() {
+                        doc.set_attr(child, "data-v", n.to_string());
                     }
                 })
                 .expect("mutate");

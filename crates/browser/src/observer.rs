@@ -9,8 +9,12 @@
 //! cannot reconstruct (e.g. a `<base>` tag or script-rewritten paths).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rcb_url::Url;
+
+/// The next [`DownloadObserver::change_token`] a change hands out.
+static NEXT_CHANGE: AtomicU64 = AtomicU64::new(1);
 
 /// Records raw-reference → absolute-URL resolutions per page.
 #[derive(Debug, Default, Clone)]
@@ -19,6 +23,8 @@ pub struct DownloadObserver {
     records: HashMap<(String, String), String>,
     /// Absolute URLs fetched for each page, in fetch order.
     per_page: HashMap<String, Vec<String>>,
+    /// See [`DownloadObserver::change_token`].
+    token: u64,
 }
 
 impl DownloadObserver {
@@ -34,6 +40,20 @@ impl DownloadObserver {
         let abs = absolute.to_string();
         self.records.insert(key, abs.clone());
         self.per_page.entry(page.to_string()).or_default().push(abs);
+        self.changed();
+    }
+
+    /// A token that changes with the records: every change takes one no
+    /// observer in the process has had, and a new observer's (no records)
+    /// is 0. Two observers with equal tokens resolve every reference
+    /// alike, so a reader that kept the token of the records it used
+    /// knows, by comparing tokens alone, whether they still hold.
+    pub fn change_token(&self) -> u64 {
+        self.token
+    }
+
+    fn changed(&mut self) {
+        self.token = NEXT_CHANGE.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Resolves a raw reference seen on `page`: recorded resolution first,
@@ -57,6 +77,7 @@ impl DownloadObserver {
     pub fn clear(&mut self) {
         self.records.clear();
         self.per_page.clear();
+        self.changed();
     }
 
     /// Number of recorded resolutions.
@@ -120,6 +141,24 @@ mod tests {
         );
         assert_eq!(obs.downloads_for(&p2).len(), 1);
         assert_eq!(obs.len(), 3);
+    }
+
+    #[test]
+    fn every_change_moves_the_token_and_a_clone_keeps_it() {
+        let mut obs = DownloadObserver::new();
+        assert_eq!(obs.change_token(), 0);
+        let page = url("http://a.com/");
+        obs.record(&page, "x", &url("http://a.com/x"));
+        let first = obs.change_token();
+        assert_ne!(first, 0);
+        let mut copy = obs.clone();
+        assert_eq!(copy.change_token(), first, "same records, same token");
+        obs.record(&page, "y", &url("http://a.com/y"));
+        copy.record(&page, "z", &url("http://a.com/z"));
+        let tokens = [first, obs.change_token(), copy.change_token()];
+        assert!(tokens[0] != tokens[1] && tokens[1] != tokens[2] && tokens[0] != tokens[2]);
+        obs.clear();
+        assert!(!tokens.contains(&obs.change_token()));
     }
 
     #[test]

@@ -236,6 +236,12 @@ impl CacheView {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Whether `other` is this very view: taken from the same cache with
+    /// no store, remove or clear in between (see [`Cache::view`]).
+    pub fn same_view(&self, other: &CacheView) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries)
+    }
 }
 
 /// A streaming read over a cached object — the analogue of copying a cache
@@ -341,14 +347,14 @@ mod tests {
         let v1 = c.view();
         let v2 = c.view();
         // Same frozen map until the cache content changes.
-        assert!(Arc::ptr_eq(&v1.entries, &v2.entries));
+        assert!(v1.same_view(&v2));
         // Recency-only traffic (lookup/touch) does not invalidate.
         c.lookup("a");
-        assert!(Arc::ptr_eq(&v1.entries, &c.view().entries));
+        assert!(v1.same_view(&c.view()));
         // A store invalidates; the old view stays frozen.
         c.store("b", "t", vec![3], t(1));
         let v3 = c.view();
-        assert!(!Arc::ptr_eq(&v1.entries, &v3.entries));
+        assert!(!v1.same_view(&v3));
         assert!(!v1.contains("b"));
         assert!(v3.contains("b"));
         // Body bytes are shared, never copied, between cache and views.
@@ -356,9 +362,10 @@ mod tests {
         assert!(Arc::ptr_eq(&v3.get("a").unwrap().data, &live.data));
         // Remove and clear invalidate too.
         c.remove("b");
-        assert!(!c.view().contains("b"));
+        let v4 = c.view();
+        assert!(!v4.contains("b") && !v4.same_view(&v3));
         c.clear();
-        assert!(c.view().is_empty());
+        assert!(c.view().is_empty() && !c.view().same_view(&v4));
     }
 
     #[test]

@@ -174,17 +174,42 @@ impl Default for ParticipantShards {
 
 /// Counters of the agent's write-path work. Request counters live in the
 /// session's request path ([`crate::tcp::TcpHostStats`]).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AgentStats {
-    /// Content generations performed (cache hits excluded).
+    /// Content generations performed.
     pub generations: Counter,
+    /// Top-level body children copied from a base generation, summed
+    /// over generations.
+    pub children_reused: Counter,
+    /// Top-level body children cloned and generated afresh, summed over
+    /// generations.
+    pub children_regenerated: Counter,
     /// Generated-content cache entries evicted by the generation bound.
     pub content_evictions: Counter,
     /// Timestamp entries evicted by the generation bound.
     pub timestamp_evictions: Counter,
-    /// Wall-clock generation costs (the paper's M5 samples).
+    /// Wall-clock generation costs (the paper's M5 samples), the most
+    /// recent [`SAMPLE_LOG`] of them.
     pub m5: Histogram,
 }
+
+impl Default for AgentStats {
+    fn default() -> Self {
+        AgentStats {
+            generations: Counter::new(),
+            children_reused: Counter::new(),
+            children_regenerated: Counter::new(),
+            content_evictions: Counter::new(),
+            timestamp_evictions: Counter::new(),
+            m5: Histogram::recent(SAMPLE_LOG),
+        }
+    }
+}
+
+/// How many of its most recent samples a long-lived per-operation log
+/// keeps (the agent's M5, the snippet's M6): enough for any measurement
+/// phase, bounded for a host or client that runs for days.
+pub const SAMPLE_LOG: usize = 16_384;
 
 /// How many DOM generations the agent keeps generated content and
 /// timestamps for: the live generation plus one predecessor, so a
@@ -203,9 +228,9 @@ pub struct RcbAgent {
     /// while merges proceed. Lock ordering: this is a leaf — never held
     /// while acquiring any other lock.
     mapping: Arc<Mutex<MappingTable>>,
-    /// Generated content cached per (dom_version, mode) — "the generated
-    /// XML format response content is reusable for multiple participant
-    /// browsers" (§4.1.2).
+    /// Generated content of the live generations per (dom_version,
+    /// mode): the newest is the base the next plan copies unchanged body
+    /// children from.
     content_cache: HashMap<(u64, bool), Arc<GeneratedContent>>,
     /// The latest participant pointer position, pending broadcast in the
     /// next content update. A later position supersedes an earlier one,
@@ -287,11 +312,15 @@ impl RcbAgent {
         &self.mapping
     }
 
-    /// Cached generated content for `(version, mode)`, if retained.
-    pub fn cached_content(&self, version: u64, mode: CacheMode) -> Option<Arc<GeneratedContent>> {
+    /// The newest retained generation for `mode`: the base a plan copies
+    /// unchanged body children from.
+    pub(crate) fn newest_content(&self, mode: CacheMode) -> Option<Arc<GeneratedContent>> {
+        let cache = matches!(mode, CacheMode::Cache);
         self.content_cache
-            .get(&(version, matches!(mode, CacheMode::Cache)))
-            .cloned()
+            .iter()
+            .filter(|((_, m), _)| *m == cache)
+            .max_by_key(|((version, _), _)| *version)
+            .map(|(_, content)| Arc::clone(content))
     }
 
     /// Drains the pending pointer position into its wire encoding
@@ -312,6 +341,12 @@ impl RcbAgent {
         content: Arc<GeneratedContent>,
     ) {
         self.stats.generations.incr();
+        self.stats
+            .children_reused
+            .add(content.children_reused as u64);
+        self.stats
+            .children_regenerated
+            .add(content.children_regenerated as u64);
         self.stats.m5.record(content.generation_cost);
         if self.timestamps.contains_key(&version) {
             self.content_cache

@@ -28,29 +28,52 @@
 //! their write-path critical section down to step 1 alone:
 //!
 //! * [`prepare_generation`] — performed **with** exclusive host access:
-//!   clone the documentElement and capture frozen inputs (page URL,
-//!   observer records, host-action batch) into a self-contained
-//!   [`GenerationJob`];
+//!   clone what must be regenerated and capture frozen inputs (page URL,
+//!   observer records, cache view, host-action batch) into a
+//!   self-contained [`GenerationJob`];
 //! * [`finish_generation`] — steps 2–5 (URL rewriting, event rewriting,
-//!   escaping, XML assembly) on the clone, **without** the host: the only
-//!   shared state it touches is the URL↔key mapping table, locked briefly
-//!   for step 3 only.
+//!   escaping, XML assembly) on the clones, **without** the host: the
+//!   only shared state it touches is the URL↔key mapping table, locked
+//!   briefly for step 3's key minting only.
 //!
 //! [`generate_content`] runs both phases back to back for callers that
 //! hold the host for the whole generation (the Table-1 measurements).
+//!
+//! # Incremental generation
+//!
+//! Steps 2–5 act on each element alone, except that step 4 numbers the
+//! synthetic `rcb-el-N` ids of id-less forms and clickables in document
+//! order. So each top-level body child's output depends only on its own
+//! subtree and a handful of inputs: the page URL, the download observer's
+//! records, the cache view, the cache mode, the session path prefix and,
+//! when it holds an id-less clickable, the id number it starts at. Every
+//! generation keeps, per body child, what it produced (a
+//! `ContentMemo`): the live node, where its escaped bytes lie in the
+//! XML, its object URLs, cache rewrites, splice safety, and the ids it
+//! numbered. A later generation given it as its *base* clones, under the
+//! host lock, only the head, the body element's own tag and attributes,
+//! and the body children whose [`rcb_html::Document::stamp`] moved past
+//! the epoch the base closed; every other child's bytes and results are
+//! copied from the base. A child is copied only when the document (by
+//! identity), all the inputs above and its starting id number are the
+//! base's; otherwise it is regenerated. A first generation, a navigation,
+//! a frameset page and [`generate_content`] run the same code with
+//! nothing to copy.
 
+use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use rcb_browser::{Browser, DownloadObserver};
 use rcb_cache::{CacheView, MappingTable};
 use rcb_crypto::SessionKey;
 use rcb_html::dom::{Document, NodeData, NodeId};
-use rcb_html::parser::is_splice_safe;
-use rcb_html::serialize::inner_html_with_child_ends;
+use rcb_html::parser::{children_splice_safe, splice_child, SpliceChild};
+use rcb_html::serialize::outer_html_into;
 use rcb_html::{inner_html, query};
 use rcb_url::Url;
 use rcb_util::{RcbError, Result, SimDuration, Stopwatch};
-use rcb_xml::{write_new_content_with_sections, ElementPayload, NewContent, Sections, TopLevel};
+use rcb_xml::{write_new_content_parts, BodyChild, ElementPayload, Sections, TopLevel, TopParts};
 
 use crate::agent::CacheMode;
 use crate::auth::object_token;
@@ -79,6 +102,104 @@ pub struct GeneratedContent {
     pub cache_rewrites: usize,
     /// Wall-clock generation cost — the paper's M5.
     pub generation_cost: SimDuration,
+    /// Top-level body children copied from the base generation.
+    pub children_reused: usize,
+    /// Top-level body children cloned and generated afresh.
+    pub children_regenerated: usize,
+    /// What a later generation may copy from this one.
+    memo: ContentMemo,
+}
+
+/// What a generation produced per top-level body child, kept so a later
+/// generation can copy it (see the module docs). About 56 B per child
+/// plus the children's object URLs; the escaped bytes are ranges of the
+/// generation's own XML.
+#[derive(Debug, Clone)]
+struct ContentMemo {
+    /// The inputs every child's output depends on.
+    inputs: Inputs,
+    /// The host document epoch the generation's plan closed: a child
+    /// stamped no later is as this generation saw it.
+    epoch: u64,
+    /// One entry per top-level body child, in order; none on a frameset
+    /// page.
+    children: Vec<ChildMemo>,
+    /// `(node, index into children)`, sorted, for children that moved.
+    by_node: Vec<(NodeId, u32)>,
+    /// Every subtree's object URLs, in document order, repeats kept.
+    urls: Vec<String>,
+}
+
+/// The inputs beyond its own subtree that a body child's output depends
+/// on, the rcb-el number it starts at aside.
+#[derive(Debug, Clone)]
+struct Inputs {
+    /// [`Document::id`] of the host document.
+    doc: u64,
+    page_url: Url,
+    /// [`DownloadObserver::change_token`] of the host's observer.
+    observer: u64,
+    /// Held, so its identity cannot be reused while compared against.
+    cache: CacheView,
+    mode: CacheMode,
+    path_prefix: String,
+}
+
+impl Inputs {
+    fn same_as(&self, other: &Inputs) -> bool {
+        self.doc == other.doc
+            && self.observer == other.observer
+            && self.mode == other.mode
+            && self.cache.same_view(&other.cache)
+            && self.page_url == other.page_url
+            && self.path_prefix == other.path_prefix
+    }
+}
+
+/// What one top-level body child produced.
+#[derive(Debug, Clone)]
+struct ChildMemo {
+    /// The child in the live host document.
+    node: NodeId,
+    /// The number of the first synthetic id step 4 gave out in it.
+    first_id: u64,
+    /// How many synthetic ids it took.
+    ids: u64,
+    /// Its object URLs, in document order: a range of
+    /// [`ContentMemo::urls`].
+    urls: Range<u32>,
+    /// Its cache rewrites.
+    rewrites: u32,
+    splice: SpliceChild,
+}
+
+impl ContentMemo {
+    /// The index of live child `node` when its output may be copied,
+    /// given `next_id`, the synthetic-id number it would start at now: it
+    /// is one of this generation's children, unchanged since (stamped no
+    /// later than `epoch`), and numbers no synthetic id or starts at the
+    /// same number again. `next_id` is asked for only in that last case.
+    /// `cursor` is where the previous child was found: children that kept
+    /// their order are found without a search.
+    fn reusable(
+        &self,
+        live: &Document,
+        node: NodeId,
+        next_id: impl FnOnce() -> u64,
+        cursor: &mut usize,
+    ) -> Option<usize> {
+        let at = match self.children.get(*cursor) {
+            Some(child) if child.node == node => *cursor,
+            _ => {
+                let i = self.by_node.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+                self.by_node[i].1 as usize
+            }
+        };
+        *cursor = at + 1;
+        let child = &self.children[at];
+        let unchanged = live.stamp(node) <= self.epoch;
+        (unchanged && (child.ids == 0 || child.first_id == next_id())).then_some(at)
+    }
 }
 
 /// The frozen inputs of one content generation, captured under exclusive
@@ -86,13 +207,18 @@ pub struct GeneratedContent {
 /// job touches neither the host browser nor the agent, so it can run
 /// after the host lock is released.
 pub struct GenerationJob {
-    /// Scratch document holding the cloned documentElement (step 1).
+    /// Scratch document holding the clones (step 1).
     doc: Document,
-    /// The cloned `<html>` node inside `doc`.
-    clone: NodeId,
-    page_url: Url,
+    /// The documentElement's children, in order, as cloned into `doc`;
+    /// the body's entry is its element alone, without children.
+    top: Vec<NodeId>,
+    /// The body's children, on a body page.
+    body: Option<BodyJob>,
+    /// The generation the body's unchanged children are copied from.
+    base: Option<Arc<GeneratedContent>>,
+    inputs: Inputs,
+    epoch: u64,
     doc_time: u64,
-    mode: CacheMode,
     user_actions: String,
     /// Observer records frozen at capture time (small: one string pair
     /// per recorded download).
@@ -101,23 +227,47 @@ pub struct GenerationJob {
     prep_cost: SimDuration,
 }
 
+/// The body's top-level children in a [`GenerationJob`].
+struct BodyJob {
+    /// The body element's clone in the job's scratch document.
+    element: NodeId,
+    children: Vec<ChildJob>,
+}
+
+/// One top-level body child: generated from a clone, or copied.
+enum ChildJob {
+    /// `clone` (in the scratch document) of live child `live`.
+    Generate { live: NodeId, clone: NodeId },
+    /// Child `i` of the base generation.
+    Copy(usize),
+}
+
 impl GenerationJob {
     /// The document timestamp this job will embed.
     pub fn doc_time(&self) -> u64 {
         self.doc_time
     }
+
+    /// The view of the host cache the job was captured with.
+    pub fn cache(&self) -> &CacheView {
+        &self.inputs.cache
+    }
 }
 
-/// Phase 1 (requires exclusive host access, paper step 1): clone the
-/// documentElement and freeze every other generation input.
+/// Phase 1 (requires exclusive host access, paper step 1): close the host
+/// document's epoch, clone the head, the body element and every body
+/// child that `base` (a generation of this agent, for the same mode)
+/// cannot supply, and freeze every other generation input.
 pub fn prepare_generation(
     host: &Browser,
     mode: CacheMode,
+    path_prefix: &str,
     doc_time: u64,
     user_actions: String,
+    base: Option<Arc<GeneratedContent>>,
 ) -> Result<GenerationJob> {
     let sw = Stopwatch::start();
-    let live_doc = host
+    let live = host
         .doc
         .as_ref()
         .ok_or_else(|| RcbError::InvalidInput("host has no document loaded".into()))?;
@@ -126,46 +276,106 @@ pub fn prepare_generation(
         .as_ref()
         .ok_or_else(|| RcbError::InvalidInput("host has no page URL".into()))?
         .clone();
-    let html_el = live_doc
+    let html_el = live
         .document_element()
         .ok_or_else(|| RcbError::InvalidInput("host document has no <html>".into()))?;
+    let epoch = live.advance_epoch();
+    let inputs = Inputs {
+        doc: live.id(),
+        page_url,
+        observer: host.observer.change_token(),
+        cache: host.cache.view(),
+        mode,
+        path_prefix: path_prefix.to_string(),
+    };
+    let base = base.filter(|b| b.memo.inputs.same_as(&inputs));
+    let memo = base.as_deref().map(|b| &b.memo);
 
-    // Step 1: clone the documentElement into a scratch document.
+    // The body that step 5 writes: the last one, on a page without a
+    // frameset.
+    let html_children = live.children(html_el);
+    let body_at = if html_children
+        .iter()
+        .any(|&c| live.is_element(c, "frameset"))
+    {
+        None
+    } else {
+        html_children
+            .iter()
+            .rposition(|&c| live.is_element(c, "body"))
+    };
+
+    // Step 1: clone into a scratch document. `next_id` follows step 4's
+    // numbering up to each body child, to tell whether a child holding
+    // id-less clickables would start at its base number again; the
+    // clones before it are counted only when such a child asks.
     let mut doc = Document::new();
-    let clone = doc.import_subtree(live_doc, html_el);
-    let root = doc.root();
-    doc.append_child(root, clone).expect("fresh scratch tree");
+    let mut top = Vec::with_capacity(html_children.len());
+    let mut body = None;
+    let (mut next_id, mut uncounted) = (0, Vec::new());
+    for (i, &child) in html_children.iter().enumerate() {
+        if Some(i) != body_at {
+            let clone = doc.import_subtree(live, child);
+            if body_at.is_some_and(|b| i < b) {
+                uncounted.push(clone);
+            }
+            top.push(clone);
+            continue;
+        }
+        let element = doc.create_element_with_attrs("body", live.attrs(child).to_vec());
+        let mut cursor = 0;
+        let mut children = Vec::with_capacity(live.children(child).len());
+        for &node in live.children(child) {
+            if let Some(memo) = memo {
+                let counted = || {
+                    let ids: u64 = uncounted.iter().map(|&c| synthetic_ids(&doc, c)).sum();
+                    uncounted.clear();
+                    next_id += ids;
+                    next_id
+                };
+                if let Some(at) = memo.reusable(live, node, counted, &mut cursor) {
+                    next_id += memo.children[at].ids;
+                    children.push(ChildJob::Copy(at));
+                    continue;
+                }
+            }
+            let clone = doc.import_subtree(live, node);
+            uncounted.push(clone);
+            children.push(ChildJob::Generate { live: node, clone });
+        }
+        top.push(element);
+        body = Some(BodyJob { element, children });
+    }
 
     Ok(GenerationJob {
         doc,
-        clone,
-        page_url,
+        top,
+        body,
+        base,
+        inputs,
+        epoch,
         doc_time,
-        mode,
         user_actions,
         observer: host.observer.clone(),
         prep_cost: sw.elapsed(),
     })
 }
 
-/// Phase 2 (no host access, paper steps 2–5): rewrite the clone and
-/// assemble the Fig.-4 XML. `cache` is a view of the host cache frozen
-/// alongside the job (the caller captures exactly one, under the same
-/// lock as [`prepare_generation`], and reuses it for object resolution
-/// afterwards). The mapping table is the only shared state, locked just
-/// for step 3's rewrites; everything else runs on frozen captures.
+/// Phase 2 (no host access, paper steps 2–5): rewrite the clones, copy
+/// what the base supplies, and assemble the Fig.-4 XML. The mapping
+/// table is the only shared state, locked just for step 3's key minting;
+/// everything else runs on frozen captures.
 pub fn finish_generation(
     job: GenerationJob,
-    cache: &CacheView,
     mapping: &Mutex<MappingTable>,
     key: &SessionKey,
-    path_prefix: &str,
 ) -> Result<GeneratedContent> {
-    finish_impl(job, cache, MappingAccess::Shared(mapping), key, path_prefix)
+    finish_impl(job, MappingAccess::Shared(mapping), key)
 }
 
 /// Generates response content from the host browser's current document
-/// (both phases back to back, for callers that hold the host throughout).
+/// (both phases back to back, for callers that hold the host throughout),
+/// with no base: every child is generated.
 ///
 /// `user_actions` carries host-side action data (e.g. mouse-pointer
 /// positions) to mirror to participants inside the `userActions` element.
@@ -178,15 +388,15 @@ pub fn generate_content(
     doc_time: u64,
     user_actions: &str,
 ) -> Result<GeneratedContent> {
-    let job = prepare_generation(host, mode, doc_time, user_actions.to_string())?;
-    let cache = host.cache.view();
-    finish_impl(
-        job,
-        &cache,
-        MappingAccess::Exclusive(mapping),
-        key,
+    let job = prepare_generation(
+        host,
+        mode,
         path_prefix,
-    )
+        doc_time,
+        user_actions.to_string(),
+        None,
+    )?;
+    finish_impl(job, MappingAccess::Exclusive(mapping), key)
 }
 
 /// How phase 2 reaches the mapping table: exclusively borrowed (a caller
@@ -197,87 +407,257 @@ enum MappingAccess<'a> {
     Shared(&'a Mutex<MappingTable>),
 }
 
+impl MappingAccess<'_> {
+    fn with<R>(&mut self, f: impl FnOnce(&mut MappingTable) -> R) -> R {
+        match self {
+            MappingAccess::Exclusive(m) => f(m),
+            MappingAccess::Shared(mx) => {
+                f(&mut mx.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+            }
+        }
+    }
+}
+
+/// One body child of the document being written: bytes in the raw
+/// buffer to escape, or escaped bytes of the base's XML to copy.
+enum Piece {
+    Raw(Range<usize>),
+    Escaped(Range<usize>),
+}
+
 fn finish_impl(
     job: GenerationJob,
-    cache: &CacheView,
     mapping: MappingAccess<'_>,
     key: &SessionKey,
-    path_prefix: &str,
 ) -> Result<GeneratedContent> {
     let sw = Stopwatch::start();
     let GenerationJob {
         mut doc,
-        clone,
-        page_url,
+        top,
+        body,
+        base,
+        inputs,
+        epoch,
         doc_time,
-        mode,
         user_actions,
         observer,
         prep_cost,
     } = job;
-
-    // Step 2: relative → absolute URL conversion, using the download
-    // observer's records where available (paper: nsIObserverService).
-    rewrite_urls_absolute(&mut doc, clone, &observer, &page_url);
-
-    // Step 3: cache mode — absolute → agent URLs for cached objects. Only
-    // this step touches shared state; with `Shared` access the table lock
-    // is held for the rewrite loop alone, never across escaping/assembly.
-    let cache_rewrites = match mode {
-        CacheMode::Cache => match mapping {
-            MappingAccess::Exclusive(m) => {
-                rewrite_cached_to_agent(&mut doc, clone, cache, m, key, path_prefix)
-            }
-            MappingAccess::Shared(mx) => {
-                let mut m = mx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                rewrite_cached_to_agent(&mut doc, clone, cache, &mut m, key, path_prefix)
-            }
-        },
-        CacheMode::NonCache => 0,
+    let mut steps = Rewriter {
+        observer: &observer,
+        inputs: &inputs,
+        key,
+        mapping,
+        next_id: 0,
     };
+    // Every subtree's object URLs, in document order: a child's are a
+    // range of it, so the memo keeps them for a later copy.
+    let mut urls: Vec<String> = Vec::new();
+    let mut cache_rewrites = 0;
+    let mut head_children = Vec::new();
+    let (mut frameset, mut noframes) = (None, None);
+    let n = body.as_ref().map_or(0, |b| b.children.len());
+    let (mut children, mut pieces) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let mut raw = String::new();
+    for &node in &top {
+        let (_, rewrites) = steps.subtree(&mut doc, node, &mut urls);
+        cache_rewrites += rewrites;
+        match (&body, doc.tag(node)) {
+            (Some(body), _) if body.element == node => {
+                for child in &body.children {
+                    let memo = match *child {
+                        ChildJob::Generate { live, clone } => {
+                            let first_id = steps.next_id;
+                            let (child_urls, rewrites) = steps.subtree(&mut doc, clone, &mut urls);
+                            let start = raw.len();
+                            outer_html_into(&doc, clone, &mut raw);
+                            pieces.push(Piece::Raw(start..raw.len()));
+                            ChildMemo {
+                                node: live,
+                                first_id,
+                                ids: steps.next_id - first_id,
+                                urls: child_urls,
+                                rewrites: rewrites as u32,
+                                splice: splice_child(&doc, clone),
+                            }
+                        }
+                        ChildJob::Copy(at) => {
+                            let base = base.as_deref().expect("a copy has a base");
+                            let spans = base.sections.body_children.as_ref();
+                            let span = spans.expect("a base with children").span(at..at + 1);
+                            pieces.push(Piece::Escaped(span));
+                            let memo = &base.memo.children[at];
+                            let start = urls.len() as u32;
+                            urls.extend_from_slice(&base.memo.urls[range(&memo.urls)]);
+                            let first_id = steps.next_id;
+                            steps.next_id += memo.ids;
+                            ChildMemo {
+                                first_id,
+                                urls: start..urls.len() as u32,
+                                ..memo.clone()
+                            }
+                        }
+                    };
+                    cache_rewrites += memo.rewrites as usize;
+                    children.push(memo);
+                }
+            }
+            (_, Some("head")) => {
+                for &hc in doc.children(node) {
+                    if let NodeData::Element { tag, attrs } = doc.data(hc) {
+                        head_children.push(ElementPayload {
+                            tag: tag.clone(),
+                            attrs: attrs.clone(),
+                            inner_html: inner_html(&doc, hc),
+                        });
+                    }
+                    // Stray text/comments in head are dropped, as the
+                    // paper's per-child extraction implies.
+                }
+            }
+            (_, Some("frameset")) => frameset = Some(payload_of(&doc, node)),
+            (_, Some("noframes")) => noframes = Some(payload_of(&doc, node)),
+            _ => {}
+        }
+    }
 
-    // Step 4: event-attribute rewriting.
-    rewrite_event_attributes(&mut doc, clone);
-
-    // Step 5: XML assembly. The body's children are escaped one by one,
-    // so the next generation's deltas can ship only the changed ones.
-    let (head_children, top, body_children) = extract_payloads(&doc, clone)?;
-    let object_urls = query::collect_supplementary_urls(&doc, clone);
-    let nc = NewContent {
-        doc_time,
-        head_children,
-        top,
-        user_actions,
+    // Step 5: XML assembly. Generated children are escaped one by one,
+    // copied ones are the base's escaped bytes, so the next generation's
+    // deltas can ship only the changed children.
+    let (xml, sections) = match (frameset, &body) {
+        (Some(frameset), _) => {
+            let frames = TopLevel::Frames { frameset, noframes };
+            let top = TopParts::Whole(&frames);
+            write_new_content_parts(doc_time, &head_children, top, &user_actions)
+        }
+        (None, Some(body)) => {
+            let base_xml = base.as_deref().map_or("", |b| &*b.xml);
+            let pieces: Vec<BodyChild<'_>> = pieces
+                .iter()
+                .map(|piece| match piece {
+                    Piece::Raw(r) => BodyChild::Raw(&raw[r.clone()]),
+                    Piece::Escaped(r) => BodyChild::Escaped(&base_xml[r.clone()]),
+                })
+                .collect();
+            let top = TopParts::Body {
+                tag: doc.tag(body.element).unwrap_or("body"),
+                attrs: doc.attrs(body.element),
+                children: &pieces,
+            };
+            write_new_content_parts(doc_time, &head_children, top, &user_actions)
+        }
+        (None, None) => {
+            return Err(RcbError::InvalidInput(
+                "document has neither body nor frameset".into(),
+            ))
+        }
     };
-    let (xml, sections) =
-        write_new_content_with_sections(&nc, body_children.as_ref().map(|c| &c.ends[..]));
     // M5 ends with the XML written; moving it into its shared buffer is
     // not generation.
     let generation_cost = prep_cost + sw.elapsed();
+    let children_reused = body.as_ref().map_or(0, |b| {
+        b.children
+            .iter()
+            .filter(|c| matches!(c, ChildJob::Copy(_)))
+            .count()
+    });
+    let mut by_node: Vec<(NodeId, u32)> = (0u32..)
+        .zip(&children)
+        .map(|(i, child)| (child.node, i))
+        .collect();
+    by_node.sort_unstable();
+    let mut seen = HashSet::new();
+    let object_urls = urls
+        .iter()
+        .filter(|url| seen.insert(url.as_str()))
+        .cloned()
+        .collect();
     Ok(GeneratedContent {
         xml: Arc::from(xml),
         sections,
-        body_splice_safe: body_children.is_some_and(|c| c.splice_safe),
+        body_splice_safe: body.is_some() && children_splice_safe(children.iter().map(|c| c.splice)),
         doc_time,
         object_urls,
         cache_rewrites,
         generation_cost,
+        children_reused,
+        children_regenerated: children.len() - children_reused,
+        memo: ContentMemo {
+            inputs,
+            epoch,
+            children,
+            by_node,
+            urls,
+        },
     })
 }
 
-/// Step 2: make every URL-bearing attribute absolute.
+fn range(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
+}
+
+/// Steps 2–4, one subtree at a time in document order. Every step acts on
+/// each element alone, so rewriting subtree by subtree gives what
+/// rewriting the whole document step by step gives, provided step 4's
+/// counter runs on through the subtrees (and over copied children).
+struct Rewriter<'a> {
+    observer: &'a DownloadObserver,
+    inputs: &'a Inputs,
+    key: &'a SessionKey,
+    mapping: MappingAccess<'a>,
+    /// The number of the next synthetic `rcb-el-N` id.
+    next_id: u64,
+}
+
+impl Rewriter<'_> {
+    /// Steps 2–4 on `root` and everything below it; appends the
+    /// subtree's supplementary-object URLs to `urls`, in document order,
+    /// and returns where they landed and its cache-rewrite count.
+    fn subtree(
+        &mut self,
+        doc: &mut Document,
+        root: NodeId,
+        urls: &mut Vec<String>,
+    ) -> (Range<u32>, usize) {
+        let nodes = query::subtree_elements(doc, root);
+        rewrite_urls_absolute(doc, &nodes, self.observer, &self.inputs.page_url);
+        let rewrites = match self.inputs.mode {
+            CacheMode::Cache => rewrite_cached_to_agent(
+                doc,
+                &nodes,
+                &self.inputs.cache,
+                &mut self.mapping,
+                self.key,
+                &self.inputs.path_prefix,
+            ),
+            CacheMode::NonCache => 0,
+        };
+        rewrite_event_attributes(doc, &nodes, &mut self.next_id);
+        let start = urls.len() as u32;
+        let found = nodes
+            .iter()
+            .filter_map(|&n| query::supplementary_url(doc, n));
+        urls.extend(found.map(str::to_string));
+        (start..urls.len() as u32, rewrites)
+    }
+}
+
+/// Step 2: make every URL-bearing attribute absolute, using the download
+/// observer's records where available (paper: nsIObserverService).
 fn rewrite_urls_absolute(
     doc: &mut Document,
-    scope: NodeId,
+    nodes: &[NodeId],
     observer: &DownloadObserver,
     page: &Url,
 ) {
-    let refs = query::collect_url_refs(doc, scope);
-    for (node, attr, raw) in refs {
-        if Url::is_absolute(&raw) || raw.starts_with('#') {
+    for &node in nodes {
+        let Some((attr, raw)) = query::url_ref(doc, node) else {
+            continue;
+        };
+        if Url::is_absolute(raw) || raw.starts_with('#') {
             continue;
         }
-        if let Some(abs) = observer.resolve(page, &raw) {
+        if let Some(abs) = observer.resolve(page, raw) {
             doc.set_attr(node, attr, abs);
         }
     }
@@ -286,40 +666,52 @@ fn rewrite_urls_absolute(
 /// Step 3: rewrite supplementary objects that exist in the host cache to
 /// agent-local `{prefix}/cache/{key}?k={token}` URLs (the prefix is `""`
 /// outside a session router; the token covers the full prefixed path, so
-/// object URLs are session-bound). Returns the rewrite count.
+/// object URLs are session-bound). Returns the rewrite count. The mapping
+/// table is locked only to mint the keys, and only when there are any.
 fn rewrite_cached_to_agent(
     doc: &mut Document,
-    scope: NodeId,
+    nodes: &[NodeId],
     cache: &CacheView,
-    mapping: &mut MappingTable,
+    mapping: &mut MappingAccess<'_>,
     key: &SessionKey,
     path_prefix: &str,
 ) -> usize {
-    let mut rewrites = 0;
-    for node in query::all_elements(doc, scope) {
-        if !query::is_supplementary_ref(doc, node) {
-            continue;
-        }
-        let Some(tag) = doc.tag(node) else { continue };
-        let Some(attr) = query::url_attribute(tag) else {
-            continue;
-        };
-        let Some(abs) = doc.get_attr(node, attr).map(str::to_string) else {
-            continue;
-        };
-        // Per-object mode flexibility (paper: "even allow different objects
-        // on the same webpage to use different modes"): only rewrite what
-        // the host cache can actually serve.
-        if !cache.contains(&abs) {
-            continue;
-        }
-        let cache_key = mapping.key_for(&abs);
+    // Per-object mode flexibility (paper: "even allow different objects
+    // on the same webpage to use different modes"): only rewrite what
+    // the host cache can actually serve.
+    let hits: Vec<(NodeId, &'static str, String)> = nodes
+        .iter()
+        .filter(|&&node| query::is_supplementary_ref(doc, node))
+        .filter_map(|&node| {
+            let attr = query::url_attribute(doc.tag(node)?)?;
+            let abs = doc.get_attr(node, attr)?;
+            cache.contains(abs).then(|| (node, attr, abs.to_string()))
+        })
+        .collect();
+    if hits.is_empty() {
+        return 0;
+    }
+    let keys: Vec<_> = mapping.with(|m| hits.iter().map(|(_, _, abs)| m.key_for(abs)).collect());
+    for ((node, attr, _), cache_key) in hits.iter().zip(keys) {
         let path = format!("{path_prefix}{}", MappingTable::agent_path(cache_key));
         let token = object_token(key, &path);
-        doc.set_attr(node, attr, format!("{path}?k={token}"));
-        rewrites += 1;
+        doc.set_attr(*node, attr, format!("{path}?k={token}"));
     }
-    rewrites
+    hits.len()
+}
+
+/// Whether step 4 hooks `tag`'s events, giving an element without an id
+/// a synthetic one.
+fn hooks_events(tag: &str) -> bool {
+    matches!(tag, "form" | "a" | "button" | "input")
+}
+
+/// How many synthetic ids step 4 gives out in `root`'s subtree.
+fn synthetic_ids(doc: &Document, root: NodeId) -> u64 {
+    query::subtree_elements(doc, root)
+        .into_iter()
+        .filter(|&n| doc.tag(n).is_some_and(hooks_events) && doc.get_attr(n, "id").is_none())
+        .count() as u64
 }
 
 /// Step 4: event-attribute rewriting.
@@ -328,30 +720,24 @@ fn rewrite_cached_to_agent(
 /// anchors and other clickables gain the click hook on `onclick`. Elements
 /// without stable identifiers get a synthetic `rcb-id` so action messages
 /// can name them (the paper relies on the DOM reference; a wire protocol
-/// needs a name).
-fn rewrite_event_attributes(doc: &mut Document, scope: NodeId) {
-    let mut counter = 0u64;
-    for node in query::all_elements(doc, scope) {
-        let Some(tag) = doc.tag(node).map(str::to_string) else {
+/// needs a name), numbered on from `next_id`.
+fn rewrite_event_attributes(doc: &mut Document, nodes: &[NodeId], next_id: &mut u64) {
+    for &node in nodes {
+        let Some(tag) = doc
+            .tag(node)
+            .filter(|t| hooks_events(t))
+            .map(str::to_string)
+        else {
             continue;
         };
+        let id = ensure_identifier(doc, node, next_id);
         match tag.as_str() {
             "form" => {
-                let id = ensure_identifier(doc, node, &mut counter);
                 let existing = doc.get_attr(node, "onsubmit").unwrap_or("").to_string();
                 doc.set_attr(
                     node,
                     "onsubmit",
                     format!("return rcbSubmit('{id}');{existing}"),
-                );
-            }
-            "a" | "button" => {
-                let id = ensure_identifier(doc, node, &mut counter);
-                let existing = doc.get_attr(node, "onclick").unwrap_or("").to_string();
-                doc.set_attr(
-                    node,
-                    "onclick",
-                    format!("return rcbClick('{id}');{existing}"),
                 );
             }
             "input" => {
@@ -360,7 +746,6 @@ fn rewrite_event_attributes(doc: &mut Document, scope: NodeId) {
                     .unwrap_or("text")
                     .to_ascii_lowercase();
                 if matches!(ty.as_str(), "submit" | "button" | "image") {
-                    let id = ensure_identifier(doc, node, &mut counter);
                     let existing = doc.get_attr(node, "onclick").unwrap_or("").to_string();
                     doc.set_attr(
                         node,
@@ -368,101 +753,36 @@ fn rewrite_event_attributes(doc: &mut Document, scope: NodeId) {
                         format!("return rcbClick('{id}');{existing}"),
                     );
                 } else {
-                    let id = ensure_identifier(doc, node, &mut counter);
                     doc.set_attr(node, "onchange", format!("return rcbInput('{id}');"));
                 }
             }
-            _ => {}
+            _ => {
+                let existing = doc.get_attr(node, "onclick").unwrap_or("").to_string();
+                doc.set_attr(
+                    node,
+                    "onclick",
+                    format!("return rcbClick('{id}');{existing}"),
+                );
+            }
         }
     }
 }
 
-fn ensure_identifier(doc: &mut Document, node: NodeId, counter: &mut u64) -> String {
+fn ensure_identifier(doc: &mut Document, node: NodeId, next_id: &mut u64) -> String {
     if let Some(id) = doc.get_attr(node, "id") {
         return id.to_string();
     }
-    let id = format!("rcb-el-{counter}");
-    *counter += 1;
+    let id = format!("rcb-el-{next_id}");
+    *next_id += 1;
     doc.set_attr(node, "id", id.clone());
     id
 }
 
-/// Where a body payload's top-level children end in its innerHTML, and
-/// whether a participant re-parses them one for one.
-struct BodyChildEnds {
-    ends: Vec<usize>,
-    splice_safe: bool,
-}
-
-/// Step 5: extract per-element payloads in DOM order, with the body's
-/// child boundaries on a body page.
-fn extract_payloads(
-    doc: &Document,
-    html_el: NodeId,
-) -> Result<(Vec<ElementPayload>, TopLevel, Option<BodyChildEnds>)> {
-    let mut head_children = Vec::new();
-    let mut body: Option<(ElementPayload, BodyChildEnds)> = None;
-    let mut frameset: Option<ElementPayload> = None;
-    let mut noframes: Option<ElementPayload> = None;
-    for &child in doc.children(html_el) {
-        let Some(tag) = doc.tag(child) else { continue };
-        match tag {
-            "head" => {
-                for &hc in doc.children(child) {
-                    if let NodeData::Element { tag, attrs } = doc.data(hc) {
-                        head_children.push(ElementPayload {
-                            tag: tag.clone(),
-                            attrs: attrs.clone(),
-                            inner_html: inner_html(doc, hc),
-                        });
-                    }
-                    // Stray text/comments in head are dropped, as the
-                    // paper's per-child extraction implies.
-                }
-            }
-            "body" => {
-                let (tag, attrs) = tag_and_attrs(doc, child);
-                let (inner_html, ends) = inner_html_with_child_ends(doc, child);
-                let splice_safe = is_splice_safe(doc, child);
-                body = Some((
-                    ElementPayload {
-                        tag,
-                        attrs,
-                        inner_html,
-                    },
-                    BodyChildEnds { ends, splice_safe },
-                ));
-            }
-            "frameset" => frameset = Some(payload_of(doc, child)),
-            "noframes" => noframes = Some(payload_of(doc, child)),
-            _ => {}
-        }
-    }
-    let (top, body_children) = if let Some(fs) = frameset {
-        let frames = TopLevel::Frames {
-            frameset: fs,
-            noframes,
-        };
-        (frames, None)
-    } else if let Some((b, children)) = body {
-        (TopLevel::Body(b), Some(children))
-    } else {
-        return Err(RcbError::InvalidInput(
-            "document has neither body nor frameset".into(),
-        ));
-    };
-    Ok((head_children, top, body_children))
-}
-
-fn tag_and_attrs(doc: &Document, node: NodeId) -> (String, Vec<(String, String)>) {
-    match doc.data(node) {
+fn payload_of(doc: &Document, node: NodeId) -> ElementPayload {
+    let (tag, attrs) = match doc.data(node) {
         NodeData::Element { tag, attrs } => (tag.clone(), attrs.clone()),
         _ => (String::new(), Vec::new()),
-    }
-}
-
-fn payload_of(doc: &Document, node: NodeId) -> ElementPayload {
-    let (tag, attrs) = tag_and_attrs(doc, node);
+    };
     ElementPayload {
         tag,
         attrs,

@@ -31,14 +31,16 @@
 //! section shrinks to the DOM clone:
 //!
 //! * [`ContentSnapshot::plan`] — runs **under the host mutex**: mints the
-//!   document timestamp, clones the documentElement
-//!   ([`prepare_generation`]), and freezes a view of the cache. Cheap and
-//!   proportional to the DOM, never to the serialized content.
+//!   document timestamp and, given the agent's newest generation as its
+//!   base, clones the head, the body element and only the body children
+//!   changed since that generation ([`prepare_generation`]), freezing a
+//!   view of the cache alongside. Proportional to what changed, never to
+//!   the serialized content.
 //! * [`SnapshotPlan::finish`] — runs **with no locks held**: URL
-//!   rewriting, event rewriting, escaping, XML assembly, object
-//!   resolution, the delta ring, and freezing the prefab heads. The mapping
-//!   table is the only shared state it touches (a leaf mutex, locked
-//!   briefly).
+//!   rewriting, event rewriting, escaping, XML assembly (copying the
+//!   base's bytes for every unchanged body child), object resolution, the
+//!   delta ring, and freezing the prefab heads. The mapping table is the
+//!   only shared state it touches (a leaf mutex, locked briefly).
 //!
 //! # Delta ring
 //!
@@ -79,7 +81,7 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use rcb_browser::Browser;
-use rcb_cache::{CacheKey, CacheView, MappingTable, MappingView};
+use rcb_cache::{CacheKey, MappingTable, MappingView};
 use rcb_crypto::SessionKey;
 use rcb_http::{Body, Response, Status};
 use rcb_util::{Result, SimTime};
@@ -197,15 +199,15 @@ pub struct ContentSnapshot {
     delta_ring: Vec<DeltaSlot>,
 }
 
-/// Everything a snapshot build needs after the host mutex is released:
-/// either already-cached generated content, or a prepared generation job,
-/// plus the frozen inputs for object resolution and prefab assembly.
+/// Everything a snapshot build needs after the host mutex is released: a
+/// prepared generation job plus the frozen inputs for object resolution
+/// and prefab assembly.
 pub struct SnapshotPlan {
     dom_version: u64,
     doc_time: u64,
     mode: CacheMode,
-    work: PlanWork,
-    cache: CacheView,
+    /// Generation steps 2–5 still to run (outside any lock).
+    job: Box<GenerationJob>,
     mapping: Arc<Mutex<MappingTable>>,
     key: SessionKey,
     /// The session path prefix object URLs are minted under (see
@@ -215,40 +217,32 @@ pub struct SnapshotPlan {
     sign: bool,
 }
 
-enum PlanWork {
-    /// The agent had this `(version, mode)` generation cached.
-    Cached(Arc<GeneratedContent>),
-    /// Generation steps 2–5 still to run (outside any lock).
-    Generate(Box<GenerationJob>),
-}
-
 impl ContentSnapshot {
     /// Phase 1, **under the host mutex**: mint the document timestamp,
-    /// clone the documentElement, freeze the cache view and generation
-    /// inputs. Everything expensive is deferred to
+    /// clone what the agent's newest generation cannot supply (the head,
+    /// the body element, changed body children), freeze the cache view
+    /// and generation inputs. Everything expensive is deferred to
     /// [`SnapshotPlan::finish`].
     pub fn plan(agent: &mut RcbAgent, host: &Browser, now: SimTime) -> Result<SnapshotPlan> {
-        let doc_time = agent.current_doc_time(host, now);
-        let dom_version = host.dom_version();
         let mode = agent.config.cache_mode;
-        let work = match agent.cached_content(dom_version, mode) {
-            Some(content) => PlanWork::Cached(content),
-            None => {
-                let user_actions = agent.take_host_actions();
-                PlanWork::Generate(Box::new(prepare_generation(
-                    host,
-                    mode,
-                    doc_time,
-                    user_actions,
-                )?))
-            }
-        };
+        // Taken before the timestamp mint, which may evict it from the
+        // agent's cache: a plan racing an unadmitted one still has a base.
+        let base = agent.newest_content(mode);
+        let doc_time = agent.current_doc_time(host, now);
+        let user_actions = agent.take_host_actions();
+        let job = prepare_generation(
+            host,
+            mode,
+            &agent.config.path_prefix,
+            doc_time,
+            user_actions,
+            base,
+        )?;
         Ok(SnapshotPlan {
-            dom_version,
+            dom_version: host.dom_version(),
             doc_time,
             mode,
-            work,
-            cache: host.cache.view(),
+            job: Box::new(job),
             mapping: Arc::clone(agent.mapping()),
             key: agent.key().clone(),
             path_prefix: agent.config.path_prefix.clone(),
@@ -351,29 +345,18 @@ impl ContentSnapshot {
 }
 
 impl SnapshotPlan {
-    /// Phase 2, **no locks held**: run the deferred generation (if any),
-    /// resolve object bytes from the frozen cache view, and freeze the
-    /// prefab replies and the delta ring against `prev`. Returns the
-    /// snapshot plus the freshly generated content (when generation ran)
-    /// so the caller can admit it into the agent's generated-content cache
-    /// under the host mutex.
+    /// Phase 2, **no locks held**: run the deferred generation, resolve
+    /// object bytes from the frozen cache view, and freeze the prefab
+    /// replies and the delta ring against `prev`. Returns the snapshot
+    /// plus the generated content, always `Some`, for the caller to admit
+    /// into the agent's generated-content cache under the host mutex,
+    /// where the next plan finds it as its base.
     pub fn finish(
         self,
         prev: Option<&ContentSnapshot>,
     ) -> Result<(Arc<ContentSnapshot>, Option<Arc<GeneratedContent>>)> {
-        let (content, generated) = match self.work {
-            PlanWork::Cached(c) => (c, None),
-            PlanWork::Generate(job) => {
-                let c = Arc::new(finish_generation(
-                    *job,
-                    &self.cache,
-                    &self.mapping,
-                    &self.key,
-                    &self.path_prefix,
-                )?);
-                (Arc::clone(&c), Some(c))
-            }
-        };
+        let cache = self.job.cache().clone();
+        let content = Arc::new(finish_generation(*self.job, &self.mapping, &self.key)?);
 
         // Live keys: the agent-relative object URLs of this generation,
         // mapped back to cache keys (`/cache/{key}?k={token}`). Non-cache
@@ -405,7 +388,7 @@ impl SnapshotPlan {
             let Some(url) = view.url_for(key) else {
                 continue;
             };
-            let Some(entry) = self.cache.get(url) else {
+            let Some(entry) = cache.get(url) else {
                 continue;
             };
             // The predecessor's prefab for the same cache entry is carried
@@ -558,7 +541,7 @@ impl SnapshotPlan {
                 body_splice_safe: content.body_splice_safe,
                 delta_ring,
             }),
-            generated,
+            Some(content),
         ))
     }
 
@@ -1391,39 +1374,41 @@ mod tests {
         let plan = ContentSnapshot::plan(&mut a, &host, SimTime::from_secs(1)).unwrap();
         assert_eq!(plan.dom_version(), host.dom_version());
         let (snap, generated) = plan.finish(None).unwrap();
-        let content = generated.expect("first build generates");
+        let content = generated.expect("every finish generates");
         assert_eq!(a.stats.generations.get(), 0, "not yet admitted");
         a.admit_generated(snap.dom_version, CacheMode::Cache, content);
         assert_eq!(a.stats.generations.get(), 1);
         assert_eq!(a.content_cache_len(), 1);
-        // A second plan for the same version reuses the admitted content.
+        // A second plan for the same version copies every body child of
+        // the admitted content, and writes the same document.
         let plan2 = ContentSnapshot::plan(&mut a, &host, SimTime::from_secs(2)).unwrap();
         let (snap2, generated2) = plan2.finish(Some(&snap)).unwrap();
-        assert!(generated2.is_none(), "cache hit: nothing generated");
+        let content2 = generated2.expect("every finish generates");
+        assert_eq!(content2.children_regenerated, 0);
+        assert!(content2.children_reused > 0);
         assert_eq!(snap2.doc_time, snap.doc_time);
         assert_eq!(snap2.xml(), snap.xml());
     }
 
     /// A generation's XML is one allocation: the agent's content cache
-    /// entry and every poll reply frozen over that generation (the first
-    /// snapshot, and a later one planned from the cache) share it.
+    /// entry and the poll reply frozen over that generation share it.
     #[test]
     fn the_cached_content_and_the_poll_reply_share_one_xml_buffer() {
         for mode in [CacheMode::Cache, CacheMode::NonCache] {
             let mut a = agent(mode);
-            let host = loaded_host("wikipedia.org");
-            let snap = ContentSnapshot::build(&mut a, &host, SimTime::from_secs(1), None).unwrap();
-            let cached = a
-                .cached_content(snap.dom_version, mode)
-                .expect("generation admitted");
-            let again =
-                ContentSnapshot::build(&mut a, &host, SimTime::from_secs(2), Some(&snap)).unwrap();
-            for (name, reply) in [
-                ("first", snap.poll_response()),
-                ("cached", again.poll_response()),
+            let mut host = loaded_host("wikipedia.org");
+            let first = ContentSnapshot::build(&mut a, &host, SimTime::from_secs(1), None).unwrap();
+            let cached = a.newest_content(mode).expect("generation admitted");
+            append_div(&mut host, "an edit");
+            let second =
+                ContentSnapshot::build(&mut a, &host, SimTime::from_secs(2), Some(&first)).unwrap();
+            let newest = a.newest_content(mode).expect("generation admitted");
+            for (name, reply, content) in [
+                ("first", first.poll_response(), cached),
+                ("second", second.poll_response(), newest),
             ] {
-                assert_eq!(reply.body.as_ptr(), cached.xml.as_ptr(), "{mode:?} {name}");
-                assert_eq!(reply.body.len(), cached.xml.len(), "{mode:?} {name}");
+                assert_eq!(reply.body.as_ptr(), content.xml.as_ptr(), "{mode:?} {name}");
+                assert_eq!(reply.body.len(), content.xml.len(), "{mode:?} {name}");
             }
         }
     }

@@ -59,7 +59,8 @@ pub struct AjaxSnippet {
     pending: Vec<UserAction>,
     /// Poll interval (the paper used one second).
     pub poll_interval: SimDuration,
-    /// Wall-clock costs of content updates (the paper's M6 samples).
+    /// Wall-clock costs of content updates (the paper's M6 samples), the
+    /// most recent [`SAMPLE_LOG`](crate::agent::SAMPLE_LOG) of them.
     pub m6: Histogram,
     /// Updates applied.
     pub updates_applied: u64,
@@ -103,7 +104,7 @@ impl AjaxSnippet {
             doc_time: 0,
             pending: Vec::new(),
             poll_interval,
-            m6: Histogram::new(),
+            m6: Histogram::recent(crate::agent::SAMPLE_LOG),
             updates_applied: 0,
             polls_sent: 0,
             require_response_auth: false,
@@ -311,7 +312,7 @@ pub fn apply_head_children(
     let children: Vec<NodeId> = doc.children(head).to_vec();
     for child in children {
         if Some(child) != snippet_node {
-            doc.detach(child);
+            doc.remove(child);
         }
     }
 
@@ -340,6 +341,7 @@ pub fn apply_head_children(
                     for c in created {
                         doc.append_child(el, c)?;
                     }
+                    doc.remove(staging);
                 }
             }
         }
@@ -364,7 +366,7 @@ pub fn apply_top_level(doc: &mut Document, top: &TopLevel) -> Result<()> {
             TopLevel::Frames { .. } => tag == "body",
         };
         if stale {
-            doc.detach(child);
+            doc.remove(child);
         }
     }
 
@@ -607,6 +609,36 @@ mod tests {
         let full = Response::xml(rcb_xml::write_new_content(&nc));
         s.process_response(&full, &mut browser).unwrap();
         (s, browser)
+    }
+
+    /// Every update replaces the head's and the body's children; the
+    /// replaced nodes are removed for good, so a participant's arena
+    /// holds its document, not every document it has shown.
+    #[test]
+    fn replaced_nodes_do_not_accumulate_in_the_participant_dom() {
+        for kind in [BrowserKind::Firefox, BrowserKind::InternetExplorer] {
+            let mut browser = Browser::new(kind);
+            browser.doc = Some(initial_participant_doc());
+            let mut s = AjaxSnippet::new(1, key(), SimDuration::from_secs(1));
+            let mut slots = Vec::new();
+            for t in 1..=40u64 {
+                let nc = rcb_xml::NewContent {
+                    doc_time: t,
+                    head_children: vec![payload("title", &[], &format!("t{t}"))],
+                    top: TopLevel::Body(payload("body", &[], "<p>a<b>b</b></p>c<i>d</i>")),
+                    user_actions: String::new(),
+                };
+                let full = Response::xml(rcb_xml::write_new_content(&nc));
+                s.process_response(&full, &mut browser).unwrap();
+                let splice = splice_reply(1, 1, 3, "<u>e</u>").body_str().replace(
+                    "<fromDocTime>10</fromDocTime>",
+                    &format!("<fromDocTime>{t}</fromDocTime>"),
+                );
+                let _ = s.process_response(&Response::xml(splice), &mut browser);
+                slots.push(browser.doc.as_ref().unwrap().node_count());
+            }
+            assert_eq!(slots[39], slots[1], "{kind:?}: {slots:?}");
+        }
     }
 
     fn splice_reply(at: usize, drop: usize, of: usize, inner: &str) -> Response {

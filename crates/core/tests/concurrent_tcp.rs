@@ -209,7 +209,9 @@ fn slow_regeneration_does_not_block_concurrent_polls() {
     // Regeneration storm: back-to-back page mutations, each forcing a
     // full generation of the heavy page, running for as long as the
     // measured polls take (so every sample overlaps the storm no matter
-    // how the scheduler interleaves the two threads).
+    // how the scheduler interleaves the two threads). Each step touches
+    // every top-level body child: a generation copies an untouched child
+    // from the one before, so a one-child edit would regenerate one div.
     let host = Arc::new(host);
     let stop = Arc::new(AtomicBool::new(false));
     let mutator = {
@@ -220,9 +222,9 @@ fn slow_regeneration_does_not_block_concurrent_polls() {
             let mut n = 0u32;
             while !stop.load(Ordering::Relaxed) || n < 2 {
                 host.mutate_page(move |doc| {
-                    let root = doc.root();
-                    if let Some(k) = rcb_html::query::element_by_id(doc, root, "knob") {
-                        doc.set_attr(k, "data-v", n.to_string());
+                    let body = doc.body().expect("the page has a body");
+                    for child in doc.children(body).to_vec() {
+                        doc.set_attr(child, "data-v", n.to_string());
                     }
                 })
                 .expect("mutate");

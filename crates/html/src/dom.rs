@@ -2,11 +2,29 @@
 //!
 //! Nodes live in a flat `Vec` owned by the [`Document`]; relationships are
 //! indices ([`NodeId`]). Detached nodes stay in the arena until the
-//! document is dropped — fine for this workload, where documents are
-//! rebuilt per navigation (matching how the agent regenerates content per
-//! page, §4.1.2).
+//! document is dropped, unless [`Document::remove`] frees them: a
+//! participant replacing its body on every update removes the children it
+//! replaces, so its arena holds what its document holds.
+//!
+//! # Change stamps
+//!
+//! A document tells a reader which subtrees changed since it last looked.
+//! Every mutation stamps the node it changes, and each of that node's
+//! ancestors, with the document's current *epoch*; [`Document::advance_epoch`]
+//! closes the epoch, so a reader that recorded the closed epoch knows a
+//! subtree whose [`Document::stamp`] is no later is unchanged since. A
+//! stamp is never below a descendant's, so stamping stops at the first
+//! ancestor that already holds the current epoch: building a document
+//! node by node stamps each parent once. Stamps are meaningful only
+//! within one document: [`Document::id`] tells documents apart, and no
+//! new, parsed or cloned document repeats another's.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rcb_util::{RcbError, Result};
+
+/// The next [`Document::id`] to hand out.
+static NEXT_DOCUMENT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Index of a node within its [`Document`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,12 +55,34 @@ struct Node {
     parent: Option<NodeId>,
     children: Vec<NodeId>,
     data: NodeData,
+    /// The epoch of the latest change to this node's subtree.
+    stamp: u64,
 }
 
 /// An HTML document backed by a node arena.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Document {
     nodes: Vec<Node>,
+    /// Slots of removed nodes, reused by the nodes created next.
+    free: Vec<NodeId>,
+    /// This document's identity (see the module docs).
+    id: u64,
+    /// The epoch mutations stamp nodes with. Advanced through a shared
+    /// reference, by a reader that holds the document read-only.
+    epoch: AtomicU64,
+}
+
+/// A clone is a new document: it takes a fresh identity, so stamps read
+/// from the original never vouch for it.
+impl Clone for Document {
+    fn clone(&self) -> Self {
+        Document {
+            nodes: self.nodes.clone(),
+            free: self.free.clone(),
+            id: NEXT_DOCUMENT_ID.fetch_add(1, Ordering::Relaxed),
+            epoch: AtomicU64::new(self.epoch.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 impl Default for Document {
@@ -59,7 +99,46 @@ impl Document {
                 parent: None,
                 children: Vec::new(),
                 data: NodeData::Document,
+                stamp: 0,
             }],
+            free: Vec::new(),
+            id: NEXT_DOCUMENT_ID.fetch_add(1, Ordering::Relaxed),
+            epoch: AtomicU64::new(0),
+        }
+    }
+
+    /// This document's identity: no other new, parsed or cloned document
+    /// in the process has it.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The epoch of the latest change to `id`'s subtree: to the node, its
+    /// attributes or text, its children, or anything below them.
+    pub fn stamp(&self, id: NodeId) -> u64 {
+        self.nodes[id.0].stamp
+    }
+
+    /// Closes the current epoch and returns it: every change made so far
+    /// is stamped with it or an earlier one, every later change with a
+    /// later one. Takes `&self`, so a reader holding the document
+    /// read-only can mark where it looked.
+    pub fn advance_epoch(&self) -> u64 {
+        self.epoch.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Stamps `id` and its ancestors with the current epoch, up to the
+    /// first one that already holds it (whose ancestors hold it too).
+    fn touch(&mut self, id: NodeId) {
+        let epoch = *self.epoch.get_mut();
+        let mut cur = Some(id);
+        while let Some(n) = cur {
+            let node = &mut self.nodes[n.0];
+            if node.stamp == epoch {
+                break;
+            }
+            node.stamp = epoch;
+            cur = node.parent;
         }
     }
 
@@ -68,7 +147,8 @@ impl Document {
         NodeId(0)
     }
 
-    /// Number of nodes in the arena (including detached ones).
+    /// Number of slots in the arena: live and detached nodes, and slots
+    /// [`Document::remove`] freed that no node has reused yet.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -107,11 +187,20 @@ impl Document {
     }
 
     fn push(&mut self, data: NodeData) -> NodeId {
+        let stamp = *self.epoch.get_mut();
+        if let Some(id) = self.free.pop() {
+            // `remove` left the slot detached and childless.
+            let node = &mut self.nodes[id.0];
+            node.data = data;
+            node.stamp = stamp;
+            return id;
+        }
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             parent: None,
             children: Vec::new(),
             data,
+            stamp,
         });
         id
     }
@@ -182,6 +271,7 @@ impl Document {
                 attrs.push((name_lower, value.into()));
             }
         }
+        self.touch(id);
     }
 
     /// Removes an attribute if present.
@@ -190,6 +280,7 @@ impl Document {
         if let NodeData::Element { attrs, .. } = &mut self.nodes[id.0].data {
             attrs.retain(|(n, _)| *n != name_lower);
         }
+        self.touch(id);
     }
 
     /// Replaces a text node's contents.
@@ -197,6 +288,7 @@ impl Document {
         match &mut self.nodes[id.0].data {
             NodeData::Text(t) => {
                 *t = text.into();
+                self.touch(id);
                 Ok(())
             }
             _ => Err(RcbError::InvalidInput("set_text on a non-text node".into())),
@@ -214,6 +306,7 @@ impl Document {
         self.detach(child);
         self.nodes[child.0].parent = Some(parent);
         self.nodes[parent.0].children.push(child);
+        self.touch(parent);
         Ok(())
     }
 
@@ -237,6 +330,7 @@ impl Document {
         self.detach(child);
         self.nodes[child.0].parent = Some(parent);
         self.nodes[parent.0].children.insert(idx, child);
+        self.touch(parent);
         Ok(())
     }
 
@@ -244,6 +338,26 @@ impl Document {
     pub fn detach(&mut self, id: NodeId) {
         if let Some(p) = self.nodes[id.0].parent.take() {
             self.nodes[p.0].children.retain(|&c| c != id);
+            self.touch(p);
+        }
+    }
+
+    /// Removes `id` and every node below it from the document for good:
+    /// detaches `id` and frees the nodes' slots for the nodes created
+    /// next. A removed node's id must not be used again: it may name a
+    /// later node. The document node is never removed.
+    pub fn remove(&mut self, id: NodeId) {
+        if id == self.root() {
+            return;
+        }
+        self.detach(id);
+        let mut stack = vec![id];
+        while let Some(n) = stack.pop() {
+            let node = &mut self.nodes[n.0];
+            stack.append(&mut node.children);
+            node.parent = None;
+            node.data = NodeData::Comment(String::new());
+            self.free.push(n);
         }
     }
 
@@ -253,6 +367,7 @@ impl Document {
         for c in children {
             self.nodes[c.0].parent = None;
         }
+        self.touch(id);
     }
 
     /// Replaces `drop` children of `parent`, from child `at` on, with
@@ -290,6 +405,7 @@ impl Document {
         for c in removed {
             self.nodes[c.0].parent = None;
         }
+        self.touch(parent);
         Ok(())
     }
 
@@ -551,6 +667,138 @@ mod tests {
         assert!(doc.splice_children(body, 0, 0, vec![body]).is_err());
         assert_eq!(doc.children(body), &[b, a, d]);
         assert_eq!(doc.parent(x), None);
+    }
+
+    #[test]
+    fn a_change_stamps_its_node_and_ancestors_only() {
+        let (mut doc, html, head, body) = skeleton();
+        let [a, b] = ["a", "b"].map(|t| doc.create_element(t));
+        let t = doc.create_text("x");
+        doc.append_child(body, a).unwrap();
+        doc.append_child(body, b).unwrap();
+        doc.append_child(a, t).unwrap();
+        let seen = doc.advance_epoch();
+        let unchanged = |doc: &Document, n: NodeId| doc.stamp(n) <= seen;
+        assert!([html, head, body, a, b, t]
+            .iter()
+            .all(|&n| unchanged(&doc, n)));
+        doc.set_text(t, "y").unwrap();
+        assert!(!unchanged(&doc, t) && !unchanged(&doc, a) && !unchanged(&doc, body));
+        assert!(!unchanged(&doc, html) && !unchanged(&doc, doc.root()));
+        assert!(
+            unchanged(&doc, b) && unchanged(&doc, head),
+            "siblings keep theirs"
+        );
+        // Every kind of change stamps: attributes, moves, removals.
+        let seen = doc.advance_epoch();
+        doc.set_attr(b, "id", "x");
+        assert!(doc.stamp(b) > seen && doc.stamp(a) <= seen);
+        let seen = doc.advance_epoch();
+        doc.append_child(head, t).unwrap();
+        assert!(doc.stamp(a) > seen, "losing a child is a change");
+        assert!(doc.stamp(head) > seen && doc.stamp(b) <= seen);
+        let seen = doc.advance_epoch();
+        doc.splice_children(body, 0, 1, Vec::new()).unwrap();
+        assert!(doc.stamp(body) > seen && doc.stamp(b) <= seen);
+        // A change to a detached subtree shows once it is attached.
+        let seen = doc.advance_epoch();
+        doc.set_attr(a, "class", "moved");
+        doc.append_child(body, a).unwrap();
+        assert!(doc.stamp(a) > seen && doc.stamp(b) <= seen);
+    }
+
+    #[test]
+    fn no_two_documents_share_an_identity() {
+        let (doc, ..) = skeleton();
+        let copy = doc.clone();
+        let parsed = crate::parse_document("<p>x</p>");
+        let ids = [doc.id(), copy.id(), parsed.id(), Document::new().id()];
+        for (i, a) in ids.iter().enumerate() {
+            assert!(ids[i + 1..].iter().all(|b| b != a), "{ids:?}");
+        }
+    }
+
+    /// Over random edits, a parent's stamp is never below a child's (what
+    /// lets stamping stop early), and a node whose serialization changed
+    /// since an epoch was closed is stamped after it.
+    #[test]
+    fn stamps_cover_every_serialized_change() {
+        use crate::serialize::outer_html;
+        let mut rng = rcb_util::DetRng::new(7);
+        let (mut doc, html, _, body) = skeleton();
+        let mut nodes = vec![body];
+        for round in 0..400 {
+            let before: Vec<(NodeId, String)> =
+                nodes.iter().map(|&n| (n, outer_html(&doc, n))).collect();
+            let seen = doc.advance_epoch();
+            for _ in 0..rng.next_below(3) {
+                let n = *rng.choose(&nodes);
+                match rng.next_below(6) {
+                    0 => {
+                        let el = doc.create_element("div");
+                        nodes.push(el);
+                        let _ = doc.append_child(n, el);
+                    }
+                    1 => {
+                        let t = doc.create_text(format!("t{round}"));
+                        let _ = doc.append_child(n, t);
+                    }
+                    2 => doc.set_attr(n, "data-r", round.to_string()),
+                    3 if n != body => doc.detach(n),
+                    4 => {
+                        let m = *rng.choose(&nodes);
+                        let _ = doc.append_child(n, m);
+                    }
+                    _ => doc.remove_attr(n, "data-r"),
+                }
+            }
+            for (n, html_before) in before {
+                if outer_html(&doc, n) != html_before {
+                    assert!(
+                        doc.stamp(n) > seen,
+                        "round {round}: {n:?} changed unstamped"
+                    );
+                }
+            }
+            for n in doc.descendants(html) {
+                let parent = doc.parent(n).unwrap();
+                assert!(doc.stamp(parent) >= doc.stamp(n), "round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn removed_nodes_free_their_slots_for_later_nodes() {
+        let (mut doc, _, head, body) = skeleton();
+        let div = doc.create_element("div");
+        let t = doc.create_text("gone");
+        doc.append_child(div, t).unwrap();
+        doc.append_child(body, div).unwrap();
+        let slots = doc.node_count();
+        let seen = doc.advance_epoch();
+        doc.remove(div);
+        assert!(doc.children(body).is_empty());
+        assert!(doc.stamp(body) > seen, "removing a child is a change");
+        // Two new nodes take the two freed slots, detached and fresh.
+        let (a, b) = (doc.create_element("a"), doc.create_text("b"));
+        assert_eq!(doc.node_count(), slots);
+        for n in [a, b] {
+            assert_eq!(doc.parent(n), None);
+            assert!(doc.children(n).is_empty());
+            assert!(doc.stamp(n) > seen);
+        }
+        assert!(doc.is_element(a, "a") && doc.text(b) == Some("b"));
+        doc.append_child(head, a).unwrap();
+        assert_eq!(doc.children(head), &[a]);
+        // The document node stays.
+        let root = doc.root();
+        doc.remove(root);
+        assert_eq!(
+            doc.document_element().map(|h| doc.parent(h)),
+            Some(Some(root))
+        );
+        doc.create_element("c");
+        assert_eq!(doc.node_count(), slots + 1);
     }
 
     #[test]

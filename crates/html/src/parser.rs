@@ -271,16 +271,19 @@ pub fn parse_fragment_into(doc: &mut Document, container: NodeId, input: &str) -
 }
 
 /// Replaces the children of `node` with the parse of `html` — the DOM
-/// `innerHTML` setter.
+/// `innerHTML` setter. The old children are removed for good
+/// ([`Document::remove`]): their ids must not be used again.
 pub fn set_inner_html(doc: &mut Document, node: NodeId, html: &str) -> Vec<NodeId> {
-    doc.clear_children(node);
+    for child in doc.children(node).to_vec() {
+        doc.remove(child);
+    }
     parse_fragment_into(doc, node, html)
 }
 
 /// [`set_inner_html`] for a run of children: replaces `drop` children of
-/// `node`, from child `at` on, with the parse of `html`, and returns the
-/// new children. Errors, changing nothing, when the run lies outside
-/// `node`'s children.
+/// `node`, from child `at` on, with the parse of `html` (removing the
+/// replaced ones for good), and returns the new children. Errors,
+/// changing nothing, when the run lies outside `node`'s children.
 ///
 /// Splicing the serialization of children `at..at + k` of a node whose
 /// children [`is_splice_safe`] says re-parse one for one gives the same
@@ -303,7 +306,12 @@ pub fn splice_inner_html(
     let staging = doc.create_element("template");
     let created = parse_fragment_into(doc, staging, html);
     doc.clear_children(staging);
+    doc.remove(staging);
+    let dropped = doc.children(node)[at..at + drop].to_vec();
     doc.splice_children(node, at, drop, created.clone())?;
+    for child in dropped {
+        doc.remove(child);
+    }
     Ok(created)
 }
 
@@ -321,16 +329,56 @@ pub fn splice_inner_html(
 ///   `<div>`, an `<li>` holding an `<li>`), a doctype (fragments drop
 ///   it), or a tag or attribute name the tokenizer would not read back
 ///   whole.
+///
+/// It is [`children_splice_safe`] over each child's [`splice_child`], so
+/// a caller that kept those per child can decide without the subtree.
 pub fn is_splice_safe(doc: &Document, node: NodeId) -> bool {
+    children_splice_safe(doc.children(node).iter().map(|&c| splice_child(doc, c)))
+}
+
+/// What one child contributes to its parent's [`is_splice_safe`]: whether
+/// it is a text node (two adjacent ones merge), and whether it is safe
+/// on its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpliceChild {
+    /// The child is a text node.
+    pub text: bool,
+    /// The child's own subtree passes every per-node rule (an empty text
+    /// node does not).
+    pub safe: bool,
+}
+
+/// Whether children, each described by its [`splice_child`], in order,
+/// are splice-safe together: each safe, and no two text nodes adjacent.
+pub fn children_splice_safe(children: impl IntoIterator<Item = SpliceChild>) -> bool {
     let mut after_text = false;
-    for &child in doc.children(node) {
-        match doc.text(child) {
-            Some(t) if t.is_empty() || after_text => return false,
-            Some(_) => after_text = true,
-            None => after_text = false,
+    for child in children {
+        if !child.safe || (child.text && after_text) {
+            return false;
         }
+        after_text = child.text;
     }
-    let mut stack: Vec<NodeId> = doc.children(node).to_vec();
+    true
+}
+
+/// The per-child half of [`is_splice_safe`] for `child` and its subtree.
+pub fn splice_child(doc: &Document, child: NodeId) -> SpliceChild {
+    if let Some(t) = doc.text(child) {
+        return SpliceChild {
+            text: true,
+            safe: !t.is_empty(),
+        };
+    }
+    SpliceChild {
+        text: false,
+        safe: subtree_splice_safe(doc, child),
+    }
+}
+
+/// The per-node rules of [`is_splice_safe`], over `root` and everything
+/// below it.
+fn subtree_splice_safe(doc: &Document, root: NodeId) -> bool {
+    let mut stack = vec![root];
     while let Some(n) = stack.pop() {
         let (tag, attrs) = match doc.data(n) {
             NodeData::Text(_) => continue,
@@ -697,19 +745,22 @@ mod tests {
                 continue;
             }
             safe += 1;
-            let (html, ends) = crate::serialize::inner_html_with_child_ends(&doc, body);
+            let html = crate::serialize::inner_html(&doc, body);
+            let children: Vec<String> = doc
+                .children(body)
+                .iter()
+                .map(|&c| outer_html(&doc, c))
+                .collect();
             let mut whole = Document::new();
             let c = whole.create_element("body");
             let parsed = parse_fragment_into(&mut whole, c, &html);
-            assert_eq!(parsed.len(), ends.len(), "{html:?}");
-            let mut start = 0;
-            for (&end, &node) in ends.iter().zip(&parsed) {
+            assert_eq!(parsed.len(), children.len(), "{html:?}");
+            for (child, &node) in children.iter().zip(&parsed) {
                 let mut alone = Document::new();
                 let a = alone.create_element("body");
-                let one = parse_fragment_into(&mut alone, a, &html[start..end]);
-                assert_eq!(one.len(), 1, "{:?} in {html:?}", &html[start..end]);
+                let one = parse_fragment_into(&mut alone, a, child);
+                assert_eq!(one.len(), 1, "{child:?} in {html:?}");
                 assert_eq!(outer_html(&whole, node), outer_html(&alone, one[0]));
-                start = end;
             }
         }
         assert!(

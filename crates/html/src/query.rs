@@ -29,6 +29,22 @@ pub fn all_elements(doc: &Document, scope: NodeId) -> Vec<NodeId> {
         .collect()
 }
 
+/// `root`, when it is an element, then [`all_elements`] below it: the
+/// elements of a subtree in document order.
+pub fn subtree_elements(doc: &Document, root: NodeId) -> Vec<NodeId> {
+    fn push_elements(doc: &Document, node: NodeId, out: &mut Vec<NodeId>) {
+        if doc.tag(node).is_some() {
+            out.push(node);
+        }
+        for &child in doc.children(node) {
+            push_elements(doc, child, out);
+        }
+    }
+    let mut out = Vec::new();
+    push_elements(doc, root, &mut out);
+    out
+}
+
 /// The attribute that carries a URL for each element kind, per HTML 4.
 /// Returns `None` for elements that do not reference external resources.
 pub fn url_attribute(tag: &str) -> Option<&'static str> {
@@ -61,44 +77,31 @@ pub fn is_supplementary_ref(doc: &Document, node: NodeId) -> bool {
     }
 }
 
-/// Collects `(node, attr_name, url_value)` for every element carrying a URL
-/// attribute under `scope`.
-pub fn collect_url_refs(doc: &Document, scope: NodeId) -> Vec<(NodeId, &'static str, String)> {
-    let mut out = Vec::new();
-    for n in all_elements(doc, scope) {
-        let Some(tag) = doc.tag(n) else { continue };
-        let Some(attr) = url_attribute(tag) else {
-            continue;
-        };
-        if let Some(value) = doc.get_attr(n, attr) {
-            if !value.is_empty() {
-                out.push((n, attr, value.to_string()));
-            }
-        }
+/// The URL attribute `node` carries and its value, when non-empty.
+pub fn url_ref(doc: &Document, node: NodeId) -> Option<(&'static str, &str)> {
+    let attr = url_attribute(doc.tag(node)?)?;
+    let value = doc.get_attr(node, attr)?;
+    (!value.is_empty()).then_some((attr, value))
+}
+
+/// The URL of the supplementary object `node` references, if any.
+pub fn supplementary_url(doc: &Document, node: NodeId) -> Option<&str> {
+    if !is_supplementary_ref(doc, node) {
+        return None;
     }
-    out
+    url_ref(doc, node).map(|(_, value)| value)
 }
 
 /// Collects the URLs of supplementary objects under `scope` (images, CSS,
 /// scripts, frames), in document order, deduplicated.
 pub fn collect_supplementary_urls(doc: &Document, scope: NodeId) -> Vec<String> {
     let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for n in all_elements(doc, scope) {
-        if !is_supplementary_ref(doc, n) {
-            continue;
-        }
-        let Some(tag) = doc.tag(n) else { continue };
-        let Some(attr) = url_attribute(tag) else {
-            continue;
-        };
-        if let Some(value) = doc.get_attr(n, attr) {
-            if !value.is_empty() && seen.insert(value.to_string()) {
-                out.push(value.to_string());
-            }
-        }
-    }
-    out
+    all_elements(doc, scope)
+        .into_iter()
+        .filter_map(|n| supplementary_url(doc, n))
+        .filter(|url| seen.insert(*url))
+        .map(str::to_string)
+        .collect()
 }
 
 /// All form elements under `scope`.
@@ -160,8 +163,10 @@ mod tests {
     #[test]
     fn url_refs_collected() {
         let doc = sample();
-        let refs = collect_url_refs(&doc, doc.root());
-        let urls: Vec<&str> = refs.iter().map(|(_, _, u)| u.as_str()).collect();
+        let urls: Vec<&str> = all_elements(&doc, doc.root())
+            .into_iter()
+            .filter_map(|n| url_ref(&doc, n).map(|(_, url)| url))
+            .collect();
         assert!(urls.contains(&"main.css"));
         assert!(urls.contains(&"app.js"));
         assert!(urls.contains(&"logo.png"));

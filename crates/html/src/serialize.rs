@@ -20,24 +20,16 @@ pub fn inner_html(doc: &Document, id: NodeId) -> String {
     out
 }
 
-/// [`inner_html`], also returning the byte offset in it where each child's
-/// serialization ends: child `i` is `out[ends[i - 1]..ends[i]]` (from `0`
-/// for the first).
-pub fn inner_html_with_child_ends(doc: &Document, id: NodeId) -> (String, Vec<usize>) {
-    let mut out = String::new();
-    let mut ends = Vec::with_capacity(doc.children(id).len());
-    for &child in doc.children(id) {
-        write_node(doc, child, &mut out);
-        ends.push(out.len());
-    }
-    (out, ends)
-}
-
 /// Serializes `id` itself including its tag (the DOM `outerHTML` getter).
 pub fn outer_html(doc: &Document, id: NodeId) -> String {
     let mut out = String::new();
     write_node(doc, id, &mut out);
     out
+}
+
+/// [`outer_html`], appended to `out`.
+pub fn outer_html_into(doc: &Document, id: NodeId, out: &mut String) {
+    write_node(doc, id, out);
 }
 
 /// Serializes a whole document, including any doctype.
@@ -124,26 +116,6 @@ mod tests {
         let div = doc.children(body)[0];
         assert_eq!(inner_html(&doc, div), "<b>x</b>");
         assert_eq!(outer_html(&doc, div), "<div id=\"a\"><b>x</b></div>");
-    }
-
-    #[test]
-    fn child_ends_split_inner_html_per_child() {
-        let doc = parse_document("<div>a<b>x</b><!--c--><i>y</i></div>");
-        let div = doc.children(doc.body().unwrap())[0];
-        let (html, ends) = inner_html_with_child_ends(&doc, div);
-        assert_eq!(html, inner_html(&doc, div));
-        assert_eq!(ends, vec![1, 9, 17, 25]);
-        let parts: Vec<&str> = std::iter::once(0)
-            .chain(ends.iter().copied())
-            .zip(ends.iter().copied())
-            .map(|(s, e)| &html[s..e])
-            .collect();
-        let outers: Vec<String> = doc
-            .children(div)
-            .iter()
-            .map(|&c| outer_html(&doc, c))
-            .collect();
-        assert_eq!(parts, outers);
     }
 
     #[test]

@@ -40,20 +40,46 @@ impl Counter {
 /// A duration sample set with summary statistics.
 ///
 /// Stores raw samples (experiments here record at most a few thousand) so
-/// exact percentiles can be computed; no bucketing error.
-#[derive(Debug, Clone, Default)]
+/// exact percentiles can be computed; no bucketing error. A histogram
+/// made with [`Histogram::recent`] keeps only its most recent samples.
+#[derive(Debug, Clone)]
 pub struct Histogram {
     samples: Vec<SimDuration>,
+    /// The most samples held at once.
+    cap: usize,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            samples: Vec::new(),
+            cap: usize::MAX,
+        }
+    }
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram that keeps every sample.
     pub fn new() -> Self {
         Histogram::default()
     }
 
+    /// Creates an empty histogram that keeps at most `cap` samples: a
+    /// record that finds it full first drops the oldest half, so memory
+    /// stays bounded and each record costs amortized O(1). Every summary
+    /// covers the samples kept.
+    pub fn recent(cap: usize) -> Self {
+        Histogram {
+            samples: Vec::new(),
+            cap: cap.max(1),
+        }
+    }
+
     /// Records one sample.
     pub fn record(&mut self, d: SimDuration) {
+        if self.samples.len() >= self.cap {
+            self.samples.drain(..self.cap.div_ceil(2));
+        }
         self.samples.push(d);
     }
 
@@ -190,6 +216,29 @@ mod tests {
         c.incr();
         c.add(4);
         assert_eq!(c.get(), 5);
+    }
+
+    #[test]
+    fn a_recent_histogram_keeps_the_newest_samples_in_order() {
+        const CAP: usize = 16_384;
+        let mut h = Histogram::recent(CAP);
+        for i in 0..100_000u64 {
+            h.record(SimDuration::from_micros(i));
+            assert!(h.len() <= CAP, "over the bound at sample {i}");
+        }
+        // Full at 16,384, then half dropped per 8,192 records after.
+        assert!(h.len() > CAP / 2, "kept {}", h.len());
+        let first = 100_000 - h.len() as u64;
+        let expected: Vec<SimDuration> = (first..100_000).map(SimDuration::from_micros).collect();
+        assert_eq!(h.samples(), &expected[..], "the newest, oldest first");
+        assert_eq!(h.max(), SimDuration::from_micros(99_999));
+        assert_eq!(h.min(), SimDuration::from_micros(first));
+        // An unbounded histogram keeps everything.
+        let mut all = Histogram::new();
+        for i in 0..100_000u64 {
+            all.record(SimDuration::from_micros(i));
+        }
+        assert_eq!(all.len(), 100_000);
     }
 
     #[test]

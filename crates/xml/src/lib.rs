@@ -38,6 +38,6 @@ pub use model::{
 };
 pub use reader::{parse_delta_content, parse_new_content, parse_poll_payload};
 pub use writer::{
-    splice_delta_content, write_delta_content, write_new_content, write_new_content_with_sections,
-    BodyChildren, Sections, TopCopy,
+    splice_delta_content, write_delta_content, write_new_content, write_new_content_parts,
+    BodyChild, BodyChildren, Sections, TopCopy, TopParts,
 };

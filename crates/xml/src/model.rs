@@ -67,18 +67,7 @@ impl ElementPayload {
     /// innerHTML: the escaped tag and attribute list, each followed by
     /// its `%01` separator.
     pub fn encode_escaped_head_into(&self, out: &mut String) {
-        use rcb_url::jsescape::escape_into;
-        escape_into(&self.tag, out);
-        out.push_str("%01");
-        for (i, (name, value)) in self.attrs.iter().enumerate() {
-            if i > 0 {
-                out.push_str("%02");
-            }
-            escape_into(name, out);
-            out.push_str("%3D");
-            escape_into(value, out);
-        }
-        out.push_str("%01");
+        encode_escaped_head_into(&self.tag, &self.attrs, out);
     }
 
     /// Decodes the [`ElementPayload::encode`] form.
@@ -114,6 +103,23 @@ impl ElementPayload {
             inner_html: inner_html.to_string(),
         })
     }
+}
+
+/// [`ElementPayload::encode_escaped_head_into`] for an element given as
+/// its tag and attributes.
+pub(crate) fn encode_escaped_head_into(tag: &str, attrs: &[(String, String)], out: &mut String) {
+    use rcb_url::jsescape::escape_into;
+    escape_into(tag, out);
+    out.push_str("%01");
+    for (i, (name, value)) in attrs.iter().enumerate() {
+        if i > 0 {
+            out.push_str("%02");
+        }
+        escape_into(name, out);
+        out.push_str("%3D");
+        escape_into(value, out);
+    }
+    out.push_str("%01");
 }
 
 /// The top-level (non-head) content of a page: either a body element, or a

@@ -5,12 +5,15 @@
 //! top-level block (`docBody`, or `docFrameSet` plus an optional
 //! `docNoFrames`) and the `userActions` line — inside a fixed framing.
 //! The full document's writer reports where each section landed
-//! ([`Sections`]), and, given the body's child boundaries, where each
+//! ([`Sections`]), and, given the body child by child, where each
 //! top-level body child's escaped bytes lie ([`BodyChildren`]).
 //! [`splice_delta_content`] is the one writer of the `deltaContent`
 //! framing: it copies sections, or a run of body children, verbatim,
 //! either from a full document (a server building its deltas from its own
 //! output) or from sections [`write_delta_content`] has just written.
+//! [`write_new_content_parts`] writes a full document whose body comes in
+//! pieces: each top-level child either serialized HTML to escape, or the
+//! escaped bytes of the same child in an earlier document, copied.
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -18,7 +21,10 @@ use std::sync::Arc;
 
 use rcb_url::jsescape::escape_into;
 
-use crate::model::{BodySplice, DeltaContent, DeltaTop, ElementPayload, NewContent, TopLevel};
+use crate::model::{
+    encode_escaped_head_into, BodySplice, DeltaContent, DeltaTop, ElementPayload, NewContent,
+    TopLevel,
+};
 use crate::scanner::encode_text;
 
 /// Byte ranges of the three sections within one written document. Each
@@ -35,8 +41,8 @@ pub struct Sections {
     /// The `<userActions>` line.
     pub user_actions: Range<usize>,
     /// Where the body's top-level children lie in the `docBody` CDATA:
-    /// reported when the writer was given their boundaries, so never on
-    /// a frameset page.
+    /// reported when the writer was given the body child by child
+    /// ([`TopParts::Body`]), so never on a frameset page.
     pub body_children: Option<BodyChildren>,
 }
 
@@ -97,44 +103,72 @@ pub enum TopCopy {
     },
 }
 
+/// One top-level body child as [`write_new_content_parts`] takes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BodyChild<'a> {
+    /// The child's serialized HTML, JS-escaped into the document.
+    Raw(&'a str),
+    /// The child's bytes as an earlier document holds them, already
+    /// escaped: copied verbatim.
+    Escaped(&'a str),
+}
+
+/// The top-level component [`write_new_content_parts`] writes.
+#[derive(Debug, Clone, Copy)]
+pub enum TopParts<'a> {
+    /// A whole component: a frameset page, or a body whose children are
+    /// not reported.
+    Whole(&'a TopLevel),
+    /// A body given as its element's tag and attributes and, in order,
+    /// its top-level children; [`Sections::body_children`] says where
+    /// each landed.
+    Body {
+        /// The body element's tag.
+        tag: &'a str,
+        /// The body element's attributes.
+        attrs: &'a [(String, String)],
+        /// Its top-level children.
+        children: &'a [BodyChild<'a>],
+    },
+}
+
 /// Writes the newContent document, matching the paper's Figure 4 layout
 /// (XML declaration, `docTime`, `docContent` with per-head-child
 /// `hChildN` CDATA sections, `docBody` or `docFrameSet`/`docNoFrames`,
 /// and `userActions`).
 pub fn write_new_content(nc: &NewContent) -> String {
-    write_new_content_with_sections(nc, None).0
+    let top = TopParts::Whole(&nc.top);
+    write_new_content_parts(nc.doc_time, &nc.head_children, top, &nc.user_actions).0
 }
 
-/// [`write_new_content`], also returning the byte range of each section
-/// in the document. `body_child_ends`, when given, are the offsets in the
-/// body's innerHTML where each of its top-level children ends; the body's
-/// children are then escaped one by one (the same bytes) and
-/// [`Sections::body_children`] says where each landed. The offsets must
-/// split the innerHTML at char boundaries, in order, through its end.
+/// Writes a newContent document from its parts, returning it with the
+/// byte range of each section. Equals [`write_new_content`] over the same
+/// content: escaping is per character, so the escaped body is its
+/// children's escaped bytes back to back, a child's escaped bytes are the
+/// same wherever it stands, and an [`BodyChild::Escaped`] child copied
+/// from an earlier document is the [`BodyChild::Raw`] child it was
+/// written from.
 ///
 /// Assembly is single-pass into one output buffer: each payload is
 /// JS-escaped straight into it via
 /// [`ElementPayload::encode_escaped_into`], with no per-child
 /// `escape(&child.encode())` intermediates — the document is the only
 /// allocation that grows.
-pub fn write_new_content_with_sections(
-    nc: &NewContent,
-    body_child_ends: Option<&[usize]>,
+pub fn write_new_content_parts(
+    doc_time: u64,
+    head_children: &[ElementPayload],
+    top: TopParts<'_>,
+    user_actions: &str,
 ) -> (String, Sections) {
-    let top = TopWrite::Whole(&nc.top, body_child_ends);
+    let top = TopWrite::Parts(top);
     let mut out = String::with_capacity(
-        sections_len_hint(Some(&nc.head_children), Some(&top), &nc.user_actions) + 128,
+        sections_len_hint(Some(head_children), Some(&top), user_actions) + 128,
     );
     out.push_str("<?xml version='1.0' encoding='utf-8'?>\n");
     out.push_str("<newContent>\n");
-    let _ = writeln!(out, "<docTime>{}</docTime>", nc.doc_time);
+    let _ = writeln!(out, "<docTime>{doc_time}</docTime>");
     out.push_str("<docContent>\n");
-    let sections = write_sections_into(
-        &mut out,
-        Some(&nc.head_children),
-        Some(top),
-        &nc.user_actions,
-    );
+    let sections = write_sections_into(&mut out, Some(head_children), Some(top), user_actions);
     out.push_str("</newContent>\n");
     (out, sections)
 }
@@ -152,7 +186,7 @@ pub fn write_new_content_with_sections(
 pub fn write_delta_content(dc: &DeltaContent) -> String {
     let head = dc.head_children.as_deref();
     let top = dc.top.as_ref().map(|top| match top {
-        DeltaTop::Whole(top) => TopWrite::Whole(top, None),
+        DeltaTop::Whole(top) => TopWrite::Parts(TopParts::Whole(top)),
         DeltaTop::BodySplice(splice) => TopWrite::Splice(splice),
     });
     let mut src = String::with_capacity(sections_len_hint(head, top.as_ref(), &dc.user_actions));
@@ -226,10 +260,10 @@ pub fn splice_delta_content(
     out
 }
 
-/// The top-level component a writer writes: a whole one (with the body's
-/// child boundaries, when known) or a body splice.
+/// The top-level component a writer writes: a full document's, or a
+/// body splice.
 enum TopWrite<'a> {
-    Whole(&'a TopLevel, Option<&'a [usize]>),
+    Parts(TopParts<'a>),
     Splice(&'a BodySplice),
 }
 
@@ -248,7 +282,7 @@ fn write_sections_into(
     }
     let head = start..out.len();
     let body_children = match top {
-        Some(TopWrite::Whole(top, child_ends)) => write_top_into(out, top, child_ends),
+        Some(TopWrite::Parts(top)) => write_top_into(out, top),
         Some(TopWrite::Splice(splice)) => {
             write_splice_element(out, splice.at, splice.drop, splice.of, |out| {
                 escape_into(&splice.inner_html, out);
@@ -281,14 +315,33 @@ fn sections_len_hint(
 ) -> usize {
     let payload_bytes: usize = head.map_or(0, |hc| hc.iter().map(payload_len).sum())
         + match top {
-            Some(TopWrite::Whole(TopLevel::Body(b), _)) => payload_len(b),
-            Some(TopWrite::Whole(TopLevel::Frames { frameset, noframes }, _)) => {
+            Some(TopWrite::Parts(TopParts::Whole(TopLevel::Body(b)))) => payload_len(b),
+            Some(TopWrite::Parts(TopParts::Whole(TopLevel::Frames { frameset, noframes }))) => {
                 payload_len(frameset) + noframes.as_ref().map_or(0, payload_len)
             }
+            Some(TopWrite::Parts(TopParts::Body { .. })) | None => 0,
             Some(TopWrite::Splice(splice)) => splice.inner_html.len() + 64,
-            None => 0,
         };
-    2 * payload_bytes + user_actions.len() + 384
+    // Escaped children are copied as they are: they count once.
+    let escaped_bytes: usize = match top {
+        Some(TopWrite::Parts(TopParts::Body {
+            tag,
+            attrs,
+            children,
+        })) => {
+            let own: usize = attrs.iter().map(|(n, v)| n.len() + v.len() + 4).sum();
+            let children: usize = children
+                .iter()
+                .map(|child| match child {
+                    BodyChild::Raw(html) => 2 * html.len(),
+                    BodyChild::Escaped(bytes) => bytes.len(),
+                })
+                .sum();
+            2 * (tag.len() + own) + children + 128
+        }
+        _ => 0,
+    };
+    2 * payload_bytes + escaped_bytes + user_actions.len() + 384
 }
 
 fn write_head_into(out: &mut String, head_children: &[ElementPayload]) {
@@ -301,43 +354,39 @@ fn write_head_into(out: &mut String, head_children: &[ElementPayload]) {
     out.push_str("</docHead>\n");
 }
 
-/// Writes a whole top-level component; for a body whose child boundaries
-/// are given, escapes it child by child and returns where the children
-/// landed.
-fn write_top_into(
-    out: &mut String,
-    top: &TopLevel,
-    child_ends: Option<&[usize]>,
-) -> Option<BodyChildren> {
+/// Writes a whole top-level component; for a body given child by child,
+/// escapes or copies each child and returns where the children landed.
+fn write_top_into(out: &mut String, top: TopParts<'_>) -> Option<BodyChildren> {
     match top {
-        TopLevel::Body(body) => {
+        TopParts::Body {
+            tag,
+            attrs,
+            children,
+        } => {
             out.push_str("<!-- for a page using body element -->\n");
             out.push_str("<docBody><![CDATA[");
-            let children = match child_ends {
-                Some(ends) => {
-                    debug_assert!(splits(&body.inner_html, ends), "child ends split the body");
-                    out.reserve(body.inner_html.len() + 64);
-                    body.encode_escaped_head_into(out);
-                    let start = out.len();
-                    let mut from = 0;
-                    let mut escaped_ends = Vec::with_capacity(ends.len());
-                    for &end in ends {
-                        escape_into(&body.inner_html[from..end], out);
-                        escaped_ends.push(u32::try_from(out.len()).ok());
-                        from = end;
-                    }
-                    let ends: Option<Arc<[u32]>> = escaped_ends.into_iter().collect();
-                    ends.map(|ends| BodyChildren { start, ends })
+            encode_escaped_head_into(tag, attrs, out);
+            let start = out.len();
+            let mut escaped_ends = Vec::with_capacity(children.len());
+            for child in children {
+                match child {
+                    BodyChild::Raw(html) => escape_into(html, out),
+                    BodyChild::Escaped(bytes) => out.push_str(bytes),
                 }
-                None => {
-                    body.encode_escaped_into(out);
-                    None
-                }
-            };
+                escaped_ends.push(u32::try_from(out.len()).ok());
+            }
             out.push_str("]]></docBody>\n");
-            children
+            let ends: Option<Arc<[u32]>> = escaped_ends.into_iter().collect();
+            ends.map(|ends| BodyChildren { start, ends })
         }
-        TopLevel::Frames { frameset, noframes } => {
+        TopParts::Whole(TopLevel::Body(body)) => {
+            out.push_str("<!-- for a page using body element -->\n");
+            out.push_str("<docBody><![CDATA[");
+            body.encode_escaped_into(out);
+            out.push_str("]]></docBody>\n");
+            None
+        }
+        TopParts::Whole(TopLevel::Frames { frameset, noframes }) => {
             out.push_str("<!-- for a page using frames -->\n");
             out.push_str("<docFrameSet><![CDATA[");
             frameset.encode_escaped_into(out);
@@ -350,13 +399,6 @@ fn write_top_into(
             None
         }
     }
-}
-
-/// Whether `ends` split `s` at char boundaries, in order, through its end.
-fn splits(s: &str, ends: &[usize]) -> bool {
-    ends.last().copied().unwrap_or(0) == s.len()
-        && ends.windows(2).all(|w| w[0] <= w[1])
-        && ends.iter().all(|&e| s.is_char_boundary(e))
 }
 
 /// Writes one `docBodySplice` element; `children` writes its escaped
@@ -504,6 +546,26 @@ mod tests {
         assert!(!payload.contains('<'));
     }
 
+    /// [`write_new_content_parts`] over `nc`, its body given child by
+    /// child when `ends` (where each child ends in the innerHTML) are.
+    fn write_with_ends(nc: &NewContent, ends: Option<&[usize]>) -> (String, Sections) {
+        let (TopLevel::Body(body), Some(ends)) = (&nc.top, ends) else {
+            let top = TopParts::Whole(&nc.top);
+            return write_new_content_parts(nc.doc_time, &nc.head_children, top, &nc.user_actions);
+        };
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        let children: Vec<BodyChild<'_>> = starts
+            .zip(ends)
+            .map(|(start, &end)| BodyChild::Raw(&body.inner_html[start..end]))
+            .collect();
+        let top = TopParts::Body {
+            tag: &body.tag,
+            attrs: &body.attrs,
+            children: &children,
+        };
+        write_new_content_parts(nc.doc_time, &nc.head_children, top, &nc.user_actions)
+    }
+
     /// A body payload made of `children`, and where each child ends in
     /// its innerHTML.
     fn body_of(attrs: &[(&str, &str)], children: &[&str]) -> (TopLevel, Vec<usize>) {
@@ -590,7 +652,7 @@ mod tests {
     #[test]
     fn sections_cover_exactly_their_blocks() {
         for (nc, ends) in splice_corpus() {
-            let (xml, s) = write_new_content_with_sections(&nc, ends.as_deref());
+            let (xml, s) = write_with_ends(&nc, ends.as_deref());
             assert_eq!(xml, write_new_content(&nc));
             let head = &xml[s.head.clone()];
             assert!(head.starts_with("<docHead>\n") && head.ends_with("</docHead>\n"));
@@ -636,10 +698,49 @@ mod tests {
         }
     }
 
+    /// A body written from pieces, some copied escaped from an earlier
+    /// document, equals the body written whole, and its children land
+    /// where the whole writer put them.
+    #[test]
+    fn escaped_children_copy_into_the_same_document() {
+        for (nc, ends) in splice_corpus() {
+            let (TopLevel::Body(body), Some(ends)) = (&nc.top, ends) else {
+                continue;
+            };
+            let (xml, sections) = write_with_ends(&nc, Some(&ends));
+            let children = sections.body_children.as_ref().expect("children reported");
+            let raw: Vec<&str> = std::iter::once(0)
+                .chain(ends.iter().copied())
+                .zip(ends.iter().copied())
+                .map(|(from, end)| &body.inner_html[from..end])
+                .collect();
+            for copy_every in 1..=3 {
+                let pieces: Vec<BodyChild<'_>> = (0..raw.len())
+                    .map(|i| match i % copy_every {
+                        0 => BodyChild::Escaped(&xml[children.span(i..i + 1)]),
+                        _ => BodyChild::Raw(raw[i]),
+                    })
+                    .collect();
+                let top = TopParts::Body {
+                    tag: &body.tag,
+                    attrs: &body.attrs,
+                    children: &pieces,
+                };
+                let parts =
+                    write_new_content_parts(nc.doc_time, &nc.head_children, top, &nc.user_actions);
+                assert_eq!(
+                    parts,
+                    (xml.clone(), sections.clone()),
+                    "copy every {copy_every}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn spliced_deltas_equal_the_typed_writer() {
         for (nc, ends) in splice_corpus() {
-            let (xml, sections) = write_new_content_with_sections(&nc, ends.as_deref());
+            let (xml, sections) = write_with_ends(&nc, ends.as_deref());
             let mut tops = vec![
                 (TopCopy::Omit, None),
                 (TopCopy::Whole, Some(DeltaTop::Whole(nc.top.clone()))),
