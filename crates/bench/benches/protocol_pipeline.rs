@@ -5,13 +5,16 @@
 //! of one change's delta.
 //!
 //! The `generation` group times one paragraph edit's `plan` + `finish`
-//! against the previous generation. The `snippet_apply` group times the
+//! against the previous generation, back to back and after 16 ms idle.
+//! The `snippet_apply` group times the
 //! participant's apply of one paragraph edit's delta, as a whole body and
 //! as a body splice.
 //!
 //! A poll round runs the request path production serves: a one-session
 //! router's handler, the entry every engine calls, answering with the
 //! published snapshot's (or the session's) prefab.
+
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
@@ -168,13 +171,20 @@ fn bench_snapshot_finish(c: &mut Criterion) {
     group.finish();
 }
 
+/// The host edit period of perfbench's `update-push` workload.
+const EDITOR_PERIOD: Duration = Duration::from_millis(16);
+
 /// One paragraph edit's generation, the work `TcpHost::mutate_page` does
 /// before it publishes: `ContentSnapshot::plan` (under the host mutex: it
-/// clones the head, the body element and the edited child) and
+/// clones the body element and the edited child) and
 /// `SnapshotPlan::finish` against the previous generation (the rest of
-/// generation, copying every other child's bytes, then the prefabs and
-/// the delta ring). The plan's base stays the previous generation, as
-/// nothing is admitted; dropping the snapshot is untimed.
+/// generation, copying the head's and every other child's bytes and
+/// sharing the object table, then the prefabs and the delta ring). The
+/// plan's base stays the previous generation, as nothing is admitted;
+/// dropping the snapshot is untimed. `paragraph_edit` runs the edits back
+/// to back; `paragraph_edit_after_idle` sleeps an editor period, untimed,
+/// before each, which leaves the caches as cold as a live host's editor
+/// thread finds them.
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("generation");
     for site in ["google.com", "wikipedia.org"] {
@@ -183,17 +193,22 @@ fn bench_generation(c: &mut Criterion) {
         let mut host = loaded_host(site);
         let prev = ContentSnapshot::build(&mut agent, &host, SimTime::ZERO, None).unwrap();
         edit_paragraph(&mut host, 0);
-        group.bench_function(BenchmarkId::new("paragraph_edit", site), |b| {
-            b.iter_batched(
-                || (),
-                |()| {
-                    let plan =
-                        ContentSnapshot::plan(&mut agent, &host, SimTime::from_secs(1)).unwrap();
-                    plan.finish(Some(&prev)).unwrap()
-                },
-                BatchSize::LargeInput,
-            )
-        });
+        for (name, idle) in [
+            ("paragraph_edit", Duration::ZERO),
+            ("paragraph_edit_after_idle", EDITOR_PERIOD),
+        ] {
+            group.bench_function(BenchmarkId::new(name, site), |b| {
+                b.iter_batched(
+                    || std::thread::sleep(idle),
+                    |()| {
+                        let now = SimTime::from_secs(1);
+                        let plan = ContentSnapshot::plan(&mut agent, &host, now).unwrap();
+                        plan.finish(Some(&prev)).unwrap()
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+        }
     }
     group.finish();
 }

@@ -46,19 +46,22 @@
 //! order. So each top-level body child's output depends only on its own
 //! subtree and a handful of inputs: the page URL, the download observer's
 //! records, the cache view, the cache mode, the session path prefix and,
-//! when it holds an id-less clickable, the id number it starts at. Every
-//! generation keeps, per body child, what it produced (a
+//! when it holds an id-less clickable, the id number it starts at. The
+//! same holds for the head, whose output is the `docHead` section. Every
+//! generation keeps, for the head and per body child, what it produced (a
 //! `ContentMemo`): the live node, where its escaped bytes lie in the
 //! XML, its object URLs, cache rewrites, splice safety, and the ids it
 //! numbered. A later generation given it as its *base* clones, under the
-//! host lock, only the head, the body element's own tag and attributes,
-//! and the body children whose [`rcb_html::Document::stamp`] moved past
-//! the epoch the base closed; every other child's bytes and results are
-//! copied from the base. A child is copied only when the document (by
+//! host lock, only the body element's own tag and attributes, and the
+//! head and body children whose [`rcb_html::Document::stamp`] moved past
+//! the epoch the base closed; every other subtree's bytes and results are
+//! copied from the base. A subtree is copied only when the document (by
 //! identity), all the inputs above and its starting id number are the
-//! base's; otherwise it is regenerated. A first generation, a navigation,
-//! a frameset page and [`generate_content`] run the same code with
-//! nothing to copy.
+//! base's; otherwise it is regenerated. The head is copied only on a page
+//! with one head and no frameset, from the same place among the
+//! documentElement's children. A first generation, a navigation, a
+//! frameset page and [`generate_content`] run the same code with nothing
+//! to copy.
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -73,7 +76,9 @@ use rcb_html::serialize::outer_html_into;
 use rcb_html::{inner_html, query};
 use rcb_url::Url;
 use rcb_util::{RcbError, Result, SimDuration, Stopwatch};
-use rcb_xml::{write_new_content_parts, BodyChild, ElementPayload, Sections, TopLevel, TopParts};
+use rcb_xml::{
+    write_new_content_parts, BodyChild, ElementPayload, HeadParts, Sections, TopLevel, TopParts,
+};
 
 use crate::agent::CacheMode;
 use crate::auth::object_token;
@@ -106,21 +111,27 @@ pub struct GeneratedContent {
     pub children_reused: usize,
     /// Top-level body children cloned and generated afresh.
     pub children_regenerated: usize,
+    /// Whether the `docHead` section was copied from the base generation
+    /// rather than cloned and generated afresh.
+    pub head_reused: bool,
     /// What a later generation may copy from this one.
     memo: ContentMemo,
 }
 
-/// What a generation produced per top-level body child, kept so a later
-/// generation can copy it (see the module docs). About 56 B per child
-/// plus the children's object URLs; the escaped bytes are ranges of the
-/// generation's own XML.
+/// What a generation produced for the head and per top-level body child,
+/// kept so a later generation can copy it (see the module docs). About
+/// 56 B per child plus the subtrees' object URLs; the escaped bytes are
+/// ranges of the generation's own XML.
 #[derive(Debug, Clone)]
 struct ContentMemo {
-    /// The inputs every child's output depends on.
+    /// The inputs every subtree's output depends on.
     inputs: Inputs,
-    /// The host document epoch the generation's plan closed: a child
+    /// The host document epoch the generation's plan closed: a subtree
     /// stamped no later is as this generation saw it.
     epoch: u64,
+    /// The head, on a page with one head and no frameset; its bytes are
+    /// the XML's [`Sections::head`].
+    head: Option<HeadMemo>,
     /// One entry per top-level body child, in order; none on a frameset
     /// page.
     children: Vec<ChildMemo>,
@@ -156,10 +167,11 @@ impl Inputs {
     }
 }
 
-/// What one top-level body child produced.
+/// What generating one subtree (the head, or a top-level body child)
+/// produced beyond its bytes.
 #[derive(Debug, Clone)]
-struct ChildMemo {
-    /// The child in the live host document.
+struct SubtreeMemo {
+    /// The subtree's root in the live host document.
     node: NodeId,
     /// The number of the first synthetic id step 4 gave out in it.
     first_id: u64,
@@ -170,18 +182,39 @@ struct ChildMemo {
     urls: Range<u32>,
     /// Its cache rewrites.
     rewrites: u32,
+}
+
+impl SubtreeMemo {
+    /// Whether the subtree's output may be copied: it is unchanged since
+    /// `epoch`, and numbers no synthetic id or starts at `next_id()`, the
+    /// number it would start at now, again. `next_id` is asked for only
+    /// in that last case.
+    fn reusable(&self, live: &Document, epoch: u64, next_id: impl FnOnce() -> u64) -> bool {
+        live.stamp(self.node) <= epoch && (self.ids == 0 || self.first_id == next_id())
+    }
+}
+
+/// What the head produced.
+#[derive(Debug, Clone)]
+struct HeadMemo {
+    /// Its index among the documentElement's children.
+    at: usize,
+    subtree: SubtreeMemo,
+}
+
+/// What one top-level body child produced.
+#[derive(Debug, Clone)]
+struct ChildMemo {
+    subtree: SubtreeMemo,
     splice: SpliceChild,
 }
 
 impl ContentMemo {
-    /// The index of live child `node` when its output may be copied,
-    /// given `next_id`, the synthetic-id number it would start at now: it
-    /// is one of this generation's children, unchanged since (stamped no
-    /// later than `epoch`), and numbers no synthetic id or starts at the
-    /// same number again. `next_id` is asked for only in that last case.
-    /// `cursor` is where the previous child was found: children that kept
-    /// their order are found without a search.
-    fn reusable(
+    /// The index of live body child `node` when its output may be
+    /// copied: it is one of this generation's children, and
+    /// [`SubtreeMemo::reusable`]. `cursor` is where the previous child was
+    /// found: children that kept their order are found without a search.
+    fn reusable_child(
         &self,
         live: &Document,
         node: NodeId,
@@ -189,16 +222,49 @@ impl ContentMemo {
         cursor: &mut usize,
     ) -> Option<usize> {
         let at = match self.children.get(*cursor) {
-            Some(child) if child.node == node => *cursor,
+            Some(child) if child.subtree.node == node => *cursor,
             _ => {
                 let i = self.by_node.binary_search_by_key(&node, |&(n, _)| n).ok()?;
                 self.by_node[i].1 as usize
             }
         };
         *cursor = at + 1;
-        let child = &self.children[at];
-        let unchanged = live.stamp(node) <= self.epoch;
-        (unchanged && (child.ids == 0 || child.first_id == next_id())).then_some(at)
+        let child = &self.children[at].subtree;
+        child.reusable(live, self.epoch, next_id).then_some(at)
+    }
+
+    /// The head's memo when its output may be copied: live child `node`
+    /// is the page's one head, at index `at` as it was in this
+    /// generation, and [`SubtreeMemo::reusable`].
+    fn reusable_head(
+        &self,
+        live: &Document,
+        at: usize,
+        node: NodeId,
+        next_id: impl FnOnce() -> u64,
+    ) -> Option<&SubtreeMemo> {
+        let head = self.head.as_ref().filter(|h| h.at == at)?;
+        let subtree = &head.subtree;
+        (subtree.node == node && subtree.reusable(live, self.epoch, next_id)).then_some(subtree)
+    }
+}
+
+/// Step 4's synthetic-id numbering, followed through a plan: the number
+/// the next subtree would start at, once the clones made since it was
+/// last asked for are counted.
+#[derive(Default)]
+struct IdCount {
+    next: u64,
+    uncounted: Vec<NodeId>,
+}
+
+impl IdCount {
+    /// The number the next subtree would start at.
+    fn next_id(&mut self, doc: &Document) -> u64 {
+        let ids: u64 = self.uncounted.iter().map(|&c| synthetic_ids(doc, c)).sum();
+        self.uncounted.clear();
+        self.next += ids;
+        self.next
     }
 }
 
@@ -209,12 +275,16 @@ impl ContentMemo {
 pub struct GenerationJob {
     /// Scratch document holding the clones (step 1).
     doc: Document,
-    /// The documentElement's children, in order, as cloned into `doc`;
-    /// the body's entry is its element alone, without children.
-    top: Vec<NodeId>,
+    /// The documentElement's children, in order: cloned into `doc` (the
+    /// body's entry is its element alone, without children), or the head
+    /// copied from the base.
+    top: Vec<SubtreeJob>,
+    /// Where the head lies in `top`, on a page with one head and no
+    /// frameset: only such a head is memoized.
+    head_at: Option<usize>,
     /// The body's children, on a body page.
     body: Option<BodyJob>,
-    /// The generation the body's unchanged children are copied from.
+    /// The generation unchanged subtrees are copied from.
     base: Option<Arc<GeneratedContent>>,
     inputs: Inputs,
     epoch: u64,
@@ -231,14 +301,16 @@ pub struct GenerationJob {
 struct BodyJob {
     /// The body element's clone in the job's scratch document.
     element: NodeId,
-    children: Vec<ChildJob>,
+    children: Vec<SubtreeJob>,
 }
 
-/// One top-level body child: generated from a clone, or copied.
-enum ChildJob {
-    /// `clone` (in the scratch document) of live child `live`.
+/// One top-level body child, or one child of the documentElement:
+/// generated from a clone, or copied.
+enum SubtreeJob {
+    /// `clone` (in the scratch document) of live node `live`.
     Generate { live: NodeId, clone: NodeId },
-    /// Child `i` of the base generation.
+    /// Body child `i` of the base generation; at the top level, the
+    /// base's head (`i` is where it lies).
     Copy(usize),
 }
 
@@ -255,7 +327,7 @@ impl GenerationJob {
 }
 
 /// Phase 1 (requires exclusive host access, paper step 1): close the host
-/// document's epoch, clone the head, the body element and every body
+/// document's epoch, clone the body element and the head and every body
 /// child that `base` (a generation of this agent, for the same mode)
 /// cannot supply, and freeze every other generation input.
 pub fn prepare_generation(
@@ -291,35 +363,45 @@ pub fn prepare_generation(
     let base = base.filter(|b| b.memo.inputs.same_as(&inputs));
     let memo = base.as_deref().map(|b| &b.memo);
 
-    // The body that step 5 writes: the last one, on a page without a
-    // frameset.
+    // The body that step 5 writes, the last one, and the head, on a page
+    // without a frameset that holds one head.
     let html_children = live.children(html_el);
-    let body_at = if html_children
+    let (body_at, head_at) = if html_children
         .iter()
         .any(|&c| live.is_element(c, "frameset"))
     {
-        None
+        (None, None)
     } else {
-        html_children
+        let mut heads =
+            (0..html_children.len()).filter(|&i| live.is_element(html_children[i], "head"));
+        let head_at = heads.next().filter(|_| heads.next().is_none());
+        let body_at = html_children
             .iter()
-            .rposition(|&c| live.is_element(c, "body"))
+            .rposition(|&c| live.is_element(c, "body"));
+        (body_at, head_at)
     };
 
-    // Step 1: clone into a scratch document. `next_id` follows step 4's
-    // numbering up to each body child, to tell whether a child holding
-    // id-less clickables would start at its base number again; the
-    // clones before it are counted only when such a child asks.
+    // Step 1: clone into a scratch document. `ids` follows step 4's
+    // numbering up to each subtree, to tell whether one holding id-less
+    // clickables would start at its base number again; the clones before
+    // it are counted only when such a subtree asks.
     let mut doc = Document::new();
     let mut top = Vec::with_capacity(html_children.len());
     let mut body = None;
-    let (mut next_id, mut uncounted) = (0, Vec::new());
+    let mut ids = IdCount::default();
     for (i, &child) in html_children.iter().enumerate() {
+        let head = memo
+            .filter(|_| Some(i) == head_at)
+            .and_then(|m| m.reusable_head(live, i, child, || ids.next_id(&doc)));
+        if let Some(head) = head {
+            ids.next += head.ids;
+            top.push(SubtreeJob::Copy(i));
+            continue;
+        }
         if Some(i) != body_at {
             let clone = doc.import_subtree(live, child);
-            if body_at.is_some_and(|b| i < b) {
-                uncounted.push(clone);
-            }
-            top.push(clone);
+            ids.uncounted.push(clone);
+            top.push(SubtreeJob::Generate { live: child, clone });
             continue;
         }
         let element = doc.create_element_with_attrs("body", live.attrs(child).to_vec());
@@ -327,29 +409,28 @@ pub fn prepare_generation(
         let mut children = Vec::with_capacity(live.children(child).len());
         for &node in live.children(child) {
             if let Some(memo) = memo {
-                let counted = || {
-                    let ids: u64 = uncounted.iter().map(|&c| synthetic_ids(&doc, c)).sum();
-                    uncounted.clear();
-                    next_id += ids;
-                    next_id
-                };
-                if let Some(at) = memo.reusable(live, node, counted, &mut cursor) {
-                    next_id += memo.children[at].ids;
-                    children.push(ChildJob::Copy(at));
+                let next_id = || ids.next_id(&doc);
+                if let Some(at) = memo.reusable_child(live, node, next_id, &mut cursor) {
+                    ids.next += memo.children[at].subtree.ids;
+                    children.push(SubtreeJob::Copy(at));
                     continue;
                 }
             }
             let clone = doc.import_subtree(live, node);
-            uncounted.push(clone);
-            children.push(ChildJob::Generate { live: node, clone });
+            ids.uncounted.push(clone);
+            children.push(SubtreeJob::Generate { live: node, clone });
         }
-        top.push(element);
+        top.push(SubtreeJob::Generate {
+            live: child,
+            clone: element,
+        });
         body = Some(BodyJob { element, children });
     }
 
     Ok(GenerationJob {
         doc,
         top,
+        head_at,
         body,
         base,
         inputs,
@@ -434,6 +515,7 @@ fn finish_impl(
     let GenerationJob {
         mut doc,
         top,
+        head_at,
         body,
         base,
         inputs,
@@ -443,66 +525,66 @@ fn finish_impl(
         observer,
         prep_cost,
     } = job;
+    let base = base.as_deref();
     let mut steps = Rewriter {
         observer: &observer,
         inputs: &inputs,
         key,
         mapping,
         next_id: 0,
+        rewrites: 0,
     };
-    // Every subtree's object URLs, in document order: a child's are a
+    // Every subtree's object URLs, in document order: a subtree's are a
     // range of it, so the memo keeps them for a later copy.
     let mut urls: Vec<String> = Vec::new();
-    let mut cache_rewrites = 0;
+    let (mut head, mut head_reused) = (None, false);
     let mut head_children = Vec::new();
     let (mut frameset, mut noframes) = (None, None);
     let n = body.as_ref().map_or(0, |b| b.children.len());
     let (mut children, mut pieces) = (Vec::with_capacity(n), Vec::with_capacity(n));
     let mut raw = String::new();
-    for &node in &top {
-        let (_, rewrites) = steps.subtree(&mut doc, node, &mut urls);
-        cache_rewrites += rewrites;
+    for (i, job) in top.iter().enumerate() {
+        let (live, node) = match *job {
+            SubtreeJob::Generate { live, clone } => (live, clone),
+            SubtreeJob::Copy(_) => {
+                let base = base.expect("a copy has a base");
+                let memo = base.memo.head.as_ref().expect("a copied head is memoized");
+                let subtree = steps.copy(&memo.subtree, &base.memo.urls, &mut urls);
+                head = Some(HeadMemo { at: i, subtree });
+                head_reused = true;
+                continue;
+            }
+        };
+        let subtree = steps.generate(&mut doc, live, node, &mut urls);
         match (&body, doc.tag(node)) {
             (Some(body), _) if body.element == node => {
                 for child in &body.children {
-                    let memo = match *child {
-                        ChildJob::Generate { live, clone } => {
-                            let first_id = steps.next_id;
-                            let (child_urls, rewrites) = steps.subtree(&mut doc, clone, &mut urls);
+                    children.push(match *child {
+                        SubtreeJob::Generate { live, clone } => {
+                            let subtree = steps.generate(&mut doc, live, clone, &mut urls);
                             let start = raw.len();
                             outer_html_into(&doc, clone, &mut raw);
                             pieces.push(Piece::Raw(start..raw.len()));
-                            ChildMemo {
-                                node: live,
-                                first_id,
-                                ids: steps.next_id - first_id,
-                                urls: child_urls,
-                                rewrites: rewrites as u32,
-                                splice: splice_child(&doc, clone),
-                            }
+                            let splice = splice_child(&doc, clone);
+                            ChildMemo { subtree, splice }
                         }
-                        ChildJob::Copy(at) => {
-                            let base = base.as_deref().expect("a copy has a base");
+                        SubtreeJob::Copy(at) => {
+                            let base = base.expect("a copy has a base");
                             let spans = base.sections.body_children.as_ref();
                             let span = spans.expect("a base with children").span(at..at + 1);
                             pieces.push(Piece::Escaped(span));
                             let memo = &base.memo.children[at];
-                            let start = urls.len() as u32;
-                            urls.extend_from_slice(&base.memo.urls[range(&memo.urls)]);
-                            let first_id = steps.next_id;
-                            steps.next_id += memo.ids;
-                            ChildMemo {
-                                first_id,
-                                urls: start..urls.len() as u32,
-                                ..memo.clone()
-                            }
+                            let subtree = steps.copy(&memo.subtree, &base.memo.urls, &mut urls);
+                            let splice = memo.splice;
+                            ChildMemo { subtree, splice }
                         }
-                    };
-                    cache_rewrites += memo.rewrites as usize;
-                    children.push(memo);
+                    });
                 }
             }
             (_, Some("head")) => {
+                if Some(i) == head_at {
+                    head = Some(HeadMemo { at: i, subtree });
+                }
                 for &hc in doc.children(node) {
                     if let NodeData::Element { tag, attrs } = doc.data(hc) {
                         head_children.push(ElementPayload {
@@ -521,17 +603,21 @@ fn finish_impl(
         }
     }
 
-    // Step 5: XML assembly. Generated children are escaped one by one,
-    // copied ones are the base's escaped bytes, so the next generation's
-    // deltas can ship only the changed children.
+    // Step 5: XML assembly. Generated subtrees are escaped, copied ones
+    // are the base's escaped bytes, so the next generation's deltas can
+    // ship only the changed children.
+    let head_parts = match base.filter(|_| head_reused) {
+        Some(base) => HeadParts::Escaped(&base.xml[base.sections.head.clone()]),
+        None => HeadParts::Payloads(&head_children),
+    };
     let (xml, sections) = match (frameset, &body) {
         (Some(frameset), _) => {
             let frames = TopLevel::Frames { frameset, noframes };
             let top = TopParts::Whole(&frames);
-            write_new_content_parts(doc_time, &head_children, top, &user_actions)
+            write_new_content_parts(doc_time, head_parts, top, &user_actions)
         }
         (None, Some(body)) => {
-            let base_xml = base.as_deref().map_or("", |b| &*b.xml);
+            let base_xml = base.map_or("", |b| &*b.xml);
             let pieces: Vec<BodyChild<'_>> = pieces
                 .iter()
                 .map(|piece| match piece {
@@ -544,7 +630,7 @@ fn finish_impl(
                 attrs: doc.attrs(body.element),
                 children: &pieces,
             };
-            write_new_content_parts(doc_time, &head_children, top, &user_actions)
+            write_new_content_parts(doc_time, head_parts, top, &user_actions)
         }
         (None, None) => {
             return Err(RcbError::InvalidInput(
@@ -555,15 +641,16 @@ fn finish_impl(
     // M5 ends with the XML written; moving it into its shared buffer is
     // not generation.
     let generation_cost = prep_cost + sw.elapsed();
+    let cache_rewrites = steps.rewrites;
     let children_reused = body.as_ref().map_or(0, |b| {
         b.children
             .iter()
-            .filter(|c| matches!(c, ChildJob::Copy(_)))
+            .filter(|c| matches!(c, SubtreeJob::Copy(_)))
             .count()
     });
     let mut by_node: Vec<(NodeId, u32)> = (0u32..)
         .zip(&children)
-        .map(|(i, child)| (child.node, i))
+        .map(|(i, child)| (child.subtree.node, i))
         .collect();
     by_node.sort_unstable();
     let mut seen = HashSet::new();
@@ -582,9 +669,11 @@ fn finish_impl(
         generation_cost,
         children_reused,
         children_regenerated: children.len() - children_reused,
+        head_reused,
         memo: ContentMemo {
             inputs,
             epoch,
+            head,
             children,
             by_node,
             urls,
@@ -599,7 +688,7 @@ fn range(r: &Range<u32>) -> Range<usize> {
 /// Steps 2–4, one subtree at a time in document order. Every step acts on
 /// each element alone, so rewriting subtree by subtree gives what
 /// rewriting the whole document step by step gives, provided step 4's
-/// counter runs on through the subtrees (and over copied children).
+/// counter runs on through the subtrees (and over copied ones).
 struct Rewriter<'a> {
     observer: &'a DownloadObserver,
     inputs: &'a Inputs,
@@ -607,19 +696,23 @@ struct Rewriter<'a> {
     mapping: MappingAccess<'a>,
     /// The number of the next synthetic `rcb-el-N` id.
     next_id: u64,
+    /// Cache rewrites so far, copied subtrees' included.
+    rewrites: usize,
 }
 
 impl Rewriter<'_> {
-    /// Steps 2–4 on `root` and everything below it; appends the
-    /// subtree's supplementary-object URLs to `urls`, in document order,
-    /// and returns where they landed and its cache-rewrite count.
-    fn subtree(
+    /// Steps 2–4 on `clone` (of live node `live`) and everything below
+    /// it; appends the subtree's supplementary-object URLs to `urls`, in
+    /// document order, and returns what it produced.
+    fn generate(
         &mut self,
         doc: &mut Document,
-        root: NodeId,
+        live: NodeId,
+        clone: NodeId,
         urls: &mut Vec<String>,
-    ) -> (Range<u32>, usize) {
-        let nodes = query::subtree_elements(doc, root);
+    ) -> SubtreeMemo {
+        let first_id = self.next_id;
+        let nodes = query::subtree_elements(doc, clone);
         rewrite_urls_absolute(doc, &nodes, self.observer, &self.inputs.page_url);
         let rewrites = match self.inputs.mode {
             CacheMode::Cache => rewrite_cached_to_agent(
@@ -632,13 +725,41 @@ impl Rewriter<'_> {
             ),
             CacheMode::NonCache => 0,
         };
+        self.rewrites += rewrites;
         rewrite_event_attributes(doc, &nodes, &mut self.next_id);
         let start = urls.len() as u32;
         let found = nodes
             .iter()
             .filter_map(|&n| query::supplementary_url(doc, n));
         urls.extend(found.map(str::to_string));
-        (start..urls.len() as u32, rewrites)
+        SubtreeMemo {
+            node: live,
+            first_id,
+            ids: self.next_id - first_id,
+            urls: start..urls.len() as u32,
+            rewrites: rewrites as u32,
+        }
+    }
+
+    /// Takes over what a base generation's subtree produced (`memo`, its
+    /// URLs a range of `base_urls`) for a copy of its bytes, as
+    /// [`Rewriter::generate`] would have produced it here.
+    fn copy(
+        &mut self,
+        memo: &SubtreeMemo,
+        base_urls: &[String],
+        urls: &mut Vec<String>,
+    ) -> SubtreeMemo {
+        let start = urls.len() as u32;
+        urls.extend_from_slice(&base_urls[range(&memo.urls)]);
+        let first_id = self.next_id;
+        self.next_id += memo.ids;
+        self.rewrites += memo.rewrites as usize;
+        SubtreeMemo {
+            first_id,
+            urls: start..urls.len() as u32,
+            ..memo.clone()
+        }
     }
 }
 
@@ -960,6 +1081,62 @@ mod tests {
         .unwrap();
         let nc = rcb_xml::parse_new_content(&gc.xml).unwrap().unwrap();
         assert_eq!(nc.user_actions, "mouse|10|20");
+    }
+
+    /// Generates `host` with `base` as the base on `mapping`, and checks
+    /// it against a generation from scratch; returns it.
+    fn generate_on(
+        host: &Browser,
+        mapping: &Mutex<MappingTable>,
+        base: Option<Arc<GeneratedContent>>,
+    ) -> Arc<GeneratedContent> {
+        let job = prepare_generation(host, CacheMode::Cache, "", 1, String::new(), base).unwrap();
+        let content = finish_generation(job, mapping, &key()).unwrap();
+        let mut mapping = mapping.lock().unwrap();
+        let expected =
+            generate_content(host, CacheMode::Cache, &mut mapping, &key(), "", 1, "").unwrap();
+        assert!(*content.xml == *expected.xml);
+        assert_eq!(content.object_urls, expected.object_urls);
+        assert_eq!(content.cache_rewrites, expected.cache_rewrites);
+        Arc::new(content)
+    }
+
+    /// A head holding an id-less clickable is copied only while the
+    /// synthetic ids before it leave its number where it was.
+    #[test]
+    fn a_head_numbering_synthetic_ids_is_copied_only_from_its_number() {
+        let mut host = loaded_host("google.com");
+        let clickable = |doc: &mut Document, parent: NodeId| {
+            let a = doc.create_element_with_attrs("a", vec![("href".into(), "/x".into())]);
+            doc.append_child(parent, a).unwrap();
+        };
+        // A top-level element before the head, and an anchor in the head.
+        let mut before = None;
+        host.mutate_dom(|doc| {
+            let html = doc.document_element().unwrap();
+            let div = doc.create_element("div");
+            doc.splice_children(html, 0, 0, vec![div]).unwrap();
+            clickable(doc, doc.head().unwrap());
+            before = Some(div);
+        })
+        .unwrap();
+        let before = before.unwrap();
+        let mapping = Mutex::new(MappingTable::new());
+        let first = generate_on(&host, &mapping, None);
+        host.mutate_dom(|doc| {
+            let div = doc.create_element("div");
+            doc.append_child(doc.body().unwrap(), div).unwrap();
+        })
+        .unwrap();
+        let body_edit = generate_on(&host, &mapping, Some(Arc::clone(&first)));
+        assert!(body_edit.head_reused, "the head starts at the same number");
+        // A clickable before the head renumbers it.
+        host.mutate_dom(|doc| clickable(doc, before)).unwrap();
+        let renumbered = generate_on(&host, &mapping, Some(body_edit));
+        assert!(!renumbered.head_reused, "the head starts at another number");
+        host.mutate_dom(|_| {}).unwrap();
+        let again = generate_on(&host, &mapping, Some(renumbered));
+        assert!(again.head_reused);
     }
 
     #[test]

@@ -32,15 +32,17 @@
 //!
 //! * [`ContentSnapshot::plan`] — runs **under the host mutex**: mints the
 //!   document timestamp and, given the agent's newest generation as its
-//!   base, clones the head, the body element and only the body children
+//!   base, clones the body element and only the head and body children
 //!   changed since that generation ([`prepare_generation`]), freezing a
 //!   view of the cache alongside. Proportional to what changed, never to
 //!   the serialized content.
 //! * [`SnapshotPlan::finish`] — runs **with no locks held**: URL
 //!   rewriting, event rewriting, escaping, XML assembly (copying the
-//!   base's bytes for every unchanged body child), object resolution, the
-//!   delta ring, and freezing the prefab heads. The mapping table is the
-//!   only shared state it touches (a leaf mutex, locked briefly).
+//!   base's bytes for the head and every body child left unchanged),
+//!   object resolution, the delta ring, and freezing the prefab heads.
+//!   The mapping table is the only shared state it touches (a leaf
+//!   mutex, locked briefly, and not at all when the predecessor's object
+//!   table is shared).
 //!
 //! # Delta ring
 //!
@@ -69,6 +71,13 @@
 //! [`LIVE_GENERATIONS`](crate::agent::LIVE_GENERATIONS) bound the agent
 //! applies to its generated-content and timestamp caches).
 //!
+//! **Shared object table:** a generation that references the same objects
+//! as its predecessor, in the same cache view, shares the predecessor's
+//! table (an `Arc`) instead of resolving it again — when that table holds
+//! only the predecessor's own live keys, so sharing it keeps the
+//! two-generation bound. A body edit that leaves every object alone
+//! resolves none.
+//!
 //! **Lock ordering** (documented here because this module sits at the
 //! center of it): `host mutex → snapshot write lock`. The host mutex is
 //! taken first (plan), content is generated with no lock held (finish),
@@ -76,12 +85,13 @@
 //! Participant-shard locks and the mapping-table mutex are leaves: never
 //! held while acquiring anything else.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use rcb_browser::Browser;
-use rcb_cache::{CacheKey, MappingTable, MappingView};
+use rcb_cache::{CacheKey, CacheView, MappingTable, MappingView};
 use rcb_crypto::SessionKey;
 use rcb_http::{Body, Response, Status};
 use rcb_util::{Result, SimTime};
@@ -185,8 +195,14 @@ pub struct ContentSnapshot {
     live_keys: Vec<CacheKey>,
     /// Servable objects, frozen responses whose bodies are the host cache
     /// entries: this generation's plus the predecessor's live set
-    /// (two-generation bound).
-    objects: HashMap<CacheKey, Response>,
+    /// (two-generation bound). Shared with the predecessor when nothing
+    /// it would resolve changed (see the module docs).
+    objects: Arc<HashMap<CacheKey, Response>>,
+    /// Whether `objects` holds keys beyond `live_keys`, carried from the
+    /// predecessor: a successor must not share such a table.
+    objects_carried: bool,
+    /// The view of the host cache `objects` was resolved in.
+    cache: CacheView,
     /// Where each section of the XML, and each top-level body child, lies.
     /// The *next* generation compares its head, top and body-child bytes
     /// against these to decide what its deltas must carry.
@@ -280,7 +296,9 @@ impl ContentSnapshot {
             doc_time: 0,
             poll_response: Response::with_body(Status::OK, "application/xml", Vec::new()),
             live_keys: Vec::new(),
-            objects: HashMap::new(),
+            objects: Arc::default(),
+            objects_carried: false,
+            cache: CacheView::default(),
             sections: Sections {
                 head: 0..0,
                 top: 0..0,
@@ -377,47 +395,21 @@ impl SnapshotPlan {
                 Some(key)
             })
             .collect();
-        let view: MappingView = self
-            .mapping
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .view_for(live_keys.iter().copied());
-
-        let mut objects = HashMap::with_capacity(live_keys.len());
-        for &key in &live_keys {
-            let Some(url) = view.url_for(key) else {
-                continue;
-            };
-            let Some(entry) = cache.get(url) else {
-                continue;
-            };
-            // The predecessor's prefab for the same cache entry is carried
-            // forward: its head is frozen (and, with response
-            // authentication, signed) over this very body already.
-            let frozen = prev
-                .and_then(|prev| prev.objects.get(&key))
-                .filter(|obj| frozen_over(obj, &entry.content_type, &entry.data));
-            let object = match frozen {
-                Some(obj) => obj.clone(),
-                None => prefab_response(
-                    Status::OK,
-                    &entry.content_type,
-                    Arc::clone(&entry.data),
-                    self.sign.then_some(&self.key),
-                ),
-            };
-            objects.insert(key, object);
-        }
-        // Two-generation bound: carry forward only the predecessor's live
-        // set (its prefabs already frozen); anything older ages out with
-        // the snapshot it belonged to.
-        if let Some(prev) = prev {
-            for &key in &prev.live_keys {
-                if let Some(obj) = prev.objects.get(&key) {
-                    objects.entry(key).or_insert_with(|| obj.clone());
-                }
+        // The predecessor's table, when this generation would resolve the
+        // same one: the same live keys (the mapping never rebinds a key)
+        // in the same cache view, and nothing carried beyond them.
+        let shared = prev.filter(|prev| {
+            !prev.objects_carried && prev.live_keys == live_keys && prev.cache.same_view(&cache)
+        });
+        let (objects, objects_carried) = match shared {
+            Some(prev) => (Arc::clone(&prev.objects), false),
+            None => {
+                let sign_with = self.sign.then_some(&self.key);
+                let (objects, carried) =
+                    resolve_objects(&self.mapping, sign_with, &live_keys, &cache, prev);
+                (Arc::new(objects), carried)
             }
-        }
+        };
 
         // Freeze the poll reply: every participant's content poll for this
         // generation is byte-identical, so its head is serialized exactly
@@ -537,6 +529,8 @@ impl SnapshotPlan {
                 poll_response,
                 live_keys,
                 objects,
+                objects_carried,
+                cache,
                 sections,
                 body_splice_safe: content.body_splice_safe,
                 delta_ring,
@@ -554,6 +548,63 @@ impl SnapshotPlan {
     pub fn mode(&self) -> CacheMode {
         self.mode
     }
+}
+
+/// Resolves the object table of a generation whose live keys are
+/// `live_keys` in `cache`, carrying forward `prev`'s live set; returns
+/// it with whether it holds keys beyond `live_keys`.
+fn resolve_objects(
+    mapping: &Mutex<MappingTable>,
+    sign_with: Option<&SessionKey>,
+    live_keys: &[CacheKey],
+    cache: &CacheView,
+    prev: Option<&ContentSnapshot>,
+) -> (HashMap<CacheKey, Response>, bool) {
+    let view: MappingView = mapping
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .view_for(live_keys.iter().copied());
+    let mut objects = HashMap::with_capacity(live_keys.len());
+    for &key in live_keys {
+        let Some(url) = view.url_for(key) else {
+            continue;
+        };
+        let Some(entry) = cache.get(url) else {
+            continue;
+        };
+        // The predecessor's prefab for the same cache entry is carried
+        // forward: its head is frozen (and, with response
+        // authentication, signed) over this very body already.
+        let frozen = prev
+            .and_then(|prev| prev.objects.get(&key))
+            .filter(|obj| frozen_over(obj, &entry.content_type, &entry.data));
+        let object = match frozen {
+            Some(obj) => obj.clone(),
+            None => prefab_response(
+                Status::OK,
+                &entry.content_type,
+                Arc::clone(&entry.data),
+                sign_with,
+            ),
+        };
+        objects.insert(key, object);
+    }
+    // Two-generation bound: carry forward only the predecessor's live
+    // set (its prefabs already frozen); anything older ages out with
+    // the snapshot it belonged to.
+    let mut carried = false;
+    if let Some(prev) = prev {
+        for &key in &prev.live_keys {
+            let Some(obj) = prev.objects.get(&key) else {
+                continue;
+            };
+            if let Entry::Vacant(slot) = objects.entry(key) {
+                carried |= !live_keys.contains(&key);
+                slot.insert(obj.clone());
+            }
+        }
+    }
+    (objects, carried)
 }
 
 /// One candidate base of a new snapshot's delta ring.
@@ -1388,6 +1439,209 @@ mod tests {
         assert!(content2.children_reused > 0);
         assert_eq!(snap2.doc_time, snap.doc_time);
         assert_eq!(snap2.xml(), snap.xml());
+    }
+
+    /// The index of the first top-level body child that holds text.
+    fn first_child_with_text(host: &Browser) -> usize {
+        let doc = host.doc.as_ref().unwrap();
+        let children = doc.children(doc.body().unwrap());
+        (0..children.len())
+            .find(|&i| !doc.text_content(children[i]).trim().is_empty())
+            .expect("a body child holds text")
+    }
+
+    /// Builds the next snapshot of `host` on `chain`, returning whether
+    /// its generation copied the head.
+    fn build_next(a: &mut RcbAgent, host: &Browser, chain: &mut Vec<Arc<ContentSnapshot>>) -> bool {
+        let now = SimTime::from_millis(chain.len() as u64);
+        let prev = chain.last().map(|s| &**s);
+        let snap = ContentSnapshot::build(a, host, now, prev).unwrap();
+        chain.push(snap);
+        let content = a.newest_content(a.config.cache_mode).unwrap();
+        content.head_reused
+    }
+
+    /// Whether the two newest snapshots of `chain` share one object table.
+    fn shares_table(chain: &[Arc<ContentSnapshot>]) -> bool {
+        let [.., prev, last] = chain else {
+            panic!("two snapshots")
+        };
+        Arc::ptr_eq(&prev.objects, &last.objects)
+    }
+
+    #[test]
+    fn a_body_edit_copies_the_head_and_shares_the_object_table() {
+        for site in ["wikipedia.org", "google.com"] {
+            let mut a = agent(CacheMode::Cache);
+            let mut host = loaded_host(site);
+            let mut chain = Vec::new();
+            assert!(!build_next(&mut a, &host, &mut chain), "{site}: first");
+            assert!(chain[0].live_object_count() > 0, "{site} has objects");
+            let child = first_child_with_text(&host);
+            for i in 1..=3 {
+                edit_text_in_child(&mut host, child, &format!("edit {i}"));
+                assert!(build_next(&mut a, &host, &mut chain), "{site} {i}: head");
+                assert!(shares_table(&chain), "{site} {i}: table resolved again");
+                let [.., prev, last] = &chain[..] else {
+                    unreachable!()
+                };
+                assert_eq!(
+                    last.section(&last.sections.head),
+                    prev.section(&prev.sections.head)
+                );
+                assert_eq!(last.live_keys, prev.live_keys);
+            }
+        }
+    }
+
+    /// Replaces the body with a frameset in the same document.
+    fn switch_to_frameset(host: &mut Browser) {
+        host.mutate_dom(|doc| {
+            let html = doc.document_element().unwrap();
+            let body = doc.body().unwrap();
+            let frameset =
+                doc.create_element_with_attrs("frameset", vec![("rows".into(), "*".into())]);
+            let frame = doc.create_element_with_attrs("frame", vec![("src".into(), "/a".into())]);
+            doc.append_child(frameset, frame).unwrap();
+            doc.detach(body);
+            doc.append_child(html, frameset).unwrap();
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn head_edits_navigations_cache_stores_and_framesets_regenerate_the_head() {
+        type Change = fn(&mut Browser);
+        let changes: [(&str, Change); 4] = [
+            ("a head edit", |h| {
+                set_title(h, "retitled");
+            }),
+            ("a navigation", |h| {
+                let profile = NetProfile::lan();
+                let mut pipe = Pipe::new(profile.host_origin);
+                let url = Url::parse("http://wikipedia.org/").unwrap();
+                let mut origins = OriginRegistry::with_alexa20();
+                h.navigate(&url, &mut origins, &mut pipe, &profile, SimTime::ZERO)
+                    .unwrap();
+            }),
+            ("a cache store", |h| {
+                let url = "http://google.com/stored.png";
+                h.cache
+                    .store(url, "image/png", vec![1, 2, 3], SimTime::ZERO);
+                append_div(h, "after a store");
+            }),
+            ("a frameset", switch_to_frameset),
+        ];
+        for (what, change) in changes {
+            let mut a = agent(CacheMode::Cache);
+            let mut host = loaded_host("google.com");
+            let mut chain = Vec::new();
+            build_next(&mut a, &host, &mut chain);
+            append_div(&mut host, "a body edit");
+            assert!(build_next(&mut a, &host, &mut chain), "{what}: body edit");
+            change(&mut host);
+            assert!(
+                !build_next(&mut a, &host, &mut chain),
+                "{what}: head copied"
+            );
+            let last = chain.last().unwrap();
+            let nc = rcb_xml::parse_new_content(last.xml()).unwrap().unwrap();
+            assert!(!nc.head_children.is_empty(), "{what}");
+        }
+    }
+
+    #[test]
+    fn a_cache_store_or_new_live_keys_rebuild_the_object_table() {
+        let mut a = agent(CacheMode::Cache);
+        let mut host = loaded_host("wikipedia.org");
+        let mut chain = Vec::new();
+        build_next(&mut a, &host, &mut chain);
+        // A live object stored again with new bytes: the same live keys in
+        // another cache view.
+        let key = chain[0].live_keys[0];
+        let url = a
+            .mapping()
+            .lock()
+            .unwrap()
+            .url_for(key)
+            .unwrap()
+            .to_string();
+        host.cache
+            .store(&url, "text/css", b"new bytes".to_vec(), SimTime::ZERO);
+        append_div(&mut host, "after a store");
+        build_next(&mut a, &host, &mut chain);
+        assert!(!shares_table(&chain), "a cache store");
+        let last = chain.last().unwrap();
+        assert_eq!(last.live_keys, chain[0].live_keys);
+        assert_eq!(last.object(key).unwrap().body.as_slice(), b"new bytes");
+
+        // A stylesheet link removed: one live key fewer, in the same view.
+        remove_head_link(&mut host);
+        build_next(&mut a, &host, &mut chain);
+        assert!(!shares_table(&chain), "a dropped live key");
+        let [.., prev, last] = &chain[..] else {
+            unreachable!()
+        };
+        assert!(last.cache.same_view(&prev.cache));
+        assert_eq!(last.live_object_count() + 1, prev.live_object_count());
+    }
+
+    /// Removes the head's first stylesheet link.
+    fn remove_head_link(host: &mut Browser) {
+        host.mutate_dom(|doc| {
+            let head = doc.head().unwrap();
+            let link = doc
+                .children(head)
+                .iter()
+                .copied()
+                .find(|&n| doc.is_element(n, "link"))
+                .expect("a stylesheet link");
+            doc.detach(link);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn after_a_rebuild_that_dropped_keys_the_table_holds_two_generations_at_most() {
+        let mut a = agent(CacheMode::Cache);
+        let mut host = loaded_host("wikipedia.org");
+        let mut chain = Vec::new();
+        build_next(&mut a, &host, &mut chain);
+        remove_head_link(&mut host);
+        build_next(&mut a, &host, &mut chain);
+        let child = first_child_with_text(&host);
+        for i in 0..3 {
+            edit_text_in_child(&mut host, child, &format!("edit {i}"));
+            build_next(&mut a, &host, &mut chain);
+        }
+        let [first, dropped, carried_over, rebuilt, shared] = &chain[..] else {
+            unreachable!()
+        };
+        // The dropped key stays servable one generation, for participants
+        // still on the content that referenced it.
+        let gone: Vec<CacheKey> = first
+            .live_keys
+            .iter()
+            .copied()
+            .filter(|k| !dropped.live_keys.contains(k))
+            .collect();
+        assert_eq!(gone.len(), 1);
+        assert!(dropped.object(gone[0]).is_some());
+        assert!(dropped.objects_carried);
+        // A table holding a carried key is not shared: the next generation
+        // resolves its own, which carries the dropped key no further.
+        assert!(!Arc::ptr_eq(&carried_over.objects, &dropped.objects));
+        assert!(carried_over.object(gone[0]).is_none());
+        assert!(!carried_over.objects_carried);
+        assert!(Arc::ptr_eq(&rebuilt.objects, &carried_over.objects));
+        assert!(Arc::ptr_eq(&shared.objects, &carried_over.objects));
+        for pair in chain.windows(2) {
+            let (prev, snap) = (&pair[0], &pair[1]);
+            for key in snap.objects.keys() {
+                assert!(snap.live_keys.contains(key) || prev.live_keys.contains(key));
+            }
+            assert!(snap.object_count() <= snap.live_object_count() + prev.live_object_count());
+        }
     }
 
     /// A generation's XML is one allocation: the agent's content cache

@@ -46,6 +46,17 @@ fn eight_participants_poll_in_parallel_and_converge() {
     let addr = host.addr().to_string();
     let mutations_done = Arc::new(AtomicBool::new(false));
 
+    // Two polls overlap inside the agent by construction, before the
+    // participants take every worker: the first mutation holds the host
+    // mutex until they did.
+    let mut merge = None;
+    host.mutate_page(|doc| {
+        append_marker(doc, "round-0");
+        merge = Some(overlap_beside_a_blocked_merge(&host, &addr, &key));
+    })
+    .unwrap();
+    merge.unwrap().join().unwrap();
+
     let threads: Vec<_> = (1..=PARTICIPANTS)
         .map(|pid| {
             let addr = addr.clone();
@@ -76,20 +87,13 @@ fn eight_participants_poll_in_parallel_and_converge() {
         .collect();
 
     // The host page mutates while all eight hammer away.
-    for i in 0..MUTATIONS {
+    for i in 1..MUTATIONS {
         let marker = if i + 1 == MUTATIONS {
             FINAL_MARKER.to_string()
         } else {
             format!("round-{i}")
         };
-        host.mutate_page(move |doc| {
-            let body = doc.body().unwrap();
-            let div = doc.create_element("div");
-            let t = doc.create_text(marker.clone());
-            doc.append_child(div, t).unwrap();
-            doc.append_child(body, div).unwrap();
-        })
-        .unwrap();
+        host.mutate_page(|doc| append_marker(doc, &marker)).unwrap();
         std::thread::sleep(Duration::from_millis(5));
     }
     mutations_done.store(true, Ordering::Relaxed);
@@ -110,18 +114,14 @@ fn eight_participants_poll_in_parallel_and_converge() {
 
     let stats = host.stats();
     // Polls overlapped inside the agent: the read path is concurrent, not
-    // serialized behind one lock. Two idle polls can run at once only
-    // where two threads answer them: a worker pool, or two event loops.
-    // One loop answers its idle polls one at a time, on its own thread;
-    // `idle_polls_answer_on_the_loop_while_the_pool_is_blocked` covers it.
-    if host.backend() != ServerBackend::EpollSharded(1) {
-        assert!(
-            stats.max_concurrent_polls >= 2,
-            "polls never overlapped on {} (max concurrency {})",
-            host.backend(),
-            stats.max_concurrent_polls
-        );
-    }
+    // serialized behind one lock. The first mutation made sure of it on
+    // every engine (`overlap_beside_a_blocked_merge`).
+    assert!(
+        stats.max_concurrent_polls >= 2,
+        "polls never overlapped on {} (max concurrency {})",
+        host.backend(),
+        stats.max_concurrent_polls
+    );
     // Content was generated once per DOM version — never once per poll,
     // and never while a reader waited: generation count tracks mutations,
     // not the thousands of polls served.
@@ -143,6 +143,47 @@ fn eight_participants_poll_in_parallel_and_converge() {
     assert!(ts_len <= LIVE_GENERATIONS);
 
     host.shutdown();
+}
+
+/// Appends a `<div>` holding `marker` to the body.
+fn append_marker(doc: &mut rcb_html::Document, marker: &str) {
+    let body = doc.body().unwrap();
+    let div = doc.create_element("div");
+    let t = doc.create_text(marker);
+    doc.append_child(div, t).unwrap();
+    doc.append_child(body, div).unwrap();
+}
+
+/// Makes two polls overlap inside the agent by construction; called
+/// holding the host mutex (inside a page mutation). Participant 1's
+/// action-carrying poll waits for that mutex inside the request path, on
+/// a worker or a pool thread, while participant 2's idle polls, which
+/// never take it, are answered beside it (on an event loop itself, so one
+/// loop overlaps too) until one of them was. Returns the merge's thread,
+/// which finishes once the mutex is released.
+fn overlap_beside_a_blocked_merge(
+    host: &TcpHost,
+    addr: &str,
+    key: &SessionKey,
+) -> std::thread::JoinHandle<()> {
+    let merge = {
+        let (addr, key) = (addr.to_string(), key.clone());
+        std::thread::spawn(move || {
+            let mut conn = HttpConnection::connect(&addr).unwrap();
+            empty_poll(&mut conn, &raw_poll("", &key, 1, true));
+        })
+    };
+    let mut conn = HttpConnection::connect(addr).unwrap();
+    let idle = raw_poll("", key, 2, false);
+    let t0 = Instant::now();
+    while host.stats().max_concurrent_polls < 2 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "no idle poll answered beside the blocked merge"
+        );
+        empty_poll(&mut conn, &idle);
+    }
+    merge
 }
 
 /// Percentile over a sample of microsecond latencies.

@@ -1,21 +1,24 @@
 //! Incremental content generation equals generation from scratch.
 //!
-//! A plan clones only the head, the body element and the body children
-//! changed since the agent's newest generation; every other child's
-//! escaped bytes and results are copied from that generation. Over seeded
-//! scripts on all 20 Table-1 pages in both cache modes, every generation
-//! must equal `generate_content` of the same host state on the same
-//! mapping table (XML, sections, object URLs, cache rewrites, splice
-//! safety), and every published snapshot's poll reply and delta replies
-//! must equal those of a second agent that never keeps a generation, so
-//! plans from scratch each time. The scripts edit text and attributes,
-//! insert, remove and move body children (some holding id-less
-//! clickables, which renumber the synthetic ids after them), edit the
-//! head and the body element, store and remove cache entries, record
-//! observer resolutions, navigate, replace the document wholesale (by a
-//! clone, by a frameset page and back), and plan two generations off one
-//! base, as racing merges do. `PROPTEST_CASES` sets how many random
-//! scripts the property runs.
+//! A plan clones only the body element and the head and body children
+//! changed since the agent's newest generation; every other subtree's
+//! escaped bytes and results are copied from that generation, and a
+//! snapshot whose objects are its predecessor's shares its object table.
+//! Over seeded scripts on all 20 Table-1 pages in both cache modes, every
+//! generation must equal `generate_content` of the same host state on the
+//! same mapping table (XML, sections, object URLs, cache rewrites, splice
+//! safety), every published snapshot's poll reply and delta replies must
+//! equal those of a second agent that never keeps a generation, so plans
+//! from scratch each time, and every live object the snapshot serves must
+//! be the host cache's entry as the plan saw it. The scripts edit text and
+//! attributes, insert, remove and move body children (some holding
+//! id-less clickables, which renumber the synthetic ids after them), edit
+//! the head and the body element, re-point or remove the head's
+//! stylesheet and script references, store (new or again) and remove
+//! cache entries, record observer resolutions, navigate, replace the
+//! document wholesale (by a clone, by a frameset page and back), and plan
+//! two generations off one base, as racing merges do. `PROPTEST_CASES`
+//! sets how many random scripts the property runs.
 
 use std::sync::Arc;
 
@@ -71,6 +74,9 @@ struct Planned {
     plan: SnapshotPlan,
     reference: SnapshotPlan,
     expected: GeneratedContent,
+    /// Each live object's key and the bytes the host cache held for it
+    /// when the plan was made.
+    objects: Vec<(CacheKey, Arc<[u8]>)>,
 }
 
 /// A host, the agent under test, and the reference agent: it never admits
@@ -144,11 +150,22 @@ impl Run {
             "",
         )
         .unwrap();
+        let view = self.host.cache.view();
+        let objects = expected
+            .object_urls
+            .iter()
+            .filter_map(|u| MappingTable::parse_agent_path(u.split('?').next().unwrap()))
+            .filter_map(|key| {
+                let entry = view.get(mapping.url_for(key)?)?;
+                Some((key, Arc::clone(&entry.data)))
+            })
+            .collect();
         drop(mapping);
         Planned {
             plan,
             reference,
             expected,
+            objects,
         }
     }
 
@@ -176,6 +193,13 @@ impl Run {
         );
         assert_eq!(content.doc_time, expected.doc_time, "{what}: doc time");
         assert_eq!(expected.children_reused, 0, "{what}: from scratch");
+        for (key, data) in &planned.objects {
+            let object = snap.object(*key).expect("a live object is servable");
+            assert!(
+                object.body.as_slice() == &data[..],
+                "{what}: object {key:?}"
+            );
+        }
 
         let reference_prev = self.reference_chain.last().cloned();
         let (reference, reference_content) =
@@ -309,6 +333,33 @@ impl Run {
                 doc.set_attr(meta, "name", words(rng, 6));
                 doc.append_child(head, meta).unwrap();
             }),
+            HEAD_OBJECT => {
+                // Re-point a stylesheet or script reference to another
+                // cached URL, or remove it.
+                let mut cached = self.host.cache.urls();
+                cached.sort();
+                self.mutate(|doc| {
+                    let head = doc.head().unwrap();
+                    let refs: Vec<(NodeId, &str)> = doc
+                        .children(head)
+                        .iter()
+                        .filter_map(|&n| match doc.tag(n)? {
+                            "link" => Some((n, "href")),
+                            "script" => doc.get_attr(n, "src").map(|_| (n, "src")),
+                            _ => None,
+                        })
+                        .collect();
+                    if refs.is_empty() {
+                        return;
+                    }
+                    let (node, attr) = *rng.choose(&refs);
+                    if cached.is_empty() || rng.next_below(3) == 0 {
+                        doc.detach(node);
+                    } else {
+                        doc.set_attr(node, attr, rng.choose(&cached).clone());
+                    }
+                });
+            }
             BODY_ELEMENT => self.mutate(|doc| {
                 let body = doc.body().unwrap();
                 doc.set_attr(body, "data-gen", words(rng, 6));
@@ -320,6 +371,16 @@ impl Run {
                     let url = urls[rng.next_below(urls.len() as u64) as usize].clone();
                     self.host.cache.remove(&url);
                 }
+            }
+            CACHE_STORE if rng.next_below(3) == 0 && !self.host.cache.is_empty() => {
+                // A cached object stored again with new bytes: the same
+                // objects in a new cache view.
+                let mut urls = self.host.cache.urls();
+                urls.sort();
+                let url = rng.choose(&urls).clone();
+                let bytes = rng.next_u64().to_le_bytes().to_vec();
+                let stored_at = SimTime::from_millis(self.now_ms);
+                self.host.cache.store(&url, "text/css", bytes, stored_at);
             }
             CACHE_STORE => {
                 // A referenced object the cache lacks, else a new one.
@@ -394,9 +455,10 @@ const OBSERVER: usize = 10;
 const NAVIGATE: usize = 11;
 const CLONE_DOCUMENT: usize = 12;
 const FRAMESET: usize = 13;
+const HEAD_OBJECT: usize = 14;
 /// Brings back the page a frameset swap set aside (never drawn).
-const RESTORE: usize = 14;
-const OPS: usize = 15;
+const RESTORE: usize = 15;
+const OPS: usize = 16;
 
 /// The non-blank text nodes below the body.
 fn body_texts(doc: &Document) -> Vec<NodeId> {

@@ -22,30 +22,49 @@ pub trait Origin {
 
 /// Serves one synthetic Alexa site: the homepage at `/` plus its object
 /// manifest, and simple section/story pages so navigation works.
+///
+/// The homepage and objects are generated when the server answers its
+/// first request. Generation is a pure function of the spec, so the bytes
+/// are the same whenever it runs, and a registry of all 20 sites costs
+/// nothing for the sites a run never loads.
 pub struct StaticSiteServer {
     spec: SiteSpec,
+    content: Option<SiteContent>,
+}
+
+/// A site's generated homepage and objects (by request path).
+struct SiteContent {
     homepage: String,
     objects: HashMap<String, (String, Vec<u8>)>,
 }
 
-impl StaticSiteServer {
-    /// Builds the server for `spec`, pre-generating all content.
-    pub fn new(spec: SiteSpec) -> StaticSiteServer {
-        let homepage = generate_homepage(&spec);
-        let mut objects = HashMap::new();
-        for obj in &spec.objects {
-            objects.insert(
-                format!("/{}", obj.path),
+impl SiteContent {
+    fn generate(spec: &SiteSpec) -> SiteContent {
+        let objects = spec
+            .objects
+            .iter()
+            .map(|obj| {
+                let ct = obj.kind.content_type().to_string();
                 (
-                    obj.kind.content_type().to_string(),
-                    generate_object(obj, spec.index),
-                ),
-            );
+                    format!("/{}", obj.path),
+                    (ct, generate_object(obj, spec.index)),
+                )
+            })
+            .collect();
+        SiteContent {
+            homepage: generate_homepage(spec),
+            objects,
         }
+    }
+}
+
+impl StaticSiteServer {
+    /// Builds the server for `spec`; its content is generated on the
+    /// first request.
+    pub fn new(spec: SiteSpec) -> StaticSiteServer {
         StaticSiteServer {
             spec,
-            homepage,
-            objects,
+            content: None,
         }
     }
 
@@ -61,11 +80,15 @@ impl Origin for StaticSiteServer {
     }
 
     fn handle(&mut self, req: &Request, _now: SimTime) -> Response {
+        let spec = &self.spec;
+        let content = self
+            .content
+            .get_or_insert_with(|| SiteContent::generate(spec));
         let path = req.path();
         if path == "/" || path == "/index.html" {
-            return Response::html(self.homepage.clone());
+            return Response::html(content.homepage.clone());
         }
-        if let Some((ct, body)) = self.objects.get(path) {
+        if let Some((ct, body)) = content.objects.get(path) {
             return Response::with_body(Status::OK, ct, body.clone());
         }
         // Section/story/search pages: small generated pages so host
@@ -88,7 +111,44 @@ impl Origin for StaticSiteServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sites::site_by_index;
+    use crate::sites::{alexa20, site_by_index};
+
+    /// Every path of every site answers with what the generators return,
+    /// whichever path a server answers first.
+    #[test]
+    fn every_path_serves_what_the_generators_return() {
+        for spec in alexa20() {
+            let mut paths: Vec<String> = spec
+                .objects
+                .iter()
+                .map(|o| format!("/{}", o.path))
+                .collect();
+            paths.extend(["/".to_string(), "/index.html".to_string()]);
+            for first in [0, paths.len() - 1] {
+                let mut s = StaticSiteServer::new(spec.clone());
+                paths.rotate_left(first);
+                for path in &paths {
+                    let resp = s.handle(&Request::get(path.as_str()), SimTime::ZERO);
+                    let (ct, body) = match spec
+                        .objects
+                        .iter()
+                        .find(|o| format!("/{}", o.path) == *path)
+                    {
+                        Some(obj) => (obj.kind.content_type(), generate_object(obj, spec.index)),
+                        None => ("text/html", generate_homepage(&spec).into_bytes()),
+                    };
+                    assert!(resp.status.is_success(), "{} {path}", spec.name);
+                    assert_eq!(
+                        resp.content_type().as_deref(),
+                        Some(ct),
+                        "{} {path}",
+                        spec.name
+                    );
+                    assert!(resp.body.as_slice() == &body[..], "{} {path}", spec.name);
+                }
+            }
+        }
+    }
 
     #[test]
     fn homepage_served_at_root() {

@@ -39,5 +39,5 @@ pub use model::{
 pub use reader::{parse_delta_content, parse_new_content, parse_poll_payload};
 pub use writer::{
     splice_delta_content, write_delta_content, write_new_content, write_new_content_parts,
-    BodyChild, BodyChildren, Sections, TopCopy, TopParts,
+    BodyChild, BodyChildren, HeadParts, Sections, TopCopy, TopParts,
 };

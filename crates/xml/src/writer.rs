@@ -11,9 +11,11 @@
 //! framing: it copies sections, or a run of body children, verbatim,
 //! either from a full document (a server building its deltas from its own
 //! output) or from sections [`write_delta_content`] has just written.
-//! [`write_new_content_parts`] writes a full document whose body comes in
-//! pieces: each top-level child either serialized HTML to escape, or the
-//! escaped bytes of the same child in an earlier document, copied.
+//! [`write_new_content_parts`] writes a full document whose head and body
+//! come in pieces: the head either as payloads to escape or as the
+//! escaped `docHead` section of an earlier document, copied, and each
+//! top-level body child either serialized HTML to escape or the escaped
+//! bytes of the same child in an earlier document, copied.
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -103,6 +105,17 @@ pub enum TopCopy {
     },
 }
 
+/// The head as [`write_new_content_parts`] takes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadParts<'a> {
+    /// The head's child payloads, each JS-escaped into an `hChildN`
+    /// CDATA section.
+    Payloads(&'a [ElementPayload]),
+    /// The whole `docHead` section as an earlier document holds it (its
+    /// [`Sections::head`] bytes), already escaped: copied verbatim.
+    Escaped(&'a str),
+}
+
 /// One top-level body child as [`write_new_content_parts`] takes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BodyChild<'a> {
@@ -137,8 +150,9 @@ pub enum TopParts<'a> {
 /// `hChildN` CDATA sections, `docBody` or `docFrameSet`/`docNoFrames`,
 /// and `userActions`).
 pub fn write_new_content(nc: &NewContent) -> String {
+    let head = HeadParts::Payloads(&nc.head_children);
     let top = TopParts::Whole(&nc.top);
-    write_new_content_parts(nc.doc_time, &nc.head_children, top, &nc.user_actions).0
+    write_new_content_parts(nc.doc_time, head, top, &nc.user_actions).0
 }
 
 /// Writes a newContent document from its parts, returning it with the
@@ -147,7 +161,9 @@ pub fn write_new_content(nc: &NewContent) -> String {
 /// children's escaped bytes back to back, a child's escaped bytes are the
 /// same wherever it stands, and an [`BodyChild::Escaped`] child copied
 /// from an earlier document is the [`BodyChild::Raw`] child it was
-/// written from.
+/// written from. Likewise a [`HeadParts::Escaped`] head is the
+/// `docHead` section written from the payloads it was copied for: the
+/// section's framing is fixed.
 ///
 /// Assembly is single-pass into one output buffer: each payload is
 /// JS-escaped straight into it via
@@ -156,19 +172,18 @@ pub fn write_new_content(nc: &NewContent) -> String {
 /// allocation that grows.
 pub fn write_new_content_parts(
     doc_time: u64,
-    head_children: &[ElementPayload],
+    head: HeadParts<'_>,
     top: TopParts<'_>,
     user_actions: &str,
 ) -> (String, Sections) {
     let top = TopWrite::Parts(top);
-    let mut out = String::with_capacity(
-        sections_len_hint(Some(head_children), Some(&top), user_actions) + 128,
-    );
+    let mut out =
+        String::with_capacity(sections_len_hint(Some(head), Some(&top), user_actions) + 128);
     out.push_str("<?xml version='1.0' encoding='utf-8'?>\n");
     out.push_str("<newContent>\n");
     let _ = writeln!(out, "<docTime>{doc_time}</docTime>");
     out.push_str("<docContent>\n");
-    let sections = write_sections_into(&mut out, Some(head_children), Some(top), user_actions);
+    let sections = write_sections_into(&mut out, Some(head), Some(top), user_actions);
     out.push_str("</newContent>\n");
     (out, sections)
 }
@@ -184,7 +199,7 @@ pub fn write_new_content_parts(
 /// The typed entry point: it writes the sections the delta carries, then
 /// frames them with [`splice_delta_content`].
 pub fn write_delta_content(dc: &DeltaContent) -> String {
-    let head = dc.head_children.as_deref();
+    let head = dc.head_children.as_deref().map(HeadParts::Payloads);
     let top = dc.top.as_ref().map(|top| match top {
         DeltaTop::Whole(top) => TopWrite::Parts(TopParts::Whole(top)),
         DeltaTop::BodySplice(splice) => TopWrite::Splice(splice),
@@ -272,13 +287,15 @@ enum TopWrite<'a> {
 /// where each section landed.
 fn write_sections_into(
     out: &mut String,
-    head: Option<&[ElementPayload]>,
+    head: Option<HeadParts<'_>>,
     top: Option<TopWrite<'_>>,
     user_actions: &str,
 ) -> Sections {
     let start = out.len();
-    if let Some(head_children) = head {
-        write_head_into(out, head_children);
+    match head {
+        Some(HeadParts::Payloads(head_children)) => write_head_into(out, head_children),
+        Some(HeadParts::Escaped(bytes)) => out.push_str(bytes),
+        None => {}
     }
     let head = start..out.len();
     let body_children = match top {
@@ -309,21 +326,22 @@ fn write_sections_into(
 /// payloads by roughly 2×, and starting near the final size keeps the
 /// buffer from reallocating log(n) times.
 fn sections_len_hint(
-    head: Option<&[ElementPayload]>,
+    head: Option<HeadParts<'_>>,
     top: Option<&TopWrite<'_>>,
     user_actions: &str,
 ) -> usize {
-    let payload_bytes: usize = head.map_or(0, |hc| hc.iter().map(payload_len).sum())
-        + match top {
-            Some(TopWrite::Parts(TopParts::Whole(TopLevel::Body(b)))) => payload_len(b),
-            Some(TopWrite::Parts(TopParts::Whole(TopLevel::Frames { frameset, noframes }))) => {
-                payload_len(frameset) + noframes.as_ref().map_or(0, payload_len)
-            }
-            Some(TopWrite::Parts(TopParts::Body { .. })) | None => 0,
-            Some(TopWrite::Splice(splice)) => splice.inner_html.len() + 64,
-        };
-    // Escaped children are copied as they are: they count once.
-    let escaped_bytes: usize = match top {
+    // Escaped sections and children are copied as they are: they count
+    // once.
+    let head = match head {
+        Some(HeadParts::Payloads(hc)) => 2 * hc.iter().map(payload_len).sum::<usize>(),
+        Some(HeadParts::Escaped(bytes)) => bytes.len(),
+        None => 0,
+    };
+    let top = match top {
+        Some(TopWrite::Parts(TopParts::Whole(TopLevel::Body(b)))) => 2 * payload_len(b),
+        Some(TopWrite::Parts(TopParts::Whole(TopLevel::Frames { frameset, noframes }))) => {
+            2 * (payload_len(frameset) + noframes.as_ref().map_or(0, payload_len))
+        }
         Some(TopWrite::Parts(TopParts::Body {
             tag,
             attrs,
@@ -339,9 +357,10 @@ fn sections_len_hint(
                 .sum();
             2 * (tag.len() + own) + children + 128
         }
-        _ => 0,
+        Some(TopWrite::Splice(splice)) => 2 * (splice.inner_html.len() + 64),
+        None => 0,
     };
-    2 * payload_bytes + escaped_bytes + user_actions.len() + 384
+    head + top + user_actions.len() + 384
 }
 
 fn write_head_into(out: &mut String, head_children: &[ElementPayload]) {
@@ -551,7 +570,8 @@ mod tests {
     fn write_with_ends(nc: &NewContent, ends: Option<&[usize]>) -> (String, Sections) {
         let (TopLevel::Body(body), Some(ends)) = (&nc.top, ends) else {
             let top = TopParts::Whole(&nc.top);
-            return write_new_content_parts(nc.doc_time, &nc.head_children, top, &nc.user_actions);
+            let head = HeadParts::Payloads(&nc.head_children);
+            return write_new_content_parts(nc.doc_time, head, top, &nc.user_actions);
         };
         let starts = std::iter::once(0).chain(ends.iter().copied());
         let children: Vec<BodyChild<'_>> = starts
@@ -563,7 +583,8 @@ mod tests {
             attrs: &body.attrs,
             children: &children,
         };
-        write_new_content_parts(nc.doc_time, &nc.head_children, top, &nc.user_actions)
+        let head = HeadParts::Payloads(&nc.head_children);
+        write_new_content_parts(nc.doc_time, head, top, &nc.user_actions)
     }
 
     /// A body payload made of `children`, and where each child ends in
@@ -698,23 +719,33 @@ mod tests {
         }
     }
 
-    /// A body written from pieces, some copied escaped from an earlier
-    /// document, equals the body written whole, and its children land
-    /// where the whole writer put them.
+    /// A document written from pieces, its head and some body children
+    /// copied escaped from an earlier document, equals the document
+    /// written whole, and its sections and children land where the whole
+    /// writer put them.
     #[test]
-    fn escaped_children_copy_into_the_same_document() {
+    fn escaped_head_and_children_copy_into_the_same_document() {
         for (nc, ends) in splice_corpus() {
+            let (xml, sections) = write_with_ends(&nc, ends.as_deref());
+            let heads = [
+                HeadParts::Payloads(&nc.head_children),
+                HeadParts::Escaped(&xml[sections.head.clone()]),
+            ];
             let (TopLevel::Body(body), Some(ends)) = (&nc.top, ends) else {
+                for head in heads {
+                    let top = TopParts::Whole(&nc.top);
+                    let parts = write_new_content_parts(nc.doc_time, head, top, &nc.user_actions);
+                    assert_eq!(parts, (xml.clone(), sections.clone()), "{head:?}");
+                }
                 continue;
             };
-            let (xml, sections) = write_with_ends(&nc, Some(&ends));
             let children = sections.body_children.as_ref().expect("children reported");
             let raw: Vec<&str> = std::iter::once(0)
                 .chain(ends.iter().copied())
                 .zip(ends.iter().copied())
                 .map(|(from, end)| &body.inner_html[from..end])
                 .collect();
-            for copy_every in 1..=3 {
+            for (copy_every, head) in (1..=3).flat_map(|n| heads.map(|head| (n, head))) {
                 let pieces: Vec<BodyChild<'_>> = (0..raw.len())
                     .map(|i| match i % copy_every {
                         0 => BodyChild::Escaped(&xml[children.span(i..i + 1)]),
@@ -726,12 +757,11 @@ mod tests {
                     attrs: &body.attrs,
                     children: &pieces,
                 };
-                let parts =
-                    write_new_content_parts(nc.doc_time, &nc.head_children, top, &nc.user_actions);
+                let parts = write_new_content_parts(nc.doc_time, head, top, &nc.user_actions);
                 assert_eq!(
                     parts,
                     (xml.clone(), sections.clone()),
-                    "copy every {copy_every}"
+                    "copy every {copy_every}, {head:?}"
                 );
             }
         }
