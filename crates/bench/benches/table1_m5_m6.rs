@@ -5,6 +5,8 @@
 //! content update (Fig. 5). Three representative page sizes span the
 //! Table-1 range (6.8 KB → 228.5 KB).
 
+use std::sync::Mutex;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use rcb_browser::{Browser, BrowserKind};
@@ -43,14 +45,14 @@ fn bench_m5(c: &mut Criterion) {
         let host = loaded_host(site);
         group.bench_with_input(BenchmarkId::new("noncache", site), &host, |b, host| {
             b.iter(|| {
-                let mut m = MappingTable::new();
-                generate_content(host, CacheMode::NonCache, &mut m, &key, "", 1, "").unwrap()
+                let m = Mutex::new(MappingTable::new());
+                generate_content(host, CacheMode::NonCache, &m, &key, "", 1, "").unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("cache", site), &host, |b, host| {
             b.iter(|| {
-                let mut m = MappingTable::new();
-                generate_content(host, CacheMode::Cache, &mut m, &key, "", 1, "").unwrap()
+                let m = Mutex::new(MappingTable::new());
+                generate_content(host, CacheMode::Cache, &m, &key, "", 1, "").unwrap()
             })
         });
     }
@@ -62,8 +64,8 @@ fn bench_m6(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_m6");
     for site in SITES {
         let host = loaded_host(site);
-        let mut m = MappingTable::new();
-        let gc = generate_content(&host, CacheMode::NonCache, &mut m, &key, "", 1, "").unwrap();
+        let m = Mutex::new(MappingTable::new());
+        let gc = generate_content(&host, CacheMode::NonCache, &m, &key, "", 1, "").unwrap();
         let nc = rcb_xml::parse_new_content(&gc.xml).unwrap().unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(site), &nc, |b, nc| {
             b.iter(|| {

@@ -14,6 +14,8 @@
 //!
 //! Reported: wire bytes and encode CPU per site, on three Table-1 sizes.
 
+use std::sync::Mutex;
+
 use rcb_browser::{Browser, BrowserKind};
 use rcb_cache::MappingTable;
 use rcb_core::agent::CacheMode;
@@ -97,9 +99,9 @@ fn main() {
         let mut rcb_bytes = 0;
         let mut rcb_cpu = u64::MAX;
         for _ in 0..5 {
-            let mut m = MappingTable::new();
+            let m = Mutex::new(MappingTable::new());
             let sw = Stopwatch::start();
-            let gc = generate_content(&host, CacheMode::NonCache, &mut m, &key, "", 1, "").unwrap();
+            let gc = generate_content(&host, CacheMode::NonCache, &m, &key, "", 1, "").unwrap();
             rcb_cpu = rcb_cpu.min(sw.elapsed().as_micros());
             rcb_bytes = gc.xml.len();
         }

@@ -29,9 +29,8 @@
 //!   regenerations of a heavy page are in flight and requires it within
 //!   2× the quiescent p99 (plus a scheduler floor) on multi-core machines
 //!   — direct evidence content generation runs outside the host mutex;
-//! * **memory bound**: ≥ 1000 DOM versions with the agent's
-//!   generated-content and timestamp maps staying within the
-//!   two-generation bound;
+//! * **memory bound**: ≥ 1000 DOM versions with the agent holding one
+//!   generation and one planned version;
 //! * **connection hold**: many keep-alive connections open at once on a
 //!   small handler pool — 256 per event-loop shard on the epoll engines
 //!   (whose ceiling is the fd limit; the sharded backend therefore holds
@@ -86,7 +85,7 @@ use std::time::{Duration, Instant};
 
 use rcb_bench::gates;
 use rcb_browser::{Browser, BrowserKind};
-use rcb_core::agent::{AgentConfig, LIVE_GENERATIONS};
+use rcb_core::agent::AgentConfig;
 use rcb_core::router::{fixed_page_factory, RouterConfig, RouterHost, SessionOutlier};
 use rcb_core::tcp::{TcpHost, TcpParticipant};
 use rcb_crypto::SessionKey;
@@ -325,9 +324,13 @@ fn run_regen_overlap(backend: ServerBackend) -> (u64, u64, u64) {
     )
 }
 
+/// How many generations, and planned versions, the agent may hold: its
+/// newest.
+const AGENT_GENERATIONS: usize = 1;
+
 /// Memory-bound phase: ≥ `versions` DOM versions with a participant
 /// syncing along; returns the final `(content_cache, timestamps)` sizes.
-fn run_memory_bound(backend: ServerBackend, versions: u64) -> (usize, usize, u64, u64) {
+fn run_memory_bound(backend: ServerBackend, versions: u64) -> (usize, usize) {
     let mut host = start_host(backend, 2);
     let addr = host.addr().to_string();
     let mut p = TcpParticipant::join(&addr, host.key().clone(), 1).expect("join");
@@ -343,11 +346,9 @@ fn run_memory_bound(backend: ServerBackend, versions: u64) -> (usize, usize, u64
             let _ = p.poll();
         }
     }
-    let (content, ts) = host.agent_cache_lens();
-    let (content_ev, ts_ev) =
-        host.with_agent_stats(|s| (s.content_evictions.get(), s.timestamp_evictions.get()));
+    let lens = host.agent_cache_lens();
     host.shutdown();
-    (content, ts, content_ev, ts_ev)
+    lens
 }
 
 /// Connection-hold phase: `conns` keep-alive connections held open
@@ -1126,12 +1127,11 @@ fn main() {
         }
     );
 
-    let (content, ts, content_ev, ts_ev) = run_memory_bound(backend, versions);
-    let bounded = gates::memory_bounded(content, ts, LIVE_GENERATIONS);
+    let (content, ts) = run_memory_bound(backend, versions);
+    let bounded = gates::memory_bounded(content, ts, AGENT_GENERATIONS);
     println!(
         "memory bound after {versions} DOM versions: content_cache={content} \
-         timestamps={ts} (bound {LIVE_GENERATIONS}), evictions content={content_ev} \
-         timestamps={ts_ev}: {}",
+         timestamps={ts} (bound {AGENT_GENERATIONS}): {}",
         if bounded { "ok" } else { "FAILED" }
     );
 
@@ -1331,7 +1331,7 @@ fn main() {
          \"regen_latency\":{{\"quiescent_p99_us\":{q_p99},\"during_regen_p99_us\":{d_p99},\
          \"avg_regen_us\":{avg_regen},\"bound_us\":{regen_bound},\"enforced\":{regen_enforced}}},\n\
          \"memory_bound\":{{\"versions\":{versions},\"content_cache\":{content},\
-         \"timestamps\":{ts},\"bound\":{LIVE_GENERATIONS}}},\n\
+         \"timestamps\":{ts},\"bound\":{AGENT_GENERATIONS}}},\n\
          \"conn_hold\":{{\"connections\":{hold_conns},\"pool\":{hold_pool},\
          \"per_shard\":[{per_shard_json}],\"ok\":{hold_ok}}},\n\
          \"update_latency\":{{\"participants\":{ul_participants},\"updates\":{ul_updates},\

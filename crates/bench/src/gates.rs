@@ -75,8 +75,8 @@ pub fn regen_overlap_ok(cores: usize, quiescent_p99_us: u64, during_p99_us: u64)
     cores < 2 || during_p99_us <= regen_bound_us(quiescent_p99_us)
 }
 
-/// The agent's generated-content and timestamp maps stay within the
-/// two-generation bound regardless of how many DOM versions passed.
+/// The agent's generated content and planned timestamps stay within
+/// `bound` generations regardless of how many DOM versions passed.
 pub fn memory_bounded(content_cache: usize, timestamps: usize, bound: usize) -> bool {
     content_cache <= bound && timestamps <= bound
 }

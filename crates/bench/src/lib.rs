@@ -83,6 +83,7 @@ pub fn measure_m5_m6(site: &str, reps: usize) -> Result<(SimDuration, SimDuratio
     use rcb_origin::OriginRegistry;
     use rcb_sim::link::Pipe;
     use rcb_util::{DetRng, SimTime, Stopwatch};
+    use std::sync::Mutex;
 
     let key = SessionKey::generate_deterministic(&mut DetRng::new(1));
     let mut origins = OriginRegistry::with_alexa20();
@@ -101,11 +102,11 @@ pub fn measure_m5_m6(site: &str, reps: usize) -> Result<(SimDuration, SimDuratio
     let mut best_c = SimDuration::from_secs(3600);
     let mut best_m6 = SimDuration::from_secs(3600);
     for _ in 0..reps {
-        let mut m = MappingTable::new();
-        let nc = generate_content(&host, CacheMode::NonCache, &mut m, &key, "", 1, "")?;
+        let m = Mutex::new(MappingTable::new());
+        let nc = generate_content(&host, CacheMode::NonCache, &m, &key, "", 1, "")?;
         best_nc = best_nc.min(nc.generation_cost);
-        let mut m = MappingTable::new();
-        let c = generate_content(&host, CacheMode::Cache, &mut m, &key, "", 1, "")?;
+        let m = Mutex::new(MappingTable::new());
+        let c = generate_content(&host, CacheMode::Cache, &m, &key, "", 1, "")?;
         best_c = best_c.min(c.generation_cost);
         // M6: apply the generated content to a participant document.
         let parsed = rcb_xml::parse_new_content(&c.xml)?.expect("content present");

@@ -8,11 +8,11 @@
 //! [`crate::tcp`]'s session host. [`RcbAgent`] is its write half: it
 //! merges participant actions into the host page, returning the host
 //! effects they ask for (navigations, form submissions, clicks), mints
-//! document timestamps, and keeps the URL↔key mapping table, the
-//! generated-content cache and the generation stats that content
-//! snapshots are built from.
+//! document timestamps, and keeps the URL↔key mapping table, its newest
+//! generated content and the generation stats that content snapshots are
+//! built from.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use rcb_browser::{Browser, UserAction};
@@ -184,10 +184,6 @@ pub struct AgentStats {
     /// Top-level body children cloned and generated afresh, summed over
     /// generations.
     pub children_regenerated: Counter,
-    /// Generated-content cache entries evicted by the generation bound.
-    pub content_evictions: Counter,
-    /// Timestamp entries evicted by the generation bound.
-    pub timestamp_evictions: Counter,
     /// Wall-clock generation costs (the paper's M5 samples), the most
     /// recent [`SAMPLE_LOG`] of them.
     pub m5: Histogram,
@@ -199,8 +195,6 @@ impl Default for AgentStats {
             generations: Counter::new(),
             children_reused: Counter::new(),
             children_regenerated: Counter::new(),
-            content_evictions: Counter::new(),
-            timestamp_evictions: Counter::new(),
             m5: Histogram::recent(SAMPLE_LOG),
         }
     }
@@ -210,12 +204,6 @@ impl Default for AgentStats {
 /// keeps (the agent's M5, the snippet's M6): enough for any measurement
 /// phase, bounded for a host or client that runs for days.
 pub const SAMPLE_LOG: usize = 16_384;
-
-/// How many DOM generations the agent keeps generated content and
-/// timestamps for: the live generation plus one predecessor, so a
-/// participant mid-flight on the previous version can still be served
-/// while memory stays bounded no matter how often the host page mutates.
-pub const LIVE_GENERATIONS: usize = 2;
 
 /// RCB-Agent's write path (see module docs).
 pub struct RcbAgent {
@@ -228,20 +216,18 @@ pub struct RcbAgent {
     /// while merges proceed. Lock ordering: this is a leaf — never held
     /// while acquiring any other lock.
     mapping: Arc<Mutex<MappingTable>>,
-    /// Generated content of the live generations per (dom_version,
-    /// mode): the newest is the base the next plan copies unchanged body
-    /// children from.
-    content_cache: HashMap<(u64, bool), Arc<GeneratedContent>>,
+    /// The newest generation admitted, `(dom_version, mode, content)`:
+    /// the base the next plan copies unchanged subtrees from. Older
+    /// generations live on only in the snapshots that hold them.
+    newest: Option<(u64, CacheMode, Arc<GeneratedContent>)>,
     /// The latest participant pointer position, pending broadcast in the
     /// next content update. A later position supersedes an earlier one,
     /// so moves on an unchanged page never pile up.
     pointer: Option<UserAction>,
-    /// The dom_version → document-timestamp map, bounded to
-    /// [`LIVE_GENERATIONS`] entries.
-    timestamps: HashMap<u64, u64>,
-    /// DOM versions currently retained (front = oldest); minting a
-    /// timestamp for a new version evicts beyond [`LIVE_GENERATIONS`].
-    live_versions: VecDeque<u64>,
+    /// The DOM version last planned and the document timestamp minted for
+    /// it. A session host skips planning a version held here, so one
+    /// generation runs per version; a failed one is un-planned.
+    planned: Option<(u64, u64)>,
     /// Highest timestamp minted so far (timestamps must be strictly
     /// monotonic even when two DOM versions land in the same millisecond).
     last_timestamp: u64,
@@ -256,10 +242,9 @@ impl RcbAgent {
             config,
             key,
             mapping: Arc::new(Mutex::new(MappingTable::new())),
-            content_cache: HashMap::new(),
+            newest: None,
             pointer: None,
-            timestamps: HashMap::new(),
-            live_versions: VecDeque::new(),
+            planned: None,
             last_timestamp: 0,
             stats: AgentStats::default(),
         }
@@ -270,40 +255,45 @@ impl RcbAgent {
         &self.key
     }
 
-    /// The document timestamp for the host's current DOM version, minting
-    /// one if this version has not been seen yet (timestamps are
-    /// "milliseconds since midnight of January 1, 1970", §4.1.1).
+    /// The document timestamp for the host's current DOM version, which
+    /// this plans: the one minted when it was planned last, or a new one
+    /// (timestamps are "milliseconds since midnight of January 1, 1970",
+    /// §4.1.1).
     pub fn current_doc_time(&mut self, host: &Browser, now: SimTime) -> u64 {
         let version = host.dom_version();
-        if let Some(&t) = self.timestamps.get(&version) {
-            return t;
-        }
-        let t = now.as_document_timestamp().max(self.last_timestamp + 1);
-        self.last_timestamp = t;
-        self.timestamps.insert(version, t);
-        self.live_versions.push_back(version);
-        while self.live_versions.len() > LIVE_GENERATIONS {
-            let stale = self.live_versions.pop_front().expect("length just checked");
-            if self.timestamps.remove(&stale).is_some() {
-                self.stats.timestamp_evictions.incr();
-            }
-            for mode in [true, false] {
-                if self.content_cache.remove(&(stale, mode)).is_some() {
-                    self.stats.content_evictions.incr();
-                }
+        match self.planned {
+            Some((planned, t)) if planned == version => t,
+            _ => {
+                let t = now.as_document_timestamp().max(self.last_timestamp + 1);
+                self.last_timestamp = t;
+                self.planned = Some((version, t));
+                t
             }
         }
-        t
     }
 
-    /// Number of generated-content cache entries currently retained.
+    /// Whether `version` is the DOM version planned last.
+    pub(crate) fn planned(&self, version: u64) -> bool {
+        self.planned.is_some_and(|(planned, _)| planned == version)
+    }
+
+    /// Forgets that `version` was planned, after its generation failed,
+    /// so the next write plans it again. A newer plan is left alone.
+    pub(crate) fn unplan(&mut self, version: u64) {
+        if self.planned(version) {
+            self.planned = None;
+        }
+    }
+
+    /// Number of generated contents retained: the newest, once one is
+    /// admitted.
     pub fn content_cache_len(&self) -> usize {
-        self.content_cache.len()
+        usize::from(self.newest.is_some())
     }
 
-    /// Number of DOM-version timestamps currently retained.
+    /// Number of DOM-version timestamps retained: the planned one.
     pub fn timestamps_len(&self) -> usize {
-        self.timestamps.len()
+        usize::from(self.planned.is_some())
     }
 
     /// The shared URL↔key mapping table (snapshot builders and pipelined
@@ -312,15 +302,11 @@ impl RcbAgent {
         &self.mapping
     }
 
-    /// The newest retained generation for `mode`: the base a plan copies
-    /// unchanged body children from.
+    /// The newest admitted generation, when it is for `mode`: the base a
+    /// plan copies unchanged subtrees from.
     pub(crate) fn newest_content(&self, mode: CacheMode) -> Option<Arc<GeneratedContent>> {
-        let cache = matches!(mode, CacheMode::Cache);
-        self.content_cache
-            .iter()
-            .filter(|((_, m), _)| *m == cache)
-            .max_by_key(|((version, _), _)| *version)
-            .map(|(_, content)| Arc::clone(content))
+        let (_, newest_mode, content) = self.newest.as_ref()?;
+        (*newest_mode == mode).then(|| Arc::clone(content))
     }
 
     /// Drains the pending pointer position into its wire encoding
@@ -330,10 +316,9 @@ impl RcbAgent {
     }
 
     /// Admits content generated outside the agent (the pipelined path:
-    /// prepared under the host lock, finished without it) into the
-    /// generated-content cache, and accounts the generation in the stats.
-    /// The cache insert is skipped when `version` has already aged out of
-    /// the live-generation window — a stale insert would never be evicted.
+    /// prepared under the host lock, finished without it) as the newest
+    /// generation, and accounts the generation in the stats. A late admit
+    /// of an older version than the newest leaves the newest in place.
     pub fn admit_generated(
         &mut self,
         version: u64,
@@ -348,9 +333,9 @@ impl RcbAgent {
             .children_regenerated
             .add(content.children_regenerated as u64);
         self.stats.m5.record(content.generation_cost);
-        if self.timestamps.contains_key(&version) {
-            self.content_cache
-                .insert((version, matches!(mode, CacheMode::Cache)), content);
+        let older = self.newest.as_ref().is_some_and(|(v, ..)| *v > version);
+        if !older {
+            self.newest = Some((version, mode, content));
         }
     }
 
@@ -742,37 +727,30 @@ mod tests {
             host.mutate_dom(|_| {}).unwrap();
             let now = SimTime::from_millis(i);
             ContentSnapshot::build(&mut a, &host, now, None).unwrap();
-            assert!(
-                a.timestamps_len() <= LIVE_GENERATIONS,
-                "timestamps unbounded at iteration {i}"
-            );
-            assert!(
-                a.content_cache_len() <= LIVE_GENERATIONS,
-                "content cache unbounded at iteration {i}"
-            );
+            assert_eq!(a.timestamps_len(), 1, "timestamps at iteration {i}");
+            assert_eq!(a.content_cache_len(), 1, "content at iteration {i}");
         }
-        assert_eq!(
-            a.stats.timestamp_evictions.get(),
-            1_200 - LIVE_GENERATIONS as u64
-        );
-        assert!(a.stats.content_evictions.get() > 0);
     }
 
     #[test]
-    fn predecessor_generation_content_stays_cached() {
+    fn only_the_newest_generation_stays_and_a_late_admit_leaves_it() {
         let mut a = agent();
         let mut host = loaded_host("google.com");
-        ContentSnapshot::build(&mut a, &host, SimTime::from_millis(1), None).unwrap();
+        let plan = ContentSnapshot::plan(&mut a, &host, SimTime::from_millis(1)).unwrap();
+        let (old, old_content) = plan.finish(None).unwrap();
         host.mutate_dom(|_| {}).unwrap();
-        ContentSnapshot::build(&mut a, &host, SimTime::from_millis(2), None).unwrap();
-        // Both the live generation and its predecessor are retained...
-        assert_eq!(a.content_cache_len(), 2);
-        assert_eq!(a.timestamps_len(), 2);
-        // ...and a third generation evicts only the oldest.
-        host.mutate_dom(|_| {}).unwrap();
-        ContentSnapshot::build(&mut a, &host, SimTime::from_millis(3), None).unwrap();
-        assert_eq!(a.content_cache_len(), 2);
-        assert_eq!(a.stats.content_evictions.get(), 1);
+        let new = ContentSnapshot::build(&mut a, &host, SimTime::from_millis(2), None).unwrap();
+        let newest = a.newest_content(CacheMode::Cache).unwrap();
+        assert_eq!(newest.doc_time, new.doc_time);
+        assert_eq!((a.content_cache_len(), a.timestamps_len()), (1, 1));
+        // The older generation, admitted after the newer one, is counted
+        // and dropped.
+        a.admit_generated(old.dom_version, CacheMode::Cache, old_content.unwrap());
+        assert_eq!(a.stats.generations.get(), 2);
+        let kept = a.newest_content(CacheMode::Cache).unwrap();
+        assert!(Arc::ptr_eq(&kept, &newest));
+        assert_eq!(a.content_cache_len(), 1);
+        assert!(a.newest_content(CacheMode::NonCache).is_none());
     }
 
     #[test]

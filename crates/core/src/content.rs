@@ -41,27 +41,26 @@
 //!
 //! # Incremental generation
 //!
-//! Steps 2–5 act on each element alone, except that step 4 numbers the
-//! synthetic `rcb-el-N` ids of id-less forms and clickables in document
-//! order. So each top-level body child's output depends only on its own
-//! subtree and a handful of inputs: the page URL, the download observer's
-//! records, the cache view, the cache mode, the session path prefix and,
-//! when it holds an id-less clickable, the id number it starts at. The
-//! same holds for the head, whose output is the `docHead` section. Every
-//! generation keeps, for the head and per body child, what it produced (a
-//! `ContentMemo`): the live node, where its escaped bytes lie in the
-//! XML, its object URLs, cache rewrites, splice safety, and the ids it
-//! numbered. A later generation given it as its *base* clones, under the
-//! host lock, only the body element's own tag and attributes, and the
-//! head and body children whose [`rcb_html::Document::stamp`] moved past
-//! the epoch the base closed; every other subtree's bytes and results are
-//! copied from the base. A subtree is copied only when the document (by
-//! identity), all the inputs above and its starting id number are the
-//! base's; otherwise it is regenerated. The head is copied only on a page
-//! with one head and no frameset, from the same place among the
-//! documentElement's children. A first generation, a navigation, a
-//! frameset page and [`generate_content`] run the same code with nothing
-//! to copy.
+//! Steps 2–5 act on each element alone, and step 4 names the synthetic
+//! id of an id-less form or clickable after the subtree it lies in:
+//! `rcb-{n}-{k}` for the k-th under live root node `n`. So each top-level
+//! body child's output depends only on its own subtree and a handful of
+//! inputs: the page URL, the download observer's records, the cache view,
+//! the cache mode and the session path prefix. The same holds for the
+//! head, whose output is the `docHead` section. Every generation keeps,
+//! for the head and per body child, what it produced (a `ContentMemo`):
+//! the live node, where its escaped bytes lie in the XML, its object
+//! URLs, cache rewrites and splice safety. A later generation given it as
+//! its *base* clones, under the host lock, only the body element's own tag
+//! and attributes, and the head and body children whose
+//! [`rcb_html::Document::stamp`] moved past the epoch the base closed;
+//! every other subtree's bytes and results are copied from the base. A
+//! subtree is copied only when the document (by identity) and all the
+//! inputs above are the base's; otherwise it is regenerated. The head is
+//! copied only on a page with one head and no frameset, from the same
+//! place among the documentElement's children. A first generation, a
+//! navigation, a frameset page and [`generate_content`] run the same code
+//! with nothing to copy.
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -141,8 +140,7 @@ struct ContentMemo {
     urls: Vec<String>,
 }
 
-/// The inputs beyond its own subtree that a body child's output depends
-/// on, the rcb-el number it starts at aside.
+/// The inputs beyond its own subtree that a subtree's output depends on.
 #[derive(Debug, Clone)]
 struct Inputs {
     /// [`Document::id`] of the host document.
@@ -173,25 +171,11 @@ impl Inputs {
 struct SubtreeMemo {
     /// The subtree's root in the live host document.
     node: NodeId,
-    /// The number of the first synthetic id step 4 gave out in it.
-    first_id: u64,
-    /// How many synthetic ids it took.
-    ids: u64,
     /// Its object URLs, in document order: a range of
     /// [`ContentMemo::urls`].
     urls: Range<u32>,
     /// Its cache rewrites.
     rewrites: u32,
-}
-
-impl SubtreeMemo {
-    /// Whether the subtree's output may be copied: it is unchanged since
-    /// `epoch`, and numbers no synthetic id or starts at `next_id()`, the
-    /// number it would start at now, again. `next_id` is asked for only
-    /// in that last case.
-    fn reusable(&self, live: &Document, epoch: u64, next_id: impl FnOnce() -> u64) -> bool {
-        live.stamp(self.node) <= epoch && (self.ids == 0 || self.first_id == next_id())
-    }
 }
 
 /// What the head produced.
@@ -211,16 +195,10 @@ struct ChildMemo {
 
 impl ContentMemo {
     /// The index of live body child `node` when its output may be
-    /// copied: it is one of this generation's children, and
-    /// [`SubtreeMemo::reusable`]. `cursor` is where the previous child was
-    /// found: children that kept their order are found without a search.
-    fn reusable_child(
-        &self,
-        live: &Document,
-        node: NodeId,
-        next_id: impl FnOnce() -> u64,
-        cursor: &mut usize,
-    ) -> Option<usize> {
+    /// copied: it is one of this generation's children, unchanged since.
+    /// `cursor` is where the previous child was found: children that kept
+    /// their order are found without a search.
+    fn reusable_child(&self, live: &Document, node: NodeId, cursor: &mut usize) -> Option<usize> {
         let at = match self.children.get(*cursor) {
             Some(child) if child.subtree.node == node => *cursor,
             _ => {
@@ -229,42 +207,16 @@ impl ContentMemo {
             }
         };
         *cursor = at + 1;
-        let child = &self.children[at].subtree;
-        child.reusable(live, self.epoch, next_id).then_some(at)
+        (live.stamp(node) <= self.epoch).then_some(at)
     }
 
-    /// The head's memo when its output may be copied: live child `node`
-    /// is the page's one head, at index `at` as it was in this
-    /// generation, and [`SubtreeMemo::reusable`].
-    fn reusable_head(
-        &self,
-        live: &Document,
-        at: usize,
-        node: NodeId,
-        next_id: impl FnOnce() -> u64,
-    ) -> Option<&SubtreeMemo> {
-        let head = self.head.as_ref().filter(|h| h.at == at)?;
-        let subtree = &head.subtree;
-        (subtree.node == node && subtree.reusable(live, self.epoch, next_id)).then_some(subtree)
-    }
-}
-
-/// Step 4's synthetic-id numbering, followed through a plan: the number
-/// the next subtree would start at, once the clones made since it was
-/// last asked for are counted.
-#[derive(Default)]
-struct IdCount {
-    next: u64,
-    uncounted: Vec<NodeId>,
-}
-
-impl IdCount {
-    /// The number the next subtree would start at.
-    fn next_id(&mut self, doc: &Document) -> u64 {
-        let ids: u64 = self.uncounted.iter().map(|&c| synthetic_ids(doc, c)).sum();
-        self.uncounted.clear();
-        self.next += ids;
-        self.next
+    /// Whether the head's output may be copied: live child `node` is the
+    /// page's one head, at index `at` as it was in this generation, and
+    /// unchanged since.
+    fn reusable_head(&self, live: &Document, at: usize, node: NodeId) -> bool {
+        self.head.as_ref().is_some_and(|head| {
+            head.at == at && head.subtree.node == node && live.stamp(node) <= self.epoch
+        })
     }
 }
 
@@ -381,45 +333,34 @@ pub fn prepare_generation(
         (body_at, head_at)
     };
 
-    // Step 1: clone into a scratch document. `ids` follows step 4's
-    // numbering up to each subtree, to tell whether one holding id-less
-    // clickables would start at its base number again; the clones before
-    // it are counted only when such a subtree asks.
+    // Step 1: clone into a scratch document.
     let mut doc = Document::new();
     let mut top = Vec::with_capacity(html_children.len());
     let mut body = None;
-    let mut ids = IdCount::default();
     for (i, &child) in html_children.iter().enumerate() {
-        let head = memo
-            .filter(|_| Some(i) == head_at)
-            .and_then(|m| m.reusable_head(live, i, child, || ids.next_id(&doc)));
-        if let Some(head) = head {
-            ids.next += head.ids;
+        if Some(i) == head_at && memo.is_some_and(|m| m.reusable_head(live, i, child)) {
             top.push(SubtreeJob::Copy(i));
             continue;
         }
         if Some(i) != body_at {
             let clone = doc.import_subtree(live, child);
-            ids.uncounted.push(clone);
             top.push(SubtreeJob::Generate { live: child, clone });
             continue;
         }
         let element = doc.create_element_with_attrs("body", live.attrs(child).to_vec());
         let mut cursor = 0;
-        let mut children = Vec::with_capacity(live.children(child).len());
-        for &node in live.children(child) {
-            if let Some(memo) = memo {
-                let next_id = || ids.next_id(&doc);
-                if let Some(at) = memo.reusable_child(live, node, next_id, &mut cursor) {
-                    ids.next += memo.children[at].subtree.ids;
-                    children.push(SubtreeJob::Copy(at));
-                    continue;
-                }
-            }
-            let clone = doc.import_subtree(live, node);
-            ids.uncounted.push(clone);
-            children.push(SubtreeJob::Generate { live: node, clone });
-        }
+        let mut reusable = |node| memo.and_then(|m| m.reusable_child(live, node, &mut cursor));
+        let children = live
+            .children(child)
+            .iter()
+            .map(|&node| match reusable(node) {
+                Some(at) => SubtreeJob::Copy(at),
+                None => SubtreeJob::Generate {
+                    live: node,
+                    clone: doc.import_subtree(live, node),
+                },
+            })
+            .collect();
         top.push(SubtreeJob::Generate {
             live: child,
             clone: element,
@@ -442,18 +383,6 @@ pub fn prepare_generation(
     })
 }
 
-/// Phase 2 (no host access, paper steps 2–5): rewrite the clones, copy
-/// what the base supplies, and assemble the Fig.-4 XML. The mapping
-/// table is the only shared state, locked just for step 3's key minting;
-/// everything else runs on frozen captures.
-pub fn finish_generation(
-    job: GenerationJob,
-    mapping: &Mutex<MappingTable>,
-    key: &SessionKey,
-) -> Result<GeneratedContent> {
-    finish_impl(job, MappingAccess::Shared(mapping), key)
-}
-
 /// Generates response content from the host browser's current document
 /// (both phases back to back, for callers that hold the host throughout),
 /// with no base: every child is generated.
@@ -463,7 +392,7 @@ pub fn finish_generation(
 pub fn generate_content(
     host: &Browser,
     mode: CacheMode,
-    mapping: &mut MappingTable,
+    mapping: &Mutex<MappingTable>,
     key: &SessionKey,
     path_prefix: &str,
     doc_time: u64,
@@ -477,26 +406,7 @@ pub fn generate_content(
         user_actions.to_string(),
         None,
     )?;
-    finish_impl(job, MappingAccess::Exclusive(mapping), key)
-}
-
-/// How phase 2 reaches the mapping table: exclusively borrowed (a caller
-/// that holds the host throughout) or behind the shared leaf mutex (the
-/// pipelined path).
-enum MappingAccess<'a> {
-    Exclusive(&'a mut MappingTable),
-    Shared(&'a Mutex<MappingTable>),
-}
-
-impl MappingAccess<'_> {
-    fn with<R>(&mut self, f: impl FnOnce(&mut MappingTable) -> R) -> R {
-        match self {
-            MappingAccess::Exclusive(m) => f(m),
-            MappingAccess::Shared(mx) => {
-                f(&mut mx.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-            }
-        }
-    }
+    finish_generation(job, mapping, key)
 }
 
 /// One body child of the document being written: bytes in the raw
@@ -506,9 +416,13 @@ enum Piece {
     Escaped(Range<usize>),
 }
 
-fn finish_impl(
+/// Phase 2 (no host access, paper steps 2–5): rewrite the clones, copy
+/// what the base supplies, and assemble the Fig.-4 XML. The mapping
+/// table is the only shared state, locked just for step 3's key minting;
+/// everything else runs on frozen captures.
+pub fn finish_generation(
     job: GenerationJob,
-    mapping: MappingAccess<'_>,
+    mapping: &Mutex<MappingTable>,
     key: &SessionKey,
 ) -> Result<GeneratedContent> {
     let sw = Stopwatch::start();
@@ -531,7 +445,6 @@ fn finish_impl(
         inputs: &inputs,
         key,
         mapping,
-        next_id: 0,
         rewrites: 0,
     };
     // Every subtree's object URLs, in document order: a subtree's are a
@@ -686,16 +599,14 @@ fn range(r: &Range<u32>) -> Range<usize> {
 }
 
 /// Steps 2–4, one subtree at a time in document order. Every step acts on
-/// each element alone, so rewriting subtree by subtree gives what
-/// rewriting the whole document step by step gives, provided step 4's
-/// counter runs on through the subtrees (and over copied ones).
+/// each element alone, and step 4 names ids after the subtree's root, so
+/// rewriting subtree by subtree gives what rewriting the whole document
+/// step by step gives.
 struct Rewriter<'a> {
     observer: &'a DownloadObserver,
     inputs: &'a Inputs,
     key: &'a SessionKey,
-    mapping: MappingAccess<'a>,
-    /// The number of the next synthetic `rcb-el-N` id.
-    next_id: u64,
+    mapping: &'a Mutex<MappingTable>,
     /// Cache rewrites so far, copied subtrees' included.
     rewrites: usize,
 }
@@ -711,7 +622,6 @@ impl Rewriter<'_> {
         clone: NodeId,
         urls: &mut Vec<String>,
     ) -> SubtreeMemo {
-        let first_id = self.next_id;
         let nodes = query::subtree_elements(doc, clone);
         rewrite_urls_absolute(doc, &nodes, self.observer, &self.inputs.page_url);
         let rewrites = match self.inputs.mode {
@@ -719,14 +629,14 @@ impl Rewriter<'_> {
                 doc,
                 &nodes,
                 &self.inputs.cache,
-                &mut self.mapping,
+                self.mapping,
                 self.key,
                 &self.inputs.path_prefix,
             ),
             CacheMode::NonCache => 0,
         };
         self.rewrites += rewrites;
-        rewrite_event_attributes(doc, &nodes, &mut self.next_id);
+        rewrite_event_attributes(doc, &nodes, live);
         let start = urls.len() as u32;
         let found = nodes
             .iter()
@@ -734,8 +644,6 @@ impl Rewriter<'_> {
         urls.extend(found.map(str::to_string));
         SubtreeMemo {
             node: live,
-            first_id,
-            ids: self.next_id - first_id,
             urls: start..urls.len() as u32,
             rewrites: rewrites as u32,
         }
@@ -752,11 +660,8 @@ impl Rewriter<'_> {
     ) -> SubtreeMemo {
         let start = urls.len() as u32;
         urls.extend_from_slice(&base_urls[range(&memo.urls)]);
-        let first_id = self.next_id;
-        self.next_id += memo.ids;
         self.rewrites += memo.rewrites as usize;
         SubtreeMemo {
-            first_id,
             urls: start..urls.len() as u32,
             ..memo.clone()
         }
@@ -793,7 +698,7 @@ fn rewrite_cached_to_agent(
     doc: &mut Document,
     nodes: &[NodeId],
     cache: &CacheView,
-    mapping: &mut MappingAccess<'_>,
+    mapping: &Mutex<MappingTable>,
     key: &SessionKey,
     path_prefix: &str,
 ) -> usize {
@@ -812,7 +717,12 @@ fn rewrite_cached_to_agent(
     if hits.is_empty() {
         return 0;
     }
-    let keys: Vec<_> = mapping.with(|m| hits.iter().map(|(_, _, abs)| m.key_for(abs)).collect());
+    let keys: Vec<_> = {
+        let mut m = mapping
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        hits.iter().map(|(_, _, abs)| m.key_for(abs)).collect()
+    };
     for ((node, attr, _), cache_key) in hits.iter().zip(keys) {
         let path = format!("{path_prefix}{}", MappingTable::agent_path(cache_key));
         let token = object_token(key, &path);
@@ -827,22 +737,16 @@ fn hooks_events(tag: &str) -> bool {
     matches!(tag, "form" | "a" | "button" | "input")
 }
 
-/// How many synthetic ids step 4 gives out in `root`'s subtree.
-fn synthetic_ids(doc: &Document, root: NodeId) -> u64 {
-    query::subtree_elements(doc, root)
-        .into_iter()
-        .filter(|&n| doc.tag(n).is_some_and(hooks_events) && doc.get_attr(n, "id").is_none())
-        .count() as u64
-}
-
 /// Step 4: event-attribute rewriting.
 ///
 /// Forms gain a call to the snippet's submit hook prepended to `onsubmit`;
 /// anchors and other clickables gain the click hook on `onclick`. Elements
-/// without stable identifiers get a synthetic `rcb-id` so action messages
-/// can name them (the paper relies on the DOM reference; a wire protocol
-/// needs a name), numbered on from `next_id`.
-fn rewrite_event_attributes(doc: &mut Document, nodes: &[NodeId], next_id: &mut u64) {
+/// without stable identifiers get a synthetic id so action messages can
+/// name them (the paper relies on the DOM reference; a wire protocol needs
+/// a name): the k-th id-less one among `nodes`, the subtree of live root
+/// node `n`, is `rcb-{n}-{k}`, so no other subtree moves it.
+fn rewrite_event_attributes(doc: &mut Document, nodes: &[NodeId], root: NodeId) {
+    let mut k = 0;
     for &node in nodes {
         let Some(tag) = doc
             .tag(node)
@@ -851,7 +755,7 @@ fn rewrite_event_attributes(doc: &mut Document, nodes: &[NodeId], next_id: &mut 
         else {
             continue;
         };
-        let id = ensure_identifier(doc, node, next_id);
+        let id = ensure_identifier(doc, node, root, &mut k);
         match tag.as_str() {
             "form" => {
                 let existing = doc.get_attr(node, "onsubmit").unwrap_or("").to_string();
@@ -889,12 +793,12 @@ fn rewrite_event_attributes(doc: &mut Document, nodes: &[NodeId], next_id: &mut 
     }
 }
 
-fn ensure_identifier(doc: &mut Document, node: NodeId, next_id: &mut u64) -> String {
+fn ensure_identifier(doc: &mut Document, node: NodeId, root: NodeId, k: &mut u64) -> String {
     if let Some(id) = doc.get_attr(node, "id") {
         return id.to_string();
     }
-    let id = format!("rcb-el-{next_id}");
-    *next_id += 1;
+    let id = format!("rcb-{}-{k}", root.0);
+    *k += 1;
     doc.set_attr(node, "id", id.clone());
     id
 }
@@ -944,17 +848,9 @@ mod tests {
     #[test]
     fn generation_produces_parseable_figure4_xml() {
         let host = loaded_host("google.com");
-        let mut mapping = MappingTable::new();
-        let gc = generate_content(
-            &host,
-            CacheMode::NonCache,
-            &mut mapping,
-            &key(),
-            "",
-            1234,
-            "",
-        )
-        .unwrap();
+        let mapping = Mutex::new(MappingTable::new());
+        let gc =
+            generate_content(&host, CacheMode::NonCache, &mapping, &key(), "", 1234, "").unwrap();
         let nc = rcb_xml::parse_new_content(&gc.xml).unwrap().unwrap();
         assert_eq!(nc.doc_time, 1234);
         assert!(!nc.head_children.is_empty());
@@ -964,9 +860,8 @@ mod tests {
     #[test]
     fn non_cache_mode_uses_absolute_origin_urls() {
         let host = loaded_host("apple.com");
-        let mut mapping = MappingTable::new();
-        let gc =
-            generate_content(&host, CacheMode::NonCache, &mut mapping, &key(), "", 1, "").unwrap();
+        let mapping = Mutex::new(MappingTable::new());
+        let gc = generate_content(&host, CacheMode::NonCache, &mapping, &key(), "", 1, "").unwrap();
         assert!(gc.cache_rewrites == 0);
         assert!(!gc.object_urls.is_empty());
         for u in &gc.object_urls {
@@ -975,17 +870,16 @@ mod tests {
                 "expected absolute origin URL, got {u}"
             );
         }
-        assert!(mapping.is_empty());
+        assert!(mapping.lock().unwrap().is_empty());
     }
 
     #[test]
     fn cache_mode_rewrites_to_agent_urls() {
         let host = loaded_host("apple.com");
-        let mut mapping = MappingTable::new();
-        let gc =
-            generate_content(&host, CacheMode::Cache, &mut mapping, &key(), "", 1, "").unwrap();
+        let mapping = Mutex::new(MappingTable::new());
+        let gc = generate_content(&host, CacheMode::Cache, &mapping, &key(), "", 1, "").unwrap();
         assert!(gc.cache_rewrites > 0);
-        assert_eq!(gc.cache_rewrites, mapping.len());
+        assert_eq!(gc.cache_rewrites, mapping.lock().unwrap().len());
         for u in &gc.object_urls {
             assert!(u.starts_with("/cache/"), "expected agent URL, got {u}");
             assert!(u.contains("?k="), "expected object token in {u}");
@@ -1002,12 +896,12 @@ mod tests {
         let mut nc_total = SimDuration::ZERO;
         let mut c_total = SimDuration::ZERO;
         for _ in 0..5 {
-            let mut m1 = MappingTable::new();
-            nc_total += generate_content(&host, CacheMode::NonCache, &mut m1, &k, "", 1, "")
+            let m1 = Mutex::new(MappingTable::new());
+            nc_total += generate_content(&host, CacheMode::NonCache, &m1, &k, "", 1, "")
                 .unwrap()
                 .generation_cost;
-            let mut m2 = MappingTable::new();
-            c_total += generate_content(&host, CacheMode::Cache, &mut m2, &k, "", 1, "")
+            let m2 = Mutex::new(MappingTable::new());
+            c_total += generate_content(&host, CacheMode::Cache, &m2, &k, "", 1, "")
                 .unwrap()
                 .generation_cost;
         }
@@ -1022,9 +916,8 @@ mod tests {
     #[test]
     fn event_attributes_rewritten_with_hooks() {
         let host = loaded_host("facebook.com");
-        let mut mapping = MappingTable::new();
-        let gc =
-            generate_content(&host, CacheMode::NonCache, &mut mapping, &key(), "", 1, "").unwrap();
+        let mapping = Mutex::new(MappingTable::new());
+        let gc = generate_content(&host, CacheMode::NonCache, &mapping, &key(), "", 1, "").unwrap();
         let nc = rcb_xml::parse_new_content(&gc.xml).unwrap().unwrap();
         let TopLevel::Body(body) = &nc.top else {
             panic!("expected body page")
@@ -1039,8 +932,8 @@ mod tests {
     fn generation_does_not_mutate_live_host_dom() {
         let host = loaded_host("live.com");
         let before = rcb_html::serialize::serialize_document(host.doc.as_ref().unwrap());
-        let mut mapping = MappingTable::new();
-        generate_content(&host, CacheMode::Cache, &mut mapping, &key(), "", 1, "").unwrap();
+        let mapping = Mutex::new(MappingTable::new());
+        generate_content(&host, CacheMode::Cache, &mapping, &key(), "", 1, "").unwrap();
         let after = rcb_html::serialize::serialize_document(host.doc.as_ref().unwrap());
         assert_eq!(before, after);
     }
@@ -1053,12 +946,12 @@ mod tests {
         let mut total_small = SimDuration::ZERO;
         let mut total_large = SimDuration::ZERO;
         for _ in 0..5 {
-            let mut m = MappingTable::new();
-            total_small += generate_content(&small, CacheMode::NonCache, &mut m, &k, "", 1, "")
+            let m = Mutex::new(MappingTable::new());
+            total_small += generate_content(&small, CacheMode::NonCache, &m, &k, "", 1, "")
                 .unwrap()
                 .generation_cost;
-            let mut m = MappingTable::new();
-            total_large += generate_content(&large, CacheMode::NonCache, &mut m, &k, "", 1, "")
+            let m = Mutex::new(MappingTable::new());
+            total_large += generate_content(&large, CacheMode::NonCache, &m, &k, "", 1, "")
                 .unwrap()
                 .generation_cost;
         }
@@ -1068,11 +961,11 @@ mod tests {
     #[test]
     fn user_actions_carried_through() {
         let host = loaded_host("google.com");
-        let mut mapping = MappingTable::new();
+        let mapping = Mutex::new(MappingTable::new());
         let gc = generate_content(
             &host,
             CacheMode::NonCache,
-            &mut mapping,
+            &mapping,
             &key(),
             "",
             9,
@@ -1092,19 +985,18 @@ mod tests {
     ) -> Arc<GeneratedContent> {
         let job = prepare_generation(host, CacheMode::Cache, "", 1, String::new(), base).unwrap();
         let content = finish_generation(job, mapping, &key()).unwrap();
-        let mut mapping = mapping.lock().unwrap();
         let expected =
-            generate_content(host, CacheMode::Cache, &mut mapping, &key(), "", 1, "").unwrap();
+            generate_content(host, CacheMode::Cache, mapping, &key(), "", 1, "").unwrap();
         assert!(*content.xml == *expected.xml);
         assert_eq!(content.object_urls, expected.object_urls);
         assert_eq!(content.cache_rewrites, expected.cache_rewrites);
         Arc::new(content)
     }
 
-    /// A head holding an id-less clickable is copied only while the
-    /// synthetic ids before it leave its number where it was.
+    /// A head holding an id-less clickable names its ids after itself, so
+    /// a clickable that lands before it leaves it to be copied.
     #[test]
-    fn a_head_numbering_synthetic_ids_is_copied_only_from_its_number() {
+    fn a_head_holding_a_clickable_is_copied_after_one_lands_before_it() {
         let mut host = loaded_host("google.com");
         let clickable = |doc: &mut Document, parent: NodeId| {
             let a = doc.create_element_with_attrs("a", vec![("href".into(), "/x".into())]);
@@ -1123,26 +1015,25 @@ mod tests {
         let before = before.unwrap();
         let mapping = Mutex::new(MappingTable::new());
         let first = generate_on(&host, &mapping, None);
-        host.mutate_dom(|doc| {
-            let div = doc.create_element("div");
-            doc.append_child(doc.body().unwrap(), div).unwrap();
-        })
-        .unwrap();
-        let body_edit = generate_on(&host, &mapping, Some(Arc::clone(&first)));
-        assert!(body_edit.head_reused, "the head starts at the same number");
-        // A clickable before the head renumbers it.
+        let head = host.doc.as_ref().unwrap().head().unwrap();
+        let head_id = format!("rcb-{}-0", head.0);
+        let anchor_id = |content: &GeneratedContent| {
+            let nc = rcb_xml::parse_new_content(&content.xml).unwrap().unwrap();
+            let a = nc.head_children.iter().find(|c| c.tag == "a").unwrap();
+            let id = a.attrs.iter().find(|(name, _)| name == "id").unwrap();
+            id.1.clone()
+        };
+        assert_eq!(anchor_id(&first), head_id);
         host.mutate_dom(|doc| clickable(doc, before)).unwrap();
-        let renumbered = generate_on(&host, &mapping, Some(body_edit));
-        assert!(!renumbered.head_reused, "the head starts at another number");
-        host.mutate_dom(|_| {}).unwrap();
-        let again = generate_on(&host, &mapping, Some(renumbered));
-        assert!(again.head_reused);
+        let after = generate_on(&host, &mapping, Some(first));
+        assert!(after.head_reused, "a clickable before the head");
+        assert_eq!(anchor_id(&after), head_id);
     }
 
     #[test]
     fn errors_without_loaded_document() {
         let b = Browser::new(BrowserKind::Firefox);
-        let mut mapping = MappingTable::new();
-        assert!(generate_content(&b, CacheMode::Cache, &mut mapping, &key(), "", 1, "").is_err());
+        let mapping = Mutex::new(MappingTable::new());
+        assert!(generate_content(&b, CacheMode::Cache, &mapping, &key(), "", 1, "").is_err());
     }
 }

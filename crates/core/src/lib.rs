@@ -7,7 +7,7 @@
 //! * [`agent`] — **RCB-Agent**, the HTTP server living in the host
 //!   browser, as its write path: participant-action merging (handing
 //!   back the host effects actions ask for), document timestamps, the
-//!   URL↔key mapping table and the generated-content cache;
+//!   URL↔key mapping table and the newest generated content;
 //! * `fig2` (crate-private) — the paper's Fig.-2 request procedure of one
 //!   session, written once: request classification, HMAC verification,
 //!   participant bookkeeping, timestamp inspection, and prefab replies

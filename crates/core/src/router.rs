@@ -237,13 +237,13 @@ impl SessionHandle {
     }
 
     /// Runs `f` against this session's agent write-path stats (generation
-    /// counters, eviction counters, M5 samples) under the host lock.
+    /// and reuse counters, M5 samples) under the host lock.
     pub fn with_agent_stats<R>(&self, f: impl FnOnce(&AgentStats) -> R) -> R {
         self.entry.host.with_agent_stats(f)
     }
 
-    /// `(content_cache_len, timestamps_len)` of this session's agent —
-    /// both are bounded to [`crate::agent::LIVE_GENERATIONS`] generations.
+    /// `(content_cache_len, timestamps_len)` of this session's agent: each
+    /// at most 1, the newest generation and the planned version.
     pub fn agent_cache_lens(&self) -> (usize, usize) {
         self.entry.host.agent_cache_lens()
     }

@@ -18,7 +18,7 @@
 //!   XML is its shared body, and every participant's content poll is
 //!   answered by cloning the prefab, which bumps `Arc`s — zero bytes are
 //!   heap-copied per request, and the XML's one copy is shared with the
-//!   agent's generated-content cache;
+//!   agent's newest generation;
 //! * every supplementary object the content (and its immediate
 //!   predecessor) references, each likewise a prefab response whose body
 //!   *is* the host browser cache entry's `Arc`, resolved through a
@@ -67,9 +67,8 @@
 //! generations — its own plus the live keys of the snapshot it replaced —
 //! so a participant mid-flight on the previous content version can still
 //! fetch its objects while agent memory stays constant no matter how many
-//! DOM versions a session produces (the same
-//! [`LIVE_GENERATIONS`](crate::agent::LIVE_GENERATIONS) bound the agent
-//! applies to its generated-content and timestamp caches).
+//! DOM versions a session produces (the agent itself keeps one
+//! generation: its newest).
 //!
 //! **Shared object table:** a generation that references the same objects
 //! as its predecessor, in the same cache view, shares the predecessor's
@@ -238,24 +237,19 @@ impl ContentSnapshot {
     /// clone what the agent's newest generation cannot supply (the head,
     /// the body element, changed body children), freeze the cache view
     /// and generation inputs. Everything expensive is deferred to
-    /// [`SnapshotPlan::finish`].
+    /// [`SnapshotPlan::finish`]. Minting the timestamp marks the version
+    /// planned in the agent; a plan that fails un-plans it.
     pub fn plan(agent: &mut RcbAgent, host: &Browser, now: SimTime) -> Result<SnapshotPlan> {
         let mode = agent.config.cache_mode;
-        // Taken before the timestamp mint, which may evict it from the
-        // agent's cache: a plan racing an unadmitted one still has a base.
-        let base = agent.newest_content(mode);
+        let dom_version = host.dom_version();
         let doc_time = agent.current_doc_time(host, now);
         let user_actions = agent.take_host_actions();
-        let job = prepare_generation(
-            host,
-            mode,
-            &agent.config.path_prefix,
-            doc_time,
-            user_actions,
-            base,
-        )?;
+        let base = agent.newest_content(mode);
+        let path_prefix = &agent.config.path_prefix;
+        let job = prepare_generation(host, mode, path_prefix, doc_time, user_actions, base)
+            .inspect_err(|_| agent.unplan(dom_version))?;
         Ok(SnapshotPlan {
-            dom_version: host.dom_version(),
+            dom_version,
             doc_time,
             mode,
             job: Box::new(job),
@@ -367,7 +361,7 @@ impl SnapshotPlan {
     /// object bytes from the frozen cache view, and freeze the prefab
     /// replies and the delta ring against `prev`. Returns the snapshot
     /// plus the generated content, always `Some`, for the caller to admit
-    /// into the agent's generated-content cache under the host mutex,
+    /// as the agent's newest generation under the host mutex,
     /// where the next plan finds it as its base.
     pub fn finish(
         self,
@@ -414,7 +408,7 @@ impl SnapshotPlan {
         // Freeze the poll reply: every participant's content poll for this
         // generation is byte-identical, so its head is serialized exactly
         // once, and its body is the generation's one copy of the XML, the
-        // allocation the agent's content cache holds too.
+        // allocation the agent's newest generation holds too.
         let poll_response = prefab_response(
             Status::OK,
             "application/xml; charset=utf-8",
@@ -718,6 +712,7 @@ mod tests {
     use super::*;
     use crate::agent::AgentConfig;
     use rcb_browser::BrowserKind;
+    use rcb_html::{Document, NodeId};
     use rcb_origin::OriginRegistry;
     use rcb_sim::link::Pipe;
     use rcb_sim::profiles::NetProfile;
@@ -878,10 +873,8 @@ mod tests {
             );
             assert!(snap.doc_time > 0);
         }
-        // The agent's own caches honoured the same bound throughout.
-        assert!(a.content_cache_len() <= crate::agent::LIVE_GENERATIONS);
-        assert!(a.timestamps_len() <= crate::agent::LIVE_GENERATIONS);
-        assert!(a.stats.content_evictions.get() > 0);
+        // The agent keeps one generation throughout.
+        assert_eq!((a.content_cache_len(), a.timestamps_len()), (1, 1));
     }
 
     fn append_div(host: &mut Browser, text: &str) {
@@ -1183,10 +1176,7 @@ mod tests {
         }
     }
 
-    /// Replaces the first text below body child `i` with `text`. (A text
-    /// edit: the synthetic `rcb-el-N` ids the agent gives clickables are
-    /// numbered in document order, so adding or removing one renumbers
-    /// every later child that holds one.)
+    /// Replaces the first text below body child `i` with `text`.
     fn edit_text_in_child(host: &mut Browser, i: usize, text: &str) {
         host.mutate_dom(|doc| {
             let child = doc.children(doc.body().unwrap())[i];
@@ -1245,6 +1235,80 @@ mod tests {
         let to_end = (second, n - second, n, n + 1 - second);
         assert_eq!(splice_of(&s5, &s3), to_end);
         assert_eq!(splice_of(&s5, &s2), to_end, "across the title");
+    }
+
+    /// Inserting, removing or replacing a body child that holds an id-less
+    /// clickable regenerates and ships that child alone: a synthetic id is
+    /// named after the subtree it lies in, so no later child changes.
+    #[test]
+    fn a_clickable_inserted_removed_or_replaced_splices_one_child() {
+        type Edit = fn(&mut Document, NodeId);
+        type Splice = (usize, usize, usize, usize);
+        let edits: [(&str, Edit, Splice, usize); 3] = [
+            (
+                "insert",
+                |doc, body| {
+                    let p = doc.create_element("p");
+                    let a = doc.create_element_with_attrs("a", vec![("href".into(), "/x".into())]);
+                    let t = doc.create_text("a link");
+                    doc.append_child(a, t).unwrap();
+                    doc.append_child(p, a).unwrap();
+                    doc.splice_children(body, 3, 0, vec![p]).unwrap();
+                },
+                (3, 0, 219, 1),
+                1,
+            ),
+            (
+                "remove",
+                |doc, body| {
+                    doc.splice_children(body, 3, 1, Vec::new()).unwrap();
+                },
+                (3, 1, 219, 0),
+                0,
+            ),
+            (
+                "replace",
+                |doc, body| {
+                    let div = doc.create_element("div");
+                    doc.splice_children(body, 3, 1, vec![div]).unwrap();
+                },
+                (3, 1, 219, 1),
+                1,
+            ),
+        ];
+        for (what, edit, splice, regenerated) in edits {
+            let mut a = agent(CacheMode::Cache);
+            let mut host = loaded_host("wikipedia.org");
+            let doc = host.doc.as_ref().unwrap();
+            let child = doc.children(doc.body().unwrap())[3];
+            let clickable = doc
+                .descendants(child)
+                .into_iter()
+                .any(|n| doc.is_element(n, "a") && doc.get_attr(n, "id").is_none());
+            assert!(clickable, "body child 3 holds an id-less anchor");
+            let s1 = ContentSnapshot::build(&mut a, &host, SimTime::ZERO, None).unwrap();
+            host.mutate_dom(|doc| {
+                let body = doc.body().unwrap();
+                edit(doc, body);
+            })
+            .unwrap();
+            let s2 =
+                ContentSnapshot::build(&mut a, &host, SimTime::from_millis(1), Some(&s1)).unwrap();
+            assert_eq!(splice_of(&s2, &s1), splice, "{what}");
+            let content = a.newest_content(CacheMode::Cache).unwrap();
+            assert_eq!(content.children_regenerated, regenerated, "{what}");
+            let scratch = crate::content::generate_content(
+                &host,
+                CacheMode::Cache,
+                a.mapping(),
+                a.key(),
+                "",
+                s2.doc_time,
+                "",
+            )
+            .unwrap();
+            assert!(*scratch.xml == *s2.xml(), "{what}: as from scratch");
+        }
     }
 
     /// A child inserted beside an equal one: the common prefix and suffix
@@ -1644,8 +1708,8 @@ mod tests {
         }
     }
 
-    /// A generation's XML is one allocation: the agent's content cache
-    /// entry and the poll reply frozen over that generation share it.
+    /// A generation's XML is one allocation: the agent's newest generation
+    /// and the poll reply frozen over that generation share it.
     #[test]
     fn the_cached_content_and_the_poll_reply_share_one_xml_buffer() {
         for mode in [CacheMode::Cache, CacheMode::NonCache] {

@@ -77,7 +77,6 @@
 //! prefabs — is backend-agnostic, and the agent's participant shards
 //! are unrelated to (and compose freely with) the server's loop shards.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use rcb_browser::{Browser, BrowserKind, UserAction};
@@ -112,17 +111,6 @@ struct HostCore {
 pub(crate) struct SharedHost {
     /// The published read-path snapshot (see module docs for ordering).
     snapshot: RwLock<Arc<ContentSnapshot>>,
-    /// Highest DOM version a thread is currently generating a snapshot
-    /// for (0 = none). Written under the host mutex (plan) and cleared by
-    /// compare-exchange (finish), it keeps a regeneration singly-flighted:
-    /// while one thread generates version V, other write-path requests
-    /// that would replan V (or anything older) skip instead of running a
-    /// duplicate generation inline — they keep serving the previous
-    /// snapshot and pick the new one up once the in-flight thread
-    /// publishes. A *newer* version always proceeds (concurrent
-    /// generations of different versions are ordered by the publish
-    /// guard).
-    regen_in_flight: AtomicU64,
     /// The session's Fig.-2 request path: participants, request counters
     /// and static prefabs, read without the host mutex.
     fig2: RequestPath,
@@ -168,7 +156,6 @@ impl SharedHost {
         };
         Ok(Arc::new(SharedHost {
             snapshot: RwLock::new(snapshot),
-            regen_in_flight: AtomicU64::new(0),
             fig2,
             core: Mutex::new(HostCore { agent, browser }),
             park,
@@ -222,11 +209,14 @@ impl SharedHost {
     }
 
     /// Phase 1 of a republish, **under the host mutex** (caller holds it):
-    /// if the host DOM version moved past the published one — and no other
-    /// thread is already generating it — capture a snapshot plan (DOM
-    /// clone + frozen inputs) and mark the version in flight. Returns
-    /// `Ok(None)` when the published snapshot is already current or the
-    /// regeneration is already being handled elsewhere.
+    /// if the host DOM version moved past the published one and the agent
+    /// has not planned it yet, capture a snapshot plan (DOM clone + frozen
+    /// inputs), which marks the version planned. Returns `Ok(None)` when
+    /// the published snapshot is already current or another thread is
+    /// generating this version: regeneration is single-flight, and the
+    /// requests that skip keep serving the previous snapshot until that
+    /// thread publishes. A *newer* version always proceeds (concurrent
+    /// generations of different versions are ordered by the publish guard).
     ///
     /// The host action drained into a plan is ephemeral mirror data (the
     /// latest pointer position): if the plan's snapshot later loses the
@@ -234,17 +224,10 @@ impl SharedHost {
     /// replayed stale — a later position supersedes it.
     fn plan_republish(&self, core: &mut HostCore) -> Result<Option<SnapshotPlan>> {
         let version = core.browser.dom_version();
-        if self.current_snapshot().dom_version == version {
+        if self.current_snapshot().dom_version == version || core.agent.planned(version) {
             return Ok(None);
         }
-        // Single-flight: the store is race-free because every planner
-        // holds the host mutex here.
-        if self.regen_in_flight.load(Ordering::Acquire) >= version {
-            return Ok(None);
-        }
-        let plan = ContentSnapshot::plan(&mut core.agent, &core.browser, self.now())?;
-        self.regen_in_flight.store(version, Ordering::Release);
-        Ok(Some(plan))
+        ContentSnapshot::plan(&mut core.agent, &core.browser, self.now()).map(Some)
     }
 
     /// Phase 2, **no locks held on entry**: generate content and assemble
@@ -253,34 +236,18 @@ impl SharedHost {
     /// pointer swap — unless a newer DOM version was published while this
     /// one was generating, in which case the result is discarded.
     ///
-    /// On generation failure the previous snapshot keeps serving and the
-    /// error is returned: host-side callers surface it (the host can
-    /// retry its mutation), merge-path callers drop it (the snapshot is
-    /// still stale, so the next write retries generation).
+    /// On generation failure the previous snapshot keeps serving, the
+    /// version is un-planned (under the host lock) and the error is
+    /// returned: host-side callers surface it (the host can retry its
+    /// mutation), merge-path callers drop it (the snapshot is still stale,
+    /// so the next write plans the version again).
     fn finish_republish(&self, plan: SnapshotPlan) -> Result<()> {
         let mode = plan.mode();
         let version = plan.dom_version();
         let prev = self.current_snapshot();
-        // Clears the single-flight marker on every exit path — only after
-        // publishing (or failing), so no window exists in which another
-        // thread could replan this same version. A planner for a newer
-        // version may have overwritten the marker; the compare-exchange
-        // leaves that one alone.
-        let clear_marker = || {
-            let _ = self.regen_in_flight.compare_exchange(
-                version,
-                0,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
-        };
-        let (snap, generated) = match plan.finish(Some(&prev)) {
-            Ok(done) => done,
-            Err(e) => {
-                clear_marker();
-                return Err(e);
-            }
-        };
+        let (snap, generated) = plan
+            .finish(Some(&prev))
+            .inspect_err(|_| self.lock_core().agent.unplan(version))?;
         if let Some(content) = generated {
             let mut core = self.lock_core();
             core.agent.admit_generated(snap.dom_version, mode, content);
@@ -306,7 +273,6 @@ impl SharedHost {
         if let Some(version) = swapped {
             self.park.publish(&self.channel, version);
         }
-        clear_marker();
         Ok(())
     }
 
@@ -420,7 +386,8 @@ impl SharedHost {
         f(&self.lock_core().agent.stats)
     }
 
-    /// `(content_cache_len, timestamps_len)` of the live agent.
+    /// `(content_cache_len, timestamps_len)` of the live agent: each at
+    /// most 1, the newest generation and the planned version.
     pub(crate) fn agent_cache_lens(&self) -> (usize, usize) {
         let core = self.lock_core();
         (core.agent.content_cache_len(), core.agent.timestamps_len())
@@ -607,14 +574,14 @@ impl TcpHost {
         self.shared.published_xml_len()
     }
 
-    /// Runs `f` against the agent's write-path stats (generation
-    /// counters, eviction counters, M5 samples) under the host lock.
+    /// Runs `f` against the agent's write-path stats (generation and
+    /// reuse counters, M5 samples) under the host lock.
     pub fn with_agent_stats<R>(&self, f: impl FnOnce(&AgentStats) -> R) -> R {
         self.shared.with_agent_stats(f)
     }
 
-    /// `(content_cache_len, timestamps_len)` of the live agent — both are
-    /// bounded to [`crate::agent::LIVE_GENERATIONS`] generations.
+    /// `(content_cache_len, timestamps_len)` of the live agent: each at
+    /// most 1, the newest generation and the planned version.
     pub fn agent_cache_lens(&self) -> (usize, usize) {
         self.shared.agent_cache_lens()
     }
@@ -769,6 +736,7 @@ mod tests {
     use crate::policy::NavigationPolicy;
     use rcb_http::Status;
     use rcb_util::DetRng;
+    use std::sync::atomic::Ordering;
 
     const PAGE: &str = "<html><head><title>demo</title></head>\
         <body><h1 id=\"headline\">hello co-browsers</h1>\
@@ -1165,6 +1133,37 @@ mod tests {
             "doc_time {doc_time} looks wrapped"
         );
         assert!(doc_time.abs_diff(now_ms) < 60_000);
+        host.shutdown();
+    }
+
+    /// A generation that fails un-plans its version, so the next write
+    /// plans it again instead of skipping it as in flight.
+    #[test]
+    fn a_failed_generation_is_planned_again() {
+        let mut host = start_host();
+        let shared = host.clone_shared_for_test();
+        let published = host.published_doc_time();
+        let err = host
+            .mutate_page(|doc| {
+                let body = doc.body().unwrap();
+                doc.detach(body);
+            })
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("neither body nor frameset"),
+            "{err}"
+        );
+        assert_eq!(host.published_doc_time(), published);
+        let again = shared.browse(|_| ()).expect_err("planned and failed again");
+        assert!(again.to_string().contains("neither body nor frameset"));
+        assert_eq!(host.published_doc_time(), published);
+        host.mutate_page(|doc| {
+            let html = doc.document_element().unwrap();
+            let body = doc.create_element("body");
+            doc.append_child(html, body).unwrap();
+        })
+        .unwrap();
+        assert!(host.published_doc_time() > published);
         host.shutdown();
     }
 

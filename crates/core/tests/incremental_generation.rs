@@ -10,15 +10,17 @@
 //! safety), every published snapshot's poll reply and delta replies must
 //! equal those of a second agent that never keeps a generation, so plans
 //! from scratch each time, and every live object the snapshot serves must
-//! be the host cache's entry as the plan saw it. The scripts edit text and
-//! attributes, insert, remove and move body children (some holding
-//! id-less clickables, which renumber the synthetic ids after them), edit
-//! the head and the body element, re-point or remove the head's
-//! stylesheet and script references, store (new or again) and remove
-//! cache entries, record observer resolutions, navigate, replace the
-//! document wholesale (by a clone, by a frameset page and back), and plan
-//! two generations off one base, as racing merges do. `PROPTEST_CASES`
-//! sets how many random scripts the property runs.
+//! be the host cache's entry as the plan saw it. No two elements of a
+//! generation may share an id: a synthetic id is named after its subtree,
+//! and a name collision would hide from the equality checks, whose both
+//! sides share it. The scripts edit text and attributes, insert, remove
+//! and move body children (some holding id-less clickables), edit the head
+//! and the body element, re-point or remove the head's stylesheet and
+//! script references, store (new or again) and remove cache entries,
+//! record observer resolutions, navigate, replace the document wholesale
+//! (by a clone, by a frameset page and back), and plan two generations
+//! off one base, as racing merges do. `PROPTEST_CASES` sets how many
+//! random scripts the property runs.
 
 use std::sync::Arc;
 
@@ -38,6 +40,7 @@ use rcb_sim::link::Pipe;
 use rcb_sim::profiles::NetProfile;
 use rcb_url::Url;
 use rcb_util::{DetRng, SimTime};
+use rcb_xml::{ElementPayload, TopLevel};
 
 const FRAMESET_PAGE: &str = "<html><head><title>framed</title></head>\
     <frameset rows=\"20%,80%\"><frame src=\"/top.html\"><frame src=\"/main.html\">\
@@ -139,17 +142,17 @@ impl Run {
         let reference = ContentSnapshot::plan(&mut self.reference, &self.host, now).unwrap();
         // The timestamp the plan minted for this version.
         let doc_time = self.agent.current_doc_time(&self.host, now);
-        let mut mapping = self.agent.mapping().lock().unwrap();
         let expected = generate_content(
             &self.host,
             self.mode,
-            &mut mapping,
+            self.agent.mapping(),
             self.agent.key(),
             "",
             doc_time,
             "",
         )
         .unwrap();
+        let mapping = self.agent.mapping().lock().unwrap();
         let view = self.host.cache.view();
         let objects = expected
             .object_urls
@@ -193,6 +196,7 @@ impl Run {
         );
         assert_eq!(content.doc_time, expected.doc_time, "{what}: doc time");
         assert_eq!(expected.children_reused, 0, "{what}: from scratch");
+        assert_ids_unique(&content.xml, &what);
         for (key, data) in &planned.objects {
             let object = snap.object(*key).expect("a live object is servable");
             assert!(
@@ -298,8 +302,7 @@ impl Run {
                 let at = rng.next_below(doc.children(body).len() as u64 + 1) as usize;
                 let div = div_of(doc, &words(rng, 10));
                 if op == INSERT_CLICKABLE {
-                    // An anchor and a form field without ids: every later
-                    // child holding an id-less clickable is renumbered.
+                    // An anchor and a form field without ids.
                     let a = doc.create_element_with_attrs("a", vec![("href".into(), "/x".into())]);
                     let t = doc.create_text("a link");
                     doc.append_child(a, t).unwrap();
@@ -469,6 +472,35 @@ fn body_texts(doc: &Document) -> Vec<NodeId> {
         .collect()
 }
 
+/// Fails when two elements of the Fig.-4 document `xml` share an id:
+/// the head's and the top-level payloads' own, and those of every
+/// element their innerHTML parses to.
+fn assert_ids_unique(xml: &str, what: &str) {
+    let nc = rcb_xml::parse_new_content(xml).unwrap().unwrap();
+    let mut payloads: Vec<&ElementPayload> = nc.head_children.iter().collect();
+    match &nc.top {
+        TopLevel::Body(body) => payloads.push(body),
+        TopLevel::Frames { frameset, noframes } => {
+            payloads.push(frameset);
+            payloads.extend(noframes);
+        }
+    }
+    let mut doc = Document::new();
+    let mut ids = std::collections::HashSet::new();
+    for payload in payloads {
+        let element = doc.create_element_with_attrs(&payload.tag, payload.attrs.clone());
+        rcb_html::parse_fragment_into(&mut doc, element, &payload.inner_html);
+        for node in doc.descendants(element).into_iter().chain([element]) {
+            if let Some(id) = doc.get_attr(node, "id") {
+                assert!(
+                    ids.insert(id.to_string()),
+                    "{what}: two elements are {id:?}"
+                );
+            }
+        }
+    }
+}
+
 /// Random lowercase words, `len` letters and spaces.
 fn words(rng: &mut DetRng, len: usize) -> String {
     (0..len)
@@ -582,6 +614,17 @@ fn an_edit_regenerates_only_the_children_it_touched() {
     })
     .unwrap();
     assert_eq!(counts(&wiki), [2, 218, 220, 2]);
+    // An id-less anchor inserted near the front: one new child of 220, and
+    // no later child's synthetic ids move.
+    wiki.mutate_page(|doc| {
+        let body = doc.body().unwrap();
+        let p = doc.create_element("p");
+        let a = doc.create_element_with_attrs("a", vec![("href".into(), "/x".into())]);
+        doc.append_child(p, a).unwrap();
+        doc.splice_children(body, 1, 0, vec![p]).unwrap();
+    })
+    .unwrap();
+    assert_eq!(counts(&wiki), [3, 437, 221, 3]);
 
     // A co-filled form field on google.com: a merge changes one of 26.
     let (google, handler) = session("google.com");

@@ -180,7 +180,7 @@ fn dropping_a_snapshot_frees_at_most_its_xml_its_deltas_and_small_heads() {
         chain.push(next);
     }
     let last = chain.pop().unwrap();
-    // The agent's content cache shares the XML: without it, the snapshot
+    // The agent's newest generation shares the XML: without it, the snapshot
     // holds the last reference, and dropping it frees the XML too. (The
     // host browser stays: its cache owns the object bodies.)
     drop((chain, agent));

@@ -84,6 +84,7 @@ fn table1_m5_tracks_page_size_and_mode() {
     use rcb::origin::OriginRegistry;
     use rcb::sim::link::Pipe;
     use rcb::util::{DetRng, SimDuration, SimTime};
+    use std::sync::Mutex;
 
     let key = SessionKey::generate_deterministic(&mut DetRng::new(1));
     let mut m5_noncache = Vec::new();
@@ -106,13 +107,13 @@ fn table1_m5_tracks_page_size_and_mode() {
         let mut best_nc = SimDuration::from_secs(3600);
         let mut best_c = SimDuration::from_secs(3600);
         for _ in 0..7 {
-            let mut m = MappingTable::new();
-            let nc = generate_content(&host, CacheMode::NonCache, &mut m, &key, "", 1, "")
+            let m = Mutex::new(MappingTable::new());
+            let nc = generate_content(&host, CacheMode::NonCache, &m, &key, "", 1, "")
                 .unwrap()
                 .generation_cost;
             best_nc = best_nc.min(nc);
-            let mut m = MappingTable::new();
-            let c = generate_content(&host, CacheMode::Cache, &mut m, &key, "", 1, "")
+            let m = Mutex::new(MappingTable::new());
+            let c = generate_content(&host, CacheMode::Cache, &m, &key, "", 1, "")
                 .unwrap()
                 .generation_cost;
             best_c = best_c.min(c);
